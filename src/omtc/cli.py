@@ -85,9 +85,11 @@ def _cmd_spectrum(args) -> int:
         result.grid.save(cfg.output.correlation_dump)
     if cfg.output.svg:
         emit_plot([("spectrum", result.deltas, result.intensity)], cfg.output.svg)
+    meta = result.metadata
     print(
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
-        f"wall {result.metadata['wall_clock_s']:.2f}s -> {cfg.output.csv}",
+        f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, "
+        f"wall {meta['wall_clock_s']:.2f}s -> {cfg.output.csv}",
         file=sys.stderr,
     )
     return 0

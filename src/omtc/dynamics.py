@@ -5,18 +5,30 @@ The generator is the right-hand side of the master equation,
     L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O rho O'^+ - O'^+ O rho - rho O'^+ O),
 
 with O' = O for local channels and the ordered operator pair for cross
-channels.  Two integration backends are provided: a matrix-free classical
-RK4 (the default) and a dense one-step propagator expm(L dt) applied
-repeatedly; at the start of every correlation run both are cross-checked
-against a refined-step Taylor reference.
+channels.  Generator.apply and apply_adjoint act on dense d x d matrices;
+Generator.superoperator() is the sparse matrix of L on row-major
+vectorized matrices.
+
+Propagation runs only on invariant sectors of that matrix.  An index set
+R of vec(rho) that L maps into itself (L[~R, R] = 0) can be propagated on
+its own, exactly: exp(L dt) restricted to R is exp(L[R, R] dt).  The
+forward sector is the closure under L of the support of vec(rho0); the
+operand sector is the closure of the support of vec(a rho) for rho on the
+forward sector.  Both follow from the sparsity pattern of L, so no
+conservation law is assumed; for one optical excitation they are the
+rho_11 + rho_00 blocks and the 0-1 coherence block.  Two backends step a
+sector: classical RK4 with four sparse matvecs per step (the default) and
+the dense propagator expm(L[R, R] dt) of the sector block.  At the start
+of every correlation run both passes are cross-checked against
+full-space Taylor references built from apply and apply_adjoint.
 
 The two-time grid C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows from the
 quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 Rather than re-propagating one operand per column, the trace is folded
 into a single adjoint (Heisenberg) propagation of a', which turns the grid
-into one inner product per entry; the two formulations agree to roundoff
-because the adjoint of the RK4 step polynomial is the RK4 step of the
-adjoint generator.
+into one inner product per entry on the operand sector; the two
+formulations agree to roundoff because the adjoint of the RK4 step
+polynomial is the RK4 step of the adjoint generator.
 """
 
 import hashlib
@@ -137,8 +149,8 @@ class Generator:
             )
         return out
 
-    def superoperator(self) -> np.ndarray:
-        """Dense matrix acting on row-major vectorized density matrices."""
+    def superoperator(self) -> sparse.csr_matrix:
+        """Sparse matrix acting on row-major vectorized density matrices."""
         d = self.dim
         eye = sparse.identity(d, dtype=complex, format="csr")
         H = self.H_sparse
@@ -152,7 +164,9 @@ class Generator:
                 - sparse.kron(k, eye)
                 - sparse.kron(eye, k.T)
             )
-        return L.toarray()
+        L = L.tocsr()
+        L.eliminate_zeros()
+        return L
 
 
 def liouvillian_apply(H, dissipators: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
@@ -171,86 +185,142 @@ def heisenberg_apply(H, dissipators: DissipatorSpec, A: np.ndarray) -> np.ndarra
     return Generator(H, dissipators).apply_adjoint(np.asarray(A, dtype=complex))
 
 
-class _Rk4Stepper:
-    def __init__(self, gen: Generator, dt: float):
-        self.gen = gen
+def _block(S, index: np.ndarray):
+    """S[index][:, index] as CSR."""
+    return S[index][:, index].tocsr()
+
+
+def _closure(S, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the seed under the sparsity pattern of S.
+
+    The result R is the smallest superset of the seed with S[~R, R] = 0, so
+    S maps vectors supported on R into vectors supported on R and the
+    restriction to R is exact.
+    """
+    pattern = abs(S)
+    reach = np.zeros(S.shape[0], dtype=bool)
+    reach[seed] = True
+    while True:
+        grown = reach | (pattern @ reach.astype(float) > 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+class _SectorStepper:
+    """One step of size dt on an invariant sector: x -> exp(B dt) x.
+
+    B is the generator block on the sector, or its Hermitian adjoint for
+    the Heisenberg pass.  rk4 takes four sparse matvecs per step; expm
+    builds the dense propagator of the block once.
+    """
+
+    def __init__(self, block, dt: float, method: str, adjoint: bool = False):
+        if adjoint:
+            block = block.conj().T.tocsr()
         self.dt = dt
+        self._expm = method == "expm"
+        self._B = linalg.expm(block.toarray() * dt) if self._expm else block
 
-    def step(self, rho):
-        f, h = self.gen.apply, self.dt
-        k1 = f(rho)
-        k2 = f(rho + 0.5 * h * k1)
-        k3 = f(rho + 0.5 * h * k2)
-        k4 = f(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def adjoint_step(self, A):
-        f, h = self.gen.apply_adjoint, self.dt
-        k1 = f(A)
-        k2 = f(A + 0.5 * h * k1)
-        k3 = f(A + 0.5 * h * k2)
-        k4 = f(A + h * k3)
-        return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        B = self._B
+        if self._expm:
+            return B @ x
+        h = self.dt
+        k1 = B @ x
+        k2 = B @ (x + 0.5 * h * k1)
+        k3 = B @ (x + 0.5 * h * k2)
+        k4 = B @ (x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _ExpmStepper:
-    """Dense one-step propagator expm(L dt) on vectorized matrices."""
-
-    def __init__(self, gen: Generator, dt: float):
-        self.gen = gen
-        self.dt = dt
-        self._P = linalg.expm(gen.superoperator() * dt)
-        self._PH = self._P.conj().T
-        self._d = gen.dim
-
-    def step(self, rho):
-        return (self._P @ rho.reshape(-1)).reshape(self._d, self._d)
-
-    def adjoint_step(self, A):
-        return (self._PH @ A.reshape(-1)).reshape(self._d, self._d)
-
-
-def _make_stepper(gen: Generator, config: EvolutionConfig):
-    if config.method == "expm":
-        return _ExpmStepper(gen, config.dt)
-    return _Rk4Stepper(gen, config.dt)
-
-
-def _taylor_step(gen: Generator, rho: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
-    """Reference exp(L h) rho by plain Taylor summation (small h only)."""
-    out = rho.copy()
-    term = rho
-    scale = max(np.max(np.abs(rho)), 1e-300)
+def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
+    """Reference exp(F h) x of the linear map f by plain Taylor summation (small h only)."""
+    out = x.copy()
+    term = x
+    scale = max(np.max(np.abs(x)), 1e-300)
     for k in range(1, 60):
-        term = (h / k) * gen.apply(term)
+        term = (h / k) * f(term)
         out = out + term
         if np.max(np.abs(term)) < tol * scale:
             break
     return out
 
 
-def _smoke_check(gen: Generator, rho0: np.ndarray, config: EvolutionConfig):
-    """Cross-validate the selected backend against a refined-step reference.
+def _smoke_check(gen, S, sectors, steppers, x0s, config: EvolutionConfig):
+    """Cross-validate the sector steppers against full-space Taylor references.
 
-    Four steps of size dt/16 keep the per-step truncation of RK4 far below
-    the 1e-8 agreement threshold while still exercising every term of the
-    generator.
+    The forward stepper starts from rho0 and is compared, on the whole
+    d x d matrix, with exp(L h) built from gen.apply; this also checks at
+    runtime that the forward sector is closed.  The adjoint stepper starts
+    from the observable a and is compared with exp(L' h) built from
+    gen.apply_adjoint on the operand sector, the only part of the
+    Heisenberg flow that the grid pairs with the operands.  RK4 is checked
+    over four steps of size dt/16, which keeps its per-step truncation far
+    below the 1e-8 agreement threshold; the expm propagators are exact per
+    step, so the ones the run uses are checked over one step of dt against
+    16 Taylor substeps.
     """
-    h = config.dt / 16.0
-    stepper = (
-        _Rk4Stepper(gen, h) if config.method == "rk4" else _ExpmStepper(gen, h)
-    )
-    a = rho0.copy()
-    b = rho0.copy()
-    for _ in range(4):
-        a = stepper.step(a)
-        b = _taylor_step(gen, b, h)
-    err = np.max(np.abs(a - b))
-    if err > 1e-8:
-        raise NumericalError(
-            f"integrator backends disagree on the smoke test (max diff {err:.3e}); "
-            "the generator or step size is unsound"
-        )
+    if config.method == "expm":
+        n_steps, n_ref = 1, 16
+    else:
+        steppers = [
+            _SectorStepper(_block(S, sector), config.dt / 16.0, "rk4", adjoint)
+            for sector, adjoint in zip(sectors, (False, True))
+        ]
+        n_steps, n_ref = 4, 4
+    d = gen.dim
+    passes = (("forward", gen.apply), ("adjoint", gen.apply_adjoint))
+    for (name, f), sector, stepper, x0 in zip(passes, sectors, steppers, x0s):
+        x = x0.reshape(-1)[sector]
+        for _ in range(n_steps):
+            x = stepper(x)
+        ref = x0
+        for _ in range(n_ref):
+            ref = _taylor_step(f, ref, n_steps * stepper.dt / n_ref)
+        full = np.zeros(d * d, dtype=complex)
+        full[sector] = x
+        diff = full - ref.reshape(-1)
+        if name == "adjoint":
+            diff = diff[sector]
+        err = float(np.max(np.abs(diff), initial=0.0))
+        if err > 1e-8:
+            raise NumericalError(
+                f"integrator backends disagree on the {name} smoke test "
+                f"(max diff {err:.3e}); the generator or step size is unsound"
+            )
+
+
+def _forward(step: _SectorStepper, rho0: np.ndarray, sector: np.ndarray,
+             config: EvolutionConfig, monitor=None):
+    """Yield (rho(t_k) on the forward sector, monitor value) for k = 0, 1, ...
+
+    Stops after t_max, or after the first node k > 0 where the monitor
+    expectation (if given) falls below leak_tolerance.  Aborts with a
+    diagnostic when the trace drifts by more than TRACE_DRIFT_LIMIT
+    (step-size instability or a leaking truncation).  The trace and the
+    monitor are linear functionals on the sector; the trace is exact there
+    because diagonal entries outside the sector stay exactly zero.
+    """
+    d = rho0.shape[0]
+    on_diag = sector % (d + 1) == 0
+    mon = None if monitor is None else _dense(monitor).T.reshape(-1)[sector]
+    x = rho0.reshape(-1)[sector]
+    trace0 = x[on_diag].sum().real
+    n_max = int(np.floor(config.t_max / config.dt + 0.5)) + 1
+    for k in range(n_max):
+        drift = abs(x[on_diag].sum().real - trace0)
+        if drift > TRACE_DRIFT_LIMIT:
+            raise NumericalError(
+                f"trace drift {drift:.3e} at step {k} exceeds {TRACE_DRIFT_LIMIT}; "
+                "reduce dt or enlarge the truncated space"
+            )
+        residual = None if mon is None else (mon @ x).real
+        yield x, residual
+        if residual is not None and residual < config.leak_tolerance and k > 0:
+            return
+        if k < n_max - 1:
+            x = step(x)
 
 
 @dataclass
@@ -279,35 +349,22 @@ def evolve(
     below leak_tolerance.  Aborts with a diagnostic when the trace drifts
     by more than 1e-4 (step-size instability or a leaking truncation).
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
-    trace0 = np.trace(rho).real
-    stepper = _make_stepper(gen, config)
-    mon = _dense(monitor) if monitor is not None else None
-
-    n_max = int(np.floor(config.t_max / config.dt + 0.5)) + 1
-    states = []
-    mvals = [] if mon is not None else None
-    stopped = False
-    for k in range(n_max):
-        drift = abs(np.trace(rho).real - trace0)
-        if drift > TRACE_DRIFT_LIMIT:
-            raise NumericalError(
-                f"trace drift {drift:.3e} at step {k} exceeds {TRACE_DRIFT_LIMIT}; "
-                "reduce dt or enlarge the truncated space"
-            )
-        states.append(rho)
-        if mon is not None:
-            mvals.append(np.einsum("ij,ji->", mon, rho).real)
-            if mvals[-1] < config.leak_tolerance and k > 0:
-                stopped = True
-                break
-        if k < n_max - 1:
-            rho = stepper.step(rho)
-    times = np.arange(len(states)) * config.dt
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = gen.dim
+    S = sparse.csr_matrix(gen.superoperator())
+    sector = _closure(S, np.flatnonzero(rho0.reshape(-1)))
+    step = _SectorStepper(_block(S, sector), config.dt, config.method)
+    states, mvals = [], []
+    for x, residual in _forward(step, rho0, sector, config, monitor):
+        rho = np.zeros(d * d, dtype=complex)
+        rho[sector] = x
+        states.append(rho.reshape(d, d))
+        mvals.append(residual)
+    stopped = monitor is not None and len(states) > 1 and mvals[-1] < config.leak_tolerance
     return Trajectory(
-        times=times,
+        times=np.arange(len(states)) * config.dt,
         states=states,
-        monitor_values=None if mvals is None else np.asarray(mvals),
+        monitor_values=None if monitor is None else np.asarray(mvals),
         stopped_early=stopped,
     )
 
@@ -321,13 +378,16 @@ class CorrelationGrid:
     """
 
     def __init__(self, dt, n_t, data, kappa=0.0, param_hash=b"\0" * 32,
-                 residual_excitation=None):
+                 residual_excitation=None, sector_sizes=None):
         self.dt = float(dt)
         self.n_t = int(n_t)
         self.data = data
         self.kappa = float(kappa)
         self.param_hash = param_hash
         self.residual_excitation = residual_excitation
+        #: (forward, operand) sector sizes of the run that built the grid;
+        #: not part of the dump, so None on a loaded grid
+        self.sector_sizes = sector_sizes
         k = np.arange(self.n_t, dtype=np.int64)
         self._offsets = k * self.n_t - (k * (k - 1)) // 2
         if len(data) != self.n_t * (self.n_t + 1) // 2:
@@ -444,35 +504,31 @@ def two_time_correlation(
     The horizon is t_max, shortened to the first grid node where the
     monitor expectation (if given) falls below leak_tolerance.
     """
-    if config.smoke_check:
-        _smoke_check(gen, np.asarray(rho0, dtype=complex), config)
-
+    rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
+    S = sparse.csr_matrix(gen.superoperator())
     a_mat = _dense(a_op)
-    stepper = _make_stepper(gen, config)
-    mon = _dense(monitor) if monitor is not None else None
 
-    n_max = int(np.floor(config.t_max / config.dt + 0.5)) + 1
+    # (a x I) vec(rho) is the row-major vec(a rho).  The forward sector is
+    # the closure of supp vec(rho0), the operand sector the closure of the
+    # rows that (a x I) reaches from the forward sector.
+    fwd = _closure(S, np.flatnonzero(rho0.reshape(-1)))
+    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")[:, fwd]
+    a_map.eliminate_zeros()
+    adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
+    a_map = a_map[adj]
 
-    # forward pass: collect the regression operands a rho(t_k)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    trace0 = np.trace(rho).real
+    step = _SectorStepper(_block(S, fwd), config.dt, config.method)
+    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
+    if config.smoke_check:
+        _smoke_check(gen, S, (fwd, adj), (step, adjoint_step), (rho0, a_mat), config)
+
+    # forward pass: collect the regression operands a rho(t_k) on the
+    # operand sector
     operands = []
     residual = None
-    for k in range(n_max):
-        drift = abs(np.trace(rho).real - trace0)
-        if drift > TRACE_DRIFT_LIMIT:
-            raise NumericalError(
-                f"trace drift {drift:.3e} at step {k} exceeds {TRACE_DRIFT_LIMIT}; "
-                "reduce dt or enlarge the truncated space"
-            )
-        operands.append((a_mat @ rho).reshape(-1))
-        if mon is not None:
-            residual = np.einsum("ij,ji->", mon, rho).real
-            if residual < config.leak_tolerance and k > 0:
-                break
-        if k < n_max - 1:
-            rho = stepper.step(rho)
+    for x, residual in _forward(step, rho0, fwd, config, monitor):
+        operands.append(a_map @ x)
 
     n_t = len(operands)
     packed_bytes = 16 * n_t * (n_t + 1) // 2
@@ -483,27 +539,30 @@ def two_time_correlation(
             "use a coarser dt or a shorter t_max"
         )
 
-    X = np.asarray(operands)
+    X = np.asarray(operands).reshape(n_t, len(adj))
     del operands
 
     # adjoint pass: C[j][k] = <U_tau, X_k> with U_0 = a evolved under the
     # Hilbert-Schmidt adjoint; the dagger of the observable lives inside
-    # the inner product Tr[U' X]
-    Uc = np.empty((n_t, d * d), dtype=complex)
-    A = a_mat.astype(complex)
+    # the inner product Tr[U' X].  The operand sector is invariant under L,
+    # so the adjoint restricted to it is exact on the pairing.
+    Uc = np.empty((n_t, len(adj)), dtype=complex)
+    U = a_mat.reshape(-1)[adj]
     for i in range(n_t):
-        Uc[i] = np.conj(A.reshape(-1))
+        Uc[i] = np.conj(U)
         if i < n_t - 1:
-            A = stepper.adjoint_step(A)
+            U = adjoint_step(U)
 
     k_ix = np.arange(n_t, dtype=np.int64)
     offsets = k_ix * n_t - (k_ix * (k_ix - 1)) // 2
     packed = np.empty(n_t * (n_t + 1) // 2, dtype=complex)
 
     def fill(k_lo, k_hi):
+        # one matrix product per chunk; column k keeps its first n_t - k lags
+        block = X[k_lo:k_hi] @ Uc[: n_t - k_lo].T
         for k in range(k_lo, k_hi):
             m = n_t - k
-            packed[offsets[k] : offsets[k] + m] = Uc[:m] @ X[k]
+            packed[offsets[k] : offsets[k] + m] = block[k - k_lo, :m]
 
     chunks = [
         (lo, min(lo + _CHUNK_COLUMNS, n_t)) for lo in range(0, n_t, _CHUNK_COLUMNS)
@@ -522,4 +581,5 @@ def two_time_correlation(
         kappa=kappa,
         param_hash=param_hash,
         residual_excitation=residual,
+        sector_sizes=(len(fwd), len(adj)),
     )

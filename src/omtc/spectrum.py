@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dressed
 from .dynamics import (
     CorrelationGrid,
     EvolutionConfig,
@@ -257,6 +256,8 @@ def stationary_spectrum(
             )
         dim = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap).dim
 
+    # sector sizes are known only when this call ran the propagation
+    sectors = grid.sector_sizes or (None, None)
     T = grid.horizon
     deltas = filt.deltas()
     intensity, integrated = filtered_spectrum(grid, deltas, filt.Gamma, T)
@@ -281,6 +282,8 @@ def stationary_spectrum(
             "n_t": grid.n_t,
             "grid_memory_bytes": grid.memory_bytes,
             "dim": dim,
+            "forward_sector": sectors[0],
+            "adjoint_sector": sectors[1],
             "wall_clock_s": None,  # filled below; excluded from file output
             "threads": threads,
         },
@@ -290,7 +293,3 @@ def stationary_spectrum(
     result.metadata["wall_clock_s"] = time.perf_counter() - t0
     return result
 
-
-def predicted_stick_lines(params: ModelParams, m_max: int = 6) -> dressed.StickSpectrum:
-    """Convenience re-export of the closed-form oracle for CLI use."""
-    return dressed.predicted_lines(params, m_max)

@@ -195,6 +195,19 @@ class TestCliCorrelation:
         ) == 0
         assert direct.read_bytes() == reused.read_bytes()
 
+    def test_stderr_reports_sectors(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        dump = tmp_path / "grid.bin"
+        out = tmp_path / "out.csv"
+        main(["spectrum", "--config", str(cfg), "--output", str(out),
+              "--dump-correlation", str(dump)])
+        assert "sectors 90/27," in capsys.readouterr().err
+        main(["spectrum", "--config", str(cfg), "--output", str(out),
+              "--load-correlation", str(dump)])
+        assert "sectors None/None," in capsys.readouterr().err
+        assert "sectors" not in out.read_text()
+
     def test_correlation_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, sparse
 
 from omtc.dynamics import (
     CorrelationGrid,
@@ -179,13 +182,16 @@ class TestEvolve:
         p, space, gen, _ = _damped_cavity()
 
         class Leaky:
+            # the steppers read superoperator(), so it has to leak as well
             dim = gen.dim
 
             def apply(self, rho):
                 return gen.apply(rho) - 0.01 * rho
 
             apply_adjoint = gen.apply_adjoint
-            superoperator = gen.superoperator
+
+            def superoperator(self):
+                return gen.superoperator() - 0.01 * sparse.identity(gen.dim**2)
 
         rho0 = np.eye(space.dim, dtype=complex) / space.dim
         with pytest.raises(NumericalError, match="trace drift"):
@@ -226,6 +232,25 @@ class TestBackends:
         with pytest.raises(NumericalError):
             two_time_correlation(
                 rho0, Broken(), EvolutionConfig(dt=0.02, t_max=1.0, method="expm"), a
+            )
+
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_smoke_check_catches_broken_adjoint(self, method):
+        p, space, gen, rho0 = _damped_cavity()
+
+        class BrokenAdjoint:
+            dim = gen.dim
+            apply = gen.apply
+
+            def apply_adjoint(self, A):
+                return gen.apply_adjoint(A) + 0.01 * A  # inconsistent reference
+
+            superoperator = gen.superoperator
+
+        a = ladder_operators(space)["a"]
+        with pytest.raises(NumericalError, match="adjoint smoke test"):
+            two_time_correlation(
+                rho0, BrokenAdjoint(), EvolutionConfig(dt=0.02, t_max=1.0, method=method), a
             )
 
     def test_halving_dt_expm_grid_stable(self):
@@ -386,3 +411,87 @@ class TestGridStorage:
         path.write_bytes(b"not a dump at all")
         with pytest.raises(ConfigurationError):
             CorrelationGrid.load(path)
+
+
+def _brute_force_grid(gen, rho0, a, config):
+    """Slow path: full d x d matrices, one forward propagation per column.
+
+    C[j][k] = Tr[a' Phi_{t_j - t_k}(a rho(t_k))], stepped with gen.apply
+    (RK4) or with the dense expm of the full superoperator.
+    """
+    d = gen.dim
+    if config.method == "expm":
+        P = linalg.expm(gen.superoperator().toarray() * config.dt)
+
+        def step(X):
+            return (P @ X.reshape(-1)).reshape(d, d)
+    else:
+        def step(X):
+            return _rk4_once(gen, X, config.dt)
+
+    n_t = int(np.floor(config.t_max / config.dt + 0.5)) + 1
+    rhos = [rho0]
+    for _ in range(n_t - 1):
+        rhos.append(step(rhos[-1]))
+    C = np.zeros((n_t, n_t), dtype=complex)
+    for k in range(n_t):
+        X = a @ rhos[k]
+        for j in range(k, n_t):
+            C[j, k] = np.trace(a.conj().T @ X)
+            X = step(X)
+    return C
+
+
+@st.composite
+def _model_points(draw):
+    """Small spaces with every dissipation channel switched on."""
+    N_m = draw(st.integers(0, 2))
+    gamma_a = draw(st.floats(0.02, 0.3))
+    params = ModelParams(
+        g_a=draw(st.floats(0.2, 2.4)),
+        g_M=draw(st.floats(0.1, 1.2)),
+        delta_ac=draw(st.floats(-1.0, 1.0)),
+        J=draw(st.floats(-1.0, 1.0)),
+        kappa=draw(st.floats(0.05, 0.5)),
+        gamma_a=gamma_a,
+        gamma_a_coop=draw(st.floats(-1.0, 1.0)) * gamma_a,
+        gamma_M=draw(st.floats(0.01, 0.3)),
+        # the thermal weight must fit the phonon cutoff
+        Mbar=draw(st.floats(1e-4, 1e-3 if N_m == 0 else 0.03)),
+    )
+    cap = draw(st.sampled_from([1, None]))
+    initial = draw(st.sampled_from([1, 2, "symmetric", "antisymmetric"]))
+    return params, build_space(1, N_m, cap), initial
+
+
+class TestInvariantSectors:
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @settings(max_examples=6, deadline=None)
+    @given(point=_model_points())
+    def test_sector_grid_matches_full_space_oracle(self, method, point):
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        rho0 = initial_state(params, space, initial)
+        a = ladder_operators(space)["a"]
+        cfg = EvolutionConfig(dt=0.02, t_max=0.4, method=method)
+        grid = two_time_correlation(rho0, gen, cfg, a)
+        brute = _brute_force_grid(gen, rho0, a.toarray(), cfg)
+        full = np.tril(brute) + np.tril(brute, -1).conj().T
+        # |C[j][k]| <= 1 for one excitation, so an absolute bound is relative
+        assert np.abs(grid.to_dense() - full).max() <= 1e-12
+
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_capped_and_uncapped_grids_agree(self, method):
+        params = ModelParams(J=0.4, delta_ac=-0.3, gamma_a_coop=0.03, gamma_M=0.05, Mbar=0.02)
+        grids = {}
+        for cap in (1, None):
+            space = build_space(1, 2, cap)
+            gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+            grids[cap] = two_time_correlation(
+                initial_state(params, space, "symmetric"), gen,
+                EvolutionConfig(dt=0.02, t_max=4.0, method=method),
+                ladder_operators(space)["a"],
+            )
+        assert grids[1].sector_sizes == grids[None].sector_sizes == (90, 27)
+        scale = np.abs(grids[1].data).max()
+        assert np.abs(grids[1].data - grids[None].data).max() <= 1e-12 * scale

@@ -193,6 +193,14 @@ class TestStationarySpectrum:
         assert res.metadata["n_t"] == int(round(res.horizon / 0.02)) + 1
         assert res.residual_excitation < 1e-4 or res.horizon == 60.0
 
+    def test_sector_sizes_in_metadata(self, tmp_path):
+        res = self._run(g_a=1.0, g_M=0.4)
+        # N_m = 2: rho_11 and rho_00 blocks (81 + 9), a rho in the 0-1 block
+        assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (90, 27)
+        path = tmp_path / "grid.bin"
+        res.grid.save(path)
+        assert CorrelationGrid.load(path).sector_sizes is None
+
     def test_grid_reuse_with_matching_hash(self):
         params = ModelParams(g_a=1.0, g_M=0.4)
         numerics = NumericsConfig(
