@@ -1,7 +1,6 @@
 """Emission spectra of two dipole-dipole coupled atoms in an optomechanical cavity."""
 
 from .dressed import (
-    DressedLevel,
     StickLine,
     StickSpectrum,
     displaced_fock_overlap,

@@ -5,8 +5,9 @@ parameter plus a separation summary), dressed (closed-form stick lines),
 correlation (simulate and dump the two-time grid).  Exit codes: 0 on
 success, 2 for configuration errors, 3 for numerical failures.
 
-Determinism contract: identical configs (including --threads) produce
-byte-identical output files; timing goes to stderr only.
+Determinism contract: identical configs produce byte-identical output
+files; timing goes to stderr only.  --threads is still accepted and
+checked (>= 1) but no longer changes anything: every run is serial.
 """
 
 import argparse
@@ -58,7 +59,6 @@ def _run_one(cfg: RunConfig):
         cfg.filter,
         cfg.numerics,
         initial=cfg.excited_atom,
-        threads=cfg.threads,
         peak_fraction=cfg.output.peak_min_fraction,
         grid=grid,
     )
@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat dotted-key config file")
         p.add_argument("--output", default=None, help="CSV output path")
         p.add_argument("--svg", default=None, help="SVG plot path")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
         p.add_argument("--dump-correlation", default=None, help="binary grid dump path")
         p.add_argument("--load-correlation", default=None, help="reuse a dumped grid")
         p.set_defaults(handler=fn)

@@ -19,10 +19,7 @@ SCHEMA_VERSION = "omtc/1"
 
 SWEEPABLE = ("J", "delta_ac", "gamma_M", "gamma_a", "Mbar")
 
-_MODEL_FLOAT_KEYS = (
-    "g_a", "g_M", "delta_ac", "J", "kappa",
-    "gamma_a", "gamma_a_coop", "gamma_M", "Mbar",
-)
+_MODEL_FLOAT_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,7 @@ class RunConfig:
     sweep: SweepConfig | None = None
     excited_atom: int | str = 1
     dressed_m_max: int = 6
+    #: accepted and validated for compatibility; results do not depend on it
     threads: int = 1
 
 
@@ -200,6 +198,10 @@ def parse_config(text: str) -> RunConfig:
         )
         sweep = SweepConfig(parameter=pairs.pop("sweep.parameter"), values=values)
 
+    threads = take("threads", _parse_int, 1)
+    if threads < 1:
+        raise ConfigurationError(f"config error at threads: must be >= 1, got {threads}")
+
     return RunConfig(
         model=model,
         numerics=numerics,
@@ -208,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
         sweep=sweep,
         excited_atom=excited_atom,
         dressed_m_max=take("dressed.m_max", _parse_int, 6),
-        threads=take("threads", _parse_int, 1),
+        threads=threads,
     )
 
 

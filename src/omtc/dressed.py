@@ -75,23 +75,6 @@ def dressed_eigenvalue(params: ModelParams, m: int, branch: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DressedLevel:
-    branch: int
-    m: int
-    energy: float
-    theta: float
-
-
-def dressed_level(params: ModelParams, m: int, branch: int) -> DressedLevel:
-    return DressedLevel(
-        branch=branch,
-        m=m,
-        energy=dressed_eigenvalue(params, m, branch),
-        theta=mixing_angle(params),
-    )
-
-
 def displaced_fock_overlap(n: int, m: int, beta: float) -> float:
     """Matrix element <n| exp(beta (b' - b)) |m> of the displacement.
 

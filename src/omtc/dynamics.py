@@ -22,18 +22,21 @@ the dense propagator expm(L[R, R] dt) of the sector block.  At the start
 of every correlation run both passes are cross-checked against
 full-space Taylor references built from apply and apply_adjoint.
 
-The two-time grid C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows from the
-quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
+The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
+from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 Rather than re-propagating one operand per column, the trace is folded
-into a single adjoint (Heisenberg) propagation of a', which turns the grid
-into one inner product per entry on the operand sector; the two
-formulations agree to roundoff because the adjoint of the RK4 step
-polynomial is the RK4 step of the adjoint generator.
+into a single adjoint (Heisenberg) propagation of a', so every entry is an
+inner product C[k+tau][k] = <U_tau, X_k> of two stacks on the operand
+sector: X_k = a rho(t_k) from the forward pass and U_tau from the adjoint
+pass.  The two formulations agree to roundoff because the adjoint of the
+RK4 step polynomial is the RK4 step of the adjoint generator.
+CorrelationGrid keeps only these two stacks, O(n_t |R_a|) values, and
+computes the filter's per-lag sums from them with one first-order
+recurrence; the O(n_t^2) triangle is never formed.
 """
 
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,7 @@ from .model import CrossChannel, DissipatorSpec, LocalChannel
 TRACE_DRIFT_LIMIT = 1e-4
 
 _GRID_MAGIC = b"OMTCGRID"
-_GRID_VERSION = 1
+_GRID_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,11 @@ class EvolutionConfig:
             raise ConfigurationError(f"method must be 'rk4' or 'expm', got {self.method!r}")
         if self.leak_tolerance < 0:
             raise ConfigurationError("leak_tolerance must be >= 0")
+
+    @property
+    def n_max(self) -> int:
+        """Number of grid nodes t_k = k dt up to t_max."""
+        return int(np.floor(self.t_max / self.dt + 0.5)) + 1
 
 
 def check_step_size(dt: float, params) -> None:
@@ -307,7 +315,7 @@ def _forward(step: _SectorStepper, rho0: np.ndarray, sector: np.ndarray,
     mon = None if monitor is None else _dense(monitor).T.reshape(-1)[sector]
     x = rho0.reshape(-1)[sector]
     trace0 = x[on_diag].sum().real
-    n_max = int(np.floor(config.t_max / config.dt + 0.5)) + 1
+    n_max = config.n_max
     for k in range(n_max):
         drift = abs(x[on_diag].sum().real - trace0)
         if drift > TRACE_DRIFT_LIMIT:
@@ -370,28 +378,31 @@ def evolve(
 
 
 class CorrelationGrid:
-    """Lower triangle of C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh.
+    """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as its two factors.
 
-    Stored packed by columns: column k holds C[k+tau][k] for
-    tau = 0 .. n_t-1-k, so fixed-lag slices are contiguous.  The upper
-    triangle is defined by conjugate symmetry.
+    Row tau of U is the conjugate of the observable a after tau adjoint
+    steps and row k of X the regression operand a rho(t_k), both on the
+    operand sector, so C[k+tau][k] = U[tau] . X[k]; the upper triangle is
+    defined by conjugate symmetry.  Entries are computed on demand.
     """
 
-    def __init__(self, dt, n_t, data, kappa=0.0, param_hash=b"\0" * 32,
+    def __init__(self, dt, U, X, kappa=0.0, param_hash=b"\0" * 32,
                  residual_excitation=None, sector_sizes=None):
+        self.U = np.asarray(U, dtype=complex)
+        self.X = np.asarray(X, dtype=complex)
+        if self.X.ndim != 2 or self.U.shape != self.X.shape:
+            raise ConfigurationError(
+                f"factor stacks must share one n_t x |R_a| shape, "
+                f"got {self.U.shape} and {self.X.shape}"
+            )
         self.dt = float(dt)
-        self.n_t = int(n_t)
-        self.data = data
+        self.n_t = len(self.X)
         self.kappa = float(kappa)
         self.param_hash = param_hash
         self.residual_excitation = residual_excitation
         #: (forward, operand) sector sizes of the run that built the grid;
         #: not part of the dump, so None on a loaded grid
         self.sector_sizes = sector_sizes
-        k = np.arange(self.n_t, dtype=np.int64)
-        self._offsets = k * self.n_t - (k * (k - 1)) // 2
-        if len(data) != self.n_t * (self.n_t + 1) // 2:
-            raise ConfigurationError("packed data length does not match n_t")
 
     @property
     def horizon(self) -> float:
@@ -399,19 +410,16 @@ class CorrelationGrid:
 
     @property
     def memory_bytes(self) -> int:
-        return self.data.nbytes
+        return self.U.nbytes + self.X.nbytes
 
     def column(self, k: int) -> np.ndarray:
-        """View of C[k:][k] (lags 0 .. n_t-1-k)."""
-        return self.data[self._offsets[k] : self._offsets[k] + self.n_t - k]
+        """C[k:][k] (lags 0 .. n_t-1-k)."""
+        return self.U[: self.n_t - k] @ self.X[k]
 
     def value(self, j: int, k: int) -> complex:
         if j < k:
             return np.conj(self.value(k, j))
-        return complex(self.data[self._offsets[k] + (j - k)])
-
-    def diagonal(self) -> np.ndarray:
-        return self.data[self._offsets]
+        return complex(self.U[j - k] @ self.X[k])
 
     def to_dense(self) -> np.ndarray:
         """Full Hermitian-symmetric n_t x n_t matrix (tests and small grids)."""
@@ -422,28 +430,52 @@ class CorrelationGrid:
             out[k, k:] = np.conj(col)
         return out
 
-    def _row_major_triangle(self) -> np.ndarray:
-        out = np.empty(len(self.data), dtype=complex)
-        pos = 0
-        for j in range(self.n_t):
-            ks = np.arange(j + 1)
-            out[pos : pos + j + 1] = self.data[self._offsets[ks] + (j - ks)]
-            pos += j + 1
-        return out
+    def lag_sums(self, Gamma: float, n: int):
+        """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].
+
+        With the trapezoid weights w_k of [0, t_n] and
+        q_k = w_k exp(-Gamma (t_n - t_k)), G[tau] = sum_k q_k q_{k+tau}
+        C[k+tau][k] for tau = 0 .. n; A is the same with Gamma = 0.
+        """
+        return self._lag_sum(Gamma, n), self._lag_sum(0.0, n)
+
+    def _lag_sum(self, Gamma: float, n: int) -> np.ndarray:
+        # With m = n - tau, q_k q_{k+tau} = exp(-Gamma tau h) w_k w_{k+tau}
+        # r^(m-k) for r = exp(-2 Gamma h), and w_{k+tau} = h except at k = m
+        # (and at k = 0 when tau = 0).  So G[tau] = exp(-Gamma tau h)
+        # U[tau] . (h S_m - (h/2) w_m X_m), minus (h/2) w_0 r^n U[0] . X[0]
+        # at tau = 0, where S_m = sum_{k<=m} w_k r^(m-k) X_k
+        # = r S_{m-1} + w_m X_m.  No factor exceeds 1, so no Gamma T can
+        # overflow.
+        h = self.dt
+        w = np.full(n + 1, h)
+        w[0] = w[n] = 0.5 * h
+        r = np.exp(-2.0 * Gamma * h)
+        U, X = self.U[: n + 1], self.X[: n + 1]
+        S = w[:, None] * X
+        for m in range(1, n + 1):
+            S[m] += r * S[m - 1]
+        sums = h * np.einsum("ti,ti->t", U, S[::-1])
+        sums -= 0.5 * h * np.einsum("ti,t,ti->t", U, w[::-1], X[::-1])
+        sums[0] -= 0.5 * h * w[0] * r**n * (U[0] @ X[0])
+        return np.exp(-Gamma * h * np.arange(n + 1)) * sums
 
     def save(self, path):
-        """Binary dump: header + row-major lower triangle, little endian."""
+        """Binary dump: 80-byte header, then the U and X stacks, little endian.
+
+        The header's second uint32 holds the operand-sector size |R_a|.
+        """
         hash_bytes = self.param_hash
         if isinstance(hash_bytes, str):
             hash_bytes = bytes.fromhex(hash_bytes)
         residual = float("nan") if self.residual_excitation is None else self.residual_excitation
         header = _GRID_MAGIC + struct.pack(
-            "<IIQddd", _GRID_VERSION, 0, self.n_t, self.dt, self.kappa, residual
+            "<IIQddd", _GRID_VERSION, self.X.shape[1], self.n_t, self.dt, self.kappa, residual
         ) + hash_bytes
-        tri = self._row_major_triangle().astype("<c16")
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(tri.tobytes())
+            for stack in (self.U, self.X):
+                fh.write(np.ascontiguousarray(stack, dtype="<c16"))
 
     @classmethod
     def load(cls, path) -> "CorrelationGrid":
@@ -451,28 +483,21 @@ class CorrelationGrid:
             magic = fh.read(8)
             if magic != _GRID_MAGIC:
                 raise ConfigurationError(f"{path}: not a correlation dump")
-            version, _, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
+            version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
             if version != _GRID_VERSION:
                 raise ConfigurationError(f"{path}: unsupported dump version {version}")
             param_hash = fh.read(32)
-            raw = np.frombuffer(fh.read(), dtype="<c16")
-        expected = n_t * (n_t + 1) // 2
+            raw = np.fromfile(fh, dtype="<c16")
+        expected = 2 * n_t * n_op
         if len(raw) != expected:
             raise ConfigurationError(
                 f"{path}: truncated dump ({len(raw)} of {expected} entries)"
             )
-        data = np.empty(expected, dtype=complex)
-        k_ix = np.arange(n_t, dtype=np.int64)
-        offsets = k_ix * n_t - (k_ix * (k_ix - 1)) // 2
-        pos = 0
-        for j in range(n_t):
-            ks = np.arange(j + 1)
-            data[offsets[ks] + (j - ks)] = raw[pos : pos + j + 1]
-            pos += j + 1
+        U, X = raw.reshape(2, n_t, n_op)
         return cls(
             dt=dt,
-            n_t=n_t,
-            data=data,
+            U=U,
+            X=X,
             kappa=kappa,
             param_hash=param_hash,
             residual_excitation=None if np.isnan(residual) else residual,
@@ -484,11 +509,6 @@ def config_hash(payload: str) -> bytes:
     return hashlib.sha256(payload.encode("utf-8")).digest()
 
 
-#: columns per work unit in the grid build; fixed so results do not depend
-#: on the worker count
-_CHUNK_COLUMNS = 128
-
-
 def two_time_correlation(
     rho0: np.ndarray,
     gen: Generator,
@@ -496,13 +516,15 @@ def two_time_correlation(
     a_op,
     monitor=None,
     kappa: float = 0.0,
-    threads: int = 1,
     param_hash: bytes = b"\0" * 32,
 ) -> CorrelationGrid:
     """Quantum-regression grid of <a'(t_j) a(t_k)> over the adaptive horizon.
 
     The horizon is t_max, shortened to the first grid node where the
-    monitor expectation (if given) falls below leak_tolerance.
+    monitor expectation (if given) falls below leak_tolerance.  Before
+    anything large is allocated, the factor stacks over the full t_max and,
+    for expm, the dense sector propagators are checked against
+    max_grid_bytes.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
@@ -518,6 +540,17 @@ def two_time_correlation(
     adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
     a_map = a_map[adj]
 
+    stack_bytes = 32 * config.n_max * len(adj)
+    block_bytes = 16 * (len(fwd) ** 2 + len(adj) ** 2) if config.method == "expm" else 0
+    if stack_bytes + block_bytes > config.max_grid_bytes:
+        raise NumericalError(
+            f"correlation run would need {(stack_bytes + block_bytes) / 2**20:.1f} MiB "
+            f"(factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}, "
+            f"dense expm blocks {block_bytes / 2**20:.1f} MiB), above the "
+            f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
+            "use a coarser dt, a shorter t_max or method rk4"
+        )
+
     step = _SectorStepper(_block(S, fwd), config.dt, config.method)
     adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
     if config.smoke_check:
@@ -531,21 +564,13 @@ def two_time_correlation(
         operands.append(a_map @ x)
 
     n_t = len(operands)
-    packed_bytes = 16 * n_t * (n_t + 1) // 2
-    if packed_bytes > config.max_grid_bytes:
-        raise NumericalError(
-            f"correlation grid would need {packed_bytes/2**20:.0f} MiB "
-            f"(n_t={n_t}), above the {config.max_grid_bytes/2**20:.0f} MiB budget; "
-            "use a coarser dt or a shorter t_max"
-        )
-
     X = np.asarray(operands).reshape(n_t, len(adj))
     del operands
 
-    # adjoint pass: C[j][k] = <U_tau, X_k> with U_0 = a evolved under the
-    # Hilbert-Schmidt adjoint; the dagger of the observable lives inside
-    # the inner product Tr[U' X].  The operand sector is invariant under L,
-    # so the adjoint restricted to it is exact on the pairing.
+    # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
+    # dagger of the observable lives inside the inner product Tr[U' X], so
+    # the stack holds conj(U).  The operand sector is invariant under L, so
+    # the adjoint restricted to it is exact on the pairing.
     Uc = np.empty((n_t, len(adj)), dtype=complex)
     U = a_mat.reshape(-1)[adj]
     for i in range(n_t):
@@ -553,31 +578,10 @@ def two_time_correlation(
         if i < n_t - 1:
             U = adjoint_step(U)
 
-    k_ix = np.arange(n_t, dtype=np.int64)
-    offsets = k_ix * n_t - (k_ix * (k_ix - 1)) // 2
-    packed = np.empty(n_t * (n_t + 1) // 2, dtype=complex)
-
-    def fill(k_lo, k_hi):
-        # one matrix product per chunk; column k keeps its first n_t - k lags
-        block = X[k_lo:k_hi] @ Uc[: n_t - k_lo].T
-        for k in range(k_lo, k_hi):
-            m = n_t - k
-            packed[offsets[k] : offsets[k] + m] = block[k - k_lo, :m]
-
-    chunks = [
-        (lo, min(lo + _CHUNK_COLUMNS, n_t)) for lo in range(0, n_t, _CHUNK_COLUMNS)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: fill(*c), chunks))
-    else:
-        for c in chunks:
-            fill(*c)
-
     return CorrelationGrid(
         dt=config.dt,
-        n_t=n_t,
-        data=packed,
+        U=Uc,
+        X=X,
         kappa=kappa,
         param_hash=param_hash,
         residual_excitation=residual,

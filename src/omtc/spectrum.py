@@ -10,9 +10,11 @@ detuning Delta, evaluated at time T, is
 computed by trapezoidal quadrature on the correlation mesh.  Because the
 filter kernel depends on t' and t'' only through exp(-Gamma(T-t)) factors
 and a phase in the lag t' - t'', the double sum collapses to per-lag
-reductions that are independent of Delta; a detuning sweep then costs one
-short vector sum per point.  The result is assembled as 2 Re(lower
-triangle) + diagonal, so it is real by construction.
+reductions that are independent of Delta.  The grid computes them from
+its two factor stacks (CorrelationGrid.lag_sums, O(n_t |R_a|)), so a
+detuning sweep then costs one short vector sum per point.  The result is
+assembled as 2 Re(lower triangle) + diagonal, so it is real by
+construction.
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time
@@ -21,7 +23,7 @@ weights).
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -102,28 +104,6 @@ def _snap_to_node(grid: CorrelationGrid, T: float) -> int:
     return n
 
 
-def _lag_reductions(grid: CorrelationGrid, Gamma: float, T: float):
-    """Delta-independent per-lag sums of the weighted correlation triangle.
-
-    Returns (n, G, A): G[tau] carries the filter-damped quadrature weights
-    q_j = w_j exp(-Gamma (T - t_j)); A[tau] the plain trapezoid weights.
-    """
-    n = _snap_to_node(grid, T)
-    h = grid.dt
-    t = np.arange(n + 1) * h
-    w = np.full(n + 1, h)
-    w[0] = w[n] = 0.5 * h
-    q = w * np.exp(Gamma * (t - n * h))
-
-    G = np.zeros(n + 1, dtype=complex)
-    A = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        col = grid.column(k)[: n + 1 - k]
-        G[: n + 1 - k] += (q[k] * q[k:]) * col
-        A[: n + 1 - k] += (w[k] * w[k:]) * col
-    return n, G, A
-
-
 def _evaluate(grid, deltas, Gamma, n, G, A):
     """Counting rate and integrated counts at the reduced lag sums."""
     h = grid.dt
@@ -140,10 +120,7 @@ def _evaluate(grid, deltas, Gamma, n, G, A):
 
 def filtered_counting_rate(grid: CorrelationGrid, Delta: float, Gamma: float, T: float) -> float:
     """Single-point N(T; Delta, Gamma); real by symmetrized summation."""
-    if Gamma <= 0:
-        raise ConfigurationError(f"Gamma must be > 0, got {Gamma}")
-    n, G, A = _lag_reductions(grid, Gamma, T)
-    N, _ = _evaluate(grid, np.array([Delta]), Gamma, n, G, A)
+    N, _ = filtered_spectrum(grid, np.array([Delta]), Gamma, T)
     return float(N[0])
 
 
@@ -151,7 +128,8 @@ def filtered_spectrum(grid: CorrelationGrid, deltas, Gamma: float, T: float):
     """Vector sweep of (counting rate, integrated counts) over detunings."""
     if Gamma <= 0:
         raise ConfigurationError(f"Gamma must be > 0, got {Gamma}")
-    n, G, A = _lag_reductions(grid, Gamma, T)
+    n = _snap_to_node(grid, T)
+    G, A = grid.lag_sums(Gamma, n)
     return _evaluate(grid, np.asarray(deltas, dtype=float), Gamma, n, G, A)
 
 
@@ -199,15 +177,12 @@ def dominant_separation(peaks: list) -> float:
 def canonical_param_string(params: ModelParams, numerics: NumericsConfig, initial) -> str:
     """Stable textual form of everything that determines the grid."""
     ev = numerics.evolution
-    fields = [
-        f"g_a={params.g_a!r}", f"g_M={params.g_M!r}", f"delta_ac={params.delta_ac!r}",
-        f"J={params.J!r}", f"kappa={params.kappa!r}", f"gamma_a={params.gamma_a!r}",
-        f"gamma_a_coop={params.gamma_a_coop!r}", f"gamma_M={params.gamma_M!r}",
-        f"Mbar={params.Mbar!r}", f"N_c={numerics.N_c}", f"N_m={numerics.N_m}",
+    items = [f"{f.name}={getattr(params, f.name)!r}" for f in fields(ModelParams)] + [
+        f"N_c={numerics.N_c}", f"N_m={numerics.N_m}",
         f"cap={numerics.excitation_cap}", f"dt={ev.dt!r}", f"t_max={ev.t_max!r}",
         f"method={ev.method}", f"leak={ev.leak_tolerance!r}", f"initial={initial}",
     ]
-    return ";".join(fields)
+    return ";".join(items)
 
 
 def stationary_spectrum(
@@ -215,7 +190,6 @@ def stationary_spectrum(
     filt: FilterParams,
     numerics: NumericsConfig,
     initial: int | str = 1,
-    threads: int = 1,
     peak_fraction: float = DEFAULT_PEAK_FRACTION,
     grid: CorrelationGrid | None = None,
 ) -> SpectrumResult:
@@ -244,7 +218,6 @@ def stationary_spectrum(
             a_op,
             monitor=monitor,
             kappa=params.kappa,
-            threads=threads,
             param_hash=expected_hash,
         )
         dim = space.dim
@@ -272,12 +245,7 @@ def stationary_spectrum(
         horizon=T,
         residual_excitation=grid.residual_excitation,
         peaks=[],
-        params={
-            "g_a": params.g_a, "g_M": params.g_M, "delta_ac": params.delta_ac,
-            "J": params.J, "kappa": params.kappa, "gamma_a": params.gamma_a,
-            "gamma_a_coop": params.gamma_a_coop, "gamma_M": params.gamma_M,
-            "Mbar": params.Mbar,
-        },
+        params=asdict(params),
         metadata={
             "n_t": grid.n_t,
             "grid_memory_bytes": grid.memory_bytes,
@@ -285,7 +253,6 @@ def stationary_spectrum(
             "forward_sector": sectors[0],
             "adjoint_sector": sectors[1],
             "wall_clock_s": None,  # filled below; excluded from file output
-            "threads": threads,
         },
         grid=grid,
     )

@@ -1,11 +1,14 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from omtc.cli import main
-from omtc.config import apply_sweep_value, echo_lines, parse_config
+from omtc.config import _KNOWN_KEYS, apply_sweep_value, echo_lines, parse_config
+from omtc.model import ModelParams
+from omtc.spectrum import NumericsConfig, canonical_param_string
 from omtc.errors import ConfigurationError
 from omtc.output import emit_plot
 
@@ -97,6 +100,28 @@ class TestParseConfig:
         assert cfg.dressed_m_max == 4
         assert cfg.threads == 2
 
+    def test_threads_key_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="threads"):
+            parse_config("threads = 0\n")
+
+    def test_every_model_field_in_hash_keys_and_footer(self):
+        cfg = parse_config("")
+        hashed = {item.split("=")[0] for item in
+                  canonical_param_string(cfg.model, cfg.numerics, 1).split(";")}
+        echoed = {ln.split(" = ")[0] for ln in echo_lines(cfg)}
+        for f in fields(ModelParams):
+            assert f.name in hashed
+            assert f"model.{f.name}" in _KNOWN_KEYS
+            assert f"model.{f.name}" in echoed
+
+    def test_hash_text_unchanged(self):
+        # dumps written before the field list was derived must still load
+        assert canonical_param_string(ModelParams(), NumericsConfig(), 1) == (
+            "g_a=2.4;g_M=1.2;delta_ac=0.0;J=0.0;kappa=0.2;gamma_a=0.05;"
+            "gamma_a_coop=0.0;gamma_M=0.0;Mbar=0.0;N_c=1;N_m=8;cap=1;dt=0.02;"
+            "t_max=400.0;method=rk4;leak=0.0001;initial=1"
+        )
+
     def test_echo_lines_cover_model(self):
         lines = echo_lines(parse_config(""))
         keys = {ln.split(" = ")[0] for ln in lines}
@@ -163,6 +188,23 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert not out.exists()
+
+    def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
+        # N_m = 2, t_max = 2: the factor stacks need 32 * 41 * 27 B = 35 kB,
+        # the dense expm sector blocks 16 * (90^2 + 27^2) B = 141 kB
+        def no_expm(*args, **kwargs):
+            raise AssertionError("expm ran before the budget check")
+
+        monkeypatch.setattr("omtc.dynamics.linalg.expm", no_expm)
+        small = FAST.replace("numerics.t_max = 30", "numerics.t_max = 2")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(small + "numerics.max_grid_bytes = 100000\n")
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert "dense expm blocks" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(small.replace("expm", "rk4") + "numerics.max_grid_bytes = 100000\n")
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "run.cfg"

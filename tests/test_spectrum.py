@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -45,11 +47,8 @@ def _result_from_arrays(deltas, intensity):
 
 class TestFilteredCountingRate:
     def test_zero_grid(self):
-        n_t = 101
-        grid = CorrelationGrid(
-            dt=0.05, n_t=n_t, data=np.zeros(n_t * (n_t + 1) // 2, dtype=complex),
-            kappa=0.2,
-        )
+        zeros = np.zeros((101, 3), dtype=complex)
+        grid = CorrelationGrid(dt=0.05, U=zeros, X=zeros, kappa=0.2)
         for delta in (-3.0, 0.0, 1.7):
             assert filtered_counting_rate(grid, delta, 0.05, 5.0) == 0.0
 
@@ -87,8 +86,9 @@ class TestFilteredCountingRate:
 
     def test_conjugated_grid_reflects_spectrum(self):
         grid = _damped_cavity_grid(detuning=0.5)
+        # conj(U[tau] . X[k]) = conj(U[tau]) . conj(X[k])
         flipped = CorrelationGrid(
-            dt=grid.dt, n_t=grid.n_t, data=np.conj(grid.data), kappa=grid.kappa
+            dt=grid.dt, U=np.conj(grid.U), X=np.conj(grid.X), kappa=grid.kappa
         )
         deltas = np.linspace(-2.0, 2.0, 41)
         N, _ = filtered_spectrum(grid, deltas, 0.02, grid.horizon)
@@ -192,6 +192,8 @@ class TestStationarySpectrum:
         res = self._run(g_a=1.0, g_M=0.4)
         assert res.metadata["n_t"] == int(round(res.horizon / 0.02)) + 1
         assert res.residual_excitation < 1e-4 or res.horizon == 60.0
+        assert list(res.params) == [f.name for f in fields(ModelParams)]
+        assert "threads" not in res.metadata
 
     def test_sector_sizes_in_metadata(self, tmp_path):
         res = self._run(g_a=1.0, g_M=0.4)
