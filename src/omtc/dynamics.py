@@ -16,11 +16,21 @@ forward sector is the closure under L of the support of vec(rho0); the
 operand sector is the closure of the support of vec(a rho) for rho on the
 forward sector.  Both follow from the sparsity pattern of L, so no
 conservation law is assumed; for one optical excitation they are the
-rho_11 + rho_00 blocks and the 0-1 coherence block.  Two backends step a
-sector: classical RK4 with four sparse matvecs per step (the default) and
-the dense propagator expm(L[R, R] dt) of the sector block.  At the start
-of every correlation run both passes are cross-checked against
-full-space Taylor references built from apply and apply_adjoint.
+rho_11 + rho_00 blocks and the 0-1 coherence block.
+
+rho(t) stays Hermitian, so the forward sector is stepped in real
+coordinates y = V^H x of an orthonormal basis of Hermitian matrices: one
+coordinate per diagonal entry and sqrt(2) Re, sqrt(2) Im per pair
+(i, j), (j, i) with i < j.  V is a sparse unitary, and for a generator
+that preserves Hermiticity the block V^H L[R, R] V is real; it is built
+once and checked (imaginary part at most 1e-12 max|L[R, R]|, otherwise
+NumericalError), so every forward matvec is real and half the size.  The
+operand sector carries a rho, which is not Hermitian, and stays complex.
+Two backends step a sector: classical RK4 with four sparse matvecs per
+step (the default) and the dense propagator exp(B dt) of the sector
+block.  At the start of every correlation run both passes are
+cross-checked against full-space Taylor references built from apply and
+apply_adjoint.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
@@ -215,12 +225,73 @@ def _closure(S, seed: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+class _ForwardSector:
+    """Real coordinates of the Hermitian matrices on the forward sector.
+
+    index is the closure of supp vec(rho0) (taken with its transpose).  V
+    maps the real coordinates y to vec(rho)[index], x = V y, and is unitary:
+    the first n_diag columns are the diagonal entries, then come the
+    (e_ij + e_ji)/sqrt(2) and i (e_ij - e_ji)/sqrt(2) columns of the pairs
+    i < j.  block = V^H S[index, index] V is real for a generator that
+    preserves Hermiticity; NumericalError otherwise.  rho0 must be
+    Hermitian to 1e-12; ConfigurationError otherwise.
+    """
+
+    def __init__(self, S, rho0: np.ndarray):
+        asym = float(np.max(np.abs(rho0 - rho0.conj().T), initial=0.0))
+        if asym > 1e-12:
+            raise ConfigurationError(
+                f"rho0 must be Hermitian (max |rho0 - rho0'| = {asym:.3e})"
+            )
+        d = rho0.shape[0]
+        self.dim = d
+        self.index = _closure(S, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+        n = len(self.index)
+        i, j = np.divmod(self.index, d)
+        if not np.array_equal(np.sort(j * d + i), self.index):
+            raise NumericalError(
+                "generator does not preserve Hermiticity (forward sector is not "
+                "closed under transposition)"
+            )
+        diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
+        lower = np.searchsorted(self.index, j[upper] * d + i[upper])
+        self.n_diag = n_diag = len(diag)
+        n_up = len(upper)
+        r = np.sqrt(0.5)
+        pairs = n_diag + np.arange(n_up)
+        values = [np.ones(n_diag), np.full(2 * n_up, r), np.full(n_up, 1j * r), np.full(n_up, -1j * r)]
+        rows = [diag, upper, lower, upper, lower]
+        cols = [np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up]
+        self.V = sparse.csr_matrix(
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        L = _block(S, self.index)
+        block = (self.V.conj().T @ L @ self.V).tocsr()
+        scale = np.max(np.abs(L.data), initial=0.0)
+        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * scale:
+            raise NumericalError("generator does not preserve Hermiticity")
+        self.block = block.real.tocsr()
+        self.block.eliminate_zeros()
+
+    def coords(self, rho: np.ndarray) -> np.ndarray:
+        """Real coordinates of a Hermitian d x d matrix supported on the sector."""
+        return (self.V.conj().T @ rho.reshape(-1)[self.index]).real
+
+    def matrix(self, y: np.ndarray) -> np.ndarray:
+        """The d x d matrix with coordinates y."""
+        full = np.zeros(self.dim**2, dtype=complex)
+        full[self.index] = self.V @ y
+        return full.reshape(self.dim, self.dim)
+
+
 class _SectorStepper:
     """One step of size dt on an invariant sector: x -> exp(B dt) x.
 
-    B is the generator block on the sector, or its Hermitian adjoint for
-    the Heisenberg pass.  rk4 takes four sparse matvecs per step; expm
-    builds the dense propagator of the block once.
+    B is the real block of the forward sector in its Hermitian coordinates,
+    or, for the Heisenberg pass, the Hermitian adjoint of the complex block
+    of the operand sector.  rk4 takes four sparse matvecs per step; expm
+    builds the dense propagator of the block once, real for the forward
+    pass.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False):
@@ -255,42 +326,38 @@ def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
     return out
 
 
-def _smoke_check(gen, S, sectors, steppers, x0s, config: EvolutionConfig):
+def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
+                 config: EvolutionConfig):
     """Cross-validate the sector steppers against full-space Taylor references.
 
-    The forward stepper starts from rho0 and is compared, on the whole
-    d x d matrix, with exp(L h) built from gen.apply; this also checks at
-    runtime that the forward sector is closed.  The adjoint stepper starts
-    from the observable a and is compared with exp(L' h) built from
-    gen.apply_adjoint on the operand sector, the only part of the
-    Heisenberg flow that the grid pairs with the operands.  RK4 is checked
-    over four steps of size dt/16, which keeps its per-step truncation far
-    below the 1e-8 agreement threshold; the expm propagators are exact per
-    step, so the ones the run uses are checked over one step of dt against
-    16 Taylor substeps.
+    The forward stepper starts from the real coordinates of rho0, and V y
+    is compared, on the whole d x d matrix, with exp(L h) rho0 built from
+    gen.apply; this checks at runtime that the forward sector is closed and
+    that the Hermitian basis and its real block reproduce L.  The adjoint
+    stepper starts from the observable a and is compared with exp(L' h)
+    built from gen.apply_adjoint on the operand sector adj, the only part
+    of the Heisenberg flow that the grid pairs with the operands.  RK4 is
+    checked over four steps of size dt/16, which keeps its per-step
+    truncation far below the 1e-8 agreement threshold; the expm
+    propagators are exact per step, so the ones the run uses are checked
+    over one step of dt against 16 Taylor substeps.
     """
     if config.method == "expm":
         n_steps, n_ref = 1, 16
     else:
-        steppers = [
-            _SectorStepper(_block(S, sector), config.dt / 16.0, "rk4", adjoint)
-            for sector, adjoint in zip(sectors, (False, True))
-        ]
+        # an rk4 stepper keeps its (already adjoint) block in _B
+        steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
         n_steps, n_ref = 4, 4
-    d = gen.dim
-    passes = (("forward", gen.apply), ("adjoint", gen.apply_adjoint))
-    for (name, f), sector, stepper, x0 in zip(passes, sectors, steppers, x0s):
-        x = x0.reshape(-1)[sector]
-        for _ in range(n_steps):
-            x = stepper(x)
-        ref = x0
-        for _ in range(n_ref):
-            ref = _taylor_step(f, ref, n_steps * stepper.dt / n_ref)
-        full = np.zeros(d * d, dtype=complex)
-        full[sector] = x
-        diff = full - ref.reshape(-1)
-        if name == "adjoint":
-            diff = diff[sector]
+    y, u = fwd.coords(rho0), a_mat.reshape(-1)[adj]
+    for _ in range(n_steps):
+        y, u = steppers[0](y), steppers[1](u)
+    h = n_steps * steppers[0].dt / n_ref
+    ref_f, ref_a = rho0, a_mat
+    for _ in range(n_ref):
+        ref_f = _taylor_step(gen.apply, ref_f, h)
+        ref_a = _taylor_step(gen.apply_adjoint, ref_a, h)
+    diffs = (("forward", fwd.matrix(y) - ref_f), ("adjoint", u - ref_a.reshape(-1)[adj]))
+    for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
         if err > 1e-8:
             raise NumericalError(
@@ -299,36 +366,57 @@ def _smoke_check(gen, S, sectors, steppers, x0s, config: EvolutionConfig):
             )
 
 
-def _forward(step: _SectorStepper, rho0: np.ndarray, sector: np.ndarray,
+def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
              config: EvolutionConfig, monitor=None):
-    """Yield (rho(t_k) on the forward sector, monitor value) for k = 0, 1, ...
+    """Yield (real coordinates of rho(t_k), monitor value) for k = 0, 1, ...
 
     Stops after t_max, or after the first node k > 0 where the monitor
     expectation (if given) falls below leak_tolerance.  Aborts with a
     diagnostic when the trace drifts by more than TRACE_DRIFT_LIMIT
     (step-size instability or a leaking truncation).  The trace and the
-    monitor are linear functionals on the sector; the trace is exact there
-    because diagonal entries outside the sector stay exactly zero.
+    monitor are linear functionals on the coordinates: the trace is the
+    sum of the diagonal ones, exact because diagonal entries outside the
+    sector stay exactly zero, and the monitor row is Re(mon V).
     """
-    d = rho0.shape[0]
-    on_diag = sector % (d + 1) == 0
-    mon = None if monitor is None else _dense(monitor).T.reshape(-1)[sector]
-    x = rho0.reshape(-1)[sector]
-    trace0 = x[on_diag].sum().real
+    mon = None
+    if monitor is not None:
+        mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
+    y = fwd.coords(rho0)
+    trace0 = y[: fwd.n_diag].sum()
     n_max = config.n_max
     for k in range(n_max):
-        drift = abs(x[on_diag].sum().real - trace0)
+        drift = abs(y[: fwd.n_diag].sum() - trace0)
         if drift > TRACE_DRIFT_LIMIT:
             raise NumericalError(
                 f"trace drift {drift:.3e} at step {k} exceeds {TRACE_DRIFT_LIMIT}; "
                 "reduce dt or enlarge the truncated space"
             )
-        residual = None if mon is None else (mon @ x).real
-        yield x, residual
+        residual = None if mon is None else mon @ y
+        yield y, residual
         if residual is not None and residual < config.leak_tolerance and k > 0:
             return
         if k < n_max - 1:
-            x = step(x)
+            y = step(y)
+
+
+def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0) -> None:
+    """NumericalError, before anything large is allocated, above max_grid_bytes.
+
+    Counts the two factor stacks over the full t_max, 32 n_max |R_a| bytes
+    (correlation runs only, n_adj > 0), and for expm the dense propagators:
+    8 |R_f|^2 bytes for the real forward block and 16 |R_a|^2 for the
+    complex adjoint block.
+    """
+    stack_bytes = 32 * config.n_max * n_adj
+    block_bytes = 8 * n_fwd**2 + 16 * n_adj**2 if config.method == "expm" else 0
+    if stack_bytes + block_bytes > config.max_grid_bytes:
+        raise NumericalError(
+            f"run would need {(stack_bytes + block_bytes) / 2**20:.1f} MiB "
+            f"(factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}, "
+            f"dense expm blocks {block_bytes / 2**20:.1f} MiB), above the "
+            f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
+            "use a coarser dt, a shorter t_max or method rk4"
+        )
 
 
 @dataclass
@@ -356,17 +444,16 @@ def evolve(
     If a monitor operator is given, stops early once its expectation drops
     below leak_tolerance.  Aborts with a diagnostic when the trace drifts
     by more than 1e-4 (step-size instability or a leaking truncation).
+    rho0 must be Hermitian; for expm the dense forward propagator is
+    checked against max_grid_bytes before it is built.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    d = gen.dim
-    S = sparse.csr_matrix(gen.superoperator())
-    sector = _closure(S, np.flatnonzero(rho0.reshape(-1)))
-    step = _SectorStepper(_block(S, sector), config.dt, config.method)
+    fwd = _ForwardSector(sparse.csr_matrix(gen.superoperator()), rho0)
+    _check_budget(config, len(fwd.index))
+    step = _SectorStepper(fwd.block, config.dt, config.method)
     states, mvals = [], []
-    for x, residual in _forward(step, rho0, sector, config, monitor):
-        rho = np.zeros(d * d, dtype=complex)
-        rho[sector] = x
-        states.append(rho.reshape(d, d))
+    for y, residual in _forward(step, fwd, rho0, config, monitor):
+        states.append(fwd.matrix(y))
         mvals.append(residual)
     stopped = monitor is not None and len(states) > 1 and mvals[-1] < config.leak_tolerance
     return Trajectory(
@@ -521,47 +608,37 @@ def two_time_correlation(
     """Quantum-regression grid of <a'(t_j) a(t_k)> over the adaptive horizon.
 
     The horizon is t_max, shortened to the first grid node where the
-    monitor expectation (if given) falls below leak_tolerance.  Before
-    anything large is allocated, the factor stacks over the full t_max and,
-    for expm, the dense sector propagators are checked against
-    max_grid_bytes.
+    monitor expectation (if given) falls below leak_tolerance.  rho0 must
+    be Hermitian.  Before anything large is allocated, the factor stacks
+    over the full t_max and, for expm, the dense sector propagators are
+    checked against max_grid_bytes.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
     S = sparse.csr_matrix(gen.superoperator())
     a_mat = _dense(a_op)
 
-    # (a x I) vec(rho) is the row-major vec(a rho).  The forward sector is
-    # the closure of supp vec(rho0), the operand sector the closure of the
-    # rows that (a x I) reaches from the forward sector.
-    fwd = _closure(S, np.flatnonzero(rho0.reshape(-1)))
-    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")[:, fwd]
+    # (a x I) vec(rho) is the row-major vec(a rho).  The operand sector is
+    # the closure of the rows that (a x I) reaches from the forward sector;
+    # a_map reads the operands from the forward coordinates, a rho = a_map y.
+    fwd = _ForwardSector(S, rho0)
+    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")[:, fwd.index]
     a_map.eliminate_zeros()
     adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
-    a_map = a_map[adj]
+    a_map = (a_map[adj] @ fwd.V).tocsr()
+    _check_budget(config, len(fwd.index), len(adj))
 
-    stack_bytes = 32 * config.n_max * len(adj)
-    block_bytes = 16 * (len(fwd) ** 2 + len(adj) ** 2) if config.method == "expm" else 0
-    if stack_bytes + block_bytes > config.max_grid_bytes:
-        raise NumericalError(
-            f"correlation run would need {(stack_bytes + block_bytes) / 2**20:.1f} MiB "
-            f"(factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}, "
-            f"dense expm blocks {block_bytes / 2**20:.1f} MiB), above the "
-            f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
-            "use a coarser dt, a shorter t_max or method rk4"
-        )
-
-    step = _SectorStepper(_block(S, fwd), config.dt, config.method)
+    step = _SectorStepper(fwd.block, config.dt, config.method)
     adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
     if config.smoke_check:
-        _smoke_check(gen, S, (fwd, adj), (step, adjoint_step), (rho0, a_mat), config)
+        _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
 
     # forward pass: collect the regression operands a rho(t_k) on the
     # operand sector
     operands = []
     residual = None
-    for x, residual in _forward(step, rho0, fwd, config, monitor):
-        operands.append(a_map @ x)
+    for y, residual in _forward(step, fwd, rho0, config, monitor):
+        operands.append(a_map @ y)
 
     n_t = len(operands)
     X = np.asarray(operands).reshape(n_t, len(adj))
@@ -585,5 +662,5 @@ def two_time_correlation(
         kappa=kappa,
         param_hash=param_hash,
         residual_excitation=residual,
-        sector_sizes=(len(fwd), len(adj)),
+        sector_sizes=(len(fwd.index), len(adj)),
     )

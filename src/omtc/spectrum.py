@@ -41,6 +41,9 @@ from .model import ModelParams, build_dissipators, build_hamiltonian, initial_st
 
 DEFAULT_PEAK_FRACTION = 0.02
 
+#: detunings per block of the phase matrix in a sweep
+_SWEEP_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class FilterParams:
@@ -105,15 +108,23 @@ def _snap_to_node(grid: CorrelationGrid, T: float) -> int:
 
 
 def _evaluate(grid, deltas, Gamma, n, G, A):
-    """Counting rate and integrated counts at the reduced lag sums."""
+    """Counting rate and integrated counts at the reduced lag sums.
+
+    The phases exp(-i Delta tau) are formed for _SWEEP_CHUNK detunings at
+    a time, so the transient is O(n) and not O(n_points n).
+    """
     h = grid.dt
     kappa = grid.kappa
     tau = np.arange(1, n + 1) * h
-    phase = np.exp(-1j * np.outer(np.atleast_1d(deltas), tau))
+    deltas = np.atleast_1d(deltas)
+    lags = np.stack([G[1:], np.exp(-Gamma * tau) * A[1:]], axis=1)
+    sums = np.empty((len(deltas), 2))
+    for start in range(0, len(deltas), _SWEEP_CHUNK):
+        chunk = deltas[start : start + _SWEEP_CHUNK]
+        sums[start : start + len(chunk)] = (np.exp(-1j * np.outer(chunk, tau)) @ lags).real
 
-    rate = kappa * Gamma**2 * (G[0].real + 2.0 * (phase @ G[1:]).real)
-    damped = np.exp(-Gamma * tau)
-    counts = (kappa * Gamma / 2.0) * (A[0].real + 2.0 * (phase @ (damped * A[1:])).real)
+    rate = kappa * Gamma**2 * (G[0].real + 2.0 * sums[:, 0])
+    counts = (kappa * Gamma / 2.0) * (A[0].real + 2.0 * sums[:, 1])
     counts = counts - rate / (2.0 * Gamma)
     return rate, counts
 

@@ -5,6 +5,22 @@ several acceptance criteria, so they are computed once per session and
 only their derived quantities are kept.
 """
 
+import os
+import sys
+import warnings
+
+# One BLAS thread: the suite's matvecs are small, and with more threads
+# each one pays the pool's spin-waits (seconds per run on a busy 2-core
+# machine).  BLAS reads these once, when numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+if "numpy" in sys.modules:
+    warnings.warn(
+        "numpy was imported before tests/conftest.py, so the BLAS thread "
+        "limits set there have no effect",
+        stacklevel=1,
+    )
+
 from types import SimpleNamespace
 
 import pytest

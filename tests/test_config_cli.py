@@ -191,7 +191,8 @@ class TestCliSpectrum:
 
     def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
         # N_m = 2, t_max = 2: the factor stacks need 32 * 41 * 27 B = 35 kB,
-        # the dense expm sector blocks 16 * (90^2 + 27^2) B = 141 kB
+        # the dense expm sector blocks 8 * 90^2 B = 64.8 kB (real forward)
+        # plus 16 * 27^2 B = 11.7 kB (complex adjoint)
         def no_expm(*args, **kwargs):
             raise AssertionError("expm ran before the budget check")
 

@@ -10,6 +10,8 @@ from omtc.dynamics import (
     CorrelationGrid,
     EvolutionConfig,
     Generator,
+    _block,
+    _ForwardSector,
     check_step_size,
     evolve,
     heisenberg_apply,
@@ -203,6 +205,23 @@ class TestEvolve:
         check_step_size(0.02, ModelParams())
         with pytest.raises(ConfigurationError):
             check_step_size(0.05, ModelParams(g_a=2.4))
+
+    def test_expm_block_budget_checked_before_expm(self, monkeypatch):
+        # N_m = 2: the 90-entry real forward block needs 8 * 90^2 B = 64.8 kB
+        p = ModelParams()
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0 = initial_state(p, space)
+
+        def no_expm(*args, **kwargs):
+            raise AssertionError("expm ran before the budget check")
+
+        monkeypatch.setattr("omtc.dynamics.linalg.expm", no_expm)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="expm", max_grid_bytes=60000)
+        with pytest.raises(NumericalError, match="dense expm blocks"):
+            evolve(rho0, gen, cfg)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="rk4", max_grid_bytes=60000)
+        assert len(evolve(rho0, gen, cfg).states) == 11
 
 
 class TestBackends:
@@ -514,6 +533,90 @@ class TestInvariantSectors:
         assert grids[1].sector_sizes == grids[None].sector_sizes == (90, 27)
         capped, uncapped = grids[1].to_dense(), grids[None].to_dense()
         assert np.abs(capped - uncapped).max() <= 1e-12 * np.abs(capped).max()
+
+
+@st.composite
+def _hermitian_state_points(draw):
+    """A model point with a random density matrix on a random support."""
+    params, space, _ = draw(_model_points())
+    d = space.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.permutation(d)[: draw(st.integers(1, d))]
+    m = np.zeros((d, draw(st.integers(1, 3))), dtype=complex)
+    m[support] = rng.normal(size=(len(support), m.shape[1])) + 1j * rng.normal(
+        size=(len(support), m.shape[1])
+    )
+    rho0 = m @ m.conj().T
+    return params, space, rho0 / np.trace(rho0).real
+
+
+def _run(name, rho0, gen, space):
+    cfg = EvolutionConfig(dt=0.02, t_max=0.2)
+    if name == "evolve":
+        return evolve(rho0, gen, cfg)
+    return two_time_correlation(rho0, gen, cfg, ladder_operators(space)["a"])
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @settings(max_examples=6)
+    @given(point=_hermitian_state_points())
+    def test_evolve_matches_full_space_oracle(self, method, point):
+        params, space, rho0 = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        S = gen.superoperator()
+        # the real block is V^H L V with V unitary, and it has no imaginary part
+        fwd = _ForwardSector(S, rho0)
+        L = _block(S, fwd.index)
+        n = len(fwd.index)
+        assert abs(fwd.V.conj().T @ fwd.V - sparse.identity(n)).max() < 1e-15
+        raw = fwd.V.conj().T @ L @ fwd.V
+        assert abs(raw.imag).max() <= 1e-12 * abs(L).max()
+        assert abs(raw.real - fwd.block).max() == 0.0
+
+        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method=method)
+        states = evolve(rho0, gen, cfg).states
+        d = space.dim
+        if method == "expm":
+            P = linalg.expm(S.toarray() * cfg.dt)
+
+            def step(X):
+                return (P @ X.reshape(-1)).reshape(d, d)
+        else:
+            def step(X):
+                return _rk4_once(gen, X, cfg.dt)
+        ref = rho0
+        for rho in states:
+            # unit trace, so an absolute bound is relative
+            assert np.abs(rho - ref).max() <= 1e-12
+            ref = step(ref)
+
+    @pytest.mark.parametrize("run", ["evolve", "correlation"])
+    def test_non_hermitian_generator_rejected_before_stepping(self, run, monkeypatch):
+        _, space, gen, rho0 = _damped_cavity()
+
+        class NonHermitian:
+            dim = gen.dim
+            apply = gen.apply
+            apply_adjoint = gen.apply_adjoint
+
+            def superoperator(self):
+                return gen.superoperator() - 0.01j * sparse.identity(gen.dim**2)
+
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a stepper was built before the Hermiticity check")
+
+        monkeypatch.setattr("omtc.dynamics._SectorStepper.__init__", no_stepper)
+        with pytest.raises(NumericalError, match="does not preserve Hermiticity"):
+            _run(run, rho0, NonHermitian(), space)
+
+    @pytest.mark.parametrize("run", ["evolve", "correlation"])
+    def test_non_hermitian_rho0_rejected(self, run):
+        _, space, gen, rho0 = _damped_cavity()
+        rho0 = rho0.copy()
+        rho0[0, 1] = 0.1
+        with pytest.raises(ConfigurationError, match="Hermitian"):
+            _run(run, rho0, gen, space)
 
 
 def _double_sum_lag_sums(grid, Gamma, n):
