@@ -86,9 +86,12 @@ def _cmd_spectrum(args) -> int:
     if cfg.output.svg:
         emit_plot([("spectrum", result.deltas, result.intensity)], cfg.output.svg)
     meta = result.metadata
+    capture = meta["window_capture"]
     print(
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
         f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, "
+        f"window capture {'None' if capture is None else f'{capture:.4f}'}, "
+        f"clipped {meta['clipped_points']}, "
         f"wall {meta['wall_clock_s']:.2f}s -> {cfg.output.csv}",
         file=sys.stderr,
     )

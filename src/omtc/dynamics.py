@@ -464,6 +464,13 @@ def evolve(
     )
 
 
+def _trapezoid_weights(h: float, n: int) -> np.ndarray:
+    """Trapezoid weights of the nodes t_0 .. t_n of [0, t_n]."""
+    w = np.full(n + 1, h)
+    w[0] = w[n] = 0.5 * h
+    return w
+
+
 class CorrelationGrid:
     """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as its two factors.
 
@@ -526,6 +533,15 @@ class CorrelationGrid:
         """
         return self._lag_sum(Gamma, n), self._lag_sum(0.0, n)
 
+    def zero_lag_sum(self, Gamma: float, n: int) -> complex:
+        """G[0] of lag_sums(Gamma, n), sum_k q_k^2 C[k][k], from the diagonal alone.
+
+        O(n |R_a|): a caller that needs only G[0] skips the recurrences.
+        """
+        h = self.dt
+        q = _trapezoid_weights(h, n) * np.exp(-Gamma * h * np.arange(n, -1, -1))
+        return complex(q**2 @ (self.X[: n + 1] @ self.U[0]))
+
     def _lag_sum(self, Gamma: float, n: int) -> np.ndarray:
         # With m = n - tau, q_k q_{k+tau} = exp(-Gamma tau h) w_k w_{k+tau}
         # r^(m-k) for r = exp(-2 Gamma h), and w_{k+tau} = h except at k = m
@@ -535,8 +551,7 @@ class CorrelationGrid:
         # = r S_{m-1} + w_m X_m.  No factor exceeds 1, so no Gamma T can
         # overflow.
         h = self.dt
-        w = np.full(n + 1, h)
-        w[0] = w[n] = 0.5 * h
+        w = _trapezoid_weights(h, n)
         r = np.exp(-2.0 * Gamma * h)
         U, X = self.U[: n + 1], self.X[: n + 1]
         S = w[:, None] * X

@@ -18,8 +18,10 @@ def _fmt(x: float) -> str:
 
 def write_spectrum_csv(path, result, footer_lines) -> None:
     rows = ["# delta,intensity,integrated_counts"]
-    for d, n, c in zip(result.deltas, result.intensity, result.integrated_counts):
-        rows.append(f"{_fmt(d)},{_fmt(n)},{_fmt(c)}")
+    # %-formatting of Python floats is byte-identical to _fmt and faster
+    # than three f-strings on numpy scalars
+    columns = (result.deltas, result.intensity, result.integrated_counts)
+    rows.extend("%.11e,%.11e,%.11e" % row for row in zip(*(c.tolist() for c in columns)))
     rows.append("# --- run metadata ---")
     rows.extend(f"# {line}" for line in footer_lines)
     with open(path, "w", encoding="utf-8") as fh:

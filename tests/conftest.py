@@ -25,8 +25,10 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from omtc.dynamics import EvolutionConfig
+from omtc.hilbert import build_space
 from omtc.model import ModelParams
 from omtc.spectrum import (
     FilterParams,
@@ -41,6 +43,28 @@ ACCEPTANCE_LOG = []
 # same examples on every run, so a failure reproduces on the next one
 settings.register_profile("omtc", derandomize=True, deadline=None)
 settings.load_profile("omtc")
+
+
+@st.composite
+def model_points(draw):
+    """Small spaces with every dissipation channel switched on."""
+    N_m = draw(st.integers(0, 2))
+    gamma_a = draw(st.floats(0.02, 0.3))
+    params = ModelParams(
+        g_a=draw(st.floats(0.2, 2.4)),
+        g_M=draw(st.floats(0.1, 1.2)),
+        delta_ac=draw(st.floats(-1.0, 1.0)),
+        J=draw(st.floats(-1.0, 1.0)),
+        kappa=draw(st.floats(0.05, 0.5)),
+        gamma_a=gamma_a,
+        gamma_a_coop=draw(st.floats(-1.0, 1.0)) * gamma_a,
+        gamma_M=draw(st.floats(0.01, 0.3)),
+        # the thermal weight must fit the phonon cutoff
+        Mbar=draw(st.floats(1e-4, 1e-3 if N_m == 0 else 0.03)),
+    )
+    cap = draw(st.sampled_from([1, None]))
+    initial = draw(st.sampled_from([1, 2, "symmetric", "antisymmetric"]))
+    return params, build_space(1, N_m, cap), initial
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

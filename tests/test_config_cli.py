@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from omtc.config import _KNOWN_KEYS, apply_sweep_value, echo_lines, parse_config
 from omtc.model import ModelParams
 from omtc.spectrum import NumericsConfig, canonical_param_string
 from omtc.errors import ConfigurationError
-from omtc.output import emit_plot
+from omtc.output import emit_plot, write_spectrum_csv
 
 # small, fast model for end-to-end runs: guard allows dt <= 0.1 at g_a = 1
 FAST = """
@@ -251,6 +252,16 @@ class TestCliCorrelation:
         assert "sectors None/None," in capsys.readouterr().err
         assert "sectors" not in out.read_text()
 
+    def test_stderr_reports_window_capture_and_clips(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "out.csv"
+        main(["spectrum", "--config", str(cfg), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert "window capture 0." in err and "clipped " in err
+        text = out.read_text()
+        assert "capture" not in text and "clipped" not in text
+
     def test_correlation_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST)
@@ -331,3 +342,19 @@ class TestEmitPlot:
         body = path.read_text()
         assert body.count("<polyline") == 1
         assert "viewBox" in body
+
+
+class TestWriteSpectrumCsv:
+    def test_rows_match_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(7)
+        columns = rng.normal(size=(3, 50)) * 10.0 ** rng.integers(-300, 300, size=(3, 50))
+        columns[:, :3] = [[-0.0, 5e-324, 1e300]] * 3
+        result = SimpleNamespace(
+            deltas=columns[0], intensity=columns[1], integrated_counts=columns[2]
+        )
+        path = tmp_path / "out.csv"
+        write_spectrum_csv(path, result, ["footer"])
+        expected = ["# delta,intensity,integrated_counts"] + [
+            f"{d:.11e},{n:.11e},{c:.11e}" for d, n, c in zip(*columns)
+        ] + ["# --- run metadata ---", "# footer"]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()

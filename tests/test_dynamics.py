@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import model_points
 from scipy import linalg, sparse
 
 from omtc.dynamics import (
@@ -480,32 +481,10 @@ def _brute_force_grid(gen, rho0, a, config):
     return C
 
 
-@st.composite
-def _model_points(draw):
-    """Small spaces with every dissipation channel switched on."""
-    N_m = draw(st.integers(0, 2))
-    gamma_a = draw(st.floats(0.02, 0.3))
-    params = ModelParams(
-        g_a=draw(st.floats(0.2, 2.4)),
-        g_M=draw(st.floats(0.1, 1.2)),
-        delta_ac=draw(st.floats(-1.0, 1.0)),
-        J=draw(st.floats(-1.0, 1.0)),
-        kappa=draw(st.floats(0.05, 0.5)),
-        gamma_a=gamma_a,
-        gamma_a_coop=draw(st.floats(-1.0, 1.0)) * gamma_a,
-        gamma_M=draw(st.floats(0.01, 0.3)),
-        # the thermal weight must fit the phonon cutoff
-        Mbar=draw(st.floats(1e-4, 1e-3 if N_m == 0 else 0.03)),
-    )
-    cap = draw(st.sampled_from([1, None]))
-    initial = draw(st.sampled_from([1, 2, "symmetric", "antisymmetric"]))
-    return params, build_space(1, N_m, cap), initial
-
-
 class TestInvariantSectors:
     @pytest.mark.parametrize("method", ["rk4", "expm"])
     @settings(max_examples=6)
-    @given(point=_model_points())
+    @given(point=model_points())
     def test_sector_grid_matches_full_space_oracle(self, method, point):
         params, space, initial = point
         gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
@@ -538,7 +517,7 @@ class TestInvariantSectors:
 @st.composite
 def _hermitian_state_points(draw):
     """A model point with a random density matrix on a random support."""
-    params, space, _ = draw(_model_points())
+    params, space, _ = draw(model_points())
     d = space.dim
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     support = rng.permutation(d)[: draw(st.integers(1, d))]
@@ -671,3 +650,4 @@ class TestLagSums:
             # the floor only covers subnormal results of an underflowed weight
             assert np.all(np.abs(G - G_ref) <= 1e-12 * G_abs + 1e-300)
             assert np.all(np.abs(A - A_ref) <= 1e-12 * A_abs)
+            assert abs(grid.zero_lag_sum(Gamma, n) - G_ref[0]) <= 1e-12 * G_abs[0] + 1e-300

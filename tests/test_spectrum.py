@@ -1,16 +1,29 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import model_points
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from omtc.dynamics import CorrelationGrid, EvolutionConfig, Generator, two_time_correlation
+from omtc.dynamics import (
+    CorrelationGrid,
+    EvolutionConfig,
+    Generator,
+    config_hash,
+    two_time_correlation,
+)
 from omtc.errors import ConfigurationError
 from omtc.hilbert import build_space, ladder_operators
-from omtc.model import ModelParams, build_dissipators, build_hamiltonian
+from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 from omtc.spectrum import (
+    _SWEEP_CHUNK,
     FilterParams,
     NumericsConfig,
     SpectrumResult,
+    _evaluate,
+    canonical_param_string,
     dominant_separation,
     filtered_counting_rate,
     filtered_spectrum,
@@ -112,6 +125,84 @@ class TestFilteredCountingRate:
         Ns = [filtered_counting_rate(grid, delta, Gamma, t) for t in ts]
         numeric = np.trapezoid([0.0] + Ns, np.concatenate(([0.0], ts)))
         assert I_closed[0] == pytest.approx(numeric, rel=5e-3)
+
+
+def _direct_sweep(grid, deltas, Gamma, n, G, A):
+    """Slow path: the full phase matrix exp(-i Delta tau), one exp per pair.
+
+    Returns the rate and counts as _evaluate defines them, plus the sums of
+    their absolute terms, which bound the roundoff of either path.
+    """
+    h, kappa = grid.dt, grid.kappa
+    tau = np.arange(1, n + 1) * h
+    lags = np.stack([G[1:], np.exp(-Gamma * tau) * A[1:]], axis=1)
+    sums = (np.exp(-1j * np.outer(deltas, tau)) @ lags).real
+    rate = kappa * Gamma**2 * (G[0].real + 2.0 * sums[:, 0])
+    counts = (kappa * Gamma / 2.0) * (A[0].real + 2.0 * sums[:, 1]) - rate / (2.0 * Gamma)
+    abs_lags = np.abs(lags).sum(axis=0)
+    rate_abs = kappa * Gamma**2 * (abs(G[0]) + 2.0 * abs_lags[0])
+    counts_abs = (kappa * Gamma / 2.0) * (abs(A[0]) + 2.0 * abs_lags[1]) + rate_abs / (2.0 * Gamma)
+    return rate, counts, rate_abs, counts_abs
+
+
+class TestTwoBlockSweep:
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(1, 3000),
+        log_gamma=st.floats(-3.0, np.log10(5.0)),
+        dt=st.sampled_from([0.01, 0.02, 0.05]),
+        n_deltas=st.sampled_from([1, 2 * _SWEEP_CHUNK + 2, 3 * _SWEEP_CHUNK - 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # n = 1 and 2 need no padding, 1024 is a square, 1025 pads 31 rows,
+    # 1759 is a prime
+    @example(n=1, log_gamma=-1.0, dt=0.02, n_deltas=1, seed=0)
+    @example(n=2, log_gamma=-1.0, dt=0.02, n_deltas=130, seed=1)
+    @example(n=1024, log_gamma=-2.0, dt=0.02, n_deltas=130, seed=2)
+    @example(n=1025, log_gamma=-2.0, dt=0.02, n_deltas=130, seed=3)
+    @example(n=1759, log_gamma=-2.3, dt=0.02, n_deltas=130, seed=4)
+    def test_matches_direct_phase_matrix(self, n, log_gamma, dt, n_deltas, seed):
+        rng = np.random.default_rng(seed)
+
+        def sums():
+            return rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+
+        G, A = sums(), sums()
+        Gamma = 10.0**log_gamma
+        grid = SimpleNamespace(dt=dt, kappa=0.3)
+        # unsorted, with repeats, over +-50
+        deltas = rng.choice(rng.uniform(-50.0, 50.0, size=max(1, n_deltas // 2)), size=n_deltas)
+        rate, counts = _evaluate(grid, deltas, Gamma, n, G, A)
+        rate_ref, counts_ref, rate_abs, counts_abs = _direct_sweep(grid, deltas, Gamma, n, G, A)
+        # the counts column cancels at small n, so the bound is the sum of
+        # absolute terms, not the column maximum
+        assert np.all(np.abs(rate - rate_ref) <= 1e-12 * rate_abs)
+        assert np.all(np.abs(counts - counts_ref) <= 1e-12 * counts_abs)
+
+
+class TestNonNegativity:
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @settings(max_examples=5)
+    @given(point=model_points(), log_gamma=st.floats(-2.3, -0.3))
+    def test_unclamped_rate_nonnegative(self, method, point, log_gamma):
+        # with an exact CP step C is a Gram matrix, so the rate is a
+        # nonnegative quadratic form up to roundoff of
+        # kappa Gamma^2 (sum_k q_k)^2 max|C|, and |C| <= |a|^2 = 1 at N_c = 1
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        grid = two_time_correlation(
+            initial_state(params, space, initial), gen,
+            EvolutionConfig(dt=0.02, t_max=12.0, method=method),
+            ladder_operators(space)["a"], kappa=params.kappa,
+        )
+        Gamma = 10.0**log_gamma
+        deltas = np.linspace(-6.0, 6.0, 241)
+        for n in (grid.n_t - 1, (grid.n_t - 1) // 3):
+            rate, _ = filtered_spectrum(grid, deltas, Gamma, n * grid.dt)
+            w = np.full(n + 1, grid.dt)
+            w[0] = w[n] = 0.5 * grid.dt
+            q = w * np.exp(-Gamma * grid.dt * np.arange(n, -1, -1))
+            assert rate.min() >= -1e-12 * params.kappa * Gamma**2 * q.sum() ** 2
 
 
 class TestFindPeaks:
@@ -232,3 +323,45 @@ class TestStationarySpectrum:
         other = ModelParams(g_a=1.1, g_M=0.4)
         with pytest.raises(ConfigurationError, match="hash"):
             stationary_spectrum(other, filt, numerics, grid=first.grid)
+
+
+def _spectrum_of(grid, filt):
+    """stationary_spectrum on a ready grid, under the default parameters' hash."""
+    params, numerics = ModelParams(), NumericsConfig()
+    grid.param_hash = config_hash(canonical_param_string(params, numerics, 1))
+    return stationary_spectrum(params, filt, numerics, grid=grid)
+
+
+class TestWindowCapture:
+    def test_full_period_captures_everything(self):
+        grid = _damped_cavity_grid(t_max=10.0)
+        edge = np.pi / grid.dt
+        # more points than lags: the trapezoid rule is exact on the period
+        filt = FilterParams(Gamma=0.05, delta_min=-edge, delta_max=edge, n_points=grid.n_t + 2)
+        res = _spectrum_of(grid, filt)
+        assert res.metadata["window_capture"] == pytest.approx(1.0, abs=1e-9)
+        assert res.metadata["clipped_points"] == 0
+
+    def test_zero_grid_has_no_capture(self):
+        zeros = np.zeros((101, 3), dtype=complex)
+        grid = CorrelationGrid(dt=0.05, U=zeros, X=zeros, kappa=0.2)
+        res = _spectrum_of(grid, FilterParams())
+        assert res.metadata["window_capture"] is None
+
+    def test_window_cutting_the_line(self):
+        grid = _damped_cavity_grid(t_max=10.0)
+        res = _spectrum_of(grid, FilterParams(Gamma=0.05, delta_min=-0.2, delta_max=0.2))
+        assert 0.0 < res.metadata["window_capture"] < 1.0
+
+    def test_clamped_noise_counted_and_capture_unclamped(self):
+        grid = _damped_cavity_grid(t_max=10.0)
+        filt = FilterParams(Gamma=0.05, delta_min=-2.0, delta_max=2.0, n_points=81)
+        res = _spectrum_of(grid, filt)
+        # a tiny negative multiple of the grid: every entry is clamp noise
+        tiny = CorrelationGrid(dt=grid.dt, U=grid.U, X=-1e-12 * grid.X, kappa=grid.kappa)
+        noise = _spectrum_of(tiny, filt)
+        assert noise.metadata["clipped_points"] == 2 * filt.n_points
+        assert np.all(noise.intensity == 0.0) and np.all(noise.integrated_counts == 0.0)
+        assert noise.metadata["window_capture"] == pytest.approx(
+            res.metadata["window_capture"], rel=1e-9
+        )
