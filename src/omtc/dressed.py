@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigurationError
 from .model import OMEGA_M, ModelParams
@@ -90,8 +89,19 @@ def displaced_fock_overlap(n: int, m: int, beta: float) -> float:
         lo, hi, amp = m, n, beta ** (n - m)
     else:
         lo, hi, amp = n, m, (-beta) ** (m - n)
-    ratio = math.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
-    return ratio * amp * math.exp(-0.5 * x) * eval_genlaguerre(lo, hi - lo, x)
+    ratio = math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
+    return ratio * amp * math.exp(-0.5 * x) * _genlaguerre(lo, hi - lo, x)
+
+
+def _genlaguerre(n: int, alpha: int, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^(alpha)(x) by the three-term recurrence
+
+    (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}.
+    """
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
 
 
 def transition_weight(params: ModelParams, branch: int, m: int) -> float:

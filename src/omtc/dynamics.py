@@ -27,10 +27,16 @@ once and checked (imaginary part at most 1e-12 max|L[R, R]|, otherwise
 NumericalError), so every forward matvec is real and half the size.  The
 operand sector carries a rho, which is not Hermitian, and stays complex.
 Two backends step a sector: classical RK4 with four sparse matvecs per
-step (the default) and the dense propagator exp(B dt) of the sector
-block.  At the start of every correlation run both passes are
-cross-checked against full-space Taylor references built from apply and
-apply_adjoint.
+step (the default) and the dense propagator E = exp(B dt) of the sector
+block.  Both passes run in row blocks of b nodes, b the power of two at
+or below sqrt(n_max) and at most 64: an rk4 block is b sequential steps;
+for expm only the first block is stepped node by node, and every later
+one is a single matrix product with E^b, built once by log2 b squarings,
+so E^b is read once per block rather than E once per node.  The trace
+guard and the leak monitor are checked over each block at once.  At the
+start of every correlation run both passes, and for expm both powers,
+are cross-checked against full-space Taylor references built from apply
+and apply_adjoint.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
@@ -46,6 +52,7 @@ recurrence; the O(n_t^2) triangle is never formed.
 """
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -284,26 +291,48 @@ class _ForwardSector:
         return full.reshape(self.dim, self.dim)
 
 
+def _block_size(n_max: int) -> int:
+    """Nodes per row block of a pass: the power of two at or below sqrt(n_max), at most 64."""
+    return min(64, 1 << (math.isqrt(n_max).bit_length() - 1))
+
+
+def _power(E: np.ndarray, b: int) -> np.ndarray:
+    """E^b for b a power of two, by log2 b squarings into two ping-pong buffers."""
+    if b == 1:
+        return E
+    buffers = (np.empty_like(E), np.empty_like(E))
+    for i in range(b.bit_length() - 1):
+        E = np.matmul(E, E, out=buffers[i % 2])
+    return E
+
+
 class _SectorStepper:
-    """One step of size dt on an invariant sector: x -> exp(B dt) x.
+    """Steps of size dt on an invariant sector: x -> exp(B dt) x.
 
     B is the real block of the forward sector in its Hermitian coordinates,
     or, for the Heisenberg pass, the Hermitian adjoint of the complex block
     of the operand sector.  rk4 takes four sparse matvecs per step; expm
-    builds the dense propagator of the block once, real for the forward
-    pass.
+    builds the dense propagator E = exp(B dt) of the block once, real for
+    the forward pass, and its b-th power E^b by log2 b squarings.
+    blocks() runs a pass b nodes at a time: an rk4 block is b sequential
+    steps, and an expm block after the first is one matrix product with
+    E^b, which reads E^b once per block instead of E once per node.
     """
 
-    def __init__(self, block, dt: float, method: str, adjoint: bool = False):
+    def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
         if adjoint:
             block = block.conj().T.tocsr()
         self.dt = dt
-        self._expm = method == "expm"
-        self._B = linalg.expm(block.toarray() * dt) if self._expm else block
+        self.b = b
+        if method == "expm":
+            self._B = linalg.expm(block.toarray() * dt)
+            self.power = _power(self._B, b)
+        else:
+            self._B, self.power = block, None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         B = self._B
-        if self._expm:
+        if self.power is not None:
             return B @ x
         h = self.dt
         k1 = B @ x
@@ -311,6 +340,26 @@ class _SectorStepper:
         k3 = B @ (x + 0.5 * h * k2)
         k4 = B @ (x + h * k3)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def blocks(self, x0: np.ndarray, n: int):
+        """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes.
+
+        The last block may be shorter.  The first block, and every rk4
+        block, is stepped node by node; a later expm block is
+        Y_j = Y_{j-1} (E^b)^T, each row b steps on from the row above it.
+        """
+        prev = None
+        for start in range(0, n, self.b):
+            rows = min(self.b, n - start)
+            if prev is not None and self.power is not None:
+                Y = prev[:rows] @ self.power.T
+            else:
+                Y = np.empty((rows, len(x0)), dtype=x0.dtype)
+                Y[0] = x = x0 if prev is None else self(prev[-1])
+                for i in range(1, rows):
+                    Y[i] = x = self(x)
+            yield Y
+            prev = Y
 
 
 def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
@@ -340,7 +389,8 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     checked over four steps of size dt/16, which keeps its per-step
     truncation far below the 1e-8 agreement threshold; the expm
     propagators are exact per step, so the ones the run uses are checked
-    over one step of dt against 16 Taylor substeps.
+    over one step of dt against 16 Taylor substeps, and their powers E^b,
+    which step the blocked passes, against b applications of E.
     """
     if config.method == "expm":
         n_steps, n_ref = 1, 16
@@ -348,7 +398,8 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
         # an rk4 stepper keeps its (already adjoint) block in _B
         steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
         n_steps, n_ref = 4, 4
-    y, u = fwd.coords(rho0), a_mat.reshape(-1)[adj]
+    y0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
+    y, u = y0, u0
     for _ in range(n_steps):
         y, u = steppers[0](y), steppers[1](u)
     h = n_steps * steppers[0].dt / n_ref
@@ -356,7 +407,13 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     for _ in range(n_ref):
         ref_f = _taylor_step(gen.apply, ref_f, h)
         ref_a = _taylor_step(gen.apply_adjoint, ref_a, h)
-    diffs = (("forward", fwd.matrix(y) - ref_f), ("adjoint", u - ref_a.reshape(-1)[adj]))
+    diffs = [("forward", fwd.matrix(y) - ref_f), ("adjoint", u - ref_a.reshape(-1)[adj])]
+    for name, step, x in (("forward", steppers[0], y0), ("adjoint", steppers[1], u0)):
+        if step.power is not None:
+            ref = x
+            for _ in range(step.b):
+                ref = step(ref)
+            diffs.append((f"{name} E^b", step.power @ x - ref))
     for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
         if err > 1e-8:
@@ -368,52 +425,63 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
 
 def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
              config: EvolutionConfig, monitor=None):
-    """Yield (real coordinates of rho(t_k), monitor value) for k = 0, 1, ...
+    """Yield row blocks (Y, monitor values) of the real coordinates of rho(t_k).
 
-    Stops after t_max, or after the first node k > 0 where the monitor
-    expectation (if given) falls below leak_tolerance.  Aborts with a
-    diagnostic when the trace drifts by more than TRACE_DRIFT_LIMIT
-    (step-size instability or a leaking truncation).  The trace and the
-    monitor are linear functionals on the coordinates: the trace is the
+    The blocks come from step.blocks and cover k = 0, 1, ... in order.  The
+    pass stops after t_max, or after the first node k > 0 where the monitor
+    expectation (if given) falls below leak_tolerance; the block that holds
+    that node is cut after it, so up to b - 1 computed nodes are dropped.
+    It aborts with a diagnostic naming the first node up to the stop whose
+    trace drifts by more than TRACE_DRIFT_LIMIT (step-size instability or a
+    leaking truncation).  The trace and the monitor are linear functionals
+    on the coordinates, checked over each block at once: the trace is the
     sum of the diagonal ones, exact because diagonal entries outside the
-    sector stay exactly zero, and the monitor row is Re(mon V).
+    sector stay exactly zero, and the monitor row is Re(mon V).  The
+    monitor values are None without a monitor.
     """
     mon = None
     if monitor is not None:
         mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
-    y = fwd.coords(rho0)
-    trace0 = y[: fwd.n_diag].sum()
-    n_max = config.n_max
-    for k in range(n_max):
-        drift = abs(y[: fwd.n_diag].sum() - trace0)
-        if drift > TRACE_DRIFT_LIMIT:
+    y0 = fwd.coords(rho0)
+    trace0 = y0[: fwd.n_diag].sum()
+    start = 0
+    for Y in step.blocks(y0, config.n_max):
+        residuals, stop = None, None
+        if mon is not None:
+            residuals = Y @ mon
+            below = np.flatnonzero(residuals < config.leak_tolerance)
+            below = below[below + start > 0]
+            if below.size:
+                stop = below[0] + 1
+                Y, residuals = Y[:stop], residuals[:stop]
+        drift = np.abs(Y[:, : fwd.n_diag].sum(axis=1) - trace0)
+        bad = np.flatnonzero(drift > TRACE_DRIFT_LIMIT)
+        if bad.size:
             raise NumericalError(
-                f"trace drift {drift:.3e} at step {k} exceeds {TRACE_DRIFT_LIMIT}; "
-                "reduce dt or enlarge the truncated space"
+                f"trace drift {drift[bad[0]]:.3e} at step {start + bad[0]} exceeds "
+                f"{TRACE_DRIFT_LIMIT}; reduce dt or enlarge the truncated space"
             )
-        residual = None if mon is None else mon @ y
-        yield y, residual
-        if residual is not None and residual < config.leak_tolerance and k > 0:
+        yield Y, residuals
+        if stop is not None:
             return
-        if k < n_max - 1:
-            y = step(y)
+        start += len(Y)
 
 
 def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
     Counts the two factor stacks over the full t_max, 32 n_max |R_a| bytes
-    (correlation runs only, n_adj > 0), and for expm the dense propagators:
-    8 |R_f|^2 bytes for the real forward block and 16 |R_a|^2 for the
-    complex adjoint block.
+    (correlation runs only, n_adj > 0), and for expm the dense propagators
+    and their b-th powers: 2 (8 |R_f|^2) bytes for the real forward blocks
+    and 2 (16 |R_a|^2) for the complex adjoint blocks.
     """
     stack_bytes = 32 * config.n_max * n_adj
-    block_bytes = 8 * n_fwd**2 + 16 * n_adj**2 if config.method == "expm" else 0
+    block_bytes = 2 * (8 * n_fwd**2 + 16 * n_adj**2) if config.method == "expm" else 0
     if stack_bytes + block_bytes > config.max_grid_bytes:
         raise NumericalError(
             f"run would need {(stack_bytes + block_bytes) / 2**20:.1f} MiB "
             f"(factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}, "
-            f"dense expm blocks {block_bytes / 2**20:.1f} MiB), above the "
+            f"dense expm blocks and their powers {block_bytes / 2**20:.1f} MiB), above the "
             f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
             "use a coarser dt, a shorter t_max or method rk4"
         )
@@ -444,17 +512,18 @@ def evolve(
     If a monitor operator is given, stops early once its expectation drops
     below leak_tolerance.  Aborts with a diagnostic when the trace drifts
     by more than 1e-4 (step-size instability or a leaking truncation).
-    rho0 must be Hermitian; for expm the dense forward propagator is
-    checked against max_grid_bytes before it is built.
+    rho0 must be Hermitian; for expm the dense forward propagator and its
+    b-th power are checked against max_grid_bytes before they are built.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     fwd = _ForwardSector(sparse.csr_matrix(gen.superoperator()), rho0)
     _check_budget(config, len(fwd.index))
-    step = _SectorStepper(fwd.block, config.dt, config.method)
+    step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
-    for y, residual in _forward(step, fwd, rho0, config, monitor):
-        states.append(fwd.matrix(y))
-        mvals.append(residual)
+    for Y, residuals in _forward(step, fwd, rho0, config, monitor):
+        states.extend(fwd.matrix(y) for y in Y)
+        if residuals is not None:
+            mvals.extend(residuals)
     stopped = monitor is not None and len(states) > 1 and mvals[-1] < config.leak_tolerance
     return Trajectory(
         times=np.arange(len(states)) * config.dt,
@@ -625,8 +694,8 @@ def two_time_correlation(
     The horizon is t_max, shortened to the first grid node where the
     monitor expectation (if given) falls below leak_tolerance.  rho0 must
     be Hermitian.  Before anything large is allocated, the factor stacks
-    over the full t_max and, for expm, the dense sector propagators are
-    checked against max_grid_bytes.
+    over the full t_max and, for expm, the dense sector propagators and
+    their b-th powers are checked against max_grid_bytes.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
@@ -643,32 +712,34 @@ def two_time_correlation(
     a_map = (a_map[adj] @ fwd.V).tocsr()
     _check_budget(config, len(fwd.index), len(adj))
 
-    step = _SectorStepper(fwd.block, config.dt, config.method)
-    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
+    b = _block_size(config.n_max)
+    step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
     if config.smoke_check:
         _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
 
-    # forward pass: collect the regression operands a rho(t_k) on the
-    # operand sector
-    operands = []
-    residual = None
-    for y, residual in _forward(step, fwd, rho0, config, monitor):
-        operands.append(a_map @ y)
-
-    n_t = len(operands)
-    X = np.asarray(operands).reshape(n_t, len(adj))
-    del operands
+    # forward pass: the regression operands a rho(t_k) on the operand
+    # sector, one product per block into the stack over the full t_max;
+    # rows past the realized horizon are never written, so never resident
+    X = np.empty((config.n_max, len(adj)), dtype=complex)
+    n_t, residual = 0, None
+    for Y, residuals in _forward(step, fwd, rho0, config, monitor):
+        X[n_t : n_t + len(Y)] = (a_map @ Y.T).T
+        n_t += len(Y)
+        if residuals is not None:
+            residual = residuals[-1]
+    del step  # the forward E and E^b are not needed by the adjoint pass
+    X = X[:n_t]
 
     # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
     # dagger of the observable lives inside the inner product Tr[U' X], so
     # the stack holds conj(U).  The operand sector is invariant under L, so
     # the adjoint restricted to it is exact on the pairing.
     Uc = np.empty((n_t, len(adj)), dtype=complex)
-    U = a_mat.reshape(-1)[adj]
-    for i in range(n_t):
-        Uc[i] = np.conj(U)
-        if i < n_t - 1:
-            U = adjoint_step(U)
+    start = 0
+    for U in adjoint_step.blocks(a_mat.reshape(-1)[adj], n_t):
+        np.conjugate(U, out=Uc[start : start + len(U)])
+        start += len(U)
 
     return CorrelationGrid(
         dt=config.dt,

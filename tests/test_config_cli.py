@@ -193,20 +193,42 @@ class TestCliSpectrum:
     def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
         # N_m = 2, t_max = 2: the factor stacks need 32 * 41 * 27 B = 35 kB,
         # the dense expm sector blocks 8 * 90^2 B = 64.8 kB (real forward)
-        # plus 16 * 27^2 B = 11.7 kB (complex adjoint)
-        def no_expm(*args, **kwargs):
-            raise AssertionError("expm ran before the budget check")
+        # plus 16 * 27^2 B = 11.7 kB (complex adjoint), and their b-th
+        # powers as much again: 188 kB.  Without the powers it would be
+        # 112 kB, under the 150 kB budget, and expm would run.
+        def not_yet(*args, **kwargs):
+            raise AssertionError("expm or its squarings ran before the budget check")
 
-        monkeypatch.setattr("omtc.dynamics.linalg.expm", no_expm)
+        monkeypatch.setattr("omtc.dynamics.linalg.expm", not_yet)
+        monkeypatch.setattr("omtc.dynamics._power", not_yet)
         small = FAST.replace("numerics.t_max = 30", "numerics.t_max = 2")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(small + "numerics.max_grid_bytes = 100000\n")
+        cfg.write_text(small + "numerics.max_grid_bytes = 150000\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
-        assert "dense expm blocks" in capsys.readouterr().err
+        assert "dense expm blocks and their powers 0.1 MiB" in capsys.readouterr().err
         assert not out.exists()
-        cfg.write_text(small.replace("expm", "rk4") + "numerics.max_grid_bytes = 100000\n")
+        cfg.write_text(small.replace("expm", "rk4") + "numerics.max_grid_bytes = 150000\n")
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
+
+    @pytest.mark.parametrize("block", ["forward", "adjoint"])
+    def test_corrupted_expm_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys, block):
+        # the forward power is real and the adjoint one complex; spoil one
+        from omtc import dynamics
+
+        power = dynamics._power
+
+        def corrupted(E, b):
+            P = power(E, b)
+            return P * (1 + 1e-6) if np.isrealobj(P) == (block == "forward") else P
+
+        monkeypatch.setattr("omtc.dynamics._power", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -109,6 +109,23 @@ class TestDisplacedOverlap:
                 D[n, m], abs=1e-10
             )
 
+    def test_matches_scipy_special_closed_form(self):
+        # the closed form as evaluated with scipy.special before the
+        # recurrence replaced it; the package itself does not import scipy.special
+        from scipy.special import eval_genlaguerre, gammaln
+
+        def reference(n, m, beta):
+            lo, hi = min(n, m), max(n, m)
+            amp = beta ** (n - m) if n >= m else (-beta) ** (m - n)
+            ratio = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+            return ratio * amp * np.exp(-0.5 * beta**2) * eval_genlaguerre(lo, hi - lo, beta**2)
+
+        for beta in np.linspace(-3.0, 3.0, 25):
+            for n in range(41):
+                for m in range(41):
+                    ref = reference(n, m, beta)
+                    assert abs(displaced_fock_overlap(n, m, beta) - ref) <= 1e-13
+
     def test_matrix_unitary_to_truncation(self):
         beta = 0.9
         N = 30

@@ -8,11 +8,14 @@ from conftest import model_points
 from scipy import linalg, sparse
 
 from omtc.dynamics import (
+    TRACE_DRIFT_LIMIT,
     CorrelationGrid,
     EvolutionConfig,
     Generator,
     _block,
+    _closure,
     _ForwardSector,
+    _SectorStepper,
     check_step_size,
     evolve,
     heisenberg_apply,
@@ -183,7 +186,8 @@ class TestEvolve:
             assert np.trace(r).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(r).min() > -1e-8
 
-    def test_trace_drift_aborts(self):
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_trace_drift_aborts(self, method):
         p, space, gen, _ = _damped_cavity()
 
         class Leaky:
@@ -191,16 +195,21 @@ class TestEvolve:
             dim = gen.dim
 
             def apply(self, rho):
-                return gen.apply(rho) - 0.01 * rho
+                return gen.apply(rho) - 1e-5 * rho
 
             apply_adjoint = gen.apply_adjoint
 
             def superoperator(self):
-                return gen.superoperator() - 0.01 * sparse.identity(gen.dim**2)
+                return gen.superoperator() - 1e-5 * sparse.identity(gen.dim**2)
 
+        # the trace decays as exp(-1e-5 t): the drift first exceeds 1e-4 at
+        # t_201 = 10.05, row 9 of the 13th block of b = 16 (n_max = 1001)
+        k = np.arange(1001)
+        first = int(np.argmax(1 - np.exp(-1e-5 * 0.05 * k) > TRACE_DRIFT_LIMIT))
+        assert first == 201
         rho0 = np.eye(space.dim, dtype=complex) / space.dim
-        with pytest.raises(NumericalError, match="trace drift"):
-            evolve(rho0, Leaky(), EvolutionConfig(dt=0.05, t_max=50.0))
+        with pytest.raises(NumericalError, match=r"trace drift .* at step 201 exceeds"):
+            evolve(rho0, Leaky(), EvolutionConfig(dt=0.05, t_max=50.0, method=method))
 
     def test_step_size_guard(self):
         check_step_size(0.02, ModelParams())
@@ -209,19 +218,22 @@ class TestEvolve:
 
     def test_expm_block_budget_checked_before_expm(self, monkeypatch):
         # N_m = 2: the 90-entry real forward block needs 8 * 90^2 B = 64.8 kB
+        # and its b-th power as much again; without the power it would fit
+        # the 100 kB budget and expm would run
         p = ModelParams()
         space = build_space(1, 2, excitation_cap=1)
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         rho0 = initial_state(p, space)
 
-        def no_expm(*args, **kwargs):
-            raise AssertionError("expm ran before the budget check")
+        def not_yet(*args, **kwargs):
+            raise AssertionError("expm or its squarings ran before the budget check")
 
-        monkeypatch.setattr("omtc.dynamics.linalg.expm", no_expm)
-        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="expm", max_grid_bytes=60000)
-        with pytest.raises(NumericalError, match="dense expm blocks"):
+        monkeypatch.setattr("omtc.dynamics.linalg.expm", not_yet)
+        monkeypatch.setattr("omtc.dynamics._power", not_yet)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="expm", max_grid_bytes=100000)
+        with pytest.raises(NumericalError, match="dense expm blocks and their powers"):
             evolve(rho0, gen, cfg)
-        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="rk4", max_grid_bytes=60000)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="rk4", max_grid_bytes=100000)
         assert len(evolve(rho0, gen, cfg).states) == 11
 
 
@@ -596,6 +608,106 @@ class TestHermitianCoordinates:
         rho0[0, 1] = 0.1
         with pytest.raises(ConfigurationError, match="Hermitian"):
             _run(run, rho0, gen, space)
+
+
+def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
+    """Slow path: both passes one node at a time, as before the blocked passes.
+
+    One matvec with E = exp(B dt) (expm) or one RK4 step per node, with the
+    trace guard and the leak stop checked node by node; no smoke check.
+    """
+    S = sparse.csr_matrix(gen.superoperator())
+    a_mat = a_op.toarray()
+    fwd = _ForwardSector(S, rho0)
+    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(gen.dim), format="csr")
+    a_map = a_map[:, fwd.index]
+    a_map.eliminate_zeros()
+    adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
+    a_map = (a_map[adj] @ fwd.V).tocsr()
+    step = _SectorStepper(fwd.block, config.dt, config.method)
+    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
+    mon = None
+    if monitor is not None:
+        mon = (fwd.V.T @ monitor.toarray().T.reshape(-1)[fwd.index]).real
+    y = fwd.coords(rho0)
+    trace0 = y[: fwd.n_diag].sum()
+    operands, residual = [], None
+    for k in range(config.n_max):
+        drift = abs(y[: fwd.n_diag].sum() - trace0)
+        if drift > TRACE_DRIFT_LIMIT:
+            raise NumericalError(f"trace drift {drift:.3e} at step {k}")
+        operands.append(a_map @ y)
+        residual = None if mon is None else mon @ y
+        if residual is not None and residual < config.leak_tolerance and k > 0:
+            break
+        y = step(y)
+    U, Uc = a_mat.reshape(-1)[adj], []
+    for _ in operands:
+        Uc.append(np.conj(U))
+        U = adjoint_step(U)
+    return CorrelationGrid(
+        dt=config.dt, U=np.array(Uc), X=np.array(operands), residual_excitation=residual
+    )
+
+
+def _assert_matches_sequential(grid, ref):
+    assert grid.n_t == ref.n_t
+    if ref.residual_excitation is None:
+        assert grid.residual_excitation is None
+    else:
+        assert grid.residual_excitation == pytest.approx(ref.residual_excitation, rel=1e-12)
+    # the floor covers stacks that vanish up to roundoff (dark states);
+    # every entry is bounded by 1 for one excitation
+    for new, old in ((grid.X, ref.X), (grid.U, ref.U), (grid.to_dense(), ref.to_dense())):
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-15
+
+
+class TestBlockedPasses:
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @settings(max_examples=8)
+    @given(
+        point=model_points(),
+        t_max=st.sampled_from([0.4, 1.0, 2.6]),
+        leak=st.floats(0.9, 1.0),
+    )
+    def test_matches_sequential_passes(self, method, point, t_max, leak):
+        # b = 4, 4 and 8 at n_max = 21, 51 and 131; the drawn leak
+        # tolerances stop many runs early, anywhere in a block
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        rho0 = initial_state(params, space, initial)
+        a = ladder_operators(space)["a"]
+        mon = optical_excitation_operator(space)
+        cfg = EvolutionConfig(dt=0.02, t_max=t_max, method=method, leak_tolerance=leak)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        _assert_matches_sequential(grid, _sequential_correlation(rho0, gen, cfg, a, mon))
+
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @pytest.mark.parametrize(
+        "case, b, t_max, n_t",
+        [
+            ("n_max < b", 32, 0.4, 21),
+            ("n_max not a multiple of b", 8, 0.4, 21),
+            ("leak stop on the first row of a block", 8, 400.0, 25),
+            ("leak stop in the middle of a block", 16, 400.0, 25),
+        ],
+    )
+    def test_block_edges(self, method, case, b, t_max, n_t, monkeypatch):
+        # the one-photon decay exp(-0.2 t) first falls below the tolerance
+        # at node 24, row 0 of block 3 for b = 8 and row 8 of block 1 for b = 16
+        _, space, gen, rho0 = _damped_cavity(N_m=2)
+        a = ladder_operators(space)["a"]
+        mon = optical_excitation_operator(space)
+        monkeypatch.setattr("omtc.dynamics._block_size", lambda n_max: b)
+        cfg = EvolutionConfig(
+            dt=0.02, t_max=t_max, method=method, leak_tolerance=np.exp(-0.2 * 0.02 * 23.5)
+        )
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.n_t == n_t
+        _assert_matches_sequential(grid, _sequential_correlation(rho0, gen, cfg, a, mon))
+        traj = evolve(rho0, gen, cfg, monitor=mon)
+        assert len(traj.states) == n_t
+        assert traj.stopped_early == (t_max == 400.0)
 
 
 def _double_sum_lag_sums(grid, Gamma, n):
