@@ -346,7 +346,8 @@ class _SectorStepper:
 
         The last block may be shorter.  The first block, and every rk4
         block, is stepped node by node; a later expm block is
-        Y_j = Y_{j-1} (E^b)^T, each row b steps on from the row above it.
+        Y_j = Y_{j-1} (E^b)^T, each row b steps on from the same row of the
+        block before.
         """
         prev = None
         for start in range(0, n, self.b):

@@ -709,6 +709,21 @@ class TestBlockedPasses:
         assert len(traj.states) == n_t
         assert traj.stopped_early == (t_max == 400.0)
 
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_leak_stop_never_at_the_first_node(self, method):
+        # the photon number starts at 0, below the tolerance, and is still
+        # below it at node 1 (about 5e-3), where the pass stops
+        p = ModelParams()
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0 = initial_state(p, space)
+        a = ladder_operators(space)["a"]
+        mon = (a.getH() @ a).tocsr()
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method, leak_tolerance=1e-2)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.n_t == 2
+        _assert_matches_sequential(grid, _sequential_correlation(rho0, gen, cfg, a, mon))
+
 
 def _double_sum_lag_sums(grid, Gamma, n):
     """Slow path: the per-column double sum over the correlation triangle.

@@ -1,0 +1,90 @@
+"""Summarize perfbench result files of two commits into one BENCH_<label>.json.
+
+    python3 tools/bench_summary.py --label blocked_powers \
+        --parent PARENT_RESULTS --change CHANGE_RESULTS
+
+PARENT_RESULTS and CHANGE_RESULTS are directories of the records that
+``perfbench/run.py`` writes to ``.perfbench/results/``
+(``<workload>-seed<n>-trace<0|1>.json``), one set per commit, run as
+alternating pairs with the same seeds.  The output holds, per workload and
+side, the median and quartiles of every end-to-end metric over the
+untraced runs, the number of pairs the change won, the per-layer metrics
+and spans of each side's traced runs, and each side's environment stamp.
+"""
+
+import argparse
+import json
+from pathlib import Path
+
+import numpy as np
+
+METRICS = ("wall_s", "cpu_s", "peak_rss_mib", "setup_s")
+
+
+def load(directory: Path) -> dict:
+    """{(workload, seed, trace): record} for every result file in a directory."""
+    out = {}
+    for path in sorted(directory.glob("*-seed*-trace*.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        out[record["workload"], record["seed"], record["trace"]] = record
+    return out
+
+
+def summary(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def build(parent: dict, change: dict) -> dict:
+    workloads = {}
+    for workload in sorted({key[0] for key in parent}):
+        seeds = sorted(s for w, s, t in parent if w == workload and t == 0
+                       and (w, s, t) in change)
+        if not seeds:
+            continue
+        entry = {"seeds": seeds, "failed_ops": {
+            side: sum(not op["ok"] for s in seeds for op in records[workload, s, 0]["ops"])
+            for side, records in (("parent", parent), ("change", change))
+        }}
+        for name in METRICS:
+            old = [parent[workload, s, 0]["metrics"][name] for s in seeds]
+            new = [change[workload, s, 0]["metrics"][name] for s in seeds]
+            entry[name] = {
+                "parent": summary(old),
+                "change": summary(new),
+                "change_lower_in_pairs": sum(b < a for a, b in zip(old, new)),
+            }
+        traced = {}
+        for side, records in (("parent", parent), ("change", change)):
+            for (w, seed, trace), record in records.items():
+                if w == workload and trace == 1:
+                    traced[side] = {"seed": seed, "per_layer": record["metrics"],
+                                    "module_shares": record["module_shares"],
+                                    "spans": record["spans"]}
+        if traced:
+            entry["traced"] = traced
+        workloads[workload] = entry
+    any_parent, any_change = next(iter(parent.values())), next(iter(change.values()))
+    return {
+        "environment": {"parent": any_parent["environment"],
+                        "change": any_change["environment"]},
+        "seconds": any_parent["seconds"],
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+    out = Path(__file__).resolve().parent.parent / f"BENCH_{args.label}.json"
+    data = build(load(args.parent), load(args.change))
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
