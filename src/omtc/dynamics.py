@@ -18,12 +18,20 @@ forward sector.  Both follow from the sparsity pattern of L, so no
 conservation law is assumed; for one optical excitation they are the
 rho_11 + rho_00 blocks and the 0-1 coherence block.
 
+A correlation run reads only the columns of a x I and the monitor's
+support, so of the forward sector it steps only their ancestors under L,
+the readout sector K (rho_11 for one optical excitation); nothing flows
+into K from the rest, so its dynamics are exact.  The rest is carried by
+one more real coordinate, the sum p of its diagonal, which keeps the
+trace guard exact; both facts are checked when K is built.  evolve
+returns whole states, so it keeps the whole forward sector (p stays 0).
+
 rho(t) stays Hermitian, so the forward sector is stepped in real
 coordinates y = V^H x of an orthonormal basis of Hermitian matrices: one
 coordinate per diagonal entry and sqrt(2) Re, sqrt(2) Im per pair
 (i, j), (j, i) with i < j.  V is a sparse unitary, and for a generator
-that preserves Hermiticity the block V^H L[R, R] V is real; it is built
-once and checked (imaginary part at most 1e-12 max|L[R, R]|, otherwise
+that preserves Hermiticity the block V^H L[K, K] V is real; it is built
+once and checked (imaginary part at most 1e-12 max|L[K, K]|, otherwise
 NumericalError), so every forward matvec is real and half the size.  The
 operand sector carries a rho, which is not Hermitian, and stays complex.
 Two backends step a sector: classical RK4 with four sparse matvecs per
@@ -48,7 +56,7 @@ pass.  The two formulations agree to roundoff because the adjoint of the
 RK4 step polynomial is the RK4 step of the adjoint generator.
 CorrelationGrid keeps only these two stacks, O(n_t |R_a|) values, and
 computes the filter's per-lag sums from them with one first-order
-recurrence; the O(n_t^2) triangle is never formed.
+recurrence, run in row blocks; the O(n_t^2) triangle is never formed.
 """
 
 import hashlib
@@ -57,7 +65,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 
 from .errors import ConfigurationError, NumericalError
 from .model import CrossChannel, DissipatorSpec, LocalChannel
@@ -232,19 +240,33 @@ def _closure(S, seed: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-class _ForwardSector:
-    """Real coordinates of the Hermitian matrices on the forward sector.
+def _transposed(index: np.ndarray, d: int) -> np.ndarray:
+    """Row-major vec indices of the transposed entries."""
+    i, j = np.divmod(index, d)
+    return j * d + i
 
-    index is the closure of supp vec(rho0) (taken with its transpose).  V
-    maps the real coordinates y to vec(rho)[index], x = V y, and is unitary:
-    the first n_diag columns are the diagonal entries, then come the
-    (e_ij + e_ji)/sqrt(2) and i (e_ij - e_ji)/sqrt(2) columns of the pairs
-    i < j.  block = V^H S[index, index] V is real for a generator that
-    preserves Hermiticity; NumericalError otherwise.  rho0 must be
-    Hermitian to 1e-12; ConfigurationError otherwise.
+
+class _ForwardSector:
+    """Real coordinates (y, p) of the Hermitian matrices on the readout sector.
+
+    Of the forward sector, the closure of supp vec(rho0) (taken with its
+    transpose), index keeps the ancestors under L of the entries in reads
+    and their transposes (all of it when reads is None).  Nothing flows in
+    from the dropped rest, L[index, dropped] = 0, so the kept dynamics are
+    exact; the dropped entries enter only through the sum p of their
+    diagonal, the last coordinate, with dp/dt = f y for the flux row
+    f = 1' L[dropped diagonal, index] V.  That is exact when the columns of
+    L[dropped diagonal, dropped] sum to zero, as trace preservation makes
+    them.  V maps y to vec(rho)[index], x = V y: its first n columns are
+    unitary (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
+    i (e_ij - e_ji)/sqrt(2) per pair i < j) and its last, p's, is zero.
+    block = [[V^H L[index, index] V, 0], [f, 0]] is real.  NumericalError
+    if index is not closed under L or transposition, if the block has an
+    imaginary part (a generator that breaks Hermiticity) or if the column
+    sums do not vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
     """
 
-    def __init__(self, S, rho0: np.ndarray):
+    def __init__(self, S, rho0: np.ndarray, reads=None):
         asym = float(np.max(np.abs(rho0 - rho0.conj().T), initial=0.0))
         if asym > 1e-12:
             raise ConfigurationError(
@@ -252,16 +274,29 @@ class _ForwardSector:
             )
         d = rho0.shape[0]
         self.dim = d
-        self.index = _closure(S, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+        sector = _closure(S, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+        L = _block(S, sector)
+        kept = np.ones(len(sector), dtype=bool)
+        if reads is not None:
+            seed = np.isin(sector, np.concatenate([reads, _transposed(reads, d)]))
+            kept[:] = False
+            kept[_closure(L.T, np.flatnonzero(seed))] = True
+        for name, index in (("forward", sector), ("readout", sector[kept])):
+            if not np.array_equal(np.sort(_transposed(index, d)), index):
+                raise NumericalError(
+                    f"generator does not preserve Hermiticity ({name} sector is not "
+                    "closed under transposition)"
+                )
+        i, j = np.divmod(sector, d)
+        k, dr, dd = (np.flatnonzero(m) for m in (kept, ~kept, ~kept & (i == j)))
+        self.index, self.dropped, self.dropped_diag = sector[k], sector[dr], sector[dd]
+        if np.max(np.abs(L[k][:, dr].data), initial=0.0) > 0:
+            raise NumericalError("readout sector is not closed: dropped entries flow into it")
+
         n = len(self.index)
         i, j = np.divmod(self.index, d)
-        if not np.array_equal(np.sort(j * d + i), self.index):
-            raise NumericalError(
-                "generator does not preserve Hermiticity (forward sector is not "
-                "closed under transposition)"
-            )
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
-        lower = np.searchsorted(self.index, j[upper] * d + i[upper])
+        lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
         self.n_diag = n_diag = len(diag)
         n_up = len(upper)
         r = np.sqrt(0.5)
@@ -270,22 +305,32 @@ class _ForwardSector:
         rows = [diag, upper, lower, upper, lower]
         cols = [np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up]
         self.V = sparse.csr_matrix(
-            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n + 1),
         )
-        L = _block(S, self.index)
-        block = (self.V.conj().T @ L @ self.V).tocsr()
-        scale = np.max(np.abs(L.data), initial=0.0)
-        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * scale:
+        Lk = L[k][:, k]
+        flux = sparse.csr_matrix(L[dd][:, k].sum(axis=0)) @ self.V
+        block = sparse.vstack([(self.V.conj().T @ Lk @ self.V)[:n], flux]).tocsr()
+        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * np.max(np.abs(Lk.data), initial=0.0):
             raise NumericalError("generator does not preserve Hermiticity")
         self.block = block.real.tocsr()
         self.block.eliminate_zeros()
+        leak = np.abs(np.asarray(L[dd][:, dr].sum(axis=0)))
+        if np.max(leak, initial=0.0) > 1e-12 * np.max(np.abs(L.data), initial=0.0):
+            raise NumericalError(
+                "generator does not preserve the trace of the dropped entries "
+                f"(max column sum {np.max(leak):.3e})"
+            )
 
     def coords(self, rho: np.ndarray) -> np.ndarray:
-        """Real coordinates of a Hermitian d x d matrix supported on the sector."""
-        return (self.V.conj().T @ rho.reshape(-1)[self.index]).real
+        """Coordinates (y, p) of a Hermitian d x d matrix supported on the forward sector."""
+        x = rho.reshape(-1)
+        y = (self.V.conj().T @ x[self.index]).real
+        y[-1] = x[self.dropped_diag].real.sum()
+        return y
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
-        """The d x d matrix with coordinates y."""
+        """The d x d matrix with coordinates y on the readout sector, zero elsewhere."""
         full = np.zeros(self.dim**2, dtype=complex)
         full[self.index] = self.V @ y
         return full.reshape(self.dim, self.dim)
@@ -309,8 +354,8 @@ def _power(E: np.ndarray, b: int) -> np.ndarray:
 class _SectorStepper:
     """Steps of size dt on an invariant sector: x -> exp(B dt) x.
 
-    B is the real block of the forward sector in its Hermitian coordinates,
-    or, for the Heisenberg pass, the Hermitian adjoint of the complex block
+    B is the real block of the readout sector in its Hermitian coordinates
+    and p, or, for the Heisenberg pass, the Hermitian adjoint of the complex block
     of the operand sector.  rk4 takes four sparse matvecs per step; expm
     builds the dense propagator E = exp(B dt) of the block once, real for
     the forward pass, and its b-th power E^b by log2 b squarings.
@@ -325,6 +370,8 @@ class _SectorStepper:
         self.dt = dt
         self.b = b
         if method == "expm":
+            from scipy import linalg  # imported here: rk4 runs never need it
+
             self._B = linalg.expm(block.toarray() * dt)
             self.power = _power(self._B, b)
         else:
@@ -380,35 +427,41 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
     """Cross-validate the sector steppers against full-space Taylor references.
 
-    The forward stepper starts from the real coordinates of rho0, and V y
-    is compared, on the whole d x d matrix, with exp(L h) rho0 built from
-    gen.apply; this checks at runtime that the forward sector is closed and
-    that the Hermitian basis and its real block reproduce L.  The adjoint
-    stepper starts from the observable a and is compared with exp(L' h)
-    built from gen.apply_adjoint on the operand sector adj, the only part
-    of the Heisenberg flow that the grid pairs with the operands.  RK4 is
-    checked over four steps of size dt/16, which keeps its per-step
-    truncation far below the 1e-8 agreement threshold; the expm
-    propagators are exact per step, so the ones the run uses are checked
-    over one step of dt against 16 Taylor substeps, and their powers E^b,
-    which step the blocked passes, against b applications of E.
+    The forward stepper starts from the coordinates of rho0 and is compared
+    with exp(L h) rho0 built from gen.apply: V y on every entry of the d x d
+    matrix except the dropped ones, and p with the sum of the reference's
+    dropped diagonal.  This checks at runtime that the readout sector is
+    closed, that the Hermitian basis and its real block reproduce L, and
+    that the flux row carries the dropped population.  The adjoint stepper
+    starts from the observable a and is compared with exp(L' h) built from
+    gen.apply_adjoint on the operand sector adj, the only part of the
+    Heisenberg flow that the grid pairs with the operands.  Each reference
+    is one Taylor step.  RK4 is checked over four steps of size dt/16, h =
+    dt/4, which keeps its truncation far below the 1e-8 agreement
+    threshold; the expm propagators are exact per step, so the ones the run
+    uses are checked over one step, h = dt, and their powers E^b, which
+    step the blocked passes, against b applications of E.
     """
     if config.method == "expm":
-        n_steps, n_ref = 1, 16
+        n_steps = 1
     else:
         # an rk4 stepper keeps its (already adjoint) block in _B
         steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
-        n_steps, n_ref = 4, 4
+        n_steps = 4
     y0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
     y, u = y0, u0
     for _ in range(n_steps):
         y, u = steppers[0](y), steppers[1](u)
-    h = n_steps * steppers[0].dt / n_ref
-    ref_f, ref_a = rho0, a_mat
-    for _ in range(n_ref):
-        ref_f = _taylor_step(gen.apply, ref_f, h)
-        ref_a = _taylor_step(gen.apply_adjoint, ref_a, h)
-    diffs = [("forward", fwd.matrix(y) - ref_f), ("adjoint", u - ref_a.reshape(-1)[adj])]
+    h = n_steps * steppers[0].dt
+    ref_f = _taylor_step(gen.apply, rho0, h).reshape(-1)
+    ref_a = _taylor_step(gen.apply_adjoint, a_mat, h).reshape(-1)
+    diff_f = fwd.matrix(y).reshape(-1) - ref_f
+    diff_f[fwd.dropped] = 0.0
+    diffs = [
+        ("forward", diff_f),
+        ("forward dropped-population", y[-1] - ref_f[fwd.dropped_diag].real.sum()),
+        ("adjoint", u - ref_a[adj]),
+    ]
     for name, step, x in (("forward", steppers[0], y0), ("adjoint", steppers[1], u0)):
         if step.power is not None:
             ref = x
@@ -436,15 +489,16 @@ def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
     trace drifts by more than TRACE_DRIFT_LIMIT (step-size instability or a
     leaking truncation).  The trace and the monitor are linear functionals
     on the coordinates, checked over each block at once: the trace is the
-    sum of the diagonal ones, exact because diagonal entries outside the
-    sector stay exactly zero, and the monitor row is Re(mon V).  The
-    monitor values are None without a monitor.
+    sum of the diagonal coordinates plus p, the dropped population, exact
+    because diagonal entries outside the forward sector stay exactly zero;
+    the monitor row is Re(mon V), and the monitor must read only the
+    readout sector.  The monitor values are None without a monitor.
     """
     mon = None
     if monitor is not None:
         mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
     y0 = fwd.coords(rho0)
-    trace0 = y0[: fwd.n_diag].sum()
+    trace0 = y0[: fwd.n_diag].sum() + y0[-1]
     start = 0
     for Y in step.blocks(y0, config.n_max):
         residuals, stop = None, None
@@ -455,7 +509,7 @@ def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
             if below.size:
                 stop = below[0] + 1
                 Y, residuals = Y[:stop], residuals[:stop]
-        drift = np.abs(Y[:, : fwd.n_diag].sum(axis=1) - trace0)
+        drift = np.abs(Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1] - trace0)
         bad = np.flatnonzero(drift > TRACE_DRIFT_LIMIT)
         if bad.size:
             raise NumericalError(
@@ -473,8 +527,9 @@ def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0) -> None:
 
     Counts the two factor stacks over the full t_max, 32 n_max |R_a| bytes
     (correlation runs only, n_adj > 0), and for expm the dense propagators
-    and their b-th powers: 2 (8 |R_f|^2) bytes for the real forward blocks
-    and 2 (16 |R_a|^2) for the complex adjoint blocks.
+    and their b-th powers: 2 (8 n_fwd^2) bytes for the real forward blocks,
+    n_fwd = |R_f| + 1 coordinates (the readout sector and p), and
+    2 (16 |R_a|^2) for the complex adjoint blocks.
     """
     stack_bytes = 32 * config.n_max * n_adj
     block_bytes = 2 * (8 * n_fwd**2 + 16 * n_adj**2) if config.method == "expm" else 0
@@ -513,12 +568,14 @@ def evolve(
     If a monitor operator is given, stops early once its expectation drops
     below leak_tolerance.  Aborts with a diagnostic when the trace drifts
     by more than 1e-4 (step-size instability or a leaking truncation).
-    rho0 must be Hermitian; for expm the dense forward propagator and its
-    b-th power are checked against max_grid_bytes before they are built.
+    The states are whole, so the whole forward sector is propagated (no
+    readout).  rho0 must be Hermitian; for expm the dense forward
+    propagator and its b-th power are checked against max_grid_bytes
+    before they are built.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     fwd = _ForwardSector(sparse.csr_matrix(gen.superoperator()), rho0)
-    _check_budget(config, len(fwd.index))
+    _check_budget(config, fwd.block.shape[0])
     step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
     for Y, residuals in _forward(step, fwd, rho0, config, monitor):
@@ -601,7 +658,10 @@ class CorrelationGrid:
         q_k = w_k exp(-Gamma (t_n - t_k)), G[tau] = sum_k q_k q_{k+tau}
         C[k+tau][k] for tau = 0 .. n; A is the same with Gamma = 0.
         """
-        return self._lag_sum(Gamma, n), self._lag_sum(0.0, n)
+        U, X = self.U[: n + 1], self.X[: n + 1]
+        # U[tau] . w_m X_m at m = n - tau, the endpoint term of both sums
+        ends = _trapezoid_weights(self.dt, n)[::-1] * np.einsum("ti,ti->t", U, X[::-1])
+        return self._lag_sum(Gamma, n, ends), self._lag_sum(0.0, n, ends)
 
     def zero_lag_sum(self, Gamma: float, n: int) -> complex:
         """G[0] of lag_sums(Gamma, n), sum_k q_k^2 C[k][k], from the diagonal alone.
@@ -612,23 +672,33 @@ class CorrelationGrid:
         q = _trapezoid_weights(h, n) * np.exp(-Gamma * h * np.arange(n, -1, -1))
         return complex(q**2 @ (self.X[: n + 1] @ self.U[0]))
 
-    def _lag_sum(self, Gamma: float, n: int) -> np.ndarray:
+    def _lag_sum(self, Gamma: float, n: int, ends: np.ndarray) -> np.ndarray:
         # With m = n - tau, q_k q_{k+tau} = exp(-Gamma tau h) w_k w_{k+tau}
         # r^(m-k) for r = exp(-2 Gamma h), and w_{k+tau} = h except at k = m
         # (and at k = 0 when tau = 0).  So G[tau] = exp(-Gamma tau h)
-        # U[tau] . (h S_m - (h/2) w_m X_m), minus (h/2) w_0 r^n U[0] . X[0]
+        # (h U[tau] . S_m - (h/2) ends[tau]), minus (h/2) w_0 r^n U[0] . X[0]
         # at tau = 0, where S_m = sum_{k<=m} w_k r^(m-k) X_k
         # = r S_{m-1} + w_m X_m.  No factor exceeds 1, so no Gamma T can
-        # overflow.
+        # overflow.  S runs in row blocks of b rows, one b x |R_a| buffer
+        # whose last row carries S_{m-1} into the next block.
         h = self.dt
         w = _trapezoid_weights(h, n)
         r = np.exp(-2.0 * Gamma * h)
         U, X = self.U[: n + 1], self.X[: n + 1]
-        S = w[:, None] * X
-        for m in range(1, n + 1):
-            S[m] += r * S[m - 1]
-        sums = h * np.einsum("ti,ti->t", U, S[::-1])
-        sums -= 0.5 * h * np.einsum("ti,t,ti->t", U, w[::-1], X[::-1])
+        b = _block_size(n + 1)
+        S = np.zeros((b, X.shape[1]), dtype=complex)
+        sums = np.empty(n + 1, dtype=complex)
+        for m0 in range(0, n + 1, b):
+            rows = min(b, n + 1 - m0)
+            np.multiply(S[-1], r, out=S[0])
+            S[0] += w[m0] * X[m0]
+            np.multiply(w[m0 + 1 : m0 + rows, None], X[m0 + 1 : m0 + rows], out=S[1:rows])
+            for i in range(1, rows):
+                S[i] += r * S[i - 1]
+            # rows m0 .. m0 + rows - 1 of S pair with U[n - m0] down to U[n - m0 - rows + 1]
+            lo = n - m0 - rows + 1
+            sums[lo : n - m0 + 1] = np.einsum("ti,ti->t", U[lo : n - m0 + 1][::-1], S[:rows])[::-1]
+        sums = h * sums - 0.5 * h * ends
         sums[0] -= 0.5 * h * w[0] * r**n * (U[0] @ X[0])
         return np.exp(-Gamma * h * np.arange(n + 1)) * sums
 
@@ -693,7 +763,10 @@ def two_time_correlation(
     """Quantum-regression grid of <a'(t_j) a(t_k)> over the adaptive horizon.
 
     The horizon is t_max, shortened to the first grid node where the
-    monitor expectation (if given) falls below leak_tolerance.  rho0 must
+    monitor expectation (if given) falls below leak_tolerance.  Only the
+    readout sector of the forward pass is propagated, the ancestors of
+    the entries that a and the monitor read, with the dropped population
+    p; sector_sizes reports its size and the operand sector's.  rho0 must
     be Hermitian.  Before anything large is allocated, the factor stacks
     over the full t_max and, for expm, the dense sector propagators and
     their b-th powers are checked against max_grid_bytes.
@@ -703,15 +776,21 @@ def two_time_correlation(
     S = sparse.csr_matrix(gen.superoperator())
     a_mat = _dense(a_op)
 
-    # (a x I) vec(rho) is the row-major vec(a rho).  The operand sector is
-    # the closure of the rows that (a x I) reaches from the forward sector;
-    # a_map reads the operands from the forward coordinates, a rho = a_map y.
-    fwd = _ForwardSector(S, rho0)
-    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")[:, fwd.index]
+    # (a x I) vec(rho) is the row-major vec(a rho).  The run reads its
+    # columns and the monitor's support, so only their ancestors under L
+    # are propagated.  The operand sector is the closure of the rows that
+    # (a x I) reaches from them; a_map reads the operands from the forward
+    # coordinates, a rho = a_map y.
+    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
     a_map.eliminate_zeros()
+    reads = np.flatnonzero(a_map.getnnz(axis=0))
+    if monitor is not None:
+        reads = np.union1d(reads, np.flatnonzero(_dense(monitor).T))
+    fwd = _ForwardSector(S, rho0, reads)
+    a_map = a_map[:, fwd.index]
     adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
     a_map = (a_map[adj] @ fwd.V).tocsr()
-    _check_budget(config, len(fwd.index), len(adj))
+    _check_budget(config, fwd.block.shape[0], len(adj))
 
     b = _block_size(config.n_max)
     step = _SectorStepper(fwd.block, config.dt, config.method, b=b)

@@ -192,14 +192,15 @@ class TestCliSpectrum:
 
     def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
         # N_m = 2, t_max = 2: the factor stacks need 32 * 41 * 27 B = 35 kB,
-        # the dense expm sector blocks 8 * 90^2 B = 64.8 kB (real forward)
-        # plus 16 * 27^2 B = 11.7 kB (complex adjoint), and their b-th
-        # powers as much again: 188 kB.  Without the powers it would be
-        # 112 kB, under the 150 kB budget, and expm would run.
+        # the dense expm sector blocks 8 * 82^2 B = 53.8 kB (real forward:
+        # the 81-entry rho_11 block and p) plus 16 * 27^2 B = 11.7 kB
+        # (complex adjoint), and their b-th powers as much again: 166 kB.
+        # Without the powers it would be 101 kB, under the 150 kB budget,
+        # and expm would run.
         def not_yet(*args, **kwargs):
             raise AssertionError("expm or its squarings ran before the budget check")
 
-        monkeypatch.setattr("omtc.dynamics.linalg.expm", not_yet)
+        monkeypatch.setattr("scipy.linalg.expm", not_yet)
         monkeypatch.setattr("omtc.dynamics._power", not_yet)
         small = FAST.replace("numerics.t_max = 30", "numerics.t_max = 2")
         cfg = tmp_path / "run.cfg"
@@ -228,6 +229,25 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spoiled_flux_row_fails_smoke_check(self, tmp_path, monkeypatch, capsys):
+        # the last row of the forward block is the flux f into the dropped
+        # population p; a 1e-4 relative error moves p by ~5e-7 in one step
+        from omtc import dynamics
+
+        init = dynamics._ForwardSector.__init__
+
+        def spoiled(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.block.data[self.block.indptr[-2] :] *= 1 + 1e-4
+
+        monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", spoiled)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert "disagree on the forward dropped-population smoke test" in capsys.readouterr().err
         assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
@@ -268,7 +288,7 @@ class TestCliCorrelation:
         out = tmp_path / "out.csv"
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--dump-correlation", str(dump)])
-        assert "sectors 90/27," in capsys.readouterr().err
+        assert "sectors 81/27," in capsys.readouterr().err
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
         assert "sectors None/None," in capsys.readouterr().err

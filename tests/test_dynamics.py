@@ -16,6 +16,7 @@ from omtc.dynamics import (
     _closure,
     _ForwardSector,
     _SectorStepper,
+    _trapezoid_weights,
     check_step_size,
     evolve,
     heisenberg_apply,
@@ -217,9 +218,10 @@ class TestEvolve:
             check_step_size(0.05, ModelParams(g_a=2.4))
 
     def test_expm_block_budget_checked_before_expm(self, monkeypatch):
-        # N_m = 2: the 90-entry real forward block needs 8 * 90^2 B = 64.8 kB
-        # and its b-th power as much again; without the power it would fit
-        # the 100 kB budget and expm would run
+        # N_m = 2: evolve keeps the whole 90-entry forward sector, so with p
+        # the real forward block needs 8 * 91^2 B = 66.2 kB and its b-th
+        # power as much again; without the power it would fit the 100 kB
+        # budget and expm would run
         p = ModelParams()
         space = build_space(1, 2, excitation_cap=1)
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
@@ -228,7 +230,7 @@ class TestEvolve:
         def not_yet(*args, **kwargs):
             raise AssertionError("expm or its squarings ran before the budget check")
 
-        monkeypatch.setattr("omtc.dynamics.linalg.expm", not_yet)
+        monkeypatch.setattr("scipy.linalg.expm", not_yet)
         monkeypatch.setattr("omtc.dynamics._power", not_yet)
         cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="expm", max_grid_bytes=100000)
         with pytest.raises(NumericalError, match="dense expm blocks and their powers"):
@@ -521,7 +523,7 @@ class TestInvariantSectors:
                 EvolutionConfig(dt=0.02, t_max=4.0, method=method),
                 ladder_operators(space)["a"],
             )
-        assert grids[1].sector_sizes == grids[None].sector_sizes == (90, 27)
+        assert grids[1].sector_sizes == grids[None].sector_sizes == (81, 27)
         capped, uncapped = grids[1].to_dense(), grids[None].to_dense()
         assert np.abs(capped - uncapped).max() <= 1e-12 * np.abs(capped).max()
 
@@ -556,11 +558,13 @@ class TestHermitianCoordinates:
         params, space, rho0 = point
         gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
         S = gen.superoperator()
-        # the real block is V^H L V with V unitary, and it has no imaginary part
+        # the real block is V^H L V with the first n columns of V unitary
+        # and the last (p's) zero, and it has no imaginary part
         fwd = _ForwardSector(S, rho0)
         L = _block(S, fwd.index)
         n = len(fwd.index)
-        assert abs(fwd.V.conj().T @ fwd.V - sparse.identity(n)).max() < 1e-15
+        assert abs(fwd.V[:, :n].conj().T @ fwd.V[:, :n] - sparse.identity(n)).max() < 1e-15
+        assert fwd.V[:, n].nnz == 0
         raw = fwd.V.conj().T @ L @ fwd.V
         assert abs(raw.imag).max() <= 1e-12 * abs(L).max()
         assert abs(raw.real - fwd.block).max() == 0.0
@@ -725,6 +729,133 @@ class TestBlockedPasses:
         _assert_matches_sequential(grid, _sequential_correlation(rho0, gen, cfg, a, mon))
 
 
+def _readout(space):
+    """The entries a correlation run reads: the columns of a x I and the monitor's support."""
+    a = ladder_operators(space)["a"]
+    a_cols = sparse.kron(a, sparse.identity(space.dim), format="csr").getnnz(axis=0)
+    mon = optical_excitation_operator(space)
+    return np.union1d(np.flatnonzero(a_cols), np.flatnonzero(mon.toarray().T)), a, mon
+
+
+class TestReadoutSector:
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @settings(max_examples=8)
+    @given(
+        point=model_points(),
+        t_max=st.sampled_from([0.4, 2.6]),
+        leak=st.floats(0.9, 1.0),
+    )
+    def test_matches_full_sector(self, method, point, t_max, leak):
+        # the full-sector grid comes from the same code with the readout
+        # ignored, as evolve runs it
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        rho0 = initial_state(params, space, initial)
+        _, a, mon = _readout(space)
+        cfg = EvolutionConfig(dt=0.02, t_max=t_max, method=method, leak_tolerance=leak)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                "omtc.dynamics._ForwardSector",
+                lambda S, rho0, reads=None: _ForwardSector(S, rho0),
+            )
+            full = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.sector_sizes[0] < full.sector_sizes[0]
+        assert grid.n_t == full.n_t
+        if method == "rk4":
+            # the kept rows of the real block hold the same terms in the same order
+            assert grid.residual_excitation == full.residual_excitation
+        _assert_matches_sequential(grid, full)
+
+    @settings(max_examples=10)
+    @given(point=model_points(), method=st.sampled_from(["rk4", "expm"]))
+    def test_kept_set_closed_and_p_exact(self, point, method):
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        S = gen.superoperator()
+        # a ground-state share gives p a nonzero start
+        vac = space.ket(0, 0, 0, 0)
+        rho0 = 0.7 * initial_state(params, space, initial) + 0.3 * np.outer(vac, vac.conj())
+        reads, _, _ = _readout(space)
+        d = space.dim
+        fwd, full = _ForwardSector(S, rho0, reads), _ForwardSector(S, rho0)
+        np.testing.assert_array_equal(np.union1d(fwd.index, fwd.dropped), full.index)
+        assert np.isin(np.intersect1d(reads, full.index), fwd.index).all()
+        i, j = np.divmod(fwd.index, d)
+        np.testing.assert_array_equal(np.sort(j * d + i), fwd.index)
+        assert not np.any(S[fwd.index][:, fwd.dropped].data)
+        # one optical excitation: rho_11 is kept, rho_00 is carried by p alone
+        n_1 = 3 * (space.N_m + 1)
+        assert (len(fwd.index), len(fwd.dropped)) == (n_1**2, (space.N_m + 1) ** 2)
+        # p follows the full sector's dropped diagonal step by step
+        steps = [_SectorStepper(s.block, 0.02, method) for s in (fwd, full)]
+        y, z = fwd.coords(rho0), full.coords(rho0)
+        for _ in range(20):
+            y, z = steps[0](y), steps[1](z)
+            rho = full.matrix(z).reshape(-1)
+            assert abs(y[-1] - rho[fwd.dropped_diag].sum().real) <= 1e-12
+            assert np.abs(fwd.matrix(y).reshape(-1)[fwd.index] - rho[fwd.index]).max() <= 1e-12
+
+    def test_reads_closed_under_transposition(self):
+        # without a generator nothing flows, so the kept set is the read
+        # entry and its transpose
+        rng = np.random.default_rng(9)
+        d = 4
+        rho0 = _random_rho(rng, d)
+        fwd = _ForwardSector(sparse.csr_matrix((d * d, d * d)), rho0, reads=np.array([1 * d + 2]))
+        np.testing.assert_array_equal(fwd.index, [1 * d + 2, 2 * d + 1])
+        assert len(fwd.dropped) == d * d - 2
+        assert fwd.coords(rho0)[-1] == pytest.approx(np.trace(rho0).real)
+
+    def test_unclosed_readout_rejected(self, monkeypatch):
+        # a closure that stops at the seed would leave entries that feed the
+        # readout outside it
+        from omtc import dynamics
+
+        closure, calls = dynamics._closure, []
+
+        def shallow(S, seed):
+            calls.append(seed)
+            return closure(S, seed) if len(calls) == 1 else np.unique(seed)
+
+        monkeypatch.setattr("omtc.dynamics._closure", shallow)
+        p = ModelParams()
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        reads, _, _ = _readout(space)
+        with pytest.raises(NumericalError, match="readout sector is not closed"):
+            _ForwardSector(gen.superoperator(), initial_state(p, space), reads)
+
+    def test_trace_loss_on_dropped_part_rejected_at_set_up(self, monkeypatch):
+        p = ModelParams(gamma_M=0.05, Mbar=0.02)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0 = initial_state(p, space)
+        d = space.dim
+        ground = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
+        loss = np.zeros(d * d)
+        loss[ground * d + ground] = 1e-3
+
+        class LossyGround:
+            # loses trace on the rho_00 diagonal, which the readout drops
+            dim = gen.dim
+            apply = gen.apply
+            apply_adjoint = gen.apply_adjoint
+
+            def superoperator(self):
+                return gen.superoperator() - sparse.diags(loss)
+
+        def no_stepper(*args, **kwargs):
+            raise AssertionError("a stepper was built before the trace check")
+
+        monkeypatch.setattr("omtc.dynamics._SectorStepper.__init__", no_stepper)
+        with pytest.raises(NumericalError, match="does not preserve the trace of the dropped"):
+            two_time_correlation(
+                rho0, LossyGround(), EvolutionConfig(dt=0.02, t_max=1.0),
+                ladder_operators(space)["a"], monitor=optical_excitation_operator(space),
+            )
+
+
 def _double_sum_lag_sums(grid, Gamma, n):
     """Slow path: the per-column double sum over the correlation triangle.
 
@@ -778,3 +909,45 @@ class TestLagSums:
             assert np.all(np.abs(G - G_ref) <= 1e-12 * G_abs + 1e-300)
             assert np.all(np.abs(A - A_ref) <= 1e-12 * A_abs)
             assert abs(grid.zero_lag_sum(Gamma, n) - G_ref[0]) <= 1e-12 * G_abs[0] + 1e-300
+
+    @pytest.mark.parametrize("b", [None, 8, 64])
+    @settings(max_examples=12)
+    @given(
+        n_t=st.integers(2, 50),
+        n_op=st.integers(1, 4),
+        dt=st.sampled_from([0.02, 0.5]),
+        Gamma=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_recurrence_matches_per_row(self, b, n_t, n_op, dt, Gamma, seed):
+        # b = 64 keeps every n + 1 below one block; b = 8 covers n + 1
+        # below, at and between multiples of the block; None is _block_size
+        rng = np.random.default_rng(seed)
+
+        def stack():
+            return rng.normal(size=(n_t, n_op)) + 1j * rng.normal(size=(n_t, n_op))
+
+        grid = CorrelationGrid(dt=dt, U=stack(), X=stack())
+        with pytest.MonkeyPatch.context() as mp:
+            if b is not None:
+                mp.setattr("omtc.dynamics._block_size", lambda n: b)
+            for n in range(1, n_t):
+                G, A = grid.lag_sums(Gamma, n)
+                _, _, G_abs, A_abs = _double_sum_lag_sums(grid, Gamma, n)
+                assert np.all(np.abs(G - _per_row_lag_sum(grid, Gamma, n)) <= 1e-12 * G_abs + 1e-300)
+                assert np.all(np.abs(A - _per_row_lag_sum(grid, 0.0, n)) <= 1e-12 * A_abs)
+
+
+def _per_row_lag_sum(grid, Gamma, n):
+    """Slow path: the S_m recurrence over one n x |R_a| working copy, as before the row blocks."""
+    h = grid.dt
+    w = _trapezoid_weights(h, n)
+    r = np.exp(-2.0 * Gamma * h)
+    U, X = grid.U[: n + 1], grid.X[: n + 1]
+    S = w[:, None] * X
+    for m in range(1, n + 1):
+        S[m] += r * S[m - 1]
+    sums = h * np.einsum("ti,ti->t", U, S[::-1])
+    sums -= 0.5 * h * np.einsum("ti,t,ti->t", U, w[::-1], X[::-1])
+    sums[0] -= 0.5 * h * w[0] * r**n * (U[0] @ X[0])
+    return np.exp(-Gamma * h * np.arange(n + 1)) * sums

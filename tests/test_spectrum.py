@@ -288,8 +288,9 @@ class TestStationarySpectrum:
 
     def test_sector_sizes_in_metadata(self, tmp_path):
         res = self._run(g_a=1.0, g_M=0.4)
-        # N_m = 2: rho_11 and rho_00 blocks (81 + 9), a rho in the 0-1 block
-        assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (90, 27)
+        # N_m = 2: the rho_11 block (81; rho_00 is carried only by its trace
+        # p), a rho in the 0-1 block
+        assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (81, 27)
         path = tmp_path / "grid.bin"
         res.grid.save(path)
         assert CorrelationGrid.load(path).sector_sizes is None
