@@ -89,13 +89,19 @@ def _cmd_spectrum(args) -> int:
     capture = meta["window_capture"]
     print(
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
-        f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, "
+        f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, {_health(meta)}, "
         f"window capture {'None' if capture is None else f'{capture:.4f}'}, "
         f"clipped {meta['clipped_points']}, "
         f"wall {meta['wall_clock_s']:.2f}s -> {cfg.output.csv}",
         file=sys.stderr,
     )
     return 0
+
+
+def _health(meta: dict) -> str:
+    """The steppers and the largest smoke-check difference, for the stderr lines."""
+    smoke = meta["smoke_max_diff"]
+    return f"propagator {meta['propagator']}, smoke {'None' if smoke is None else f'{smoke:.1e}'}"
 
 
 def _split_path(path: str) -> tuple[str, str]:
@@ -159,7 +165,7 @@ def _cmd_correlation(args) -> int:
     result.grid.save(cfg.output.correlation_dump)
     print(
         f"correlation: n_t={result.metadata['n_t']}, "
-        f"{result.metadata['grid_memory_bytes']/2**20:.1f} MiB, "
+        f"{result.metadata['grid_memory_bytes']/2**20:.1f} MiB, {_health(result.metadata)}, "
         f"wall {time.perf_counter() - t0:.2f}s -> {cfg.output.correlation_dump}",
         file=sys.stderr,
     )

@@ -35,16 +35,24 @@ once and checked (imaginary part at most 1e-12 max|L[K, K]|, otherwise
 NumericalError), so every forward matvec is real and half the size.  The
 operand sector carries a rho, which is not Hermitian, and stays complex.
 Two backends step a sector: classical RK4 with four sparse matvecs per
-step (the default) and the dense propagator E = exp(B dt) of the sector
-block.  Both passes run in row blocks of b nodes, b the power of two at
-or below sqrt(n_max) and at most 64: an rk4 block is b sequential steps;
-for expm only the first block is stepped node by node, and every later
-one is a single matrix product with E^b, built once by log2 b squarings,
-so E^b is read once per block rather than E once per node.  The trace
-guard and the leak monitor are checked over each block at once.  At the
-start of every correlation run both passes, and for expm both powers,
-are cross-checked against full-space Taylor references built from apply
-and apply_adjoint.
+step (the default) and the propagator E = exp(B dt) of the sector block.
+Both passes run in row blocks of b nodes, b the power of two at or below
+sqrt(n_max) and at most 64: an rk4 block is b sequential steps; for expm
+only the first block is stepped node by node, and every later one is a
+single matrix product with E^b, built once by log2 b squarings, so E^b
+is read once per block rather than E once per node.  E is dense unless
+the sector is a product P x Q of Hilbert-space indices that no jump
+lands in: there L is the no-jump map X -> A X + X B on the P x Q matrix
+X (A = -iH - K and B = iH - K, K = sum_c (r_c/2) k_c, the effective
+non-Hermitian Hamiltonian), so E factors as K_L (x) K_R^T with two small
+Hilbert-space propagators K_L = exp(A dt), K_R = exp(B dt), and a block
+is two products with their b-th powers.  Without mechanical losses both
+the readout sector (rho_11) and the operand sector (rho_01) are of this
+kind; a correlation run picks the form per sector by checking the block
+against the Kronecker sum.  The trace guard and the leak monitor are
+checked over each block at once.  At the start of every correlation run
+both passes, and for expm both powers, are cross-checked against
+full-space Taylor references built from apply and apply_adjoint.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
@@ -54,27 +62,22 @@ inner product C[k+tau][k] = <U_tau, X_k> of two stacks on the operand
 sector: X_k = a rho(t_k) from the forward pass and U_tau from the adjoint
 pass.  The two formulations agree to roundoff because the adjoint of the
 RK4 step polynomial is the RK4 step of the adjoint generator.
-CorrelationGrid keeps only these two stacks, O(n_t |R_a|) values, and
-computes the filter's per-lag sums from them with one first-order
-recurrence, run in row blocks; the O(n_t^2) triangle is never formed.
+CorrelationGrid (grid.py) keeps only these two stacks, O(n_t |R_a|)
+values; the O(n_t^2) triangle is never formed.
 """
 
 import hashlib
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, NumericalError
+from .grid import CorrelationGrid, _block_size
 from .model import CrossChannel, DissipatorSpec, LocalChannel
 
 #: abort threshold for trace drift along a trajectory
 TRACE_DRIFT_LIMIT = 1e-4
-
-_GRID_MAGIC = b"OMTCGRID"
-_GRID_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,16 @@ class Generator:
                 2.0 * (c.lop_dag @ A @ c.radj) - c.kd @ A - A @ c.kd
             )
         return out
+
+    def no_jump(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the no-jump part rho -> A rho + rho B of L.
+
+        A = -iH - K and B = iH - K with K = sum_c (r_c/2) k_c: the jump
+        terms 2 O rho O'^+ left out, L is this map on any part of rho that
+        no jump lands in.
+        """
+        K = sum((c.half_rate * c.k for c in self._channels), np.zeros_like(self._H))
+        return -1j * self._H - K, 1j * self._H - K
 
     def superoperator(self) -> sparse.csr_matrix:
         """Sparse matrix acting on row-major vectorized density matrices."""
@@ -297,6 +310,7 @@ class _ForwardSector:
         i, j = np.divmod(self.index, d)
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
+        self._parts = diag, upper, lower
         self.n_diag = n_diag = len(diag)
         n_up = len(upper)
         r = np.sqrt(0.5)
@@ -329,16 +343,37 @@ class _ForwardSector:
         y[-1] = x[self.dropped_diag].real.sum()
         return y
 
+    def real_rows(self, X: np.ndarray) -> np.ndarray:
+        """Re(V^H x) for each row x of X, entries on index; p's column is 0.
+
+        The same as (X conj(V)).real, by gathering the entries of each pair.
+        """
+        diag, upper, lower = self._parts
+        n_diag, n_up = len(diag), len(upper)
+        out = np.zeros((len(X), n_diag + 2 * n_up + 1))
+        out[:, :n_diag] = X[:, diag].real
+        Xu, Xl = X[:, upper], X[:, lower]
+        r = np.sqrt(0.5)
+        out[:, n_diag : n_diag + n_up] = r * (Xu.real + Xl.real)
+        out[:, n_diag + n_up : -1] = r * (Xu.imag - Xl.imag)
+        return out
+
+    def entry_rows(self, Y: np.ndarray) -> np.ndarray:
+        """V y for each row y of Y, the entries on index; the same as Y V^T."""
+        diag, upper, lower = self._parts
+        n_diag, n_up = len(diag), len(upper)
+        out = np.empty((len(Y), len(self.index)), dtype=complex)
+        out[:, diag] = Y[:, :n_diag]
+        pair = np.sqrt(0.5) * (Y[:, n_diag : n_diag + n_up] + 1j * Y[:, n_diag + n_up : -1])
+        out[:, upper] = pair
+        out[:, lower] = pair.conj()
+        return out
+
     def matrix(self, y: np.ndarray) -> np.ndarray:
         """The d x d matrix with coordinates y on the readout sector, zero elsewhere."""
         full = np.zeros(self.dim**2, dtype=complex)
         full[self.index] = self.V @ y
         return full.reshape(self.dim, self.dim)
-
-
-def _block_size(n_max: int) -> int:
-    """Nodes per row block of a pass: the power of two at or below sqrt(n_max), at most 64."""
-    return min(64, 1 << (math.isqrt(n_max).bit_length() - 1))
 
 
 def _power(E: np.ndarray, b: int) -> np.ndarray:
@@ -361,7 +396,9 @@ class _SectorStepper:
     the forward pass, and its b-th power E^b by log2 b squarings.
     blocks() runs a pass b nodes at a time: an rk4 block is b sequential
     steps, and an expm block after the first is one matrix product with
-    E^b, which reads E^b once per block instead of E once per node.
+    E^b, which reads E^b once per block instead of E once per node.  This
+    dense expm form steps any sector; _FactoredStepper is the cheaper one
+    for sectors without jumps inside them.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
@@ -369,6 +406,7 @@ class _SectorStepper:
             block = block.conj().T.tocsr()
         self.dt = dt
         self.b = b
+        self.kind = "dense" if method == "expm" else "rk4"
         if method == "expm":
             from scipy import linalg  # imported here: rk4 runs never need it
 
@@ -410,6 +448,115 @@ class _SectorStepper:
             prev = Y
 
 
+def _kronecker_factors(gen, S, index: np.ndarray):
+    """(A[P, P], B[Q, Q]) of gen.no_jump() if L[index, index] is their Kronecker sum, else None.
+
+    That holds when index is a product P x Q of Hilbert-space indices and
+    no jump lands inside the sector, so L acts there as X -> A X + X B on
+    the P x Q matrix X: the sector block must equal A (x) I + I (x) B^T to
+    1e-12 max|L[index, index]|.
+    """
+    i, j = np.divmod(index, gen.dim)
+    P, Q = np.unique(i), np.unique(j)
+    if len(index) != len(P) * len(Q):
+        return None
+    A, B = gen.no_jump()
+    A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
+    L = _block(S, index)
+    K = sparse.kron(A, sparse.identity(len(Q))) + sparse.kron(sparse.identity(len(P)), B.T)
+    if abs(L - K).max() > 1e-12 * abs(L).max():
+        return None
+    return A, B
+
+
+class _KroneckerMap:
+    """x -> the coordinates of K_L X K_R, X the P x Q matrix with coordinates x.
+
+    The coordinates of X are its entries (operand sector) or, given the
+    forward sector fwd, the real coordinates (y, p) of X = rho[P, P], the
+    readout sector, with p = tr X + p - tr(K_L X K_R): the total trace is
+    carried along, exact when L preserves it on the sector.
+    """
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, fwd=None):
+        self.left, self.right, self.fwd = left, right, fwd
+
+    def matrices(self, Y: np.ndarray) -> np.ndarray:
+        """The stack of P x Q matrices with the rows of Y as coordinates."""
+        if self.fwd is not None:
+            Y = self.fwd.entry_rows(Y)
+        return Y.reshape(len(Y), len(self.left), len(self.right))
+
+    def coords(self, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Rows of coordinates of the stack M, carrying the total traces of the rows of Y."""
+        X = M.reshape(len(M), -1)
+        if self.fwd is None:
+            return X
+        n = self.fwd.n_diag
+        out = self.fwd.real_rows(X)
+        out[:, -1] = Y[:, :n].sum(axis=1) + Y[:, -1] - out[:, :n].sum(axis=1)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.coords(self.left @ self.matrices(x[None]) @ self.right, x[None])[0]
+
+
+class _FactoredStepper:
+    """The expm steps of a sector whose block is a Kronecker sum, in two small factors.
+
+    On a product sector P x Q without jumps inside it the block is
+    A (x) I + I (x) B^T (see _kronecker_factors), so exp(B dt) factors as
+    K_L (x) K_R^T: a step is X -> K_L X K_R with K_L = exp(A dt) and
+    K_R = exp(B dt) (|P|^2 and |Q|^2 entries instead of (|P| |Q|)^2), and
+    the Heisenberg pass uses A^H and B^H.  It has the interface of
+    _SectorStepper, in the same coordinates (see _KroneckerMap): power is
+    the map with K_L^b and K_R^b, and blocks() steps the first block node
+    by node and every later one with two products with the powers, on the
+    stack of matrices it carries.  The forward pass carries p by the trace,
+    so NumericalError at set-up unless the trace rows of the forward block,
+    the diagonal coordinates and p, sum to zero over every column to
+    1e-12 max|block|, which makes that exact.
+    """
+
+    kind = "factored"
+
+    def __init__(self, factors, dt: float, adjoint: bool = False, b: int = 1, fwd=None):
+        if fwd is not None:
+            trace_row = np.zeros(fwd.block.shape[0])
+            trace_row[: fwd.n_diag] = trace_row[-1] = 1.0
+            loss = np.abs(fwd.block.T @ trace_row)
+            if np.max(loss) > 1e-12 * np.max(np.abs(fwd.block.data), initial=0.0):
+                raise NumericalError(
+                    "generator does not preserve the trace of the readout sector "
+                    f"(max column sum {np.max(loss):.3e})"
+                )
+        from scipy import linalg  # imported here: rk4 runs never need it
+
+        A, B = (f.conj().T for f in factors) if adjoint else factors
+        self.dt = dt
+        self.b = b
+        left, right = linalg.expm(A * dt), linalg.expm(B * dt)
+        self._step = _KroneckerMap(left, right, fwd)
+        self.power = _KroneckerMap(_power(left, b), _power(right, b), fwd)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._step @ x
+
+    def blocks(self, x0: np.ndarray, n: int):
+        """Yield x_0 .. x_{n-1} as row blocks of b nodes, as _SectorStepper.blocks does."""
+        step, power = self._step, self.power
+        M = None
+        for start in range(0, n, self.b):
+            rows = min(self.b, n - start)
+            if M is None:
+                M = np.repeat(step.matrices(x0[None]), rows, axis=0)
+                for i in range(1, rows):
+                    M[i] = step.left @ M[i - 1] @ step.right
+            else:
+                M = power.left @ M[:rows] @ power.right
+            yield step.coords(M, x0[None])
+
+
 def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
     """Reference exp(F h) x of the linear map f by plain Taylor summation (small h only)."""
     out = x.copy()
@@ -440,7 +587,9 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     dt/4, which keeps its truncation far below the 1e-8 agreement
     threshold; the expm propagators are exact per step, so the ones the run
     uses are checked over one step, h = dt, and their powers E^b, which
-    step the blocked passes, against b applications of E.
+    step the blocked passes, against b applications of E (for a factored
+    stepper, the map with K_L^b and K_R^b against b single steps).  Returns
+    the largest difference.
     """
     if config.method == "expm":
         n_steps = 1
@@ -468,6 +617,7 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
             for _ in range(step.b):
                 ref = step(ref)
             diffs.append((f"{name} E^b", step.power @ x - ref))
+    worst = 0.0
     for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
         if err > 1e-8:
@@ -475,6 +625,8 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                 f"integrator backends disagree on the {name} smoke test "
                 f"(max diff {err:.3e}); the generator or step size is unsound"
             )
+        worst = max(worst, err)
+    return worst
 
 
 def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
@@ -490,9 +642,11 @@ def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
     leaking truncation).  The trace and the monitor are linear functionals
     on the coordinates, checked over each block at once: the trace is the
     sum of the diagonal coordinates plus p, the dropped population, exact
-    because diagonal entries outside the forward sector stay exactly zero;
-    the monitor row is Re(mon V), and the monitor must read only the
-    readout sector.  The monitor values are None without a monitor.
+    because diagonal entries outside the forward sector stay exactly zero
+    (a factored stepper carries p by this very sum, so there the guard
+    sees roundoff only, and its set-up check stands in for it); the
+    monitor row is Re(mon V), and the monitor must read only the readout
+    sector.  The monitor values are None without a monitor.
     """
     mon = None
     if monitor is not None:
@@ -522,22 +676,37 @@ def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
         start += len(Y)
 
 
-def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0) -> None:
+def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0,
+                  factors=(None, None)) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
     Counts the two factor stacks over the full t_max, 32 n_max |R_a| bytes
-    (correlation runs only, n_adj > 0), and for expm the dense propagators
-    and their b-th powers: 2 (8 n_fwd^2) bytes for the real forward blocks,
-    n_fwd = |R_f| + 1 coordinates (the readout sector and p), and
-    2 (16 |R_a|^2) for the complex adjoint blocks.
+    (correlation runs only, n_adj > 0), and for expm the propagators of
+    each sector and their b-th powers.  A sector stepped densely (factors
+    None) needs 2 (8 n_fwd^2) bytes for the real forward blocks, n_fwd =
+    |R_f| + 1 coordinates (the readout sector and p), or 2 (16 |R_a|^2)
+    for the complex adjoint blocks; a factored one, with factors (A, B),
+    needs 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R and their powers.
     """
     stack_bytes = 32 * config.n_max * n_adj
-    block_bytes = 2 * (8 * n_fwd**2 + 16 * n_adj**2) if config.method == "expm" else 0
-    if stack_bytes + block_bytes > config.max_grid_bytes:
+    dense_bytes = factor_bytes = 0
+    if config.method == "expm":
+        for n, itemsize, pair in ((n_fwd, 8, factors[0]), (n_adj, 16, factors[1])):
+            if pair is None:
+                dense_bytes += 2 * itemsize * n**2
+            else:
+                factor_bytes += 2 * 16 * sum(len(f) ** 2 for f in pair)
+    total = stack_bytes + dense_bytes + factor_bytes
+    if total > config.max_grid_bytes:
+        terms = [f"factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
+        if dense_bytes:
+            terms.append(f"dense expm blocks and their powers {dense_bytes / 2**20:.1f} MiB")
+        if factor_bytes:
+            terms.append(
+                f"Hilbert-space propagators and their powers {factor_bytes / 2**20:.1f} MiB"
+            )
         raise NumericalError(
-            f"run would need {(stack_bytes + block_bytes) / 2**20:.1f} MiB "
-            f"(factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}, "
-            f"dense expm blocks and their powers {block_bytes / 2**20:.1f} MiB), above the "
+            f"run would need {total / 2**20:.1f} MiB ({', '.join(terms)}), above the "
             f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
             "use a coarser dt, a shorter t_max or method rk4"
         )
@@ -591,161 +760,6 @@ def evolve(
     )
 
 
-def _trapezoid_weights(h: float, n: int) -> np.ndarray:
-    """Trapezoid weights of the nodes t_0 .. t_n of [0, t_n]."""
-    w = np.full(n + 1, h)
-    w[0] = w[n] = 0.5 * h
-    return w
-
-
-class CorrelationGrid:
-    """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as its two factors.
-
-    Row tau of U is the conjugate of the observable a after tau adjoint
-    steps and row k of X the regression operand a rho(t_k), both on the
-    operand sector, so C[k+tau][k] = U[tau] . X[k]; the upper triangle is
-    defined by conjugate symmetry.  Entries are computed on demand.
-    """
-
-    def __init__(self, dt, U, X, kappa=0.0, param_hash=b"\0" * 32,
-                 residual_excitation=None, sector_sizes=None):
-        self.U = np.asarray(U, dtype=complex)
-        self.X = np.asarray(X, dtype=complex)
-        if self.X.ndim != 2 or self.U.shape != self.X.shape:
-            raise ConfigurationError(
-                f"factor stacks must share one n_t x |R_a| shape, "
-                f"got {self.U.shape} and {self.X.shape}"
-            )
-        self.dt = float(dt)
-        self.n_t = len(self.X)
-        self.kappa = float(kappa)
-        self.param_hash = param_hash
-        self.residual_excitation = residual_excitation
-        #: (forward, operand) sector sizes of the run that built the grid;
-        #: not part of the dump, so None on a loaded grid
-        self.sector_sizes = sector_sizes
-
-    @property
-    def horizon(self) -> float:
-        return (self.n_t - 1) * self.dt
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.U.nbytes + self.X.nbytes
-
-    def column(self, k: int) -> np.ndarray:
-        """C[k:][k] (lags 0 .. n_t-1-k)."""
-        return self.U[: self.n_t - k] @ self.X[k]
-
-    def value(self, j: int, k: int) -> complex:
-        if j < k:
-            return np.conj(self.value(k, j))
-        return complex(self.U[j - k] @ self.X[k])
-
-    def to_dense(self) -> np.ndarray:
-        """Full Hermitian-symmetric n_t x n_t matrix (tests and small grids)."""
-        out = np.empty((self.n_t, self.n_t), dtype=complex)
-        for k in range(self.n_t):
-            col = self.column(k)
-            out[k:, k] = col
-            out[k, k:] = np.conj(col)
-        return out
-
-    def lag_sums(self, Gamma: float, n: int):
-        """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].
-
-        With the trapezoid weights w_k of [0, t_n] and
-        q_k = w_k exp(-Gamma (t_n - t_k)), G[tau] = sum_k q_k q_{k+tau}
-        C[k+tau][k] for tau = 0 .. n; A is the same with Gamma = 0.
-        """
-        U, X = self.U[: n + 1], self.X[: n + 1]
-        # U[tau] . w_m X_m at m = n - tau, the endpoint term of both sums
-        ends = _trapezoid_weights(self.dt, n)[::-1] * np.einsum("ti,ti->t", U, X[::-1])
-        return self._lag_sum(Gamma, n, ends), self._lag_sum(0.0, n, ends)
-
-    def zero_lag_sum(self, Gamma: float, n: int) -> complex:
-        """G[0] of lag_sums(Gamma, n), sum_k q_k^2 C[k][k], from the diagonal alone.
-
-        O(n |R_a|): a caller that needs only G[0] skips the recurrences.
-        """
-        h = self.dt
-        q = _trapezoid_weights(h, n) * np.exp(-Gamma * h * np.arange(n, -1, -1))
-        return complex(q**2 @ (self.X[: n + 1] @ self.U[0]))
-
-    def _lag_sum(self, Gamma: float, n: int, ends: np.ndarray) -> np.ndarray:
-        # With m = n - tau, q_k q_{k+tau} = exp(-Gamma tau h) w_k w_{k+tau}
-        # r^(m-k) for r = exp(-2 Gamma h), and w_{k+tau} = h except at k = m
-        # (and at k = 0 when tau = 0).  So G[tau] = exp(-Gamma tau h)
-        # (h U[tau] . S_m - (h/2) ends[tau]), minus (h/2) w_0 r^n U[0] . X[0]
-        # at tau = 0, where S_m = sum_{k<=m} w_k r^(m-k) X_k
-        # = r S_{m-1} + w_m X_m.  No factor exceeds 1, so no Gamma T can
-        # overflow.  S runs in row blocks of b rows, one b x |R_a| buffer
-        # whose last row carries S_{m-1} into the next block.
-        h = self.dt
-        w = _trapezoid_weights(h, n)
-        r = np.exp(-2.0 * Gamma * h)
-        U, X = self.U[: n + 1], self.X[: n + 1]
-        b = _block_size(n + 1)
-        S = np.zeros((b, X.shape[1]), dtype=complex)
-        sums = np.empty(n + 1, dtype=complex)
-        for m0 in range(0, n + 1, b):
-            rows = min(b, n + 1 - m0)
-            np.multiply(S[-1], r, out=S[0])
-            S[0] += w[m0] * X[m0]
-            np.multiply(w[m0 + 1 : m0 + rows, None], X[m0 + 1 : m0 + rows], out=S[1:rows])
-            for i in range(1, rows):
-                S[i] += r * S[i - 1]
-            # rows m0 .. m0 + rows - 1 of S pair with U[n - m0] down to U[n - m0 - rows + 1]
-            lo = n - m0 - rows + 1
-            sums[lo : n - m0 + 1] = np.einsum("ti,ti->t", U[lo : n - m0 + 1][::-1], S[:rows])[::-1]
-        sums = h * sums - 0.5 * h * ends
-        sums[0] -= 0.5 * h * w[0] * r**n * (U[0] @ X[0])
-        return np.exp(-Gamma * h * np.arange(n + 1)) * sums
-
-    def save(self, path):
-        """Binary dump: 80-byte header, then the U and X stacks, little endian.
-
-        The header's second uint32 holds the operand-sector size |R_a|.
-        """
-        hash_bytes = self.param_hash
-        if isinstance(hash_bytes, str):
-            hash_bytes = bytes.fromhex(hash_bytes)
-        residual = float("nan") if self.residual_excitation is None else self.residual_excitation
-        header = _GRID_MAGIC + struct.pack(
-            "<IIQddd", _GRID_VERSION, self.X.shape[1], self.n_t, self.dt, self.kappa, residual
-        ) + hash_bytes
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for stack in (self.U, self.X):
-                fh.write(np.ascontiguousarray(stack, dtype="<c16"))
-
-    @classmethod
-    def load(cls, path) -> "CorrelationGrid":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _GRID_MAGIC:
-                raise ConfigurationError(f"{path}: not a correlation dump")
-            version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
-            if version != _GRID_VERSION:
-                raise ConfigurationError(f"{path}: unsupported dump version {version}")
-            param_hash = fh.read(32)
-            raw = np.fromfile(fh, dtype="<c16")
-        expected = 2 * n_t * n_op
-        if len(raw) != expected:
-            raise ConfigurationError(
-                f"{path}: truncated dump ({len(raw)} of {expected} entries)"
-            )
-        U, X = raw.reshape(2, n_t, n_op)
-        return cls(
-            dt=dt,
-            U=U,
-            X=X,
-            kappa=kappa,
-            param_hash=param_hash,
-            residual_excitation=None if np.isnan(residual) else residual,
-        )
-
-
 def config_hash(payload: str) -> bytes:
     """Stable 32-byte digest of a canonical parameter string."""
     return hashlib.sha256(payload.encode("utf-8")).digest()
@@ -766,9 +780,13 @@ def two_time_correlation(
     monitor expectation (if given) falls below leak_tolerance.  Only the
     readout sector of the forward pass is propagated, the ancestors of
     the entries that a and the monitor read, with the dropped population
-    p; sector_sizes reports its size and the operand sector's.  rho0 must
-    be Hermitian.  Before anything large is allocated, the factor stacks
-    over the full t_max and, for expm, the dense sector propagators and
+    p; sector_sizes reports its size and the operand sector's.  For expm a
+    sector whose block is a Kronecker sum (_kronecker_factors) is stepped
+    by _FactoredStepper and any other one densely; propagators names the
+    stepper of each pass ("factored", "dense" or "rk4") and smoke_max_diff
+    is the largest smoke-check difference (None without the check).  rho0
+    must be Hermitian.  Before anything large is allocated, the factor
+    stacks over the full t_max and, for expm, the sector propagators and
     their b-th powers are checked against max_grid_bytes.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -790,13 +808,24 @@ def two_time_correlation(
     a_map = a_map[:, fwd.index]
     adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
     a_map = (a_map[adj] @ fwd.V).tocsr()
-    _check_budget(config, fwd.block.shape[0], len(adj))
+    factors = (None, None)
+    if config.method == "expm":
+        factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
+    _check_budget(config, fwd.block.shape[0], len(adj), factors)
 
     b = _block_size(config.n_max)
-    step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
-    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
+    if factors[0] is None:
+        step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+    else:
+        step = _FactoredStepper(factors[0], config.dt, b=b, fwd=fwd)
+    if factors[1] is None:
+        adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
+    else:
+        adjoint_step = _FactoredStepper(factors[1], config.dt, adjoint=True, b=b)
+    propagators = (step.kind, adjoint_step.kind)
+    smoke = None
     if config.smoke_check:
-        _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
+        smoke = _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
 
     # forward pass: the regression operands a rho(t_k) on the operand
     # sector, one product per block into the stack over the full t_max;
@@ -808,7 +837,7 @@ def two_time_correlation(
         n_t += len(Y)
         if residuals is not None:
             residual = residuals[-1]
-    del step  # the forward E and E^b are not needed by the adjoint pass
+    del step  # the forward propagators are not needed by the adjoint pass
     X = X[:n_t]
 
     # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
@@ -829,4 +858,6 @@ def two_time_correlation(
         param_hash=param_hash,
         residual_excitation=residual,
         sector_sizes=(len(fwd.index), len(adj)),
+        propagators=propagators,
+        smoke_max_diff=smoke,
     )

@@ -18,8 +18,11 @@ assembled as 2 Re(lower triangle) + diagonal, so it is real by
 construction.
 
 stationary_spectrum also reports the share of the emission that falls
-inside the detuning window (metadata["window_capture"]) and the number of
-quadrature-noise entries its clamp set to zero (metadata["clipped_points"]).
+inside the detuning window (metadata["window_capture"]), the number of
+quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
+and, when it ran the propagation, the forward/operand steppers
+(metadata["propagator"], e.g. "factored/factored") and the largest
+smoke-check difference (metadata["smoke_max_diff"]).
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time
@@ -262,8 +265,9 @@ def stationary_spectrum(
             )
         dim = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap).dim
 
-    # sector sizes are known only when this call ran the propagation
+    # sector sizes and steppers are known only when this call ran the propagation
     sectors = grid.sector_sizes or (None, None)
+    propagator = None if grid.propagators is None else "/".join(grid.propagators)
     T = grid.horizon
     deltas = filt.deltas()
     intensity, integrated = filtered_spectrum(grid, deltas, filt.Gamma, T)
@@ -295,6 +299,8 @@ def stationary_spectrum(
             "dim": dim,
             "forward_sector": sectors[0],
             "adjoint_sector": sectors[1],
+            "propagator": propagator,
+            "smoke_max_diff": grid.smoke_max_diff,
             "window_capture": capture,
             "clipped_points": clipped,
             "wall_clock_s": None,  # filled below; excluded from file output

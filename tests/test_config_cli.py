@@ -191,7 +191,8 @@ class TestCliSpectrum:
         assert not out.exists()
 
     def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
-        # N_m = 2, t_max = 2: the factor stacks need 32 * 41 * 27 B = 35 kB,
+        # N_m = 2, t_max = 2, with mechanical losses, so both sectors are
+        # stepped densely: the factor stacks need 32 * 41 * 27 B = 35 kB,
         # the dense expm sector blocks 8 * 82^2 B = 53.8 kB (real forward:
         # the 81-entry rho_11 block and p) plus 16 * 27^2 B = 11.7 kB
         # (complex adjoint), and their b-th powers as much again: 166 kB.
@@ -204,17 +205,51 @@ class TestCliSpectrum:
         monkeypatch.setattr("omtc.dynamics._power", not_yet)
         small = FAST.replace("numerics.t_max = 30", "numerics.t_max = 2")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(small + "numerics.max_grid_bytes = 150000\n")
+        cfg.write_text(small + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "dense expm blocks and their powers 0.1 MiB" in capsys.readouterr().err
         assert not out.exists()
-        cfg.write_text(small.replace("expm", "rk4") + "numerics.max_grid_bytes = 150000\n")
+        # without mechanical losses both sectors are factored: the stacks
+        # and 2 * 16 (9^2 + 9^2 + 3^2 + 9^2) B = 8.1 kB of Hilbert-space
+        # propagators and powers, 43 kB in all
+        cfg.write_text(small + "numerics.max_grid_bytes = 40000\n")
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Hilbert-space propagators and their powers 0.0 MiB" in err
+        assert "dense" not in err
+        cfg.write_text(
+            small.replace("expm", "rk4") + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n"
+        )
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
+
+    @pytest.mark.parametrize("call, block", [(0, "forward"), (1, "forward"), (2, "adjoint"), (3, "adjoint")])
+    def test_corrupted_factored_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
+                                                        call, block):
+        # without mechanical losses both sectors are factored; _power is
+        # called for K_L, K_R of the forward pass, then of the adjoint one
+        from omtc import dynamics
+
+        power, calls = dynamics._power, []
+
+        def corrupted(E, b):
+            calls.append(E.shape)
+            P = power(E, b)
+            return P * (1 + 1e-6) if len(calls) == call + 1 else P
+
+        monkeypatch.setattr("omtc.dynamics._power", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
+        assert calls == [(9, 9), (9, 9), (3, 3), (9, 9)]
+        assert not out.exists()
 
     @pytest.mark.parametrize("block", ["forward", "adjoint"])
     def test_corrupted_expm_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys, block):
-        # the forward power is real and the adjoint one complex; spoil one
+        # with mechanical losses both sectors are stepped densely; the
+        # forward power is real and the adjoint one complex; spoil one
         from omtc import dynamics
 
         power = dynamics._power
@@ -225,7 +260,7 @@ class TestCliSpectrum:
 
         monkeypatch.setattr("omtc.dynamics._power", corrupted)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST)
+        cfg.write_text(FAST + "model.gamma_M = 0.05\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
@@ -233,7 +268,8 @@ class TestCliSpectrum:
 
     def test_spoiled_flux_row_fails_smoke_check(self, tmp_path, monkeypatch, capsys):
         # the last row of the forward block is the flux f into the dropped
-        # population p; a 1e-4 relative error moves p by ~5e-7 in one step
+        # population p; a 1e-4 relative error moves p by ~5e-7 in one step.
+        # Only the dense stepper reads the block, hence mechanical losses.
         from omtc import dynamics
 
         init = dynamics._ForwardSector.__init__
@@ -244,7 +280,7 @@ class TestCliSpectrum:
 
         monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", spoiled)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST)
+        cfg.write_text(FAST + "model.gamma_M = 0.05\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "disagree on the forward dropped-population smoke test" in capsys.readouterr().err
@@ -288,11 +324,20 @@ class TestCliCorrelation:
         out = tmp_path / "out.csv"
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--dump-correlation", str(dump)])
-        assert "sectors 81/27," in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sectors 81/27, propagator factored/factored, smoke " in err
+        assert float(err.split("smoke ")[1].split(",")[0]) < 1e-8
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
-        assert "sectors None/None," in capsys.readouterr().err
-        assert "sectors" not in out.read_text()
+        assert "sectors None/None, propagator None, smoke None," in capsys.readouterr().err
+        text = out.read_text()
+        assert "sectors" not in text and "propagator" not in text and "smoke" not in text
+        cfg.write_text(FAST.replace("expm", "rk4") + "model.gamma_M = 0.05\n")
+        main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)])
+        assert "propagator rk4/rk4, smoke " in capsys.readouterr().err
+        cfg.write_text(FAST + "model.gamma_M = 0.05\n")
+        main(["spectrum", "--config", str(cfg), "--output", str(out)])
+        assert "propagator dense/dense, smoke " in capsys.readouterr().err
 
     def test_stderr_reports_window_capture_and_clips(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
