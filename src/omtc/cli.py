@@ -99,9 +99,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _health(meta: dict) -> str:
-    """The steppers and the largest smoke-check difference, for the stderr lines."""
-    smoke = meta["smoke_max_diff"]
-    return f"propagator {meta['propagator']}, smoke {'None' if smoke is None else f'{smoke:.1e}'}"
+    """The steppers, the largest smoke-check difference and the factored columns, for the stderr lines."""
+    smoke, columns = meta["smoke_max_diff"], meta["columns"]
+    return (
+        f"propagator {meta['propagator']}, smoke {'None' if smoke is None else f'{smoke:.1e}'}, "
+        f"columns {'None' if columns is None else '/'.join(map(str, columns))}"
+    )
 
 
 def _split_path(path: str) -> tuple[str, str]:

@@ -39,19 +39,14 @@ step (the default) and the propagator E = exp(B dt) of the sector block.
 Both passes run in row blocks of b nodes, b the power of two at or below
 sqrt(n_max) and at most 64: an rk4 block is b sequential steps; for expm
 only the first block is stepped node by node, and every later one is a
-single matrix product with E^b, built once by log2 b squarings, so E^b
-is read once per block rather than E once per node.  E is dense unless
-the sector is a product P x Q of Hilbert-space indices that no jump
-lands in: there L is the no-jump map X -> A X + X B on the P x Q matrix
-X (A = -iH - K and B = iH - K, K = sum_c (r_c/2) k_c, the effective
-non-Hermitian Hamiltonian), so E factors as K_L (x) K_R^T with two small
-Hilbert-space propagators K_L = exp(A dt), K_R = exp(B dt), and a block
-is two products with their b-th powers.  Without mechanical losses both
-the readout sector (rho_11) and the operand sector (rho_01) are of this
-kind; a correlation run picks the form per sector by checking the block
-against the Kronecker sum.  The trace guard and the leak monitor are
-checked over each block at once.  At the start of every correlation run
-both passes, and for expm both powers, are cross-checked against
+single matrix product with E^b (log2 b squarings of E).  E is dense
+unless the sector is a product P x Q of Hilbert-space indices that no
+jump lands in, as both are without mechanical losses: there a step is
+X -> K_L X K_R (_FactoredStepper), and a pass carries X_k = F_k H_k over
+the s columns its start populates (s = 1 at Mbar = 0, |P| = 27 at
+N_m = 8).  A forward pass yields per block what the run reads; the leak
+stop and the trace guard check each block at once.  Every correlation
+run first cross-checks both passes, and for expm both powers, against
 full-space Taylor references built from apply and apply_adjoint.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
@@ -310,7 +305,6 @@ class _ForwardSector:
         i, j = np.divmod(self.index, d)
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
-        self._parts = diag, upper, lower
         self.n_diag = n_diag = len(diag)
         n_up = len(upper)
         r = np.sqrt(0.5)
@@ -343,32 +337,6 @@ class _ForwardSector:
         y[-1] = x[self.dropped_diag].real.sum()
         return y
 
-    def real_rows(self, X: np.ndarray) -> np.ndarray:
-        """Re(V^H x) for each row x of X, entries on index; p's column is 0.
-
-        The same as (X conj(V)).real, by gathering the entries of each pair.
-        """
-        diag, upper, lower = self._parts
-        n_diag, n_up = len(diag), len(upper)
-        out = np.zeros((len(X), n_diag + 2 * n_up + 1))
-        out[:, :n_diag] = X[:, diag].real
-        Xu, Xl = X[:, upper], X[:, lower]
-        r = np.sqrt(0.5)
-        out[:, n_diag : n_diag + n_up] = r * (Xu.real + Xl.real)
-        out[:, n_diag + n_up : -1] = r * (Xu.imag - Xl.imag)
-        return out
-
-    def entry_rows(self, Y: np.ndarray) -> np.ndarray:
-        """V y for each row y of Y, the entries on index; the same as Y V^T."""
-        diag, upper, lower = self._parts
-        n_diag, n_up = len(diag), len(upper)
-        out = np.empty((len(Y), len(self.index)), dtype=complex)
-        out[:, diag] = Y[:, :n_diag]
-        pair = np.sqrt(0.5) * (Y[:, n_diag : n_diag + n_up] + 1j * Y[:, n_diag + n_up : -1])
-        out[:, upper] = pair
-        out[:, lower] = pair.conj()
-        return out
-
     def matrix(self, y: np.ndarray) -> np.ndarray:
         """The d x d matrix with coordinates y on the readout sector, zero elsewhere."""
         full = np.zeros(self.dim**2, dtype=complex)
@@ -396,7 +364,8 @@ class _SectorStepper:
     the forward pass, and its b-th power E^b by log2 b squarings.
     blocks() runs a pass b nodes at a time: an rk4 block is b sequential
     steps, and an expm block after the first is one matrix product with
-    E^b, which reads E^b once per block instead of E once per node.  This
+    E^b, which reads E^b once per block instead of E once per node;
+    __call__ takes one step, or for expm b steps with E^b if leap.  This
     dense expm form steps any sector; _FactoredStepper is the cheaper one
     for sectors without jumps inside them.
     """
@@ -404,8 +373,7 @@ class _SectorStepper:
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
         if adjoint:
             block = block.conj().T.tocsr()
-        self.dt = dt
-        self.b = b
+        self.dt, self.b, self.columns = dt, b, None  # only a factored pass has columns
         self.kind = "dense" if method == "expm" else "rk4"
         if method == "expm":
             from scipy import linalg  # imported here: rk4 runs never need it
@@ -415,10 +383,10 @@ class _SectorStepper:
         else:
             self._B, self.power = block, None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, leap: bool = False) -> np.ndarray:
         B = self._B
         if self.power is not None:
-            return B @ x
+            return (self.power if leap else B) @ x
         h = self.dt
         k1 = B @ x
         k2 = B @ (x + 0.5 * h * k1)
@@ -469,53 +437,21 @@ def _kronecker_factors(gen, S, index: np.ndarray):
     return A, B
 
 
-class _KroneckerMap:
-    """x -> the coordinates of K_L X K_R, X the P x Q matrix with coordinates x.
-
-    The coordinates of X are its entries (operand sector) or, given the
-    forward sector fwd, the real coordinates (y, p) of X = rho[P, P], the
-    readout sector, with p = tr X + p - tr(K_L X K_R): the total trace is
-    carried along, exact when L preserves it on the sector.
-    """
-
-    def __init__(self, left: np.ndarray, right: np.ndarray, fwd=None):
-        self.left, self.right, self.fwd = left, right, fwd
-
-    def matrices(self, Y: np.ndarray) -> np.ndarray:
-        """The stack of P x Q matrices with the rows of Y as coordinates."""
-        if self.fwd is not None:
-            Y = self.fwd.entry_rows(Y)
-        return Y.reshape(len(Y), len(self.left), len(self.right))
-
-    def coords(self, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Rows of coordinates of the stack M, carrying the total traces of the rows of Y."""
-        X = M.reshape(len(M), -1)
-        if self.fwd is None:
-            return X
-        n = self.fwd.n_diag
-        out = self.fwd.real_rows(X)
-        out[:, -1] = Y[:, :n].sum(axis=1) + Y[:, -1] - out[:, :n].sum(axis=1)
-        return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.coords(self.left @ self.matrices(x[None]) @ self.right, x[None])[0]
-
-
 class _FactoredStepper:
-    """The expm steps of a sector whose block is a Kronecker sum, in two small factors.
+    """The expm steps of a sector whose block is a Kronecker sum, as thin column factors.
 
     On a product sector P x Q without jumps inside it the block is
-    A (x) I + I (x) B^T (see _kronecker_factors), so exp(B dt) factors as
-    K_L (x) K_R^T: a step is X -> K_L X K_R with K_L = exp(A dt) and
-    K_R = exp(B dt) (|P|^2 and |Q|^2 entries instead of (|P| |Q|)^2), and
-    the Heisenberg pass uses A^H and B^H.  It has the interface of
-    _SectorStepper, in the same coordinates (see _KroneckerMap): power is
-    the map with K_L^b and K_R^b, and blocks() steps the first block node
-    by node and every later one with two products with the powers, on the
-    stack of matrices it carries.  The forward pass carries p by the trace,
-    so NumericalError at set-up unless the trace rows of the forward block,
-    the diagonal coordinates and p, sum to zero over every column to
-    1e-12 max|block|, which makes that exact.
+    A (x) I + I (x) B^T (see _kronecker_factors; A, B the no-jump part, the
+    effective non-Hermitian Hamiltonian), so a step is X -> K_L X K_R on
+    the P x Q matrix X, K_L = exp(A dt), K_R = exp(B dt) (A^H, B^H for the
+    Heisenberg pass).  __call__ steps X flattened row-major once, or b
+    times with power = (K_L^b, K_R^b) if leap.  A pass acts only on the
+    columns S that X_0 populates (no threshold), so factors() carries
+    X_k = F_k H_k, F_0 = X_0[:, S], H_0 = I[S, :], F <- K_L F, H <- H K_R,
+    exact for any X_0; columns is |S| of the last pass.  Given the forward
+    sector fwd, NumericalError at set-up unless the trace rows of its block
+    sum to zero over every column to 1e-12 max|block|: then p = tr rho0 -
+    tr X is exact, so the pass carries no p, and no trace to guard.
     """
 
     kind = "factored"
@@ -533,28 +469,66 @@ class _FactoredStepper:
         from scipy import linalg  # imported here: rk4 runs never need it
 
         A, B = (f.conj().T for f in factors) if adjoint else factors
-        self.dt = dt
-        self.b = b
-        left, right = linalg.expm(A * dt), linalg.expm(B * dt)
-        self._step = _KroneckerMap(left, right, fwd)
-        self.power = _KroneckerMap(_power(left, b), _power(right, b), fwd)
+        self.dt, self.b, self.columns = dt, b, None
+        self.step = linalg.expm(A * dt), linalg.expm(B * dt)
+        self.power = tuple(_power(K, b) for K in self.step)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._step @ x
+    def __call__(self, x: np.ndarray, leap: bool = False) -> np.ndarray:
+        L, R = self.power if leap else self.step
+        return (L @ x.reshape(len(L), len(R)) @ R).reshape(-1)
 
-    def blocks(self, x0: np.ndarray, n: int):
-        """Yield x_0 .. x_{n-1} as row blocks of b nodes, as _SectorStepper.blocks does."""
-        step, power = self._step, self.power
-        M = None
+    def factors(self, x0: np.ndarray, n: int):
+        """Yield (F, H) of X_0 .. X_{n-1} from the P x Q matrix x0 in row blocks of b nodes.
+
+        F is the stack (|P|, rows, s) and H the stack (rows, s, |Q|).  The
+        first block is stepped node by node; a later one is one product of
+        K_L^b with F and one of H with K_R^b, each node b steps on from the
+        same node of the block before.
+        """
+        cols = np.flatnonzero(np.any(x0 != 0, axis=0))
+        self.columns = len(cols)
+        (L, R), (Lb, Rb) = self.step, self.power
         for start in range(0, n, self.b):
             rows = min(self.b, n - start)
-            if M is None:
-                M = np.repeat(step.matrices(x0[None]), rows, axis=0)
-                for i in range(1, rows):
-                    M[i] = step.left @ M[i - 1] @ step.right
+            if start == 0:
+                F = np.empty((len(L), rows, len(cols)), dtype=complex)
+                H = np.empty((rows, len(cols), len(R)), dtype=complex)
+                F[:, 0], H[0] = x0[:, cols], np.eye(len(R))[cols]
+                for k in range(1, rows):
+                    F[:, k], H[k] = L @ F[:, k - 1], H[k - 1] @ R
             else:
-                M = power.left @ M[:rows] @ power.right
-            yield step.coords(M, x0[None])
+                F = (Lb @ F[:, :rows].reshape(len(L), -1)).reshape(len(L), rows, -1)
+                H = (H[:rows].reshape(-1, len(R)) @ Rb).reshape(rows, -1, len(R))
+            yield F, H
+
+    def blocks(self, x0: np.ndarray, n: int):
+        """Yield the entries x_0 .. x_{n-1} as row blocks of b nodes, as _SectorStepper.blocks does."""
+        for F, H in self.factors(x0.reshape(len(self.step[0]), -1), n):
+            yield np.matmul(F.transpose(1, 0, 2), H).reshape(len(H), -1)
+
+    def readout(self, fwd, rho0: np.ndarray, n: int, monitor, a_mat: np.ndarray, adj: np.ndarray):
+        """Yield what _dense_readout does per block, from the factors of X = rho[P, Q].
+
+        Operands on adj are (a[q, P] F) H, q the rows of adj (zero outside
+        the columns Q), monitor values Re tr(N[Q, P] F H), traces None.
+        """
+        P, Q = (np.unique(k) for k in np.divmod(fwd.index, fwd.dim))
+        i, j = np.divmod(adj, fwd.dim)
+        q, hit = np.unique(i), np.isin(j, Q)
+        pos = np.searchsorted(q, i[hit]) * len(Q) + np.searchsorted(Q, j[hit])
+        gather = not np.array_equal(pos, np.arange(len(adj)))
+        W = a_mat[np.ix_(q, P)]
+        N = None if monitor is None else _dense(monitor)[np.ix_(Q, P)]
+        for F, H in self.factors(rho0[np.ix_(P, Q)], n):
+            flat = F.reshape(len(P), -1)
+            WF = (W @ flat).reshape(len(q), *F.shape[1:])
+            O = np.matmul(WF.transpose(1, 0, 2), H).reshape(len(H), -1)
+            if gather:
+                O, grid = np.zeros((len(H), len(adj)), dtype=complex), O
+                O[:, hit] = grid[:, pos]
+            NF = None if N is None else (N @ flat).reshape(len(Q), *F.shape[1:])
+            yield O, None if N is None else np.einsum("cks,ksc->k", NF, H).real, None
+            O = grid = None  # released before the next block is computed
 
 
 def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
@@ -574,22 +548,20 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
     """Cross-validate the sector steppers against full-space Taylor references.
 
-    The forward stepper starts from the coordinates of rho0 and is compared
-    with exp(L h) rho0 built from gen.apply: V y on every entry of the d x d
-    matrix except the dropped ones, and p with the sum of the reference's
-    dropped diagonal.  This checks at runtime that the readout sector is
-    closed, that the Hermitian basis and its real block reproduce L, and
-    that the flux row carries the dropped population.  The adjoint stepper
-    starts from the observable a and is compared with exp(L' h) built from
-    gen.apply_adjoint on the operand sector adj, the only part of the
-    Heisenberg flow that the grid pairs with the operands.  Each reference
-    is one Taylor step.  RK4 is checked over four steps of size dt/16, h =
-    dt/4, which keeps its truncation far below the 1e-8 agreement
-    threshold; the expm propagators are exact per step, so the ones the run
-    uses are checked over one step, h = dt, and their powers E^b, which
-    step the blocked passes, against b applications of E (for a factored
-    stepper, the map with K_L^b and K_R^b against b single steps).  Returns
-    the largest difference.
+    The forward stepper starts from rho0 and is compared with exp(L h) rho0
+    from gen.apply: its readout entries (V y, or node 1 F_1 H_1 of a
+    factored pass) on every entry but the dropped ones, and p (y's, or
+    tr rho0 - tr X_1) with the reference's dropped diagonal sum.  This
+    checks at runtime that the readout sector is closed, that its real
+    block (or the column factors) reproduce L, and that the dropped
+    population is carried.  The adjoint stepper starts from a and is
+    compared with exp(L' h) from gen.apply_adjoint on the operand sector
+    adj, all that the grid pairs with the operands.  Each reference is one
+    Taylor step.  RK4 is checked over four steps of size dt/16, h = dt/4,
+    which keeps its truncation far below the 1e-8 threshold; the expm
+    propagators are exact per step, so they are checked over one step,
+    h = dt, and their powers, which step the blocked passes, against b
+    single steps.  Returns the largest difference.
     """
     if config.method == "expm":
         n_steps = 1
@@ -597,26 +569,37 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
         # an rk4 stepper keeps its (already adjoint) block in _B
         steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
         n_steps = 4
-    y0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
-    y, u = y0, u0
-    for _ in range(n_steps):
-        y, u = steppers[0](y), steppers[1](u)
     h = n_steps * steppers[0].dt
     ref_f = _taylor_step(gen.apply, rho0, h).reshape(-1)
     ref_a = _taylor_step(gen.apply_adjoint, a_mat, h).reshape(-1)
-    diff_f = fwd.matrix(y).reshape(-1) - ref_f
+    u = u0 = a_mat.reshape(-1)[adj]
+    for _ in range(n_steps):
+        u = steppers[1](u)
+    if steppers[0].kind == "factored":
+        P, Q = (np.unique(k) for k in np.divmod(fwd.index, fwd.dim))
+        x0 = rho0[np.ix_(P, Q)]
+        F, H = zip(*steppers[0].factors(x0, 2))
+        rho = np.zeros_like(rho0)
+        rho[np.ix_(P, Q)] = np.concatenate(F, axis=1)[:, 1] @ np.concatenate(H)[1]
+        x0, p = x0.reshape(-1), np.trace(rho0 - rho).real
+    else:
+        y = x0 = fwd.coords(rho0)
+        for _ in range(n_steps):
+            y = steppers[0](y)
+        rho, p = fwd.matrix(y), y[-1]
+    diff_f = rho.reshape(-1) - ref_f
     diff_f[fwd.dropped] = 0.0
     diffs = [
         ("forward", diff_f),
-        ("forward dropped-population", y[-1] - ref_f[fwd.dropped_diag].real.sum()),
+        ("forward dropped-population", p - ref_f[fwd.dropped_diag].real.sum()),
         ("adjoint", u - ref_a[adj]),
     ]
-    for name, step, x in (("forward", steppers[0], y0), ("adjoint", steppers[1], u0)):
+    for name, step, x in (("forward", steppers[0], x0), ("adjoint", steppers[1], u0)):
         if step.power is not None:
             ref = x
             for _ in range(step.b):
                 ref = step(ref)
-            diffs.append((f"{name} E^b", step.power @ x - ref))
+            diffs.append((f"{name} E^b", step(x, leap=True) - ref))
     worst = 0.0
     for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
@@ -629,51 +612,57 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     return worst
 
 
-def _forward(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray,
-             config: EvolutionConfig, monitor=None):
-    """Yield row blocks (Y, monitor values) of the real coordinates of rho(t_k).
+def _dense_readout(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray, n: int,
+                   monitor=None, a_map=None):
+    """Yield (rows, monitor values, traces) per block of the forward pass from rho0.
 
-    The blocks come from step.blocks and cover k = 0, 1, ... in order.  The
-    pass stops after t_max, or after the first node k > 0 where the monitor
-    expectation (if given) falls below leak_tolerance; the block that holds
-    that node is cut after it, so up to b - 1 computed nodes are dropped.
-    It aborts with a diagnostic naming the first node up to the stop whose
-    trace drifts by more than TRACE_DRIFT_LIMIT (step-size instability or a
-    leaking truncation).  The trace and the monitor are linear functionals
-    on the coordinates, checked over each block at once: the trace is the
-    sum of the diagonal coordinates plus p, the dropped population, exact
-    because diagonal entries outside the forward sector stay exactly zero
-    (a factored stepper carries p by this very sum, so there the guard
-    sees roundoff only, and its set-up check stands in for it); the
-    monitor row is Re(mon V), and the monitor must read only the readout
-    sector.  The monitor values are None without a monitor.
+    Rows are the coordinates y of rho(t_k), or the operands a_map y; monitor
+    values Re tr(N rho) = Re(N' V) y; traces the sum of the diagonal
+    coordinates and p, exact as diagonal entries outside the sector stay 0.
     """
     mon = None
     if monitor is not None:
         mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
-    y0 = fwd.coords(rho0)
-    trace0 = y0[: fwd.n_diag].sum() + y0[-1]
-    start = 0
-    for Y in step.blocks(y0, config.n_max):
-        residuals, stop = None, None
-        if mon is not None:
-            residuals = Y @ mon
+    for Y in step.blocks(fwd.coords(rho0), n):
+        yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
+               Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1])
+
+
+def _forward(values, config: EvolutionConfig):
+    """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
+
+    values yields (rows, monitor values, traces) per row block of the nodes
+    k = 0, 1, ... (_dense_readout or _FactoredStepper.readout).  The pass
+    stops after t_max, or after the first node k > 0 whose monitor value
+    (None without a monitor) is below leak_tolerance; that node's block is
+    cut after it, dropping up to b - 1 computed nodes.  It aborts naming
+    the first node up to the stop whose trace drifts from node 0's by more
+    than TRACE_DRIFT_LIMIT (step-size instability or a leaking truncation).
+    A factored pass has no traces; its set-up check stands in for the guard.
+    """
+    start = trace0 = 0
+    for rows, residuals, traces in values:
+        stop = None
+        if residuals is not None:
             below = np.flatnonzero(residuals < config.leak_tolerance)
             below = below[below + start > 0]
             if below.size:
                 stop = below[0] + 1
-                Y, residuals = Y[:stop], residuals[:stop]
-        drift = np.abs(Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1] - trace0)
-        bad = np.flatnonzero(drift > TRACE_DRIFT_LIMIT)
-        if bad.size:
-            raise NumericalError(
-                f"trace drift {drift[bad[0]]:.3e} at step {start + bad[0]} exceeds "
-                f"{TRACE_DRIFT_LIMIT}; reduce dt or enlarge the truncated space"
-            )
-        yield Y, residuals
+                rows, residuals = rows[:stop], residuals[:stop]
+        if traces is not None:
+            trace0 = traces[0] if start == 0 else trace0
+            drift = np.abs(traces[: len(rows)] - trace0)
+            bad = np.flatnonzero(drift > TRACE_DRIFT_LIMIT)
+            if bad.size:
+                raise NumericalError(
+                    f"trace drift {drift[bad[0]]:.3e} at step {start + bad[0]} exceeds "
+                    f"{TRACE_DRIFT_LIMIT}; reduce dt or enlarge the truncated space"
+                )
+        yield rows, residuals
         if stop is not None:
             return
-        start += len(Y)
+        start += len(rows)
+        del rows  # released before the next block is computed
 
 
 def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0,
@@ -686,7 +675,8 @@ def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0,
     None) needs 2 (8 n_fwd^2) bytes for the real forward blocks, n_fwd =
     |R_f| + 1 coordinates (the readout sector and p), or 2 (16 |R_a|^2)
     for the complex adjoint blocks; a factored one, with factors (A, B),
-    needs 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R and their powers.
+    needs 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R and their powers.  Row
+    blocks are not counted: b |R| entries dense, b (|P| + |Q|) s factored.
     """
     stack_bytes = 32 * config.n_max * n_adj
     dense_bytes = factor_bytes = 0
@@ -747,7 +737,7 @@ def evolve(
     _check_budget(config, fwd.block.shape[0])
     step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
-    for Y, residuals in _forward(step, fwd, rho0, config, monitor):
+    for Y, residuals in _forward(_dense_readout(step, fwd, rho0, config.n_max, monitor), config):
         states.extend(fwd.matrix(y) for y in Y)
         if residuals is not None:
             mvals.extend(residuals)
@@ -783,8 +773,10 @@ def two_time_correlation(
     p; sector_sizes reports its size and the operand sector's.  For expm a
     sector whose block is a Kronecker sum (_kronecker_factors) is stepped
     by _FactoredStepper and any other one densely; propagators names the
-    stepper of each pass ("factored", "dense" or "rk4") and smoke_max_diff
-    is the largest smoke-check difference (None without the check).  rho0
+    stepper of each pass ("factored", "dense" or "rk4"), columns the
+    number of columns each factored pass carries (None if not factored)
+    and smoke_max_diff the largest smoke-check difference (None without
+    the check).  rho0
     must be Hermitian.  Before anything large is allocated, the factor
     stacks over the full t_max and, for expm, the sector propagators and
     their b-th powers are checked against max_grid_bytes.
@@ -807,7 +799,6 @@ def two_time_correlation(
     fwd = _ForwardSector(S, rho0, reads)
     a_map = a_map[:, fwd.index]
     adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
-    a_map = (a_map[adj] @ fwd.V).tocsr()
     factors = (None, None)
     if config.method == "expm":
         factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
@@ -816,28 +807,31 @@ def two_time_correlation(
     b = _block_size(config.n_max)
     if factors[0] is None:
         step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+        values = _dense_readout(step, fwd, rho0, config.n_max, monitor, (a_map[adj] @ fwd.V).tocsr())
     else:
         step = _FactoredStepper(factors[0], config.dt, b=b, fwd=fwd)
+        values = step.readout(fwd, rho0, config.n_max, monitor, a_mat, adj)
     if factors[1] is None:
         adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
     else:
         adjoint_step = _FactoredStepper(factors[1], config.dt, adjoint=True, b=b)
-    propagators = (step.kind, adjoint_step.kind)
     smoke = None
     if config.smoke_check:
         smoke = _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
 
     # forward pass: the regression operands a rho(t_k) on the operand
-    # sector, one product per block into the stack over the full t_max;
+    # sector, one block at a time into the stack over the full t_max;
     # rows past the realized horizon are never written, so never resident
     X = np.empty((config.n_max, len(adj)), dtype=complex)
     n_t, residual = 0, None
-    for Y, residuals in _forward(step, fwd, rho0, config, monitor):
-        X[n_t : n_t + len(Y)] = (a_map @ Y.T).T
-        n_t += len(Y)
+    for operands, residuals in _forward(values, config):
+        X[n_t : n_t + len(operands)] = operands
+        n_t += len(operands)
         if residuals is not None:
             residual = residuals[-1]
-    del step  # the forward propagators are not needed by the adjoint pass
+        del operands  # released before the next block is computed
+    propagators, columns = (step.kind, adjoint_step.kind), step.columns
+    del step, values  # the forward propagators are not needed by the adjoint pass
     X = X[:n_t]
 
     # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
@@ -851,13 +845,7 @@ def two_time_correlation(
         start += len(U)
 
     return CorrelationGrid(
-        dt=config.dt,
-        U=Uc,
-        X=X,
-        kappa=kappa,
-        param_hash=param_hash,
-        residual_excitation=residual,
-        sector_sizes=(len(fwd.index), len(adj)),
-        propagators=propagators,
-        smoke_max_diff=smoke,
+        dt=config.dt, U=Uc, X=X, kappa=kappa, param_hash=param_hash,
+        residual_excitation=residual, sector_sizes=(len(fwd.index), len(adj)),
+        propagators=propagators, smoke_max_diff=smoke, columns=(columns, adjoint_step.columns),
     )

@@ -44,7 +44,7 @@ class CorrelationGrid:
 
     def __init__(self, dt, U, X, kappa=0.0, param_hash=b"\0" * 32,
                  residual_excitation=None, sector_sizes=None, propagators=None,
-                 smoke_max_diff=None):
+                 smoke_max_diff=None, columns=None):
         self.U = np.asarray(U, dtype=complex)
         self.X = np.asarray(X, dtype=complex)
         if self.X.ndim != 2 or self.U.shape != self.X.shape:
@@ -59,10 +59,12 @@ class CorrelationGrid:
         self.residual_excitation = residual_excitation
         #: of the run that built the grid, not part of the dump, so None on a
         #: loaded grid: the (forward, operand) sector sizes, the (forward,
-        #: operand) steppers and the largest smoke-check difference
+        #: operand) steppers, the largest smoke-check difference and the
+        #: number of columns each factored pass carries (None if not factored)
         self.sector_sizes = sector_sizes
         self.propagators = propagators
         self.smoke_max_diff = smoke_max_diff
+        self.columns = columns
 
     @property
     def horizon(self) -> float:

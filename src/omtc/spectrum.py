@@ -21,8 +21,10 @@ stationary_spectrum also reports the share of the emission that falls
 inside the detuning window (metadata["window_capture"]), the number of
 quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
 and, when it ran the propagation, the forward/operand steppers
-(metadata["propagator"], e.g. "factored/factored") and the largest
-smoke-check difference (metadata["smoke_max_diff"]).
+(metadata["propagator"], e.g. "factored/factored"), the number of
+columns each factored pass carries (metadata["columns"], e.g. (1, 9),
+None for a pass that is not factored) and the largest smoke-check
+difference (metadata["smoke_max_diff"]).
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time
@@ -300,6 +302,7 @@ def stationary_spectrum(
             "forward_sector": sectors[0],
             "adjoint_sector": sectors[1],
             "propagator": propagator,
+            "columns": grid.columns,
             "smoke_max_diff": grid.smoke_max_diff,
             "window_capture": capture,
             "clipped_points": clipped,

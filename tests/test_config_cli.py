@@ -285,6 +285,12 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "disagree on the forward dropped-population smoke test" in capsys.readouterr().err
         assert not out.exists()
+        # without mechanical losses the factored stepper carries p by the
+        # trace and reads no flux row; its set-up trace-row check does
+        cfg.write_text(FAST)
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert "does not preserve the trace of the readout sector" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -327,17 +333,25 @@ class TestCliCorrelation:
         err = capsys.readouterr().err
         assert "sectors 81/27, propagator factored/factored, smoke " in err
         assert float(err.split("smoke ")[1].split(",")[0]) < 1e-8
+        # the start populates one column of rho_11 and a one of rho_01 per
+        # one-photon state, N_m + 1 = 3
+        assert ", columns 1/3, window capture " in err
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
-        assert "sectors None/None, propagator None, smoke None," in capsys.readouterr().err
+        assert "sectors None/None, propagator None, smoke None, columns None," in (
+            capsys.readouterr().err
+        )
         text = out.read_text()
         assert "sectors" not in text and "propagator" not in text and "smoke" not in text
+        assert "columns" not in text
         cfg.write_text(FAST.replace("expm", "rk4") + "model.gamma_M = 0.05\n")
         main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)])
-        assert "propagator rk4/rk4, smoke " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "propagator rk4/rk4, smoke " in err and ", columns None/None, wall " in err
         cfg.write_text(FAST + "model.gamma_M = 0.05\n")
         main(["spectrum", "--config", str(cfg), "--output", str(out)])
-        assert "propagator dense/dense, smoke " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "propagator dense/dense, smoke " in err and ", columns None/None," in err
 
     def test_stderr_reports_window_capture_and_clips(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -577,12 +577,13 @@ class TestHermitianCoordinates:
         n = len(fwd.index)
         assert abs(fwd.V[:, :n].conj().T @ fwd.V[:, :n] - sparse.identity(n)).max() < 1e-15
         assert fwd.V[:, n].nnz == 0
-        # the gathers of the factored stepper are the products with V
-        Y = np.random.default_rng(n).normal(size=(3, n + 1))
-        X = Y @ fwd.V.T
-        assert np.abs(fwd.entry_rows(Y) - X).max() <= 1e-15
-        Z = (X @ fwd.V.conj()).real
-        assert np.abs(fwd.real_rows(X) - Z).max() <= 1e-15 and not np.any(Z[:, -1])
+        # real coordinates map to Hermitian matrices on the sector, and
+        # coords inverts matrix there; p reads only the dropped diagonal
+        for y in np.random.default_rng(n).normal(size=(3, n + 1)):
+            rho = fwd.matrix(y)
+            assert np.abs(rho - rho.conj().T).max() <= 1e-15
+            z = fwd.coords(rho)
+            assert np.abs(z[:n] - y[:n]).max() <= 1e-15 and z[-1] == 0.0
         raw = fwd.V.conj().T @ L @ fwd.V
         assert abs(raw.imag).max() <= 1e-12 * abs(L).max()
         assert abs(raw.real - fwd.block).max() == 0.0
@@ -922,6 +923,104 @@ class TestFactoredPropagator:
         for new, old in ((grid.X, dense.X), (grid.U, dense.U)):
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-14
 
+    @settings(max_examples=6)
+    @given(point=model_points(), t_max=st.sampled_from([0.4, 2.6]), leak=st.floats(0.9, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_column_support_matches_dense_path(self, point, t_max, leak, seed):
+        # a random Hermitian rho0 on all of P, so s = |P|, with a ground
+        # share, and a positive monitor on P that is not diagonal, scaled to
+        # read 1 at t = 0, so the drawn tolerances stop many runs early
+        params, space, _ = point
+        params = replace(params, gamma_M=0.0)
+        _, gen, cfg, a, _ = _correlation_point(
+            params, space, dt=0.02, t_max=t_max, method="expm", leak_tolerance=leak
+        )
+        rng = np.random.default_rng(seed)
+        P = np.flatnonzero(optical_excitation_operator(space).diagonal() == 1)
+        vac = space.ket(0, 0, 0, 0)
+        rho0 = 0.2 * np.outer(vac, vac.conj())
+        rho0[np.ix_(P, P)] = 0.8 * _random_rho(rng, len(P))
+        mon = np.zeros_like(rho0)
+        mon[np.ix_(P, P)] = _random_rho(rng, len(P))
+        mon /= np.trace(mon @ rho0).real
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=sparse.csr_matrix(mon))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
+            dense = two_time_correlation(rho0, gen, cfg, a, monitor=sparse.csr_matrix(mon))
+        assert grid.propagators == ("factored",) * 2 and grid.columns[0] == len(P)
+        assert grid.n_t == dense.n_t
+        assert grid.residual_excitation == pytest.approx(dense.residual_excitation, rel=1e-12)
+        for new, old in ((grid.X, dense.X), (grid.U, dense.U)):
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-14
+
+    @pytest.mark.parametrize(
+        "initial, Mbar, columns", [(1, 0.0, 1), ("symmetric", 0.0, 2), (2, 0.02, 3)]
+    )
+    def test_columns_are_the_populated_ones(self, initial, Mbar, columns):
+        # rho0 = |e><e| (x) thermal phonons populates one column of rho_11
+        # per phonon number with a nonzero weight (all N_m + 1 = 3 when
+        # Mbar > 0), twice as many for the symmetric start; the operand
+        # pass starts from a[Q0, P], one column per one-photon state
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3, Mbar=Mbar), build_space(1, 2, excitation_cap=1), initial,
+            dt=0.02, t_max=1.0, method="expm",
+        )
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.columns == (columns, 3)
+        cfg = replace(cfg, method="rk4")
+        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).columns == (None, None)
+        # S is the set of nonzero columns, exactly: F_0 H_0 = x0
+        rng = np.random.default_rng(5)
+        x0 = rng.normal(size=(4, 6)) * (rng.random(size=(4, 6)) < 0.3)
+        x0[:, 2] = 0.0
+        step = _FactoredStepper((np.zeros((4, 4)), np.zeros((6, 6))), 0.1)
+        F, H = next(step.factors(x0, 1))
+        assert step.columns == F.shape[2] == np.count_nonzero(np.any(x0 != 0, axis=0)) <= 5
+        assert np.array_equal(F[:, 0] @ H[0], x0)
+
+    def test_readout_on_any_operand_sector(self):
+        # the model's operand sector is the product q x Q; any other one (here
+        # every third entry of the d x d matrix, most outside the columns Q)
+        # still gets a rho entry by entry, and a monitor N that is not
+        # diagonal reads Re tr(N rho)
+        space = build_space(1, 2, excitation_cap=1)
+        rho0, gen, _, a, _ = _correlation_point(
+            ModelParams(J=0.3), space, "symmetric", dt=0.02, t_max=1.0
+        )
+        S, d = gen.superoperator(), space.dim
+        fwd = _ForwardSector(S, rho0, _readout(space)[0])
+        step = _FactoredStepper(_kronecker_factors(gen, S, fwd.index), 0.02, b=4, fwd=fwd)
+        P = np.unique(fwd.index // d)
+        mon = np.zeros_like(rho0)
+        mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
+        a, adj = a.toarray(), np.arange(0, d * d, 3)
+        rows, values, traces = zip(*step.readout(fwd, rho0, 9, sparse.csr_matrix(mon), a, adj))
+        assert traces == (None,) * 3
+        X = [np.matmul(F.transpose(1, 0, 2), H) for F, H in step.factors(rho0[np.ix_(P, P)], 9)]
+        for x, o, m in zip(np.concatenate(X), np.concatenate(rows), np.concatenate(values), strict=True):
+            rho = np.zeros_like(rho0)
+            rho[np.ix_(P, P)] = x
+            assert np.abs(o - (a @ rho).reshape(-1)[adj]).max() <= 1e-15
+            assert abs(m - np.trace(mon @ rho).real) <= 1e-15
+
+    def test_missed_column_fails_smoke_check(self, monkeypatch):
+        # the smoke check steps the forward pass's own factors: a column
+        # set that misses a populated column of rho0 must not pass
+        factors = _FactoredStepper.factors
+
+        def missing_one(self, x0, n):
+            x0 = x0.copy()
+            x0[:, np.flatnonzero(np.any(x0 != 0, axis=0))[-1]] = 0.0
+            return factors(self, x0, n)
+
+        monkeypatch.setattr("omtc.dynamics._FactoredStepper.factors", missing_one)
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3), build_space(1, 2, excitation_cap=1), "symmetric",
+            dt=0.02, t_max=1.0, method="expm",
+        )
+        with pytest.raises(NumericalError, match="disagree on the forward smoke test"):
+            two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+
     @pytest.mark.parametrize(
         "losses, propagators",
         [
@@ -998,12 +1097,19 @@ class TestFactoredPropagator:
         fwd = _ForwardSector(S, rho0, reads)
         factored = _FactoredStepper(_kronecker_factors(gen, S, fwd.index), 0.02, b=4, fwd=fwd)
         dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
-        y = z = fwd.coords(rho0)
-        assert y[-1] == pytest.approx(0.2)
+        # the factored pass carries rho[P, P] as F H and p as tr rho0 - tr X
+        P = np.unique(fwd.index // space.dim)
+        nodes = [np.matmul(F.transpose(1, 0, 2), H) for F, H in factored.factors(rho0[np.ix_(P, P)], 21)]
+        Z = np.concatenate(list(dense.blocks(fwd.coords(rho0), 21)))
+        assert Z[0, -1] == pytest.approx(0.2)
+        for X, z in zip(np.concatenate(nodes), Z, strict=True):
+            assert np.abs(X.reshape(-1) - fwd.V @ z).max() <= 1e-13
+            assert abs(np.trace(rho0).real - np.trace(X).real - z[-1]) <= 1e-13
+        x, z = rho0.reshape(-1)[fwd.index], Z[0]
         for _ in range(20):
-            y, z = factored(y), dense(z)
-            assert np.abs(y - z).max() <= 1e-13
-        assert np.abs(factored.power @ y - dense.power @ z).max() <= 1e-13
+            x, z = factored(x), dense(z)
+            assert np.abs(x - fwd.V @ z).max() <= 1e-13
+        assert np.abs(factored(x, leap=True) - fwd.V @ dense(z, leap=True)).max() <= 1e-13
 
     def test_complex_hamiltonian(self):
         # without channels every product index set is invariant and L is the

@@ -291,9 +291,13 @@ class TestStationarySpectrum:
         # N_m = 2: the rho_11 block (81; rho_00 is carried only by its trace
         # p), a rho in the 0-1 block
         assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (81, 27)
+        # expm without mechanical losses: both passes factored, one column
+        # of rho_11 and one of rho_01 per one-photon state
+        assert res.metadata["columns"] == (1, 3)
         path = tmp_path / "grid.bin"
         res.grid.save(path)
-        assert CorrelationGrid.load(path).sector_sizes is None
+        loaded = CorrelationGrid.load(path)
+        assert loaded.sector_sizes is None and loaded.columns is None
 
     def test_grid_reuse_with_matching_hash(self):
         params = ModelParams(g_a=1.0, g_M=0.4)

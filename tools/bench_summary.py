@@ -1,7 +1,8 @@
 """Summarize perfbench result files of two commits into one BENCH_<label>.json.
 
     python3 tools/bench_summary.py --label blocked_powers \
-        --parent PARENT_RESULTS --change CHANGE_RESULTS
+        --parent PARENT_RESULTS --change CHANGE_RESULTS \
+        [--north-star PARENT_JSON CHANGE_JSON]
 
 PARENT_RESULTS and CHANGE_RESULTS are directories of the records that
 ``perfbench/run.py`` writes to ``.perfbench/results/``
@@ -10,6 +11,8 @@ alternating pairs with the same seeds.  The output holds, per workload and
 side, the median and quartiles of every end-to-end metric over the
 untraced runs, the number of pairs the change won, the per-layer metrics
 and spans of each side's traced runs, and each side's environment stamp.
+With --north-star it also holds each side's ``tools/north_star.py`` output,
+the North-star point that the workloads are scaled down from.
 """
 
 import argparse
@@ -78,9 +81,15 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--north-star", type=Path, nargs=2, metavar=("PARENT_JSON", "CHANGE_JSON"))
     args = parser.parse_args(argv)
     out = Path(__file__).resolve().parent.parent / f"BENCH_{args.label}.json"
     data = build(load(args.parent), load(args.change))
+    if args.north_star:
+        data["north_star"] = {
+            side: json.loads(path.read_text(encoding="utf-8"))
+            for side, path in zip(("parent", "change"), args.north_star)
+        }
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")
     return 0
