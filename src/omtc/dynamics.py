@@ -43,8 +43,8 @@ single matrix product with E^b (log2 b squarings of E).  E is dense
 unless the sector is a product P x Q of Hilbert-space indices that no
 jump lands in, as both are without mechanical losses: there a step is
 X -> K_L X K_R (_FactoredStepper), and a pass carries X_k = F_k H_k over
-the s columns its start populates (s = 1 at Mbar = 0, |P| = 27 at
-N_m = 8).  A forward pass yields per block what the run reads; the leak
+the s columns its start populates (s = 1 of |P| = 27 at Mbar = 0,
+N_m = 8), or X_k itself where that takes fewer products.  A forward pass yields per block what the run reads; the leak
 stop and the trace guard check each block at once.  Every correlation
 run first cross-checks both passes, and for expm both powers, against
 full-space Taylor references built from apply and apply_adjoint.
@@ -303,6 +303,7 @@ class _ForwardSector:
 
         n = len(self.index)
         i, j = np.divmod(self.index, d)
+        self.sides = np.unique(i), np.unique(j)  # (P, Q) if index is a product P x Q
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
         self.n_diag = n_diag = len(diag)
@@ -364,8 +365,7 @@ class _SectorStepper:
     the forward pass, and its b-th power E^b by log2 b squarings.
     blocks() runs a pass b nodes at a time: an rk4 block is b sequential
     steps, and an expm block after the first is one matrix product with
-    E^b, which reads E^b once per block instead of E once per node;
-    __call__ takes one step, or for expm b steps with E^b if leap.  This
+    E^b, which reads E^b once per block instead of E once per node.  This
     dense expm form steps any sector; _FactoredStepper is the cheaper one
     for sectors without jumps inside them.
     """
@@ -373,7 +373,8 @@ class _SectorStepper:
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
         if adjoint:
             block = block.conj().T.tocsr()
-        self.dt, self.b, self.columns = dt, b, None  # only a factored pass has columns
+        self.dt = dt
+        self.b = b
         self.kind = "dense" if method == "expm" else "rk4"
         if method == "expm":
             from scipy import linalg  # imported here: rk4 runs never need it
@@ -383,10 +384,10 @@ class _SectorStepper:
         else:
             self._B, self.power = block, None
 
-    def __call__(self, x: np.ndarray, leap: bool = False) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         B = self._B
         if self.power is not None:
-            return (self.power if leap else B) @ x
+            return B @ x
         h = self.dt
         k1 = B @ x
         k2 = B @ (x + 0.5 * h * k1)
@@ -444,14 +445,12 @@ class _FactoredStepper:
     A (x) I + I (x) B^T (see _kronecker_factors; A, B the no-jump part, the
     effective non-Hermitian Hamiltonian), so a step is X -> K_L X K_R on
     the P x Q matrix X, K_L = exp(A dt), K_R = exp(B dt) (A^H, B^H for the
-    Heisenberg pass).  __call__ steps X flattened row-major once, or b
-    times with power = (K_L^b, K_R^b) if leap.  A pass acts only on the
-    columns S that X_0 populates (no threshold), so factors() carries
-    X_k = F_k H_k, F_0 = X_0[:, S], H_0 = I[S, :], F <- K_L F, H <- H K_R,
-    exact for any X_0; columns is |S| of the last pass.  Given the forward
-    sector fwd, NumericalError at set-up unless the trace rows of its block
-    sum to zero over every column to 1e-12 max|block|: then p = tr rho0 -
-    tr X is exact, so the pass carries no p, and no trace to guard.
+    Heisenberg pass).  __call__ steps X flattened row-major, power holds
+    (K_L^b, K_R^b), and factors() runs a pass.
+    Given the forward sector fwd, NumericalError at set-up unless the trace
+    rows of its block sum to zero over every column to 1e-12 max|block|:
+    then p = tr rho0 - tr X is exact, so the pass carries no p, and no
+    trace to guard.
     """
 
     kind = "factored"
@@ -469,65 +468,80 @@ class _FactoredStepper:
         from scipy import linalg  # imported here: rk4 runs never need it
 
         A, B = (f.conj().T for f in factors) if adjoint else factors
-        self.dt, self.b, self.columns = dt, b, None
+        self.dt = dt
+        self.b = b
         self.step = linalg.expm(A * dt), linalg.expm(B * dt)
         self.power = tuple(_power(K, b) for K in self.step)
 
-    def __call__(self, x: np.ndarray, leap: bool = False) -> np.ndarray:
-        L, R = self.power if leap else self.step
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        L, R = self.step
         return (L @ x.reshape(len(L), len(R)) @ R).reshape(-1)
 
     def factors(self, x0: np.ndarray, n: int):
         """Yield (F, H) of X_0 .. X_{n-1} from the P x Q matrix x0 in row blocks of b nodes.
 
-        F is the stack (|P|, rows, s) and H the stack (rows, s, |Q|).  The
-        first block is stepped node by node; a later one is one product of
-        K_L^b with F and one of H with K_R^b, each node b steps on from the
-        same node of the block before.
+        X_k = F_k H_k on the s columns S that x0 populates (no threshold):
+        F_0 = x0[:, S], H_0 = I[S, :], F <- K_L F, H <- H K_R, exact for any
+        x0; F is the stack (|P|, rows, s), H (rows, s, |Q|).  Where X itself
+        takes fewer products per node, |P| |Q| (|P| + |Q|) against
+        s (|P|^2 + |Q|^2 + |P| |Q|) (the last term forms F H), F is the stack
+        of X, (|P|, rows, |Q|), and H is None.  The first block is stepped
+        node by node; a later one is one product of K_L^b with F and one of
+        H (or F) with K_R^b, each node b steps on from the same node before.
         """
-        cols = np.flatnonzero(np.any(x0 != 0, axis=0))
-        self.columns = len(cols)
         (L, R), (Lb, Rb) = self.step, self.power
+        p, q = x0.shape
+        cols = np.flatnonzero(np.any(x0 != 0, axis=0))
+        thin = len(cols) * (p * p + q * q + p * q) <= p * q * (p + q)
         for start in range(0, n, self.b):
             rows = min(self.b, n - start)
             if start == 0:
-                F = np.empty((len(L), rows, len(cols)), dtype=complex)
-                H = np.empty((rows, len(cols), len(R)), dtype=complex)
-                F[:, 0], H[0] = x0[:, cols], np.eye(len(R))[cols]
-                for k in range(1, rows):
-                    F[:, k], H[k] = L @ F[:, k - 1], H[k - 1] @ R
+                Fs, Hs = [x0[:, cols] if thin else x0], [np.eye(q)[cols] if thin else None]
+                for _ in range(1, rows):
+                    Fs.append(L @ Fs[-1] if thin else L @ Fs[-1] @ R)
+                    Hs.append(Hs[-1] @ R if thin else None)
+                F, H = np.stack(Fs, axis=1), np.stack(Hs) if thin else None
             else:
-                F = (Lb @ F[:, :rows].reshape(len(L), -1)).reshape(len(L), rows, -1)
-                H = (H[:rows].reshape(-1, len(R)) @ Rb).reshape(rows, -1, len(R))
+                F = (Lb @ F[:, :rows].reshape(p, -1)).reshape(p, rows, -1)
+                if thin:
+                    H = (H[:rows].reshape(-1, q) @ Rb).reshape(rows, -1, q)
+                else:
+                    F = (F.reshape(-1, q) @ Rb).reshape(p, rows, q)
             yield F, H
 
     def blocks(self, x0: np.ndarray, n: int):
         """Yield the entries x_0 .. x_{n-1} as row blocks of b nodes, as _SectorStepper.blocks does."""
         for F, H in self.factors(x0.reshape(len(self.step[0]), -1), n):
-            yield np.matmul(F.transpose(1, 0, 2), H).reshape(len(H), -1)
+            X = F.transpose(1, 0, 2)
+            yield (X if H is None else np.matmul(X, H)).reshape(len(X), -1)
 
-    def readout(self, fwd, rho0: np.ndarray, n: int, monitor, a_mat: np.ndarray, adj: np.ndarray):
-        """Yield what _dense_readout does per block, from the factors of X = rho[P, Q].
+    def readout(self, fwd, x0: np.ndarray, n: int, monitor, a_mat: np.ndarray, adj: np.ndarray):
+        """Yield what _dense_readout does per block, from the factors of X = rho[P, Q], X_0 = x0.
 
         Operands on adj are (a[q, P] F) H, q the rows of adj (zero outside
-        the columns Q), monitor values Re tr(N[Q, P] F H), traces None.
+        the columns Q), monitor values Re tr(N[Q, P] F H), traces None; a
+        and N are read sparse (F alone stands for F H if H is None).
         """
-        P, Q = (np.unique(k) for k in np.divmod(fwd.index, fwd.dim))
+        P, Q = fwd.sides
         i, j = np.divmod(adj, fwd.dim)
         q, hit = np.unique(i), np.isin(j, Q)
         pos = np.searchsorted(q, i[hit]) * len(Q) + np.searchsorted(Q, j[hit])
         gather = not np.array_equal(pos, np.arange(len(adj)))
-        W = a_mat[np.ix_(q, P)]
-        N = None if monitor is None else _dense(monitor)[np.ix_(Q, P)]
-        for F, H in self.factors(rho0[np.ix_(P, Q)], n):
+        W = sparse.csr_matrix(a_mat[np.ix_(q, P)])
+        N = None if monitor is None else sparse.csr_matrix(monitor)[Q][:, P].tocoo()
+        for F, H in self.factors(x0, n):
             flat = F.reshape(len(P), -1)
-            WF = (W @ flat).reshape(len(q), *F.shape[1:])
-            O = np.matmul(WF.transpose(1, 0, 2), H).reshape(len(H), -1)
+            WF = (W @ flat).reshape(len(q), *F.shape[1:]).transpose(1, 0, 2)
+            O = (WF if H is None else np.matmul(WF, H)).reshape(len(WF), -1)
             if gather:
-                O, grid = np.zeros((len(H), len(adj)), dtype=complex), O
+                O, grid = np.zeros((len(O), len(adj)), dtype=complex), O
                 O[:, hit] = grid[:, pos]
-            NF = None if N is None else (N @ flat).reshape(len(Q), *F.shape[1:])
-            yield O, None if N is None else np.einsum("cks,ksc->k", NF, H).real, None
+            m = None
+            if N is not None and H is None:
+                m = (N.data @ F[N.col, :, N.row]).real  # Re sum N[r, c] X[c, r]
+            elif N is not None:
+                m = np.einsum("cks,ksc->k", (N @ flat).reshape(len(Q), *F.shape[1:]), H).real
+            yield O, m, None
             O = grid = None  # released before the next block is computed
 
 
@@ -548,20 +562,17 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
     """Cross-validate the sector steppers against full-space Taylor references.
 
-    The forward stepper starts from rho0 and is compared with exp(L h) rho0
-    from gen.apply: its readout entries (V y, or node 1 F_1 H_1 of a
-    factored pass) on every entry but the dropped ones, and p (y's, or
-    tr rho0 - tr X_1) with the reference's dropped diagonal sum.  This
-    checks at runtime that the readout sector is closed, that its real
-    block (or the column factors) reproduce L, and that the dropped
-    population is carried.  The adjoint stepper starts from a and is
-    compared with exp(L' h) from gen.apply_adjoint on the operand sector
-    adj, all that the grid pairs with the operands.  Each reference is one
-    Taylor step.  RK4 is checked over four steps of size dt/16, h = dt/4,
-    which keeps its truncation far below the 1e-8 threshold; the expm
-    propagators are exact per step, so they are checked over one step,
-    h = dt, and their powers, which step the blocked passes, against b
-    single steps.  Returns the largest difference.
+    The forward pass steps rho0 (its coordinates, or rho0[P, Q] if
+    factored), compared with one Taylor step of exp(L h) rho0 (gen.apply)
+    on every readout entry, and p (y's, or tr rho0 - tr X) with the
+    reference's dropped diagonal sum: this checks at runtime that the
+    readout sector is closed, that its block or factors reproduce L and
+    that the dropped population is carried.  The adjoint pass steps a on
+    the operand sector adj, all that the grid pairs, compared with
+    exp(L' h) a (gen.apply_adjoint).  RK4 is checked over four steps of
+    dt/16, h = dt/4, keeping its truncation far below the 1e-8 threshold;
+    the exact expm steps over one, h = dt, and their powers, which step the
+    blocked passes, against b single steps.  Returns the largest difference.
     """
     if config.method == "expm":
         n_steps = 1
@@ -572,20 +583,15 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     h = n_steps * steppers[0].dt
     ref_f = _taylor_step(gen.apply, rho0, h).reshape(-1)
     ref_a = _taylor_step(gen.apply_adjoint, a_mat, h).reshape(-1)
-    u = u0 = a_mat.reshape(-1)[adj]
-    for _ in range(n_steps):
-        u = steppers[1](u)
-    if steppers[0].kind == "factored":
-        P, Q = (np.unique(k) for k in np.divmod(fwd.index, fwd.dim))
-        x0 = rho0[np.ix_(P, Q)]
-        F, H = zip(*steppers[0].factors(x0, 2))
+    factored = steppers[0].kind == "factored"
+    x0 = rho0[np.ix_(*fwd.sides)].reshape(-1) if factored else fwd.coords(rho0)
+    u0 = a_mat.reshape(-1)[adj]
+    y, u = (np.concatenate(list(s.blocks(x, n_steps + 1)))[-1] for s, x in zip(steppers, (x0, u0)))
+    if factored:
         rho = np.zeros_like(rho0)
-        rho[np.ix_(P, Q)] = np.concatenate(F, axis=1)[:, 1] @ np.concatenate(H)[1]
-        x0, p = x0.reshape(-1), np.trace(rho0 - rho).real
+        rho[np.ix_(*fwd.sides)] = y.reshape(len(fwd.sides[0]), -1)
+        p = np.trace(rho0 - rho).real
     else:
-        y = x0 = fwd.coords(rho0)
-        for _ in range(n_steps):
-            y = steppers[0](y)
         rho, p = fwd.matrix(y), y[-1]
     diff_f = rho.reshape(-1) - ref_f
     diff_f[fwd.dropped] = 0.0
@@ -595,11 +601,9 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
         ("adjoint", u - ref_a[adj]),
     ]
     for name, step, x in (("forward", steppers[0], x0), ("adjoint", steppers[1], u0)):
-        if step.power is not None:
-            ref = x
-            for _ in range(step.b):
-                ref = step(ref)
-            diffs.append((f"{name} E^b", step(x, leap=True) - ref))
+        if step.power is not None:  # node b of a pass is E^b x, node b - 1 stepped once more
+            X = np.concatenate(list(step.blocks(x, step.b + 1)))
+            diffs.append((f"{name} E^b", X[-1] - step(X[-2])))
     worst = 0.0
     for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
@@ -612,8 +616,7 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     return worst
 
 
-def _dense_readout(step: _SectorStepper, fwd: _ForwardSector, rho0: np.ndarray, n: int,
-                   monitor=None, a_map=None):
+def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=None, a_map=None):
     """Yield (rows, monitor values, traces) per block of the forward pass from rho0.
 
     Rows are the coordinates y of rho(t_k), or the operands a_map y; monitor
@@ -774,10 +777,9 @@ def two_time_correlation(
     sector whose block is a Kronecker sum (_kronecker_factors) is stepped
     by _FactoredStepper and any other one densely; propagators names the
     stepper of each pass ("factored", "dense" or "rk4"), columns the
-    number of columns each factored pass carries (None if not factored)
+    number s of columns that each factored pass starts from (None if not)
     and smoke_max_diff the largest smoke-check difference (None without
-    the check).  rho0
-    must be Hermitian.  Before anything large is allocated, the factor
+    the check).  rho0 must be Hermitian.  Before anything large is allocated, the factor
     stacks over the full t_max and, for expm, the sector propagators and
     their b-th powers are checked against max_grid_bytes.
     """
@@ -805,16 +807,20 @@ def two_time_correlation(
     _check_budget(config, fwd.block.shape[0], len(adj), factors)
 
     b = _block_size(config.n_max)
+    starts = (rho0[np.ix_(*fwd.sides)], a_mat.reshape(-1)[adj])
+    columns = tuple(None if f is None else int(np.any(x.reshape(len(f[0]), -1) != 0, axis=0).sum())
+                    for f, x in zip(factors, starts))
     if factors[0] is None:
         step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
         values = _dense_readout(step, fwd, rho0, config.n_max, monitor, (a_map[adj] @ fwd.V).tocsr())
     else:
         step = _FactoredStepper(factors[0], config.dt, b=b, fwd=fwd)
-        values = step.readout(fwd, rho0, config.n_max, monitor, a_mat, adj)
+        values = step.readout(fwd, starts[0], config.n_max, monitor, a_mat, adj)
     if factors[1] is None:
         adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
     else:
         adjoint_step = _FactoredStepper(factors[1], config.dt, adjoint=True, b=b)
+    propagators = (step.kind, adjoint_step.kind)
     smoke = None
     if config.smoke_check:
         smoke = _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
@@ -830,7 +836,6 @@ def two_time_correlation(
         if residuals is not None:
             residual = residuals[-1]
         del operands  # released before the next block is computed
-    propagators, columns = (step.kind, adjoint_step.kind), step.columns
     del step, values  # the forward propagators are not needed by the adjoint pass
     X = X[:n_t]
 
@@ -840,12 +845,19 @@ def two_time_correlation(
     # the adjoint restricted to it is exact on the pairing.
     Uc = np.empty((n_t, len(adj)), dtype=complex)
     start = 0
-    for U in adjoint_step.blocks(a_mat.reshape(-1)[adj], n_t):
+    for U in adjoint_step.blocks(starts[1], n_t):
         np.conjugate(U, out=Uc[start : start + len(U)])
         start += len(U)
 
     return CorrelationGrid(
-        dt=config.dt, U=Uc, X=X, kappa=kappa, param_hash=param_hash,
-        residual_excitation=residual, sector_sizes=(len(fwd.index), len(adj)),
-        propagators=propagators, smoke_max_diff=smoke, columns=(columns, adjoint_step.columns),
+        dt=config.dt,
+        U=Uc,
+        X=X,
+        kappa=kappa,
+        param_hash=param_hash,
+        residual_excitation=residual,
+        sector_sizes=(len(fwd.index), len(adj)),
+        propagators=propagators,
+        smoke_max_diff=smoke,
+        columns=columns,
     )

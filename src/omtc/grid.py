@@ -60,7 +60,7 @@ class CorrelationGrid:
         #: of the run that built the grid, not part of the dump, so None on a
         #: loaded grid: the (forward, operand) sector sizes, the (forward,
         #: operand) steppers, the largest smoke-check difference and the
-        #: number of columns each factored pass carries (None if not factored)
+        #: number of columns each factored pass starts from (None if not)
         self.sector_sizes = sector_sizes
         self.propagators = propagators
         self.smoke_max_diff = smoke_max_diff

@@ -22,7 +22,7 @@ inside the detuning window (metadata["window_capture"]), the number of
 quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
 and, when it ran the propagation, the forward/operand steppers
 (metadata["propagator"], e.g. "factored/factored"), the number of
-columns each factored pass carries (metadata["columns"], e.g. (1, 9),
+columns each factored pass starts from (metadata["columns"], e.g. (1, 9),
 None for a pass that is not factored) and the largest smoke-check
 difference (metadata["smoke_max_diff"]).
 

@@ -969,14 +969,18 @@ class TestFactoredPropagator:
         assert grid.columns == (columns, 3)
         cfg = replace(cfg, method="rk4")
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).columns == (None, None)
-        # S is the set of nonzero columns, exactly: F_0 H_0 = x0
+        # S is the set of nonzero columns, exactly: F_0 H_0 = x0; once the
+        # columns cost more products than the matrix, F_0 is x0 itself
         rng = np.random.default_rng(5)
-        x0 = rng.normal(size=(4, 6)) * (rng.random(size=(4, 6)) < 0.3)
-        x0[:, 2] = 0.0
-        step = _FactoredStepper((np.zeros((4, 4)), np.zeros((6, 6))), 0.1)
+        x0 = np.zeros((6, 8))
+        x0[:, [1, 4, 6]] = rng.normal(size=(6, 3)) * (rng.random(size=(6, 3)) < 0.5)
+        step = _FactoredStepper((np.zeros((6, 6)), np.zeros((8, 8))), 0.1)
         F, H = next(step.factors(x0, 1))
-        assert step.columns == F.shape[2] == np.count_nonzero(np.any(x0 != 0, axis=0)) <= 5
+        assert F.shape[2] == np.count_nonzero(np.any(x0 != 0, axis=0)) == 3
         assert np.array_equal(F[:, 0] @ H[0], x0)
+        x0[:, [0, 2]] = 1.0
+        F, H = next(step.factors(x0, 1))
+        assert H is None and np.array_equal(F[:, 0], x0)
 
     def test_readout_on_any_operand_sector(self):
         # the model's operand sector is the product q x Q; any other one (here
@@ -994,9 +998,10 @@ class TestFactoredPropagator:
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
         a, adj = a.toarray(), np.arange(0, d * d, 3)
-        rows, values, traces = zip(*step.readout(fwd, rho0, 9, sparse.csr_matrix(mon), a, adj))
+        x0 = rho0[np.ix_(P, P)]
+        rows, values, traces = zip(*step.readout(fwd, x0, 9, sparse.csr_matrix(mon), a, adj))
         assert traces == (None,) * 3
-        X = [np.matmul(F.transpose(1, 0, 2), H) for F, H in step.factors(rho0[np.ix_(P, P)], 9)]
+        X = [np.matmul(F.transpose(1, 0, 2), H) for F, H in step.factors(x0, 9)]
         for x, o, m in zip(np.concatenate(X), np.concatenate(rows), np.concatenate(values), strict=True):
             rho = np.zeros_like(rho0)
             rho[np.ix_(P, P)] = x
@@ -1109,7 +1114,8 @@ class TestFactoredPropagator:
         for _ in range(20):
             x, z = factored(x), dense(z)
             assert np.abs(x - fwd.V @ z).max() <= 1e-13
-        assert np.abs(factored(x, leap=True) - fwd.V @ dense(z, leap=True)).max() <= 1e-13
+        (L, R), x = factored.power, x.reshape(len(P), len(P))
+        assert np.abs((L @ x @ R).reshape(-1) - fwd.V @ (dense.power @ z)).max() <= 1e-13
 
     def test_complex_hamiltonian(self):
         # without channels every product index set is invariant and L is the

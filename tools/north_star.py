@@ -1,10 +1,10 @@
 """Time the North-star point in-process and print one JSON object.
 
-    python3 tools/north_star.py [--runs 3]
+    python3 tools/north_star.py
 
 The North-star point is ``configs/reference.cfg`` with
 ``numerics.method = expm``: N_m = 8, dt = 0.02 and the leak stop at 1e-4
-within t_max = 400, so n_t = 8519.  Each run is one
+within t_max = 400, so n_t = 8519.  Each of the RUNS = 3 runs is one
 ``omtc.spectrum.stationary_spectrum`` call, imported from this checkout's
 ``src/``, with BLAS pinned to one thread as in ``perfbench/``.  The output
 holds the wall seconds of every run and their median, ``ru_maxrss`` of the
@@ -12,7 +12,6 @@ process after the last run in MiB (import and all runs included), and
 ``n_t``.
 """
 
-import argparse
 import json
 import os
 import resource
@@ -30,17 +29,16 @@ import numpy as np  # noqa: E402
 from omtc.config import parse_config  # noqa: E402
 from omtc.spectrum import stationary_spectrum  # noqa: E402
 
+RUNS = 3
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=3)
-    args = parser.parse_args(argv)
+
+def main() -> int:
     text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
     if "numerics.method = rk4" not in text:
         raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4")
     cfg = parse_config(text.replace("numerics.method = rk4", "numerics.method = expm"))
     walls, n_t = [], None
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         t0 = time.perf_counter()
         result = stationary_spectrum(cfg.model, cfg.filter, cfg.numerics, initial=cfg.excited_atom)
         walls.append(time.perf_counter() - t0)
