@@ -446,11 +446,10 @@ class _FactoredStepper:
     effective non-Hermitian Hamiltonian), so a step is X -> K_L X K_R on
     the P x Q matrix X, K_L = exp(A dt), K_R = exp(B dt) (A^H, B^H for the
     Heisenberg pass).  __call__ steps X flattened row-major, power holds
-    (K_L^b, K_R^b), and factors() runs a pass.
-    Given the forward sector fwd, NumericalError at set-up unless the trace
-    rows of its block sum to zero over every column to 1e-12 max|block|:
-    then p = tr rho0 - tr X is exact, so the pass carries no p, and no
-    trace to guard.
+    (K_L^b, K_R^b), and factors() runs a pass.  Given the forward sector
+    fwd, NumericalError at set-up unless the trace rows of its block sum
+    to zero over every column to 1e-12 max|block|: then p = tr rho0 -
+    tr X is exact, so the pass carries no p, and no trace to guard.
     """
 
     kind = "factored"
