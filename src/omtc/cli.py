@@ -91,7 +91,7 @@ def _cmd_spectrum(args) -> int:
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
         f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, {_health(meta)}, "
         f"window capture {'None' if capture is None else f'{capture:.4f}'}, "
-        f"clipped {meta['clipped_points']}, "
+        f"clipped {meta['clipped_points']}, {_stages(meta['stage_s'])}, "
         f"wall {meta['wall_clock_s']:.2f}s -> {cfg.output.csv}",
         file=sys.stderr,
     )
@@ -105,6 +105,13 @@ def _health(meta: dict) -> str:
         f"propagator {meta['propagator']}, smoke {'None' if smoke is None else f'{smoke:.1e}'}, "
         f"columns {'None' if columns is None else '/'.join(map(str, columns))}"
     )
+
+
+def _stages(stages) -> str:
+    """Milliseconds per stage of a run that propagated, for the spectrum stderr line."""
+    if stages is None:
+        return "stages None"
+    return "stages " + " ".join(f"{name}={1e3 * s:.1f}" for name, s in stages.items()) + " ms"
 
 
 def _split_path(path: str) -> tuple[str, str]:

@@ -1,67 +1,42 @@
 """Open-system time evolution and two-time correlations.
 
-The generator is the right-hand side of the master equation,
+The dynamics is that of the master-equation generator L of
+model.Generator (re-exported here with its one-shot wrappers);
+Generator.superoperator() is its sparse matrix S on row-major vectorized
+d x d matrices.
 
-    L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O rho O'^+ - O'^+ O rho - rho O'^+ O),
+Propagation runs only on invariant sectors of S, index sets R with
+S[~R, R] = 0 found from its sparsity pattern (no conservation law is
+assumed): the forward sector, the closure of supp vec(rho0), and the
+operand sector, that of supp vec(a rho).  Of the forward sector a
+correlation run steps only the readout sector, the ancestors of what a
+and the monitor read (rho_11 for one optical excitation), plus the sum p
+of the dropped diagonal; evolve keeps the whole sector.  rho(t) stays
+Hermitian and is stepped in real coordinates (_ForwardSector); the
+operand sector carries a rho and stays complex.
 
-with O' = O for local channels and the ordered operator pair for cross
-channels.  Generator.apply and apply_adjoint act on dense d x d matrices;
-Generator.superoperator() is the sparse matrix of L on row-major
-vectorized matrices.
-
-Propagation runs only on invariant sectors of that matrix.  An index set
-R of vec(rho) that L maps into itself (L[~R, R] = 0) can be propagated on
-its own, exactly: exp(L dt) restricted to R is exp(L[R, R] dt).  The
-forward sector is the closure under L of the support of vec(rho0); the
-operand sector is the closure of the support of vec(a rho) for rho on the
-forward sector.  Both follow from the sparsity pattern of L, so no
-conservation law is assumed; for one optical excitation they are the
-rho_11 + rho_00 blocks and the 0-1 coherence block.
-
-A correlation run reads only the columns of a x I and the monitor's
-support, so of the forward sector it steps only their ancestors under L,
-the readout sector K (rho_11 for one optical excitation); nothing flows
-into K from the rest, so its dynamics are exact.  The rest is carried by
-one more real coordinate, the sum p of its diagonal, which keeps the
-trace guard exact; both facts are checked when K is built.  evolve
-returns whole states, so it keeps the whole forward sector (p stays 0).
-
-rho(t) stays Hermitian, so the forward sector is stepped in real
-coordinates y = V^H x of an orthonormal basis of Hermitian matrices: one
-coordinate per diagonal entry and sqrt(2) Re, sqrt(2) Im per pair
-(i, j), (j, i) with i < j.  V is a sparse unitary, and for a generator
-that preserves Hermiticity the block V^H L[K, K] V is real; it is built
-once and checked (imaginary part at most 1e-12 max|L[K, K]|, otherwise
-NumericalError), so every forward matvec is real and half the size.  The
-operand sector carries a rho, which is not Hermitian, and stays complex.
-Two backends step a sector: classical RK4 with four sparse matvecs per
-step (the default) and the propagator E = exp(B dt) of the sector block.
-Both passes run in row blocks of b nodes, b the power of two at or below
-sqrt(n_max) and at most 64: an rk4 block is b sequential steps; for expm
-only the first block is stepped node by node, and every later one is a
-single matrix product with E^b (log2 b squarings of E).  E is dense
-unless the sector is a product P x Q of Hilbert-space indices that no
-jump lands in, as both are without mechanical losses: there a step is
-X -> K_L X K_R (_FactoredStepper), and a pass carries X_k = F_k H_k over
-the s columns its start populates (s = 1 of |P| = 27 at Mbar = 0,
-N_m = 8), or X_k itself where that takes fewer products.  A forward pass yields per block what the run reads; the leak
-stop and the trace guard check each block at once.  Every correlation
-run first cross-checks both passes, and for expm both powers, against
-full-space Taylor references built from apply and apply_adjoint.
+Two backends step a sector: RK4 with four sparse matvecs per step (the
+default) and expm.  Both passes run in row blocks of b nodes; an expm
+block after the first is one product with E^b.  E = exp(B dt) is dense
+unless the sector is a product P x Q that no jump lands in, as both are
+without mechanical losses: there a step is X -> K_L X K_R, carried as
+thin column factors (_FactoredStepper).  Every correlation run first
+checks S against apply and apply_adjoint, then both passes, and for expm
+both powers, against Taylor references built from S (_smoke_check).
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
-Rather than re-propagating one operand per column, the trace is folded
-into a single adjoint (Heisenberg) propagation of a', so every entry is an
-inner product C[k+tau][k] = <U_tau, X_k> of two stacks on the operand
-sector: X_k = a rho(t_k) from the forward pass and U_tau from the adjoint
-pass.  The two formulations agree to roundoff because the adjoint of the
-RK4 step polynomial is the RK4 step of the adjoint generator.
-CorrelationGrid (grid.py) keeps only these two stacks, O(n_t |R_a|)
-values; the O(n_t^2) triangle is never formed.
+The trace is folded into a single adjoint (Heisenberg) propagation of a',
+so C[k+tau][k] = <U_tau, X_k> pairs two stacks on the operand sector:
+X_k = a rho(t_k) from the forward pass and U_tau from the adjoint pass.
+They agree to roundoff with one propagation per column because the
+adjoint of the RK4 step polynomial is the RK4 step of the adjoint
+generator.  CorrelationGrid (grid.py) keeps only these two stacks,
+O(n_t |R_a|) values; the O(n_t^2) triangle is never formed.
 """
 
 import hashlib
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +44,7 @@ from scipy import sparse
 
 from .errors import ConfigurationError, NumericalError
 from .grid import CorrelationGrid, _block_size
-from .model import CrossChannel, DissipatorSpec, LocalChannel
+from .model import Generator, _dense, heisenberg_apply, liouvillian_apply  # noqa: F401 (re-exported)
 
 #: abort threshold for trace drift along a trajectory
 TRACE_DRIFT_LIMIT = 1e-4
@@ -112,123 +87,15 @@ def check_step_size(dt: float, params) -> None:
         )
 
 
-class _Channel:
-    """Prepared dense matrices for one dissipation channel."""
-
-    __slots__ = ("half_rate", "lop", "rdag", "k", "kd", "lop_dag", "radj")
-
-    def __init__(self, lop, rdag, k, half_rate):
-        self.half_rate = half_rate
-        self.lop = lop
-        self.rdag = rdag
-        self.k = k
-        self.kd = k.conj().T
-        self.lop_dag = lop.conj().T
-        self.radj = rdag.conj().T
-
-
-def _dense(op) -> np.ndarray:
-    if sparse.issparse(op):
-        return op.toarray()
-    return np.asarray(op, dtype=complex)
-
-
-class Generator:
-    """Master-equation generator with Schroedinger and Heisenberg actions."""
-
-    def __init__(self, H, dissipators: DissipatorSpec):
-        self.H_sparse = H.tocsr() if sparse.issparse(H) else sparse.csr_matrix(H)
-        self.dissipators = dissipators
-        self.dim = self.H_sparse.shape[0]
-        self._H = _dense(H)
-        self._channels = []
-        for ch in dissipators.channels:
-            if ch.rate == 0.0:
-                continue
-            if isinstance(ch, LocalChannel):
-                lop = _dense(ch.op)
-                rdag = lop.conj().T
-                k = rdag @ lop
-            elif isinstance(ch, CrossChannel):
-                lop = _dense(ch.op1)
-                rdag = _dense(ch.op2).conj().T
-                k = lop.conj().T @ _dense(ch.op2)
-            else:
-                raise ConfigurationError(f"unknown channel type {type(ch)!r}")
-            self._channels.append(_Channel(lop, rdag, k, 0.5 * ch.rate))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for a dense matrix rho."""
-        H = self._H
-        out = -1j * (H @ rho - rho @ H)
-        for c in self._channels:
-            out += c.half_rate * (
-                2.0 * (c.lop @ rho @ c.rdag) - c.k @ rho - rho @ c.k
-            )
-        return out
-
-    def apply_adjoint(self, A: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture action, the Hilbert-Schmidt adjoint of apply.
-
-        Satisfies Tr[M(A)^+ X] = Tr[A^+ L(X)] for all X.
-        """
-        H = self._H
-        out = 1j * (H @ A - A @ H)
-        for c in self._channels:
-            out += c.half_rate * (
-                2.0 * (c.lop_dag @ A @ c.radj) - c.kd @ A - A @ c.kd
-            )
-        return out
-
-    def no_jump(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) of the no-jump part rho -> A rho + rho B of L.
-
-        A = -iH - K and B = iH - K with K = sum_c (r_c/2) k_c: the jump
-        terms 2 O rho O'^+ left out, L is this map on any part of rho that
-        no jump lands in.
-        """
-        K = sum((c.half_rate * c.k for c in self._channels), np.zeros_like(self._H))
-        return -1j * self._H - K, 1j * self._H - K
-
-    def superoperator(self) -> sparse.csr_matrix:
-        """Sparse matrix acting on row-major vectorized density matrices."""
-        d = self.dim
-        eye = sparse.identity(d, dtype=complex, format="csr")
-        H = self.H_sparse
-        L = -1j * (sparse.kron(H, eye) - sparse.kron(eye, H.T))
-        for c in self._channels:
-            lop = sparse.csr_matrix(c.lop)
-            rdagT = sparse.csr_matrix(c.rdag.T)
-            k = sparse.csr_matrix(c.k)
-            L = L + c.half_rate * (
-                2.0 * sparse.kron(lop, rdagT)
-                - sparse.kron(k, eye)
-                - sparse.kron(eye, k.T)
-            )
-        L = L.tocsr()
-        L.eliminate_zeros()
-        return L
-
-
-def liouvillian_apply(H, dissipators: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
-    """One-shot L(rho); prefer a Generator when applying repeatedly."""
-    if H.shape[0] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
-        raise ConfigurationError(
-            f"dimension mismatch: H {H.shape}, rho {rho.shape}"
-        )
-    return Generator(H, dissipators).apply(np.asarray(rho, dtype=complex))
-
-
-def heisenberg_apply(H, dissipators: DissipatorSpec, A: np.ndarray) -> np.ndarray:
-    """One-shot adjoint action on an observable."""
-    if H.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"dimension mismatch: H {H.shape}, A {A.shape}")
-    return Generator(H, dissipators).apply_adjoint(np.asarray(A, dtype=complex))
-
-
 def _block(S, index: np.ndarray):
-    """S[index][:, index] as CSR."""
-    return S[index][:, index].tocsr()
+    """S[index][:, index] as COO in row order (S CSR, index sorted)."""
+    rows = S[index]
+    at = np.full(S.shape[1], -1)
+    at[index] = np.arange(len(index))
+    c = at[rows.indices]
+    r = np.repeat(np.arange(len(index)), np.diff(rows.indptr))
+    keep = c >= 0
+    return sparse.coo_matrix((rows.data[keep], (r[keep], c[keep])), shape=(len(index),) * 2)
 
 
 def _closure(S, seed: np.ndarray) -> np.ndarray:
@@ -257,21 +124,21 @@ def _transposed(index: np.ndarray, d: int) -> np.ndarray:
 class _ForwardSector:
     """Real coordinates (y, p) of the Hermitian matrices on the readout sector.
 
-    Of the forward sector, the closure of supp vec(rho0) (taken with its
+    Of the forward sector, the closure of supp vec(rho0) (with its
     transpose), index keeps the ancestors under L of the entries in reads
     and their transposes (all of it when reads is None).  Nothing flows in
     from the dropped rest, L[index, dropped] = 0, so the kept dynamics are
     exact; the dropped entries enter only through the sum p of their
     diagonal, the last coordinate, with dp/dt = f y for the flux row
-    f = 1' L[dropped diagonal, index] V.  That is exact when the columns of
+    f = 1' L[dropped diagonal, index] V, exact when the columns of
     L[dropped diagonal, dropped] sum to zero, as trace preservation makes
-    them.  V maps y to vec(rho)[index], x = V y: its first n columns are
-    unitary (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2) per pair i < j) and its last, p's, is zero.
-    block = [[V^H L[index, index] V, 0], [f, 0]] is real.  NumericalError
-    if index is not closed under L or transposition, if the block has an
-    imaginary part (a generator that breaks Hermiticity) or if the column
-    sums do not vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
+    them.  V maps y to vec(rho)[index]: its first n columns are unitary
+    (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
+    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero.
+    block = [[V^H L[index, index] V, 0], [f, 0]] is real.  NumericalError if
+    index is not closed under L or transposition, if the block has an
+    imaginary part or if the column sums do not vanish; ConfigurationError
+    unless rho0 is Hermitian to 1e-12.
     """
 
     def __init__(self, S, rho0: np.ndarray, reads=None):
@@ -296,9 +163,10 @@ class _ForwardSector:
                     "closed under transposition)"
                 )
         i, j = np.divmod(sector, d)
-        k, dr, dd = (np.flatnonzero(m) for m in (kept, ~kept, ~kept & (i == j)))
-        self.index, self.dropped, self.dropped_diag = sector[k], sector[dr], sector[dd]
-        if np.max(np.abs(L[k][:, dr].data), initial=0.0) > 0:
+        dd = ~kept & (i == j)
+        self.index, self.dropped, self.dropped_diag = sector[kept], sector[~kept], sector[dd]
+        r, c, v = L.row, L.col, L.data  # one COO copy of the sector block, split by masks
+        if np.max(np.abs(v[kept[r] & ~kept[c]]), initial=0.0) > 0:
             raise NumericalError("readout sector is not closed: dropped entries flow into it")
 
         n = len(self.index)
@@ -308,24 +176,28 @@ class _ForwardSector:
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
         self.n_diag = n_diag = len(diag)
         n_up = len(upper)
-        r = np.sqrt(0.5)
+        rt = np.sqrt(0.5)
         pairs = n_diag + np.arange(n_up)
-        values = [np.ones(n_diag), np.full(2 * n_up, r), np.full(n_up, 1j * r), np.full(n_up, -1j * r)]
-        rows = [diag, upper, lower, upper, lower]
-        cols = [np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up]
-        self.V = sparse.csr_matrix(
-            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n + 1),
+        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
+        rows = np.concatenate([diag, upper, lower, upper, lower])
+        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
+        self.V = sparse.csr_matrix((values, (rows, cols)), shape=(n, n + 1))
+        # M = [L[index, index]; f], W = [V^H | e_n]: block = W M V
+        to = np.where(kept, np.cumsum(kept) - 1, n)
+        m = kept[c] & (kept[r] | dd[r])
+        M = sparse.csr_matrix((v[m], (to[r[m]], to[c[m]])), shape=(n + 1, n))
+        W = sparse.csr_matrix(
+            (np.append(values.conj(), 1.0), (np.append(cols, n), np.append(rows, n))), shape=(n + 1, n + 1)
         )
-        Lk = L[k][:, k]
-        flux = sparse.csr_matrix(L[dd][:, k].sum(axis=0)) @ self.V
-        block = sparse.vstack([(self.V.conj().T @ Lk @ self.V)[:n], flux]).tocsr()
-        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * np.max(np.abs(Lk.data), initial=0.0):
+        block = W @ M @ self.V
+        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * np.max(np.abs(v[m & kept[r]]), initial=0.0):
             raise NumericalError("generator does not preserve Hermiticity")
-        self.block = block.real.tocsr()
+        self.block = block.real.copy()  # contiguous, for fast matvecs
         self.block.eliminate_zeros()
-        leak = np.abs(np.asarray(L[dd][:, dr].sum(axis=0)))
-        if np.max(leak, initial=0.0) > 1e-12 * np.max(np.abs(L.data), initial=0.0):
+        self.block.sort_indices()
+        out = dd[r] & ~kept[c]  # column sums of L[dropped diagonal, dropped]
+        leak = np.abs(np.bincount(c[out], v[out].real, len(sector)) + 1j * np.bincount(c[out], v[out].imag, len(sector)))
+        if np.max(leak, initial=0.0) > 1e-12 * np.max(np.abs(v), initial=0.0):
             raise NumericalError(
                 "generator does not preserve the trace of the dropped entries "
                 f"(max column sum {np.max(leak):.3e})"
@@ -358,16 +230,13 @@ def _power(E: np.ndarray, b: int) -> np.ndarray:
 class _SectorStepper:
     """Steps of size dt on an invariant sector: x -> exp(B dt) x.
 
-    B is the real block of the readout sector in its Hermitian coordinates
-    and p, or, for the Heisenberg pass, the Hermitian adjoint of the complex block
-    of the operand sector.  rk4 takes four sparse matvecs per step; expm
-    builds the dense propagator E = exp(B dt) of the block once, real for
-    the forward pass, and its b-th power E^b by log2 b squarings.
-    blocks() runs a pass b nodes at a time: an rk4 block is b sequential
-    steps, and an expm block after the first is one matrix product with
-    E^b, which reads E^b once per block instead of E once per node.  This
-    dense expm form steps any sector; _FactoredStepper is the cheaper one
-    for sectors without jumps inside them.
+    B is the real readout block (Hermitian coordinates and p) or, for the
+    Heisenberg pass, the adjoint of the complex operand block.  rk4 takes
+    four sparse matvecs per step; expm builds the dense E = exp(B dt) once
+    and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
+    b sequential rk4 steps or, after the first expm block, one product with
+    E^b.  This steps any sector; _FactoredStepper is the cheaper form for
+    sectors without jumps inside them.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
@@ -417,13 +286,19 @@ class _SectorStepper:
             prev = Y
 
 
+def _phases(p: int, q: int) -> np.ndarray:
+    """p x q test matrix exp(2 pi i g k), g = 0.618.., k the flat index: no two phases alike."""
+    return np.exp(2j * np.pi * 0.6180339887498949 * np.arange(p * q)).reshape(p, q)
+
+
 def _kronecker_factors(gen, S, index: np.ndarray):
     """(A[P, P], B[Q, Q]) of gen.no_jump() if L[index, index] is their Kronecker sum, else None.
 
     That holds when index is a product P x Q of Hilbert-space indices and
     no jump lands inside the sector, so L acts there as X -> A X + X B on
     the P x Q matrix X: the sector block must equal A (x) I + I (x) B^T to
-    1e-12 max|L[index, index]|.
+    1e-12 max|L[index, index]|, checked as L vec(Z) = vec(A Z + Z B) for
+    Z = _phases(|P|, |Q|).
     """
     i, j = np.divmod(index, gen.dim)
     P, Q = np.unique(i), np.unique(j)
@@ -431,11 +306,9 @@ def _kronecker_factors(gen, S, index: np.ndarray):
         return None
     A, B = gen.no_jump()
     A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
-    L = _block(S, index)
-    K = sparse.kron(A, sparse.identity(len(Q))) + sparse.kron(sparse.identity(len(P)), B.T)
-    if abs(L - K).max() > 1e-12 * abs(L).max():
-        return None
-    return A, B
+    L, Z = _block(S, index), _phases(len(P), len(Q))
+    err = np.max(np.abs(L @ Z.reshape(-1) - (A @ Z + Z @ B).reshape(-1)), initial=0.0)
+    return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
 
 class _FactoredStepper:
@@ -446,10 +319,10 @@ class _FactoredStepper:
     effective non-Hermitian Hamiltonian), so a step is X -> K_L X K_R on
     the P x Q matrix X, K_L = exp(A dt), K_R = exp(B dt) (A^H, B^H for the
     Heisenberg pass).  __call__ steps X flattened row-major, power holds
-    (K_L^b, K_R^b), and factors() runs a pass.  Given the forward sector
-    fwd, NumericalError at set-up unless the trace rows of its block sum
-    to zero over every column to 1e-12 max|block|: then p = tr rho0 -
-    tr X is exact, so the pass carries no p, and no trace to guard.
+    (K_L^b, K_R^b), factors() runs a pass.  Given the forward sector fwd,
+    NumericalError unless the trace rows of its block sum to zero over
+    every column to 1e-12 max|block|: then p = tr rho0 - tr X is exact, so
+    the pass carries no p and no trace to guard.
     """
 
     kind = "factored"
@@ -483,10 +356,10 @@ class _FactoredStepper:
         F_0 = x0[:, S], H_0 = I[S, :], F <- K_L F, H <- H K_R, exact for any
         x0; F is the stack (|P|, rows, s), H (rows, s, |Q|).  Where X itself
         takes fewer products per node, |P| |Q| (|P| + |Q|) against
-        s (|P|^2 + |Q|^2 + |P| |Q|) (the last term forms F H), F is the stack
-        of X, (|P|, rows, |Q|), and H is None.  The first block is stepped
-        node by node; a later one is one product of K_L^b with F and one of
-        H (or F) with K_R^b, each node b steps on from the same node before.
+        s (|P|^2 + |Q|^2 + |P| |Q|) (forming F H), F is the stack of X and
+        H is None.  The first block is stepped node by node; a later one is
+        one product of K_L^b with F and one of H (or F) with K_R^b, each
+        node b steps on from the same node before.
         """
         (L, R), (Lb, Rb) = self.step, self.power
         p, q = x0.shape
@@ -557,22 +430,36 @@ def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
     return out
 
 
-def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
+def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
-    """Cross-validate the sector steppers against full-space Taylor references.
+    """Cross-validate S and the sector steppers; return the largest step difference.
 
-    The forward pass steps rho0 (its coordinates, or rho0[P, Q] if
-    factored), compared with one Taylor step of exp(L h) rho0 (gen.apply)
-    on every readout entry, and p (y's, or tr rho0 - tr X) with the
-    reference's dropped diagonal sum: this checks at runtime that the
-    readout sector is closed, that its block or factors reproduce L and
-    that the dropped population is carried.  The adjoint pass steps a on
-    the operand sector adj, all that the grid pairs, compared with
-    exp(L' h) a (gen.apply_adjoint).  RK4 is checked over four steps of
-    dt/16, h = dt/4, keeping its truncation far below the 1e-8 threshold;
-    the exact expm steps over one, h = dt, and their powers, which step the
-    blocked passes, against b single steps.  Returns the largest difference.
+    S, which the sectors and steppers are built from, must match the
+    generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
+    S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
+    adjoint duality.  The references are Taylor steps of sparse matvecs
+    with S and S^H.  The forward pass steps rho0 (its coordinates, or
+    rho0[P, Q] if factored) and is compared on every readout entry, and p
+    (y's, or tr rho0 - tr X) with the reference's dropped diagonal sum, so
+    the closure of the readout sector, its block or factors and the carried
+    dropped population are checked at runtime; the adjoint pass steps a on
+    the operand sector.  RK4 takes four steps of dt/16 (h = dt/4, its
+    truncation far below the 1e-8 threshold), expm one (h = dt), and each
+    power E^b, which steps the blocked passes, is compared with b steps.
     """
+    Z = _phases(gen.dim, gen.dim)
+    z = Z.reshape(-1)
+
+    def SH(x):  # S^H x without a copy of S
+        return (S.T @ x.conj()).conj()
+
+    for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", SH, gen.apply_adjoint)):
+        err = float(np.max(np.abs(M(z) - action(Z).reshape(-1))))
+        if err > 1e-12 * np.max(np.abs(S.data), initial=0.0):
+            raise NumericalError(
+                f"superoperator and generator disagree on the {name} smoke test "
+                f"(max diff {err:.3e} > 1e-12 max|L|); the generator is unsound"
+            )
     if config.method == "expm":
         n_steps = 1
     else:
@@ -580,8 +467,8 @@ def _smoke_check(gen, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
         steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
         n_steps = 4
     h = n_steps * steppers[0].dt
-    ref_f = _taylor_step(gen.apply, rho0, h).reshape(-1)
-    ref_a = _taylor_step(gen.apply_adjoint, a_mat, h).reshape(-1)
+    ref_f = _taylor_step(S.dot, rho0.reshape(-1), h)
+    ref_a = _taylor_step(SH, a_mat.reshape(-1), h)
     factored = steppers[0].kind == "factored"
     x0 = rho0[np.ix_(*fwd.sides)].reshape(-1) if factored else fwd.coords(rho0)
     u0 = a_mat.reshape(-1)[adj]
@@ -636,11 +523,10 @@ def _forward(values, config: EvolutionConfig):
     values yields (rows, monitor values, traces) per row block of the nodes
     k = 0, 1, ... (_dense_readout or _FactoredStepper.readout).  The pass
     stops after t_max, or after the first node k > 0 whose monitor value
-    (None without a monitor) is below leak_tolerance; that node's block is
-    cut after it, dropping up to b - 1 computed nodes.  It aborts naming
-    the first node up to the stop whose trace drifts from node 0's by more
-    than TRACE_DRIFT_LIMIT (step-size instability or a leaking truncation).
-    A factored pass has no traces; its set-up check stands in for the guard.
+    (None without a monitor) is below leak_tolerance, cutting its block
+    there.  It aborts at the first node up to the stop whose trace drifts
+    from node 0's by more than TRACE_DRIFT_LIMIT; a factored pass has no
+    traces, and its set-up check stands in for the guard.
     """
     start = trace0 = 0
     for rows, residuals, traces in values:
@@ -671,13 +557,11 @@ def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0,
                   factors=(None, None)) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
-    Counts the two factor stacks over the full t_max, 32 n_max |R_a| bytes
-    (correlation runs only, n_adj > 0), and for expm the propagators of
-    each sector and their b-th powers.  A sector stepped densely (factors
-    None) needs 2 (8 n_fwd^2) bytes for the real forward blocks, n_fwd =
-    |R_f| + 1 coordinates (the readout sector and p), or 2 (16 |R_a|^2)
-    for the complex adjoint blocks; a factored one, with factors (A, B),
-    needs 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R and their powers.  Row
+    Counts the factor stacks over the full t_max, 32 n_max |R_a| bytes
+    (n_adj > 0), and for expm each sector's propagators and b-th powers:
+    2 (8 n_fwd^2) bytes for the real forward blocks (n_fwd = |R_f| + 1 with
+    p) or 2 (16 |R_a|^2) for the complex adjoint ones if stepped densely
+    (factors None), 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R if factored.  Row
     blocks are not counted: b |R| entries dense, b (|P| + |Q|) s factored.
     """
     stack_bytes = 32 * config.n_max * n_adj
@@ -727,10 +611,9 @@ def evolve(
     """Propagate rho0 on the uniform grid t_k = k dt up to t_max.
 
     If a monitor operator is given, stops early once its expectation drops
-    below leak_tolerance.  Aborts with a diagnostic when the trace drifts
-    by more than 1e-4 (step-size instability or a leaking truncation).
-    The states are whole, so the whole forward sector is propagated (no
-    readout).  rho0 must be Hermitian; for expm the dense forward
+    below leak_tolerance.  Aborts when the trace drifts by more than 1e-4
+    (step-size instability or a leaking truncation).  The states are
+    whole, so the whole forward sector is propagated.  rho0 must be Hermitian; for expm the dense forward
     propagator and its b-th power are checked against max_grid_bytes
     before they are built.
     """
@@ -768,38 +651,34 @@ def two_time_correlation(
 ) -> CorrelationGrid:
     """Quantum-regression grid of <a'(t_j) a(t_k)> over the adaptive horizon.
 
-    The horizon is t_max, shortened to the first grid node where the
-    monitor expectation (if given) falls below leak_tolerance.  Only the
-    readout sector of the forward pass is propagated, the ancestors of
-    the entries that a and the monitor read, with the dropped population
-    p; sector_sizes reports its size and the operand sector's.  For expm a
-    sector whose block is a Kronecker sum (_kronecker_factors) is stepped
-    by _FactoredStepper and any other one densely; propagators names the
-    stepper of each pass ("factored", "dense" or "rk4"), columns the
-    number s of columns that each factored pass starts from (None if not)
-    and smoke_max_diff the largest smoke-check difference (None without
-    the check).  rho0 must be Hermitian.  Before anything large is allocated, the factor
-    stacks over the full t_max and, for expm, the sector propagators and
-    their b-th powers are checked against max_grid_bytes.
+    The horizon is t_max, cut at the first node where the monitor
+    expectation (if given) falls below leak_tolerance.  Of the forward
+    sector only the readout sector and p are propagated.  For expm a sector
+    whose block is a Kronecker sum (_kronecker_factors) is stepped by
+    _FactoredStepper, any other densely.  The grid reports sector_sizes,
+    propagators ("factored", "dense" or "rk4" per pass), columns (s per
+    factored pass, else None), smoke_max_diff (None without the check) and
+    stage_s, the seconds of set-up, smoke check, forward and adjoint pass.
+    rho0 must be Hermitian.  The factor stacks over the full t_max and, for
+    expm, the propagators and their b-th powers are checked against
+    max_grid_bytes before anything large is allocated.
     """
+    marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
     S = sparse.csr_matrix(gen.superoperator())
     a_mat = _dense(a_op)
 
-    # (a x I) vec(rho) is the row-major vec(a rho).  The run reads its
-    # columns and the monitor's support, so only their ancestors under L
-    # are propagated.  The operand sector is the closure of the rows that
-    # (a x I) reaches from them; a_map reads the operands from the forward
-    # coordinates, a rho = a_map y.
-    a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
-    a_map.eliminate_zeros()
-    reads = np.flatnonzero(a_map.getnnz(axis=0))
+    # (a x I) vec(rho) = vec(a rho): row i d + q reads column j d + q if
+    # a[i, j] != 0.  The operand sector is the closure of the rows that
+    # a x I reaches from the readout sector.
+    reads = (np.unique(np.nonzero(a_mat)[1])[:, None] * d + np.arange(d)).reshape(-1)
     if monitor is not None:
         reads = np.union1d(reads, np.flatnonzero(_dense(monitor).T))
     fwd = _ForwardSector(S, rho0, reads)
-    a_map = a_map[:, fwd.index]
-    adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
+    i, j = np.divmod(fwd.index, d)
+    rows, at = np.nonzero(a_mat[:, i])
+    adj = _closure(S, rows * d + j[at])
     factors = (None, None)
     if config.method == "expm":
         factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
@@ -811,7 +690,9 @@ def two_time_correlation(
                     for f, x in zip(factors, starts))
     if factors[0] is None:
         step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
-        values = _dense_readout(step, fwd, rho0, config.n_max, monitor, (a_map[adj] @ fwd.V).tocsr())
+        a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
+        values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
+                                (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
     else:
         step = _FactoredStepper(factors[0], config.dt, b=b, fwd=fwd)
         values = step.readout(fwd, starts[0], config.n_max, monitor, a_mat, adj)
@@ -820,9 +701,11 @@ def two_time_correlation(
     else:
         adjoint_step = _FactoredStepper(factors[1], config.dt, adjoint=True, b=b)
     propagators = (step.kind, adjoint_step.kind)
+    marks.append(time.perf_counter())
     smoke = None
     if config.smoke_check:
-        smoke = _smoke_check(gen, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
+        smoke = _smoke_check(gen, S, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
+    marks.append(time.perf_counter())
 
     # forward pass: the regression operands a rho(t_k) on the operand
     # sector, one block at a time into the stack over the full t_max;
@@ -837,6 +720,7 @@ def two_time_correlation(
         del operands  # released before the next block is computed
     del step, values  # the forward propagators are not needed by the adjoint pass
     X = X[:n_t]
+    marks.append(time.perf_counter())
 
     # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
     # dagger of the observable lives inside the inner product Tr[U' X], so
@@ -847,6 +731,7 @@ def two_time_correlation(
     for U in adjoint_step.blocks(starts[1], n_t):
         np.conjugate(U, out=Uc[start : start + len(U)])
         start += len(U)
+    marks.append(time.perf_counter())
 
     return CorrelationGrid(
         dt=config.dt,
@@ -859,4 +744,5 @@ def two_time_correlation(
         propagators=propagators,
         smoke_max_diff=smoke,
         columns=columns,
+        stage_s=dict(zip(("setup", "smoke", "forward", "adjoint"), np.diff(marks).tolist())),
     )

@@ -39,12 +39,12 @@ class CorrelationGrid:
     Row tau of U is the conjugate of the observable a after tau adjoint
     steps and row k of X the regression operand a rho(t_k), both on the
     operand sector, so C[k+tau][k] = U[tau] . X[k]; the upper triangle is
-    defined by conjugate symmetry.  Entries are computed on demand.
+    defined by conjugate symmetry.
     """
 
     def __init__(self, dt, U, X, kappa=0.0, param_hash=b"\0" * 32,
                  residual_excitation=None, sector_sizes=None, propagators=None,
-                 smoke_max_diff=None, columns=None):
+                 smoke_max_diff=None, columns=None, stage_s=None):
         self.U = np.asarray(U, dtype=complex)
         self.X = np.asarray(X, dtype=complex)
         if self.X.ndim != 2 or self.U.shape != self.X.shape:
@@ -59,12 +59,14 @@ class CorrelationGrid:
         self.residual_excitation = residual_excitation
         #: of the run that built the grid, not part of the dump, so None on a
         #: loaded grid: the (forward, operand) sector sizes, the (forward,
-        #: operand) steppers, the largest smoke-check difference and the
+        #: operand) steppers, the largest smoke-check difference, the
         #: number of columns each factored pass starts from (None if not)
+        #: and the seconds of each stage (setup, smoke, forward, adjoint)
         self.sector_sizes = sector_sizes
         self.propagators = propagators
         self.smoke_max_diff = smoke_max_diff
         self.columns = columns
+        self.stage_s = stage_s
 
     @property
     def horizon(self) -> float:
@@ -73,24 +75,6 @@ class CorrelationGrid:
     @property
     def memory_bytes(self) -> int:
         return self.U.nbytes + self.X.nbytes
-
-    def column(self, k: int) -> np.ndarray:
-        """C[k:][k] (lags 0 .. n_t-1-k)."""
-        return self.U[: self.n_t - k] @ self.X[k]
-
-    def value(self, j: int, k: int) -> complex:
-        if j < k:
-            return np.conj(self.value(k, j))
-        return complex(self.U[j - k] @ self.X[k])
-
-    def to_dense(self) -> np.ndarray:
-        """Full Hermitian-symmetric n_t x n_t matrix (tests and small grids)."""
-        out = np.empty((self.n_t, self.n_t), dtype=complex)
-        for k in range(self.n_t):
-            col = self.column(k)
-            out[k:, k] = col
-            out[k, k:] = np.conj(col)
-        return out
 
     def lag_sums(self, Gamma: float, n: int):
         """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].

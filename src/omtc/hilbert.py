@@ -12,6 +12,7 @@ number and every dissipation channel only lowers or preserves it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -93,6 +94,29 @@ class HilbertSpace:
         v[self.index(BasisIndex(a1, a2, n, m))] = 1.0
         return v
 
+    @cached_property
+    def ladder(self) -> dict[str, sparse.csr_matrix]:
+        """a, b, sigma1, sigma2 (see ladder_operators), built once per space.
+
+        Each lowers one quantum number of every basis state that has one to
+        lower, looked up in a table of the retained states, so targets
+        outside a capped space are dropped: the operator is the projection
+        onto the retained sector.
+        """
+        q = np.array([(s.atom1, s.atom2, s.photon, s.phonon) for s in self.basis]).T
+        pos = np.full((2, 2, self.N_c + 1, self.N_m + 1), -1)
+        pos[tuple(q)] = np.arange(self.dim)
+        ops = {}
+        for name, axis in (("a", 2), ("b", 3), ("sigma1", 0), ("sigma2", 1)):
+            j = np.flatnonzero(q[axis] > 0)
+            target = q[:, j]
+            target[axis] -= 1
+            i = pos[tuple(target)]
+            j, i = j[i >= 0], i[i >= 0]
+            amp = np.sqrt(q[axis, j]).astype(complex)
+            ops[name] = sparse.csr_matrix((amp, (i, j)), shape=(self.dim, self.dim))
+        return ops
+
     def __repr__(self):
         cap = f", cap={self.excitation_cap}" if self.excitation_cap is not None else ""
         return f"HilbertSpace(N_c={self.N_c}, N_m={self.N_m}{cap}, dim={self.dim})"
@@ -103,65 +127,14 @@ def build_space(N_c: int, N_m: int, excitation_cap: int | None = None) -> Hilber
     return HilbertSpace(N_c, N_m, excitation_cap)
 
 
-def _lowering(space: HilbertSpace, rule) -> sparse.csr_matrix:
-    """Assemble a sparse operator from a per-basis-state lowering rule.
-
-    ``rule(state)`` returns (target_state, amplitude) or None.  Targets
-    outside a capped space are dropped, which projects the operator onto
-    the retained sector.
-    """
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(space.basis):
-        hit = rule(s)
-        if hit is None:
-            continue
-        target, amp = hit
-        if not space.contains(target):
-            continue
-        rows.append(space.index(target))
-        cols.append(j)
-        vals.append(amp)
-    op = sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(space.dim, space.dim),
-    )
-    return op.tocsr()
-
-
 def ladder_operators(space: HilbertSpace) -> dict[str, sparse.csr_matrix]:
     """Photon/phonon annihilation and atomic lowering operators.
 
     Returns {'a', 'b', 'sigma1', 'sigma2'} with the standard matrix
     elements: a|n> = sqrt(n)|n-1>, b|m> = sqrt(m)|m-1>, sigma_i maps the
-    excited state of atom i to its ground state.
+    excited state of atom i to its ground state.  Copies of space.ladder.
     """
-
-    def lower_photon(s):
-        if s.photon == 0:
-            return None
-        return BasisIndex(s.atom1, s.atom2, s.photon - 1, s.phonon), np.sqrt(s.photon)
-
-    def lower_phonon(s):
-        if s.phonon == 0:
-            return None
-        return BasisIndex(s.atom1, s.atom2, s.photon, s.phonon - 1), np.sqrt(s.phonon)
-
-    def lower_atom1(s):
-        if s.atom1 != EXCITED:
-            return None
-        return BasisIndex(GROUND, s.atom2, s.photon, s.phonon), 1.0
-
-    def lower_atom2(s):
-        if s.atom2 != EXCITED:
-            return None
-        return BasisIndex(s.atom1, GROUND, s.photon, s.phonon), 1.0
-
-    return {
-        "a": _lowering(space, lower_photon),
-        "b": _lowering(space, lower_phonon),
-        "sigma1": _lowering(space, lower_atom1),
-        "sigma2": _lowering(space, lower_atom2),
-    }
+    return {name: op.copy() for name, op in space.ladder.items()}
 
 
 def optical_excitation_operator(space: HilbertSpace) -> sparse.csr_matrix:

@@ -19,6 +19,15 @@ number dephasing channel whose strength depends on the thermal occupancy.
 Each channel stores the numerator rate r of its r/2 prefactor, and the
 generator applies the form r/2 (2 O rho O'^+ - O'^+ O rho - rho O'^+ O)
 verbatim, so no factor-of-two drift can creep in.
+
+Generator is the right-hand side of the master equation,
+
+    L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O rho O'^+ - O'^+ O rho - rho O'^+ O),
+
+with O' = O for local channels and the ordered operator pair for cross
+channels.  apply and apply_adjoint act on dense d x d matrices;
+superoperator() assembles the sparse matrix of L on row-major vectorized
+matrices in one pass from the d x d factors.
 """
 
 import math
@@ -28,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError
-from .hilbert import EXCITED, GROUND, BasisIndex, HilbertSpace, ladder_operators
+from .hilbert import EXCITED, GROUND, BasisIndex, HilbertSpace
 
 OMEGA_M = 1.0
 
@@ -136,25 +145,23 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> sparse.csr_ma
     Each coupling is built in the direction whose intermediate state stays
     inside a capped sector (lower first, then raise) and completed by its
     exact conjugate transpose, so the capped Hamiltonian equals the
-    projection of the uncapped one.
+    projection of the uncapped one.  Assembled densely from space.ladder,
+    then converted to CSR once.
     """
-    ops = ladder_operators(space)
-    a, b, s1, s2 = ops["a"], ops["b"], ops["sigma1"], ops["sigma2"]
-    ad, bd = a.getH(), b.getH()
+    a, b, s1, s2 = (op.toarray() for op in space.ladder.values())
+    ad, bd = a.conj().T, b.conj().T
 
     atom_coupling = ad @ (s1 + s2)  # a' sigma_i: lowers the atom, then refills the cavity
-    exchange = s1.getH() @ s2
+    exchange = s1.conj().T @ s2
 
     H = (
-        -params.delta_ac * (s1.getH() @ s1 + s2.getH() @ s2)
-        + params.g_a * (atom_coupling + atom_coupling.getH())
-        + params.J * (exchange + exchange.getH())
+        -params.delta_ac * (s1.conj().T @ s1 + s2.conj().T @ s2)
+        + params.g_a * (atom_coupling + atom_coupling.conj().T)
+        + params.J * (exchange + exchange.conj().T)
         + OMEGA_M * (bd @ b)
         - params.g_M * (ad @ a) @ (bd + b)
     )
-    H = H.tocsr()
-    H.sort_indices()
-    return H
+    return sparse.csr_matrix(H)
 
 
 def dephasing_rate(params: ModelParams) -> float:
@@ -175,13 +182,12 @@ def build_dissipators(params: ModelParams, space: HilbertSpace) -> DissipatorSpe
     Zero-rate channels are kept in the list (with rate 0) so the channel
     structure is independent of the parameter point.
     """
-    ops = ladder_operators(space)
-    a, b, s1, s2 = ops["a"], ops["b"], ops["sigma1"], ops["sigma2"]
-    n_c = (a.getH() @ a).tocsr()
+    a, b, s1, s2 = (op.toarray() for op in space.ladder.values())
+    n_c = a.conj().T @ a
     beta = params.beta
-
-    displaced_down = (b - beta * n_c).tocsr()
-    displaced_up = (b.getH() - beta * n_c).tocsr()
+    a, s1, s2, n_c, displaced_down, displaced_up = map(
+        sparse.csr_matrix, (a, s1, s2, n_c, b - beta * n_c, b.conj().T - beta * n_c)
+    )
 
     channels = (
         LocalChannel(s1, params.gamma_a, "atom1 decay"),
@@ -239,3 +245,120 @@ def initial_state(
                 j = space.index(BasisIndex(a1p, a2p, 0, m))
                 rho[i, j] += pops[m] * amp * np.conj(ampp)
     return rho
+
+
+class _Channel:
+    """Prepared dense matrices for one dissipation channel."""
+
+    __slots__ = ("half_rate", "lop", "rdag", "k", "kd", "lop_dag", "radj")
+
+    def __init__(self, lop, rdag, k, half_rate):
+        self.half_rate = half_rate
+        self.lop = lop
+        self.rdag = rdag
+        self.k = k
+        self.kd = k.conj().T
+        self.lop_dag = lop.conj().T
+        self.radj = rdag.conj().T
+
+
+def _dense(op) -> np.ndarray:
+    if sparse.issparse(op):
+        return op.toarray()
+    return np.asarray(op, dtype=complex)
+
+
+class Generator:
+    """Master-equation generator with Schroedinger and Heisenberg actions."""
+
+    def __init__(self, H, dissipators: DissipatorSpec):
+        self._H = _dense(H)
+        self.dim = len(self._H)
+        self._channels = []
+        for ch in dissipators.channels:
+            if ch.rate == 0.0:
+                continue
+            if isinstance(ch, LocalChannel):
+                lop = _dense(ch.op)
+                rdag = lop.conj().T
+                k = rdag @ lop
+            elif isinstance(ch, CrossChannel):
+                lop = _dense(ch.op1)
+                rdag = _dense(ch.op2).conj().T
+                k = lop.conj().T @ _dense(ch.op2)
+            else:
+                raise ConfigurationError(f"unknown channel type {type(ch)!r}")
+            self._channels.append(_Channel(lop, rdag, k, 0.5 * ch.rate))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L(rho) for a dense matrix rho."""
+        H = self._H
+        out = -1j * (H @ rho - rho @ H)
+        for c in self._channels:
+            out += c.half_rate * (
+                2.0 * (c.lop @ rho @ c.rdag) - c.k @ rho - rho @ c.k
+            )
+        return out
+
+    def apply_adjoint(self, A: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture action, the Hilbert-Schmidt adjoint of apply.
+
+        Satisfies Tr[M(A)^+ X] = Tr[A^+ L(X)] for all X.
+        """
+        H = self._H
+        out = 1j * (H @ A - A @ H)
+        for c in self._channels:
+            out += c.half_rate * (
+                2.0 * (c.lop_dag @ A @ c.radj) - c.kd @ A - A @ c.kd
+            )
+        return out
+
+    def no_jump(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the no-jump part rho -> A rho + rho B of L.
+
+        A = -iH - K and B = iH - K with K = sum_c (r_c/2) k_c: the jump
+        terms 2 O rho O'^+ left out, L is this map on any part of rho that
+        no jump lands in.
+        """
+        K = sum((c.half_rate * c.k for c in self._channels), np.zeros_like(self._H))
+        return -1j * self._H - K, 1j * self._H - K
+
+    def superoperator(self) -> sparse.csr_matrix:
+        """Sparse matrix acting on row-major vectorized density matrices.
+
+        vec(X rho Y) = (X (x) Y^T) vec(rho), so L = A (x) I + I (x) B^T (the
+        no-jump part) + sum_c r_c O (x) O'^T; one CSR constructor sums the
+        terms' entries, from the nonzeros of their dense factors.
+        """
+        d = self.dim
+        eye = np.eye(d)
+        A, B = self.no_jump()
+        terms = [(A, eye), (eye, B.T)] + [(2.0 * c.half_rate * c.lop, c.rdag.T) for c in self._channels]
+        rows, cols, vals = [], [], []
+        for X, Y in terms:
+            (i, j), (p, q) = (np.nonzero(M) for M in (X, Y))
+            i, j, p, q = (x.astype(np.int32) for x in (i, j, p, q))
+            rows.append(np.add.outer(i * d, p).ravel())
+            cols.append(np.add.outer(j * d, q).ravel())
+            vals.append(np.multiply.outer(X[i, j], Y[p, q]).ravel())
+        L = sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
+        )
+        L.eliminate_zeros()
+        return L
+
+
+def liouvillian_apply(H, dissipators: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
+    """One-shot L(rho); prefer a Generator when applying repeatedly."""
+    if H.shape[0] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
+        raise ConfigurationError(
+            f"dimension mismatch: H {H.shape}, rho {rho.shape}"
+        )
+    return Generator(H, dissipators).apply(np.asarray(rho, dtype=complex))
+
+
+def heisenberg_apply(H, dissipators: DissipatorSpec, A: np.ndarray) -> np.ndarray:
+    """One-shot adjoint action on an observable."""
+    if H.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
+        raise ConfigurationError(f"dimension mismatch: H {H.shape}, A {A.shape}")
+    return Generator(H, dissipators).apply_adjoint(np.asarray(A, dtype=complex))

@@ -23,8 +23,9 @@ quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
 and, when it ran the propagation, the forward/operand steppers
 (metadata["propagator"], e.g. "factored/factored"), the number of
 columns each factored pass starts from (metadata["columns"], e.g. (1, 9),
-None for a pass that is not factored) and the largest smoke-check
-difference (metadata["smoke_max_diff"]).
+None for a pass that is not factored), the largest smoke-check
+difference (metadata["smoke_max_diff"]) and the seconds of each stage
+(metadata["stage_s"]: model, setup, smoke, forward, adjoint, sweep).
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time
@@ -240,6 +241,7 @@ def stationary_spectrum(
     t0 = time.perf_counter()
     expected_hash = config_hash(canonical_param_string(params, numerics, initial))
 
+    stages = None  # seconds per stage, known only when this call ran the propagation
     if grid is None:
         check_step_size(numerics.evolution.dt, params)
         space = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap)
@@ -249,6 +251,7 @@ def stationary_spectrum(
         rho0 = initial_state(params, space, initial)
         a_op = ladder_operators(space)["a"]
         monitor = optical_excitation_operator(space)
+        stages = {"model": time.perf_counter() - t0}
         grid = two_time_correlation(
             rho0,
             gen,
@@ -259,6 +262,7 @@ def stationary_spectrum(
             param_hash=expected_hash,
         )
         dim = space.dim
+        stages.update(grid.stage_s)
     else:
         if grid.param_hash != expected_hash:
             raise ConfigurationError(
@@ -272,7 +276,10 @@ def stationary_spectrum(
     propagator = None if grid.propagators is None else "/".join(grid.propagators)
     T = grid.horizon
     deltas = filt.deltas()
+    t_sweep = time.perf_counter()
     intensity, integrated = filtered_spectrum(grid, deltas, filt.Gamma, T)
+    if stages is not None:
+        stages["sweep"] = time.perf_counter() - t_sweep
     # over a full period 2 pi / h of Delta the rate integrates to
     # 2 pi kappa Gamma^2 Re G[0] / h, so this is the share of the emission
     # that falls inside the window
@@ -304,6 +311,7 @@ def stationary_spectrum(
             "propagator": propagator,
             "columns": grid.columns,
             "smoke_max_diff": grid.smoke_max_diff,
+            "stage_s": stages,
             "window_capture": capture,
             "clipped_points": clipped,
             "wall_clock_s": None,  # filled below; excluded from file output

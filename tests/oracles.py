@@ -1,0 +1,97 @@
+"""Slow reference paths kept for the tests.
+
+The package assembles its operators by array arithmetic and keeps the
+correlation grid as two factor stacks; these are the straightforward forms
+they replace: the ladder operators one basis state at a time, the
+Hamiltonian as sparse products, the superoperator as a sum of scipy
+Kronecker products, and entries, columns and the full matrix of the grid.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from scipy import sparse
+
+from omtc.model import OMEGA_M
+
+
+def ladder_by_rules(space) -> dict:
+    """a, b, sigma1, sigma2 as CSR, built by lowering one basis state at a time.
+
+    A target outside a capped space is dropped, which projects the
+    operator onto the retained sector.
+    """
+
+    def lowering(field):
+        rows, cols, vals = [], [], []
+        for j, s in enumerate(space.basis):
+            n = getattr(s, field)
+            target = replace(s, **{field: n - 1})
+            if n > 0 and space.contains(target):
+                rows.append(space.index(target))
+                cols.append(j)
+                vals.append(np.sqrt(n))
+        values = np.asarray(vals, dtype=complex)
+        return sparse.coo_matrix((values, (rows, cols)), shape=(space.dim, space.dim)).tocsr()
+
+    fields = (("a", "photon"), ("b", "phonon"), ("sigma1", "atom1"), ("sigma2", "atom2"))
+    return {name: lowering(field) for name, field in fields}
+
+
+def sparse_hamiltonian(params, space) -> sparse.csr_matrix:
+    """build_hamiltonian as sparse products of ladder_by_rules."""
+    ops = ladder_by_rules(space)
+    a, b, s1, s2 = ops["a"], ops["b"], ops["sigma1"], ops["sigma2"]
+    ad, bd = a.getH(), b.getH()
+    atom_coupling = ad @ (s1 + s2)
+    exchange = s1.getH() @ s2
+    H = (
+        -params.delta_ac * (s1.getH() @ s1 + s2.getH() @ s2)
+        + params.g_a * (atom_coupling + atom_coupling.getH())
+        + params.J * (exchange + exchange.getH())
+        + OMEGA_M * (bd @ b)
+        - params.g_M * (ad @ a) @ (bd + b)
+    )
+    H = H.tocsr()
+    H.sort_indices()
+    return H
+
+
+def kron_superoperator(gen) -> sparse.csr_matrix:
+    """Generator.superoperator() as a sum of scipy Kronecker products, term by term."""
+    d = gen.dim
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    H = sparse.csr_matrix(gen._H)
+    L = -1j * (sparse.kron(H, eye) - sparse.kron(eye, H.T))
+    for c in gen._channels:
+        lop = sparse.csr_matrix(c.lop)
+        rdagT = sparse.csr_matrix(c.rdag.T)
+        k = sparse.csr_matrix(c.k)
+        L = L + c.half_rate * (
+            2.0 * sparse.kron(lop, rdagT) - sparse.kron(k, eye) - sparse.kron(eye, k.T)
+        )
+    L = L.tocsr()
+    L.eliminate_zeros()
+    return L
+
+
+def grid_column(grid, k: int) -> np.ndarray:
+    """C[k:][k] (lags 0 .. n_t-1-k) of a CorrelationGrid."""
+    return grid.U[: grid.n_t - k] @ grid.X[k]
+
+
+def grid_value(grid, j: int, k: int) -> complex:
+    """C[j][k] of a CorrelationGrid, the upper triangle by conjugate symmetry."""
+    if j < k:
+        return np.conj(grid_value(grid, k, j))
+    return complex(grid.U[j - k] @ grid.X[k])
+
+
+def grid_dense(grid) -> np.ndarray:
+    """The full Hermitian-symmetric n_t x n_t matrix of a (small) CorrelationGrid."""
+    out = np.empty((grid.n_t, grid.n_t), dtype=complex)
+    for k in range(grid.n_t):
+        col = grid_column(grid, k)
+        out[k:, k] = col
+        out[k, k:] = np.conj(col)
+    return out

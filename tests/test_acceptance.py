@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 from conftest import run_point
+from oracles import grid_column
 
 from omtc.dressed import branch_head_energy, mixing_angle, predicted_lines
 from omtc.dynamics import EvolutionConfig, Generator, evolve, two_time_correlation
@@ -123,7 +124,7 @@ def test_criterion_05_damped_cavity_oracle(acceptance_log):
     t = np.arange(grid.n_t) * grid.dt
     worst = 0.0
     for k in range(0, grid.n_t, 97):
-        col = grid.column(k)
+        col = grid_column(grid, k)
         exact = np.exp(-kappa * (t[k:] + t[k]) / 2)
         worst = max(worst, float(np.max(np.abs((col - exact) / exact))))
     assert worst <= 1e-5

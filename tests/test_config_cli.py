@@ -336,14 +336,19 @@ class TestCliCorrelation:
         # the start populates one column of rho_11 and a one of rho_01 per
         # one-photon state, N_m + 1 = 3
         assert ", columns 1/3, window capture " in err
+        # milliseconds per stage, in pipeline order, after the health values
+        stages = err.split(", stages ")[1].split(" ms, wall ")[0]
+        names, times = zip(*(item.split("=") for item in stages.split()))
+        assert names == ("model", "setup", "smoke", "forward", "adjoint", "sweep")
+        assert all(float(t) >= 0 for t in times)
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
-        assert "sectors None/None, propagator None, smoke None, columns None," in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert "sectors None/None, propagator None, smoke None, columns None," in err
+        assert ", stages None, wall " in err
         text = out.read_text()
         assert "sectors" not in text and "propagator" not in text and "smoke" not in text
-        assert "columns" not in text
+        assert "columns" not in text and "stage" not in text
         cfg.write_text(FAST.replace("expm", "rk4") + "model.gamma_M = 0.05\n")
         main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)])
         err = capsys.readouterr().err

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import model_points
+from oracles import (
+    grid_column,
+    grid_dense,
+    grid_value,
+    kron_superoperator,
+    ladder_by_rules,
+    sparse_hamiltonian,
+)
 from scipy import linalg, sparse
 
 from omtc.dynamics import (
@@ -111,6 +119,54 @@ class TestLiouvillianApply:
             liouvillian_apply(
                 build_hamiltonian(p, space), build_dissipators(p, space), np.eye(3)
             )
+
+
+@st.composite
+def _generator_points(draw):
+    """A model point's generator, with a complex Hermitian H on every other draw."""
+    params, space, _ = draw(model_points())
+    H = build_hamiltonian(params, space)
+    if draw(st.booleans()):
+        m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=H.shape)
+        H = H + 1j * sparse.csr_matrix(m - m.T)
+    return params, space, Generator(H, build_dissipators(params, space))
+
+
+class TestAssembly:
+    @settings(max_examples=25)
+    @given(point=_generator_points())
+    def test_superoperator_matches_kronecker_oracle(self, point):
+        # one COO pass against the sum of scipy Kronecker products it
+        # replaced: the same pattern and the same values to roundoff (on the
+        # benchmark points, capped and without mechanical losses, bit for bit)
+        _, _, gen = point
+        S, ref = gen.superoperator(), kron_superoperator(gen)
+        assert S.has_canonical_format and ref.has_canonical_format
+        np.testing.assert_array_equal(S.indptr, ref.indptr)
+        np.testing.assert_array_equal(S.indices, ref.indices)
+        assert np.abs(S.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+    @settings(max_examples=25)
+    @given(point=_generator_points())
+    def test_diagonal_rows_sum_to_zero(self, point):
+        # trace preservation: 1' L = 0 over the diagonal rows i d + i, for
+        # every column
+        _, space, gen = point
+        d = space.dim
+        S = gen.superoperator()
+        sums = np.abs(np.asarray(S[np.arange(d) * (d + 1)].sum(axis=0))).max()
+        assert sums <= 1e-15 * abs(S).max()
+
+    @pytest.mark.parametrize("N_c, N_m, cap", [(1, 2, 1), (1, 3, None), (2, 2, 1), (2, 3, None)])
+    def test_model_operators_match_sparse_oracles(self, N_c, N_m, cap):
+        # the dense assembly of the ladder operators and H is bit-identical
+        # to the per-state rules and the sparse products
+        space = build_space(N_c, N_m, cap)
+        for name, op in ladder_operators(space).items():
+            assert np.array_equal(op.toarray(), ladder_by_rules(space)[name].toarray()), name
+        params = ModelParams(J=0.37, delta_ac=-0.21, g_a=1.3, g_M=0.9)
+        H = build_hamiltonian(params, space)
+        assert np.array_equal(H.toarray(), sparse_hamiltonian(params, space).toarray())
 
 
 class TestHeisenbergAdjoint:
@@ -301,6 +357,63 @@ class TestBackends:
                 rho0, BrokenAdjoint(), EvolutionConfig(dt=0.02, t_max=1.0, method=method), a
             )
 
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_superoperator_off_in_one_readout_entry_fails_smoke_check(self, method):
+        # 1e-9 relative on the largest diagonal entry of the readout block
+        # (a population's decay, so the block stays real) moves one step by
+        # ~1e-12, far below the 1e-8 step threshold; S vec(Z) against
+        # vec(apply(Z)) sees it.  With expm the Kronecker check sends the
+        # forward pass to the dense stepper first.
+        p = ModelParams(J=0.3)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0, a = initial_state(p, space), ladder_operators(space)["a"]
+        mon = optical_excitation_operator(space)
+        S = gen.superoperator()
+        index = _ForwardSector(S, rho0, _readout(space)[0]).index
+        populations = index[index % (space.dim + 1) == 0]
+        r = populations[np.argmax(np.abs(S.diagonal()[populations]))]
+        S = S.tolil()
+        S[r, r] *= 1 + 1e-9
+
+        class OffByOne:
+            dim = gen.dim
+            apply, apply_adjoint, no_jump = gen.apply, gen.apply_adjoint, gen.no_jump
+
+            def superoperator(self):
+                return S.tocsr()
+
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method)
+        with pytest.raises(NumericalError, match="disagree on the forward smoke test"):
+            two_time_correlation(rho0, OffByOne(), cfg, a, monitor=mon)
+
+    def test_no_jump_off_falls_back_to_dense_stepper(self):
+        # A off by 1e-9 relative is no Kronecker factor of either sector
+        # block, so both passes step densely, exactly as without the check
+        p = ModelParams(J=0.3)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0, a = initial_state(p, space), ladder_operators(space)["a"]
+        mon = optical_excitation_operator(space)
+
+        class SkewedNoJump:
+            dim = gen.dim
+            apply, apply_adjoint, superoperator = gen.apply, gen.apply_adjoint, gen.superoperator
+
+            def no_jump(self):
+                A, B = gen.no_jump()
+                return A * (1 + 1e-9), B
+
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, method="expm")
+        grid = two_time_correlation(rho0, SkewedNoJump(), cfg, a, monitor=mon)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
+            dense = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.propagators == dense.propagators == ("dense", "dense")
+        assert grid.n_t == dense.n_t
+        assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
+        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).propagators == ("factored",) * 2
+
     def test_halving_dt_expm_grid_stable(self):
         # the one-step propagator composes exactly, so halving dt must not
         # move shared-node correlation entries
@@ -313,7 +426,7 @@ class TestBackends:
         coarse, fine = grids[0.04], grids[0.02]
         for j in range(0, coarse.n_t, 7):
             for k in range(0, j + 1, 13):
-                assert abs(coarse.value(j, k) - fine.value(2 * j, 2 * k)) < 1e-6
+                assert abs(grid_value(coarse, j, k) - grid_value(fine, 2 * j, 2 * k)) < 1e-6
 
     def test_halving_dt_rk4_grid_converged(self):
         _, space, gen, rho0 = _damped_cavity()
@@ -325,7 +438,7 @@ class TestBackends:
         coarse, fine = grids[0.04], grids[0.02]
         for j in range(0, coarse.n_t, 7):
             for k in range(0, j + 1, 13):
-                assert abs(coarse.value(j, k) - fine.value(2 * j, 2 * k)) < 1e-6
+                assert abs(grid_value(coarse, j, k) - grid_value(fine, 2 * j, 2 * k)) < 1e-6
 
 
 class TestTwoTimeCorrelation:
@@ -337,7 +450,7 @@ class TestTwoTimeCorrelation:
         a = ladder_operators(space)["a"]
         cfg = EvolutionConfig(dt=0.02, t_max=1.0)
         grid = two_time_correlation(rho0, gen, cfg, a)
-        assert abs(grid.value(0, 0)) < 1e-14
+        assert abs(grid_value(grid, 0, 0)) < 1e-14
 
     def test_damped_cavity_analytic(self):
         _, space, gen, rho0 = _damped_cavity()
@@ -347,7 +460,7 @@ class TestTwoTimeCorrelation:
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.2)
         t = np.arange(grid.n_t) * grid.dt
         for k in (0, 17, 501, grid.n_t - 2):
-            col = grid.column(k)
+            col = grid_column(grid, k)
             exact = np.exp(-0.2 * (t[k:] + t[k]) / 2)
             assert np.abs((col - exact) / exact).max() < 1e-5
 
@@ -363,8 +476,8 @@ class TestTwoTimeCorrelation:
         traj = evolve(rho0, gen, cfg)
         for k in range(0, grid.n_t, 10):
             direct = np.trace(n_op @ traj.states[k]).real
-            assert abs(grid.value(k, k).real - direct) < 1e-8
-            assert abs(grid.value(k, k).imag) < 1e-10
+            assert abs(grid_value(grid, k, k).real - direct) < 1e-8
+            assert abs(grid_value(grid, k, k).imag) < 1e-10
 
     def test_conjugate_symmetry_by_independent_recomputation(self):
         # evolve the swapped-role operand rho(t') a' and compare against the
@@ -386,7 +499,7 @@ class TestTwoTimeCorrelation:
                 X = _rk4_once(gen, X, stepper_cfg.dt)
             upper = np.asarray(upper)
             np.testing.assert_allclose(
-                upper, np.conj(grid.column(k)), atol=1e-10
+                upper, np.conj(grid_column(grid, k)), atol=1e-10
             )
 
     def test_kernel_positive_semidefinite(self):
@@ -397,7 +510,7 @@ class TestTwoTimeCorrelation:
         rho0 = initial_state(p, space)
         a = ladder_operators(space)["a"]
         grid = two_time_correlation(rho0, gen, EvolutionConfig(dt=0.02, t_max=6.0), a)
-        C = grid.to_dense()
+        C = grid_dense(grid)
         for _ in range(5):
             v = rng.normal(size=grid.n_t) + 1j * rng.normal(size=grid.n_t)
             val = np.real(np.vdot(v, C @ v))
@@ -425,10 +538,10 @@ class TestGridStorage:
         U = np.array([[1, 0], [0, 1]], dtype=complex)
         X = np.array([[1, 2 + 1j], [3 - 1j, 0]], dtype=complex)
         grid = CorrelationGrid(dt=0.1, U=U, X=X)
-        assert grid.value(1, 0) == 2 + 1j
-        assert grid.value(0, 1) == 2 - 1j
-        assert [grid.value(k, k) for k in range(2)] == [1 + 0j, 3 - 1j]
-        np.testing.assert_array_equal(grid.column(0), [1, 2 + 1j])
+        assert grid_value(grid, 1, 0) == 2 + 1j
+        assert grid_value(grid, 0, 1) == 2 - 1j
+        assert [grid_value(grid, k, k) for k in range(2)] == [1 + 0j, 3 - 1j]
+        np.testing.assert_array_equal(grid_column(grid, 0), [1, 2 + 1j])
         assert grid.memory_bytes == 2 * 4 * 16
 
     def test_factor_shapes_checked(self):
@@ -521,7 +634,7 @@ class TestInvariantSectors:
         brute = _brute_force_grid(gen, rho0, a.toarray(), cfg)
         full = np.tril(brute) + np.tril(brute, -1).conj().T
         # |C[j][k]| <= 1 for one excitation, so an absolute bound is relative
-        assert np.abs(grid.to_dense() - full).max() <= 1e-12
+        assert np.abs(grid_dense(grid) - full).max() <= 1e-12
 
     @pytest.mark.parametrize("method", ["rk4", "expm"])
     def test_capped_and_uncapped_grids_agree(self, method):
@@ -536,7 +649,7 @@ class TestInvariantSectors:
                 ladder_operators(space)["a"],
             )
         assert grids[1].sector_sizes == grids[None].sector_sizes == (81, 27)
-        capped, uncapped = grids[1].to_dense(), grids[None].to_dense()
+        capped, uncapped = grid_dense(grids[1]), grid_dense(grids[None])
         assert np.abs(capped - uncapped).max() <= 1e-12 * np.abs(capped).max()
 
 
@@ -681,7 +794,7 @@ def _assert_matches_sequential(grid, ref):
         assert grid.residual_excitation == pytest.approx(ref.residual_excitation, rel=1e-12)
     # the floor covers stacks that vanish up to roundoff (dark states);
     # every entry is bounded by 1 for one excitation
-    for new, old in ((grid.X, ref.X), (grid.U, ref.U), (grid.to_dense(), ref.to_dense())):
+    for new, old in ((grid.X, ref.X), (grid.U, ref.U), (grid_dense(grid), grid_dense(ref))):
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-15
 
 
@@ -1162,7 +1275,7 @@ def _double_sum_lag_sums(grid, Gamma, n):
     A_abs = np.zeros(n + 1)
     for k in range(n + 1):
         m = n + 1 - k
-        col = grid.column(k)[:m]
+        col = grid_column(grid, k)[:m]
         col_abs = abs_U[:m] @ abs_X[k]
         G[:m] += (q[k] * q[k:]) * col
         A[:m] += (w[k] * w[k:]) * col
