@@ -16,28 +16,41 @@ Hermitian and is stepped in real coordinates (_ForwardSector); the
 operand sector carries a rho and stays complex.
 
 Two backends step a sector: RK4 with four sparse matvecs per step (the
-default) and expm.  Both passes run in row blocks of b nodes; an expm
-block after the first is one product with E^b.  E = exp(B dt) is dense
-unless the sector is a product P x Q that no jump lands in, as both are
-without mechanical losses: there a step is X -> K_L X K_R, carried as
-thin column factors (_FactoredStepper).  Every correlation run first
-checks S against apply and apply_adjoint, then both passes, and for expm
-both powers, against Taylor references built from S (_smoke_check).
+default) and expm with the dense E = exp(B dt).  Both passes run in row
+blocks of b nodes; an expm block after the first is one product with E^b.
+Every correlation run first checks S against apply and apply_adjoint, then
+its passes and powers against Taylor references built from S
+(_smoke_check).
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
-The trace is folded into a single adjoint (Heisenberg) propagation of a',
-so C[k+tau][k] = <U_tau, X_k> pairs two stacks on the operand sector:
-X_k = a rho(t_k) from the forward pass and U_tau from the adjoint pass.
-They agree to roundoff with one propagation per column because the
-adjoint of the RK4 step polynomial is the RK4 step of the adjoint
-generator.  CorrelationGrid (grid.py) keeps only these two stacks,
-O(n_t |R_a|) values; the O(n_t^2) triangle is never formed.
+It is kept in one of two forms (CorrelationGrid, grid.py), never as the
+O(n_t^2) triangle:
+
+- D form, every expm run without mechanical losses.  The readout sector
+  is P x P and the operand sector Q0 x P, products that no jump lands in,
+  so L acts there as X -> A X + X B (_kronecker_factors).  With B = A^H
+  on P and A[Q0, Q0] anti-Hermitian (no channel acts on the optical
+  ground manifold, so the no-jump evolution there is unitary) and
+  rho0[P, P] = W W^H positive semidefinite, rho(t_k)[P, P] = W_k W_k^H
+  with W_k = K_L^k W, K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
+  D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt) (_separable).  The
+  forward pass steps the |P| x s factor W alone (_FactoredStepper), and
+  K_0^{-k} is a phase in the eigenbasis of i A[Q0, Q0] (_SeparableKernel);
+  there is no adjoint pass.  The filter's lag sums are FFT
+  autocorrelations of D.
+- U/X form, every other run.  The trace is folded into a single adjoint
+  (Heisenberg) propagation of a', so C[k+tau][k] = <U_tau, X_k> pairs two
+  stacks on the operand sector: X_k = a rho(t_k) from the forward pass and
+  U_tau from the adjoint pass, both stepped by _SectorStepper.  They agree
+  to roundoff with one propagation per column because the adjoint of the
+  RK4 step polynomial is the RK4 step of the adjoint generator.
 """
 
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -135,10 +148,12 @@ class _ForwardSector:
     them.  V maps y to vec(rho)[index]: its first n columns are unitary
     (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
     i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero.
-    block = [[V^H L[index, index] V, 0], [f, 0]] is real.  NumericalError if
-    index is not closed under L or transposition, if the block has an
-    imaginary part or if the column sums do not vanish; ConfigurationError
-    unless rho0 is Hermitian to 1e-12.
+    M = [L[index, index]; f] is kept as CSR; the real block
+    [[V^H L[index, index] V, 0], [f, 0]], which only the dense and rk4
+    steppers step, is built from it on first use.  NumericalError if index
+    is not closed under L or transposition, if L does not keep rho Hermitian
+    there (the block would not be real) or if the column sums do not
+    vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
     """
 
     def __init__(self, S, rho0: np.ndarray, reads=None):
@@ -182,25 +197,51 @@ class _ForwardSector:
         rows = np.concatenate([diag, upper, lower, upper, lower])
         cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
         self.V = sparse.csr_matrix((values, (rows, cols)), shape=(n, n + 1))
-        # M = [L[index, index]; f], W = [V^H | e_n]: block = W M V
+        # M = [L[index, index]; f]; the block is W M V with W = [V^H | e_n]
         to = np.where(kept, np.cumsum(kept) - 1, n)
         m = kept[c] & (kept[r] | dd[r])
-        M = sparse.csr_matrix((v[m], (to[r[m]], to[c[m]])), shape=(n + 1, n))
-        W = sparse.csr_matrix(
-            (np.append(values.conj(), 1.0), (np.append(cols, n), np.append(rows, n))), shape=(n + 1, n + 1)
-        )
-        block = W @ M @ self.V
-        if np.max(np.abs(block.imag.data), initial=0.0) > 1e-12 * np.max(np.abs(v[m & kept[r]]), initial=0.0):
+        self.M = sparse.csr_matrix((v[m], (to[r[m]], to[c[m]])), shape=(n + 1, n))
+        self._W = (np.append(values.conj(), 1.0), (np.append(cols, n), np.append(rows, n)))
+        # L keeps rho Hermitian on the sector iff M[T r, T c] = conj(M[r, c])
+        # for the transposition T (p's row its own image), so the block is real
+        M, T = self.M, np.append(np.searchsorted(self.index, _transposed(self.index, d)), n)
+        mr = np.repeat(np.arange(n + 1), np.diff(M.indptr))
+        key, twin = mr * n + M.indices, T[mr] * n + T[M.indices]
+        at = np.minimum(np.searchsorted(key, twin), len(key) - 1)
+        err = np.abs(np.where(key[at] == twin, M.data[at], 0.0) - M.data.conj())
+        if np.max(err, initial=0.0) > 1e-12 * np.max(np.abs(v[m & kept[r]]), initial=0.0):
             raise NumericalError("generator does not preserve Hermiticity")
-        self.block = block.real.copy()  # contiguous, for fast matvecs
-        self.block.eliminate_zeros()
-        self.block.sort_indices()
         out = dd[r] & ~kept[c]  # column sums of L[dropped diagonal, dropped]
         leak = np.abs(np.bincount(c[out], v[out].real, len(sector)) + 1j * np.bincount(c[out], v[out].imag, len(sector)))
         if np.max(leak, initial=0.0) > 1e-12 * np.max(np.abs(v), initial=0.0):
             raise NumericalError(
                 "generator does not preserve the trace of the dropped entries "
                 f"(max column sum {np.max(leak):.3e})"
+            )
+
+    @cached_property
+    def block(self):
+        """The real block W M V, CSR, contiguous with sorted indices for fast matvecs."""
+        n = self.M.shape[1]
+        block = (sparse.csr_matrix(self._W, shape=(n + 1, n + 1)) @ self.M @ self.V).real.copy()
+        block.eliminate_zeros()
+        block.sort_indices()
+        return block
+
+    def check_trace_rows(self) -> None:
+        """NumericalError unless the trace rows of M sum to zero over every column.
+
+        The trace rows are the diagonal entries' and the flux row f; to
+        1e-12 max|M|.  Then the sector's trace plus p is conserved, so a
+        pass that carries no p has p = tr rho0 - tr X exactly and no trace
+        to guard.
+        """
+        rows = np.append(self.index % (self.dim + 1) == 0, True).astype(float)
+        loss = np.abs(self.M.T @ rows)
+        if np.max(loss, initial=0.0) > 1e-12 * np.max(np.abs(self.M.data), initial=0.0):
+            raise NumericalError(
+                "generator does not preserve the trace of the readout sector "
+                f"(max column sum {np.max(loss):.3e})"
             )
 
     def coords(self, rho: np.ndarray) -> np.ndarray:
@@ -235,8 +276,7 @@ class _SectorStepper:
     four sparse matvecs per step; expm builds the dense E = exp(B dt) once
     and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
     b sequential rk4 steps or, after the first expm block, one product with
-    E^b.  This steps any sector; _FactoredStepper is the cheaper form for
-    sectors without jumps inside them.
+    E^b.  This steps any sector, for the U/X form of the grid.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
@@ -311,110 +351,116 @@ def _kronecker_factors(gen, S, index: np.ndarray):
     return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
 
-class _FactoredStepper:
-    """The expm steps of a sector whose block is a Kronecker sum, as thin column factors.
+def _separable(factors, fwd: _ForwardSector, adj: np.ndarray, rho0: np.ndarray):
+    """(A[P, P], A[Q0, Q0], W) for the D form, or None where it does not hold.
 
-    On a product sector P x Q without jumps inside it the block is
-    A (x) I + I (x) B^T (see _kronecker_factors; A, B the no-jump part, the
-    effective non-Hermitian Hamiltonian), so a step is X -> K_L X K_R on
-    the P x Q matrix X, K_L = exp(A dt), K_R = exp(B dt) (A^H, B^H for the
-    Heisenberg pass).  __call__ steps X flattened row-major, power holds
-    (K_L^b, K_R^b), factors() runs a pass.  Given the forward sector fwd,
-    NumericalError unless the trace rows of its block sum to zero over
-    every column to 1e-12 max|block|: then p = tr rho0 - tr X is exact, so
-    the pass carries no p and no trace to guard.
+    factors are the Kronecker factors of the readout sector P x P and of the
+    operand sector, which must be Q0 x P.  Checked, each to 1e-12 of the
+    largest entry: A[Q0, Q0] is anti-Hermitian, so K_0 is unitary;
+    B[P, P] = A[P, P]^H, so K_R = K_L^H; rho0[P, P] is positive
+    semidefinite.  W = V sqrt(e) over the eigenpairs (e, V) of rho0[P, P]
+    above 1e-14 of the largest, s columns.
+    """
+    (A, B), (A0, _) = factors
+    P = fwd.sides[0]
+    if not np.array_equal(np.unique(adj % fwd.dim), P):
+        return None
+    if np.max(np.abs(A0 + A0.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A0), initial=0.0):
+        return None
+    if np.max(np.abs(B - A.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
+        return None
+    e, V = np.linalg.eigh(rho0[np.ix_(P, P)])
+    if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
+        return None
+    keep = e > 1e-14 * e[-1]
+    return A, A0, V[:, keep] * np.sqrt(e[keep])
+
+
+class _FactoredStepper:
+    """The expm steps W -> K_L W of the forward factor of the D form.
+
+    On the readout sector P x P, with Kronecker factors A and B = A^H, a
+    step of rho[P, P] = W W^H is K_L W W^H K_L^H, K_L = exp(A dt) (A the
+    no-jump part, the effective non-Hermitian Hamiltonian), so the pass
+    steps the |P| x s factor W alone.  power holds K_L^b.
     """
 
     kind = "factored"
 
-    def __init__(self, factors, dt: float, adjoint: bool = False, b: int = 1, fwd=None):
-        if fwd is not None:
-            trace_row = np.zeros(fwd.block.shape[0])
-            trace_row[: fwd.n_diag] = trace_row[-1] = 1.0
-            loss = np.abs(fwd.block.T @ trace_row)
-            if np.max(loss) > 1e-12 * np.max(np.abs(fwd.block.data), initial=0.0):
-                raise NumericalError(
-                    "generator does not preserve the trace of the readout sector "
-                    f"(max column sum {np.max(loss):.3e})"
-                )
+    def __init__(self, A: np.ndarray, dt: float, b: int = 1):
         from scipy import linalg  # imported here: rk4 runs never need it
 
-        A, B = (f.conj().T for f in factors) if adjoint else factors
         self.dt = dt
         self.b = b
-        self.step = linalg.expm(A * dt), linalg.expm(B * dt)
-        self.power = tuple(_power(K, b) for K in self.step)
+        self.step = linalg.expm(A * dt)
+        self.power = _power(self.step, b)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        L, R = self.step
-        return (L @ x.reshape(len(L), len(R)) @ R).reshape(-1)
+    def __call__(self, W: np.ndarray) -> np.ndarray:
+        return self.step @ W
 
-    def factors(self, x0: np.ndarray, n: int):
-        """Yield (F, H) of X_0 .. X_{n-1} from the P x Q matrix x0 in row blocks of b nodes.
+    def blocks(self, W0: np.ndarray, n: int):
+        """Yield W_0 .. W_{n-1} as (|P|, rows, s) stacks of b nodes.
 
-        X_k = F_k H_k on the s columns S that x0 populates (no threshold):
-        F_0 = x0[:, S], H_0 = I[S, :], F <- K_L F, H <- H K_R, exact for any
-        x0; F is the stack (|P|, rows, s), H (rows, s, |Q|).  Where X itself
-        takes fewer products per node, |P| |Q| (|P| + |Q|) against
-        s (|P|^2 + |Q|^2 + |P| |Q|) (forming F H), F is the stack of X and
-        H is None.  The first block is stepped node by node; a later one is
-        one product of K_L^b with F and one of H (or F) with K_R^b, each
-        node b steps on from the same node before.
+        The first block is stepped node by node; a later one is one
+        product of K_L^b with the block before, each node b steps on.
         """
-        (L, R), (Lb, Rb) = self.step, self.power
-        p, q = x0.shape
-        cols = np.flatnonzero(np.any(x0 != 0, axis=0))
-        thin = len(cols) * (p * p + q * q + p * q) <= p * q * (p + q)
+        p = len(W0)
         for start in range(0, n, self.b):
             rows = min(self.b, n - start)
             if start == 0:
-                Fs, Hs = [x0[:, cols] if thin else x0], [np.eye(q)[cols] if thin else None]
+                Ws = [W0]
                 for _ in range(1, rows):
-                    Fs.append(L @ Fs[-1] if thin else L @ Fs[-1] @ R)
-                    Hs.append(Hs[-1] @ R if thin else None)
-                F, H = np.stack(Fs, axis=1), np.stack(Hs) if thin else None
+                    Ws.append(self(Ws[-1]))
+                F = np.stack(Ws, axis=1)
             else:
-                F = (Lb @ F[:, :rows].reshape(p, -1)).reshape(p, rows, -1)
-                if thin:
-                    H = (H[:rows].reshape(-1, q) @ Rb).reshape(rows, -1, q)
-                else:
-                    F = (F.reshape(-1, q) @ Rb).reshape(p, rows, q)
-            yield F, H
+                F = (self.power @ F[:, :rows].reshape(p, -1)).reshape(p, rows, -1)
+            yield F
 
-    def blocks(self, x0: np.ndarray, n: int):
-        """Yield the entries x_0 .. x_{n-1} as row blocks of b nodes, as _SectorStepper.blocks does."""
-        for F, H in self.factors(x0.reshape(len(self.step[0]), -1), n):
-            X = F.transpose(1, 0, 2)
-            yield (X if H is None else np.matmul(X, H)).reshape(len(X), -1)
 
-    def readout(self, fwd, x0: np.ndarray, n: int, monitor, a_mat: np.ndarray, adj: np.ndarray):
-        """Yield what _dense_readout does per block, from the factors of X = rho[P, Q], X_0 = x0.
+def _eigenphases(A0: np.ndarray):
+    """(lam, V) with i A0 = V diag(lam) V^H, so exp(-A0 t) = V diag(exp(i lam t)) V^H."""
+    return np.linalg.eigh(1j * A0)
 
-        Operands on adj are (a[q, P] F) H, q the rows of adj (zero outside
-        the columns Q), monitor values Re tr(N[Q, P] F H), traces None; a
-        and N are read sparse (F alone stands for F H if H is None).
+
+class _SeparableKernel:
+    """The rows of D, C[j][k] = tr(D_j^H D_k), from the forward factors W_k.
+
+    D_k = K_0^{-k} a[Q0, P] W_k, rotated by V^H, the eigenbasis of
+    i A[Q0, Q0] (_eigenphases): there K_0^{-k} is the phase exp(i lam t_k),
+    computed from t_k = k dt, and the rotation leaves every trace
+    tr(D_j^H D_k) unchanged.  W0 is the start factor of _separable.
+    """
+
+    kind = "separable"
+
+    def __init__(self, A0: np.ndarray, a0: np.ndarray, W0: np.ndarray, dt: float):
+        self.lam, V = _eigenphases(A0)
+        self.a0 = V.conj().T @ a0
+        self.W0 = W0
+        self.dt = dt
+
+    def rows(self, F: np.ndarray, start: int) -> np.ndarray:
+        """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the W stack F."""
+        p, rows, s = F.shape
+        O = (self.a0 @ F.reshape(p, -1)).reshape(-1, rows, s)
+        O *= np.exp(1j * np.outer(self.lam, np.arange(start, start + rows) * self.dt))[:, :, None]
+        return O.transpose(1, 0, 2).reshape(rows, -1)
+
+    def readout(self, step: _FactoredStepper, n: int, N):
+        """Yield what _dense_readout does per block: D rows, monitor values, traces None.
+
+        The monitor value is Re tr(N W W^H) = Re sum(conj(W) * (N W)) for the
+        dense N = monitor[P, P] (None without a monitor).
         """
-        P, Q = fwd.sides
-        i, j = np.divmod(adj, fwd.dim)
-        q, hit = np.unique(i), np.isin(j, Q)
-        pos = np.searchsorted(q, i[hit]) * len(Q) + np.searchsorted(Q, j[hit])
-        gather = not np.array_equal(pos, np.arange(len(adj)))
-        W = sparse.csr_matrix(a_mat[np.ix_(q, P)])
-        N = None if monitor is None else sparse.csr_matrix(monitor)[Q][:, P].tocoo()
-        for F, H in self.factors(x0, n):
-            flat = F.reshape(len(P), -1)
-            WF = (W @ flat).reshape(len(q), *F.shape[1:]).transpose(1, 0, 2)
-            O = (WF if H is None else np.matmul(WF, H)).reshape(len(WF), -1)
-            if gather:
-                O, grid = np.zeros((len(O), len(adj)), dtype=complex), O
-                O[:, hit] = grid[:, pos]
+        start = 0
+        for F in step.blocks(self.W0, n):
+            p, rows, s = F.shape
             m = None
-            if N is not None and H is None:
-                m = (N.data @ F[N.col, :, N.row]).real  # Re sum N[r, c] X[c, r]
-            elif N is not None:
-                m = np.einsum("cks,ksc->k", (N @ flat).reshape(len(Q), *F.shape[1:]), H).real
-            yield O, m, None
-            O = grid = None  # released before the next block is computed
+            if N is not None:  # Re(conj(w) v) = w.re v.re + w.im v.im, summed over the float views
+                flat = F.reshape(p, -1)
+                m = np.einsum("ij,ij->j", flat.view(float), (N @ flat).view(float)).reshape(rows, -1).sum(axis=1)
+            yield self.rows(F, start), m, None
+            start += rows
 
 
 def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
@@ -432,20 +478,24 @@ def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
 
 def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
-    """Cross-validate S and the sector steppers; return the largest step difference.
+    """Cross-validate S and the run's steppers; return the largest step difference.
 
     S, which the sectors and steppers are built from, must match the
     generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
     S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
     adjoint duality.  The references are Taylor steps of sparse matvecs
-    with S and S^H.  The forward pass steps rho0 (its coordinates, or
-    rho0[P, Q] if factored) and is compared on every readout entry, and p
-    (y's, or tr rho0 - tr X) with the reference's dropped diagonal sum, so
-    the closure of the readout sector, its block or factors and the carried
-    dropped population are checked at runtime; the adjoint pass steps a on
-    the operand sector.  RK4 takes four steps of dt/16 (h = dt/4, its
-    truncation far below the 1e-8 threshold), expm one (h = dt), and each
-    power E^b, which steps the blocked passes, is compared with b steps.
+    with S and S^H.  The forward pass steps rho0 (its coordinates, or its
+    factor W in the D form) and is compared on every readout entry, and p
+    (y's, or tr rho0 - tr W W^H) with the reference's dropped diagonal sum,
+    so the closure of the readout sector, its block or factors and the
+    carried dropped population are checked at runtime.  The U/X form's
+    adjoint pass steps a on the operand sector; the D form's separable
+    kernel gives C[1][0], C[1][1], C[b][0] and C[b][1] as traces of D rows,
+    compared with Tr[a' exp(S dt)^(j-k) vec(a rho(t_k))] (C[b][1] because a
+    photonless start has a rho0 = 0, and C[j][0] = 0 checks no phase).  RK4
+    takes four steps of dt/16 (h = dt/4, its truncation far below the 1e-8
+    threshold), expm one (h = dt), and each power E^b or K_L^b, which steps
+    the blocked passes, is compared with b steps.
     """
     Z = _phases(gen.dim, gen.dim)
     z = Z.reshape(-1)
@@ -468,28 +518,49 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
         n_steps = 4
     h = n_steps * steppers[0].dt
     ref_f = _taylor_step(S.dot, rho0.reshape(-1), h)
-    ref_a = _taylor_step(SH, a_mat.reshape(-1), h)
-    factored = steppers[0].kind == "factored"
-    x0 = rho0[np.ix_(*fwd.sides)].reshape(-1) if factored else fwd.coords(rho0)
-    u0 = a_mat.reshape(-1)[adj]
-    y, u = (np.concatenate(list(s.blocks(x, n_steps + 1)))[-1] for s, x in zip(steppers, (x0, u0)))
-    if factored:
+    step, second = steppers
+    if second.kind == "separable":
+        P = fwd.sides[0]
+        F = np.concatenate(list(step.blocks(second.W0, step.b + 1)), axis=1)  # W_0 .. W_b
         rho = np.zeros_like(rho0)
-        rho[np.ix_(*fwd.sides)] = y.reshape(len(fwd.sides[0]), -1)
+        rho[np.ix_(P, P)] = F[:, 1] @ F[:, 1].conj().T
         p = np.trace(rho0 - rho).real
+        D = second.rows(F, 0)
+        # on the operand sector: Y = exp(S dt)^j vec(a rho(t_k)) for k = 0, 1
+        # at j = 1, 0, then j = b, b - 1, after (b - 1) dt in substeps of at
+        # most 4 / ||S_a||_1 (e^4 bounds the Taylor sum's cancellation)
+        a, Sa = a_mat.reshape(-1)[adj], _block(S, adj).tocsr()
+        Y = np.stack([(a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f)], axis=1)
+        Y[:, 0] = _taylor_step(Sa.dot, Y[:, 0], h)
+        C = [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
+        m = int(np.ceil((step.b - 1) * h * abs(Sa).sum(axis=0).max() / 4))
+        for _ in range(m):
+            Y = _taylor_step(Sa.dot, Y, (step.b - 1) * h / m)
+        C += [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
+        kernel = [np.vdot(D[j], D[k]) - ref for (j, k), ref in zip(((1, 0), (1, 1), (step.b, 0), (step.b, 1)), C)]
+        head, tail = [], [("separable kernel", np.array(kernel))]
+        powers = [("forward", step, F[:, -2], F[:, -1])]
     else:
+        ref_a = _taylor_step(SH, a_mat.reshape(-1), h)
+        x0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
+        y, u = (np.concatenate(list(s.blocks(x, n_steps + 1)))[-1] for s, x in zip(steppers, (x0, u0)))
         rho, p = fwd.matrix(y), y[-1]
+        head, tail = [("adjoint", u - ref_a[adj])], []
+        powers = []
+        for name, s, x in (("forward", step, x0), ("adjoint", second, u0)):
+            if s.power is not None:
+                X = np.concatenate(list(s.blocks(x, s.b + 1)))
+                powers.append((name, s, X[-2], X[-1]))
     diff_f = rho.reshape(-1) - ref_f
     diff_f[fwd.dropped] = 0.0
+    # node b of a pass is E^b x, node b - 1 stepped once more
     diffs = [
         ("forward", diff_f),
         ("forward dropped-population", p - ref_f[fwd.dropped_diag].real.sum()),
-        ("adjoint", u - ref_a[adj]),
+        *head,
+        *((f"{name} E^b", last - s(before)) for name, s, before, last in powers),
+        *tail,
     ]
-    for name, step, x in (("forward", steppers[0], x0), ("adjoint", steppers[1], u0)):
-        if step.power is not None:  # node b of a pass is E^b x, node b - 1 stepped once more
-            X = np.concatenate(list(step.blocks(x, step.b + 1)))
-            diffs.append((f"{name} E^b", X[-1] - step(X[-2])))
     worst = 0.0
     for name, diff in diffs:
         err = float(np.max(np.abs(diff), initial=0.0))
@@ -521,12 +592,12 @@ def _forward(values, config: EvolutionConfig):
     """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
 
     values yields (rows, monitor values, traces) per row block of the nodes
-    k = 0, 1, ... (_dense_readout or _FactoredStepper.readout).  The pass
+    k = 0, 1, ... (_dense_readout or _SeparableKernel.readout).  The pass
     stops after t_max, or after the first node k > 0 whose monitor value
     (None without a monitor) is below leak_tolerance, cutting its block
     there.  It aborts at the first node up to the stop whose trace drifts
-    from node 0's by more than TRACE_DRIFT_LIMIT; a factored pass has no
-    traces, and its set-up check stands in for the guard.
+    from node 0's by more than TRACE_DRIFT_LIMIT; the D form has no
+    traces, and its set-up check (check_trace_rows) stands in for the guard.
     """
     start = trace0 = 0
     for rows, residuals, traces in values:
@@ -553,25 +624,22 @@ def _forward(values, config: EvolutionConfig):
         del rows  # released before the next block is computed
 
 
-def _check_budget(config: EvolutionConfig, n_fwd: int, n_adj: int = 0,
-                  factors=(None, None)) -> None:
+def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factored=()) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
-    Counts the factor stacks over the full t_max, 32 n_max |R_a| bytes
-    (n_adj > 0), and for expm each sector's propagators and b-th powers:
-    2 (8 n_fwd^2) bytes for the real forward blocks (n_fwd = |R_f| + 1 with
-    p) or 2 (16 |R_a|^2) for the complex adjoint ones if stepped densely
-    (factors None), 2 (16 (|P|^2 + |Q|^2)) for K_L, K_R if factored.  Row
-    blocks are not counted: b |R| entries dense, b (|P| + |Q|) s factored.
+    Counts the stacks over the full t_max, node_bytes per node (32 |R_a|
+    for U and X, 16 |Q0| s for D), and for expm the propagators and their
+    b-th powers: 2 itemsize n^2 bytes per dense block, given as (n, itemsize)
+    (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
+    adjoint one), and 2 (16 n^2) per n x n Hilbert-space propagator in
+    factored (K_L, n = |P|).  Row blocks are not counted: b |R| entries
+    dense, b |P| s factored.
     """
-    stack_bytes = 32 * config.n_max * n_adj
+    stack_bytes = config.n_max * node_bytes
     dense_bytes = factor_bytes = 0
     if config.method == "expm":
-        for n, itemsize, pair in ((n_fwd, 8, factors[0]), (n_adj, 16, factors[1])):
-            if pair is None:
-                dense_bytes += 2 * itemsize * n**2
-            else:
-                factor_bytes += 2 * 16 * sum(len(f) ** 2 for f in pair)
+        dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense)
+        factor_bytes = sum(2 * 16 * n**2 for n in factored)
     total = stack_bytes + dense_bytes + factor_bytes
     if total > config.max_grid_bytes:
         terms = [f"factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
@@ -619,7 +687,7 @@ def evolve(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     fwd = _ForwardSector(sparse.csr_matrix(gen.superoperator()), rho0)
-    _check_budget(config, fwd.block.shape[0])
+    _check_budget(config, 0, dense=((len(fwd.index) + 1, 8),))
     step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
     for Y, residuals in _forward(_dense_readout(step, fwd, rho0, config.n_max, monitor), config):
@@ -653,15 +721,18 @@ def two_time_correlation(
 
     The horizon is t_max, cut at the first node where the monitor
     expectation (if given) falls below leak_tolerance.  Of the forward
-    sector only the readout sector and p are propagated.  For expm a sector
-    whose block is a Kronecker sum (_kronecker_factors) is stepped by
-    _FactoredStepper, any other densely.  The grid reports sector_sizes,
-    propagators ("factored", "dense" or "rk4" per pass), columns (s per
-    factored pass, else None), smoke_max_diff (None without the check) and
-    stage_s, the seconds of set-up, smoke check, forward and adjoint pass.
-    rho0 must be Hermitian.  The factor stacks over the full t_max and, for
-    expm, the propagators and their b-th powers are checked against
-    max_grid_bytes before anything large is allocated.
+    sector only the readout sector and p are propagated.  For expm, where
+    both sectors are Kronecker sums (_kronecker_factors) and _separable
+    holds, the grid takes the D form: _FactoredStepper steps W and
+    _SeparableKernel forms D, with no adjoint pass.  Any other run takes
+    the U/X form, both passes stepped by _SectorStepper.  The grid reports
+    sector_sizes, propagators (forward, operand: "factored"/"separable",
+    "dense"/"dense" or "rk4"/"rk4"), columns ((s, width of D) for the D
+    form, else (None, None)), smoke_max_diff (None without the check) and
+    stage_s, the seconds of set-up, smoke check, forward and, for U/X,
+    adjoint pass.  rho0 must be Hermitian.  The stacks over the full t_max
+    and, for expm, the propagators and their b-th powers are checked
+    against max_grid_bytes before anything large is allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -679,38 +750,44 @@ def two_time_correlation(
     i, j = np.divmod(fwd.index, d)
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S, rows * d + j[at])
-    factors = (None, None)
+    separable = None
     if config.method == "expm":
         factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
-    _check_budget(config, fwd.block.shape[0], len(adj), factors)
+        if None not in factors:
+            separable = _separable(factors, fwd, adj, rho0)
 
     b = _block_size(config.n_max)
-    starts = (rho0[np.ix_(*fwd.sides)], a_mat.reshape(-1)[adj])
-    columns = tuple(None if f is None else int(np.any(x.reshape(len(f[0]), -1) != 0, axis=0).sum())
-                    for f, x in zip(factors, starts))
-    if factors[0] is None:
+    if separable is not None:
+        A, A0, W0 = separable
+        width = len(A0) * W0.shape[1]
+        _check_budget(config, 16 * width, factored=(len(A),))
+        fwd.check_trace_rows()
+        P, Q0 = fwd.sides[0], np.unique(adj // d)
+        step = _FactoredStepper(A, config.dt, b=b)
+        second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, config.dt)
+        N = None if monitor is None else _dense(monitor)[np.ix_(P, P)]
+        values = second.readout(step, config.n_max, N)
+        columns = (W0.shape[1], width)
+    else:
+        width, columns = len(adj), (None, None)
+        _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
         step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
         a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
         values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
                                 (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
-    else:
-        step = _FactoredStepper(factors[0], config.dt, b=b, fwd=fwd)
-        values = step.readout(fwd, starts[0], config.n_max, monitor, a_mat, adj)
-    if factors[1] is None:
-        adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
-    else:
-        adjoint_step = _FactoredStepper(factors[1], config.dt, adjoint=True, b=b)
-    propagators = (step.kind, adjoint_step.kind)
+        second = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
+    propagators = (step.kind, second.kind)
     marks.append(time.perf_counter())
     smoke = None
     if config.smoke_check:
-        smoke = _smoke_check(gen, S, fwd, adj, (step, adjoint_step), rho0, a_mat, config)
+        smoke = _smoke_check(gen, S, fwd, adj, (step, second), rho0, a_mat, config)
     marks.append(time.perf_counter())
 
-    # forward pass: the regression operands a rho(t_k) on the operand
-    # sector, one block at a time into the stack over the full t_max;
-    # rows past the realized horizon are never written, so never resident
-    X = np.empty((config.n_max, len(adj)), dtype=complex)
+    # forward pass: the rows of D, or the regression operands a rho(t_k)
+    # on the operand sector, one block at a time into the stack over the
+    # full t_max; rows past the realized horizon are never written, so
+    # never resident
+    X = np.empty((config.n_max, width), dtype=complex)
     n_t, residual = 0, None
     for operands, residuals in _forward(values, config):
         X[n_t : n_t + len(operands)] = operands
@@ -722,21 +799,23 @@ def two_time_correlation(
     X = X[:n_t]
     marks.append(time.perf_counter())
 
-    # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint; the
-    # dagger of the observable lives inside the inner product Tr[U' X], so
-    # the stack holds conj(U).  The operand sector is invariant under L, so
-    # the adjoint restricted to it is exact on the pairing.
-    Uc = np.empty((n_t, len(adj)), dtype=complex)
-    start = 0
-    for U in adjoint_step.blocks(starts[1], n_t):
-        np.conjugate(U, out=Uc[start : start + len(U)])
-        start += len(U)
-    marks.append(time.perf_counter())
+    form = {"D": X}
+    if second.kind != "separable":
+        # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint;
+        # the dagger of the observable lives inside the inner product
+        # Tr[U' X], so the stack holds conj(U).  The operand sector is
+        # invariant under L, so the adjoint restricted to it is exact on
+        # the pairing.
+        Uc = np.empty((n_t, width), dtype=complex)
+        start = 0
+        for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
+            np.conjugate(U, out=Uc[start : start + len(U)])
+            start += len(U)
+        marks.append(time.perf_counter())
+        form = {"U": Uc, "X": X}
 
     return CorrelationGrid(
         dt=config.dt,
-        U=Uc,
-        X=X,
         kappa=kappa,
         param_hash=param_hash,
         residual_excitation=residual,
@@ -745,4 +824,5 @@ def two_time_correlation(
         smoke_max_diff=smoke,
         columns=columns,
         stage_s=dict(zip(("setup", "smoke", "forward", "adjoint"), np.diff(marks).tolist())),
+        **form,
     )

@@ -11,9 +11,10 @@ computed by trapezoidal quadrature on the correlation mesh.  Because the
 filter kernel depends on t' and t'' only through exp(-Gamma(T-t)) factors
 and a phase in the lag t' - t'', the double sum collapses to per-lag
 reductions that are independent of Delta.  The grid computes them from
-its two factor stacks (CorrelationGrid.lag_sums, O(n_t |R_a|)), so a
-detuning sweep then costs one phase sum over the lags per point, taken
-in two blocks of sqrt(n_t) phases each (see _evaluate).  The result is
+its factor stacks (CorrelationGrid.lag_sums: a blocked Gram recurrence
+over U and X, or two FFT autocorrelations of D), so a detuning sweep then
+costs one phase sum over the lags per point, taken in two blocks of
+sqrt(n_t) phases each (see _evaluate).  The result is
 assembled as 2 Re(lower triangle) + diagonal, so it is real by
 construction.
 
@@ -21,11 +22,12 @@ stationary_spectrum also reports the share of the emission that falls
 inside the detuning window (metadata["window_capture"]), the number of
 quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
 and, when it ran the propagation, the forward/operand steppers
-(metadata["propagator"], e.g. "factored/factored"), the number of
-columns each factored pass starts from (metadata["columns"], e.g. (1, 9),
-None for a pass that is not factored), the largest smoke-check
-difference (metadata["smoke_max_diff"]) and the seconds of each stage
-(metadata["stage_s"]: model, setup, smoke, forward, adjoint, sweep).
+(metadata["propagator"], "factored/separable" for the D form, else
+"dense/dense" or "rk4/rk4"), the D form's rank s of the start and width
+of D (metadata["columns"], e.g. (1, 9), (None, None) for U and X), the
+largest smoke-check difference (metadata["smoke_max_diff"]) and the
+seconds of each stage (metadata["stage_s"]: model, setup, smoke, forward,
+adjoint for U and X only, and sweep with the lag sums).
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time

@@ -1,10 +1,11 @@
 """Slow reference paths kept for the tests.
 
 The package assembles its operators by array arithmetic and keeps the
-correlation grid as two factor stacks; these are the straightforward forms
-they replace: the ladder operators one basis state at a time, the
-Hamiltonian as sparse products, the superoperator as a sum of scipy
-Kronecker products, and entries, columns and the full matrix of the grid.
+correlation grid as factor stacks (U and X, or D); these are the
+straightforward forms they replace: the ladder operators one basis state
+at a time, the Hamiltonian as sparse products, the superoperator as a sum
+of scipy Kronecker products, and entries, columns and the full matrix of
+the grid in either form.
 """
 
 from dataclasses import replace
@@ -77,6 +78,8 @@ def kron_superoperator(gen) -> sparse.csr_matrix:
 
 def grid_column(grid, k: int) -> np.ndarray:
     """C[k:][k] (lags 0 .. n_t-1-k) of a CorrelationGrid."""
+    if grid.D is not None:
+        return grid.D[k:].conj() @ grid.D[k]
     return grid.U[: grid.n_t - k] @ grid.X[k]
 
 
@@ -84,6 +87,8 @@ def grid_value(grid, j: int, k: int) -> complex:
     """C[j][k] of a CorrelationGrid, the upper triangle by conjugate symmetry."""
     if j < k:
         return np.conj(grid_value(grid, k, j))
+    if grid.D is not None:
+        return complex(np.vdot(grid.D[j], grid.D[k]))
     return complex(grid.U[j - k] @ grid.X[k])
 
 

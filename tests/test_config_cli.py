@@ -210,24 +210,27 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "dense expm blocks and their powers 0.1 MiB" in capsys.readouterr().err
         assert not out.exists()
-        # without mechanical losses both sectors are factored: the stacks
-        # and 2 * 16 (9^2 + 9^2 + 3^2 + 9^2) B = 8.1 kB of Hilbert-space
-        # propagators and powers, 43 kB in all
-        cfg.write_text(small + "numerics.max_grid_bytes = 40000\n")
+        # without mechanical losses the run takes the D form: its stack,
+        # 16 * 41 * 3 B = 1968 B (|Q0| = 3, s = 1), and K_L and K_L^b,
+        # 2 * 16 * 9^2 B = 2592 B, 4560 B in all
+        cfg.write_text(small + "numerics.max_grid_bytes = 4559\n")
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "Hilbert-space propagators and their powers 0.0 MiB" in err
         assert "dense" not in err
+        cfg.write_text(small + "numerics.max_grid_bytes = 4560\n")
+        with pytest.raises(AssertionError, match="expm or its squarings ran"):
+            main(["spectrum", "--config", str(cfg), "--output", str(out)])
         cfg.write_text(
             small.replace("expm", "rk4") + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n"
         )
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
 
-    @pytest.mark.parametrize("call, block", [(0, "forward"), (1, "forward"), (2, "adjoint"), (3, "adjoint")])
+    @pytest.mark.parametrize("call, block", [(0, "forward")])
     def test_corrupted_factored_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                         call, block):
-        # without mechanical losses both sectors are factored; _power is
-        # called for K_L, K_R of the forward pass, then of the adjoint one
+        # without mechanical losses the run takes the D form; _power is
+        # called once, for the K_L^b that steps the forward factor W
         from omtc import dynamics
 
         power, calls = dynamics._power, []
@@ -243,7 +246,26 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
-        assert calls == [(9, 9), (9, 9), (3, 3), (9, 9)]
+        assert calls == [(9, 9)]
+        assert not out.exists()
+
+    def test_corrupted_eigenphase_fails_smoke_check(self, tmp_path, monkeypatch, capsys):
+        # the D form's K_0^{-k} is the phase exp(i lam t_k); eigenvalues off
+        # by 1e-4 relative move C[1][0] and C[b][0], not C[1][1]
+        from omtc import dynamics
+
+        eigenphases = dynamics._eigenphases
+
+        def corrupted(A0):
+            lam, V = eigenphases(A0)
+            return lam * (1 + 1e-4) + 1e-4, V
+
+        monkeypatch.setattr("omtc.dynamics._eigenphases", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert "disagree on the separable kernel smoke test" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("block", ["forward", "adjoint"])
@@ -276,7 +298,7 @@ class TestCliSpectrum:
 
         def spoiled(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            self.block.data[self.block.indptr[-2] :] *= 1 + 1e-4
+            self.M.data[self.M.indptr[-2] :] *= 1 + 1e-4  # the block is built from M
 
         monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", spoiled)
         cfg = tmp_path / "run.cfg"
@@ -285,8 +307,8 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "disagree on the forward dropped-population smoke test" in capsys.readouterr().err
         assert not out.exists()
-        # without mechanical losses the factored stepper carries p by the
-        # trace and reads no flux row; its set-up trace-row check does
+        # without mechanical losses the D form carries p by the trace and
+        # steps no flux row; its set-up trace-row check on M reads it
         cfg.write_text(FAST)
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "does not preserve the trace of the readout sector" in capsys.readouterr().err
@@ -323,6 +345,21 @@ class TestCliCorrelation:
         ) == 0
         assert direct.read_bytes() == reused.read_bytes()
 
+    @pytest.mark.parametrize("method, version", [("expm", 3), ("rk4", 2)])
+    def test_dump_round_trip_by_form(self, tmp_path, method, version):
+        # expm without mechanical losses dumps the D form (version 3), rk4
+        # the U and X stacks (version 2); either reloads to the same CSV
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("expm", method))
+        dump = tmp_path / "grid.bin"
+        direct, reused = tmp_path / "direct.csv", tmp_path / "reused.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(direct),
+                     "--dump-correlation", str(dump)]) == 0
+        assert int.from_bytes(dump.read_bytes()[8:12], "little") == version
+        assert main(["spectrum", "--config", str(cfg), "--output", str(reused),
+                     "--load-correlation", str(dump)]) == 0
+        assert direct.read_bytes() == reused.read_bytes()
+
     def test_stderr_reports_sectors(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST)
@@ -331,15 +368,16 @@ class TestCliCorrelation:
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--dump-correlation", str(dump)])
         err = capsys.readouterr().err
-        assert "sectors 81/27, propagator factored/factored, smoke " in err
+        assert "sectors 81/27, propagator factored/separable, smoke " in err
         assert float(err.split("smoke ")[1].split(",")[0]) < 1e-8
-        # the start populates one column of rho_11 and a one of rho_01 per
-        # one-photon state, N_m + 1 = 3
+        # the pure start has rank s = 1, and D is |Q0| s = 3 wide, one
+        # column per zero-photon state, N_m + 1 = 3
         assert ", columns 1/3, window capture " in err
-        # milliseconds per stage, in pipeline order, after the health values
+        # milliseconds per stage, in pipeline order, after the health
+        # values; the D form has no adjoint pass
         stages = err.split(", stages ")[1].split(" ms, wall ")[0]
         names, times = zip(*(item.split("=") for item in stages.split()))
-        assert names == ("model", "setup", "smoke", "forward", "adjoint", "sweep")
+        assert names == ("model", "setup", "smoke", "forward", "sweep")
         assert all(float(t) >= 0 for t in times)
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
@@ -357,6 +395,9 @@ class TestCliCorrelation:
         main(["spectrum", "--config", str(cfg), "--output", str(out)])
         err = capsys.readouterr().err
         assert "propagator dense/dense, smoke " in err and ", columns None/None," in err
+        names = err.split(", stages ")[1].split(" ms, wall ")[0].split()
+        assert [name.split("=")[0] for name in names] == ["model", "setup", "smoke", "forward",
+                                                          "adjoint", "sweep"]
 
     def test_stderr_reports_window_capture_and_clips(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -27,6 +27,8 @@ from omtc.dynamics import (
     _FactoredStepper,
     _kronecker_factors,
     _SectorStepper,
+    _SeparableKernel,
+    _separable,
     check_step_size,
     evolve,
     heisenberg_apply,
@@ -34,7 +36,7 @@ from omtc.dynamics import (
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
-from omtc.grid import _trapezoid_weights
+from omtc.grid import _fast_length, _trapezoid_weights
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     DissipatorSpec,
@@ -43,6 +45,7 @@ from omtc.model import (
     build_hamiltonian,
     initial_state,
 )
+from omtc.spectrum import filtered_spectrum
 
 
 def _random_rho(rng, d):
@@ -412,7 +415,7 @@ class TestBackends:
         assert grid.propagators == dense.propagators == ("dense", "dense")
         assert grid.n_t == dense.n_t
         assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
-        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).propagators == ("factored",) * 2
+        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).propagators == ("factored", "separable")
 
     def test_halving_dt_expm_grid_stable(self):
         # the one-step propagator composes exactly, so halving dt must not
@@ -547,6 +550,42 @@ class TestGridStorage:
     def test_factor_shapes_checked(self):
         with pytest.raises(ConfigurationError, match="factor stacks"):
             CorrelationGrid(dt=0.1, U=np.zeros((3, 2)), X=np.zeros((3, 1)))
+        for bad in ({"D": np.zeros(3)}, {"D": np.zeros((3, 2)), "U": np.zeros((3, 2))}):
+            with pytest.raises(ConfigurationError, match="either the stacks U and X or one"):
+                CorrelationGrid(dt=0.1, **bad)
+
+    def test_d_form_value_access(self):
+        # C[j][k] = conj(D[j]) . D[k]: C[0][0] = 1, C[1][0] = conj(1j) 2 = -2j
+        grid = CorrelationGrid(dt=0.1, D=np.array([[1, 0], [1j, 1]], dtype=complex))
+        assert grid_value(grid, 1, 0) == -1j and grid_value(grid, 0, 1) == 1j
+        assert [grid_value(grid, k, k) for k in range(2)] == [1, 2]
+        np.testing.assert_array_equal(grid_column(grid, 0), [1, -1j])
+        assert grid.memory_bytes == 4 * 16
+
+    def test_dump_versions(self, tmp_path):
+        # the U/X form writes version 2, byte for byte header, U, X; the D
+        # form version 3, header and D; both reload to the same stacks
+        _, space, gen, rho0 = _damped_cavity()
+        a = ladder_operators(space)["a"]
+        for method, version in (("rk4", 2), ("expm", 3)):
+            grid = two_time_correlation(
+                rho0, gen, EvolutionConfig(dt=0.05, t_max=2.0, method=method), a,
+                kappa=0.2, param_hash=b"\x02" * 32,
+            )
+            stacks = (grid.U, grid.X) if version == 2 else (grid.D,)
+            path = tmp_path / f"grid{version}.bin"
+            grid.save(path)
+            header = b"OMTCGRID" + struct.pack(
+                "<IIQddd", version, stacks[0].shape[1], grid.n_t, 0.05, 0.2, float("nan")
+            ) + b"\x02" * 32
+            assert path.read_bytes() == header + b"".join(x.astype("<c16").tobytes() for x in stacks)
+            loaded = CorrelationGrid.load(path)
+            assert (loaded.U is None, loaded.D is None) == (version == 3, version == 2)
+            for new, old in zip((loaded.U, loaded.X) if version == 2 else (loaded.D,), stacks):
+                np.testing.assert_array_equal(new, old)
+            path.write_bytes(path.read_bytes()[:-16])
+            with pytest.raises(ConfigurationError, match="truncated"):
+                CorrelationGrid.load(path)
 
     def test_save_load_roundtrip(self, tmp_path):
         _, space, gen, rho0 = _damped_cavity()
@@ -786,16 +825,32 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     )
 
 
+def _assert_close_or_dark(new, old, n_t, scale=1.0):
+    """new equals old to 1e-12 of max|old|, or both lie below n_t eps scale.
+
+    scale bounds the entries: |C[j][k]| <= tr(rho0) max|a|^2 = 1 for one
+    excitation.  An exactly dark start (the antisymmetric one) has a rho = 0
+    in exact arithmetic, so both paths hold roundoff that grows with the
+    step count, and a relative comparison would compare noise with noise.
+    """
+    floor = n_t * np.finfo(float).eps * scale
+    if np.abs(old).max() <= floor:
+        assert np.abs(new).max() <= floor
+    else:
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
 def _assert_matches_sequential(grid, ref):
     assert grid.n_t == ref.n_t
     if ref.residual_excitation is None:
         assert grid.residual_excitation is None
     else:
         assert grid.residual_excitation == pytest.approx(ref.residual_excitation, rel=1e-12)
-    # the floor covers stacks that vanish up to roundoff (dark states);
-    # every entry is bounded by 1 for one excitation
-    for new, old in ((grid.X, ref.X), (grid.U, ref.U), (grid_dense(grid), grid_dense(ref))):
-        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-15
+    pairs = [(grid_dense(grid), grid_dense(ref))]
+    if grid.D is None:
+        pairs += [(grid.X, ref.X), (grid.U, ref.U)]
+    for new, old in pairs:
+        _assert_close_or_dark(new, old, ref.n_t)
 
 
 class TestBlockedPasses:
@@ -1004,11 +1059,54 @@ def _correlation_point(params, space, initial=1, **config):
             ladder_operators(space)["a"], optical_excitation_operator(space))
 
 
+def _assert_same_spectra(grid, dense, Gamma=0.05):
+    """The D form against the U/X form: C, the lag sums G and A and both spectrum columns.
+
+    Each to 1e-12 of its maximum over the dense path's values, or of the
+    size of its terms where they cancel to roundoff (the rate's
+    kappa Gamma^2 max|G|, the counts' kappa Gamma max|A| / 2 plus the rate's
+    over 2 Gamma; at a horizon of one step the counts vanish so).  An
+    exactly dark start is compared by _assert_close_or_dark alone: its lag
+    sums and columns are weighted sums of roundoff.
+    """
+    n = grid.n_t - 1
+    C, C_ref = grid_dense(grid), grid_dense(dense)
+    _assert_close_or_dark(C, C_ref, grid.n_t)
+    if np.abs(C_ref).max() <= grid.n_t * np.finfo(float).eps:
+        return
+    deltas = np.linspace(-6.0, 6.0, 49)
+    new = [*grid.lag_sums(Gamma, n), *filtered_spectrum(grid, deltas, Gamma, grid.horizon)]
+    old = [*dense.lag_sums(Gamma, n), *filtered_spectrum(dense, deltas, Gamma, grid.horizon)]
+    G, A = (np.abs(x).max() for x in old[:2])
+    rate = dense.kappa * Gamma**2 * G
+    terms = (G, A, rate, dense.kappa * Gamma * A / 2 + rate / (2 * Gamma))
+    for x, y, size in zip(new, old, terms, strict=True):
+        assert np.abs(x - y).max() <= 1e-12 * max(np.abs(y).max(), size)
+
+
+def _separable_point(space, gen, rho0):
+    """(fwd, P, Q0, _separable's result) of a correlation run on the model's sectors."""
+    S, d = gen.superoperator(), space.dim
+    fwd = _ForwardSector(S, rho0, _readout(space)[0])
+    P = fwd.sides[0]
+    Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
+    adj = (Q0[:, None] * d + P).reshape(-1)
+    factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
+    return fwd, P, Q0, _separable(factors, fwd, adj, rho0)
+
+
+def _unfactored(rho0, gen, cfg, a, mon):
+    """The same run with no Kronecker factors: the U/X form, both passes dense."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
+        return two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+
+
 class TestFactoredPropagator:
     @pytest.mark.parametrize("initial", [1, 2, "symmetric", "antisymmetric"])
     @settings(max_examples=5)
     @given(point=model_points(), t_max=st.sampled_from([0.4, 2.6]), leak=st.floats(0.9, 1.0))
-    # the antisymmetric state is dark here: its operand stack is roundoff
+    # the antisymmetric state is dark here: both paths' correlations are roundoff
     @example(
         point=(ModelParams(g_a=1.0, g_M=1.0, kappa=0.5, gamma_a=0.0625, Mbar=1e-4),
                build_space(1, 0, 1), 1),
@@ -1016,25 +1114,20 @@ class TestFactoredPropagator:
         leak=0.9375,
     )
     def test_matches_dense_path(self, initial, point, t_max, leak):
-        # no mechanical losses, so no jump inside either sector; the drawn
-        # Mbar > 0 makes rho0 a thermal mixture
+        # no mechanical losses, so no jump inside either sector: the D form
+        # against the U/X form over the drawn J, delta_ac, gamma_a_coop and
+        # Mbar > 0, which makes rho0 a thermal mixture
         params, space, _ = point
         params = replace(params, gamma_M=0.0)
         rho0, gen, cfg, a, mon = _correlation_point(
             params, space, initial, dt=0.02, t_max=t_max, method="expm", leak_tolerance=leak
         )
-        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
-            dense = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert (grid.propagators, dense.propagators) == (("factored",) * 2, ("dense",) * 2)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        dense = _unfactored(rho0, gen, cfg, a, mon)
+        assert (grid.propagators, dense.propagators) == (("factored", "separable"), ("dense",) * 2)
         assert grid.n_t == dense.n_t
-        # the floor covers stacks that vanish up to roundoff (dark states):
-        # for the example above the dense path's operands reach 1.7e-15
-        # over its 131 steps, the factored path's 1.1e-16; every entry is
-        # bounded by 1 for one excitation
-        for new, old in ((grid.X, dense.X), (grid.U, dense.U)):
-            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-14
+        assert grid.residual_excitation == pytest.approx(dense.residual_excitation, rel=1e-12)
+        _assert_same_spectra(grid, dense)
 
     @settings(max_examples=6)
     @given(point=model_points(), t_max=st.sampled_from([0.4, 2.6]), leak=st.floats(0.9, 1.0),
@@ -1056,97 +1149,157 @@ class TestFactoredPropagator:
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(rng, len(P))
         mon /= np.trace(mon @ rho0).real
-        grid = two_time_correlation(rho0, gen, cfg, a, monitor=sparse.csr_matrix(mon))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
-            dense = two_time_correlation(rho0, gen, cfg, a, monitor=sparse.csr_matrix(mon))
-        assert grid.propagators == ("factored",) * 2 and grid.columns[0] == len(P)
+        mon = sparse.csr_matrix(mon)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        dense = _unfactored(rho0, gen, cfg, a, mon)
+        assert grid.propagators == ("factored", "separable") and grid.columns[0] == len(P)
         assert grid.n_t == dense.n_t
         assert grid.residual_excitation == pytest.approx(dense.residual_excitation, rel=1e-12)
-        for new, old in ((grid.X, dense.X), (grid.U, dense.U)):
-            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max() + 1e-14
+        _assert_same_spectra(grid, dense)
 
     @pytest.mark.parametrize(
-        "initial, Mbar, columns", [(1, 0.0, 1), ("symmetric", 0.0, 2), (2, 0.02, 3)]
+        "initial, Mbar, rank", [(1, 0.0, 1), ("symmetric", 0.0, 1), (2, 0.02, 3)]
     )
-    def test_columns_are_the_populated_ones(self, initial, Mbar, columns):
-        # rho0 = |e><e| (x) thermal phonons populates one column of rho_11
-        # per phonon number with a nonzero weight (all N_m + 1 = 3 when
-        # Mbar > 0), twice as many for the symmetric start; the operand
-        # pass starts from a[Q0, P], one column per one-photon state
+    def test_columns_are_the_rank_of_the_start(self, initial, Mbar, rank):
+        # W comes from the eigenpairs of rho0[P, P]: one atom excited and the
+        # symmetric superposition are pure (s = 1), |e><e| (x) thermal
+        # phonons has one eigenvector per phonon number with a nonzero
+        # weight (all N_m + 1 = 3 when Mbar > 0); D is |Q0| s wide, |Q0| = 3
+        space = build_space(1, 2, excitation_cap=1)
         rho0, gen, cfg, a, mon = _correlation_point(
-            ModelParams(J=0.3, Mbar=Mbar), build_space(1, 2, excitation_cap=1), initial,
-            dt=0.02, t_max=1.0, method="expm",
+            ModelParams(J=0.3, Mbar=Mbar), space, initial, dt=0.02, t_max=1.0, method="expm"
         )
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.columns == (columns, 3)
+        assert grid.columns == (rank, 3 * rank) and grid.D.shape == (grid.n_t, 3 * rank)
         cfg = replace(cfg, method="rk4")
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).columns == (None, None)
-        # S is the set of nonzero columns, exactly: F_0 H_0 = x0; once the
-        # columns cost more products than the matrix, F_0 is x0 itself
-        rng = np.random.default_rng(5)
-        x0 = np.zeros((6, 8))
-        x0[:, [1, 4, 6]] = rng.normal(size=(6, 3)) * (rng.random(size=(6, 3)) < 0.5)
-        step = _FactoredStepper((np.zeros((6, 6)), np.zeros((8, 8))), 0.1)
-        F, H = next(step.factors(x0, 1))
-        assert F.shape[2] == np.count_nonzero(np.any(x0 != 0, axis=0)) == 3
-        assert np.array_equal(F[:, 0] @ H[0], x0)
-        x0[:, [0, 2]] = 1.0
-        F, H = next(step.factors(x0, 1))
-        assert H is None and np.array_equal(F[:, 0], x0)
+        _, P, _, (_, _, W) = _separable_point(space, gen, rho0)
+        assert np.abs(W @ W.conj().T - rho0[np.ix_(P, P)]).max() <= 1e-15
 
-    def test_readout_on_any_operand_sector(self):
-        # the model's operand sector is the product q x Q; any other one (here
-        # every third entry of the d x d matrix, most outside the columns Q)
-        # still gets a rho entry by entry, and a monitor N that is not
-        # diagonal reads Re tr(N rho)
+    def test_readout_on_any_operand_sector(self, monkeypatch):
+        # the D form reads a monitor N that is not diagonal as
+        # Re tr(N W W^H), and |D_k|^2 = Tr[a rho(t_k) a']; an operand sector
+        # other than Q0 x P (here one more column, a ground state) fails the
+        # structural check and takes the U/X form
         space = build_space(1, 2, excitation_cap=1)
-        rho0, gen, _, a, _ = _correlation_point(
-            ModelParams(J=0.3), space, "symmetric", dt=0.02, t_max=1.0
+        rho0, gen, cfg, a, _ = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
-        S, d = gen.superoperator(), space.dim
-        fwd = _ForwardSector(S, rho0, _readout(space)[0])
-        step = _FactoredStepper(_kronecker_factors(gen, S, fwd.index), 0.02, b=4, fwd=fwd)
-        P = np.unique(fwd.index // d)
+        d, a_mat = space.dim, a.toarray()
+        _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
+        step = _FactoredStepper(A, 0.02, b=4)
+        kernel = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, 0.02)
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
-        a, adj = a.toarray(), np.arange(0, d * d, 3)
-        x0 = rho0[np.ix_(P, P)]
-        rows, values, traces = zip(*step.readout(fwd, x0, 9, sparse.csr_matrix(mon), a, adj))
+        rows, values, traces = zip(*kernel.readout(step, 9, mon[np.ix_(P, P)]))
         assert traces == (None,) * 3
-        X = [np.matmul(F.transpose(1, 0, 2), H) for F, H in step.factors(x0, 9)]
-        for x, o, m in zip(np.concatenate(X), np.concatenate(rows), np.concatenate(values), strict=True):
+        Ws = np.concatenate(list(step.blocks(W0, 9)), axis=1)
+        for k, (D, m) in enumerate(zip(np.concatenate(rows), np.concatenate(values), strict=True)):
             rho = np.zeros_like(rho0)
-            rho[np.ix_(P, P)] = x
-            assert np.abs(o - (a @ rho).reshape(-1)[adj]).max() <= 1e-15
+            rho[np.ix_(P, P)] = Ws[:, k] @ Ws[:, k].conj().T
             assert abs(m - np.trace(mon @ rho).real) <= 1e-15
+            assert abs(np.vdot(D, D) - np.trace(a_mat @ rho @ a_mat.conj().T)) <= 1e-15
+
+        from omtc import dynamics
+
+        closure, calls = dynamics._closure, []
+
+        def wider(S, seed):
+            calls.append(closure(S, seed))
+            if len(calls) == 3:  # the operand sector, after the forward sector's two
+                calls[-1] = np.union1d(calls[-1], Q0 * d + Q0[0])
+            return calls[-1]
+
+        monkeypatch.setattr("omtc.dynamics._closure", wider)
+        grid = two_time_correlation(rho0, gen, cfg, a)
+        assert grid.propagators == ("dense", "dense") and grid.sector_sizes[1] == (len(P) + 1) * len(Q0)
+        assert _kronecker_factors(gen, gen.superoperator(), calls[2]) is not None
+        monkeypatch.setattr("omtc.dynamics._closure", closure)
+        _assert_close_or_dark(grid_dense(grid), grid_dense(two_time_correlation(rho0, gen, cfg, a)),
+                              grid.n_t)
+
+    def test_ground_block_that_is_not_diagonal(self):
+        # the model's ground block -iH[Q0, Q0] is diagonal (phonon energies),
+        # so its eigenbasis is the identity; a phonon displacement acting
+        # on the optical ground manifold alone mixes it, so the rotation by
+        # V^H matters, and the D form must still match the dense path
+        space = build_space(1, 2, excitation_cap=1)
+        params = ModelParams(J=0.3, Mbar=0.02, gamma_a_coop=0.02)
+        b = ladder_operators(space)["b"]
+        P0 = sparse.diags((optical_excitation_operator(space).diagonal() == 0).astype(float))
+        H = build_hamiltonian(params, space) + 0.4 * (P0 @ (b + b.getH()) @ P0)
+        gen = Generator(H, build_dissipators(params, space))
+        A0 = gen.no_jump()[0][np.ix_(*[np.flatnonzero(P0.diagonal())] * 2)]
+        assert np.abs(A0 - np.diag(np.diag(A0))).max() > 0.1
+        for initial in (1, "symmetric"):
+            rho0 = initial_state(params, space, initial)
+            a, mon = ladder_operators(space)["a"], optical_excitation_operator(space)
+            cfg = EvolutionConfig(dt=0.02, t_max=2.6, method="expm")
+            grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+            assert grid.propagators == ("factored", "separable")
+            _assert_same_spectra(grid, _unfactored(rho0, gen, cfg, a, mon))
 
     def test_missed_column_fails_smoke_check(self, monkeypatch):
-        # the smoke check steps the forward pass's own factors: a column
-        # set that misses a populated column of rho0 must not pass
-        factors = _FactoredStepper.factors
+        # the smoke check steps the forward pass's own factor W: a W that
+        # misses a column of rho0[P, P] = W W^H must not pass
+        from omtc import dynamics
 
-        def missing_one(self, x0, n):
-            x0 = x0.copy()
-            x0[:, np.flatnonzero(np.any(x0 != 0, axis=0))[-1]] = 0.0
-            return factors(self, x0, n)
+        separable = dynamics._separable
 
-        monkeypatch.setattr("omtc.dynamics._FactoredStepper.factors", missing_one)
+        def missing_one(*args):
+            A, A0, W = separable(*args)
+            return A, A0, W[:, :-1]
+
+        monkeypatch.setattr("omtc.dynamics._separable", missing_one)
         rho0, gen, cfg, a, mon = _correlation_point(
-            ModelParams(J=0.3), build_space(1, 2, excitation_cap=1), "symmetric",
+            ModelParams(J=0.3, Mbar=0.02), build_space(1, 2, excitation_cap=1), 2,
             dt=0.02, t_max=1.0, method="expm",
         )
         with pytest.raises(NumericalError, match="disagree on the forward smoke test"):
             two_time_correlation(rho0, gen, cfg, a, monitor=mon)
 
+    @pytest.mark.parametrize("check", ["anti-Hermitian ground block", "B = A^H", "positive start"])
+    def test_failed_set_up_check_falls_back_to_dense_path(self, check, monkeypatch):
+        # each of _separable's checks, failed on its own, sends the run to
+        # the U/X form with both passes dense, the same code as without
+        # Kronecker factors
+        space = build_space(1, 2, excitation_cap=1)
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02), space, dt=0.02, t_max=1.0, method="expm"
+        )
+        from omtc import dynamics
+
+        factors, calls = dynamics._kronecker_factors, []
+
+        def skewed(gen, S, index):
+            A, B = factors(gen, S, index)
+            calls.append(index)
+            if check == "B = A^H" and len(calls) == 1:
+                return A, B * (1 + 1e-9)
+            if check == "anti-Hermitian ground block" and len(calls) == 2:
+                return A + 1e-9 * np.abs(A).max() * np.eye(len(A)), B
+            return A, B
+
+        if check == "positive start":
+            P = np.flatnonzero(optical_excitation_operator(space).diagonal() == 1)
+            rho0 = rho0.copy()
+            rho0[P[-1], P[-1]] = -1e-9  # Hermitian, not positive semidefinite
+        else:
+            monkeypatch.setattr("omtc.dynamics._kronecker_factors", skewed)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        dense = _unfactored(rho0, gen, cfg, a, mon)
+        assert grid.propagators == dense.propagators == ("dense", "dense")
+        assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
+
     @pytest.mark.parametrize(
         "losses, propagators",
         [
-            ({}, ("factored", "factored")),
+            ({}, ("factored", "separable")),
             # the phonon jumps land inside both sectors
             ({"gamma_M": 0.05}, ("dense", "dense")),
-            # n_c rho n_c stays in rho_11 and vanishes on rho_01
-            ({"dephasing": 0.1}, ("dense", "factored")),
+            # n_c rho n_c stays in rho_11 and vanishes on rho_01: only the
+            # operand sector is a Kronecker sum, so the run takes the U/X form
+            ({"dephasing": 0.1}, ("dense", "dense")),
         ],
     )
     def test_selection(self, losses, propagators):
@@ -1189,7 +1342,7 @@ class TestFactoredPropagator:
 
         def no_flux(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            self.block.data[self.block.indptr[-2] :] = 0.0
+            self.M.data[self.M.indptr[-2] :] = 0.0
 
         def not_yet(*args, **kwargs):
             raise AssertionError("expm ran before the trace check")
@@ -1213,26 +1366,30 @@ class TestFactoredPropagator:
         S = gen.superoperator()
         reads, _, _ = _readout(space)
         fwd = _ForwardSector(S, rho0, reads)
-        factored = _FactoredStepper(_kronecker_factors(gen, S, fwd.index), 0.02, b=4, fwd=fwd)
+        fwd.check_trace_rows()
+        A, B = _kronecker_factors(gen, S, fwd.index)
+        factored = _FactoredStepper(A, 0.02, b=4)
         dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
-        # the factored pass carries rho[P, P] as F H and p as tr rho0 - tr X
-        P = np.unique(fwd.index // space.dim)
-        nodes = [np.matmul(F.transpose(1, 0, 2), H) for F, H in factored.factors(rho0[np.ix_(P, P)], 21)]
+        # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H
+        W0 = _separable_point(space, gen, rho0)[3][2]
+        nodes = np.concatenate(list(factored.blocks(W0, 21)), axis=1)
         Z = np.concatenate(list(dense.blocks(fwd.coords(rho0), 21)))
         assert Z[0, -1] == pytest.approx(0.2)
-        for X, z in zip(np.concatenate(nodes), Z, strict=True):
+        for k, z in enumerate(Z):
+            X = nodes[:, k] @ nodes[:, k].conj().T
             assert np.abs(X.reshape(-1) - fwd.V @ z).max() <= 1e-13
             assert abs(np.trace(rho0).real - np.trace(X).real - z[-1]) <= 1e-13
-        x, z = rho0.reshape(-1)[fwd.index], Z[0]
+        W, z = W0, Z[0]
         for _ in range(20):
-            x, z = factored(x), dense(z)
-            assert np.abs(x - fwd.V @ z).max() <= 1e-13
-        (L, R), x = factored.power, x.reshape(len(P), len(P))
-        assert np.abs((L @ x @ R).reshape(-1) - fwd.V @ (dense.power @ z)).max() <= 1e-13
+            W, z = factored(W), dense(z)
+            assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V @ z).max() <= 1e-13
+        W = factored.power @ W
+        assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V @ (dense.power @ z)).max() <= 1e-13
 
     def test_complex_hamiltonian(self):
         # without channels every product index set is invariant and L is the
-        # Kronecker sum of -iH and iH; a complex H makes iH non-symmetric
+        # Kronecker sum of -iH and iH; a complex H makes iH non-symmetric,
+        # and B = A^H still holds, so X = W W^H steps as W -> K_L W
         rng = np.random.default_rng(11)
         d = 4
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -1240,10 +1397,13 @@ class TestFactoredPropagator:
         S = gen.superoperator()
         index = np.arange(d * d)
         A, B = _kronecker_factors(gen, S, index)
-        step = _FactoredStepper((A, B), 0.05)
-        x = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-        exact = linalg.expm(S.toarray() * 0.05) @ x
-        assert np.abs(step(x) - exact).max() <= 1e-13 * np.abs(x).max()
+        assert np.abs(B - A.conj().T).max() == 0.0
+        step = _FactoredStepper(A, 0.05)
+        W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        X = W @ W.conj().T
+        exact = linalg.expm(S.toarray() * 0.05) @ X.reshape(-1)
+        KW = step(W)
+        assert np.abs((KW @ KW.conj().T).reshape(-1) - exact).max() <= 1e-13 * np.abs(X).max()
 
     def test_kronecker_factors_need_a_product_sector(self):
         # rho_11 is the product P x P of the 9 one-excitation states; the
@@ -1268,7 +1428,6 @@ def _double_sum_lag_sums(grid, Gamma, n):
     w = np.full(n + 1, h)
     w[0] = w[n] = 0.5 * h
     q = w * np.exp(Gamma * (t - n * h))
-    abs_U, abs_X = np.abs(grid.U), np.abs(grid.X)
     G = np.zeros(n + 1, dtype=complex)
     A = np.zeros(n + 1, dtype=complex)
     G_abs = np.zeros(n + 1)
@@ -1276,7 +1435,10 @@ def _double_sum_lag_sums(grid, Gamma, n):
     for k in range(n + 1):
         m = n + 1 - k
         col = grid_column(grid, k)[:m]
-        col_abs = abs_U[:m] @ abs_X[k]
+        if grid.D is None:  # |C[k+tau][k]| <= |U[tau]| . |X[k]| or |D[k+tau]| . |D[k]|
+            col_abs = np.abs(grid.U[:m]) @ np.abs(grid.X[k])
+        else:
+            col_abs = np.abs(grid.D[k : k + m]) @ np.abs(grid.D[k])
         G[:m] += (q[k] * q[k:]) * col
         A[:m] += (w[k] * w[k:]) * col
         G_abs[:m] += (q[k] * q[k:]) * col_abs
@@ -1337,6 +1499,47 @@ class TestLagSums:
                 _, _, G_abs, A_abs = _double_sum_lag_sums(grid, Gamma, n)
                 assert np.all(np.abs(G - _per_row_lag_sum(grid, Gamma, n)) <= 1e-12 * G_abs + 1e-300)
                 assert np.all(np.abs(A - _per_row_lag_sum(grid, 0.0, n)) <= 1e-12 * A_abs)
+
+
+class TestFftLagSums:
+    @settings(max_examples=25)
+    @given(
+        n_t=st.integers(2, 40),
+        width=st.integers(1, 20),
+        dt=st.sampled_from([0.02, 0.05, 0.5]),
+        log_gamma=st.floats(-3.0, 3.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Gamma T = 1950: the weights underflow for all but the last nodes
+    @example(n_t=40, width=3, dt=0.5, log_gamma=2.0, seed=0)
+    def test_d_form_sums_match_double_sum(self, n_t, width, dt, log_gamma, seed):
+        # the FFT's roundoff is spread over all lags, so it is bounded by
+        # 1e-12 of G[0] = sum_k q_k^2 |D_k|^2 >= |G[tau]| (Cauchy-Schwarz)
+        rng = np.random.default_rng(seed)
+        D = rng.normal(size=(n_t, width)) + 1j * rng.normal(size=(n_t, width))
+        grid = CorrelationGrid(dt=dt, D=D)
+        Gamma = 10.0**log_gamma
+        for n in range(1, n_t):
+            G, A = grid.lag_sums(Gamma, n)
+            G_ref, A_ref, _, _ = _double_sum_lag_sums(grid, Gamma, n)
+            assert np.abs(G - G_ref).max() <= 1e-12 * G_ref[0].real + 1e-300
+            assert np.abs(A - A_ref).max() <= 1e-12 * A_ref[0].real
+            assert abs(grid.zero_lag_sum(Gamma, n) - G_ref[0]) <= 1e-12 * G_ref[0].real + 1e-300
+
+    def test_fast_length(self):
+        smooth = [m for m in range(1, 4100) if m == 1 or max(_prime_factors(m)) <= 5]
+        for n in range(1, 4000):
+            assert _fast_length(n) == min(m for m in smooth if m >= n)
+
+
+def _prime_factors(m):
+    out, p = [], 2
+    while m > 1:
+        while m % p == 0:
+            out.append(p)
+            m //= p
+        p += 1
+    return out
 
 
 def _per_row_lag_sum(grid, Gamma, n):

@@ -32,7 +32,7 @@ from omtc.spectrum import (
 )
 
 
-def _damped_cavity_grid(kappa=0.2, dt=0.02, t_max=40.0, detuning=0.0):
+def _damped_cavity_grid(kappa=0.2, dt=0.02, t_max=40.0, detuning=0.0, method="expm"):
     p = ModelParams(g_a=0, g_M=0, gamma_a=0, kappa=kappa)
     space = build_space(1, 0, excitation_cap=1)
     ops = ladder_operators(space)
@@ -41,7 +41,7 @@ def _damped_cavity_grid(kappa=0.2, dt=0.02, t_max=40.0, detuning=0.0):
         H = H + detuning * (ops["a"].getH() @ ops["a"])
     gen = Generator(H, build_dissipators(p, space))
     rho0 = np.outer(space.ket(0, 0, 1, 0), space.ket(0, 0, 1, 0).conj())
-    cfg = EvolutionConfig(dt=dt, t_max=t_max, method="expm")
+    cfg = EvolutionConfig(dt=dt, t_max=t_max, method=method)
     return two_time_correlation(rho0, gen, cfg, ops["a"], kappa=kappa)
 
 
@@ -98,15 +98,18 @@ class TestFilteredCountingRate:
         assert isinstance(val, float)
 
     def test_conjugated_grid_reflects_spectrum(self):
-        grid = _damped_cavity_grid(detuning=0.5)
-        # conj(U[tau] . X[k]) = conj(U[tau]) . conj(X[k])
-        flipped = CorrelationGrid(
-            dt=grid.dt, U=np.conj(grid.U), X=np.conj(grid.X), kappa=grid.kappa
-        )
+        # conj(U[tau] . X[k]) = conj(U[tau]) . conj(X[k]) (rk4) and
+        # conj(conj(D[j]) . D[k]) = D[j] . conj(D[k]) (expm, the D form)
         deltas = np.linspace(-2.0, 2.0, 41)
-        N, _ = filtered_spectrum(grid, deltas, 0.02, grid.horizon)
-        N_flip, _ = filtered_spectrum(flipped, -deltas[::-1], 0.02, grid.horizon)
-        np.testing.assert_allclose(N, N_flip[::-1], atol=1e-10)
+        for method in ("expm", "rk4"):
+            grid = _damped_cavity_grid(detuning=0.5, method=method)
+            if grid.D is None:
+                flipped = CorrelationGrid(dt=grid.dt, U=np.conj(grid.U), X=np.conj(grid.X), kappa=grid.kappa)
+            else:
+                flipped = CorrelationGrid(dt=grid.dt, D=np.conj(grid.D), kappa=grid.kappa)
+            N, _ = filtered_spectrum(grid, deltas, 0.02, grid.horizon)
+            N_flip, _ = filtered_spectrum(flipped, -deltas[::-1], 0.02, grid.horizon)
+            np.testing.assert_allclose(N, N_flip[::-1], atol=1e-10)
 
     def test_snapping_rejects_out_of_range(self):
         grid = _damped_cavity_grid(t_max=5.0)
@@ -359,7 +362,9 @@ class TestWindowCapture:
         assert 0.0 < res.metadata["window_capture"] < 1.0
 
     def test_clamped_noise_counted_and_capture_unclamped(self):
-        grid = _damped_cavity_grid(t_max=10.0)
+        # rk4 keeps U and X, so the grid has a negative multiple (the D
+        # form's C = D^H D is positive semidefinite by construction)
+        grid = _damped_cavity_grid(t_max=10.0, method="rk4")
         filt = FilterParams(Gamma=0.05, delta_min=-2.0, delta_max=2.0, n_points=81)
         res = _spectrum_of(grid, filt)
         # a tiny negative multiple of the grid: every entry is clamp noise

@@ -1,20 +1,24 @@
-"""Time the North-star point in-process and print one JSON object.
+"""Time the North-star points in-process and print one JSON object.
 
     python3 tools/north_star.py
 
 The North-star point is ``configs/reference.cfg`` with
 ``numerics.method = expm``: N_m = 8, dt = 0.02 and the leak stop at 1e-4
-within t_max = 400, so n_t = 8519.  Each of the RUNS = 3 runs is one
-``omtc.spectrum.stationary_spectrum`` call, imported from this checkout's
-``src/``, with BLAS pinned to one thread as in ``perfbench/``.  The output
-holds the wall seconds of every run and their median, ``ru_maxrss`` of the
-process after the last run in MiB (import and all runs included), and
-``n_t``.
+within t_max = 400, so n_t = 8519.  It runs as given (``Mbar = 0``, a pure
+start) and with ``model.Mbar = 0.5``, a thermal start of rank 9.  Each point
+runs in a process of its own, so that its ``ru_maxrss`` is its own: RUNS = 3
+``omtc.spectrum.stationary_spectrum`` calls, imported from this checkout's
+``src/``, with BLAS pinned to one thread as in ``perfbench/``.  Per point the
+output holds the wall seconds of every run and their median,
+``metadata["stage_s"]`` of every run, ``ru_maxrss`` of the process after
+the last run in MiB (import and all runs included), ``n_t`` and
+``metadata["columns"]``.
 """
 
 import json
 import os
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -22,34 +26,53 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from omtc.config import parse_config  # noqa: E402
-from omtc.spectrum import stationary_spectrum  # noqa: E402
-
 RUNS = 3
+POINTS = {"Mbar=0": "", "Mbar=0.5": "model.Mbar = 0.5\n"}
 
 
-def main() -> int:
+def run_point(name: str) -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from omtc.config import parse_config
+    from omtc.spectrum import stationary_spectrum
+
     text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
-    if "numerics.method = rk4" not in text:
-        raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4")
-    cfg = parse_config(text.replace("numerics.method = rk4", "numerics.method = expm"))
-    walls, n_t = [], None
+    if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
+        raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4 and model.Mbar = 0")
+    text = text.replace("numerics.method = rk4", "numerics.method = expm")
+    cfg = parse_config(text.replace("model.Mbar = 0\n", "") + POINTS[name])
+    walls, stages = [], []
     for _ in range(RUNS):
         t0 = time.perf_counter()
         result = stationary_spectrum(cfg.model, cfg.filter, cfg.numerics, initial=cfg.excited_atom)
         walls.append(time.perf_counter() - t0)
-        n_t = result.metadata["n_t"]
+        stages.append(result.metadata["stage_s"])
+        n_t, columns = result.metadata["n_t"], result.metadata["columns"]
         del result  # so that a run's grid does not add to the next one's peak
-    print(json.dumps({
-        "point": "configs/reference.cfg with numerics.method = expm",
+    return {
         "wall_s": walls,
         "wall_s_median": float(np.median(walls)),
+        "stage_s": stages,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "n_t": n_t,
+        "columns": columns,
+    }
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--point"]:
+        print(json.dumps(run_point(argv[1]), sort_keys=True))
+        return 0
+    points = {}
+    for name in POINTS:
+        out = subprocess.run([sys.executable, __file__, "--point", name],
+                             capture_output=True, text=True, check=True).stdout
+        points[name] = json.loads(out.splitlines()[-1])
+    print(json.dumps({
+        "point": "configs/reference.cfg with numerics.method = expm",
+        "points": points,
     }, sort_keys=True))
     return 0
 
