@@ -16,8 +16,6 @@ from .dynamics import (
     Generator,
     Trajectory,
     evolve,
-    heisenberg_apply,
-    liouvillian_apply,
     two_time_correlation,
 )
 from .errors import ConfigurationError, NumericalError

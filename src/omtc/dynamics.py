@@ -1,9 +1,8 @@
 """Open-system time evolution and two-time correlations.
 
 The dynamics is that of the master-equation generator L of
-model.Generator (re-exported here with its one-shot wrappers);
-Generator.superoperator() is its sparse matrix S on row-major vectorized
-d x d matrices.
+model.Generator (re-exported here); Generator.superoperator() is its
+sparse matrix S on row-major vectorized d x d matrices.
 
 Propagation runs only on invariant sectors of S, index sets R with
 S[~R, R] = 0 found from its sparsity pattern (no conservation law is
@@ -15,36 +14,43 @@ of the dropped diagonal; evolve keeps the whole sector.  rho(t) stays
 Hermitian and is stepped in real coordinates (_ForwardSector); the
 operand sector carries a rho and stays complex.
 
-Two backends step a sector: RK4 with four sparse matvecs per step (the
-default) and expm with the dense E = exp(B dt).  Both passes run in row
-blocks of b nodes; an expm block after the first is one product with E^b.
-Every correlation run first checks S against apply and apply_adjoint, then
-its passes and powers against Taylor references built from S
-(_smoke_check).
+Two methods step a sector: RK4 (the default), whose step is the
+polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
+expm with E = exp(S dt).  Both passes run in row blocks of b nodes.
+Every correlation run first checks S against apply and apply_adjoint,
+then its passes and powers against Taylor references built from S
+(_smoke_check), for RK4 the step polynomial itself.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
-It is kept in one of two forms (CorrelationGrid, grid.py), never as the
-O(n_t^2) triangle:
+It is kept in one of two layouts (CorrelationGrid, grid.py), never as the
+O(n_t^2) triangle, and computed in one of three forms.  Without mechanical
+losses the readout sector is P x P and the operand sector Q0 x P,
+products that no jump lands in, so L acts there as X -> A X + X B
+(_kronecker_factors), with A, B the no-jump parts.
 
-- D form, every expm run without mechanical losses.  The readout sector
-  is P x P and the operand sector Q0 x P, products that no jump lands in,
-  so L acts there as X -> A X + X B (_kronecker_factors).  With B = A^H
-  on P and A[Q0, Q0] anti-Hermitian (no channel acts on the optical
-  ground manifold, so the no-jump evolution there is unitary) and
-  rho0[P, P] = W W^H positive semidefinite, rho(t_k)[P, P] = W_k W_k^H
-  with W_k = K_L^k W, K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
+- D form, expm runs on such sectors.  With B = A^H on P and A[Q0, Q0]
+  anti-Hermitian (no channel acts on the optical ground manifold, so the
+  no-jump evolution there is unitary) and rho0[P, P] = W W^H positive
+  semidefinite, rho(t_k)[P, P] = W_k W_k^H with W_k = K_L^k W,
+  K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
   D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt) (_separable).  The
   forward pass steps the |P| x s factor W alone (_FactoredStepper), and
   K_0^{-k} is a phase in the eigenbasis of i A[Q0, Q0] (_SeparableKernel);
   there is no adjoint pass.  The filter's lag sums are FFT
   autocorrelations of D.
-- U/X form, every other run.  The trace is folded into a single adjoint
-  (Heisenberg) propagation of a', so C[k+tau][k] = <U_tau, X_k> pairs two
-  stacks on the operand sector: X_k = a rho(t_k) from the forward pass and
-  U_tau from the adjoint pass, both stepped by _SectorStepper.  They agree
-  to roundoff with one propagation per column because the adjoint of the
-  RK4 step polynomial is the RK4 step of the adjoint generator.
+- Spectral U/X form, rk4 runs on such sectors.  In the eigenbases of A,
+  B and A[Q0, Q0] L is diagonal with the sums of their eigenvalues, so an
+  RK4 step multiplies each eigen coordinate by r(h (sum)) and every node
+  of both passes is an elementwise power (_SpectralKernel).  The trace is
+  folded into a single adjoint (Heisenberg) propagation of a', so
+  C[k+tau][k] = <U_tau, X_k> pairs two stacks on the operand sector, here
+  in eigen coordinates: only their pairing has meaning.
+- Stepped U/X form, every other run: the same pairing, with X_k = a
+  rho(t_k) from the forward pass and U_tau from the adjoint pass, both
+  stepped on the sector blocks by _SectorStepper.  They agree to roundoff
+  with one propagation per column because the adjoint of the RK4 step
+  polynomial is the RK4 step of the adjoint generator.
 """
 
 import hashlib
@@ -57,10 +63,15 @@ from scipy import sparse
 
 from .errors import ConfigurationError, NumericalError
 from .grid import CorrelationGrid, _block_size
-from .model import Generator, _dense, heisenberg_apply, liouvillian_apply  # noqa: F401 (re-exported)
+from .model import Generator, _dense
 
 #: abort threshold for trace drift along a trajectory
 TRACE_DRIFT_LIMIT = 1e-4
+#: largest kappa(V_A) kappa(V_B) kappa(V_0) of the eigenvector matrices
+#: that the spectral form accepts: its transforms scale the roundoff of the
+#: stepped path by at most that, so 1e3 eps ~ 1e-13 of the largest entry
+#: stays below the 1e-12 at which it must match stepped RK4
+SPECTRAL_CONDITION_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -351,20 +362,18 @@ def _kronecker_factors(gen, S, index: np.ndarray):
     return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
 
-def _separable(factors, fwd: _ForwardSector, adj: np.ndarray, rho0: np.ndarray):
+def _separable(factors, fwd: _ForwardSector, rho0: np.ndarray):
     """(A[P, P], A[Q0, Q0], W) for the D form, or None where it does not hold.
 
     factors are the Kronecker factors of the readout sector P x P and of the
-    operand sector, which must be Q0 x P.  Checked, each to 1e-12 of the
-    largest entry: A[Q0, Q0] is anti-Hermitian, so K_0 is unitary;
-    B[P, P] = A[P, P]^H, so K_R = K_L^H; rho0[P, P] is positive
-    semidefinite.  W = V sqrt(e) over the eigenpairs (e, V) of rho0[P, P]
-    above 1e-14 of the largest, s columns.
+    operand sector Q0 x P.  Checked, each to 1e-12 of the largest entry:
+    A[Q0, Q0] is anti-Hermitian, so K_0 is unitary; B[P, P] = A[P, P]^H, so
+    K_R = K_L^H; rho0[P, P] is positive semidefinite.  W = V sqrt(e) over
+    the eigenpairs (e, V) of rho0[P, P] above 1e-14 of the largest, s
+    columns.
     """
     (A, B), (A0, _) = factors
     P = fwd.sides[0]
-    if not np.array_equal(np.unique(adj % fwd.dim), P):
-        return None
     if np.max(np.abs(A0 + A0.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A0), initial=0.0):
         return None
     if np.max(np.abs(B - A.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
@@ -449,53 +458,183 @@ class _SeparableKernel:
     def readout(self, step: _FactoredStepper, n: int, N):
         """Yield what _dense_readout does per block: D rows, monitor values, traces None.
 
-        The monitor value is Re tr(N W W^H) = Re sum(conj(W) * (N W)) for the
-        dense N = monitor[P, P] (None without a monitor).
+        The monitor value is Re tr(N W W^H) for N = monitor[P, P] (None
+        without a monitor): sum_i Re(N_ii) |W_i|^2 for a diagonal N, as the
+        optical-excitation monitor is, else Re sum(conj(W) * (N W)).
         """
+        diagonal = None
+        if N is not None and not np.count_nonzero(N - np.diag(np.diag(N))):
+            diagonal = np.diag(N).real
         start = 0
         for F in step.blocks(self.W0, n):
             p, rows, s = F.shape
             m = None
             if N is not None:  # Re(conj(w) v) = w.re v.re + w.im v.im, summed over the float views
-                flat = F.reshape(p, -1)
-                m = np.einsum("ij,ij->j", flat.view(float), (N @ flat).view(float)).reshape(rows, -1).sum(axis=1)
+                w = F.reshape(p, -1).view(float)
+                if diagonal is None:
+                    m = np.einsum("ij,ij->j", w, (N @ F.reshape(p, -1)).view(float))
+                else:
+                    m = diagonal @ np.square(w)
+                m = m.reshape(rows, -1).sum(axis=1)
             yield self.rows(F, start), m, None
             start += rows
 
 
-def _taylor_step(f, x: np.ndarray, h: float, tol=1e-16) -> np.ndarray:
-    """Reference exp(F h) x of the linear map f by plain Taylor summation (small h only)."""
+def _rk4_factor(z: np.ndarray) -> np.ndarray:
+    """r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: an RK4 step of x' = B x is r(h B) x."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+
+
+def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
+    """g^b elementwise, the factor that steps a block of b nodes."""
+    return g**b
+
+
+def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int, out=None):
+    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes.
+
+    The first block is stepped node by node, x0 g^k = (x0 g^(k-1)) g; a
+    later one is the block before times g^b, each row b steps on.  The
+    blocks are views of out, n rows, or without it of one b-row buffer
+    that each block overwrites in place.
+    """
+    Y = np.empty((min(b, n), len(g)), dtype=complex) if out is None else out[: min(b, n)]
+    Y[0] = x0
+    for k in range(1, len(Y)):
+        np.multiply(Y[k - 1], g, out=Y[k])
+    yield Y
+    power = _elementwise_power(g, b)
+    for start in range(b, n, b):
+        rows = min(b, n - start)
+        Y = np.multiply(Y[:rows], power, out=Y[:rows] if out is None else out[start : start + rows])
+        yield Y
+
+
+def _eigenbases(A: np.ndarray, B: np.ndarray, A0: np.ndarray):
+    """[(w, V, V^-1)] with F = V diag(w) V^-1 for F = A, B and A0, or None.
+
+    B = A^H exactly, as for a Hermitian H and K, reuses A's:
+    B = V^-H diag(conj w) V^H.  None when the product of the condition
+    numbers kappa(V) exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly
+    defective factor).
+    """
+
+    def basis(F):
+        w, V = np.linalg.eig(F)
+        return w, V, np.linalg.cond(V)
+
+    (alpha, V_A, kappa_A), (nu, V_0, kappa_0) = basis(A), basis(A0)
+    if np.array_equal(B, A.conj().T):
+        beta, V_B, kappa_B = alpha.conj(), None, kappa_A
+    else:
+        beta, V_B, kappa_B = basis(B)
+    if not kappa_A * kappa_B * kappa_0 <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
+        return None
+    VA_inv = np.linalg.inv(V_A)
+    B_basis = (VA_inv.conj().T, V_A.conj().T) if V_B is None else (V_B, np.linalg.inv(V_B))
+    return [(alpha, V_A, VA_inv), (beta, *B_basis), (nu, V_0, np.linalg.inv(V_0))]
+
+
+class _SpectralKernel:
+    """Both RK4 passes of the U/X form as elementwise powers in eigen coordinates.
+
+    L acts on the readout sector P x P as Z -> A Z + Z B and on the operand
+    sector Q0 x P as Y -> A0 Y + Y B (_kronecker_factors, A0 = A[Q0, Q0]).
+    With the bases A = V_A diag(alpha) V_A^-1, B = V_B diag(beta) V_B^-1
+    and A0 = V_0 diag(nu) V_0^-1 (_eigenbases), an RK4 step r(h L)
+    multiplies entry (i, j) of V_A^-1 Z V_B by G_ij = r(h (alpha_i + beta_j))
+    and entry (q, j) of V_0^-1 Y V_B by H_qj = r(h (nu_q + beta_j)).  So
+    node k of the forward pass is Z_k = Z_0 o G^k, Z_0 = V_A^-1 rho0[P, P] V_B,
+    its operand V_0^-1 a rho(t_k) V_B is X_k = M Z_k, M = V_0^-1 a[Q0, P] V_A,
+    and node tau of the adjoint stack is U_tau = N o H^tau,
+    N = (V_B^-1 a[Q0, P]^H V_0)^T: U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))],
+    as the V_B factors cancel inside the trace.  The monitor value is
+    Re tr(N' rho) = Re sum((V_B^-1 N' V_A)^T o Z_k) for N' = monitor[P, P].
+    """
+
+    kind = "spectral"
+
+    def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, monitor, dt: float, b: int):
+        (alpha, V_A, VA_inv), (beta, V_B, VB_inv), (nu, V_0, V0_inv) = bases
+        self.b = b
+        self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
+        self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
+        self.Z0 = (VA_inv @ rho0 @ V_B).reshape(-1)
+        self.M = V0_inv @ a0 @ V_A
+        self.N = (VB_inv @ a0.conj().T @ V_0).T.reshape(-1)
+        self.mon = None if monitor is None else (VB_inv @ monitor @ V_A).T.reshape(-1)
+        self._V = V_A, VB_inv
+
+    def matrix(self, z: np.ndarray) -> np.ndarray:
+        """rho[P, P] = V_A Z V_B^-1 of the eigen coordinates z of a forward node."""
+        V_A, VB_inv = self._V
+        return V_A @ z.reshape(len(V_A), -1) @ VB_inv
+
+    def operands(self, Z: np.ndarray) -> np.ndarray:
+        """X_k flattened (|Q0| |P|) for the rows Z_k of a forward block."""
+        p = self.M.shape[1]
+        return np.matmul(self.M, Z.reshape(len(Z), p, p)).reshape(len(Z), -1)
+
+    def readout(self, n: int):
+        """Yield what _dense_readout does per block: operands, monitor values, traces None."""
+        for Z in _elementwise_blocks(self.Z0, self.G, n, self.b):
+            yield self.operands(Z), None if self.mon is None else (Z @ self.mon).real, None
+
+    def forward(self, out: np.ndarray) -> np.ndarray:
+        """out, n rows, filled with Z_0 .. Z_{n-1} as the forward pass makes them."""
+        for _ in _elementwise_blocks(self.Z0, self.G, len(out), self.b, out):
+            pass
+        return out
+
+    def adjoint(self, out: np.ndarray) -> np.ndarray:
+        """out, n rows, filled with the rows U_0 .. U_{n-1} of the adjoint stack."""
+        for _ in _elementwise_blocks(self.N, self.H, len(out), self.b, out):
+            pass
+        return out
+
+
+def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
+    """Reference step of the linear map f: x + sum_k (h F)^k x / k! by plain summation.
+
+    With terms given, exactly k = 1 .. terms (four terms are the RK4 step
+    polynomial r(h F)); else up to the first term below 1e-16 of max|x|,
+    the exponential exp(h F) x (small h only).
+    """
     out = x.copy()
     term = x
     scale = max(np.max(np.abs(x)), 1e-300)
-    for k in range(1, 60):
+    for k in range(1, (terms or 59) + 1):
         term = (h / k) * f(term)
         out = out + term
-        if np.max(np.abs(term)) < tol * scale:
+        if terms is None and np.max(np.abs(term)) < 1e-16 * scale:
             break
     return out
 
 
 def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                  config: EvolutionConfig):
-    """Cross-validate S and the run's steppers; return the largest step difference.
+    """Cross-validate S and the run's steppers; return the largest difference.
 
     S, which the sectors and steppers are built from, must match the
     generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
     S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
-    adjoint duality.  The references are Taylor steps of sparse matvecs
-    with S and S^H.  The forward pass steps rho0 (its coordinates, or its
-    factor W in the D form) and is compared on every readout entry, and p
-    (y's, or tr rho0 - tr W W^H) with the reference's dropped diagonal sum,
-    so the closure of the readout sector, its block or factors and the
-    carried dropped population are checked at runtime.  The U/X form's
-    adjoint pass steps a on the operand sector; the D form's separable
-    kernel gives C[1][0], C[1][1], C[b][0] and C[b][1] as traces of D rows,
-    compared with Tr[a' exp(S dt)^(j-k) vec(a rho(t_k))] (C[b][1] because a
-    photonless start has a rho0 = 0, and C[j][0] = 0 checks no phase).  RK4
-    takes four steps of dt/16 (h = dt/4, its truncation far below the 1e-8
-    threshold), expm one (h = dt), and each power E^b or K_L^b, which steps
-    the blocked passes, is compared with b steps.
+    adjoint duality.  The references are steps of size dt by sparse matvecs
+    with S and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with
+    four terms), or for expm the Taylor sum to roundoff.  Node 1 of the
+    forward pass (its coordinates, its factor W or its eigen coordinates) is
+    compared on every readout entry, and p (y's, or tr rho0 - tr rho[P, P])
+    with the reference's dropped diagonal sum, so the closure of the
+    readout sector, its block, factors or eigenbases and the carried
+    dropped population are checked at runtime.  Each power that steps a
+    blocked pass (E^b, K_L^b, G^b or H^b) is checked as node b against node
+    b - 1 stepped once, the spectral form's G^b by the reference step of
+    rho(t_{b-1})[P, P].  The stepped form's adjoint pass steps a on the
+    operand sector and is compared with the reference.  The D and spectral
+    forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
+    compared with Tr[a' R^(j-k) vec(a rho(t_k))] for the reference step R on
+    the operand sector (C[b][1] because a photonless start has a rho0 = 0,
+    and C[j][0] = 0 checks no phase); for expm R^(b-1) runs in substeps of
+    at most 4 / ||S_a||_1 (e^4 bounds the Taylor sum's cancellation).
     """
     Z = _phases(gen.dim, gen.dim)
     z = Z.reshape(-1)
@@ -510,55 +649,65 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                 f"superoperator and generator disagree on the {name} smoke test "
                 f"(max diff {err:.3e} > 1e-12 max|L|); the generator is unsound"
             )
-    if config.method == "expm":
-        n_steps = 1
-    else:
-        # an rk4 stepper keeps its (already adjoint) block in _B
-        steppers = [_SectorStepper(s._B, config.dt / 16.0, "rk4") for s in steppers]
-        n_steps = 4
-    h = n_steps * steppers[0].dt
-    ref_f = _taylor_step(S.dot, rho0.reshape(-1), h)
+    h, terms = config.dt, (4 if config.method == "rk4" else None)
+    ref_f = _taylor_step(S.dot, rho0.reshape(-1), h, terms)
     step, second = steppers
-    if second.kind == "separable":
+    b = step.b
+    if second.kind in ("separable", "spectral"):
         P = fwd.sides[0]
-        F = np.concatenate(list(step.blocks(second.W0, step.b + 1)), axis=1)  # W_0 .. W_b
         rho = np.zeros_like(rho0)
-        rho[np.ix_(P, P)] = F[:, 1] @ F[:, 1].conj().T
+        if second.kind == "separable":
+            F = np.concatenate(list(step.blocks(second.W0, b + 1)), axis=1)  # W_0 .. W_b
+            rho[np.ix_(P, P)] = F[:, 1] @ F[:, 1].conj().T
+            D = second.rows(F, 0)
+
+            def C_new(j, k):
+                return np.vdot(D[j], D[k])
+
+            powers = [("forward", F[:, -1] - step(F[:, -2]))]
+        else:
+            Zs = second.forward(np.empty((b + 1, len(second.G)), dtype=complex))  # Z_0 .. Z_b
+            X, Uc = second.operands(Zs[:2]), second.adjoint(np.empty((b + 1, len(second.H)), dtype=complex))
+            rho[np.ix_(P, P)] = second.matrix(Zs[-2])  # node b - 1, stepped by the reference
+            stepped = _taylor_step(S.dot, rho.reshape(-1), h, terms)[fwd.index]
+            powers = [("forward", second.matrix(Zs[-1]).reshape(-1) - stepped),
+                      ("adjoint", Uc[-1] - Uc[-2] * second.H)]
+            rho[np.ix_(P, P)] = second.matrix(Zs[1])
+
+            def C_new(j, k):
+                return Uc[j - k] @ X[k]
+
         p = np.trace(rho0 - rho).real
-        D = second.rows(F, 0)
-        # on the operand sector: Y = exp(S dt)^j vec(a rho(t_k)) for k = 0, 1
-        # at j = 1, 0, then j = b, b - 1, after (b - 1) dt in substeps of at
-        # most 4 / ||S_a||_1 (e^4 bounds the Taylor sum's cancellation)
+        # on the operand sector: Y = R^j vec(a rho(t_k)) for k = 0, 1 at
+        # j = 1, 0, then j = b, b - 1
         a, Sa = a_mat.reshape(-1)[adj], _block(S, adj).tocsr()
         Y = np.stack([(a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f)], axis=1)
-        Y[:, 0] = _taylor_step(Sa.dot, Y[:, 0], h)
+        Y[:, 0] = _taylor_step(Sa.dot, Y[:, 0], h, terms)
         C = [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
-        m = int(np.ceil((step.b - 1) * h * abs(Sa).sum(axis=0).max() / 4))
+        m = b - 1 if terms else int(np.ceil((b - 1) * h * abs(Sa).sum(axis=0).max() / 4))
         for _ in range(m):
-            Y = _taylor_step(Sa.dot, Y, (step.b - 1) * h / m)
+            Y = _taylor_step(Sa.dot, Y, (b - 1) * h / m, terms)
         C += [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
-        kernel = [np.vdot(D[j], D[k]) - ref for (j, k), ref in zip(((1, 0), (1, 1), (step.b, 0), (step.b, 1)), C)]
-        head, tail = [], [("separable kernel", np.array(kernel))]
-        powers = [("forward", step, F[:, -2], F[:, -1])]
+        kernel = [C_new(j, k) - ref for (j, k), ref in zip(((1, 0), (1, 1), (b, 0), (b, 1)), C)]
+        head, tail = [], [(f"{second.kind} kernel", np.array(kernel))]
     else:
-        ref_a = _taylor_step(SH, a_mat.reshape(-1), h)
+        ref_a = _taylor_step(SH, a_mat.reshape(-1), h, terms)
         x0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
-        y, u = (np.concatenate(list(s.blocks(x, n_steps + 1)))[-1] for s, x in zip(steppers, (x0, u0)))
+        y, u = step(x0), second(u0)
         rho, p = fwd.matrix(y), y[-1]
         head, tail = [("adjoint", u - ref_a[adj])], []
         powers = []
         for name, s, x in (("forward", step, x0), ("adjoint", second, u0)):
             if s.power is not None:
                 X = np.concatenate(list(s.blocks(x, s.b + 1)))
-                powers.append((name, s, X[-2], X[-1]))
+                powers.append((name, X[-1] - s(X[-2])))
     diff_f = rho.reshape(-1) - ref_f
     diff_f[fwd.dropped] = 0.0
-    # node b of a pass is E^b x, node b - 1 stepped once more
     diffs = [
         ("forward", diff_f),
         ("forward dropped-population", p - ref_f[fwd.dropped_diag].real.sum()),
         *head,
-        *((f"{name} E^b", last - s(before)) for name, s, before, last in powers),
+        *((f"{name} E^b", diff) for name, diff in powers),
         *tail,
     ]
     worst = 0.0
@@ -592,12 +741,13 @@ def _forward(values, config: EvolutionConfig):
     """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
 
     values yields (rows, monitor values, traces) per row block of the nodes
-    k = 0, 1, ... (_dense_readout or _SeparableKernel.readout).  The pass
-    stops after t_max, or after the first node k > 0 whose monitor value
-    (None without a monitor) is below leak_tolerance, cutting its block
-    there.  It aborts at the first node up to the stop whose trace drifts
-    from node 0's by more than TRACE_DRIFT_LIMIT; the D form has no
-    traces, and its set-up check (check_trace_rows) stands in for the guard.
+    k = 0, 1, ... (_dense_readout, or the readout of _SeparableKernel or
+    _SpectralKernel).  The pass stops after t_max, or after the first node
+    k > 0 whose monitor value (None without a monitor) is below
+    leak_tolerance, cutting its block there.  It aborts at the first node
+    up to the stop whose trace drifts from node 0's by more than
+    TRACE_DRIFT_LIMIT; the D and spectral forms have no traces, and their
+    set-up check (check_trace_rows) stands in for the guard.
     """
     start = trace0 = 0
     for rows, residuals, traces in values:
@@ -721,18 +871,21 @@ def two_time_correlation(
 
     The horizon is t_max, cut at the first node where the monitor
     expectation (if given) falls below leak_tolerance.  Of the forward
-    sector only the readout sector and p are propagated.  For expm, where
-    both sectors are Kronecker sums (_kronecker_factors) and _separable
-    holds, the grid takes the D form: _FactoredStepper steps W and
-    _SeparableKernel forms D, with no adjoint pass.  Any other run takes
-    the U/X form, both passes stepped by _SectorStepper.  The grid reports
-    sector_sizes, propagators (forward, operand: "factored"/"separable",
-    "dense"/"dense" or "rk4"/"rk4"), columns ((s, width of D) for the D
-    form, else (None, None)), smoke_max_diff (None without the check) and
-    stage_s, the seconds of set-up, smoke check, forward and, for U/X,
-    adjoint pass.  rho0 must be Hermitian.  The stacks over the full t_max
-    and, for expm, the propagators and their b-th powers are checked
-    against max_grid_bytes before anything large is allocated.
+    sector only the readout sector and p are propagated.  Where both
+    sectors are Kronecker sums (_kronecker_factors) and the operand sector
+    is Q0 x P, an expm run takes the D form if _separable holds
+    (_FactoredStepper steps W and _SeparableKernel forms D, with no adjoint
+    pass), and an rk4 run the spectral U/X form if _eigenbases accepts the
+    factors (_SpectralKernel forms both stacks in eigen coordinates).  Any
+    other run takes the stepped U/X form, both passes stepped by
+    _SectorStepper.  The grid reports sector_sizes, propagators (forward,
+    operand: "factored"/"separable", "spectral"/"spectral", "dense"/"dense"
+    or "rk4"/"rk4"), columns ((s, width of D) for the D form, else
+    (None, None)), smoke_max_diff (None without the check) and stage_s, the
+    seconds of set-up, smoke check, forward and, for U/X, adjoint pass.
+    rho0 must be Hermitian.  The stacks over the full t_max and, for expm,
+    the propagators and their b-th powers are checked against
+    max_grid_bytes before anything large is allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -750,24 +903,34 @@ def two_time_correlation(
     i, j = np.divmod(fwd.index, d)
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S, rows * d + j[at])
-    separable = None
-    if config.method == "expm":
+    P, Q0 = fwd.sides[0], np.unique(adj // d)
+    separable = bases = None
+    if len(adj) and np.array_equal(np.unique(adj % d), P):  # the operand sector is Q0 x P
         factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
         if None not in factors:
-            separable = _separable(factors, fwd, adj, rho0)
+            (A, B), (A0, _) = factors
+            if config.method == "expm":
+                separable = _separable(factors, fwd, rho0)
+            else:
+                bases = _eigenbases(A, B, A0)
 
     b = _block_size(config.n_max)
+    N = None if monitor is None else _dense(monitor)[np.ix_(P, P)]
     if separable is not None:
         A, A0, W0 = separable
         width = len(A0) * W0.shape[1]
         _check_budget(config, 16 * width, factored=(len(A),))
         fwd.check_trace_rows()
-        P, Q0 = fwd.sides[0], np.unique(adj // d)
         step = _FactoredStepper(A, config.dt, b=b)
         second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, config.dt)
-        N = None if monitor is None else _dense(monitor)[np.ix_(P, P)]
         values = second.readout(step, config.n_max, N)
         columns = (W0.shape[1], width)
+    elif bases is not None:
+        width, columns = len(adj), (None, None)
+        _check_budget(config, 32 * width)
+        fwd.check_trace_rows()
+        step = second = _SpectralKernel(bases, a_mat[np.ix_(Q0, P)], rho0[np.ix_(P, P)], N, config.dt, b)
+        values = second.readout(config.n_max)
     else:
         width, columns = len(adj), (None, None)
         _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
@@ -803,14 +966,17 @@ def two_time_correlation(
     if second.kind != "separable":
         # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint;
         # the dagger of the observable lives inside the inner product
-        # Tr[U' X], so the stack holds conj(U).  The operand sector is
-        # invariant under L, so the adjoint restricted to it is exact on
-        # the pairing.
+        # Tr[U' X], so the stack holds conj(U) (the spectral kernel's rows
+        # are that already).  The operand sector is invariant under L, so
+        # the adjoint restricted to it is exact on the pairing.
         Uc = np.empty((n_t, width), dtype=complex)
-        start = 0
-        for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
-            np.conjugate(U, out=Uc[start : start + len(U)])
-            start += len(U)
+        if second.kind == "spectral":
+            second.adjoint(Uc)
+        else:
+            start = 0
+            for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
+                np.conjugate(U, out=Uc[start : start + len(U)])
+                start += len(U)
         marks.append(time.perf_counter())
         form = {"U": Uc, "X": X}
 

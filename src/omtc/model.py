@@ -347,18 +347,3 @@ class Generator:
         L.eliminate_zeros()
         return L
 
-
-def liouvillian_apply(H, dissipators: DissipatorSpec, rho: np.ndarray) -> np.ndarray:
-    """One-shot L(rho); prefer a Generator when applying repeatedly."""
-    if H.shape[0] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
-        raise ConfigurationError(
-            f"dimension mismatch: H {H.shape}, rho {rho.shape}"
-        )
-    return Generator(H, dissipators).apply(np.asarray(rho, dtype=complex))
-
-
-def heisenberg_apply(H, dissipators: DissipatorSpec, A: np.ndarray) -> np.ndarray:
-    """One-shot adjoint action on an observable."""
-    if H.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"dimension mismatch: H {H.shape}, A {A.shape}")
-    return Generator(H, dissipators).apply_adjoint(np.asarray(A, dtype=complex))

@@ -268,6 +268,29 @@ class TestCliSpectrum:
         assert "disagree on the separable kernel smoke test" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("call, block", [(0, "forward"), (1, "adjoint")])
+    def test_corrupted_spectral_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
+                                                        call, block):
+        # rk4 without mechanical losses takes the spectral form: the forward
+        # pass steps its blocks by G^b and the adjoint pass by H^b, made in
+        # that order; spoil one
+        from omtc import dynamics
+
+        power, calls = dynamics._elementwise_power, []
+
+        def corrupted(g, b):
+            calls.append(len(g))
+            return power(g, b) * (1 + 1e-6) if len(calls) == call + 1 else power(g, b)
+
+        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("expm", "rk4"))
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
+        assert calls[:2] == [81, 27]  # |P|^2 and |Q0| |P| at N_m = 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("block", ["forward", "adjoint"])
     def test_corrupted_expm_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys, block):
         # with mechanical losses both sectors are stepped densely; the

@@ -23,16 +23,17 @@ from omtc.dynamics import (
     Generator,
     _block,
     _closure,
+    _eigenbases,
     _ForwardSector,
     _FactoredStepper,
     _kronecker_factors,
+    _rk4_factor,
     _SectorStepper,
     _SeparableKernel,
     _separable,
+    _taylor_step,
     check_step_size,
     evolve,
-    heisenberg_apply,
-    liouvillian_apply,
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
@@ -63,6 +64,8 @@ def _damped_cavity(kappa=0.2, N_m=0):
 
 
 class TestLiouvillianApply:
+    """Generator.apply, the action of the Liouvillian on a dense matrix."""
+
     def test_pure_commutator_when_rates_vanish(self):
         rng = np.random.default_rng(0)
         p = ModelParams(kappa=0, gamma_a=0)
@@ -70,7 +73,7 @@ class TestLiouvillianApply:
         H = build_hamiltonian(p, space)
         diss = build_dissipators(p, space)
         rho = _random_rho(rng, space.dim)
-        out = liouvillian_apply(H, diss, rho)
+        out = Generator(H, diss).apply(rho)
         expected = -1j * (H.toarray() @ rho - rho @ H.toarray())
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -78,9 +81,7 @@ class TestLiouvillianApply:
         p = ModelParams(gamma_M=0.1, Mbar=0.0, gamma_a_coop=0.03)
         space = build_space(1, 2)
         vac = np.outer(space.ket(0, 0, 0, 0), space.ket(0, 0, 0, 0).conj())
-        out = liouvillian_apply(
-            build_hamiltonian(p, space), build_dissipators(p, space), vac
-        )
+        out = Generator(build_hamiltonian(p, space), build_dissipators(p, space)).apply(vac)
         assert abs(out).max() < 1e-14
 
     def test_hermiticity_preserved(self):
@@ -88,9 +89,7 @@ class TestLiouvillianApply:
         p = ModelParams(gamma_M=0.05, Mbar=0.1, gamma_a_coop=0.02, J=0.3)
         space = build_space(1, 2)
         rho = _random_rho(rng, space.dim)
-        out = liouvillian_apply(
-            build_hamiltonian(p, space), build_dissipators(p, space), rho
-        )
+        out = Generator(build_hamiltonian(p, space), build_dissipators(p, space)).apply(rho)
         assert abs(out - out.conj().T).max() < 1e-12
 
     def test_dense_superoperator_oracle_dim8(self):
@@ -116,12 +115,13 @@ class TestLiouvillianApply:
         assert abs(via_matrix - gen.apply(rho)).max() < 1e-12
 
     def test_dimension_mismatch(self):
+        # a matrix of another dimension is rejected, not broadcast
         p = ModelParams()
         space = build_space(1, 1)
-        with pytest.raises(ConfigurationError):
-            liouvillian_apply(
-                build_hamiltonian(p, space), build_dissipators(p, space), np.eye(3)
-            )
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        for action in (gen.apply, gen.apply_adjoint):
+            with pytest.raises(ValueError):
+                action(np.eye(3))
 
 
 @st.composite
@@ -178,24 +178,20 @@ class TestHeisenbergAdjoint:
         rng = np.random.default_rng(3)
         p = ModelParams(gamma_M=0.06, Mbar=0.2, gamma_a_coop=0.01, J=0.2)
         space = build_space(1, 1)
-        H = build_hamiltonian(p, space)
-        diss = build_dissipators(p, space)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         d = space.dim
         for _ in range(4):
             A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            lhs = np.trace(A.conj().T @ liouvillian_apply(H, diss, X))
-            rhs = np.trace(heisenberg_apply(H, diss, A).conj().T @ X)
+            lhs = np.trace(A.conj().T @ gen.apply(X))
+            rhs = np.trace(gen.apply_adjoint(A).conj().T @ X)
             assert abs(lhs - rhs) < 1e-10
 
     def test_identity_is_stationary_in_heisenberg_picture(self):
         p = ModelParams(gamma_M=0.05, Mbar=0.1)
         space = build_space(1, 1)
-        out = heisenberg_apply(
-            build_hamiltonian(p, space),
-            build_dissipators(p, space),
-            np.eye(space.dim, dtype=complex),
-        )
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        out = gen.apply_adjoint(np.eye(space.dim, dtype=complex))
         assert abs(out).max() < 1e-12
 
 
@@ -847,7 +843,9 @@ def _assert_matches_sequential(grid, ref):
     else:
         assert grid.residual_excitation == pytest.approx(ref.residual_excitation, rel=1e-12)
     pairs = [(grid_dense(grid), grid_dense(ref))]
-    if grid.D is None:
+    if grid.D is None and grid.propagators[1] != "spectral":
+        # the spectral form's stacks are in eigen coordinates: only their
+        # pairing, the grid, is comparable with the stepped stacks
         pairs += [(grid.X, ref.X), (grid.U, ref.U)]
     for new, old in pairs:
         _assert_close_or_dark(new, old, ref.n_t)
@@ -1059,8 +1057,8 @@ def _correlation_point(params, space, initial=1, **config):
             ladder_operators(space)["a"], optical_excitation_operator(space))
 
 
-def _assert_same_spectra(grid, dense, Gamma=0.05):
-    """The D form against the U/X form: C, the lag sums G and A and both spectrum columns.
+def _assert_same_spectra(grid, dense, Gamma=0.05, bound=None):
+    """A factored form against the U/X form: C, the lag sums G and A and both spectrum columns.
 
     Each to 1e-12 of its maximum over the dense path's values, or of the
     size of its terms where they cancel to roundoff (the rate's
@@ -1068,16 +1066,30 @@ def _assert_same_spectra(grid, dense, Gamma=0.05):
     over 2 Gamma; at a horizon of one step the counts vanish so).  An
     exactly dark start is compared by _assert_close_or_dark alone: its lag
     sums and columns are weighted sums of roundoff.
+
+    With bound, the bound on |C[j][k]| that both paths share
+    (tr rho0 max|a|^2), C is compared to 1e-12 bound and the sizes of G and
+    A are at least bound sum_k q_k^2 and bound sum_k w_k^2, their bounds.
+    The spectral form changes basis, which spreads its roundoff over the
+    whole state, so an entry far below the bound (a photon population one
+    step after a photonless start, 2.5e-5) carries eps of the bound, not of
+    itself.
     """
     n = grid.n_t - 1
     C, C_ref = grid_dense(grid), grid_dense(dense)
-    _assert_close_or_dark(C, C_ref, grid.n_t)
-    if np.abs(C_ref).max() <= grid.n_t * np.finfo(float).eps:
-        return
+    if bound is None:
+        _assert_close_or_dark(C, C_ref, grid.n_t)
+        if np.abs(C_ref).max() <= grid.n_t * np.finfo(float).eps:
+            return
+    else:
+        assert np.abs(C - C_ref).max() <= 1e-12 * bound
     deltas = np.linspace(-6.0, 6.0, 49)
     new = [*grid.lag_sums(Gamma, n), *filtered_spectrum(grid, deltas, Gamma, grid.horizon)]
     old = [*dense.lag_sums(Gamma, n), *filtered_spectrum(dense, deltas, Gamma, grid.horizon)]
     G, A = (np.abs(x).max() for x in old[:2])
+    if bound is not None:  # the lag sums of C = 1 are sum_k q_k q_{k+tau}, largest at tau = 0
+        G_1, A_1 = CorrelationGrid(dt=grid.dt, D=np.ones((grid.n_t, 1))).lag_sums(Gamma, n)
+        G, A = max(G, bound * G_1[0].real), max(A, bound * A_1[0].real)
     rate = dense.kappa * Gamma**2 * G
     terms = (G, A, rate, dense.kappa * Gamma * A / 2 + rate / (2 * Gamma))
     for x, y, size in zip(new, old, terms, strict=True):
@@ -1092,7 +1104,7 @@ def _separable_point(space, gen, rho0):
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
     adj = (Q0[:, None] * d + P).reshape(-1)
     factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
-    return fwd, P, Q0, _separable(factors, fwd, adj, rho0)
+    return fwd, P, Q0, _separable(factors, fwd, rho0)
 
 
 def _unfactored(rho0, gen, cfg, a, mon):
@@ -1218,6 +1230,22 @@ class TestFactoredPropagator:
         _assert_close_or_dark(grid_dense(grid), grid_dense(two_time_correlation(rho0, gen, cfg, a)),
                               grid.n_t)
 
+    def test_diagonal_monitor_reads_populations(self):
+        # a diagonal N (the optical-excitation monitor is the identity on P)
+        # is read as sum_i Re(N_ii) |W_i|^2, with no product N W
+        space = build_space(1, 2, excitation_cap=1)
+        rho0, gen, _, a, _ = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
+        )
+        _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
+        step = _FactoredStepper(A, 0.02, b=4)
+        kernel = _SeparableKernel(A0, a.toarray()[np.ix_(Q0, P)], W0, 0.02)
+        N = np.diag(np.random.default_rng(4).uniform(0.5, 1.5, len(P)) + 0.3j)
+        values = np.concatenate([m for _, m, _ in kernel.readout(step, 9, N)])
+        Ws = np.concatenate(list(step.blocks(W0, 9)), axis=1)
+        for k, m in enumerate(values):
+            assert abs(m - np.trace(N @ Ws[:, k] @ Ws[:, k].conj().T).real) <= 1e-15
+
     def test_ground_block_that_is_not_diagonal(self):
         # the model's ground block -iH[Q0, Q0] is diagonal (phonon energies),
         # so its eigenbasis is the identity; a phonon displacement acting
@@ -1292,17 +1320,18 @@ class TestFactoredPropagator:
         assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
 
     @pytest.mark.parametrize(
-        "losses, propagators",
+        "losses, propagators, rk4",
         [
-            ({}, ("factored", "separable")),
+            ({}, ("factored", "separable"), ("spectral", "spectral")),
             # the phonon jumps land inside both sectors
-            ({"gamma_M": 0.05}, ("dense", "dense")),
+            ({"gamma_M": 0.05}, ("dense", "dense"), ("rk4", "rk4")),
             # n_c rho n_c stays in rho_11 and vanishes on rho_01: only the
-            # operand sector is a Kronecker sum, so the run takes the U/X form
-            ({"dephasing": 0.1}, ("dense", "dense")),
+            # operand sector is a Kronecker sum, so the run takes the
+            # stepped U/X form
+            ({"dephasing": 0.1}, ("dense", "dense"), ("rk4", "rk4")),
         ],
     )
-    def test_selection(self, losses, propagators):
+    def test_selection(self, losses, propagators, rk4):
         params = ModelParams(J=0.3, gamma_M=losses.get("gamma_M", 0.0), Mbar=0.02)
         space = build_space(1, 2, excitation_cap=1)
         diss = build_dissipators(params, space)
@@ -1314,7 +1343,7 @@ class TestFactoredPropagator:
         gen = Generator(build_hamiltonian(params, space), diss)
         rho0 = initial_state(params, space)
         a, mon = ladder_operators(space)["a"], optical_excitation_operator(space)
-        for method, expected in (("expm", propagators), ("rk4", ("rk4", "rk4"))):
+        for method, expected in (("expm", propagators), ("rk4", rk4)):
             cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method)
             grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
             assert grid.propagators == expected
@@ -1415,6 +1444,115 @@ class TestFactoredPropagator:
         A, B = _kronecker_factors(gen, S, _ForwardSector(S, rho0, reads).index)
         assert A.shape == B.shape == (9, 9)
         assert _kronecker_factors(gen, S, _ForwardSector(S, rho0).index) is None
+
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("initial", [1, 2, "symmetric", "antisymmetric"])
+    @settings(max_examples=5)
+    @given(point=model_points(), t_max=st.sampled_from([0.4, 1.0, 2.6]), leak=st.floats(0.9, 1.0))
+    def test_matches_stepped_rk4(self, initial, point, t_max, leak):
+        # no mechanical losses: the spectral form against stepped RK4 over
+        # the drawn J, delta_ac, gamma_a_coop and Mbar; b = 4, 4 and 8 at
+        # n_max = 21, 51 and 131, and the drawn tolerances stop many runs
+        # early, anywhere in a block
+        params, space, _ = point
+        params = replace(params, gamma_M=0.0)
+        rho0, gen, cfg, a, mon = _correlation_point(
+            params, space, initial, dt=0.02, t_max=t_max, method="rk4", leak_tolerance=leak
+        )
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        stepped = _unfactored(rho0, gen, cfg, a, mon)
+        assert (grid.propagators, stepped.propagators) == (("spectral",) * 2, ("rk4",) * 2)
+        assert grid.n_t == stepped.n_t
+        assert grid.residual_excitation == pytest.approx(stepped.residual_excitation, rel=1e-12)
+        assert grid.smoke_max_diff < 1e-13
+        _assert_same_spectra(grid, stepped, bound=1.0)
+
+    @settings(max_examples=6)
+    @given(point=model_points(), t_max=st.sampled_from([0.4, 2.6]), leak=st.floats(0.9, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_support_and_dense_monitor_match_stepped_rk4(self, point, t_max, leak, seed):
+        # a random Hermitian rho0 on all of P with a ground share, and a
+        # positive monitor on P that is not diagonal, scaled to read 1 at
+        # t = 0: Z_0 is full and the monitor reads every eigen coordinate
+        params, space, _ = point
+        params = replace(params, gamma_M=0.0)
+        _, gen, cfg, a, _ = _correlation_point(
+            params, space, dt=0.02, t_max=t_max, method="rk4", leak_tolerance=leak
+        )
+        rng = np.random.default_rng(seed)
+        P = np.flatnonzero(optical_excitation_operator(space).diagonal() == 1)
+        vac = space.ket(0, 0, 0, 0)
+        rho0 = 0.2 * np.outer(vac, vac.conj())
+        rho0[np.ix_(P, P)] = 0.8 * _random_rho(rng, len(P))
+        mon = np.zeros_like(rho0)
+        mon[np.ix_(P, P)] = _random_rho(rng, len(P))
+        mon = sparse.csr_matrix(mon / np.trace(mon @ rho0).real)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        stepped = _unfactored(rho0, gen, cfg, a, mon)
+        assert grid.propagators == ("spectral", "spectral")
+        assert grid.n_t == stepped.n_t
+        assert grid.residual_excitation == pytest.approx(stepped.residual_excitation, rel=1e-12)
+        _assert_same_spectra(grid, stepped, bound=1.0)
+
+    @pytest.mark.parametrize("decades, propagators", [(0.5, ("spectral",) * 2), (4.0, ("rk4",) * 2)])
+    def test_ill_conditioned_eigenbasis_falls_back_to_stepped_path(self, decades, propagators,
+                                                                   monkeypatch):
+        # eigenvectors rescaled over a range of decades are still an exact
+        # eigenbasis; over half a decade the condition numbers stay below
+        # SPECTRAL_CONDITION_LIMIT and the spectral form still matches, over
+        # four they exceed it and the run takes the stepped path, bit for
+        # bit the run without Kronecker factors
+        eig = np.linalg.eig
+
+        def rescaled(F):
+            w, V = eig(F)
+            return w, V * np.logspace(0.0, decades, len(w))
+
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02), build_space(1, 2, excitation_cap=1), 2,
+            dt=0.02, t_max=1.0, method="rk4",
+        )
+        stepped = _unfactored(rho0, gen, cfg, a, mon)
+        monkeypatch.setattr("numpy.linalg.eig", rescaled)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
+        assert grid.propagators == propagators
+        if propagators == ("rk4", "rk4"):
+            assert np.array_equal(grid.X, stepped.X) and np.array_equal(grid.U, stepped.U)
+        else:
+            _assert_same_spectra(grid, stepped, bound=1.0)
+
+    def test_stacks_pair_to_the_physical_operands(self):
+        # X_k = V_0^-1 a rho(t_k) V_B and U_tau = N o H^tau: mapped back,
+        # X is the stepped operand stack, and a Heisenberg pass of a' read
+        # against any X_k gives the same C
+        space = build_space(1, 2, excitation_cap=1)
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02, gamma_a_coop=0.02), space, "symmetric",
+            dt=0.02, t_max=1.0, method="rk4",
+        )
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        stepped = _unfactored(rho0, gen, cfg, a, mon)
+        fwd, P, Q0, _ = _separable_point(space, gen, rho0)
+        S = gen.superoperator()
+        factors = (_kronecker_factors(gen, S, fwd.index),
+                   _kronecker_factors(gen, S, (Q0[:, None] * space.dim + P).reshape(-1)))
+        (A, B), (A0, _) = factors
+        (_, _, _), (_, V_B, VB_inv), (_, V_0, _) = _eigenbases(A, B, A0)
+        X = V_0 @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ VB_inv
+        assert np.abs(X.reshape(grid.n_t, -1) - stepped.X).max() <= 1e-13
+        np.testing.assert_allclose(grid.U @ grid.X.T, stepped.U @ stepped.X.T, rtol=0, atol=1e-13)
+
+    def test_rk4_factor_is_the_step_polynomial(self):
+        # r(h S) x, S diagonal, equals one RK4 step of the stepper and four
+        # Taylor terms of _taylor_step
+        w = np.array([-0.3 + 2.0j, -1.0, 0.5j])
+        x = np.array([1.0, 2.0 - 1.0j, 0.5j])
+        stepper = _SectorStepper(sparse.csr_matrix(np.diag(w)), 0.05, "rk4")
+        expected = _rk4_factor(0.05 * w) * x
+        assert np.abs(stepper(x) - expected).max() <= 1e-15
+        assert np.abs(_taylor_step(lambda v: w * v, x, 0.05, terms=4) - expected).max() <= 1e-15
 
 
 def _double_sum_lag_sums(grid, Gamma, n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omtc.dynamics import Generator, liouvillian_apply
+from omtc.dynamics import Generator
 from omtc.errors import ConfigurationError
 from omtc.hilbert import BasisIndex, build_space, ladder_operators
 from omtc.model import (
@@ -191,7 +191,7 @@ class TestDissipators:
             )
             rho = m + m.conj().T
             rho /= np.trace(rho).real
-            out = liouvillian_apply(H, diss, rho)
+            out = Generator(H, diss).apply(rho)
             assert abs(np.trace(out)) < 1e-10
 
     def test_capped_generator_annihilates_trace_at_zero_temperature(self):

@@ -5,14 +5,15 @@
 The North-star point is ``configs/reference.cfg`` with
 ``numerics.method = expm``: N_m = 8, dt = 0.02 and the leak stop at 1e-4
 within t_max = 400, so n_t = 8519.  It runs as given (``Mbar = 0``, a pure
-start) and with ``model.Mbar = 0.5``, a thermal start of rank 9.  Each point
+start), with ``model.Mbar = 0.5``, a thermal start of rank 9, and with the
+file's own ``numerics.method = rk4``, the default.  Each point
 runs in a process of its own, so that its ``ru_maxrss`` is its own: RUNS = 3
 ``omtc.spectrum.stationary_spectrum`` calls, imported from this checkout's
 ``src/``, with BLAS pinned to one thread as in ``perfbench/``.  Per point the
 output holds the wall seconds of every run and their median,
 ``metadata["stage_s"]`` of every run, ``ru_maxrss`` of the process after
 the last run in MiB (import and all runs included), ``n_t`` and
-``metadata["columns"]``.
+``metadata["columns"]`` and ``metadata["propagator"]``.
 """
 
 import json
@@ -27,7 +28,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
-POINTS = {"Mbar=0": "", "Mbar=0.5": "model.Mbar = 0.5\n"}
+#: name: (numerics.method, extra config lines)
+POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", "")}
 
 
 def run_point(name: str) -> dict:
@@ -40,8 +42,9 @@ def run_point(name: str) -> dict:
     text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
     if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
         raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4 and model.Mbar = 0")
-    text = text.replace("numerics.method = rk4", "numerics.method = expm")
-    cfg = parse_config(text.replace("model.Mbar = 0\n", "") + POINTS[name])
+    method, extra = POINTS[name]
+    text = text.replace("numerics.method = rk4", f"numerics.method = {method}")
+    cfg = parse_config(text.replace("model.Mbar = 0\n", "") + extra)
     walls, stages = [], []
     for _ in range(RUNS):
         t0 = time.perf_counter()
@@ -49,6 +52,7 @@ def run_point(name: str) -> dict:
         walls.append(time.perf_counter() - t0)
         stages.append(result.metadata["stage_s"])
         n_t, columns = result.metadata["n_t"], result.metadata["columns"]
+        propagator = result.metadata["propagator"]
         del result  # so that a run's grid does not add to the next one's peak
     return {
         "wall_s": walls,
@@ -57,6 +61,7 @@ def run_point(name: str) -> dict:
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "n_t": n_t,
         "columns": columns,
+        "propagator": propagator,
     }
 
 
@@ -71,7 +76,7 @@ def main(argv=None) -> int:
                              capture_output=True, text=True, check=True).stdout
         points[name] = json.loads(out.splitlines()[-1])
     print(json.dumps({
-        "point": "configs/reference.cfg with numerics.method = expm",
+        "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4)",
         "points": points,
     }, sort_keys=True))
     return 0
