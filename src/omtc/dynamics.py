@@ -287,7 +287,7 @@ class _SectorStepper:
     four sparse matvecs per step; expm builds the dense E = exp(B dt) once
     and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
     b sequential rk4 steps or, after the first expm block, one product with
-    E^b.  This steps any sector, for the U/X form of the grid.
+    E^b.  This steps any sector, for the stepped U/X form of the grid.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):

@@ -75,7 +75,8 @@ class CorrelationGrid:
 
     U/X form: row tau of U is the conjugate of the observable a after tau
     adjoint steps and row k of X the regression operand a rho(t_k), both on
-    the operand sector, so C[k+tau][k] = U[tau] . X[k].  D form: row k of
+    the operand sector (for the spectral kernel in eigen coordinates, which
+    pair the same), so C[k+tau][k] = U[tau] . X[k].  D form: row k of
     D is the flattened D_k of the separable kernel (see dynamics), so
     C[j][k] = conj(D[j]) . D[k].  The upper triangle is defined by
     conjugate symmetry.  Exactly one form is given.

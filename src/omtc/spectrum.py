@@ -22,8 +22,9 @@ stationary_spectrum also reports the share of the emission that falls
 inside the detuning window (metadata["window_capture"]), the number of
 quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
 and, when it ran the propagation, the forward/operand steppers
-(metadata["propagator"], "factored/separable" for the D form, else
-"dense/dense" or "rk4/rk4"), the D form's rank s of the start and width
+(metadata["propagator"], "factored/separable" for the D form,
+"spectral/spectral" for the spectral U/X form, else "dense/dense" or
+"rk4/rk4"), the D form's rank s of the start and width
 of D (metadata["columns"], e.g. (1, 9), (None, None) for U and X), the
 largest smoke-check difference (metadata["smoke_max_diff"]) and the
 seconds of each stage (metadata["stage_s"]: model, setup, smoke, forward,
