@@ -45,7 +45,9 @@ products that no jump lands in, so L acts there as X -> A X + X B
   of both passes is an elementwise power (_SpectralKernel).  The trace is
   folded into a single adjoint (Heisenberg) propagation of a', so
   C[k+tau][k] = <U_tau, X_k> pairs two stacks on the operand sector, here
-  in eigen coordinates: only their pairing has meaning.
+  in eigen coordinates: only their pairing has meaning.  A step that grows
+  an eigen coordinate is rejected at set-up, and a grid too far below the
+  roundoff of the change of basis is computed stepped instead.
 - Stepped U/X form, every other run: the same pairing, with X_k = a
   rho(t_k) from the forward pass and U_tau from the adjoint pass, both
   stepped on the sector blocks by _SectorStepper.  They agree to roundoff
@@ -67,10 +69,13 @@ from .model import Generator, _dense
 
 #: abort threshold for trace drift along a trajectory
 TRACE_DRIFT_LIMIT = 1e-4
+#: share of the grid's largest entry to which the spectral form must match
+#: stepped RK4; a grid it cannot resolve so is computed stepped
+SPECTRAL_RESOLUTION = 1e-12
 #: largest kappa(V_A) kappa(V_B) kappa(V_0) of the eigenvector matrices
 #: that the spectral form accepts: its transforms scale the roundoff of the
 #: stepped path by at most that, so 1e3 eps ~ 1e-13 of the largest entry
-#: stays below the 1e-12 at which it must match stepped RK4
+#: stays below SPECTRAL_RESOLUTION
 SPECTRAL_CONDITION_LIMIT = 1e3
 
 
@@ -511,28 +516,17 @@ def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int, out=None)
 
 
 def _eigenbases(A: np.ndarray, B: np.ndarray, A0: np.ndarray):
-    """[(w, V, V^-1)] with F = V diag(w) V^-1 for F = A, B and A0, or None.
+    """((w, V, V^-1) for F = A, B and A0, with F = V diag(w) V^-1; kappa), or None.
 
-    B = A^H exactly, as for a Hermitian H and K, reuses A's:
-    B = V^-H diag(conj w) V^H.  None when the product of the condition
-    numbers kappa(V) exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly
-    defective factor).
+    kappa is the product of the condition numbers kappa(V); None when it
+    exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly defective
+    factor).
     """
-
-    def basis(F):
-        w, V = np.linalg.eig(F)
-        return w, V, np.linalg.cond(V)
-
-    (alpha, V_A, kappa_A), (nu, V_0, kappa_0) = basis(A), basis(A0)
-    if np.array_equal(B, A.conj().T):
-        beta, V_B, kappa_B = alpha.conj(), None, kappa_A
-    else:
-        beta, V_B, kappa_B = basis(B)
-    if not kappa_A * kappa_B * kappa_0 <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
+    eig = [np.linalg.eig(F) for F in (A, B, A0)]
+    kappa = float(np.prod([np.linalg.cond(V) for _, V in eig]))
+    if not kappa <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
         return None
-    VA_inv = np.linalg.inv(V_A)
-    B_basis = (VA_inv.conj().T, V_A.conj().T) if V_B is None else (V_B, np.linalg.inv(V_B))
-    return [(alpha, V_A, VA_inv), (beta, *B_basis), (nu, V_0, np.linalg.inv(V_0))]
+    return (*((w, V, np.linalg.inv(V)) for w, V in eig), kappa)
 
 
 class _SpectralKernel:
@@ -550,20 +544,38 @@ class _SpectralKernel:
     N = (V_B^-1 a[Q0, P]^H V_0)^T: U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))],
     as the V_B factors cancel inside the trace.  The monitor value is
     Re tr(N' rho) = Re sum((V_B^-1 N' V_A)^T o Z_k) for N' = monitor[P, P].
+
+    The exact no-jump evolution never grows (Re(alpha_i + beta_j) <= 0 and
+    Re(nu_q + beta_j) <= 0), so a factor |G_ij| or |H_qj| above 1 + 1e-12
+    is an unstable step, a NumericalError at set-up: these passes have no
+    trace to drift.  As |G|, |H| <= 1, every |C[j][k]| is at most
+    T = sum_qj |N_qj| (|M| |Z_0|)_qj, the size of the terms of C[0][0], and
+    the change of basis leaves roundoff of about eps kappa T in every entry
+    (kappa of _eigenbases), however small the entry: resolves() tells
+    whether the grid stands far enough above it.
     """
 
     kind = "spectral"
 
     def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, monitor, dt: float, b: int):
-        (alpha, V_A, VA_inv), (beta, V_B, VB_inv), (nu, V_0, V0_inv) = bases
+        (alpha, V_A, VA_inv), (beta, V_B, VB_inv), (nu, V_0, V0_inv), kappa = bases
         self.b = b
         self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
         self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
+        growth = max(np.abs(self.G).max(initial=0.0), np.abs(self.H).max(initial=0.0))
+        if growth > 1.0 + 1e-12:
+            raise NumericalError(
+                f"RK4 step at dt={dt} is unstable on the no-jump spectrum (a mode grows "
+                f"by {growth:.6g} per step); reduce dt"
+            )
         self.Z0 = (VA_inv @ rho0 @ V_B).reshape(-1)
         self.M = V0_inv @ a0 @ V_A
         self.N = (VB_inv @ a0.conj().T @ V_0).T.reshape(-1)
         self.mon = None if monitor is None else (VB_inv @ monitor @ V_A).T.reshape(-1)
         self._V = V_A, VB_inv
+        p = len(V_A)
+        T = np.abs(self.N) @ (np.abs(self.M) @ np.abs(self.Z0).reshape(p, p)).reshape(-1)
+        self.floor = np.finfo(float).eps * kappa * T
 
     def matrix(self, z: np.ndarray) -> np.ndarray:
         """rho[P, P] = V_A Z V_B^-1 of the eigen coordinates z of a forward node."""
@@ -579,6 +591,17 @@ class _SpectralKernel:
         """Yield what _dense_readout does per block: operands, monitor values, traces None."""
         for Z in _elementwise_blocks(self.Z0, self.G, n, self.b):
             yield self.operands(Z), None if self.mon is None else (Z @ self.mon).real, None
+
+    def resolves(self, X: np.ndarray) -> bool:
+        """Whether the grid of the operand stack X stands above its roundoff.
+
+        True when the roundoff eps kappa T is at most SPECTRAL_RESOLUTION of
+        max|C[j][k]| = max_k C[k][k] = max_k |U_0 . X_k| (Cauchy-Schwarz,
+        for a positive rho0), so that the grid matches stepped RK4 to that
+        share of its largest entry.  A grid far below its bound (a run cut
+        a few steps after a photonless start) is not resolved.
+        """
+        return self.floor <= SPECTRAL_RESOLUTION * np.abs(X @ self.N).max(initial=0.0)
 
     def forward(self, out: np.ndarray) -> np.ndarray:
         """out, n rows, filled with Z_0 .. Z_{n-1} as the forward pass makes them."""
@@ -876,13 +899,15 @@ def two_time_correlation(
     is Q0 x P, an expm run takes the D form if _separable holds
     (_FactoredStepper steps W and _SeparableKernel forms D, with no adjoint
     pass), and an rk4 run the spectral U/X form if _eigenbases accepts the
-    factors (_SpectralKernel forms both stacks in eigen coordinates).  Any
-    other run takes the stepped U/X form, both passes stepped by
-    _SectorStepper.  The grid reports sector_sizes, propagators (forward,
-    operand: "factored"/"separable", "spectral"/"spectral", "dense"/"dense"
-    or "rk4"/"rk4"), columns ((s, width of D) for the D form, else
-    (None, None)), smoke_max_diff (None without the check) and stage_s, the
-    seconds of set-up, smoke check, forward and, for U/X, adjoint pass.
+    factors (_SpectralKernel forms both stacks in eigen coordinates; a grid
+    it does not resolve is recomputed stepped, its set-up stage holding
+    the attempt).  Any other run takes the stepped U/X form, both passes
+    stepped by _SectorStepper.  The grid reports sector_sizes, propagators
+    (forward, operand: "factored"/"separable", "spectral"/"spectral",
+    "dense"/"dense" or "rk4"/"rk4"), columns ((s, width of D) for the D
+    form, else (None, None)), smoke_max_diff (None without the check) and
+    stage_s, the seconds of set-up, smoke check, forward and, for U/X,
+    adjoint pass.
     rho0 must be Hermitian.  The stacks over the full t_max and, for expm,
     the propagators and their b-th powers are checked against
     max_grid_bytes before anything large is allocated.
@@ -916,50 +941,59 @@ def two_time_correlation(
 
     b = _block_size(config.n_max)
     N = None if monitor is None else _dense(monitor)[np.ix_(P, P)]
-    if separable is not None:
-        A, A0, W0 = separable
-        width = len(A0) * W0.shape[1]
-        _check_budget(config, 16 * width, factored=(len(A),))
-        fwd.check_trace_rows()
-        step = _FactoredStepper(A, config.dt, b=b)
-        second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, config.dt)
-        values = second.readout(step, config.n_max, N)
-        columns = (W0.shape[1], width)
-    elif bases is not None:
-        width, columns = len(adj), (None, None)
-        _check_budget(config, 32 * width)
-        fwd.check_trace_rows()
-        step = second = _SpectralKernel(bases, a_mat[np.ix_(Q0, P)], rho0[np.ix_(P, P)], N, config.dt, b)
-        values = second.readout(config.n_max)
-    else:
-        width, columns = len(adj), (None, None)
-        _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
-        step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
-        a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
-        values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
-                                (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
-        second = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
-    propagators = (step.kind, second.kind)
-    marks.append(time.perf_counter())
-    smoke = None
-    if config.smoke_check:
-        smoke = _smoke_check(gen, S, fwd, adj, (step, second), rho0, a_mat, config)
-    marks.append(time.perf_counter())
+    while True:
+        if separable is not None:
+            A, A0, W0 = separable
+            width = len(A0) * W0.shape[1]
+            _check_budget(config, 16 * width, factored=(len(A),))
+            fwd.check_trace_rows()
+            step = _FactoredStepper(A, config.dt, b=b)
+            second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, config.dt)
+            values = second.readout(step, config.n_max, N)
+            columns = (W0.shape[1], width)
+        elif bases is not None:
+            width, columns = len(adj), (None, None)
+            _check_budget(config, 32 * width)
+            fwd.check_trace_rows()
+            step = second = _SpectralKernel(bases, a_mat[np.ix_(Q0, P)], rho0[np.ix_(P, P)], N,
+                                            config.dt, b)
+            values = second.readout(config.n_max)
+        else:
+            width, columns = len(adj), (None, None)
+            _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
+            step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+            a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
+            values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
+                                    (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
+            second = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
+        propagators = (step.kind, second.kind)
+        marks.append(time.perf_counter())
+        smoke = None
+        if config.smoke_check:
+            smoke = _smoke_check(gen, S, fwd, adj, (step, second), rho0, a_mat, config)
+        marks.append(time.perf_counter())
 
-    # forward pass: the rows of D, or the regression operands a rho(t_k)
-    # on the operand sector, one block at a time into the stack over the
-    # full t_max; rows past the realized horizon are never written, so
-    # never resident
-    X = np.empty((config.n_max, width), dtype=complex)
-    n_t, residual = 0, None
-    for operands, residuals in _forward(values, config):
-        X[n_t : n_t + len(operands)] = operands
-        n_t += len(operands)
-        if residuals is not None:
-            residual = residuals[-1]
-        del operands  # released before the next block is computed
-    del step, values  # the forward propagators are not needed by the adjoint pass
-    X = X[:n_t]
+        # forward pass: the rows of D, or the regression operands a rho(t_k)
+        # on the operand sector, one block at a time into the stack over the
+        # full t_max; rows past the realized horizon are never written, so
+        # never resident
+        X = np.empty((config.n_max, width), dtype=complex)
+        n_t, residual = 0, None
+        for operands, residuals in _forward(values, config):
+            X[n_t : n_t + len(operands)] = operands
+            n_t += len(operands)
+            if residuals is not None:
+                residual = residuals[-1]
+            del operands  # released before the next block is computed
+        del step, values  # the forward propagators are not needed by the adjoint pass
+        X = X[:n_t]
+        if second.kind != "spectral" or second.resolves(X):
+            break
+        # the grid is too small for eigen coordinates to carry: the run is
+        # redone stepped, whose roundoff follows the entries, and its set-up
+        # stage includes this attempt
+        bases = None
+        del marks[1:]
     marks.append(time.perf_counter())
 
     form = {"D": X}
