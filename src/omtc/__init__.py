@@ -28,8 +28,8 @@ from .hilbert import (
     optical_excitation_operator,
 )
 from .model import (
+    Channel,
     DipoleGeometry,
-    DissipatorSpec,
     ModelParams,
     build_dissipators,
     build_hamiltonian,

@@ -13,7 +13,6 @@ checked (>= 1) but no longer changes anything: every run is serial.
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 from . import dressed
 from .config import RunConfig, apply_sweep_value, echo_lines, parse_config
@@ -23,31 +22,26 @@ from .output import emit_plot, write_spectrum_csv, write_sticks_csv, write_summa
 from .spectrum import dominant_separation, stationary_spectrum
 
 
+#: (flag, the config key it sets, help); a flag replaces the key's value in the file
+_FLAGS = (
+    ("--output", "output.csv", "CSV output path"),
+    ("--svg", "output.svg", "SVG plot path"),
+    ("--threads", "threads", "accepted; has no effect"),
+    ("--dump-correlation", "output.correlation_dump", "binary grid dump path"),
+    ("--load-correlation", "output.load_correlation", "reuse a dumped grid"),
+)
+
+
 def _load_config(args) -> RunConfig:
-    if args.config is None:
-        cfg = parse_config("")
-    else:
+    text = ""
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-        cfg = parse_config(text)
-    out = cfg.output
-    if args.output is not None:
-        out = replace(out, csv=args.output)
-    if args.svg is not None:
-        out = replace(out, svg=args.svg)
-    if getattr(args, "dump_correlation", None) is not None:
-        out = replace(out, correlation_dump=args.dump_correlation)
-    if getattr(args, "load_correlation", None) is not None:
-        out = replace(out, load_correlation=args.load_correlation)
-    cfg = replace(cfg, output=out)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigurationError("--threads must be >= 1")
-        cfg = replace(cfg, threads=args.threads)
-    return cfg
+    given = vars(args)
+    return parse_config(text, {key: given[key] for _, key, _ in _FLAGS if given[key] is not None})
 
 
 def _run_one(cfg: RunConfig):
@@ -197,11 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat dotted-key config file")
-        p.add_argument("--output", default=None, help="CSV output path")
-        p.add_argument("--svg", default=None, help="SVG plot path")
-        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-        p.add_argument("--dump-correlation", default=None, help="binary grid dump path")
-        p.add_argument("--load-correlation", default=None, help="reuse a dumped grid")
+        for flag, key, text in _FLAGS:
+            p.add_argument(flag, dest=key, default=None, help=text)
         p.set_defaults(handler=fn)
     return parser
 

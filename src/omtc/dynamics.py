@@ -63,6 +63,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .config import EvolutionConfig
 from .errors import ConfigurationError, NumericalError
 from .grid import CorrelationGrid, _block_size
 from .model import Generator, _dense
@@ -77,33 +78,6 @@ SPECTRAL_RESOLUTION = 1e-12
 #: stepped path by at most that, so 1e3 eps ~ 1e-13 of the largest entry
 #: stays below SPECTRAL_RESOLUTION
 SPECTRAL_CONDITION_LIMIT = 1e3
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Fixed-step integration settings (times in 1/omega_M)."""
-
-    dt: float = 0.02
-    t_max: float = 400.0
-    method: str = "rk4"
-    leak_tolerance: float = 1e-4
-    max_grid_bytes: int = 2 * 1024**3
-    smoke_check: bool = True
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.t_max < self.dt:
-            raise ConfigurationError("t_max must be at least one step")
-        if self.method not in ("rk4", "expm"):
-            raise ConfigurationError(f"method must be 'rk4' or 'expm', got {self.method!r}")
-        if self.leak_tolerance < 0:
-            raise ConfigurationError("leak_tolerance must be >= 0")
-
-    @property
-    def n_max(self) -> int:
-        """Number of grid nodes t_k = k dt up to t_max."""
-        return int(np.floor(self.t_max / self.dt + 0.5)) + 1
 
 
 def check_step_size(dt: float, params) -> None:
@@ -746,34 +720,43 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
 
 
 def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=None, a_map=None):
-    """Yield (rows, monitor values, traces) per block of the forward pass from rho0.
+    """Yield (rows, monitor values, (traces, largest)) per block of the forward pass from rho0.
 
     Rows are the coordinates y of rho(t_k), or the operands a_map y; monitor
     values Re tr(N rho) = Re(N' V) y; traces the sum of the diagonal
-    coordinates and p, exact as diagonal entries outside the sector stay 0.
+    coordinates and p, exact as diagonal entries outside the sector stay 0;
+    largest the largest |y| of each node.  For a positive semidefinite rho
+    that is at most tr rho: a diagonal entry and p lie in [0, tr rho], and a
+    pair's coordinates sqrt(2) Re, Im rho_ij are at most
+    sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
     mon = None
     if monitor is not None:
         mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
     for Y in step.blocks(fwd.coords(rho0), n):
         yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
-               Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1])
+               (Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
 
 
 def _forward(values, config: EvolutionConfig):
     """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
 
-    values yields (rows, monitor values, traces) per row block of the nodes
+    values yields (rows, monitor values, checks) per row block of the nodes
     k = 0, 1, ... (_dense_readout, or the readout of _SeparableKernel or
     _SpectralKernel).  The pass stops after t_max, or after the first node
     k > 0 whose monitor value (None without a monitor) is below
-    leak_tolerance, cutting its block there.  It aborts at the first node
-    up to the stop whose trace drifts from node 0's by more than
-    TRACE_DRIFT_LIMIT; the D and spectral forms have no traces, and their
-    set-up check (check_trace_rows) stands in for the guard.
+    leak_tolerance, cutting its block there.  Up to the stop, checks are
+    (traces, largest |coordinate|) of each node, and the pass aborts at the
+    first node whose trace drifts from node 0's by more than
+    TRACE_DRIFT_LIMIT, or whose largest coordinate exceeds its trace by more
+    than that: rho is then no longer positive semidefinite, as an unstable
+    step leaves the trace, a linear invariant of every step, unchanged.
+    The D and spectral forms have no checks (None); their set-up checks
+    (check_trace_rows, and the spectral form's bound on its step factors)
+    stand in for the guard.
     """
     start = trace0 = 0
-    for rows, residuals, traces in values:
+    for rows, residuals, checks in values:
         stop = None
         if residuals is not None:
             below = np.flatnonzero(residuals < config.leak_tolerance)
@@ -781,14 +764,22 @@ def _forward(values, config: EvolutionConfig):
             if below.size:
                 stop = below[0] + 1
                 rows, residuals = rows[:stop], residuals[:stop]
-        if traces is not None:
+        if checks is not None:
+            traces, largest = (c[: len(rows)] for c in checks)
             trace0 = traces[0] if start == 0 else trace0
-            drift = np.abs(traces[: len(rows)] - trace0)
+            drift = np.abs(traces - trace0)
             bad = np.flatnonzero(drift > TRACE_DRIFT_LIMIT)
             if bad.size:
                 raise NumericalError(
                     f"trace drift {drift[bad[0]]:.3e} at step {start + bad[0]} exceeds "
                     f"{TRACE_DRIFT_LIMIT}; reduce dt or enlarge the truncated space"
+                )
+            bad = np.flatnonzero(largest > traces + TRACE_DRIFT_LIMIT)
+            if bad.size:
+                raise NumericalError(
+                    f"coordinate {largest[bad[0]]:.3e} of rho exceeds its trace "
+                    f"{traces[bad[0]]:.3e} at step {start + bad[0]}, so rho is not positive "
+                    "semidefinite: the step is unstable; reduce dt"
                 )
         yield rows, residuals
         if stop is not None:

@@ -16,22 +16,24 @@ their cooperative cross channels (gamma_a_coop) and the cavity channel
 (kappa), strong optomechanical coupling displaces the mechanical jump
 operators to b - beta a'a / b' - beta a'a (beta = g_M) and adds a photon
 number dephasing channel whose strength depends on the thermal occupancy.
-Each channel stores the numerator rate r of its r/2 prefactor, and the
-generator applies the form r/2 (2 O rho O'^+ - O'^+ O rho - rho O'^+ O)
-verbatim, so no factor-of-two drift can creep in.
+Every channel is one Channel record (op1, op2, rate, label): a local
+channel has op2 is op1, a cross channel pairs the two atoms' operators.
+It stores the numerator rate r of its r/2 prefactor, and the generator
+applies the form r/2 (2 O1 rho O2' - O1'O2 rho - rho O1'O2) (' the
+adjoint) verbatim, so no factor-of-two drift can creep in.
 
 Generator is the right-hand side of the master equation,
 
-    L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O rho O'^+ - O'^+ O rho - rho O'^+ O),
+    L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O1 rho O2' - O1'O2 rho - rho O1'O2),
 
-with O' = O for local channels and the ordered operator pair for cross
-channels.  apply and apply_adjoint act on dense d x d matrices;
-superoperator() assembles the sparse matrix of L on row-major vectorized
-matrices in one pass from the d x d factors.
+with the products (r/2, O1, O2', O1'O2) derived once from the records
+with a nonzero rate.  apply and apply_adjoint act on dense d x d
+matrices; superoperator() assembles the sparse matrix of L on row-major
+vectorized matrices in one pass from the d x d factors.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -113,30 +115,17 @@ def thermal_weight(Mbar: float, m0: int) -> float:
 
 
 @dataclass(frozen=True)
-class LocalChannel:
-    """Jump operator O contributing (rate/2)(2 O rho O' - O'O rho - rho O'O)."""
+class Channel:
+    """Jump pair contributing (rate/2)(2 op1 rho op2' - op1'op2 rho - rho op1'op2).
 
-    op: sparse.csr_matrix
+    A local channel has op2 is op1; a cross channel pairs two operators.
+    The operators are dense d x d arrays.
+    """
+
+    op1: np.ndarray
+    op2: np.ndarray
     rate: float
     label: str
-
-
-@dataclass(frozen=True)
-class CrossChannel:
-    """Ordered pair (O1, O2) contributing (rate/2)(2 O1 rho O2' - O1'O2 rho - rho O1'O2)."""
-
-    op1: sparse.csr_matrix
-    op2: sparse.csr_matrix
-    rate: float
-    label: str
-
-
-@dataclass(frozen=True)
-class DissipatorSpec:
-    channels: tuple = field(default_factory=tuple)
-
-    def nonzero(self):
-        return [c for c in self.channels if c.rate != 0.0]
 
 
 def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> sparse.csr_matrix:
@@ -176,30 +165,25 @@ def dephasing_rate(params: ModelParams) -> float:
     return 2.0 * (2.0 * params.beta) ** 2 * params.gamma_M / math.log1p(1.0 / params.Mbar)
 
 
-def build_dissipators(params: ModelParams, space: HilbertSpace) -> DissipatorSpec:
-    """The seven dissipator groups of the master equation.
+def build_dissipators(params: ModelParams, space: HilbertSpace) -> tuple[Channel, ...]:
+    """The channels of the master equation, dense.
 
     Zero-rate channels are kept in the list (with rate 0) so the channel
     structure is independent of the parameter point.
     """
     a, b, s1, s2 = (op.toarray() for op in space.ladder.values())
     n_c = a.conj().T @ a
-    beta = params.beta
-    a, s1, s2, n_c, displaced_down, displaced_up = map(
-        sparse.csr_matrix, (a, s1, s2, n_c, b - beta * n_c, b.conj().T - beta * n_c)
+    down, up = b - params.beta * n_c, b.conj().T - params.beta * n_c
+    return (
+        Channel(s1, s1, params.gamma_a, "atom1 decay"),
+        Channel(s2, s2, params.gamma_a, "atom2 decay"),
+        Channel(s1, s2, params.gamma_a_coop, "cooperative decay 12"),
+        Channel(s2, s1, params.gamma_a_coop, "cooperative decay 21"),
+        Channel(a, a, params.kappa, "cavity decay"),
+        Channel(n_c, n_c, dephasing_rate(params), "photon-number dephasing"),
+        Channel(down, down, params.gamma_M * (params.Mbar + 1.0), "mechanical damping"),
+        Channel(up, up, params.gamma_M * params.Mbar, "mechanical heating"),
     )
-
-    channels = (
-        LocalChannel(s1, params.gamma_a, "atom1 decay"),
-        LocalChannel(s2, params.gamma_a, "atom2 decay"),
-        CrossChannel(s1, s2, params.gamma_a_coop, "cooperative decay 12"),
-        CrossChannel(s2, s1, params.gamma_a_coop, "cooperative decay 21"),
-        LocalChannel(a, params.kappa, "cavity decay"),
-        LocalChannel(n_c, dephasing_rate(params), "photon-number dephasing"),
-        LocalChannel(displaced_down, params.gamma_M * (params.Mbar + 1.0), "mechanical damping"),
-        LocalChannel(displaced_up, params.gamma_M * params.Mbar, "mechanical heating"),
-    )
-    return DissipatorSpec(channels)
 
 
 def _thermal_populations(Mbar: float, N_m: int) -> np.ndarray:
@@ -247,21 +231,6 @@ def initial_state(
     return rho
 
 
-class _Channel:
-    """Prepared dense matrices for one dissipation channel."""
-
-    __slots__ = ("half_rate", "lop", "rdag", "k", "kd", "lop_dag", "radj")
-
-    def __init__(self, lop, rdag, k, half_rate):
-        self.half_rate = half_rate
-        self.lop = lop
-        self.rdag = rdag
-        self.k = k
-        self.kd = k.conj().T
-        self.lop_dag = lop.conj().T
-        self.radj = rdag.conj().T
-
-
 def _dense(op) -> np.ndarray:
     if sparse.issparse(op):
         return op.toarray()
@@ -271,33 +240,22 @@ def _dense(op) -> np.ndarray:
 class Generator:
     """Master-equation generator with Schroedinger and Heisenberg actions."""
 
-    def __init__(self, H, dissipators: DissipatorSpec):
+    def __init__(self, H, channels):
         self._H = _dense(H)
         self.dim = len(self._H)
-        self._channels = []
-        for ch in dissipators.channels:
-            if ch.rate == 0.0:
-                continue
-            if isinstance(ch, LocalChannel):
-                lop = _dense(ch.op)
-                rdag = lop.conj().T
-                k = rdag @ lop
-            elif isinstance(ch, CrossChannel):
-                lop = _dense(ch.op1)
-                rdag = _dense(ch.op2).conj().T
-                k = lop.conj().T @ _dense(ch.op2)
-            else:
-                raise ConfigurationError(f"unknown channel type {type(ch)!r}")
-            self._channels.append(_Channel(lop, rdag, k, 0.5 * ch.rate))
+        # (r/2, O1, O2', O1'O2) of every channel with a nonzero rate
+        self._terms = [
+            (0.5 * c.rate, c.op1, c.op2.conj().T, c.op1.conj().T @ c.op2)
+            for c in channels
+            if c.rate != 0.0
+        ]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) for a dense matrix rho."""
         H = self._H
         out = -1j * (H @ rho - rho @ H)
-        for c in self._channels:
-            out += c.half_rate * (
-                2.0 * (c.lop @ rho @ c.rdag) - c.k @ rho - rho @ c.k
-            )
+        for r, O1, O2d, K in self._terms:
+            out += r * (2.0 * (O1 @ rho @ O2d) - K @ rho - rho @ K)
         return out
 
     def apply_adjoint(self, A: np.ndarray) -> np.ndarray:
@@ -307,10 +265,9 @@ class Generator:
         """
         H = self._H
         out = 1j * (H @ A - A @ H)
-        for c in self._channels:
-            out += c.half_rate * (
-                2.0 * (c.lop_dag @ A @ c.radj) - c.kd @ A - A @ c.kd
-            )
+        for r, O1, O2d, K in self._terms:
+            Kd = K.conj().T
+            out += r * (2.0 * (O1.conj().T @ A @ O2d.conj().T) - Kd @ A - A @ Kd)
         return out
 
     def no_jump(self) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +277,7 @@ class Generator:
         terms 2 O rho O'^+ left out, L is this map on any part of rho that
         no jump lands in.
         """
-        K = sum((c.half_rate * c.k for c in self._channels), np.zeros_like(self._H))
+        K = sum((r * K for r, _, _, K in self._terms), np.zeros_like(self._H))
         return -1j * self._H - K, 1j * self._H - K
 
     def superoperator(self) -> sparse.csr_matrix:
@@ -333,7 +290,7 @@ class Generator:
         d = self.dim
         eye = np.eye(d)
         A, B = self.no_jump()
-        terms = [(A, eye), (eye, B.T)] + [(2.0 * c.half_rate * c.lop, c.rdag.T) for c in self._channels]
+        terms = [(A, eye), (eye, B.T)] + [(2.0 * r * O1, O2d.T) for r, O1, O2d, _ in self._terms]
         rows, cols, vals = [], [], []
         for X, Y in terms:
             (i, j), (p, q) = (np.nonzero(M) for M in (X, Y))

@@ -16,36 +16,29 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _write_csv(path, header: str, rows, footer_lines) -> None:
+    """One '# header' line, the rows, then the metadata footer as comment lines."""
+    lines = [f"# {header}", *rows, "# --- run metadata ---", *(f"# {line}" for line in footer_lines)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_spectrum_csv(path, result, footer_lines) -> None:
-    rows = ["# delta,intensity,integrated_counts"]
     # %-formatting of Python floats is byte-identical to _fmt and faster
     # than three f-strings on numpy scalars
     columns = (result.deltas, result.intensity, result.integrated_counts)
-    rows.extend("%.11e,%.11e,%.11e" % row for row in zip(*(c.tolist() for c in columns)))
-    rows.append("# --- run metadata ---")
-    rows.extend(f"# {line}" for line in footer_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    rows = ("%.11e,%.11e,%.11e" % row for row in zip(*(c.tolist() for c in columns)))
+    _write_csv(path, "delta,intensity,integrated_counts", rows, footer_lines)
 
 
 def write_sticks_csv(path, sticks, footer_lines) -> None:
-    rows = ["# branch,m,position,weight"]
-    for ln in sticks.lines:
-        rows.append(f"{ln.branch:+d},{ln.m},{_fmt(ln.position)},{_fmt(ln.weight)}")
-    rows.append("# --- run metadata ---")
-    rows.extend(f"# {line}" for line in footer_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    rows = (f"{ln.branch:+d},{ln.m},{_fmt(ln.position)},{_fmt(ln.weight)}" for ln in sticks.lines)
+    _write_csv(path, "branch,m,position,weight", rows, footer_lines)
 
 
 def write_summary_csv(path, parameter, rows, footer_lines) -> None:
-    lines = [f"# {parameter},peak_separation"]
-    for value, sep in rows:
-        lines.append(f"{_fmt(value)},{_fmt(sep)}")
-    lines.append("# --- run metadata ---")
-    lines.extend(f"# {line}" for line in footer_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{_fmt(value)},{_fmt(sep)}" for value, sep in rows)
+    _write_csv(path, f"{parameter},peak_separation", lines, footer_lines)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

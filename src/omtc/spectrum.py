@@ -38,13 +38,13 @@ weights).
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import DEFAULT_PEAK_FRACTION, FilterParams, NumericsConfig, canonical_param_string
 from .dynamics import (
     CorrelationGrid,
-    EvolutionConfig,
     Generator,
     check_step_size,
     config_hash,
@@ -54,41 +54,8 @@ from .errors import ConfigurationError
 from .hilbert import build_space, ladder_operators, optical_excitation_operator
 from .model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 
-DEFAULT_PEAK_FRACTION = 0.02
-
 #: detunings per block of the phase matrix in a sweep
 _SWEEP_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Lorentzian filter bandwidth and the detuning sweep window."""
-
-    Gamma: float = 0.01
-    delta_min: float = -8.0
-    delta_max: float = 8.0
-    n_points: int = 321
-
-    def __post_init__(self):
-        if self.Gamma <= 0:
-            raise ConfigurationError(f"Gamma must be > 0, got {self.Gamma}")
-        if not self.delta_min < self.delta_max:
-            raise ConfigurationError("delta_min must be below delta_max")
-        if self.n_points < 2:
-            raise ConfigurationError("n_points must be >= 2")
-
-    def deltas(self) -> np.ndarray:
-        return np.linspace(self.delta_min, self.delta_max, self.n_points)
-
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Evolution settings plus the truncation of the composite space."""
-
-    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    N_c: int = 1
-    N_m: int = 8
-    excitation_cap: int | None = 1
 
 
 @dataclass(frozen=True)
@@ -214,17 +181,6 @@ def dominant_separation(peaks: list) -> float:
         raise ConfigurationError("need at least two peaks for a separation")
     tallest = sorted(peaks, key=lambda p: p.height, reverse=True)[:2]
     return abs(tallest[0].position - tallest[1].position)
-
-
-def canonical_param_string(params: ModelParams, numerics: NumericsConfig, initial) -> str:
-    """Stable textual form of everything that determines the grid."""
-    ev = numerics.evolution
-    items = [f"{f.name}={getattr(params, f.name)!r}" for f in fields(ModelParams)] + [
-        f"N_c={numerics.N_c}", f"N_m={numerics.N_m}",
-        f"cap={numerics.excitation_cap}", f"dt={ev.dt!r}", f"t_max={ev.t_max!r}",
-        f"method={ev.method}", f"leak={ev.leak_tolerance!r}", f"initial={initial}",
-    ]
-    return ";".join(items)
 
 
 def stationary_spectrum(

@@ -58,18 +58,23 @@ def sparse_hamiltonian(params, space) -> sparse.csr_matrix:
     return H
 
 
-def kron_superoperator(gen) -> sparse.csr_matrix:
-    """Generator.superoperator() as a sum of scipy Kronecker products, term by term."""
-    d = gen.dim
+def kron_superoperator(H, channels) -> sparse.csr_matrix:
+    """Generator(H, channels).superoperator() as a sum of scipy Kronecker products, term by term.
+
+    Built from each channel's op1, op2 and rate, not from the generator's
+    own products.
+    """
+    d = H.shape[0]
     eye = sparse.identity(d, dtype=complex, format="csr")
-    H = sparse.csr_matrix(gen._H)
+    H = sparse.csr_matrix(H)
     L = -1j * (sparse.kron(H, eye) - sparse.kron(eye, H.T))
-    for c in gen._channels:
-        lop = sparse.csr_matrix(c.lop)
-        rdagT = sparse.csr_matrix(c.rdag.T)
-        k = sparse.csr_matrix(c.k)
-        L = L + c.half_rate * (
-            2.0 * sparse.kron(lop, rdagT) - sparse.kron(k, eye) - sparse.kron(eye, k.T)
+    for c in channels:
+        if c.rate == 0.0:
+            continue
+        op1, op2 = sparse.csr_matrix(c.op1), sparse.csr_matrix(c.op2)
+        k = op1.getH() @ op2
+        L = L + (0.5 * c.rate) * (
+            2.0 * sparse.kron(op1, op2.conj()) - sparse.kron(k, eye) - sparse.kron(eye, k.T)
         )
     L = L.tocsr()
     L.eliminate_zeros()

@@ -1,13 +1,22 @@
 import subprocess
 import sys
 from dataclasses import fields
+from functools import reduce
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from omtc.cli import main
-from omtc.config import _KNOWN_KEYS, apply_sweep_value, echo_lines, parse_config
+from omtc.config import (
+    _KNOWN_KEYS,
+    _SCHEMA,
+    RunConfig,
+    apply_sweep_value,
+    echo_lines,
+    parse_config,
+)
 from omtc.model import ModelParams
 from omtc.spectrum import NumericsConfig, canonical_param_string
 from omtc.errors import ConfigurationError
@@ -29,6 +38,8 @@ filter.delta_max = 4
 filter.n_points = 81
 """
 
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
 
 class TestParseConfig:
     def test_empty_reproduces_reference_defaults(self):
@@ -47,6 +58,8 @@ class TestParseConfig:
         assert cfg.numerics.evolution.dt == 0.02
         assert cfg.numerics.N_m == 8
         assert cfg.numerics.excitation_cap == 1
+        # the dataclasses hold the only defaults
+        assert cfg == RunConfig()
 
     def test_only_j_set_keeps_reference_point(self):
         cfg = parse_config("model.J = 1.0\n")
@@ -95,6 +108,10 @@ class TestParseConfig:
     def test_uncapped_space(self):
         cfg = parse_config("numerics.excitation_cap = none\n")
         assert cfg.numerics.excitation_cap is None
+        # the footer's echo of it parses back
+        (echoed,) = [ln for ln in echo_lines(cfg) if ln.startswith("numerics.excitation_cap")]
+        assert echoed == "numerics.excitation_cap = None"
+        assert parse_config(echoed).numerics.excitation_cap is None
 
     def test_dressed_and_threads_keys(self):
         cfg = parse_config("dressed.m_max = 4\nthreads = 2\n")
@@ -122,6 +139,29 @@ class TestParseConfig:
             "gamma_a_coop=0.0;gamma_M=0.0;Mbar=0.0;N_c=1;N_m=8;cap=1;dt=0.02;"
             "t_max=400.0;method=rk4;leak=0.0001;initial=1"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        # the configs keep the default filter, so FAST (with a start and a
+        # cap that are not the defaults) covers the filter keys
+        [p.read_text(encoding="utf-8") for p in CONFIGS]
+        + [FAST + "model.excited_atom = antisymmetric\nnumerics.excitation_cap = none\n"],
+        ids=[p.name for p in CONFIGS] + ["FAST"],
+    )
+    def test_echo_lines_parse_back(self, text):
+        cfg = parse_config(text)
+        echoed = parse_config("\n".join(ln for ln in echo_lines(cfg) if not ln.startswith("schema")))
+        assert echoed.model == cfg.model
+        assert echoed.numerics == cfg.numerics
+        assert echoed.filter == cfg.filter
+        assert echoed.excited_atom == cfg.excited_atom
+
+    def test_every_key_resolves_to_a_field(self):
+        paths = {key: path for key, path, _, _ in _SCHEMA}
+        cfg = parse_config("sweep.parameter = J\nsweep.values = 1\n")
+        for key in _KNOWN_KEYS:
+            *parents, name = paths[key].split(".")
+            assert name in {f.name for f in fields(reduce(getattr, parents, cfg))}, key
 
     def test_echo_lines_cover_model(self):
         lines = echo_lines(parse_config(""))
@@ -182,6 +222,13 @@ class TestCliSpectrum:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.nope = 1\n")
         assert main(["spectrum", "--config", str(cfg), "--output", "x.csv"]) == 2
+
+    def test_threads_flag_must_be_positive(self, tmp_path, capsys):
+        # the flag goes through the threads key's parser and check
+        out = tmp_path / "sticks.csv"
+        assert main(["dressed", "--output", str(out), "--threads", "0"]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -40,7 +40,6 @@ from omtc.errors import ConfigurationError, NumericalError
 from omtc.grid import _fast_length, _trapezoid_weights
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
-    DissipatorSpec,
     ModelParams,
     build_dissipators,
     build_hamiltonian,
@@ -126,13 +125,13 @@ class TestLiouvillianApply:
 
 @st.composite
 def _generator_points(draw):
-    """A model point's generator, with a complex Hermitian H on every other draw."""
+    """A model point's space, H and channels, with a complex Hermitian H on every other draw."""
     params, space, _ = draw(model_points())
     H = build_hamiltonian(params, space)
     if draw(st.booleans()):
         m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=H.shape)
         H = H + 1j * sparse.csr_matrix(m - m.T)
-    return params, space, Generator(H, build_dissipators(params, space))
+    return space, H, build_dissipators(params, space)
 
 
 class TestAssembly:
@@ -142,8 +141,8 @@ class TestAssembly:
         # one COO pass against the sum of scipy Kronecker products it
         # replaced: the same pattern and the same values to roundoff (on the
         # benchmark points, capped and without mechanical losses, bit for bit)
-        _, _, gen = point
-        S, ref = gen.superoperator(), kron_superoperator(gen)
+        _, H, channels = point
+        S, ref = Generator(H, channels).superoperator(), kron_superoperator(H, channels)
         assert S.has_canonical_format and ref.has_canonical_format
         np.testing.assert_array_equal(S.indptr, ref.indptr)
         np.testing.assert_array_equal(S.indices, ref.indices)
@@ -154,7 +153,8 @@ class TestAssembly:
     def test_diagonal_rows_sum_to_zero(self, point):
         # trace preservation: 1' L = 0 over the diagonal rows i d + i, for
         # every column
-        _, space, gen = point
+        space, H, channels = point
+        gen = Generator(H, channels)
         d = space.dim
         S = gen.superoperator()
         sums = np.abs(np.asarray(S[np.arange(d) * (d + 1)].sum(axis=0))).max()
@@ -275,6 +275,32 @@ class TestEvolve:
         rho0 = np.eye(space.dim, dtype=complex) / space.dim
         with pytest.raises(NumericalError, match=r"trace drift .* at step 201 exceeds"):
             evolve(rho0, Leaky(), EvolutionConfig(dt=0.05, t_max=50.0, method=method))
+
+    def test_unstable_step_aborts(self):
+        # the cavity population decays at about kappa; at kappa = 140,
+        # dt = 0.02 the RK4 factor r(-2.8) = 1.022 grows it, while the
+        # trace, a linear invariant of every step, stays put and the drift
+        # guard sees nothing.  Mechanical losses keep the run stepped (the
+        # spectral form rejects such a step at set-up); at kappa = 135,
+        # r(-2.7) = 0.879, both passes run to t_max.
+        space = build_space(1, 2, excitation_cap=1)
+
+        def point(kappa):
+            params = ModelParams(kappa=kappa, J=0.3, gamma_M=0.05)
+            return _correlation_point(params, space, dt=0.02, t_max=20.0)
+
+        rho0, gen, cfg, a, mon = point(140.0)
+        match = r"coordinate 1\.07.e\+00 of rho exceeds its trace .* at step 525, so rho"
+        with pytest.raises(NumericalError, match=match):
+            evolve(rho0, gen, cfg)
+        with pytest.raises(NumericalError, match=match):
+            two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+
+        rho0, gen, cfg, a, mon = point(135.0)
+        assert len(evolve(rho0, gen, cfg).states) == 1001
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.propagators == ("rk4", "rk4") and grid.n_t == 1001
+        assert np.abs(grid.X).max() < 0.04
 
     def test_step_size_guard(self):
         check_step_size(0.02, ModelParams())
@@ -1322,10 +1348,10 @@ class TestFactoredPropagator:
         space = build_space(1, 2, excitation_cap=1)
         diss = build_dissipators(params, space)
         if "dephasing" in losses:
-            diss = DissipatorSpec(tuple(
+            diss = tuple(
                 replace(c, rate=losses["dephasing"]) if c.label == "photon-number dephasing" else c
-                for c in diss.channels
-            ))
+                for c in diss
+            )
         gen = Generator(build_hamiltonian(params, space), diss)
         rho0 = initial_state(params, space)
         a, mon = ladder_operators(space)["a"], optical_excitation_operator(space)
@@ -1410,7 +1436,7 @@ class TestFactoredPropagator:
         rng = np.random.default_rng(11)
         d = 4
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        gen = Generator(sparse.csr_matrix(m + m.conj().T), DissipatorSpec(()))
+        gen = Generator(sparse.csr_matrix(m + m.conj().T), ())
         S = gen.superoperator()
         index = np.arange(d * d)
         A, B = _kronecker_factors(gen, S, index)

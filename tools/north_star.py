@@ -6,7 +6,10 @@ The North-star point is ``configs/reference.cfg`` with
 ``numerics.method = expm``: N_m = 8, dt = 0.02 and the leak stop at 1e-4
 within t_max = 400, so n_t = 8519.  It runs as given (``Mbar = 0``, a pure
 start), with ``model.Mbar = 0.5``, a thermal start of rank 9, and with the
-file's own ``numerics.method = rk4``, the default.  Each point
+file's own ``numerics.method = rk4``, the default.  A fourth point has
+mechanical losses: ``configs/mechanical_losses.cfg`` at its first sweep
+value ``gamma_M = 0.05`` (``expm``), whose jumps keep both passes on the
+stepped dense path (``dense/dense``).  Each point
 runs in a process of its own, so that its ``ru_maxrss`` is its own: RUNS = 3
 ``omtc.spectrum.stationary_spectrum`` calls, imported from this checkout's
 ``src/``, with BLAS pinned to one thread as in ``perfbench/``.  Per point the
@@ -28,23 +31,35 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
-#: name: (numerics.method, extra config lines)
+#: name: (numerics.method, extra config lines) of the configs/reference.cfg points
 POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", "")}
+#: the point with mechanical losses
+MECHANICAL = "gamma_M=0.05"
+
+
+def _config(name: str):
+    from omtc.config import apply_sweep_value, parse_config
+
+    if name == MECHANICAL:
+        cfg = parse_config((ROOT / "configs" / "mechanical_losses.cfg").read_text(encoding="utf-8"))
+        if cfg.sweep.values[0] != 0.05 or cfg.numerics.evolution.method != "expm":
+            raise SystemExit("configs/mechanical_losses.cfg no longer sweeps from gamma_M = 0.05 with expm")
+        return apply_sweep_value(cfg, 0.05)
+    text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
+        raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4 and model.Mbar = 0")
+    method, extra = POINTS[name]
+    text = text.replace("numerics.method = rk4", f"numerics.method = {method}")
+    return parse_config(text.replace("model.Mbar = 0\n", "") + extra)
 
 
 def run_point(name: str) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
-    from omtc.config import parse_config
     from omtc.spectrum import stationary_spectrum
 
-    text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
-    if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
-        raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4 and model.Mbar = 0")
-    method, extra = POINTS[name]
-    text = text.replace("numerics.method = rk4", f"numerics.method = {method}")
-    cfg = parse_config(text.replace("model.Mbar = 0\n", "") + extra)
+    cfg = _config(name)
     walls, stages = [], []
     for _ in range(RUNS):
         t0 = time.perf_counter()
@@ -71,12 +86,13 @@ def main(argv=None) -> int:
         print(json.dumps(run_point(argv[1]), sort_keys=True))
         return 0
     points = {}
-    for name in POINTS:
+    for name in (*POINTS, MECHANICAL):
         out = subprocess.run([sys.executable, __file__, "--point", name],
                              capture_output=True, text=True, check=True).stdout
         points[name] = json.loads(out.splitlines()[-1])
     print(json.dumps({
-        "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4)",
+        "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4); "
+                 "configs/mechanical_losses.cfg at gamma_M = 0.05",
         "points": points,
     }, sort_keys=True))
     return 0
