@@ -2,7 +2,11 @@
 
 The dynamics is that of the master-equation generator L of
 model.Generator (re-exported here); Generator.superoperator() is its
-sparse matrix S on row-major vectorized d x d matrices.
+matrix S on row-major vectorized d x d matrices, a model.SparseMatrix in
+numpy arrays.  Sectors, set-up checks and the smoke check read S through
+it; scipy.sparse is imported only where a stepped pass multiplies by a
+sector block once per step (_SectorStepper, _ForwardSector.block and the
+stepped readout), and scipy.linalg only for expm.
 
 Propagation runs only on invariant sectors of S, index sets R with
 S[~R, R] = 0 found from its sparsity pattern (no conservation law is
@@ -61,12 +65,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .config import EvolutionConfig
 from .errors import ConfigurationError, NumericalError
 from .grid import CorrelationGrid, _block_size
-from .model import Generator, _dense
+from .model import Generator, SparseMatrix
 
 #: abort threshold for trace drift along a trajectory
 TRACE_DRIFT_LIMIT = 1e-4
@@ -90,32 +93,28 @@ def check_step_size(dt: float, params) -> None:
         )
 
 
-def _block(S, index: np.ndarray):
-    """S[index][:, index] as COO in row order (S CSR, index sorted)."""
-    rows = S[index]
-    at = np.full(S.shape[1], -1)
-    at[index] = np.arange(len(index))
-    c = at[rows.indices]
-    r = np.repeat(np.arange(len(index)), np.diff(rows.indptr))
-    keep = c >= 0
-    return sparse.coo_matrix((rows.data[keep], (r[keep], c[keep])), shape=(len(index),) * 2)
+def _closure(adjacency, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the seed, where j reaches idx[ptr[j]:ptr[j + 1]].
 
-
-def _closure(S, seed: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the seed under the sparsity pattern of S.
-
-    The result R is the smallest superset of the seed with S[~R, R] = 0, so
-    S maps vectors supported on R into vectors supported on R and the
-    restriction to R is exact.
+    adjacency is (ptr, idx).  With S.successors the result R is the
+    smallest superset of the seed with S[~R, R] = 0, so S maps vectors
+    supported on R into vectors supported on R and the restriction to R is
+    exact; with the rows of a CSR matrix, (indptr, indices), it is the set
+    of ancestors.  A frontier walk: each index is expanded once, when it is
+    first reached.
     """
-    pattern = abs(S)
-    reach = np.zeros(S.shape[0], dtype=bool)
+    ptr, idx = adjacency
+    reach = np.zeros(len(ptr) - 1, dtype=bool)
     reach[seed] = True
-    while True:
-        grown = reach | (pattern @ reach.astype(float) > 0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+    front = np.flatnonzero(reach)
+    while len(front):
+        start, count = ptr[front], ptr[front + 1] - ptr[front]
+        new = np.zeros_like(reach)
+        new[idx[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]] = True
+        new &= ~reach
+        reach |= new
+        front = np.flatnonzero(new)
+    return np.flatnonzero(reach)
 
 
 def _transposed(index: np.ndarray, d: int) -> np.ndarray:
@@ -137,10 +136,11 @@ class _ForwardSector:
     L[dropped diagonal, dropped] sum to zero, as trace preservation makes
     them.  V maps y to vec(rho)[index]: its first n columns are unitary
     (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero.
-    M = [L[index, index]; f] is kept as CSR; the real block
-    [[V^H L[index, index] V, 0], [f, 0]], which only the dense and rk4
-    steppers step, is built from it on first use.  NumericalError if index
+    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero; coords
+    and matrix apply it by index arithmetic.  M = [L[index, index]; f] is
+    kept as a SparseMatrix; the real block [[V^H L[index, index] V, 0],
+    [f, 0]], which only the dense and rk4 steppers step, and V as a scipy
+    matrix are built on first use.  NumericalError if index
     is not closed under L or transposition, if L does not keep rho Hermitian
     there (the block would not be real) or if the column sums do not
     vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
@@ -154,13 +154,13 @@ class _ForwardSector:
             )
         d = rho0.shape[0]
         self.dim = d
-        sector = _closure(S, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
-        L = _block(S, sector)
+        sector = _closure(S.successors, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+        L = S.block(sector)
         kept = np.ones(len(sector), dtype=bool)
         if reads is not None:
             seed = np.isin(sector, np.concatenate([reads, _transposed(reads, d)]))
             kept[:] = False
-            kept[_closure(L.T, np.flatnonzero(seed))] = True
+            kept[_closure((L.indptr, L.indices), np.flatnonzero(seed))] = True
         for name, index in (("forward", sector), ("readout", sector[kept])):
             if not np.array_equal(np.sort(_transposed(index, d)), index):
                 raise NumericalError(
@@ -170,7 +170,7 @@ class _ForwardSector:
         i, j = np.divmod(sector, d)
         dd = ~kept & (i == j)
         self.index, self.dropped, self.dropped_diag = sector[kept], sector[~kept], sector[dd]
-        r, c, v = L.row, L.col, L.data  # one COO copy of the sector block, split by masks
+        r, c, v = L.rows, L.indices, L.data  # the sector block's entries, split by masks
         if np.max(np.abs(v[kept[r] & ~kept[c]]), initial=0.0) > 0:
             raise NumericalError("readout sector is not closed: dropped entries flow into it")
 
@@ -179,23 +179,16 @@ class _ForwardSector:
         self.sides = np.unique(i), np.unique(j)  # (P, Q) if index is a product P x Q
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
-        self.n_diag = n_diag = len(diag)
-        n_up = len(upper)
-        rt = np.sqrt(0.5)
-        pairs = n_diag + np.arange(n_up)
-        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
-        rows = np.concatenate([diag, upper, lower, upper, lower])
-        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
-        self.V = sparse.csr_matrix((values, (rows, cols)), shape=(n, n + 1))
+        self.n_diag = len(diag)
+        self._parts = diag, upper, lower
         # M = [L[index, index]; f]; the block is W M V with W = [V^H | e_n]
         to = np.where(kept, np.cumsum(kept) - 1, n)
         m = kept[c] & (kept[r] | dd[r])
-        self.M = sparse.csr_matrix((v[m], (to[r[m]], to[c[m]])), shape=(n + 1, n))
-        self._W = (np.append(values.conj(), 1.0), (np.append(cols, n), np.append(rows, n)))
+        self.M = M = SparseMatrix.from_entries(to[r[m]], to[c[m]], v[m], (n + 1, n))
         # L keeps rho Hermitian on the sector iff M[T r, T c] = conj(M[r, c])
         # for the transposition T (p's row its own image), so the block is real
-        M, T = self.M, np.append(np.searchsorted(self.index, _transposed(self.index, d)), n)
-        mr = np.repeat(np.arange(n + 1), np.diff(M.indptr))
+        T = np.append(np.searchsorted(self.index, _transposed(self.index, d)), n)
+        mr = M.rows
         key, twin = mr * n + M.indices, T[mr] * n + T[M.indices]
         at = np.minimum(np.searchsorted(key, twin), len(key) - 1)
         err = np.abs(np.where(key[at] == twin, M.data[at], 0.0) - M.data.conj())
@@ -210,10 +203,27 @@ class _ForwardSector:
             )
 
     @cached_property
+    def V(self):
+        """V as a scipy CSR matrix, for the stepped passes."""
+        from scipy import sparse  # imported here: only the stepped passes multiply by V
+
+        diag, upper, lower = self._parts
+        n, n_diag, n_up = len(self.index), self.n_diag, len(upper)
+        rt = np.sqrt(0.5)
+        pairs = n_diag + np.arange(n_up)
+        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
+        rows = np.concatenate([diag, upper, lower, upper, lower])
+        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
+        return sparse.csr_matrix((values, (rows, cols)), shape=(n, n + 1))
+
+    @cached_property
     def block(self):
-        """The real block W M V, CSR, contiguous with sorted indices for fast matvecs."""
-        n = self.M.shape[1]
-        block = (sparse.csr_matrix(self._W, shape=(n + 1, n + 1)) @ self.M @ self.V).real.copy()
+        """The real block W M V, scipy CSR, contiguous with sorted indices for fast matvecs."""
+        from scipy import sparse  # imported here: only the stepped passes multiply by it
+
+        M, V, n = self.M, self.V, len(self.index)
+        W = sparse.hstack([V.conj().T, sparse.csr_matrix(([1.0], ([n], [0])), shape=(n + 1, 1))])
+        block = (W.tocsr() @ sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape) @ V).real.copy()
         block.eliminate_zeros()
         block.sort_indices()
         return block
@@ -227,24 +237,36 @@ class _ForwardSector:
         to guard.
         """
         rows = np.append(self.index % (self.dim + 1) == 0, True).astype(float)
-        loss = np.abs(self.M.T @ rows)
+        loss = np.abs(self.M.adjoint_dot(rows))
         if np.max(loss, initial=0.0) > 1e-12 * np.max(np.abs(self.M.data), initial=0.0):
             raise NumericalError(
                 "generator does not preserve the trace of the readout sector "
                 f"(max column sum {np.max(loss):.3e})"
             )
 
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """Re V^H x for x on the readout sector, with p's coordinate 0."""
+        diag, upper, lower = self._parts
+        rt = np.sqrt(0.5)
+        return np.concatenate([x[diag].real, (rt * (x[upper] + x[lower])).real,
+                               (1j * rt * (x[lower] - x[upper])).real, [0.0]])
+
     def coords(self, rho: np.ndarray) -> np.ndarray:
         """Coordinates (y, p) of a Hermitian d x d matrix supported on the forward sector."""
         x = rho.reshape(-1)
-        y = (self.V.conj().T @ x[self.index]).real
+        y = self.fold(x[self.index])
         y[-1] = x[self.dropped_diag].real.sum()
         return y
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
         """The d x d matrix with coordinates y on the readout sector, zero elsewhere."""
+        diag, upper, lower = self._parts
+        n_diag, n_up, rt = self.n_diag, len(upper), np.sqrt(0.5)
+        pair = rt * (y[n_diag : n_diag + n_up] + 1j * y[n_diag + n_up : n_diag + 2 * n_up])
+        x = np.empty(len(self.index), dtype=complex)
+        x[diag], x[upper], x[lower] = y[:n_diag], pair, pair.conj()
         full = np.zeros(self.dim**2, dtype=complex)
-        full[self.index] = self.V @ y
+        full[self.index] = x
         return full.reshape(self.dim, self.dim)
 
 
@@ -270,6 +292,10 @@ class _SectorStepper:
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
+        if isinstance(block, SparseMatrix):
+            from scipy import sparse  # imported here: only the stepped passes multiply by it
+
+            block = sparse.csr_matrix((block.data, block.indices, block.indptr), shape=block.shape)
         if adjoint:
             block = block.conj().T.tocsr()
         self.dt = dt
@@ -336,8 +362,8 @@ def _kronecker_factors(gen, S, index: np.ndarray):
         return None
     A, B = gen.no_jump()
     A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
-    L, Z = _block(S, index), _phases(len(P), len(Q))
-    err = np.max(np.abs(L @ Z.reshape(-1) - (A @ Z + Z @ B).reshape(-1)), initial=0.0)
+    L, Z = S.block(index), _phases(len(P), len(Q))
+    err = np.max(np.abs(L.dot(Z.reshape(-1)) - (A @ Z + Z @ B).reshape(-1)), initial=0.0)
     return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
 
@@ -615,8 +641,8 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     S, which the sectors and steppers are built from, must match the
     generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
     S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
-    adjoint duality.  The references are steps of size dt by sparse matvecs
-    with S and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with
+    adjoint duality.  The references are steps of size dt by matvecs with S
+    and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with
     four terms), or for expm the Taylor sum to roundoff.  Node 1 of the
     forward pass (its coordinates, its factor W or its eigen coordinates) is
     compared on every readout entry, and p (y's, or tr rho0 - tr rho[P, P])
@@ -628,18 +654,16 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     rho(t_{b-1})[P, P].  The stepped form's adjoint pass steps a on the
     operand sector and is compared with the reference.  The D and spectral
     forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
-    compared with Tr[a' R^(j-k) vec(a rho(t_k))] for the reference step R on
-    the operand sector (C[b][1] because a photonless start has a rho0 = 0,
-    and C[j][0] = 0 checks no phase); for expm R^(b-1) runs in substeps of
-    at most 4 / ||S_a||_1 (e^4 bounds the Taylor sum's cancellation).
+    compared with Tr[a' R^(j-k) vec(a rho(t_k))] = (R^H)^(j-k) vec(a) .
+    vec(a rho(t_k)) for the reference step R on the operand sector block
+    S_a (C[b][1] because a photonless start has a rho0 = 0, and C[j][0] = 0
+    checks no phase): one column, a, is stepped by R^H = r(h S_a^H) (or
+    exp(h S_a^H)); for expm a stretch of n steps runs in substeps of at most
+    4 / ||S_a^H||_1 (e^4 bounds the Taylor sum's cancellation).
     """
     Z = _phases(gen.dim, gen.dim)
     z = Z.reshape(-1)
-
-    def SH(x):  # S^H x without a copy of S
-        return (S.T @ x.conj()).conj()
-
-    for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", SH, gen.apply_adjoint)):
+    for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", S.adjoint_dot, gen.apply_adjoint)):
         err = float(np.max(np.abs(M(z) - action(Z).reshape(-1))))
         if err > 1e-12 * np.max(np.abs(S.data), initial=0.0):
             raise NumericalError(
@@ -648,6 +672,15 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
             )
     h, terms = config.dt, (4 if config.method == "rk4" else None)
     ref_f = _taylor_step(S.dot, rho0.reshape(-1), h, terms)
+    Sa, a = S.block(adj), a_mat.reshape(-1)[adj]
+    norm = np.bincount(Sa.rows, np.abs(Sa.data), len(adj)).max(initial=0.0)
+
+    def adjoint_steps(u, n):  # (R^H)^n u
+        m = n if terms else int(np.ceil(n * h * norm / 4))
+        for _ in range(m):
+            u = _taylor_step(Sa.adjoint_dot, u, n * h / m, terms)
+        return u
+
     step, second = steppers
     b = step.b
     if second.kind in ("separable", "spectral"):
@@ -675,26 +708,21 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
                 return Uc[j - k] @ X[k]
 
         p = np.trace(rho0 - rho).real
-        # on the operand sector: Y = R^j vec(a rho(t_k)) for k = 0, 1 at
-        # j = 1, 0, then j = b, b - 1
-        a, Sa = a_mat.reshape(-1)[adj], _block(S, adj).tocsr()
-        Y = np.stack([(a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f)], axis=1)
-        Y[:, 0] = _taylor_step(Sa.dot, Y[:, 0], h, terms)
-        C = [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
-        m = b - 1 if terms else int(np.ceil((b - 1) * h * abs(Sa).sum(axis=0).max() / 4))
-        for _ in range(m):
-            Y = _taylor_step(Sa.dot, Y, (b - 1) * h / m, terms)
-        C += [np.vdot(a, Y[:, 0]), np.vdot(a, Y[:, 1])]
+        # on the operand sector: y_k = vec(a rho(t_k)) for k = 0, 1 and
+        # u_m = (R^H)^m a for m = 1, b - 1, b
+        y0, y1 = ((a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f))
+        u1 = adjoint_steps(a, 1)
+        u = adjoint_steps(u1, b - 2) if b > 1 else a
+        C = [np.vdot(u1, y0), np.vdot(a, y1), np.vdot(adjoint_steps(u, 1), y0), np.vdot(u, y1)]
         kernel = [C_new(j, k) - ref for (j, k), ref in zip(((1, 0), (1, 1), (b, 0), (b, 1)), C)]
         head, tail = [], [(f"{second.kind} kernel", np.array(kernel))]
     else:
-        ref_a = _taylor_step(SH, a_mat.reshape(-1), h, terms)
-        x0, u0 = fwd.coords(rho0), a_mat.reshape(-1)[adj]
-        y, u = step(x0), second(u0)
+        x0 = fwd.coords(rho0)
+        y, u = step(x0), second(a)
         rho, p = fwd.matrix(y), y[-1]
-        head, tail = [("adjoint", u - ref_a[adj])], []
+        head, tail = [("adjoint", u - _taylor_step(Sa.adjoint_dot, a, h, terms))], []
         powers = []
-        for name, s, x in (("forward", step, x0), ("adjoint", second, u0)):
+        for name, s, x in (("forward", step, x0), ("adjoint", second, a)):
             if s.power is not None:
                 X = np.concatenate(list(s.blocks(x, s.b + 1)))
                 powers.append((name, X[-1] - s(X[-2])))
@@ -731,8 +759,8 @@ def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=
     sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
     mon = None
-    if monitor is not None:
-        mon = (fwd.V.T @ _dense(monitor).T.reshape(-1)[fwd.index]).real
+    if monitor is not None:  # Re(V^T m) = Re(V^H conj(m))
+        mon = fwd.fold(monitor.T.reshape(-1)[fwd.index].conj())
     for Y in step.blocks(fwd.coords(rho0), n):
         yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
                (Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
@@ -850,7 +878,7 @@ def evolve(
     before they are built.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    fwd = _ForwardSector(sparse.csr_matrix(gen.superoperator()), rho0)
+    fwd = _ForwardSector(gen.superoperator(), rho0)
     _check_budget(config, 0, dense=((len(fwd.index) + 1, 8),))
     step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
@@ -906,19 +934,19 @@ def two_time_correlation(
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
-    S = sparse.csr_matrix(gen.superoperator())
-    a_mat = _dense(a_op)
+    S = gen.superoperator()
+    a_mat = np.asarray(a_op, dtype=complex)
 
     # (a x I) vec(rho) = vec(a rho): row i d + q reads column j d + q if
     # a[i, j] != 0.  The operand sector is the closure of the rows that
     # a x I reaches from the readout sector.
     reads = (np.unique(np.nonzero(a_mat)[1])[:, None] * d + np.arange(d)).reshape(-1)
     if monitor is not None:
-        reads = np.union1d(reads, np.flatnonzero(_dense(monitor).T))
+        reads = np.union1d(reads, np.flatnonzero(monitor.T))
     fwd = _ForwardSector(S, rho0, reads)
     i, j = np.divmod(fwd.index, d)
     rows, at = np.nonzero(a_mat[:, i])
-    adj = _closure(S, rows * d + j[at])
+    adj = _closure(S.successors, rows * d + j[at])
     P, Q0 = fwd.sides[0], np.unique(adj // d)
     separable = bases = None
     if len(adj) and np.array_equal(np.unique(adj % d), P):  # the operand sector is Q0 x P
@@ -931,7 +959,7 @@ def two_time_correlation(
                 bases = _eigenbases(A, B, A0)
 
     b = _block_size(config.n_max)
-    N = None if monitor is None else _dense(monitor)[np.ix_(P, P)]
+    N = None if monitor is None else monitor[np.ix_(P, P)]
     while True:
         if separable is not None:
             A, A0, W0 = separable
@@ -952,11 +980,13 @@ def two_time_correlation(
         else:
             width, columns = len(adj), (None, None)
             _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
+            from scipy import sparse  # imported here: only the stepped passes multiply by a_map
+
             step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
             a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
             values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
                                     (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
-            second = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True, b=b)
+            second = _SectorStepper(S.block(adj), config.dt, config.method, adjoint=True, b=b)
         propagators = (step.kind, second.kind)
         marks.append(time.perf_counter())
         smoke = None

@@ -9,13 +9,15 @@ An optional excitation cap restricts the space to states with at most one
 optical excitation (atom1 + atom2 + photon <= 1), which is exact for the
 single-photon problem: the Hamiltonian conserves the optical excitation
 number and every dissipation channel only lowers or preserves it.
+
+Operators are dense d x d numpy arrays: d is at most a few hundred, and
+every consumer multiplies them densely.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError
 
@@ -95,7 +97,7 @@ class HilbertSpace:
         return v
 
     @cached_property
-    def ladder(self) -> dict[str, sparse.csr_matrix]:
+    def ladder(self) -> dict[str, np.ndarray]:
         """a, b, sigma1, sigma2 (see ladder_operators), built once per space.
 
         Each lowers one quantum number of every basis state that has one to
@@ -113,8 +115,8 @@ class HilbertSpace:
             target[axis] -= 1
             i = pos[tuple(target)]
             j, i = j[i >= 0], i[i >= 0]
-            amp = np.sqrt(q[axis, j]).astype(complex)
-            ops[name] = sparse.csr_matrix((amp, (i, j)), shape=(self.dim, self.dim))
+            ops[name] = op = np.zeros((self.dim, self.dim), dtype=complex)
+            op[i, j] = np.sqrt(q[axis, j])
         return ops
 
     def __repr__(self):
@@ -127,7 +129,7 @@ def build_space(N_c: int, N_m: int, excitation_cap: int | None = None) -> Hilber
     return HilbertSpace(N_c, N_m, excitation_cap)
 
 
-def ladder_operators(space: HilbertSpace) -> dict[str, sparse.csr_matrix]:
+def ladder_operators(space: HilbertSpace) -> dict[str, np.ndarray]:
     """Photon/phonon annihilation and atomic lowering operators.
 
     Returns {'a', 'b', 'sigma1', 'sigma2'} with the standard matrix
@@ -137,18 +139,15 @@ def ladder_operators(space: HilbertSpace) -> dict[str, sparse.csr_matrix]:
     return {name: op.copy() for name, op in space.ladder.items()}
 
 
-def optical_excitation_operator(space: HilbertSpace) -> sparse.csr_matrix:
+def optical_excitation_operator(space: HilbertSpace) -> np.ndarray:
     """Diagonal operator counting optical excitations sigma1'sigma1 + sigma2'sigma2 + a'a."""
-    diag = np.array([s.optical_excitations for s in space.basis], dtype=complex)
-    return sparse.diags(diag).tocsr()
+    return np.diag(np.array([s.optical_excitations for s in space.basis], dtype=complex))
 
 
 def expectation(op, rho: np.ndarray) -> complex:
-    """Tr(op @ rho) for a sparse or dense operator and a dense density matrix."""
+    """Tr(op @ rho) for an operator and a density matrix, both d x d."""
     if op.shape[1] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
         raise ConfigurationError(
             f"dimension mismatch: operator {op.shape}, state {rho.shape}"
         )
-    if sparse.issparse(op):
-        return complex((op @ rho).trace())
     return complex(np.trace(op @ rho))

@@ -27,16 +27,18 @@ Generator is the right-hand side of the master equation,
     L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O1 rho O2' - O1'O2 rho - rho O1'O2),
 
 with the products (r/2, O1, O2', O1'O2) derived once from the records
-with a nonzero rate.  apply and apply_adjoint act on dense d x d
-matrices; superoperator() assembles the sparse matrix of L on row-major
-vectorized matrices in one pass from the d x d factors.
+with a nonzero rate.  H and every operator are dense d x d arrays.  apply
+and apply_adjoint act on dense d x d matrices; superoperator() assembles
+the matrix of L on row-major vectorized matrices in one pass from the
+d x d factors, as a SparseMatrix: compressed sparse rows in numpy arrays,
+with the matvecs, restriction and pattern that the sector code uses.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError
 from .hilbert import EXCITED, GROUND, BasisIndex, HilbertSpace
@@ -128,16 +130,15 @@ class Channel:
     label: str
 
 
-def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> sparse.csr_matrix:
-    """Assemble H on the given space; Hermitian by construction.
+def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
+    """Assemble H on the given space as a dense array; Hermitian by construction.
 
     Each coupling is built in the direction whose intermediate state stays
     inside a capped sector (lower first, then raise) and completed by its
     exact conjugate transpose, so the capped Hamiltonian equals the
-    projection of the uncapped one.  Assembled densely from space.ladder,
-    then converted to CSR once.
+    projection of the uncapped one.
     """
-    a, b, s1, s2 = (op.toarray() for op in space.ladder.values())
+    a, b, s1, s2 = space.ladder.values()
     ad, bd = a.conj().T, b.conj().T
 
     atom_coupling = ad @ (s1 + s2)  # a' sigma_i: lowers the atom, then refills the cavity
@@ -150,7 +151,7 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> sparse.csr_ma
         + OMEGA_M * (bd @ b)
         - params.g_M * (ad @ a) @ (bd + b)
     )
-    return sparse.csr_matrix(H)
+    return H
 
 
 def dephasing_rate(params: ModelParams) -> float:
@@ -171,7 +172,7 @@ def build_dissipators(params: ModelParams, space: HilbertSpace) -> tuple[Channel
     Zero-rate channels are kept in the list (with rate 0) so the channel
     structure is independent of the parameter point.
     """
-    a, b, s1, s2 = (op.toarray() for op in space.ladder.values())
+    a, b, s1, s2 = space.ladder.values()
     n_c = a.conj().T @ a
     down, up = b - params.beta * n_c, b.conj().T - params.beta * n_c
     return (
@@ -231,17 +232,71 @@ def initial_state(
     return rho
 
 
-def _dense(op) -> np.ndarray:
-    if sparse.issparse(op):
-        return op.toarray()
-    return np.asarray(op, dtype=complex)
+class SparseMatrix:
+    """A matrix in compressed sparse rows, held in numpy arrays.
+
+    Row i holds data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], sorted and distinct, with no explicit
+    zeros.  It offers what the sector code uses: S x (dot), S^H x
+    (adjoint_dot), restriction to an index set (block) and the pattern the
+    sector closure walks (successors).
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "SparseMatrix":
+        """The matrix of a list of entries: duplicates summed in list order, zeros dropped."""
+        key = rows.astype(np.int64) * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.add.reduceat(vals, first) if len(vals) else vals
+        keep = data != 0
+        rows, cols = np.divmod(key[first[keep]], shape[1])
+        return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, data[keep], shape)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """S x for a vector x."""
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
+        filled = np.flatnonzero(np.diff(self.indptr))
+        if len(filled):
+            out[filled] = np.add.reduceat(self.data * x[self.indices], self.indptr[filled])
+        return out
+
+    def adjoint_dot(self, x: np.ndarray) -> np.ndarray:
+        """S^H x for a vector x."""
+        v = self.data.conj() * x[self.rows]
+        n = self.shape[1]
+        return np.bincount(self.indices, v.real, n) + 1j * np.bincount(self.indices, v.imag, n)
+
+    def block(self, index: np.ndarray) -> "SparseMatrix":
+        """S[index][:, index] for sorted indices."""
+        at = np.full(self.shape[1], -1)
+        at[index] = np.arange(len(index))
+        r, c = at[self.rows], at[self.indices]
+        keep = (r >= 0) & (c >= 0)
+        indptr = np.searchsorted(r[keep], np.arange(len(index) + 1))
+        return SparseMatrix(indptr, c[keep], self.data[keep], (len(index),) * 2)
+
+    @cached_property
+    def successors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, rows): column j reaches the rows rows[ptr[j]:ptr[j + 1]], where S[row, j] != 0."""
+        order = np.argsort(self.indices, kind="stable")
+        return np.searchsorted(self.indices[order], np.arange(self.shape[1] + 1)), self.rows[order]
 
 
 class Generator:
     """Master-equation generator with Schroedinger and Heisenberg actions."""
 
-    def __init__(self, H, channels):
-        self._H = _dense(H)
+    def __init__(self, H: np.ndarray, channels):
+        self._H = np.asarray(H, dtype=complex)
         self.dim = len(self._H)
         # (r/2, O1, O2', O1'O2) of every channel with a nonzero rate
         self._terms = [
@@ -280,12 +335,12 @@ class Generator:
         K = sum((r * K for r, _, _, K in self._terms), np.zeros_like(self._H))
         return -1j * self._H - K, 1j * self._H - K
 
-    def superoperator(self) -> sparse.csr_matrix:
-        """Sparse matrix acting on row-major vectorized density matrices.
+    def superoperator(self) -> SparseMatrix:
+        """The matrix of L on row-major vectorized density matrices.
 
         vec(X rho Y) = (X (x) Y^T) vec(rho), so L = A (x) I + I (x) B^T (the
-        no-jump part) + sum_c r_c O (x) O'^T; one CSR constructor sums the
-        terms' entries, from the nonzeros of their dense factors.
+        no-jump part) + sum_c r_c O (x) O'^T; SparseMatrix.from_entries sums
+        the terms' entries, from the nonzeros of their dense factors.
         """
         d = self.dim
         eye = np.eye(d)
@@ -298,9 +353,7 @@ class Generator:
             rows.append(np.add.outer(i * d, p).ravel())
             cols.append(np.add.outer(j * d, q).ravel())
             vals.append(np.multiply.outer(X[i, j], Y[p, q]).ravel())
-        L = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
+        return SparseMatrix.from_entries(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (d * d, d * d)
         )
-        L.eliminate_zeros()
-        return L
 

@@ -1,11 +1,14 @@
 """Slow reference paths kept for the tests.
 
-The package assembles its operators by array arithmetic and keeps the
-correlation grid as factor stacks (U and X, or D); these are the
+The package assembles its operators by array arithmetic, holds the
+superoperator and its sectors in numpy arrays (model.SparseMatrix) and
+keeps the correlation grid as factor stacks (U and X, or D); these are the
 straightforward forms they replace: the ladder operators one basis state
 at a time, the Hamiltonian as sparse products, the superoperator as a sum
-of scipy Kronecker products, and entries, columns and the full matrix of
-the grid in either form.
+of scipy Kronecker products, sector blocks and closures by scipy
+indexing and matvecs, and entries, columns and the full matrix of the grid
+in either form.  to_scipy and from_scipy convert a SparseMatrix for the
+tests that index or perturb it.
 """
 
 from dataclasses import replace
@@ -13,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from omtc.model import OMEGA_M
+from omtc.model import OMEGA_M, SparseMatrix
 
 
 def ladder_by_rules(space) -> dict:
@@ -79,6 +82,46 @@ def kron_superoperator(H, channels) -> sparse.csr_matrix:
     L = L.tocsr()
     L.eliminate_zeros()
     return L
+
+
+def to_scipy(S: SparseMatrix) -> sparse.csr_matrix:
+    """A SparseMatrix as a scipy CSR matrix (shared arrays)."""
+    return sparse.csr_matrix((S.data, S.indices, S.indptr), shape=S.shape)
+
+
+def from_scipy(M) -> SparseMatrix:
+    """A scipy matrix as a SparseMatrix: duplicates summed, zeros dropped, columns sorted."""
+    M = sparse.csr_matrix(M, dtype=complex)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return SparseMatrix(M.indptr, M.indices, M.data, M.shape)
+
+
+def block_oracle(S, index: np.ndarray) -> sparse.coo_matrix:
+    """S[index][:, index] as COO in row order by scipy row indexing (S CSR, index sorted)."""
+    rows = S[index]
+    at = np.full(S.shape[1], -1)
+    at[index] = np.arange(len(index))
+    c = at[rows.indices]
+    r = np.repeat(np.arange(len(index)), np.diff(rows.indptr))
+    keep = c >= 0
+    return sparse.coo_matrix((rows.data[keep], (r[keep], c[keep])), shape=(len(index),) * 2)
+
+
+def closure_oracle(S, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the seed under the sparsity pattern of a scipy S.
+
+    The smallest superset R of the seed with S[~R, R] = 0, grown by full
+    pattern matvecs until nothing changes.
+    """
+    pattern = abs(S)
+    reach = np.zeros(S.shape[0], dtype=bool)
+    reach[seed] = True
+    while True:
+        grown = reach | (pattern @ reach.astype(float) > 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
 
 
 def grid_column(grid, k: int) -> np.ndarray:

@@ -157,7 +157,7 @@ def test_criterion_06_cptp_properties(acceptance_log):
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
         direct = gen.apply(rho)
-        via = (sup @ rho.reshape(-1)).reshape(8, 8)
+        via = sup.dot(rho.reshape(-1)).reshape(8, 8)
         worst_sup = max(worst_sup, float(np.max(np.abs(direct - via))))
     assert worst_sup <= 1e-12
 

@@ -170,7 +170,7 @@ class TestBrightDarkDecoupling:
                 J=rng.uniform(-1.0, 1.0),
                 delta_ac=rng.uniform(-1.0, 1.0),
             )
-            H = build_hamiltonian(p, space).toarray()
+            H = build_hamiltonian(p, space)
             eg = space.ket(1, 0, 0, 0)
             ge = space.ket(0, 1, 0, 0)
             ph = space.ket(0, 0, 1, 0)
@@ -217,7 +217,7 @@ class TestPredictedLines:
         for J in (0.0, 0.5, 1.0):
             p = ModelParams(J=J)
             space = build_space(1, 24, excitation_cap=1)
-            H = build_hamiltonian(p, space).toarray()
+            H = build_hamiltonian(p, space)
             exc = [i for i, s in enumerate(space.basis) if s.optical_excitations == 1]
             w, V = np.linalg.eigh(H[np.ix_(exc, exc)])
             init = space.ket(1, 0, 0, 0)[exc]

@@ -7,12 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import model_points
 from oracles import (
+    block_oracle,
+    closure_oracle,
+    from_scipy,
     grid_column,
     grid_dense,
     grid_value,
     kron_superoperator,
     ladder_by_rules,
     sparse_hamiltonian,
+    to_scipy,
 )
 from scipy import linalg, sparse
 
@@ -21,7 +25,6 @@ from omtc.dynamics import (
     CorrelationGrid,
     EvolutionConfig,
     Generator,
-    _block,
     _closure,
     _eigenbases,
     _ForwardSector,
@@ -73,7 +76,7 @@ class TestLiouvillianApply:
         diss = build_dissipators(p, space)
         rho = _random_rho(rng, space.dim)
         out = Generator(H, diss).apply(rho)
-        expected = -1j * (H.toarray() @ rho - rho @ H.toarray())
+        expected = -1j * (H @ rho - rho @ H)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_vacuum_is_stationary(self):
@@ -108,9 +111,9 @@ class TestLiouvillianApply:
                 unit = np.zeros((d, d), dtype=complex)
                 unit[i, j] = 1.0
                 brute[:, i * d + j] = gen.apply(unit).reshape(-1)
-        assert abs(brute - gen.superoperator()).max() < 1e-12
+        assert abs(brute - to_scipy(gen.superoperator())).max() < 1e-12
         rho = _random_rho(rng, d)
-        via_matrix = (gen.superoperator() @ rho.reshape(-1)).reshape(d, d)
+        via_matrix = gen.superoperator().dot(rho.reshape(-1)).reshape(d, d)
         assert abs(via_matrix - gen.apply(rho)).max() < 1e-12
 
     def test_dimension_mismatch(self):
@@ -130,7 +133,7 @@ def _generator_points(draw):
     H = build_hamiltonian(params, space)
     if draw(st.booleans()):
         m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=H.shape)
-        H = H + 1j * sparse.csr_matrix(m - m.T)
+        H = H + 1j * (m - m.T)
     return space, H, build_dissipators(params, space)
 
 
@@ -143,7 +146,7 @@ class TestAssembly:
         # benchmark points, capped and without mechanical losses, bit for bit)
         _, H, channels = point
         S, ref = Generator(H, channels).superoperator(), kron_superoperator(H, channels)
-        assert S.has_canonical_format and ref.has_canonical_format
+        assert ref.has_canonical_format  # so S has sorted, distinct columns and no zeros too
         np.testing.assert_array_equal(S.indptr, ref.indptr)
         np.testing.assert_array_equal(S.indices, ref.indices)
         assert np.abs(S.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
@@ -156,7 +159,7 @@ class TestAssembly:
         space, H, channels = point
         gen = Generator(H, channels)
         d = space.dim
-        S = gen.superoperator()
+        S = to_scipy(gen.superoperator())
         sums = np.abs(np.asarray(S[np.arange(d) * (d + 1)].sum(axis=0))).max()
         assert sums <= 1e-15 * abs(S).max()
 
@@ -166,10 +169,10 @@ class TestAssembly:
         # to the per-state rules and the sparse products
         space = build_space(N_c, N_m, cap)
         for name, op in ladder_operators(space).items():
-            assert np.array_equal(op.toarray(), ladder_by_rules(space)[name].toarray()), name
+            assert np.array_equal(op, ladder_by_rules(space)[name].toarray()), name
         params = ModelParams(J=0.37, delta_ac=-0.21, g_a=1.3, g_M=0.9)
         H = build_hamiltonian(params, space)
-        assert np.array_equal(H.toarray(), sparse_hamiltonian(params, space).toarray())
+        assert np.array_equal(H, sparse_hamiltonian(params, space).toarray())
 
 
 class TestHeisenbergAdjoint:
@@ -207,7 +210,7 @@ class TestEvolve:
 
     def test_damped_cavity_population(self):
         _, space, gen, rho0 = _damped_cavity()
-        n_op = optical_excitation_operator(space).toarray()
+        n_op = optical_excitation_operator(space)
         cfg = EvolutionConfig(dt=0.02, t_max=5.0)
         traj = evolve(rho0, gen, cfg)
         n_t = np.array([np.trace(n_op @ r).real for r in traj.states])
@@ -265,7 +268,7 @@ class TestEvolve:
             apply_adjoint = gen.apply_adjoint
 
             def superoperator(self):
-                return gen.superoperator() - 1e-5 * sparse.identity(gen.dim**2)
+                return from_scipy(to_scipy(gen.superoperator()) - 1e-5 * sparse.identity(gen.dim**2))
 
         # the trace decays as exp(-1e-5 t): the drift first exceeds 1e-4 at
         # t_201 = 10.05, row 9 of the 13th block of b = 16 (n_max = 1001)
@@ -394,8 +397,8 @@ class TestBackends:
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         rho0, a = initial_state(p, space), ladder_operators(space)["a"]
         mon = optical_excitation_operator(space)
-        S = gen.superoperator()
-        index = _ForwardSector(S, rho0, _readout(space)[0]).index
+        index = _ForwardSector(gen.superoperator(), rho0, _readout(space)[0]).index
+        S = to_scipy(gen.superoperator())
         populations = index[index % (space.dim + 1) == 0]
         r = populations[np.argmax(np.abs(S.diagonal()[populations]))]
         S = S.tolil()
@@ -406,7 +409,7 @@ class TestBackends:
             apply, apply_adjoint, no_jump = gen.apply, gen.apply_adjoint, gen.no_jump
 
             def superoperator(self):
-                return S.tocsr()
+                return from_scipy(S)
 
         cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method)
         with pytest.raises(NumericalError, match="disagree on the forward smoke test"):
@@ -495,7 +498,7 @@ class TestTwoTimeCorrelation:
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         rho0 = initial_state(p, space)
         a = ladder_operators(space)["a"]
-        n_op = (a.getH() @ a).toarray()
+        n_op = a.conj().T @ a
         cfg = EvolutionConfig(dt=0.02, t_max=3.0)
         grid = two_time_correlation(rho0, gen, cfg, a)
         traj = evolve(rho0, gen, cfg)
@@ -511,7 +514,7 @@ class TestTwoTimeCorrelation:
         space = build_space(1, 1, excitation_cap=1)
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         rho0 = initial_state(p, space)
-        a = ladder_operators(space)["a"].toarray()
+        a = ladder_operators(space)["a"]
         cfg = EvolutionConfig(dt=0.02, t_max=2.0)
         grid = two_time_correlation(rho0, gen, cfg, ladder_operators(space)["a"])
         traj = evolve(rho0, gen, cfg)
@@ -660,7 +663,7 @@ def _brute_force_grid(gen, rho0, a, config):
     """
     d = gen.dim
     if config.method == "expm":
-        P = linalg.expm(gen.superoperator().toarray() * config.dt)
+        P = linalg.expm(to_scipy(gen.superoperator()).toarray() * config.dt)
 
         def step(X):
             return (P @ X.reshape(-1)).reshape(d, d)
@@ -692,7 +695,7 @@ class TestInvariantSectors:
         a = ladder_operators(space)["a"]
         cfg = EvolutionConfig(dt=0.02, t_max=0.4, method=method)
         grid = two_time_correlation(rho0, gen, cfg, a)
-        brute = _brute_force_grid(gen, rho0, a.toarray(), cfg)
+        brute = _brute_force_grid(gen, rho0, a, cfg)
         full = np.tril(brute) + np.tril(brute, -1).conj().T
         # |C[j][k]| <= 1 for one excitation, so an absolute bound is relative
         assert np.abs(grid_dense(grid) - full).max() <= 1e-12
@@ -747,7 +750,7 @@ class TestHermitianCoordinates:
         # the real block is V^H L V with the first n columns of V unitary
         # and the last (p's) zero, and it has no imaginary part
         fwd = _ForwardSector(S, rho0)
-        L = _block(S, fwd.index)
+        L = block_oracle(to_scipy(S), fwd.index)
         n = len(fwd.index)
         assert abs(fwd.V[:, :n].conj().T @ fwd.V[:, :n] - sparse.identity(n)).max() < 1e-15
         assert fwd.V[:, n].nnz == 0
@@ -766,7 +769,7 @@ class TestHermitianCoordinates:
         states = evolve(rho0, gen, cfg).states
         d = space.dim
         if method == "expm":
-            P = linalg.expm(S.toarray() * cfg.dt)
+            P = linalg.expm(to_scipy(S).toarray() * cfg.dt)
 
             def step(X):
                 return (P @ X.reshape(-1)).reshape(d, d)
@@ -789,7 +792,7 @@ class TestHermitianCoordinates:
             apply_adjoint = gen.apply_adjoint
 
             def superoperator(self):
-                return gen.superoperator() - 0.01j * sparse.identity(gen.dim**2)
+                return from_scipy(to_scipy(gen.superoperator()) - 0.01j * sparse.identity(gen.dim**2))
 
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the Hermiticity check")
@@ -813,19 +816,19 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     One matvec with E = exp(B dt) (expm) or one RK4 step per node, with the
     trace guard and the leak stop checked node by node; no smoke check.
     """
-    S = sparse.csr_matrix(gen.superoperator())
-    a_mat = a_op.toarray()
-    fwd = _ForwardSector(S, rho0)
+    S = to_scipy(gen.superoperator())
+    a_mat = np.asarray(a_op)
+    fwd = _ForwardSector(gen.superoperator(), rho0)
     a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(gen.dim), format="csr")
     a_map = a_map[:, fwd.index]
     a_map.eliminate_zeros()
-    adj = _closure(S, np.flatnonzero(a_map.getnnz(axis=1)))
+    adj = closure_oracle(S, np.flatnonzero(a_map.getnnz(axis=1)))
     a_map = (a_map[adj] @ fwd.V).tocsr()
     step = _SectorStepper(fwd.block, config.dt, config.method)
-    adjoint_step = _SectorStepper(_block(S, adj), config.dt, config.method, adjoint=True)
+    adjoint_step = _SectorStepper(block_oracle(S, adj), config.dt, config.method, adjoint=True)
     mon = None
     if monitor is not None:
-        mon = (fwd.V.T @ monitor.toarray().T.reshape(-1)[fwd.index]).real
+        mon = (fwd.V.T @ np.asarray(monitor).T.reshape(-1)[fwd.index]).real
     y = fwd.coords(rho0)
     trace0 = y[: fwd.n_diag].sum()
     operands, residual = [], None
@@ -933,7 +936,7 @@ class TestBlockedPasses:
         gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
         rho0 = initial_state(p, space)
         a = ladder_operators(space)["a"]
-        mon = (a.getH() @ a).tocsr()
+        mon = a.conj().T @ a
         cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method, leak_tolerance=1e-2)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         assert grid.n_t == 2
@@ -945,7 +948,7 @@ def _readout(space):
     a = ladder_operators(space)["a"]
     a_cols = sparse.kron(a, sparse.identity(space.dim), format="csr").getnnz(axis=0)
     mon = optical_excitation_operator(space)
-    return np.union1d(np.flatnonzero(a_cols), np.flatnonzero(mon.toarray().T)), a, mon
+    return np.union1d(np.flatnonzero(a_cols), np.flatnonzero(mon.T)), a, mon
 
 
 class TestReadoutSector:
@@ -1004,7 +1007,7 @@ class TestReadoutSector:
         assert np.isin(np.intersect1d(reads, full.index), fwd.index).all()
         i, j = np.divmod(fwd.index, d)
         np.testing.assert_array_equal(np.sort(j * d + i), fwd.index)
-        assert not np.any(S[fwd.index][:, fwd.dropped].data)
+        assert not np.any(to_scipy(S)[fwd.index][:, fwd.dropped].data)
         # one optical excitation: rho_11 is kept, rho_00 is carried by p alone
         n_1 = 3 * (space.N_m + 1)
         assert (len(fwd.index), len(fwd.dropped)) == (n_1**2, (space.N_m + 1) ** 2)
@@ -1023,7 +1026,7 @@ class TestReadoutSector:
         rng = np.random.default_rng(9)
         d = 4
         rho0 = _random_rho(rng, d)
-        fwd = _ForwardSector(sparse.csr_matrix((d * d, d * d)), rho0, reads=np.array([1 * d + 2]))
+        fwd = _ForwardSector(from_scipy(sparse.csr_matrix((d * d, d * d))), rho0, reads=np.array([1 * d + 2]))
         np.testing.assert_array_equal(fwd.index, [1 * d + 2, 2 * d + 1])
         assert len(fwd.dropped) == d * d - 2
         assert fwd.coords(rho0)[-1] == pytest.approx(np.trace(rho0).real)
@@ -1035,9 +1038,9 @@ class TestReadoutSector:
 
         closure, calls = dynamics._closure, []
 
-        def shallow(S, seed):
+        def shallow(adjacency, seed):
             calls.append(seed)
-            return closure(S, seed) if len(calls) == 1 else np.unique(seed)
+            return closure(adjacency, seed) if len(calls) == 1 else np.unique(seed)
 
         monkeypatch.setattr("omtc.dynamics._closure", shallow)
         p = ModelParams()
@@ -1064,7 +1067,7 @@ class TestReadoutSector:
             apply_adjoint = gen.apply_adjoint
 
             def superoperator(self):
-                return gen.superoperator() - sparse.diags(loss)
+                return from_scipy(to_scipy(gen.superoperator()) - sparse.diags(loss))
 
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the trace check")
@@ -1173,7 +1176,6 @@ class TestFactoredPropagator:
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(rng, len(P))
         mon /= np.trace(mon @ rho0).real
-        mon = sparse.csr_matrix(mon)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         dense = _unfactored(rho0, gen, cfg, a, mon)
         assert grid.propagators == ("factored", "separable") and grid.columns[0] == len(P)
@@ -1209,7 +1211,7 @@ class TestFactoredPropagator:
         rho0, gen, cfg, a, _ = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
-        d, a_mat = space.dim, a.toarray()
+        d, a_mat = space.dim, a
         _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
         step = _FactoredStepper(A, 0.02, b=4)
         kernel = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, 0.02)
@@ -1228,8 +1230,8 @@ class TestFactoredPropagator:
 
         closure, calls = dynamics._closure, []
 
-        def wider(S, seed):
-            calls.append(closure(S, seed))
+        def wider(adjacency, seed):
+            calls.append(closure(adjacency, seed))
             if len(calls) == 3:  # the operand sector, after the forward sector's two
                 calls[-1] = np.union1d(calls[-1], Q0 * d + Q0[0])
             return calls[-1]
@@ -1251,7 +1253,7 @@ class TestFactoredPropagator:
         )
         _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
         step = _FactoredStepper(A, 0.02, b=4)
-        kernel = _SeparableKernel(A0, a.toarray()[np.ix_(Q0, P)], W0, 0.02)
+        kernel = _SeparableKernel(A0, a[np.ix_(Q0, P)], W0, 0.02)
         N = np.diag(np.random.default_rng(4).uniform(0.5, 1.5, len(P)) + 0.3j)
         values = np.concatenate([m for _, m, _ in kernel.readout(step, 9, N)])
         Ws = np.concatenate(list(step.blocks(W0, 9)), axis=1)
@@ -1266,8 +1268,8 @@ class TestFactoredPropagator:
         space = build_space(1, 2, excitation_cap=1)
         params = ModelParams(J=0.3, Mbar=0.02, gamma_a_coop=0.02)
         b = ladder_operators(space)["b"]
-        P0 = sparse.diags((optical_excitation_operator(space).diagonal() == 0).astype(float))
-        H = build_hamiltonian(params, space) + 0.4 * (P0 @ (b + b.getH()) @ P0)
+        P0 = np.diag((optical_excitation_operator(space).diagonal() == 0).astype(float))
+        H = build_hamiltonian(params, space) + 0.4 * (P0 @ (b + b.conj().T) @ P0)
         gen = Generator(H, build_dissipators(params, space))
         A0 = gen.no_jump()[0][np.ix_(*[np.flatnonzero(P0.diagonal())] * 2)]
         assert np.abs(A0 - np.diag(np.diag(A0))).max() > 0.1
@@ -1436,7 +1438,7 @@ class TestFactoredPropagator:
         rng = np.random.default_rng(11)
         d = 4
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        gen = Generator(sparse.csr_matrix(m + m.conj().T), ())
+        gen = Generator(m + m.conj().T, ())
         S = gen.superoperator()
         index = np.arange(d * d)
         A, B = _kronecker_factors(gen, S, index)
@@ -1444,7 +1446,7 @@ class TestFactoredPropagator:
         step = _FactoredStepper(A, 0.05)
         W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
         X = W @ W.conj().T
-        exact = linalg.expm(S.toarray() * 0.05) @ X.reshape(-1)
+        exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
         KW = step(W)
         assert np.abs((KW @ KW.conj().T).reshape(-1) - exact).max() <= 1e-13 * np.abs(X).max()
 
@@ -1509,7 +1511,7 @@ class TestSpectralKernel:
         rho0[np.ix_(P, P)] = 0.8 * _random_rho(rng, len(P))
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(rng, len(P))
-        mon = sparse.csr_matrix(mon / np.trace(mon @ rho0).real)
+        mon = mon / np.trace(mon @ rho0).real
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
         assert grid.propagators == ("spectral", "spectral")
@@ -1564,7 +1566,7 @@ class TestSpectralKernel:
             method="rk4", leak_tolerance=leak,
         )
         if monitor == "photons":
-            mon = (a.getH() @ a).tocsr()
+            mon = a.conj().T @ a
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
         assert grid.propagators == propagators

@@ -38,7 +38,7 @@ def _damped_cavity_grid(kappa=0.2, dt=0.02, t_max=40.0, detuning=0.0, method="ex
     ops = ladder_operators(space)
     H = build_hamiltonian(p, space)
     if detuning:
-        H = H + detuning * (ops["a"].getH() @ ops["a"])
+        H = H + detuning * (ops["a"].conj().T @ ops["a"])
     gen = Generator(H, build_dissipators(p, space))
     rho0 = np.outer(space.ket(0, 0, 1, 0), space.ket(0, 0, 1, 0).conj())
     cfg = EvolutionConfig(dt=dt, t_max=t_max, method=method)
