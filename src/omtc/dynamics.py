@@ -2,11 +2,9 @@
 
 The dynamics is that of the master-equation generator L of
 model.Generator (re-exported here); Generator.superoperator() is its
-matrix S on row-major vectorized d x d matrices, a model.SparseMatrix in
-numpy arrays.  Sectors, set-up checks and the smoke check read S through
-it; scipy.sparse is imported only where a stepped pass multiplies by a
-sector block once per step (_SectorStepper, _ForwardSector.block and the
-stepped readout), and scipy.linalg only for expm.
+matrix S on row-major vectorized d x d matrices, a numpy SparseMatrix.
+scipy.sparse is imported only for the stepped passes (_scipy), scipy.linalg
+only for expm.
 
 Propagation runs only on invariant sectors of S, index sets R with
 S[~R, R] = 0 found from its sparsity pattern (no conservation law is
@@ -94,14 +92,12 @@ def check_step_size(dt: float, params) -> None:
 
 
 def _closure(adjacency, seed: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the seed, where j reaches idx[ptr[j]:ptr[j + 1]].
+    """Sorted indices reachable from the seed, where j reaches idx[ptr[j]:ptr[j + 1]] of (ptr, idx).
 
-    adjacency is (ptr, idx).  With S.successors the result R is the
-    smallest superset of the seed with S[~R, R] = 0, so S maps vectors
-    supported on R into vectors supported on R and the restriction to R is
-    exact; with the rows of a CSR matrix, (indptr, indices), it is the set
-    of ancestors.  A frontier walk: each index is expanded once, when it is
-    first reached.
+    With S.successors the result R is the smallest superset of the seed
+    with S[~R, R] = 0, so the restriction of S to R is exact; with the rows
+    of a SparseMatrix, (indptr, indices), it holds the ancestors.  Each
+    index is expanded once, when first reached.
     """
     ptr, idx = adjacency
     reach = np.zeros(len(ptr) - 1, dtype=bool)
@@ -111,10 +107,15 @@ def _closure(adjacency, seed: np.ndarray) -> np.ndarray:
         start, count = ptr[front], ptr[front + 1] - ptr[front]
         new = np.zeros_like(reach)
         new[idx[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]] = True
-        new &= ~reach
-        reach |= new
-        front = np.flatnonzero(new)
+        front = np.flatnonzero(new & ~reach)
+        reach[front] = True
     return np.flatnonzero(reach)
+
+
+def _scipy(M: SparseMatrix):
+    """M as a scipy CSR matrix, for a stepped pass that multiplies by it once per step."""
+    from scipy import sparse  # imported here: only the stepped passes need it
+    return sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def _transposed(index: np.ndarray, d: int) -> np.ndarray:
@@ -136,11 +137,10 @@ class _ForwardSector:
     L[dropped diagonal, dropped] sum to zero, as trace preservation makes
     them.  V maps y to vec(rho)[index]: its first n columns are unitary
     (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero; coords
-    and matrix apply it by index arithmetic.  M = [L[index, index]; f] is
-    kept as a SparseMatrix; the real block [[V^H L[index, index] V, 0],
-    [f, 0]], which only the dense and rk4 steppers step, and V as a scipy
-    matrix are built on first use.  NumericalError if index
+    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero.
+    V and M = [L[index, index]; f] are kept as SparseMatrix; the real block
+    [[V^H L[index, index] V, 0], [f, 0]], which only the dense and rk4
+    steppers step, is built from them on first use.  NumericalError if index
     is not closed under L or transposition, if L does not keep rho Hermitian
     there (the block would not be real) or if the column sums do not
     vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
@@ -179,17 +179,22 @@ class _ForwardSector:
         self.sides = np.unique(i), np.unique(j)  # (P, Q) if index is a product P x Q
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
-        self.n_diag = len(diag)
-        self._parts = diag, upper, lower
+        self.n_diag = n_diag = len(diag)
+        n_up, rt = len(upper), np.sqrt(0.5)
+        pairs = n_diag + np.arange(n_up)
+        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
+        rows = np.concatenate([diag, upper, lower, upper, lower])
+        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
+        self.V = SparseMatrix.from_entries(rows, cols, values, (n, n + 1))
         # M = [L[index, index]; f]; the block is W M V with W = [V^H | e_n]
         to = np.where(kept, np.cumsum(kept) - 1, n)
         m = kept[c] & (kept[r] | dd[r])
         self.M = M = SparseMatrix.from_entries(to[r[m]], to[c[m]], v[m], (n + 1, n))
+        self._W = np.append(cols, n), np.append(rows, n), np.append(values.conj(), 1.0)
         # L keeps rho Hermitian on the sector iff M[T r, T c] = conj(M[r, c])
         # for the transposition T (p's row its own image), so the block is real
         T = np.append(np.searchsorted(self.index, _transposed(self.index, d)), n)
-        mr = M.rows
-        key, twin = mr * n + M.indices, T[mr] * n + T[M.indices]
+        key, twin = M.rows * n + M.indices, T[M.rows] * n + T[M.indices]
         at = np.minimum(np.searchsorted(key, twin), len(key) - 1)
         err = np.abs(np.where(key[at] == twin, M.data[at], 0.0) - M.data.conj())
         if np.max(err, initial=0.0) > 1e-12 * np.max(np.abs(v[m & kept[r]]), initial=0.0):
@@ -203,27 +208,10 @@ class _ForwardSector:
             )
 
     @cached_property
-    def V(self):
-        """V as a scipy CSR matrix, for the stepped passes."""
-        from scipy import sparse  # imported here: only the stepped passes multiply by V
-
-        diag, upper, lower = self._parts
-        n, n_diag, n_up = len(self.index), self.n_diag, len(upper)
-        rt = np.sqrt(0.5)
-        pairs = n_diag + np.arange(n_up)
-        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
-        rows = np.concatenate([diag, upper, lower, upper, lower])
-        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
-        return sparse.csr_matrix((values, (rows, cols)), shape=(n, n + 1))
-
-    @cached_property
     def block(self):
         """The real block W M V, scipy CSR, contiguous with sorted indices for fast matvecs."""
-        from scipy import sparse  # imported here: only the stepped passes multiply by it
-
-        M, V, n = self.M, self.V, len(self.index)
-        W = sparse.hstack([V.conj().T, sparse.csr_matrix(([1.0], ([n], [0])), shape=(n + 1, 1))])
-        block = (W.tocsr() @ sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape) @ V).real.copy()
+        W = SparseMatrix.from_entries(*self._W, (len(self.index) + 1,) * 2)
+        block = (_scipy(W) @ _scipy(self.M) @ _scipy(self.V)).real.copy()
         block.eliminate_zeros()
         block.sort_indices()
         return block
@@ -244,29 +232,17 @@ class _ForwardSector:
                 f"(max column sum {np.max(loss):.3e})"
             )
 
-    def fold(self, x: np.ndarray) -> np.ndarray:
-        """Re V^H x for x on the readout sector, with p's coordinate 0."""
-        diag, upper, lower = self._parts
-        rt = np.sqrt(0.5)
-        return np.concatenate([x[diag].real, (rt * (x[upper] + x[lower])).real,
-                               (1j * rt * (x[lower] - x[upper])).real, [0.0]])
-
     def coords(self, rho: np.ndarray) -> np.ndarray:
         """Coordinates (y, p) of a Hermitian d x d matrix supported on the forward sector."""
         x = rho.reshape(-1)
-        y = self.fold(x[self.index])
+        y = self.V.adjoint_dot(x[self.index]).real
         y[-1] = x[self.dropped_diag].real.sum()
         return y
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
         """The d x d matrix with coordinates y on the readout sector, zero elsewhere."""
-        diag, upper, lower = self._parts
-        n_diag, n_up, rt = self.n_diag, len(upper), np.sqrt(0.5)
-        pair = rt * (y[n_diag : n_diag + n_up] + 1j * y[n_diag + n_up : n_diag + 2 * n_up])
-        x = np.empty(len(self.index), dtype=complex)
-        x[diag], x[upper], x[lower] = y[:n_diag], pair, pair.conj()
         full = np.zeros(self.dim**2, dtype=complex)
-        full[self.index] = x
+        full[self.index] = self.V.dot(y)
         return full.reshape(self.dim, self.dim)
 
 
@@ -292,10 +268,6 @@ class _SectorStepper:
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
-        if isinstance(block, SparseMatrix):
-            from scipy import sparse  # imported here: only the stepped passes multiply by it
-
-            block = sparse.csr_matrix((block.data, block.indices, block.indptr), shape=block.shape)
         if adjoint:
             block = block.conj().T.tocsr()
         self.dt = dt
@@ -654,12 +626,11 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     rho(t_{b-1})[P, P].  The stepped form's adjoint pass steps a on the
     operand sector and is compared with the reference.  The D and spectral
     forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
-    compared with Tr[a' R^(j-k) vec(a rho(t_k))] = (R^H)^(j-k) vec(a) .
-    vec(a rho(t_k)) for the reference step R on the operand sector block
-    S_a (C[b][1] because a photonless start has a rho0 = 0, and C[j][0] = 0
-    checks no phase): one column, a, is stepped by R^H = r(h S_a^H) (or
-    exp(h S_a^H)); for expm a stretch of n steps runs in substeps of at most
-    4 / ||S_a^H||_1 (e^4 bounds the Taylor sum's cancellation).
+    compared with Tr[a' R^(j-k) vec(a rho(t_k))] = ((R^H)^(j-k) a) . vec(a rho(t_k))
+    for the reference step R on the operand sector (C[b][1] because a
+    photonless start has a rho0 = 0, and C[j][0] = 0 checks no phase); for
+    expm n steps of R^H run in substeps of at most 4 / ||S_a^H||_1 (e^4
+    bounds the Taylor sum's cancellation).
     """
     Z = _phases(gen.dim, gen.dim)
     z = Z.reshape(-1)
@@ -673,7 +644,7 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     h, terms = config.dt, (4 if config.method == "rk4" else None)
     ref_f = _taylor_step(S.dot, rho0.reshape(-1), h, terms)
     Sa, a = S.block(adj), a_mat.reshape(-1)[adj]
-    norm = np.bincount(Sa.rows, np.abs(Sa.data), len(adj)).max(initial=0.0)
+    norm = np.bincount(Sa.rows, np.abs(Sa.data), len(adj)).max(initial=0.0)  # ||S_a^H||_1
 
     def adjoint_steps(u, n):  # (R^H)^n u
         m = n if terms else int(np.ceil(n * h * norm / 4))
@@ -758,9 +729,8 @@ def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=
     pair's coordinates sqrt(2) Re, Im rho_ij are at most
     sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
-    mon = None
-    if monitor is not None:  # Re(V^T m) = Re(V^H conj(m))
-        mon = fwd.fold(monitor.T.reshape(-1)[fwd.index].conj())
+    # Re(V^T m) = Re(V^H conj(m))
+    mon = None if monitor is None else fwd.V.adjoint_dot(monitor.T.reshape(-1)[fwd.index].conj()).real
     for Y in step.blocks(fwd.coords(rho0), n):
         yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
                (Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
@@ -985,8 +955,8 @@ def two_time_correlation(
             step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
             a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
             values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
-                                    (a_map[adj][:, fwd.index] @ fwd.V).tocsr())
-            second = _SectorStepper(S.block(adj), config.dt, config.method, adjoint=True, b=b)
+                                    (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr())
+            second = _SectorStepper(_scipy(S.block(adj)), config.dt, config.method, adjoint=True, b=b)
         propagators = (step.kind, second.kind)
         marks.append(time.perf_counter())
         smoke = None

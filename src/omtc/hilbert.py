@@ -9,9 +9,7 @@ An optional excitation cap restricts the space to states with at most one
 optical excitation (atom1 + atom2 + photon <= 1), which is exact for the
 single-photon problem: the Hamiltonian conserves the optical excitation
 number and every dissipation channel only lowers or preserves it.
-
-Operators are dense d x d numpy arrays: d is at most a few hundred, and
-every consumer multiplies them densely.
+Operators are dense d x d arrays: every consumer multiplies them densely.
 """
 
 from dataclasses import dataclass
@@ -118,10 +116,6 @@ class HilbertSpace:
             ops[name] = op = np.zeros((self.dim, self.dim), dtype=complex)
             op[i, j] = np.sqrt(q[axis, j])
         return ops
-
-    def __repr__(self):
-        cap = f", cap={self.excitation_cap}" if self.excitation_cap is not None else ""
-        return f"HilbertSpace(N_c={self.N_c}, N_m={self.N_m}{cap}, dim={self.dim})"
 
 
 def build_space(N_c: int, N_m: int, excitation_cap: int | None = None) -> HilbertSpace:

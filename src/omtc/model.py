@@ -27,11 +27,9 @@ Generator is the right-hand side of the master equation,
     L(rho) = -i [H, rho] + sum_c (r_c/2) (2 O1 rho O2' - O1'O2 rho - rho O1'O2),
 
 with the products (r/2, O1, O2', O1'O2) derived once from the records
-with a nonzero rate.  H and every operator are dense d x d arrays.  apply
-and apply_adjoint act on dense d x d matrices; superoperator() assembles
-the matrix of L on row-major vectorized matrices in one pass from the
-d x d factors, as a SparseMatrix: compressed sparse rows in numpy arrays,
-with the matvecs, restriction and pattern that the sector code uses.
+with a nonzero rate, all dense d x d arrays.  apply and apply_adjoint act
+on d x d matrices; superoperator() assembles the SparseMatrix (CSR in
+numpy arrays) of L on row-major vectorized matrices from the factors.
 """
 
 import math
@@ -41,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import EXCITED, GROUND, BasisIndex, HilbertSpace
+from .hilbert import EXCITED, GROUND, HilbertSpace
 
 OMEGA_M = 1.0
 
@@ -224,26 +222,21 @@ def initial_state(
 
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     for m in range(space.N_m + 1):
-        for (a1, a2), amp in amps.items():
-            i = space.index(BasisIndex(a1, a2, 0, m))
-            for (a1p, a2p), ampp in amps.items():
-                j = space.index(BasisIndex(a1p, a2p, 0, m))
-                rho[i, j] += pops[m] * amp * np.conj(ampp)
+        psi = sum(amp * space.ket(a1, a2, 0, m) for (a1, a2), amp in amps.items())
+        rho += np.outer(pops[m] * psi, psi.conj())
     return rho
 
 
 class SparseMatrix:
-    """A matrix in compressed sparse rows, held in numpy arrays.
+    """A matrix in compressed sparse rows: row i holds data[indptr[i]:indptr[i + 1]].
 
-    Row i holds data[indptr[i]:indptr[i + 1]] in the columns
-    indices[indptr[i]:indptr[i + 1]], sorted and distinct, with no explicit
-    zeros.  It offers what the sector code uses: S x (dot), S^H x
-    (adjoint_dot), restriction to an index set (block) and the pattern the
-    sector closure walks (successors).
+    Its columns, indices[indptr[i]:indptr[i + 1]], are sorted and distinct,
+    with no explicit zeros; rows holds the row of every entry.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape):
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape) -> "SparseMatrix":
@@ -252,28 +245,20 @@ class SparseMatrix:
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        data = np.add.reduceat(vals, first) if len(vals) else vals
+        data = np.add.reduceat(vals, first)
         keep = data != 0
         rows, cols = np.divmod(key[first[keep]], shape[1])
         return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, data[keep], shape)
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for a vector x."""
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
-        filled = np.flatnonzero(np.diff(self.indptr))
-        if len(filled):
-            out[filled] = np.add.reduceat(self.data * x[self.indices], self.indptr[filled])
+        out, filled = np.zeros(self.shape[0], dtype=complex), np.flatnonzero(np.diff(self.indptr))
+        out[filled] = np.add.reduceat(self.data * x[self.indices], self.indptr[filled])
         return out
 
     def adjoint_dot(self, x: np.ndarray) -> np.ndarray:
         """S^H x for a vector x."""
-        v = self.data.conj() * x[self.rows]
-        n = self.shape[1]
+        v, n = self.data.conj() * x[self.rows], self.shape[1]
         return np.bincount(self.indices, v.real, n) + 1j * np.bincount(self.indices, v.imag, n)
 
     def block(self, index: np.ndarray) -> "SparseMatrix":
@@ -282,8 +267,8 @@ class SparseMatrix:
         at[index] = np.arange(len(index))
         r, c = at[self.rows], at[self.indices]
         keep = (r >= 0) & (c >= 0)
-        indptr = np.searchsorted(r[keep], np.arange(len(index) + 1))
-        return SparseMatrix(indptr, c[keep], self.data[keep], (len(index),) * 2)
+        return SparseMatrix(np.searchsorted(r[keep], np.arange(len(index) + 1)), c[keep], self.data[keep],
+                            (len(index),) * 2)
 
     @cached_property
     def successors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +334,6 @@ class Generator:
         rows, cols, vals = [], [], []
         for X, Y in terms:
             (i, j), (p, q) = (np.nonzero(M) for M in (X, Y))
-            i, j, p, q = (x.astype(np.int32) for x in (i, j, p, q))
             rows.append(np.add.outer(i * d, p).ravel())
             cols.append(np.add.outer(j * d, q).ravel())
             vals.append(np.multiply.outer(X[i, j], Y[p, q]).ravel())

@@ -752,8 +752,9 @@ class TestHermitianCoordinates:
         fwd = _ForwardSector(S, rho0)
         L = block_oracle(to_scipy(S), fwd.index)
         n = len(fwd.index)
-        assert abs(fwd.V[:, :n].conj().T @ fwd.V[:, :n] - sparse.identity(n)).max() < 1e-15
-        assert fwd.V[:, n].nnz == 0
+        V = to_scipy(fwd.V)
+        assert abs(V[:, :n].conj().T @ V[:, :n] - sparse.identity(n)).max() < 1e-15
+        assert V[:, n].nnz == 0
         # real coordinates map to Hermitian matrices on the sector, and
         # coords inverts matrix there; p reads only the dropped diagonal
         for y in np.random.default_rng(n).normal(size=(3, n + 1)):
@@ -761,7 +762,7 @@ class TestHermitianCoordinates:
             assert np.abs(rho - rho.conj().T).max() <= 1e-15
             z = fwd.coords(rho)
             assert np.abs(z[:n] - y[:n]).max() <= 1e-15 and z[-1] == 0.0
-        raw = fwd.V.conj().T @ L @ fwd.V
+        raw = V.conj().T @ L @ V
         assert abs(raw.imag).max() <= 1e-12 * abs(L).max()
         assert abs(raw.real - fwd.block).max() == 0.0
 
@@ -823,12 +824,12 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     a_map = a_map[:, fwd.index]
     a_map.eliminate_zeros()
     adj = closure_oracle(S, np.flatnonzero(a_map.getnnz(axis=1)))
-    a_map = (a_map[adj] @ fwd.V).tocsr()
+    a_map = (a_map[adj] @ to_scipy(fwd.V)).tocsr()
     step = _SectorStepper(fwd.block, config.dt, config.method)
     adjoint_step = _SectorStepper(block_oracle(S, adj), config.dt, config.method, adjoint=True)
     mon = None
     if monitor is not None:
-        mon = (fwd.V.T @ np.asarray(monitor).T.reshape(-1)[fwd.index]).real
+        mon = (to_scipy(fwd.V).T @ np.asarray(monitor).T.reshape(-1)[fwd.index]).real
     y = fwd.coords(rho0)
     trace0 = y[: fwd.n_diag].sum()
     operands, residual = [], None
@@ -1422,14 +1423,14 @@ class TestFactoredPropagator:
         assert Z[0, -1] == pytest.approx(0.2)
         for k, z in enumerate(Z):
             X = nodes[:, k] @ nodes[:, k].conj().T
-            assert np.abs(X.reshape(-1) - fwd.V @ z).max() <= 1e-13
+            assert np.abs(X.reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
             assert abs(np.trace(rho0).real - np.trace(X).real - z[-1]) <= 1e-13
         W, z = W0, Z[0]
         for _ in range(20):
             W, z = factored(W), dense(z)
-            assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V @ z).max() <= 1e-13
+            assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
         W = factored.power @ W
-        assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V @ (dense.power @ z)).max() <= 1e-13
+        assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V.dot(dense.power @ z)).max() <= 1e-13
 
     def test_complex_hamiltonian(self):
         # without channels every product index set is invariant and L is the
