@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from omtc.dressed import (
@@ -78,6 +82,28 @@ class TestEigenvalues:
         b = ModelParams(J=0.0, delta_ac=0.0)
         assert effective_detuning(a) == effective_detuning(b)
         assert rabi_separation(a) == rabi_separation(b)
+
+    @settings(max_examples=50)
+    @given(
+        J=st.floats(-2.0, 2.0), delta_ac=st.floats(-2.0, 2.0), shift=st.floats(-2.0, 2.0),
+        g_a=st.floats(0.1, 3.0), g_M=st.floats(0.0, 1.5),
+    )
+    def test_oracle_depends_only_on_the_difference(self, J, delta_ac, shift, g_a, g_M):
+        # shifting J and delta_ac together leaves D = J - delta_ac, so every
+        # quantity of the oracle, to the roundoff of forming D
+        a = ModelParams(g_a=g_a, g_M=g_M, J=J, delta_ac=delta_ac)
+        b = replace(a, J=J + shift, delta_ac=delta_ac + shift)
+        for f in (mixing_angle, rabi_separation):
+            assert f(b) == pytest.approx(f(a), rel=1e-12, abs=1e-12)
+        for m in range(3):
+            for branch in (-1, +1):
+                assert dressed_eigenvalue(b, m, branch) == pytest.approx(
+                    dressed_eigenvalue(a, m, branch), rel=1e-12, abs=1e-12)
+        lines_a, lines_b = predicted_lines(a, 4).lines, predicted_lines(b, 4).lines
+        assert [(ln.branch, ln.m) for ln in lines_a] == [(ln.branch, ln.m) for ln in lines_b]
+        for la, lb in zip(lines_a, lines_b):
+            assert lb.position == pytest.approx(la.position, rel=1e-12, abs=1e-12)
+            assert lb.weight == pytest.approx(la.weight, rel=1e-12, abs=1e-15)
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):

@@ -952,6 +952,44 @@ def _readout(space):
     return np.union1d(np.flatnonzero(a_cols), np.flatnonzero(mon.T)), a, mon
 
 
+class TestScipyOracle:
+    """The numpy superoperator, sector closures and blocks against the scipy code they replaced."""
+
+    @settings(max_examples=30)
+    @given(point=model_points())
+    @example(point=(ModelParams(J=0.3, gamma_M=0.1, Mbar=0.01, gamma_a_coop=0.02), build_space(1, 2), 2))
+    @example(point=(ModelParams(gamma_M=0.2, gamma_a_coop=-0.03), build_space(1, 1, 1), "symmetric"))
+    def test_index_sets_blocks_and_superoperator(self, point):
+        params, space, initial = point
+        H, channels = build_hamiltonian(params, space), build_dissipators(params, space)
+        gen = Generator(H, channels)
+        S, ref = gen.superoperator(), kron_superoperator(H, channels)
+        np.testing.assert_array_equal(S.indptr, ref.indptr)
+        np.testing.assert_array_equal(S.indices, ref.indices)
+        assert np.abs(S.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        # the sectors as the scipy path found them: full-pattern closures of
+        # the forward sector, of the readout's ancestors in its block, and of
+        # the operand sector
+        d, rho0 = space.dim, initial_state(params, space, initial)
+        reads, a, mon = _readout(space)
+        sector = closure_oracle(ref, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+        i, j = np.divmod(reads, d)
+        seed = np.flatnonzero(np.isin(sector, np.concatenate([reads, j * d + i])))
+        readout = sector[closure_oracle(block_oracle(ref, sector).T.tocsr(), seed)]
+        i, j = np.divmod(readout, d)
+        rows, at = np.nonzero(a[:, i])
+        operand = closure_oracle(ref, rows * d + j[at])
+        np.testing.assert_array_equal(_ForwardSector(S, rho0).index, sector)
+        np.testing.assert_array_equal(_ForwardSector(S, rho0, reads).index, readout)
+        np.testing.assert_array_equal(_closure(S.successors, rows * d + j[at]), operand)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.1)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.sector_sizes == (len(readout), len(operand))
+        for index in (sector, readout, operand):
+            new, old = to_scipy(S.block(index)).toarray(), block_oracle(ref, index).toarray()
+            assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max(initial=1e-300)
+
+
 class TestReadoutSector:
     @pytest.mark.parametrize("method", ["rk4", "expm"])
     @settings(max_examples=8)

@@ -1,0 +1,58 @@
+"""Which scipy modules a spectrum run loads, each run in a fresh interpreter.
+
+scipy.linalg serves only the expm propagators and scipy.sparse only the
+stepped passes; both are imported on first use, so importing the package
+and running an rk4 spectrum on jump-free sectors loads neither.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SMALL = "numerics.N_m = 2\nnumerics.t_max = 10\nfilter.n_points = 41\n"
+
+_PROBE = """
+import json, sys
+from omtc import cli
+imported = sorted(m for m in sys.modules if m.startswith("scipy."))
+rc = cli.main(["spectrum", "--config", sys.argv[1], "--output", sys.argv[2]])
+ran = sorted(m for m in sys.modules if m.startswith("scipy."))
+print(json.dumps({"rc": rc, "imported": imported, "ran": ran}))
+"""
+
+
+def _run(tmp_path, config: str):
+    """(the scipy modules after import and after the run, the propagator of the run)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(cfg), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rc"] == 0, proc.stderr
+    propagator = proc.stderr.split("propagator ")[1].split(",")[0]
+    return set(out["imported"]), set(out["ran"]), propagator
+
+
+@pytest.mark.parametrize(
+    "extra, propagator, loaded, not_loaded",
+    [
+        ("", "spectral/spectral", set(), {"scipy.sparse", "scipy.linalg"}),
+        ("numerics.method = expm\n", "factored/separable", {"scipy.linalg"}, {"scipy.sparse"}),
+        # mechanical losses put jumps inside both sectors, so both passes step
+        ("model.gamma_M = 0.05\n", "rk4/rk4", set(), {"scipy.linalg"}),
+    ],
+)
+def test_scipy_modules_loaded_by_a_spectrum_run(tmp_path, extra, propagator, loaded, not_loaded):
+    imported, ran, used = _run(tmp_path, SMALL + extra)
+    assert used == propagator
+    assert not imported & {"scipy.sparse", "scipy.linalg"}
+    assert loaded <= ran
+    assert not ran & not_loaded

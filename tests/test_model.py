@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import model_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omtc.dynamics import Generator
 from omtc.errors import ConfigurationError
@@ -119,6 +122,24 @@ class TestHamiltonian:
         Hc = build_hamiltonian(FIG2, capped)
         np.testing.assert_array_equal(Hf[np.ix_(sel, sel)], Hc)
 
+
+class TestCappedProjection:
+    """The capped ladder, H and channels are the projections of the uncapped ones, bit for bit."""
+
+    @settings(max_examples=25)
+    @given(point=model_points(), N_c=st.integers(1, 2), N_m=st.integers(0, 3))
+    def test_capped_operators_are_projections(self, point, N_c, N_m):
+        params = point[0]
+        full, capped = build_space(N_c, N_m), build_space(N_c, N_m, excitation_cap=1)
+        sel = np.ix_(*[[full.index(s) for s in capped.basis]] * 2)
+        ops_f, ops_c = ladder_operators(full), ladder_operators(capped)
+        for name, op in ops_c.items():
+            np.testing.assert_array_equal(ops_f[name][sel], op, err_msg=name)
+        np.testing.assert_array_equal(build_hamiltonian(params, full)[sel], build_hamiltonian(params, capped))
+        for cf, cc in zip(build_dissipators(params, full), build_dissipators(params, capped), strict=True):
+            assert (cf.label, cf.rate) == (cc.label, cc.rate)
+            np.testing.assert_array_equal(cf.op1[sel], cc.op1, err_msg=cf.label)
+            np.testing.assert_array_equal(cf.op2[sel], cc.op2, err_msg=cf.label)
 
 class TestDissipators:
     def test_three_nonzero_channels_without_mechanics(self):
