@@ -9,14 +9,17 @@ start), with ``model.Mbar = 0.5``, a thermal start of rank 9, and with the
 file's own ``numerics.method = rk4``, the default.  A fourth point has
 mechanical losses: ``configs/mechanical_losses.cfg`` at its first sweep
 value ``gamma_M = 0.05`` (``expm``), whose jumps keep both passes on the
-stepped dense path (``dense/dense``).  Each point
-runs in a process of its own, so that its ``ru_maxrss`` is its own: RUNS = 3
-``omtc.spectrum.stationary_spectrum`` calls, imported from this checkout's
-``src/``, with BLAS pinned to one thread as in ``perfbench/``.  Per point the
-output holds the wall seconds of every run and their median,
-``metadata["stage_s"]`` of every run, ``ru_maxrss`` of the process after
-the last run in MiB (import and all runs included), ``n_t`` and
-``metadata["columns"]`` and ``metadata["propagator"]``.
+stepped dense path (``dense/dense``), and the same point with ``rk4``
+(``rk4/rk4``).  Each point runs cold, in a fresh interpreter of its own
+with ``PYTHONDONTWRITEBYTECODE=1`` (so ``src/omtc`` compiles from source, as
+in ``perfbench/``) and BLAS pinned to one thread: it imports the package
+from this checkout's ``src/``, then makes RUNS = 3
+``omtc.spectrum.stationary_spectrum`` calls, the first of which pays every
+lazy import.  Per point the output holds the import seconds, ``ru_maxrss``
+in MiB after the imports and after the last run, the public scipy
+submodules loaded by then, the wall seconds of every run and their median,
+``metadata["stage_s"]`` of every run, ``n_t``, ``metadata["columns"]`` and
+``metadata["propagator"]``.
 """
 
 import json
@@ -33,18 +36,26 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 #: name: (numerics.method, extra config lines) of the configs/reference.cfg points
 POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", "")}
-#: the point with mechanical losses
-MECHANICAL = "gamma_M=0.05"
+#: name: numerics.method of the configs/mechanical_losses.cfg points, at gamma_M = 0.05
+MECHANICAL = {"gamma_M=0.05": "expm", "gamma_M=0.05 rk4": "rk4"}
+
+
+def _maxrss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _config(name: str):
+    from dataclasses import replace
+
     from omtc.config import apply_sweep_value, parse_config
 
-    if name == MECHANICAL:
+    if name in MECHANICAL:
         cfg = parse_config((ROOT / "configs" / "mechanical_losses.cfg").read_text(encoding="utf-8"))
         if cfg.sweep.values[0] != 0.05 or cfg.numerics.evolution.method != "expm":
             raise SystemExit("configs/mechanical_losses.cfg no longer sweeps from gamma_M = 0.05 with expm")
-        return apply_sweep_value(cfg, 0.05)
+        cfg = apply_sweep_value(cfg, 0.05)
+        evolution = replace(cfg.numerics.evolution, method=MECHANICAL[name])
+        return replace(cfg, numerics=replace(cfg.numerics, evolution=evolution))
     text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
     if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
         raise SystemExit("configs/reference.cfg no longer sets numerics.method = rk4 and model.Mbar = 0")
@@ -54,11 +65,13 @@ def _config(name: str):
 
 
 def run_point(name: str) -> dict:
+    t0 = time.perf_counter()
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
     from omtc.spectrum import stationary_spectrum
 
+    import_s, import_rss = time.perf_counter() - t0, _maxrss_mib()
     cfg = _config(name)
     walls, stages = [], []
     for _ in range(RUNS):
@@ -70,10 +83,14 @@ def run_point(name: str) -> dict:
         propagator = result.metadata["propagator"]
         del result  # so that a run's grid does not add to the next one's peak
     return {
+        "import_s": import_s,
+        "import_rss_mib": import_rss,
+        "scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1
+                                and not m.split(".")[1].startswith("_")),
         "wall_s": walls,
         "wall_s_median": float(np.median(walls)),
         "stage_s": stages,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mib": _maxrss_mib(),
         "n_t": n_t,
         "columns": columns,
         "propagator": propagator,
@@ -86,13 +103,13 @@ def main(argv=None) -> int:
         print(json.dumps(run_point(argv[1]), sort_keys=True))
         return 0
     points = {}
-    for name in (*POINTS, MECHANICAL):
-        out = subprocess.run([sys.executable, __file__, "--point", name],
-                             capture_output=True, text=True, check=True).stdout
+    for name in (*POINTS, *MECHANICAL):
+        out = subprocess.run([sys.executable, __file__, "--point", name], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout
         points[name] = json.loads(out.splitlines()[-1])
     print(json.dumps({
         "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4); "
-                 "configs/mechanical_losses.cfg at gamma_M = 0.05",
+                 "configs/mechanical_losses.cfg at gamma_M = 0.05 (expm, and rk4)",
         "points": points,
     }, sort_keys=True))
     return 0
