@@ -633,9 +633,8 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     bounds the Taylor sum's cancellation).
     """
     Z = _phases(gen.dim, gen.dim)
-    z = Z.reshape(-1)
     for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", S.adjoint_dot, gen.apply_adjoint)):
-        err = float(np.max(np.abs(M(z) - action(Z).reshape(-1))))
+        err = float(np.max(np.abs(M(Z.reshape(-1)) - action(Z).reshape(-1))))
         if err > 1e-12 * np.max(np.abs(S.data), initial=0.0):
             raise NumericalError(
                 f"superoperator and generator disagree on the {name} smoke test "

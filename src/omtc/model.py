@@ -252,14 +252,15 @@ class SparseMatrix:
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for a vector x."""
-        out, filled = np.zeros(self.shape[0], dtype=complex), np.flatnonzero(np.diff(self.indptr))
-        out[filled] = np.add.reduceat(self.data * x[self.indices], self.indptr[filled])
+        out = np.zeros(self.shape[0], dtype=complex)
+        np.add.at(out, self.rows, self.data * x[self.indices])
         return out
 
     def adjoint_dot(self, x: np.ndarray) -> np.ndarray:
         """S^H x for a vector x."""
-        v, n = self.data.conj() * x[self.rows], self.shape[1]
-        return np.bincount(self.indices, v.real, n) + 1j * np.bincount(self.indices, v.imag, n)
+        out = np.zeros(self.shape[1], dtype=complex)
+        np.add.at(out, self.indices, self.data.conj() * x[self.rows])
+        return out
 
     def block(self, index: np.ndarray) -> "SparseMatrix":
         """S[index][:, index] for sorted indices."""
@@ -273,7 +274,7 @@ class SparseMatrix:
     @cached_property
     def successors(self) -> tuple[np.ndarray, np.ndarray]:
         """(ptr, rows): column j reaches the rows rows[ptr[j]:ptr[j + 1]], where S[row, j] != 0."""
-        order = np.argsort(self.indices, kind="stable")
+        order = np.argsort(self.indices)
         return np.searchsorted(self.indices[order], np.arange(self.shape[1] + 1)), self.rows[order]
 
 
