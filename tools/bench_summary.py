@@ -10,7 +10,8 @@ PARENT_RESULTS and CHANGE_RESULTS are directories of the records that
 alternating pairs with the same seeds.  The output holds, per workload and
 side, the median and quartiles of every end-to-end metric over the
 untraced runs, the number of pairs the change won, the per-layer metrics
-and spans of each side's traced runs, and each side's environment stamp.
+of each side's traced runs with their spans of set-up and of the first
+SPAN_OPS operations, and each side's environment stamp.
 With --north-star it also holds each side's ``tools/north_star.py`` output,
 the North-star point that the workloads are scaled down from.
 """
@@ -22,6 +23,8 @@ from pathlib import Path
 import numpy as np
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mib", "setup_s")
+#: operations of a traced run whose spans are kept; a run makes hundreds
+SPAN_OPS = 3
 
 
 def load(directory: Path) -> dict:
@@ -36,6 +39,12 @@ def load(directory: Path) -> dict:
 def summary(values) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def _head(spans: list) -> list:
+    """The spans before the first one of operation SPAN_OPS; a prefix, so parent indices hold."""
+    cut = next((i for i, span in enumerate(spans) if span["op"] == SPAN_OPS), len(spans))
+    return spans[:cut]
 
 
 def build(parent: dict, change: dict) -> dict:
@@ -63,7 +72,7 @@ def build(parent: dict, change: dict) -> dict:
                 if w == workload and trace == 1:
                     traced[side] = {"seed": seed, "per_layer": record["metrics"],
                                     "module_shares": record["module_shares"],
-                                    "spans": record["spans"]}
+                                    "spans": _head(record["spans"])}
         if traced:
             entry["traced"] = traced
         workloads[workload] = entry
