@@ -44,12 +44,14 @@ products that no jump lands in, so L acts there as X -> A X + X B
 - Spectral U/X form, rk4 runs on such sectors.  In the eigenbases of A,
   B and A[Q0, Q0] L is diagonal with the sums of their eigenvalues, so an
   RK4 step multiplies each eigen coordinate by r(h (sum)) and every node
-  of both passes is an elementwise power (_SpectralKernel).  The trace is
-  folded into a single adjoint (Heisenberg) propagation of a', so
-  C[k+tau][k] = <U_tau, X_k> pairs two stacks on the operand sector, here
-  in eigen coordinates: only their pairing has meaning.  A step that grows
-  an eigen coordinate is rejected at set-up, and a grid too far below the
-  roundoff of the change of basis is computed stepped instead.
+  is an elementwise power (_SpectralKernel).  The trace is folded into a
+  single adjoint (Heisenberg) propagation of a', so
+  C[k+tau][k] = <U_tau, X_k> on the operand sector, here in eigen
+  coordinates: only the pairing has meaning.  The forward pass fills the
+  stack X; U_tau = N o H^tau needs no pass, the grid keeps N and H and
+  makes the rows of U as it reads them.  A step that grows an eigen
+  coordinate is rejected at set-up, and a grid too far below the roundoff
+  of the change of basis is computed stepped instead.
 - Stepped U/X form, every other run: the same pairing, with X_k = a
   rho(t_k) from the forward pass and U_tau from the adjoint pass, both
   stepped on the sector blocks by _SectorStepper.  They agree to roundoff
@@ -66,7 +68,7 @@ import numpy as np
 
 from .config import EvolutionConfig
 from .errors import ConfigurationError, NumericalError
-from .grid import CorrelationGrid, _block_size
+from .grid import STEP_FACTOR_LIMIT, CorrelationGrid, _block_size, spectral_blocks
 from .model import Generator, SparseMatrix
 
 #: abort threshold for trace drift along a trajectory
@@ -207,6 +209,13 @@ class _ForwardSector:
                 f"(max column sum {np.max(leak):.3e})"
             )
 
+    @property
+    def readout_block(self) -> SparseMatrix:
+        """L[index, index], the rows of M above the flux row (views of its arrays)."""
+        n, M = len(self.index), self.M
+        end = M.indptr[n]
+        return SparseMatrix(M.indptr[: n + 1], M.indices[:end], M.data[:end], (n, n))
+
     @cached_property
     def block(self):
         """The real block W M V, scipy CSR, contiguous with sorted indices for fast matvecs."""
@@ -319,14 +328,14 @@ def _phases(p: int, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * 0.6180339887498949 * np.arange(p * q)).reshape(p, q)
 
 
-def _kronecker_factors(gen, S, index: np.ndarray):
-    """(A[P, P], B[Q, Q]) of gen.no_jump() if L[index, index] is their Kronecker sum, else None.
+def _kronecker_factors(gen, L: SparseMatrix, index: np.ndarray):
+    """(A[P, P], B[Q, Q]) of gen.no_jump() if L = S[index, index] is their Kronecker sum, else None.
 
-    That holds when index is a product P x Q of Hilbert-space indices and
-    no jump lands inside the sector, so L acts there as X -> A X + X B on
-    the P x Q matrix X: the sector block must equal A (x) I + I (x) B^T to
-    1e-12 max|L[index, index]|, checked as L vec(Z) = vec(A Z + Z B) for
-    Z = _phases(|P|, |Q|).
+    L is the sector block, extracted once by the caller.  That holds when
+    index is a product P x Q of Hilbert-space indices and no jump lands
+    inside the sector, so L acts there as X -> A X + X B on the P x Q matrix
+    X: the sector block must equal A (x) I + I (x) B^T to 1e-12 max|L|,
+    checked as L vec(Z) = vec(A Z + Z B) for Z = _phases(|P|, |Q|).
     """
     i, j = np.divmod(index, gen.dim)
     P, Q = np.unique(i), np.unique(j)
@@ -334,7 +343,7 @@ def _kronecker_factors(gen, S, index: np.ndarray):
         return None
     A, B = gen.no_jump()
     A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
-    L, Z = S.block(index), _phases(len(P), len(Q))
+    Z = _phases(len(P), len(Q))
     err = np.max(np.abs(L.dot(Z.reshape(-1)) - (A @ Z + Z @ B).reshape(-1)), initial=0.0)
     return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
@@ -502,7 +511,7 @@ def _eigenbases(A: np.ndarray, B: np.ndarray, A0: np.ndarray):
 
 
 class _SpectralKernel:
-    """Both RK4 passes of the U/X form as elementwise powers in eigen coordinates.
+    """The RK4 U/X form in eigen coordinates: X by elementwise powers, U by its factors N and H.
 
     L acts on the readout sector P x P as Z -> A Z + Z B and on the operand
     sector Q0 x P as Y -> A0 Y + Y B (_kronecker_factors, A0 = A[Q0, Q0]).
@@ -512,15 +521,16 @@ class _SpectralKernel:
     and entry (q, j) of V_0^-1 Y V_B by H_qj = r(h (nu_q + beta_j)).  So
     node k of the forward pass is Z_k = Z_0 o G^k, Z_0 = V_A^-1 rho0[P, P] V_B,
     its operand V_0^-1 a rho(t_k) V_B is X_k = M Z_k, M = V_0^-1 a[Q0, P] V_A,
-    and node tau of the adjoint stack is U_tau = N o H^tau,
+    and row tau of the adjoint stack is U_tau = N o H^tau,
     N = (V_B^-1 a[Q0, P]^H V_0)^T: U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))],
-    as the V_B factors cancel inside the trace.  The monitor value is
+    as the V_B factors cancel inside the trace.  The grid keeps N and H,
+    not that stack (grid.spectral_blocks).  The monitor value is
     Re tr(N' rho) = Re sum((V_B^-1 N' V_A)^T o Z_k) for N' = monitor[P, P].
 
     The exact no-jump evolution never grows (Re(alpha_i + beta_j) <= 0 and
-    Re(nu_q + beta_j) <= 0), so a factor |G_ij| or |H_qj| above 1 + 1e-12
-    is an unstable step, a NumericalError at set-up: these passes have no
-    trace to drift.  As |G|, |H| <= 1, every |C[j][k]| is at most
+    Re(nu_q + beta_j) <= 0), so a factor |G_ij| or |H_qj| above
+    STEP_FACTOR_LIMIT = 1 + 1e-12 is an unstable step, a NumericalError at
+    set-up: these passes have no trace to drift.  As |G|, |H| <= 1, every |C[j][k]| is at most
     T = sum_qj |N_qj| (|M| |Z_0|)_qj, the size of the terms of C[0][0], and
     the change of basis leaves roundoff of about eps kappa T in every entry
     (kappa of _eigenbases), however small the entry: resolves() tells
@@ -535,7 +545,7 @@ class _SpectralKernel:
         self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
         self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
         growth = max(np.abs(self.G).max(initial=0.0), np.abs(self.H).max(initial=0.0))
-        if growth > 1.0 + 1e-12:
+        if growth > STEP_FACTOR_LIMIT:
             raise NumericalError(
                 f"RK4 step at dt={dt} is unstable on the no-jump spectrum (a mode grows "
                 f"by {growth:.6g} per step); reduce dt"
@@ -581,12 +591,6 @@ class _SpectralKernel:
             pass
         return out
 
-    def adjoint(self, out: np.ndarray) -> np.ndarray:
-        """out, n rows, filled with the rows U_0 .. U_{n-1} of the adjoint stack."""
-        for _ in _elementwise_blocks(self.N, self.H, len(out), self.b, out):
-            pass
-        return out
-
 
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     """Reference step of the linear map f: x + sum_k (h F)^k x / k! by plain summation.
@@ -606,7 +610,7 @@ def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     return out
 
 
-def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
+def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, steppers, rho0, a_mat,
                  config: EvolutionConfig):
     """Cross-validate S and the run's steppers; return the largest difference.
 
@@ -621,11 +625,13 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
     with the reference's dropped diagonal sum, so the closure of the
     readout sector, its block, factors or eigenbases and the carried
     dropped population are checked at runtime.  Each power that steps a
-    blocked pass (E^b, K_L^b, G^b or H^b) is checked as node b against node
+    blocked pass (E^b, K_L^b or G^b) is checked as node b against node
     b - 1 stepped once, the spectral form's G^b by the reference step of
-    rho(t_{b-1})[P, P].  The stepped form's adjoint pass steps a on the
-    operand sector and is compared with the reference.  The D and spectral
-    forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
+    rho(t_{b-1})[P, P]; its adjoint rows, as the grid makes them
+    (spectral_blocks), as U_b = N o H^b by squaring against U_{b-1} o H from
+    the table of powers.  The stepped form's adjoint pass steps a on the
+    operand sector block Sa = S[adj, adj] and is compared with the
+    reference.  The D and spectral forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
     compared with Tr[a' R^(j-k) vec(a rho(t_k))] = ((R^H)^(j-k) a) . vec(a rho(t_k))
     for the reference step R on the operand sector (C[b][1] because a
     photonless start has a rho0 = 0, and C[j][0] = 0 checks no phase); for
@@ -642,7 +648,7 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
             )
     h, terms = config.dt, (4 if config.method == "rk4" else None)
     ref_f = _taylor_step(S.dot, rho0.reshape(-1), h, terms)
-    Sa, a = S.block(adj), a_mat.reshape(-1)[adj]
+    a = a_mat.reshape(-1)[adj]
     norm = np.bincount(Sa.rows, np.abs(Sa.data), len(adj)).max(initial=0.0)  # ||S_a^H||_1
 
     def adjoint_steps(u, n):  # (R^H)^n u
@@ -667,7 +673,9 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, steppers, rho0, a_mat,
             powers = [("forward", F[:, -1] - step(F[:, -2]))]
         else:
             Zs = second.forward(np.empty((b + 1, len(second.G)), dtype=complex))  # Z_0 .. Z_b
-            X, Uc = second.operands(Zs[:2]), second.adjoint(np.empty((b + 1, len(second.H)), dtype=complex))
+            X = second.operands(Zs[:2])
+            # U_0 .. U_(b-1) from the table of powers, then U_b = N o H^b
+            Uc = np.concatenate(list(spectral_blocks(second.N, second.H, [(0, b), (b, b + 1)])))
             rho[np.ix_(P, P)] = second.matrix(Zs[-2])  # node b - 1, stepped by the reference
             stepped = _taylor_step(S.dot, rho.reshape(-1), h, terms)[fwd.index]
             powers = [("forward", second.matrix(Zs[-1]).reshape(-1) - stepped),
@@ -789,11 +797,12 @@ def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factored=(
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
     Counts the stacks over the full t_max, node_bytes per node (32 |R_a|
-    for U and X, 16 |Q0| s for D), and for expm the propagators and their
-    b-th powers: 2 itemsize n^2 bytes per dense block, given as (n, itemsize)
-    (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
-    adjoint one), and 2 (16 n^2) per n x n Hilbert-space propagator in
-    factored (K_L, n = |P|).  Row blocks are not counted: b |R| entries
+    for U and X, 16 |R_a| for the spectral form's X alone, 16 |Q0| s for
+    D), and for expm the propagators and their b-th powers: 2 itemsize n^2
+    bytes per dense block, given as (n, itemsize) (8 for the real forward
+    block, n = |R_f| + 1 with p; 16 for the complex adjoint one), and
+    2 (16 n^2) per n x n Hilbert-space propagator in factored (K_L,
+    n = |P|).  Row blocks are not counted: b |R| entries
     dense, b |P| s factored.
     """
     stack_bytes = config.n_max * node_bytes
@@ -887,14 +896,18 @@ def two_time_correlation(
     is Q0 x P, an expm run takes the D form if _separable holds
     (_FactoredStepper steps W and _SeparableKernel forms D, with no adjoint
     pass), and an rk4 run the spectral U/X form if _eigenbases accepts the
-    factors (_SpectralKernel forms both stacks in eigen coordinates; a grid
-    it does not resolve is recomputed stepped, its set-up stage holding
-    the attempt).  Any other run takes the stepped U/X form, both passes
-    stepped by _SectorStepper.  The grid reports sector_sizes, propagators
-    (forward, operand: "factored"/"separable", "spectral"/"spectral",
-    "dense"/"dense" or "rk4"/"rk4"), columns ((s, width of D) for the D
-    form, else (None, None)), smoke_max_diff (None without the check) and
-    stage_s, the seconds of set-up, smoke check, forward and, for U/X,
+    factors (_SpectralKernel forms X in eigen coordinates and gives the
+    factors N and H of U, with no adjoint pass; a grid it does not resolve
+    is recomputed stepped, its set-up stage holding the attempt).  Any
+    other run takes the stepped U/X form, both passes stepped by
+    _SectorStepper.  The sector blocks are extracted once: the readout
+    block is that of _ForwardSector, the operand block Sa serves the
+    Kronecker check, the smoke check and the stepped adjoint pass.  The
+    grid reports sector_sizes, propagators (forward, operand:
+    "factored"/"separable", "spectral"/"spectral", "dense"/"dense" or
+    "rk4"/"rk4"), columns ((s, width of D) for the D form, else
+    (None, None)), smoke_max_diff (None without the check) and stage_s, the
+    seconds of set-up, smoke check, forward and, for the stepped U/X form,
     adjoint pass.
     rho0 must be Hermitian.  The stacks over the full t_max and, for expm,
     the propagators and their b-th powers are checked against
@@ -916,10 +929,12 @@ def two_time_correlation(
     i, j = np.divmod(fwd.index, d)
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S.successors, rows * d + j[at])
+    Sa = S.block(adj)
     P, Q0 = fwd.sides[0], np.unique(adj // d)
     separable = bases = None
     if len(adj) and np.array_equal(np.unique(adj % d), P):  # the operand sector is Q0 x P
-        factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
+        factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index),
+                   _kronecker_factors(gen, Sa, adj))
         if None not in factors:
             (A, B), (A0, _) = factors
             if config.method == "expm":
@@ -941,7 +956,7 @@ def two_time_correlation(
             columns = (W0.shape[1], width)
         elif bases is not None:
             width, columns = len(adj), (None, None)
-            _check_budget(config, 32 * width)
+            _check_budget(config, 16 * width)
             fwd.check_trace_rows()
             step = second = _SpectralKernel(bases, a_mat[np.ix_(Q0, P)], rho0[np.ix_(P, P)], N,
                                             config.dt, b)
@@ -955,12 +970,12 @@ def two_time_correlation(
             a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
             values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
                                     (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr())
-            second = _SectorStepper(_scipy(S.block(adj)), config.dt, config.method, adjoint=True, b=b)
+            second = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
         propagators = (step.kind, second.kind)
         marks.append(time.perf_counter())
         smoke = None
         if config.smoke_check:
-            smoke = _smoke_check(gen, S, fwd, adj, (step, second), rho0, a_mat, config)
+            smoke = _smoke_check(gen, S, fwd, adj, Sa, (step, second), rho0, a_mat, config)
         marks.append(time.perf_counter())
 
         # forward pass: the rows of D, or the regression operands a rho(t_k)
@@ -986,21 +1001,21 @@ def two_time_correlation(
         del marks[1:]
     marks.append(time.perf_counter())
 
-    form = {"D": X}
-    if second.kind != "separable":
+    if second.kind == "separable":
+        form = {"D": X}
+    elif second.kind == "spectral":  # N o H^tau is the conjugated row already
+        form = {"X": X, "N": second.N, "H": second.H}
+    else:
         # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint;
         # the dagger of the observable lives inside the inner product
-        # Tr[U' X], so the stack holds conj(U) (the spectral kernel's rows
-        # are that already).  The operand sector is invariant under L, so
-        # the adjoint restricted to it is exact on the pairing.
+        # Tr[U' X], so the stack holds conj(U).  The operand sector is
+        # invariant under L, so the adjoint restricted to it is exact on the
+        # pairing.
         Uc = np.empty((n_t, width), dtype=complex)
-        if second.kind == "spectral":
-            second.adjoint(Uc)
-        else:
-            start = 0
-            for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
-                np.conjugate(U, out=Uc[start : start + len(U)])
-                start += len(U)
+        start = 0
+        for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
+            np.conjugate(U, out=Uc[start : start + len(U)])
+            start += len(U)
         marks.append(time.perf_counter())
         form = {"U": Uc, "X": X}
 

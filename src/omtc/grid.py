@@ -1,12 +1,14 @@
 """The two-time correlation grid, kept in one of two factored forms.
 
-The U/X form holds two stacks, O(n_t |R_a|) values, with
-C[k+tau][k] = U[tau] . X[k]; the filter's per-lag sums come from them in
-one pass over row blocks, one small Gram matrix per block.  The D form
-holds one stack with C[j][k] = D[j]^H D[k]; its per-lag sums are two FFT
-autocorrelations.  The O(n_t^2) triangle is never formed.  The binary dump
-is format version 2 for U/X and 3 for D.  dynamics.two_time_correlation
-builds either.
+The U/X form pairs two O(n_t |R_a|) stacks, C[k+tau][k] = U[tau] . X[k];
+the filter's per-lag sums come from them in one pass over row blocks, one
+small Gram matrix per block.  Its spectral variant stores X and the two
+vectors N and H of U[tau] = N o H^tau instead of U, and makes each block
+of U rows as the pass reads it (adjoint_blocks).  The D form holds one stack
+with C[j][k] = D[j]^H D[k]; its per-lag sums are two FFT autocorrelations.
+The O(n_t^2) triangle is never formed.  The binary dump is format version
+2 for U and X, 4 for N, H and X, and 3 for D.
+dynamics.two_time_correlation builds any of them.
 """
 
 import math
@@ -17,7 +19,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 _GRID_MAGIC = b"OMTCGRID"
-_UX_VERSION, _D_VERSION = 2, 3
+#: dump version: the stored arrays, in dump order; N and H are one row each
+_FORMS = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}
+#: largest |H_qj| a spectral grid accepts: a larger step factor grows
+STEP_FACTOR_LIMIT = 1.0 + 1e-12
 
 
 def _block_size(n_max: int) -> int:
@@ -70,35 +75,81 @@ def _autocorrelation(D: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.fft.rfft(power)[: n + 1] / L
 
 
+def _squared_powers(g: np.ndarray, exponents) -> np.ndarray:
+    """g^e elementwise for each e of exponents, one row each, by repeated squaring.
+
+    About log2 max(e) squarings of g, and as many products on the rows that
+    take each bit.  Never divides: with |g| <= 1 a power may underflow to 0.
+    """
+    e = np.array(exponents, dtype=np.int64)
+    out = np.ones((len(e), len(g)), dtype=complex)
+    while True:
+        out[np.flatnonzero(e & 1)] *= g
+        e >>= 1
+        if not e.any():
+            return out
+        g = g * g
+
+
+def _power_table(g: np.ndarray, b: int) -> np.ndarray:
+    """The b rows g^0 .. g^(b-1) elementwise, by cumulative products."""
+    table = np.empty((b, len(g)), dtype=complex)
+    table[0] = 1.0
+    for i in range(1, b):
+        np.multiply(table[i - 1], g, out=table[i])
+    return table
+
+
+def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
+    """Yield the rows U[lo:hi] of U[tau] = N o H^tau for each (lo, hi) of spans.
+
+    Each block is (N o H^lo) o H^i, i < hi - lo: H^lo for all spans at once
+    from _squared_powers, H^i from one _power_table as long as the longest
+    span.  N o H^0 is N itself.
+    """
+    spans = list(spans)
+    table = _power_table(H, max(hi - lo for lo, hi in spans))
+    for (lo, hi), start in zip(spans, N * _squared_powers(H, [lo for lo, _ in spans])):
+        yield start * table[: hi - lo]
+
+
 class CorrelationGrid:
-    """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as U and X or as D.
+    """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as U and X, as N, H and X, or as D.
 
     U/X form: row tau of U is the conjugate of the observable a after tau
     adjoint steps and row k of X the regression operand a rho(t_k), both on
-    the operand sector (for the spectral kernel in eigen coordinates, which
-    pair the same), so C[k+tau][k] = U[tau] . X[k].  D form: row k of
-    D is the flattened D_k of the separable kernel (see dynamics), so
+    the operand sector, so C[k+tau][k] = U[tau] . X[k].  Spectral form: the
+    same in eigen coordinates, which pair the same, with U[tau] = N o H^tau
+    given by the vectors N and H, |H| <= 1, instead of a stack.  D form: row
+    k of D is the flattened D_k of the separable kernel (see dynamics), so
     C[j][k] = conj(D[j]) . D[k].  The upper triangle is defined by
     conjugate symmetry.  Exactly one form is given.
     """
 
     def __init__(self, dt, U=None, X=None, kappa=0.0, param_hash=b"\0" * 32,
                  residual_excitation=None, sector_sizes=None, propagators=None,
-                 smoke_max_diff=None, columns=None, stage_s=None, D=None):
-        if D is None:
-            self.U = np.asarray(U, dtype=complex)
-            self.X = np.asarray(X, dtype=complex)
-            self.D = None
-            if self.X.ndim != 2 or self.U.shape != self.X.shape:
-                raise ConfigurationError(
-                    f"factor stacks must share one n_t x |R_a| shape, "
-                    f"got {self.U.shape} and {self.X.shape}"
-                )
-        else:
-            self.D = np.asarray(D, dtype=complex)
-            self.U = self.X = None
-            if U is not None or X is not None or self.D.ndim != 2:
-                raise ConfigurationError("a grid holds either the stacks U and X or one n_t x m stack D")
+                 smoke_max_diff=None, columns=None, stage_s=None, D=None, N=None, H=None):
+        arrays = {"U": U, "X": X, "D": D, "N": N, "H": H}
+        for name, value in arrays.items():
+            setattr(self, name, None if value is None else np.asarray(value, dtype=complex))
+        given = {name for name, value in arrays.items() if value is not None}
+        #: the dump format version of the form, which names its stored arrays
+        self.version = next((v for v, names in _FORMS.items() if given == set(names)), None)
+        if self.version is None or (self.D is not None and self.D.ndim != 2):
+            raise ConfigurationError(
+                "a grid holds either the stacks U and X or one n_t x m stack D, "
+                "or the stack X and the vectors N and H"
+            )
+        if self.U is not None and (self.X.ndim != 2 or self.U.shape != self.X.shape):
+            raise ConfigurationError(
+                f"factor stacks must share one n_t x |R_a| shape, "
+                f"got {self.U.shape} and {self.X.shape}"
+            )
+        if self.N is not None and (self.X.ndim != 2 or not self.N.shape == self.H.shape == self.X.shape[1:]):
+            raise ConfigurationError(
+                f"N and H must be vectors as wide as the n_t x |R_a| stack X, got shapes "
+                f"{self.N.shape}, {self.H.shape} and {self.X.shape}"
+            )
         self.dt = float(dt)
         self.n_t = len(self.X if self.D is None else self.D)
         self.kappa = float(kappa)
@@ -109,7 +160,7 @@ class CorrelationGrid:
         #: operand) steppers, the largest smoke-check difference, the
         #: D form's (rank s of the start, width of D) or (None, None), and
         #: the seconds of each stage (setup, smoke, forward, and adjoint for
-        #: the U/X form)
+        #: the stepped U/X form)
         self.sector_sizes = sector_sizes
         self.propagators = propagators
         self.smoke_max_diff = smoke_max_diff
@@ -122,7 +173,21 @@ class CorrelationGrid:
 
     @property
     def memory_bytes(self) -> int:
-        return self.D.nbytes if self.D is not None else self.U.nbytes + self.X.nbytes
+        return sum(getattr(self, name).nbytes for name in _FORMS[self.version])
+
+    def adjoint_blocks(self, spans):
+        """The rows U[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
+
+        Slices of a stored U, or for the spectral form spectral_blocks of N
+        and H, made as they are read.
+        """
+        if self.U is not None:
+            return (self.U[lo:hi] for lo, hi in spans)
+        return spectral_blocks(self.N, self.H, spans)
+
+    def adjoint_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The rows U[lo:hi], one block of adjoint_blocks."""
+        return next(self.adjoint_blocks([(lo, hi)]))
 
     def lag_sums(self, Gamma: float, n: int):
         """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].
@@ -147,31 +212,32 @@ class CorrelationGrid:
         # r^(i-k) for k <= i, and its diagonal is the endpoint term.  M
         # does not depend on Gamma, so one product per block serves G and A,
         # each with its own carry S_{m0-1}.  No factor exceeds 1, so no
-        # Gamma T can overflow.
+        # Gamma T can overflow.  The blocks of U come from adjoint_blocks.
         h = self.dt
         w = _trapezoid_weights(h, n)
         r = np.exp(-2.0 * Gamma * h)
-        U, X = self.U[: n + 1], self.X[: n + 1]
+        X = self.X[: n + 1]
         b = _block_size(n + 1)
+        starts = range(0, n + 1, b)
+        spans = [(max(n - m0 - b + 1, 0), n - m0 + 1) for m0 in starts]
         lag = np.abs(np.arange(b)[:, None] - np.arange(b))
         weights = (np.tril(r**lag), np.tril(np.ones((b, b))))
         decays = (r ** np.arange(1, b + 1), np.ones(b))  # r^(i+1)
         sums = (np.empty(n + 1, dtype=complex), np.empty(n + 1, dtype=complex))
         carries = [np.zeros(X.shape[1], dtype=complex) for _ in sums]
         buffer = np.empty((b, X.shape[1]), dtype=complex)
-        for m0 in range(0, n + 1, b):
-            rows = min(b, n + 1 - m0)
-            lo, hi = n - m0 - rows + 1, n - m0 + 1
+        for m0, (lo, hi), U in zip(starts, spans, self.adjoint_blocks(spans)):
+            rows = hi - lo
             wX = np.multiply(w[m0 : m0 + rows, None], X[m0 : m0 + rows], out=buffer[:rows])
             # row j of the block is lag tau = lo + j, so i = rows - 1 - j
-            M = U[lo:hi] @ wX.T
+            M = U @ wX.T
             ends = 0.5 * np.diagonal(M[:, ::-1])
             for t, (s, W, decay) in enumerate(zip(sums, weights, decays)):
                 W, decay = W[:rows, :rows], decay[:rows]
-                s[lo:hi] = (M * W[::-1]).sum(axis=1) + decay[::-1] * (U[lo:hi] @ carries[t]) - ends
+                s[lo:hi] = (M * W[::-1]).sum(axis=1) + decay[::-1] * (U @ carries[t]) - ends
                 carries[t] = decay[-1] * carries[t] + W[-1] @ wX
         G, A = sums
-        corner = 0.5 * w[0] * (U[0] @ X[0])
+        corner = 0.5 * w[0] * (U[0] @ X[0])  # the last block holds lag 0
         G[0] -= r**n * corner
         A[0] -= corner
         A *= h
@@ -188,46 +254,63 @@ class CorrelationGrid:
         if self.D is not None:
             D = self.D[: n + 1]
             return complex(q**2 @ (D.real**2 + D.imag**2).sum(axis=1))
-        return complex(q**2 @ (self.X[: n + 1] @ self.U[0]))
+        return complex(q**2 @ (self.X[: n + 1] @ self.adjoint_rows(0, 1)[0]))
 
     def save(self, path):
-        """Binary dump: 80-byte header, then the stacks, little endian.
+        """Binary dump: 80-byte header, then the stored arrays, little endian.
 
         Version 2 holds U and X, the header's second uint32 the operand-sector
-        size |R_a|; version 3 holds D, the second uint32 its width.
+        size |R_a|; version 4 holds N, H and X, the same width; version 3
+        holds D, the second uint32 its width.
         """
         hash_bytes = self.param_hash
         if isinstance(hash_bytes, str):
             hash_bytes = bytes.fromhex(hash_bytes)
         residual = float("nan") if self.residual_excitation is None else self.residual_excitation
-        version, stacks = (_UX_VERSION, (self.U, self.X)) if self.D is None else (_D_VERSION, (self.D,))
+        arrays = [getattr(self, name) for name in _FORMS[self.version]]
         header = _GRID_MAGIC + struct.pack(
-            "<IIQddd", version, stacks[0].shape[1], self.n_t, self.dt, self.kappa, residual
+            "<IIQddd", self.version, arrays[-1].shape[1], self.n_t, self.dt, self.kappa, residual
         ) + hash_bytes
         with open(path, "wb") as fh:
             fh.write(header)
-            for stack in stacks:
-                fh.write(np.ascontiguousarray(stack, dtype="<c16"))
+            for array in arrays:
+                fh.write(np.ascontiguousarray(array, dtype="<c16"))
 
     @classmethod
     def load(cls, path) -> "CorrelationGrid":
+        """A dumped grid; ConfigurationError for a corrupt dump.
+
+        Of a version 4 dump, N and H must be finite and max|H| at most
+        STEP_FACTOR_LIMIT, the bound the spectral set-up applies, so that no
+        power of H grows.
+        """
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != _GRID_MAGIC:
                 raise ConfigurationError(f"{path}: not a correlation dump")
             version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
-            if version not in (_UX_VERSION, _D_VERSION):
+            if version not in _FORMS:
                 raise ConfigurationError(f"{path}: unsupported dump version {version}")
             param_hash = fh.read(32)
             raw = np.fromfile(fh, dtype="<c16")
-        n_stacks = 2 if version == _UX_VERSION else 1
-        expected = n_stacks * n_t * n_op
+        names = _FORMS[version]
+        rows = [1 if name in ("N", "H") else n_t for name in names]
+        expected = sum(rows) * n_op
         if len(raw) != expected:
             raise ConfigurationError(
                 f"{path}: truncated dump ({len(raw)} of {expected} entries)"
             )
-        stacks = raw.reshape(n_stacks, n_t, n_op)
-        form = dict(zip(("U", "X"), stacks)) if n_stacks == 2 else {"D": stacks[0]}
+        form = dict(zip(names, np.split(raw.reshape(sum(rows), n_op), np.cumsum(rows)[:-1])))
+        if version == 4:
+            form["N"], form["H"] = form["N"][0], form["H"][0]
+            if not (np.isfinite(form["N"]).all() and np.isfinite(form["H"]).all()):
+                raise ConfigurationError(f"{path}: non-finite adjoint factors N or H")
+            growth = np.abs(form["H"]).max(initial=0.0)
+            if growth > STEP_FACTOR_LIMIT:
+                raise ConfigurationError(
+                    f"{path}: step factor |H| = {growth:.6g} above {STEP_FACTOR_LIMIT!r}; "
+                    "its powers would grow"
+                )
         return cls(
             dt=dt,
             kappa=kappa,

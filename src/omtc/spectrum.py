@@ -28,7 +28,7 @@ and, when it ran the propagation, the forward/operand steppers
 of D (metadata["columns"], e.g. (1, 9), (None, None) for U and X), the
 largest smoke-check difference (metadata["smoke_max_diff"]) and the
 seconds of each stage (metadata["stage_s"]: model, setup, smoke, forward,
-adjoint for U and X only, and sweep with the lag sums).
+adjoint for the stepped U/X form only, and sweep with the lag sums).
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time

@@ -2,7 +2,8 @@
 
 The package assembles its operators by array arithmetic, holds the
 superoperator and its sectors in numpy arrays (model.SparseMatrix) and
-keeps the correlation grid as factor stacks (U and X, or D); these are the
+keeps the correlation grid as factor stacks (U and X, X with the factors
+N and H of U, or D); these are the
 straightforward forms they replace: the ladder operators one basis state
 at a time, the Hamiltonian as sparse products, the superoperator as a sum
 of scipy Kronecker products, sector blocks and closures by scipy
@@ -124,11 +125,16 @@ def closure_oracle(S, seed: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def adjoint_stack(grid) -> np.ndarray:
+    """All n_t rows of U of a U/X or spectral CorrelationGrid, from its accessor."""
+    return grid.adjoint_rows(0, grid.n_t)
+
+
 def grid_column(grid, k: int) -> np.ndarray:
     """C[k:][k] (lags 0 .. n_t-1-k) of a CorrelationGrid."""
     if grid.D is not None:
         return grid.D[k:].conj() @ grid.D[k]
-    return grid.U[: grid.n_t - k] @ grid.X[k]
+    return grid.adjoint_rows(0, grid.n_t - k) @ grid.X[k]
 
 
 def grid_value(grid, j: int, k: int) -> complex:
@@ -137,7 +143,7 @@ def grid_value(grid, j: int, k: int) -> complex:
         return np.conj(grid_value(grid, k, j))
     if grid.D is not None:
         return complex(np.vdot(grid.D[j], grid.D[k]))
-    return complex(grid.U[j - k] @ grid.X[k])
+    return complex(grid.adjoint_rows(j - k, j - k + 1)[0] @ grid.X[k])
 
 
 def grid_dense(grid) -> np.ndarray:

@@ -319,17 +319,29 @@ class TestCliSpectrum:
     def test_corrupted_spectral_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                         call, block):
         # rk4 without mechanical losses takes the spectral form: the forward
-        # pass steps its blocks by G^b and the adjoint pass by H^b, made in
-        # that order; spoil one
-        from omtc import dynamics
+        # pass steps its blocks by G^b (dynamics._elementwise_power), and
+        # the grid starts a block of U rows at lo > 0 from N o H^lo
+        # (grid._squared_powers), U_b in the smoke check; made in that
+        # order, spoil one
+        from omtc import dynamics, grid
 
-        power, calls = dynamics._elementwise_power, []
+        calls = []
 
-        def corrupted(g, b):
-            calls.append(len(g))
-            return power(g, b) * (1 + 1e-6) if len(calls) == call + 1 else power(g, b)
+        def spoiled(size):  # the factor of a power of a vector of that size
+            calls.append(size)
+            return 1 + 1e-6 if len(calls) == call + 1 else 1
 
-        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted)
+        elementwise_power, squared_powers = dynamics._elementwise_power, grid._squared_powers
+
+        def corrupted_power(g, b):
+            return elementwise_power(g, b) * spoiled(len(g))
+
+        def corrupted_powers(g, exponents):  # H^0 = 1 is no power
+            factor = spoiled(len(g))
+            return squared_powers(g, exponents) * np.where(np.array(exponents)[:, None] > 0, factor, 1)
+
+        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted_power)
+        monkeypatch.setattr("omtc.grid._squared_powers", corrupted_powers)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST.replace("expm", "rk4"))
         out = tmp_path / "never.csv"
@@ -415,12 +427,21 @@ class TestCliCorrelation:
         ) == 0
         assert direct.read_bytes() == reused.read_bytes()
 
-    @pytest.mark.parametrize("method, version", [("expm", 3), ("rk4", 2)])
-    def test_dump_round_trip_by_form(self, tmp_path, method, version):
-        # expm without mechanical losses dumps the D form (version 3), rk4
-        # the U and X stacks (version 2); either reloads to the same CSV
+    @pytest.mark.parametrize(
+        "method, version, extra",
+        [
+            pytest.param("expm", 3, "", id="expm-3"),
+            pytest.param("rk4", 4, "", id="rk4-4"),
+            pytest.param("rk4", 2, "model.gamma_M = 0.05\n", id="rk4-2"),
+        ],
+    )
+    def test_dump_round_trip_by_form(self, tmp_path, method, version, extra):
+        # without mechanical losses expm dumps the D form (version 3) and rk4
+        # the spectral form, X with the factors N and H (version 4); with
+        # them rk4 steps both passes and dumps the U and X stacks (version
+        # 2).  Each reloads to the same CSV, byte for byte.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST.replace("expm", method))
+        cfg.write_text(FAST.replace("expm", method) + extra)
         dump = tmp_path / "grid.bin"
         direct, reused = tmp_path / "direct.csv", tmp_path / "reused.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(direct),

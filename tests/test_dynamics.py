@@ -10,6 +10,7 @@ from oracles import (
     block_oracle,
     closure_oracle,
     from_scipy,
+    adjoint_stack,
     grid_column,
     grid_dense,
     grid_value,
@@ -27,6 +28,7 @@ from omtc.dynamics import (
     Generator,
     _closure,
     _eigenbases,
+    _elementwise_blocks,
     _ForwardSector,
     _FactoredStepper,
     _kronecker_factors,
@@ -40,7 +42,7 @@ from omtc.dynamics import (
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
-from omtc.grid import _fast_length, _trapezoid_weights
+from omtc.grid import _fast_length, _trapezoid_weights, spectral_blocks
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     ModelParams,
@@ -439,7 +441,7 @@ class TestBackends:
             dense = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         assert grid.propagators == dense.propagators == ("dense", "dense")
         assert grid.n_t == dense.n_t
-        assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
+        assert _same_stacks(grid, dense)
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).propagators == ("factored", "separable")
 
     def test_halving_dt_expm_grid_stable(self):
@@ -575,9 +577,16 @@ class TestGridStorage:
     def test_factor_shapes_checked(self):
         with pytest.raises(ConfigurationError, match="factor stacks"):
             CorrelationGrid(dt=0.1, U=np.zeros((3, 2)), X=np.zeros((3, 1)))
-        for bad in ({"D": np.zeros(3)}, {"D": np.zeros((3, 2)), "U": np.zeros((3, 2))}):
+        for bad in ({"D": np.zeros(3)}, {"D": np.zeros((3, 2)), "U": np.zeros((3, 2))},
+                    {"X": np.zeros((3, 2)), "N": np.zeros(2)}, {"X": np.zeros((3, 2))},
+                    {"U": np.zeros((3, 2)), "X": np.zeros((3, 2)), "N": np.zeros(2),
+                     "H": np.zeros(2)}):
             with pytest.raises(ConfigurationError, match="either the stacks U and X or one"):
                 CorrelationGrid(dt=0.1, **bad)
+        for N, H, X in ((np.zeros(2), np.zeros(3), np.zeros((3, 2))),
+                        (np.zeros(2), np.zeros(2), np.zeros(2))):
+            with pytest.raises(ConfigurationError, match="N and H must be vectors"):
+                CorrelationGrid(dt=0.1, X=X, N=N, H=H)
 
     def test_d_form_value_access(self):
         # C[j][k] = conj(D[j]) . D[k]: C[0][0] = 1, C[1][0] = conj(1j) 2 = -2j
@@ -587,27 +596,47 @@ class TestGridStorage:
         np.testing.assert_array_equal(grid_column(grid, 0), [1, -1j])
         assert grid.memory_bytes == 4 * 16
 
+    def test_spectral_form_value_access(self):
+        # U[tau] = N o H^tau: U[0] = (1, 2), U[1] = (0.5, -2j), U[2] = (0.25, -2)
+        N, H = np.array([1, 2], dtype=complex), np.array([0.5, -1j])
+        X = np.array([[1, 1], [1j, 0], [0, 1]], dtype=complex)
+        grid = CorrelationGrid(dt=0.1, X=X, N=N, H=H)
+        assert grid.U is None and grid.version == 4
+        np.testing.assert_array_equal(adjoint_stack(grid), [[1, 2], [0.5, -2j], [0.25, -2]])
+        assert grid_value(grid, 1, 0) == 0.5 - 2j and grid_value(grid, 0, 1) == 0.5 + 2j
+        assert grid_value(grid, 2, 0) == 0.25 - 2 and grid_value(grid, 2, 1) == 0.5j
+        np.testing.assert_array_equal(grid_column(grid, 1), [1j, 0.5j])
+        assert grid.memory_bytes == (3 * 2 + 2 + 2) * 16
+
     def test_dump_versions(self, tmp_path):
-        # the U/X form writes version 2, byte for byte header, U, X; the D
-        # form version 3, header and D; both reload to the same stacks
+        # the stepped U/X form writes version 2, byte for byte header, U, X;
+        # the D form version 3, header and D; the spectral form version 4,
+        # header (width |R_a|), N, H and X.  Each reloads to the same arrays.
         _, space, gen, rho0 = _damped_cavity()
         a = ladder_operators(space)["a"]
-        for method, version in (("rk4", 2), ("expm", 3)):
-            grid = two_time_correlation(
-                rho0, gen, EvolutionConfig(dt=0.05, t_max=2.0, method=method), a,
-                kappa=0.2, param_hash=b"\x02" * 32,
-            )
-            stacks = (grid.U, grid.X) if version == 2 else (grid.D,)
+        for method, version in (("rk4", 2), ("expm", 3), ("rk4", 4)):
+            with pytest.MonkeyPatch.context() as mp:
+                if version == 2:
+                    mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
+                grid = two_time_correlation(
+                    rho0, gen, EvolutionConfig(dt=0.05, t_max=2.0, method=method), a,
+                    kappa=0.2, param_hash=b"\x02" * 32,
+                )
+            names = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}[version]
+            arrays = [getattr(grid, name) for name in names]
             path = tmp_path / f"grid{version}.bin"
             grid.save(path)
             header = b"OMTCGRID" + struct.pack(
-                "<IIQddd", version, stacks[0].shape[1], grid.n_t, 0.05, 0.2, float("nan")
+                "<IIQddd", version, arrays[-1].shape[1], grid.n_t, 0.05, 0.2, float("nan")
             ) + b"\x02" * 32
-            assert path.read_bytes() == header + b"".join(x.astype("<c16").tobytes() for x in stacks)
+            assert path.read_bytes() == header + b"".join(x.astype("<c16").tobytes() for x in arrays)
+            assert len(path.read_bytes()) == 80 + 16 * sum(x.size for x in arrays)
             loaded = CorrelationGrid.load(path)
-            assert (loaded.U is None, loaded.D is None) == (version == 3, version == 2)
-            for new, old in zip((loaded.U, loaded.X) if version == 2 else (loaded.D,), stacks):
-                np.testing.assert_array_equal(new, old)
+            assert loaded.version == grid.version == version
+            stored = {name for name in ("U", "X", "D", "N", "H") if getattr(loaded, name) is not None}
+            assert stored == set(names)
+            for name, old in zip(names, arrays):
+                np.testing.assert_array_equal(getattr(loaded, name), old)
             path.write_bytes(path.read_bytes()[:-16])
             with pytest.raises(ConfigurationError, match="truncated"):
                 CorrelationGrid.load(path)
@@ -619,6 +648,7 @@ class TestGridStorage:
             rho0, gen, EvolutionConfig(dt=0.05, t_max=2.0), a,
             kappa=0.2, param_hash=b"\x01" * 32,
         )
+        assert grid.propagators == ("spectral", "spectral")
         path = tmp_path / "grid.bin"
         grid.save(path)
         loaded = CorrelationGrid.load(path)
@@ -626,8 +656,36 @@ class TestGridStorage:
         assert loaded.dt == grid.dt
         assert loaded.kappa == grid.kappa
         assert loaded.param_hash == b"\x01" * 32
-        np.testing.assert_array_equal(loaded.U, grid.U)
+        np.testing.assert_array_equal(adjoint_stack(loaded), adjoint_stack(grid))
         np.testing.assert_array_equal(loaded.X, grid.X)
+        for Gamma in (0.0, 0.05):
+            for new, old in zip(loaded.lag_sums(Gamma, grid.n_t - 1), grid.lag_sums(Gamma, grid.n_t - 1)):
+                np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize(
+        "spoil, match",
+        [
+            ("N nan", "non-finite"),
+            ("H inf", "non-finite"),
+            ("H grows", "step factor"),
+        ],
+    )
+    def test_load_rejects_bad_spectral_factors(self, tmp_path, spoil, match):
+        # a corrupt or hand-edited version 4 dump must not give growing
+        # powers of H: N and H finite and max|H| <= 1 + 1e-12, the bound
+        # the set-up applies; |H| = 1 + 1e-13 still loads
+        X = np.ones((3, 2), dtype=complex)
+        N, H = np.array([1.0, 2.0j]), np.array([0.5, 1.0 + 1e-13])
+        path = tmp_path / "grid.bin"
+        CorrelationGrid(dt=0.1, X=X, N=N, H=H).save(path)
+        np.testing.assert_array_equal(CorrelationGrid.load(path).H, H)
+        name, value = spoil.split()
+        bad = {"nan": np.nan, "inf": np.inf, "grows": 1.0 + 1e-11}[value]
+        N, H = N.copy(), H.copy()
+        (N if name == "N" else H)[1] = bad
+        CorrelationGrid(dt=0.1, X=X, N=N, H=H).save(path)
+        with pytest.raises(ConfigurationError, match=match):
+            CorrelationGrid.load(path)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -851,6 +909,11 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     )
 
 
+def _same_stacks(grid, other):
+    """Whether two U/X grids hold bit-identical X and U stacks."""
+    return np.array_equal(grid.X, other.X) and np.array_equal(adjoint_stack(grid), adjoint_stack(other))
+
+
 def _assert_close_or_dark(new, old, n_t, scale=1.0):
     """new equals old to 1e-12 of max|old|, or both lie below n_t eps scale.
 
@@ -876,7 +939,7 @@ def _assert_matches_sequential(grid, ref):
     # a spectral grid's stacks are in eigen coordinates: only their
     # pairing, the grid, compares
     if grid.D is None and grid.propagators[1] != "spectral":
-        pairs += [(grid.X, ref.X), (grid.U, ref.U)]
+        pairs += [(grid.X, ref.X), (adjoint_stack(grid), adjoint_stack(ref))]
     for new, old in pairs:
         _assert_close_or_dark(new, old, ref.n_t)
 
@@ -1025,7 +1088,7 @@ class TestReadoutSector:
             # product runs over vectors of different lengths, and at some
             # gamma_M = 0 points its BLAS sum rounds the last bit differently
             # (1.1e-16 at N_m = 1, J = 0, gamma_a_coop = gamma_a = 0.125)
-            assert np.array_equal(grid.X, full.X) and np.array_equal(grid.U, full.U)
+            assert _same_stacks(grid, full)
             if params.gamma_M > 0:
                 assert grid.residual_excitation == full.residual_excitation
         _assert_matches_sequential(grid, full)
@@ -1047,6 +1110,11 @@ class TestReadoutSector:
         i, j = np.divmod(fwd.index, d)
         np.testing.assert_array_equal(np.sort(j * d + i), fwd.index)
         assert not np.any(to_scipy(S)[fwd.index][:, fwd.dropped].data)
+        # the readout block, taken from M without a second extraction, is
+        # S[index, index] entry for entry
+        block, ref = fwd.readout_block, S.block(fwd.index)
+        for name in ("indptr", "indices", "data", "shape"):
+            np.testing.assert_array_equal(getattr(block, name), getattr(ref, name))
         # one optical excitation: rho_11 is kept, rho_00 is carried by p alone
         n_1 = 3 * (space.N_m + 1)
         assert (len(fwd.index), len(fwd.dropped)) == (n_1**2, (space.N_m + 1) ** 2)
@@ -1150,6 +1218,11 @@ def _assert_same_spectra(grid, dense, Gamma=0.05):
         assert np.abs(x - y).max() <= 1e-12 * max(np.abs(y).max(), size)
 
 
+def _factors_of(gen, S, index):
+    """_kronecker_factors of the sector block S[index, index]."""
+    return _kronecker_factors(gen, S.block(index), index)
+
+
 def _separable_point(space, gen, rho0):
     """(fwd, P, Q0, _separable's result) of a correlation run on the model's sectors."""
     S, d = gen.superoperator(), space.dim
@@ -1157,7 +1230,7 @@ def _separable_point(space, gen, rho0):
     P = fwd.sides[0]
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
     adj = (Q0[:, None] * d + P).reshape(-1)
-    factors = (_kronecker_factors(gen, S, fwd.index), _kronecker_factors(gen, S, adj))
+    factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
     return fwd, P, Q0, _separable(factors, fwd, rho0)
 
 
@@ -1278,7 +1351,7 @@ class TestFactoredPropagator:
         monkeypatch.setattr("omtc.dynamics._closure", wider)
         grid = two_time_correlation(rho0, gen, cfg, a)
         assert grid.propagators == ("dense", "dense") and grid.sector_sizes[1] == (len(P) + 1) * len(Q0)
-        assert _kronecker_factors(gen, gen.superoperator(), calls[2]) is not None
+        assert _factors_of(gen, gen.superoperator(), calls[2]) is not None
         monkeypatch.setattr("omtc.dynamics._closure", closure)
         _assert_close_or_dark(grid_dense(grid), grid_dense(two_time_correlation(rho0, gen, cfg, a)),
                               grid.n_t)
@@ -1370,7 +1443,7 @@ class TestFactoredPropagator:
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         dense = _unfactored(rho0, gen, cfg, a, mon)
         assert grid.propagators == dense.propagators == ("dense", "dense")
-        assert np.array_equal(grid.X, dense.X) and np.array_equal(grid.U, dense.U)
+        assert _same_stacks(grid, dense)
 
     @pytest.mark.parametrize(
         "losses, propagators",
@@ -1451,7 +1524,7 @@ class TestFactoredPropagator:
         reads, _, _ = _readout(space)
         fwd = _ForwardSector(S, rho0, reads)
         fwd.check_trace_rows()
-        A, B = _kronecker_factors(gen, S, fwd.index)
+        A, B = _factors_of(gen, S, fwd.index)
         factored = _FactoredStepper(A, 0.02, b=4)
         dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
         # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H
@@ -1480,7 +1553,7 @@ class TestFactoredPropagator:
         gen = Generator(m + m.conj().T, ())
         S = gen.superoperator()
         index = np.arange(d * d)
-        A, B = _kronecker_factors(gen, S, index)
+        A, B = _factors_of(gen, S, index)
         assert np.abs(B - A.conj().T).max() == 0.0
         step = _FactoredStepper(A, 0.05)
         W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
@@ -1496,9 +1569,9 @@ class TestFactoredPropagator:
         rho0, gen, _, _, _ = _correlation_point(ModelParams(), space, dt=0.02, t_max=1.0)
         S = gen.superoperator()
         reads, _, _ = _readout(space)
-        A, B = _kronecker_factors(gen, S, _ForwardSector(S, rho0, reads).index)
+        A, B = _factors_of(gen, S, _ForwardSector(S, rho0, reads).index)
         assert A.shape == B.shape == (9, 9)
-        assert _kronecker_factors(gen, S, _ForwardSector(S, rho0).index) is None
+        assert _factors_of(gen, S, _ForwardSector(S, rho0).index) is None
 
 
 
@@ -1523,7 +1596,7 @@ class TestSpectralKernel:
         assert stepped.propagators == ("rk4", "rk4")
         if grid.propagators == ("rk4", "rk4"):
             assert np.abs(grid_dense(stepped)).max() < 1e-2
-            assert np.array_equal(grid.X, stepped.X) and np.array_equal(grid.U, stepped.U)
+            assert _same_stacks(grid, stepped)
         else:
             assert grid.propagators == ("spectral", "spectral")
             assert grid.smoke_max_diff < 1e-13
@@ -1581,7 +1654,7 @@ class TestSpectralKernel:
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         assert grid.propagators == propagators
         if propagators == ("rk4", "rk4"):
-            assert np.array_equal(grid.X, stepped.X) and np.array_equal(grid.U, stepped.U)
+            assert _same_stacks(grid, stepped)
         else:
             _assert_same_spectra(grid, stepped)
 
@@ -1611,7 +1684,7 @@ class TestSpectralKernel:
         assert grid.propagators == propagators
         assert grid.n_t == stepped.n_t == (2 if leak else 51)
         if propagators == ("rk4", "rk4"):
-            assert np.array_equal(grid.X, stepped.X) and np.array_equal(grid.U, stepped.U)
+            assert _same_stacks(grid, stepped)
         _assert_same_spectra(grid, stepped)
 
     def test_unstable_step_rejected_at_set_up(self):
@@ -1638,13 +1711,14 @@ class TestSpectralKernel:
         stepped = _unfactored(rho0, gen, cfg, a, mon)
         fwd, P, Q0, _ = _separable_point(space, gen, rho0)
         S = gen.superoperator()
-        factors = (_kronecker_factors(gen, S, fwd.index),
-                   _kronecker_factors(gen, S, (Q0[:, None] * space.dim + P).reshape(-1)))
+        factors = (_factors_of(gen, S, fwd.index),
+                   _factors_of(gen, S, (Q0[:, None] * space.dim + P).reshape(-1)))
         (A, B), (A0, _) = factors
         _, (_, V_B, VB_inv), (_, V_0, _), _ = _eigenbases(A, B, A0)
         X = V_0 @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ VB_inv
         assert np.abs(X.reshape(grid.n_t, -1) - stepped.X).max() <= 1e-13
-        np.testing.assert_allclose(grid.U @ grid.X.T, stepped.U @ stepped.X.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(adjoint_stack(grid) @ grid.X.T, adjoint_stack(stepped) @ stepped.X.T,
+                                   rtol=0, atol=1e-13)
 
     def test_rk4_factor_is_the_step_polynomial(self):
         # r(h S) x, S diagonal, equals one RK4 step of the stepper and four
@@ -1655,6 +1729,75 @@ class TestSpectralKernel:
         expected = _rk4_factor(0.05 * w) * x
         assert np.abs(stepper(x) - expected).max() <= 1e-15
         assert np.abs(_taylor_step(lambda v: w * v, x, 0.05, terms=4) - expected).max() <= 1e-15
+
+
+
+def _spectral_factors(rng, width):
+    """N and H for a spectral grid: |H| <= 1, with small |H| whose powers underflow."""
+    N = rng.normal(size=width) + 1j * rng.normal(size=width)
+    H = rng.uniform(0.0, 1.0, width) * np.exp(1j * rng.uniform(-np.pi, np.pi, width))
+    H[rng.integers(width)] = np.exp(0.3j)  # |H| = 1 on one coordinate
+    return N, H
+
+
+class TestSpectralRows:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 400),
+        b=st.sampled_from([1, 2, 8, 16, 64]),
+        at=st.floats(0.0, 1.0),
+        width=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=100, b=16, at=0.0, width=3, seed=1)  # lo = 0
+    @example(n=100, b=16, at=1.0, width=3, seed=2)  # the short last block, rows 96 .. 99
+    def test_rows_match_elementwise_blocks(self, n, b, at, width, seed):
+        # the accessor's (N o H^lo) o H^i, H^lo by squaring, against the
+        # stack that _elementwise_blocks steps by H^b block by block, to
+        # roundoff: both carry about tau eps relative error in row tau, and
+        # |U| <= |N|.  So do the grid's rows, and a block at lo = 0 starts
+        # at N itself.
+        rng = np.random.default_rng(seed)
+        N, H = _spectral_factors(rng, width)
+        stack = np.concatenate([Y.copy() for Y in _elementwise_blocks(N, H, n, b)])
+        lo = b * int(at * ((n - 1) // b))
+        hi = min(lo + b, n)
+        spans = [(lo, hi), (0, min(b, n))]  # the table is b rows long
+        rows, first = spectral_blocks(N, H, spans)
+        assert rows.shape == (hi - lo, width)
+        bound = 4 * n * np.finfo(float).eps * np.abs(N)
+        assert np.all(np.abs(rows - stack[lo:hi]) <= bound)
+        grid = CorrelationGrid(dt=0.1, X=stack, N=N, H=H)
+        assert np.all(np.abs(grid.adjoint_rows(lo, hi) - stack[lo:hi]) <= bound)
+        np.testing.assert_array_equal(first[0], N)
+
+    @pytest.mark.parametrize("b", [None, 8])
+    @settings(max_examples=12)
+    @given(
+        n_t=st.integers(2, 150),
+        width=st.integers(1, 4),
+        dt=st.sampled_from([0.02, 0.5]),
+        Gamma=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lag_sums_match_stored_u(self, b, n_t, width, dt, Gamma, seed):
+        # the Gram pass reads its rows from the accessor; with the same rows
+        # stored as U it gives the same sums to roundoff.  b = 8 covers many
+        # blocks and a short last one, None is _block_size
+        rng = np.random.default_rng(seed)
+        N, H = _spectral_factors(rng, width)
+        X = rng.normal(size=(n_t, width)) + 1j * rng.normal(size=(n_t, width))
+        grid = CorrelationGrid(dt=dt, X=X, N=N, H=H)
+        stored = CorrelationGrid(dt=dt, U=adjoint_stack(grid), X=X)
+        with pytest.MonkeyPatch.context() as mp:
+            if b is not None:
+                mp.setattr("omtc.grid._block_size", lambda n: b)
+            for n in sorted({1, n_t // 2, n_t - 1}):
+                _, _, G_abs, A_abs = _double_sum_lag_sums(stored, Gamma, n)
+                (G, A), (G_ref, A_ref) = grid.lag_sums(Gamma, n), stored.lag_sums(Gamma, n)
+                assert np.all(np.abs(G - G_ref) <= 1e-12 * G_abs + 1e-300)
+                assert np.all(np.abs(A - A_ref) <= 1e-12 * A_abs)
+                assert abs(grid.zero_lag_sum(Gamma, n) - stored.zero_lag_sum(Gamma, n)) <= 1e-12 * G_abs[0]
 
 
 def _double_sum_lag_sums(grid, Gamma, n):
@@ -1676,7 +1819,7 @@ def _double_sum_lag_sums(grid, Gamma, n):
         m = n + 1 - k
         col = grid_column(grid, k)[:m]
         if grid.D is None:  # |C[k+tau][k]| <= |U[tau]| . |X[k]| or |D[k+tau]| . |D[k]|
-            col_abs = np.abs(grid.U[:m]) @ np.abs(grid.X[k])
+            col_abs = np.abs(grid.adjoint_rows(0, m)) @ np.abs(grid.X[k])
         else:
             col_abs = np.abs(grid.D[k : k + m]) @ np.abs(grid.D[k])
         G[:m] += (q[k] * q[k:]) * col
@@ -1787,7 +1930,7 @@ def _per_row_lag_sum(grid, Gamma, n):
     h = grid.dt
     w = _trapezoid_weights(h, n)
     r = np.exp(-2.0 * Gamma * h)
-    U, X = grid.U[: n + 1], grid.X[: n + 1]
+    U, X = grid.adjoint_rows(0, n + 1), grid.X[: n + 1]
     S = w[:, None] * X
     for m in range(1, n + 1):
         S[m] += r * S[m - 1]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import model_points
+from oracles import adjoint_stack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -98,13 +99,15 @@ class TestFilteredCountingRate:
         assert isinstance(val, float)
 
     def test_conjugated_grid_reflects_spectrum(self):
-        # conj(U[tau] . X[k]) = conj(U[tau]) . conj(X[k]) (rk4) and
+        # conj(U[tau] . X[k]) = conj(U[tau]) . conj(X[k]) (rk4, U from the
+        # spectral form's accessor) and
         # conj(conj(D[j]) . D[k]) = D[j] . conj(D[k]) (expm, the D form)
         deltas = np.linspace(-2.0, 2.0, 41)
         for method in ("expm", "rk4"):
             grid = _damped_cavity_grid(detuning=0.5, method=method)
             if grid.D is None:
-                flipped = CorrelationGrid(dt=grid.dt, U=np.conj(grid.U), X=np.conj(grid.X), kappa=grid.kappa)
+                flipped = CorrelationGrid(dt=grid.dt, U=np.conj(adjoint_stack(grid)), X=np.conj(grid.X),
+                                          kappa=grid.kappa)
             else:
                 flipped = CorrelationGrid(dt=grid.dt, D=np.conj(grid.D), kappa=grid.kappa)
             N, _ = filtered_spectrum(grid, deltas, 0.02, grid.horizon)
@@ -362,13 +365,13 @@ class TestWindowCapture:
         assert 0.0 < res.metadata["window_capture"] < 1.0
 
     def test_clamped_noise_counted_and_capture_unclamped(self):
-        # rk4 keeps U and X, so the grid has a negative multiple (the D
+        # rk4 keeps the U/X form, so the grid has a negative multiple (the D
         # form's C = D^H D is positive semidefinite by construction)
         grid = _damped_cavity_grid(t_max=10.0, method="rk4")
         filt = FilterParams(Gamma=0.05, delta_min=-2.0, delta_max=2.0, n_points=81)
         res = _spectrum_of(grid, filt)
         # a tiny negative multiple of the grid: every entry is clamp noise
-        tiny = CorrelationGrid(dt=grid.dt, U=grid.U, X=-1e-12 * grid.X, kappa=grid.kappa)
+        tiny = CorrelationGrid(dt=grid.dt, U=adjoint_stack(grid), X=-1e-12 * grid.X, kappa=grid.kappa)
         noise = _spectrum_of(tiny, filt)
         assert noise.metadata["clipped_points"] == 2 * filt.n_points
         assert np.all(noise.intensity == 0.0) and np.all(noise.integrated_counts == 0.0)

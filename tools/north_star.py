@@ -18,8 +18,9 @@ from this checkout's ``src/``, then makes RUNS = 3
 lazy import.  Per point the output holds the import seconds, ``ru_maxrss``
 in MiB after the imports and after the last run, the public scipy
 submodules loaded by then, the wall seconds of every run and their median,
-``metadata["stage_s"]`` of every run, ``n_t``, ``metadata["columns"]`` and
-``metadata["propagator"]``.
+``metadata["stage_s"]`` of every run, ``n_t``, ``metadata["columns"]``,
+``metadata["propagator"]`` and ``metadata["grid_memory_bytes"]``, the bytes
+the grid keeps, to read next to ``ru_maxrss``.
 """
 
 import json
@@ -80,7 +81,7 @@ def run_point(name: str) -> dict:
         walls.append(time.perf_counter() - t0)
         stages.append(result.metadata["stage_s"])
         n_t, columns = result.metadata["n_t"], result.metadata["columns"]
-        propagator = result.metadata["propagator"]
+        propagator, grid_bytes = result.metadata["propagator"], result.metadata["grid_memory_bytes"]
         del result  # so that a run's grid does not add to the next one's peak
     return {
         "import_s": import_s,
@@ -94,6 +95,7 @@ def run_point(name: str) -> dict:
         "n_t": n_t,
         "columns": columns,
         "propagator": propagator,
+        "grid_memory_bytes": grid_bytes,
     }
 
 
