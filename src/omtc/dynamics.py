@@ -3,8 +3,8 @@
 The dynamics is that of the master-equation generator L of
 model.Generator (re-exported here); Generator.superoperator() is its
 matrix S on row-major vectorized d x d matrices, a numpy SparseMatrix.
-scipy.sparse is imported only for the stepped passes (_scipy), scipy.linalg
-only for expm.
+scipy.sparse and scipy.linalg are imported only for the stepped passes
+(_scipy, and expm of their sector blocks).
 
 Propagation runs only on invariant sectors of S, index sets R with
 S[~R, R] = 0 found from its sparsity pattern (no conservation law is
@@ -37,10 +37,11 @@ products that no jump lands in, so L acts there as X -> A X + X B
   semidefinite, rho(t_k)[P, P] = W_k W_k^H with W_k = K_L^k W,
   K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
   D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt) (_separable).  The
-  forward pass steps the |P| x s factor W alone (_FactoredStepper), and
-  K_0^{-k} is a phase in the eigenbasis of i A[Q0, Q0] (_SeparableKernel);
-  there is no adjoint pass.  The filter's lag sums are FFT
-  autocorrelations of D.
+  forward pass steps only the powers g^k of the eigenvalues of K_L, as
+  W_k = V diag(g^k) V^-1 W in the eigenbasis V of A (_FactoredStepper),
+  and K_0^{-k} is a phase in the eigenbasis of i A[Q0, Q0]
+  (_SeparableKernel); there is no adjoint pass.  The filter's lag sums
+  are FFT autocorrelations of D.
 - Spectral U/X form, rk4 runs on such sectors.  In the eigenbases of A,
   B and A[Q0, Q0] L is diagonal with the sums of their eigenvalues, so an
   RK4 step multiplies each eigen coordinate by r(h (sum)) and every node
@@ -76,10 +77,11 @@ TRACE_DRIFT_LIMIT = 1e-4
 #: share of the grid's largest entry to which the spectral form must match
 #: stepped RK4; a grid it cannot resolve so is computed stepped
 SPECTRAL_RESOLUTION = 1e-12
-#: largest kappa(V_A) kappa(V_B) kappa(V_0) of the eigenvector matrices
-#: that the spectral form accepts: its transforms scale the roundoff of the
-#: stepped path by at most that, so 1e3 eps ~ 1e-13 of the largest entry
-#: stays below SPECTRAL_RESOLUTION
+#: largest product of the condition numbers of the eigenvector matrices that
+#: the spectral form (kappa(V_A) kappa(V_B) kappa(V_0)) and the D form
+#: (kappa(V_A)) accept: their transforms scale the roundoff of the stepped
+#: path by at most that, so 1e3 eps ~ 1e-13 of the largest entry stays
+#: below SPECTRAL_RESOLUTION
 SPECTRAL_CONDITION_LIMIT = 1e3
 
 
@@ -349,14 +351,14 @@ def _kronecker_factors(gen, L: SparseMatrix, index: np.ndarray):
 
 
 def _separable(factors, fwd: _ForwardSector, rho0: np.ndarray):
-    """(A[P, P], A[Q0, Q0], W) for the D form, or None where it does not hold.
+    """((alpha, V, V^-1) of A[P, P], A[Q0, Q0], W) for the D form, or None where it does not hold.
 
     factors are the Kronecker factors of the readout sector P x P and of the
     operand sector Q0 x P.  Checked, each to 1e-12 of the largest entry:
     A[Q0, Q0] is anti-Hermitian, so K_0 is unitary; B[P, P] = A[P, P]^H, so
-    K_R = K_L^H; rho0[P, P] is positive semidefinite.  W = V sqrt(e) over
-    the eigenpairs (e, V) of rho0[P, P] above 1e-14 of the largest, s
-    columns.
+    K_R = K_L^H; rho0[P, P] is positive semidefinite.  W = U sqrt(e) over
+    the eigenpairs (e, U) of rho0[P, P] above 1e-14 of the largest, s
+    columns.  Last, A[P, P] = V diag(alpha) V^-1 must pass _eigenbases.
     """
     (A, B), (A0, _) = factors
     P = fwd.sides[0]
@@ -364,106 +366,112 @@ def _separable(factors, fwd: _ForwardSector, rho0: np.ndarray):
         return None
     if np.max(np.abs(B - A.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
         return None
-    e, V = np.linalg.eigh(rho0[np.ix_(P, P)])
+    e, U = np.linalg.eigh(rho0[np.ix_(P, P)])
     if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
         return None
     keep = e > 1e-14 * e[-1]
-    return A, A0, V[:, keep] * np.sqrt(e[keep])
+    basis = _eigenbases(A)
+    return None if basis is None else (basis[0], A0, U[:, keep] * np.sqrt(e[keep]))
+
+
+def _check_growth(step: str, dt: float, factors, hint: str) -> None:
+    """NumericalError at set-up if a step factor of the no-jump spectrum exceeds STEP_FACTOR_LIMIT.
+
+    The exact no-jump evolution never grows, and the passes stepped by these
+    factors have no trace to drift, so the growth is caught here.
+    """
+    growth = max(np.abs(f).max(initial=0.0) for f in factors)
+    if growth > STEP_FACTOR_LIMIT:
+        raise NumericalError(
+            f"{step} step at dt={dt} is unstable on the no-jump spectrum (a mode grows "
+            f"by {growth:.6g} per step); {hint}"
+        )
 
 
 class _FactoredStepper:
-    """The expm steps W -> K_L W of the forward factor of the D form.
+    """The expm steps W -> K_L W of the D form's forward factor, as powers of K_L's eigenvalues.
 
     On the readout sector P x P, with Kronecker factors A and B = A^H, a
     step of rho[P, P] = W W^H is K_L W W^H K_L^H, K_L = exp(A dt) (A the
     no-jump part, the effective non-Hermitian Hamiltonian), so the pass
-    steps the |P| x s factor W alone.  power holds K_L^b.
+    steps the |P| x s factor W alone.  With A = V diag(alpha) V^-1
+    (_separable), K_L = V diag(g) V^-1, g = exp(alpha dt), so
+    W_k = V diag(g^k) E, E = V^-1 W_0: node k is the vector g^k alone, |P|
+    entries whatever s, stepped elementwise as the spectral form steps Z,
+    and E is folded into what reads it (_SeparableKernel).  A factor |g|
+    above STEP_FACTOR_LIMIT is a NumericalError at set-up.
     """
 
     kind = "factored"
 
-    def __init__(self, A: np.ndarray, dt: float, b: int = 1):
-        from scipy import linalg  # imported here: rk4 runs never need it
-
-        self.dt = dt
+    def __init__(self, basis, W0: np.ndarray, dt: float, b: int = 1):
+        alpha, self.V, V_inv = basis
+        self.g = np.exp(dt * alpha)
+        _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
+        self.E = V_inv @ W0
         self.b = b
-        self.step = linalg.expm(A * dt)
-        self.power = _power(self.step, b)
 
-    def __call__(self, W: np.ndarray) -> np.ndarray:
-        return self.step @ W
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The node one step after x."""
+        return x * self.g
 
-    def blocks(self, W0: np.ndarray, n: int):
-        """Yield W_0 .. W_{n-1} as (|P|, rows, s) stacks of b nodes.
+    def blocks(self, n: int, out=None):
+        """Yield g^0 .. g^(n-1) as row blocks of b nodes (_elementwise_blocks)."""
+        return _elementwise_blocks(np.ones(len(self.g)), self.g, n, self.b, out)
 
-        The first block is stepped node by node; a later one is one
-        product of K_L^b with the block before, each node b steps on.
-        """
-        p = len(W0)
-        for start in range(0, n, self.b):
-            rows = min(self.b, n - start)
-            if start == 0:
-                Ws = [W0]
-                for _ in range(1, rows):
-                    Ws.append(self(Ws[-1]))
-                F = np.stack(Ws, axis=1)
-            else:
-                F = (self.power @ F[:, :rows].reshape(p, -1)).reshape(p, rows, -1)
-            yield F
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """rho[P, P] = W W^H of the node x, W = V diag(x) E."""
+        W = self.V @ (x[:, None] * self.E)
+        return W @ W.conj().T
 
 
 def _eigenphases(A0: np.ndarray):
-    """(lam, V) with i A0 = V diag(lam) V^H, so exp(-A0 t) = V diag(exp(i lam t)) V^H."""
+    """(lam, U) with i A0 = U diag(lam) U^H, so exp(-A0 t) = U diag(exp(i lam t)) U^H."""
     return np.linalg.eigh(1j * A0)
 
 
 class _SeparableKernel:
-    """The rows of D, C[j][k] = tr(D_j^H D_k), from the forward factors W_k.
+    """The rows of D, C[j][k] = tr(D_j^H D_k), from the nodes x_k = g^k of _FactoredStepper.
 
-    D_k = K_0^{-k} a[Q0, P] W_k, rotated by V^H, the eigenbasis of
+    D_k = K_0^{-k} a[Q0, P] W_k, rotated by U^H, the eigenbasis of
     i A[Q0, Q0] (_eigenphases): there K_0^{-k} is the phase exp(i lam t_k),
-    computed from t_k = k dt, and the rotation leaves every trace
-    tr(D_j^H D_k) unchanged.  W0 is the start factor of _separable.
+    for node start + r of a block exp(i lam start dt) exp(i lam r dt) with
+    the second factor from a table of r = 0 .. b, and the rotation leaves
+    every trace tr(D_j^H D_k) unchanged.  With W_k = V diag(x_k) E, entry
+    (q, c) of U^H a[Q0, P] W_k is sum_i O_qi x_i E_ic, O = U^H a[Q0, P] V,
+    so D_k flattened is x_k F, F[i, (q, c)] = O_qi E_ic: one product per
+    block.
+    The monitor value Re tr(N W_k W_k^H), N = monitor[P, P] (None without a
+    monitor), is likewise Re(x_k^H M x_k), M = (V^H N V) o (conj(E) E^T).
     """
 
     kind = "separable"
 
-    def __init__(self, A0: np.ndarray, a0: np.ndarray, W0: np.ndarray, dt: float):
-        self.lam, V = _eigenphases(A0)
-        self.a0 = V.conj().T @ a0
-        self.W0 = W0
+    def __init__(self, A0: np.ndarray, a0: np.ndarray, step: _FactoredStepper, N, dt: float):
+        self.lam, U = _eigenphases(A0)
+        V, E = step.V, step.E
+        O = U.conj().T @ a0 @ V
+        self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), -1)
+        self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
         self.dt = dt
+        self.phases = np.exp(1j * np.outer(np.arange(step.b + 1) * dt, self.lam))
 
-    def rows(self, F: np.ndarray, start: int) -> np.ndarray:
-        """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the W stack F."""
-        p, rows, s = F.shape
-        O = (self.a0 @ F.reshape(p, -1)).reshape(-1, rows, s)
-        O *= np.exp(1j * np.outer(self.lam, np.arange(start, start + rows) * self.dt))[:, :, None]
-        return O.transpose(1, 0, 2).reshape(rows, -1)
+    def rows(self, x: np.ndarray, start: int) -> np.ndarray:
+        """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the block x."""
+        rows = len(x)
+        D = (x @ self.F).reshape(rows, len(self.lam), -1)
+        D *= (np.exp(1j * start * self.dt * self.lam) * self.phases[:rows])[:, :, None]
+        return D.reshape(rows, -1)
 
-    def readout(self, step: _FactoredStepper, n: int, N):
-        """Yield what _dense_readout does per block: D rows, monitor values, traces None.
-
-        The monitor value is Re tr(N W W^H) for N = monitor[P, P] (None
-        without a monitor): sum_i Re(N_ii) |W_i|^2 for a diagonal N, as the
-        optical-excitation monitor is, else Re sum(conj(W) * (N W)).
-        """
-        diagonal = None
-        if N is not None and not np.count_nonzero(N - np.diag(np.diag(N))):
-            diagonal = np.diag(N).real
+    def readout(self, step: _FactoredStepper, n: int):
+        """Yield what _dense_readout does per block: D rows, monitor values, traces None."""
         start = 0
-        for F in step.blocks(self.W0, n):
-            p, rows, s = F.shape
-            m = None
-            if N is not None:  # Re(conj(w) v) = w.re v.re + w.im v.im, summed over the float views
-                w = F.reshape(p, -1).view(float)
-                if diagonal is None:
-                    m = np.einsum("ij,ij->j", w, (N @ F.reshape(p, -1)).view(float))
-                else:
-                    m = diagonal @ np.square(w)
-                m = m.reshape(rows, -1).sum(axis=1)
-            yield self.rows(F, start), m, None
-            start += rows
+        for x in step.blocks(n):
+            m = None  # Re(conj(x) v) = x.re v.re + x.im v.im, summed over the float views
+            if self.M is not None:
+                m = np.einsum("ij,ij->i", x.view(float), (x @ self.M).view(float))
+            yield self.rows(x, start), m, None
+            start += len(x)
 
 
 def _rk4_factor(z: np.ndarray) -> np.ndarray:
@@ -496,14 +504,14 @@ def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int, out=None)
         yield Y
 
 
-def _eigenbases(A: np.ndarray, B: np.ndarray, A0: np.ndarray):
-    """((w, V, V^-1) for F = A, B and A0, with F = V diag(w) V^-1; kappa), or None.
+def _eigenbases(*factors: np.ndarray):
+    """((w, V, V^-1) for each factor F = V diag(w) V^-1, then kappa), or None.
 
     kappa is the product of the condition numbers kappa(V); None when it
     exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly defective
     factor).
     """
-    eig = [np.linalg.eig(F) for F in (A, B, A0)]
+    eig = [np.linalg.eig(F) for F in factors]
     kappa = float(np.prod([np.linalg.cond(V) for _, V in eig]))
     if not kappa <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
         return None
@@ -544,12 +552,7 @@ class _SpectralKernel:
         self.b = b
         self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
         self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
-        growth = max(np.abs(self.G).max(initial=0.0), np.abs(self.H).max(initial=0.0))
-        if growth > STEP_FACTOR_LIMIT:
-            raise NumericalError(
-                f"RK4 step at dt={dt} is unstable on the no-jump spectrum (a mode grows "
-                f"by {growth:.6g} per step); reduce dt"
-            )
+        _check_growth("RK4", dt, [self.G, self.H], "reduce dt")
         self.Z0 = (VA_inv @ rho0 @ V_B).reshape(-1)
         self.M = V0_inv @ a0 @ V_A
         self.N = (VB_inv @ a0.conj().T @ V_0).T.reshape(-1)
@@ -569,9 +572,13 @@ class _SpectralKernel:
         p = self.M.shape[1]
         return np.matmul(self.M, Z.reshape(len(Z), p, p)).reshape(len(Z), -1)
 
+    def blocks(self, n: int, out=None):
+        """Yield Z_0 .. Z_{n-1} as row blocks of b nodes (_elementwise_blocks)."""
+        return _elementwise_blocks(self.Z0, self.G, n, self.b, out)
+
     def readout(self, n: int):
         """Yield what _dense_readout does per block: operands, monitor values, traces None."""
-        for Z in _elementwise_blocks(self.Z0, self.G, n, self.b):
+        for Z in self.blocks(n):
             yield self.operands(Z), None if self.mon is None else (Z @ self.mon).real, None
 
     def resolves(self, X: np.ndarray) -> bool:
@@ -584,12 +591,6 @@ class _SpectralKernel:
         a few steps after a photonless start) is not resolved.
         """
         return self.floor <= SPECTRAL_RESOLUTION * np.abs(X @ self.N).max(initial=0.0)
-
-    def forward(self, out: np.ndarray) -> np.ndarray:
-        """out, n rows, filled with Z_0 .. Z_{n-1} as the forward pass makes them."""
-        for _ in _elementwise_blocks(self.Z0, self.G, len(out), self.b, out):
-            pass
-        return out
 
 
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
@@ -620,12 +621,12 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, steppers, r
     adjoint duality.  The references are steps of size dt by matvecs with S
     and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with
     four terms), or for expm the Taylor sum to roundoff.  Node 1 of the
-    forward pass (its coordinates, its factor W or its eigen coordinates) is
-    compared on every readout entry, and p (y's, or tr rho0 - tr rho[P, P])
+    forward pass (its coordinates, the D form's powers g^k or the eigen
+    coordinates of rho) is compared on every readout entry, and p (y's, or tr rho0 - tr rho[P, P])
     with the reference's dropped diagonal sum, so the closure of the
     readout sector, its block, factors or eigenbases and the carried
     dropped population are checked at runtime.  Each power that steps a
-    blocked pass (E^b, K_L^b or G^b) is checked as node b against node
+    blocked pass (E^b, g^b or G^b) is checked as node b against node
     b - 1 stepped once, the spectral form's G^b by the reference step of
     rho(t_{b-1})[P, P]; its adjoint rows, as the grid makes them
     (spectral_blocks), as U_b = N o H^b by squaring against U_{b-1} o H from
@@ -661,30 +662,30 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, steppers, r
     b = step.b
     if second.kind in ("separable", "spectral"):
         P = fwd.sides[0]
+        nodes = np.empty((b + 1, len(step.g if second.kind == "separable" else step.G)), dtype=complex)
+        for _ in step.blocks(b + 1, nodes):  # nodes 0 .. b
+            pass
         rho = np.zeros_like(rho0)
         if second.kind == "separable":
-            F = np.concatenate(list(step.blocks(second.W0, b + 1)), axis=1)  # W_0 .. W_b
-            rho[np.ix_(P, P)] = F[:, 1] @ F[:, 1].conj().T
-            D = second.rows(F, 0)
+            D = second.rows(nodes, 0)
 
             def C_new(j, k):
                 return np.vdot(D[j], D[k])
 
-            powers = [("forward", F[:, -1] - step(F[:, -2]))]
+            powers = [("forward", nodes[-1] - step(nodes[-2]))]
         else:
-            Zs = second.forward(np.empty((b + 1, len(second.G)), dtype=complex))  # Z_0 .. Z_b
-            X = second.operands(Zs[:2])
+            X = second.operands(nodes[:2])
             # U_0 .. U_(b-1) from the table of powers, then U_b = N o H^b
             Uc = np.concatenate(list(spectral_blocks(second.N, second.H, [(0, b), (b, b + 1)])))
-            rho[np.ix_(P, P)] = second.matrix(Zs[-2])  # node b - 1, stepped by the reference
+            rho[np.ix_(P, P)] = step.matrix(nodes[-2])  # node b - 1, stepped by the reference
             stepped = _taylor_step(S.dot, rho.reshape(-1), h, terms)[fwd.index]
-            powers = [("forward", second.matrix(Zs[-1]).reshape(-1) - stepped),
+            powers = [("forward", step.matrix(nodes[-1]).reshape(-1) - stepped),
                       ("adjoint", Uc[-1] - Uc[-2] * second.H)]
-            rho[np.ix_(P, P)] = second.matrix(Zs[1])
 
             def C_new(j, k):
                 return Uc[j - k] @ X[k]
 
+        rho[np.ix_(P, P)] = step.matrix(nodes[1])
         p = np.trace(rho0 - rho).real
         # on the operand sector: y_k = vec(a rho(t_k)) for k = 0, 1 and
         # u_m = (R^H)^m a for m = 1, b - 1, b
@@ -793,32 +794,25 @@ def _forward(values, config: EvolutionConfig):
         del rows  # released before the next block is computed
 
 
-def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factored=()) -> None:
+def _check_budget(config: EvolutionConfig, node_bytes: int, dense=()) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
     Counts the stacks over the full t_max, node_bytes per node (32 |R_a|
     for U and X, 16 |R_a| for the spectral form's X alone, 16 |Q0| s for
-    D), and for expm the propagators and their b-th powers: 2 itemsize n^2
-    bytes per dense block, given as (n, itemsize) (8 for the real forward
-    block, n = |R_f| + 1 with p; 16 for the complex adjoint one), and
-    2 (16 n^2) per n x n Hilbert-space propagator in factored (K_L,
-    n = |P|).  Row blocks are not counted: b |R| entries
-    dense, b |P| s factored.
+    D), and for expm the dense propagators of the stepped passes and their
+    b-th powers: 2 itemsize n^2 bytes per block, given as (n, itemsize)
+    (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
+    adjoint one).  The D and spectral forms step elementwise and build no
+    propagator.  Row blocks are not counted: b |R| entries stepped, b |P|
+    in the D form.
     """
     stack_bytes = config.n_max * node_bytes
-    dense_bytes = factor_bytes = 0
-    if config.method == "expm":
-        dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense)
-        factor_bytes = sum(2 * 16 * n**2 for n in factored)
-    total = stack_bytes + dense_bytes + factor_bytes
+    dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense) if config.method == "expm" else 0
+    total = stack_bytes + dense_bytes
     if total > config.max_grid_bytes:
         terms = [f"factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
         if dense_bytes:
             terms.append(f"dense expm blocks and their powers {dense_bytes / 2**20:.1f} MiB")
-        if factor_bytes:
-            terms.append(
-                f"Hilbert-space propagators and their powers {factor_bytes / 2**20:.1f} MiB"
-            )
         raise NumericalError(
             f"run would need {total / 2**20:.1f} MiB ({', '.join(terms)}), above the "
             f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
@@ -894,11 +888,12 @@ def two_time_correlation(
     sector only the readout sector and p are propagated.  Where both
     sectors are Kronecker sums (_kronecker_factors) and the operand sector
     is Q0 x P, an expm run takes the D form if _separable holds
-    (_FactoredStepper steps W and _SeparableKernel forms D, with no adjoint
-    pass), and an rk4 run the spectral U/X form if _eigenbases accepts the
-    factors (_SpectralKernel forms X in eigen coordinates and gives the
-    factors N and H of U, with no adjoint pass; a grid it does not resolve
-    is recomputed stepped, its set-up stage holding the attempt).  Any
+    (_FactoredStepper steps the powers of the eigenvalues of K_L and
+    _SeparableKernel forms D from them, with no adjoint pass), and an rk4
+    run the spectral U/X form if _eigenbases accepts the factors
+    (_SpectralKernel forms X in eigen coordinates and gives the factors N
+    and H of U, with no adjoint pass; a grid it does not resolve is
+    recomputed stepped, its set-up stage holding the attempt).  Any
     other run takes the stepped U/X form, both passes stepped by
     _SectorStepper.  The sector blocks are extracted once: the readout
     block is that of _ForwardSector, the operand block Sa serves the
@@ -909,9 +904,9 @@ def two_time_correlation(
     (None, None)), smoke_max_diff (None without the check) and stage_s, the
     seconds of set-up, smoke check, forward and, for the stepped U/X form,
     adjoint pass.
-    rho0 must be Hermitian.  The stacks over the full t_max and, for expm,
-    the propagators and their b-th powers are checked against
-    max_grid_bytes before anything large is allocated.
+    rho0 must be Hermitian.  The stacks over the full t_max and, for expm
+    on the stepped path, the dense propagators and their b-th powers are
+    checked against max_grid_bytes before anything large is allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -946,13 +941,13 @@ def two_time_correlation(
     N = None if monitor is None else monitor[np.ix_(P, P)]
     while True:
         if separable is not None:
-            A, A0, W0 = separable
+            basis, A0, W0 = separable
             width = len(A0) * W0.shape[1]
-            _check_budget(config, 16 * width, factored=(len(A),))
+            _check_budget(config, 16 * width)
             fwd.check_trace_rows()
-            step = _FactoredStepper(A, config.dt, b=b)
-            second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, config.dt)
-            values = second.readout(step, config.n_max, N)
+            step = _FactoredStepper(basis, W0, config.dt, b)
+            second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], step, N, config.dt)
+            values = second.readout(step, config.n_max)
             columns = (W0.shape[1], width)
         elif bases is not None:
             width, columns = len(adj), (None, None)

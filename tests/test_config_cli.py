@@ -257,17 +257,18 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "dense expm blocks and their powers 0.1 MiB" in capsys.readouterr().err
         assert not out.exists()
-        # without mechanical losses the run takes the D form: its stack,
-        # 16 * 41 * 3 B = 1968 B (|Q0| = 3, s = 1), and K_L and K_L^b,
-        # 2 * 16 * 9^2 B = 2592 B, 4560 B in all
-        cfg.write_text(small + "numerics.max_grid_bytes = 4559\n")
+        # without mechanical losses the run takes the D form, which steps
+        # elementwise powers and builds no propagator: only its stack counts,
+        # 16 * 41 * 3 B = 1968 B (|Q0| = 3, s = 1), and neither expm nor
+        # a squaring runs
+        cfg.write_text(small + "numerics.max_grid_bytes = 1967\n")
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "Hilbert-space propagators and their powers 0.0 MiB" in err
+        assert "(factor stacks 0.0 MiB for n_t <= 41)" in err
         assert "dense" not in err
-        cfg.write_text(small + "numerics.max_grid_bytes = 4560\n")
-        with pytest.raises(AssertionError, match="expm or its squarings ran"):
-            main(["spectrum", "--config", str(cfg), "--output", str(out)])
+        cfg.write_text(small + "numerics.max_grid_bytes = 1968\n")
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
+        assert "propagator factored/separable" in capsys.readouterr().err
         cfg.write_text(
             small.replace("expm", "rk4") + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n"
         )
@@ -276,24 +277,43 @@ class TestCliSpectrum:
     @pytest.mark.parametrize("call, block", [(0, "forward")])
     def test_corrupted_factored_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                         call, block):
-        # without mechanical losses the run takes the D form; _power is
-        # called once, for the K_L^b that steps the forward factor W
+        # without mechanical losses the run takes the D form; its forward
+        # pass steps the powers of the |P| = 9 eigenvalues g of K_L at
+        # N_m = 2 by g^b (dynamics._elementwise_power), made once
         from omtc import dynamics
 
-        power, calls = dynamics._power, []
+        power, calls = dynamics._elementwise_power, []
 
-        def corrupted(E, b):
-            calls.append(E.shape)
-            P = power(E, b)
+        def corrupted(g, b):
+            calls.append(len(g))
+            P = power(g, b)
             return P * (1 + 1e-6) if len(calls) == call + 1 else P
 
-        monkeypatch.setattr("omtc.dynamics._power", corrupted)
+        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST)
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
-        assert calls == [(9, 9)]
+        assert calls == [9]
+        assert not out.exists()
+
+    def test_corrupted_step_eigenvalues_fail_smoke_check(self, tmp_path, monkeypatch, capsys):
+        # the D form steps W by exp(alpha dt) over the eigenvalues alpha of
+        # A; eigenvalues off by 1e-4 relative, with exact eigenvectors,
+        # move node 1 away from the Taylor reference
+        eig = np.linalg.eig
+
+        def corrupted(F):
+            alpha, V = eig(F)
+            return alpha * (1 + 1e-4), V
+
+        monkeypatch.setattr("numpy.linalg.eig", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert "disagree on the forward smoke test" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupted_eigenphase_fails_smoke_check(self, tmp_path, monkeypatch, capsys):

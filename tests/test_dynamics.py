@@ -1234,6 +1234,11 @@ def _separable_point(space, gen, rho0):
     return fwd, P, Q0, _separable(factors, fwd, rho0)
 
 
+def _factored_nodes(step, n):
+    """The nodes g^0 .. g^(n-1) of the D form's forward pass, one row per node."""
+    return np.concatenate([x.copy() for x in step.blocks(n)])  # the blocks share a buffer
+
+
 def _unfactored(rho0, gen, cfg, a, mon):
     """The same run with no Kronecker factors: the U/X form, both passes dense."""
     with pytest.MonkeyPatch.context() as mp:
@@ -1324,17 +1329,17 @@ class TestFactoredPropagator:
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
         d, a_mat = space.dim, a
-        _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
-        step = _FactoredStepper(A, 0.02, b=4)
-        kernel = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], W0, 0.02)
+        _, P, Q0, (basis, A0, W0) = _separable_point(space, gen, rho0)
+        step = _FactoredStepper(basis, W0, 0.02, b=4)
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
-        rows, values, traces = zip(*kernel.readout(step, 9, mon[np.ix_(P, P)]))
+        kernel = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], step, mon[np.ix_(P, P)], 0.02)
+        rows, values, traces = zip(*kernel.readout(step, 9))
         assert traces == (None,) * 3
-        Ws = np.concatenate(list(step.blocks(W0, 9)), axis=1)
+        nodes = _factored_nodes(step, 9)
         for k, (D, m) in enumerate(zip(np.concatenate(rows), np.concatenate(values), strict=True)):
             rho = np.zeros_like(rho0)
-            rho[np.ix_(P, P)] = Ws[:, k] @ Ws[:, k].conj().T
+            rho[np.ix_(P, P)] = step.matrix(nodes[k])
             assert abs(m - np.trace(mon @ rho).real) <= 1e-15
             assert abs(np.vdot(D, D) - np.trace(a_mat @ rho @ a_mat.conj().T)) <= 1e-15
 
@@ -1358,19 +1363,20 @@ class TestFactoredPropagator:
 
     def test_diagonal_monitor_reads_populations(self):
         # a diagonal N (the optical-excitation monitor is the identity on P)
-        # is read as sum_i Re(N_ii) |W_i|^2, with no product N W
+        # is read, like any other, as a quadratic form in the powers g^k;
+        # it still reads Re tr(N W W^H), its imaginary part dropped
         space = build_space(1, 2, excitation_cap=1)
         rho0, gen, _, a, _ = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
-        _, P, Q0, (A, A0, W0) = _separable_point(space, gen, rho0)
-        step = _FactoredStepper(A, 0.02, b=4)
-        kernel = _SeparableKernel(A0, a[np.ix_(Q0, P)], W0, 0.02)
+        _, P, Q0, (basis, A0, W0) = _separable_point(space, gen, rho0)
+        step = _FactoredStepper(basis, W0, 0.02, b=4)
         N = np.diag(np.random.default_rng(4).uniform(0.5, 1.5, len(P)) + 0.3j)
-        values = np.concatenate([m for _, m, _ in kernel.readout(step, 9, N)])
-        Ws = np.concatenate(list(step.blocks(W0, 9)), axis=1)
+        kernel = _SeparableKernel(A0, a[np.ix_(Q0, P)], step, N, 0.02)
+        values = np.concatenate([m for _, m, _ in kernel.readout(step, 9)])
+        nodes = _factored_nodes(step, 9)
         for k, m in enumerate(values):
-            assert abs(m - np.trace(N @ Ws[:, k] @ Ws[:, k].conj().T).real) <= 1e-15
+            assert abs(m - np.trace(N @ step.matrix(nodes[k])).real) <= 1e-15
 
     def test_ground_block_that_is_not_diagonal(self):
         # the model's ground block -iH[Q0, Q0] is diagonal (phonon energies),
@@ -1401,8 +1407,8 @@ class TestFactoredPropagator:
         separable = dynamics._separable
 
         def missing_one(*args):
-            A, A0, W = separable(*args)
-            return A, A0, W[:, :-1]
+            basis, A0, W = separable(*args)
+            return basis, A0, W[:, :-1]
 
         monkeypatch.setattr("omtc.dynamics._separable", missing_one)
         rho0, gen, cfg, a, mon = _correlation_point(
@@ -1502,10 +1508,10 @@ class TestFactoredPropagator:
             self.M.data[self.M.indptr[-2] :] = 0.0
 
         def not_yet(*args, **kwargs):
-            raise AssertionError("expm ran before the trace check")
+            raise AssertionError("the forward stepper was built before the trace check")
 
         monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", no_flux)
-        monkeypatch.setattr("scipy.linalg.expm", not_yet)
+        monkeypatch.setattr("omtc.dynamics._FactoredStepper.__init__", not_yet)
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(), build_space(1, 2, excitation_cap=1), dt=0.02, t_max=1.0, method="expm"
         )
@@ -1524,24 +1530,41 @@ class TestFactoredPropagator:
         reads, _, _ = _readout(space)
         fwd = _ForwardSector(S, rho0, reads)
         fwd.check_trace_rows()
-        A, B = _factors_of(gen, S, fwd.index)
-        factored = _FactoredStepper(A, 0.02, b=4)
+        basis, _, W0 = _separable_point(space, gen, rho0)[3]
+        factored = _FactoredStepper(basis, W0, 0.02, b=4)
         dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
-        # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H
-        W0 = _separable_point(space, gen, rho0)[3][2]
-        nodes = np.concatenate(list(factored.blocks(W0, 21)), axis=1)
+        # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H;
+        # from node 4 on both passes step a block by the 4th power
+        nodes = _factored_nodes(factored, 21)
         Z = np.concatenate(list(dense.blocks(fwd.coords(rho0), 21)))
         assert Z[0, -1] == pytest.approx(0.2)
         for k, z in enumerate(Z):
-            X = nodes[:, k] @ nodes[:, k].conj().T
+            X = factored.matrix(nodes[k])
             assert np.abs(X.reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
             assert abs(np.trace(rho0).real - np.trace(X).real - z[-1]) <= 1e-13
-        W, z = W0, Z[0]
-        for _ in range(20):
-            W, z = factored(W), dense(z)
-            assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
-        W = factored.power @ W
-        assert np.abs((W @ W.conj().T).reshape(-1) - fwd.V.dot(dense.power @ z)).max() <= 1e-13
+        x, z = nodes[0], Z[0]
+        for _ in range(20):  # node by node
+            x, z = factored(x), dense(z)
+            assert np.abs(factored.matrix(x).reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
+
+    def test_growing_step_rejected_at_set_up(self, monkeypatch):
+        # the exact no-jump evolution never grows; with the eigenvalues of A
+        # shifted by +1 the slowly decaying modes grow by about exp(dt) per
+        # step, which the D form rejects at set-up: its pass has no trace to
+        # drift
+        eig = np.linalg.eig
+
+        def shifted(F):
+            alpha, V = eig(F)
+            return alpha + 1.0, V
+
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3, Mbar=0.02), build_space(1, 2, excitation_cap=1), 1,
+            dt=0.02, t_max=1.0, method="expm",
+        )
+        monkeypatch.setattr("numpy.linalg.eig", shifted)
+        with pytest.raises(NumericalError, match="expm step at dt=0.02 is unstable.*unsound"):
+            two_time_correlation(rho0, gen, cfg, a, monitor=mon)
 
     def test_complex_hamiltonian(self):
         # without channels every product index set is invariant and L is the
@@ -1555,12 +1578,13 @@ class TestFactoredPropagator:
         index = np.arange(d * d)
         A, B = _factors_of(gen, S, index)
         assert np.abs(B - A.conj().T).max() == 0.0
-        step = _FactoredStepper(A, 0.05)
         W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        step = _FactoredStepper(_eigenbases(A)[0], W, 0.05)
         X = W @ W.conj().T
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
-        KW = step(W)
-        assert np.abs((KW @ KW.conj().T).reshape(-1) - exact).max() <= 1e-13 * np.abs(X).max()
+        x0 = np.ones(d)  # node 0, g^0
+        assert np.abs(step.matrix(x0) - X).max() <= 1e-13 * np.abs(X).max()
+        assert np.abs(step.matrix(step(x0)).reshape(-1) - exact).max() <= 1e-13 * np.abs(X).max()
 
     def test_kronecker_factors_need_a_product_sector(self):
         # rho_11 is the product P x P of the 9 one-excitation states; the
@@ -1631,12 +1655,20 @@ class TestSpectralKernel:
         assert grid.residual_excitation == pytest.approx(stepped.residual_excitation, rel=1e-12)
         _assert_same_spectra(grid, stepped)
 
-    @pytest.mark.parametrize("decades, propagators", [(0.5, ("spectral",) * 2), (4.0, ("rk4",) * 2)])
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @pytest.mark.parametrize(
+        "decades, propagators",
+        [
+            (0.5, {"rk4": ("spectral", "spectral"), "expm": ("factored", "separable")}),
+            (4.0, {"rk4": ("rk4", "rk4"), "expm": ("dense", "dense")}),
+        ],
+    )
     def test_ill_conditioned_eigenbasis_falls_back_to_stepped_path(self, decades, propagators,
-                                                                   monkeypatch):
+                                                                   method, monkeypatch):
         # eigenvectors rescaled over a range of decades are still an exact
         # eigenbasis; over half a decade the condition numbers stay below
-        # SPECTRAL_CONDITION_LIMIT and the spectral form still matches, over
+        # SPECTRAL_CONDITION_LIMIT and the spectral form (rk4) or the D form
+        # (expm, which steps W through the eigenbasis of A) still matches, over
         # four they exceed it and the run takes the stepped path, bit for
         # bit the run without Kronecker factors
         eig = np.linalg.eig
@@ -1647,13 +1679,13 @@ class TestSpectralKernel:
 
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), build_space(1, 2, excitation_cap=1), 2,
-            dt=0.02, t_max=1.0, method="rk4",
+            dt=0.02, t_max=1.0, method=method,
         )
         stepped = _unfactored(rho0, gen, cfg, a, mon)
         monkeypatch.setattr("numpy.linalg.eig", rescaled)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
-        assert grid.propagators == propagators
-        if propagators == ("rk4", "rk4"):
+        assert grid.propagators == propagators[method]
+        if decades > 1:
             assert _same_stacks(grid, stepped)
         else:
             _assert_same_spectra(grid, stepped)

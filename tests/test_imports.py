@@ -1,8 +1,9 @@
 """Which scipy modules a spectrum run loads, each run in a fresh interpreter.
 
-scipy.linalg serves only the expm propagators and scipy.sparse only the
-stepped passes; both are imported on first use, so importing the package
-and running an rk4 spectrum on jump-free sectors loads neither.
+scipy.sparse and scipy.linalg serve only the stepped passes (the sector
+blocks, and expm of them); both are imported on first use, so importing the
+package and running a spectrum on jump-free sectors, rk4 or expm, loads
+neither.
 """
 
 import json
@@ -45,9 +46,12 @@ def _run(tmp_path, config: str):
     "extra, propagator, loaded, not_loaded",
     [
         ("", "spectral/spectral", set(), {"scipy.sparse", "scipy.linalg"}),
-        ("numerics.method = expm\n", "factored/separable", {"scipy.linalg"}, {"scipy.sparse"}),
+        # the D form steps W in the eigenbasis of A, with no expm
+        ("numerics.method = expm\n", "factored/separable", set(), {"scipy.sparse", "scipy.linalg"}),
         # mechanical losses put jumps inside both sectors, so both passes step
         ("model.gamma_M = 0.05\n", "rk4/rk4", set(), {"scipy.linalg"}),
+        ("model.gamma_M = 0.05\nnumerics.method = expm\n", "dense/dense",
+         {"scipy.sparse", "scipy.linalg"}, set()),
     ],
 )
 def test_scipy_modules_loaded_by_a_spectrum_run(tmp_path, extra, propagator, loaded, not_loaded):
