@@ -61,7 +61,6 @@ class EvolutionConfig:
     method: str = "rk4"
     leak_tolerance: float = 1e-4
     max_grid_bytes: int = 2 * 1024**3
-    smoke_check: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:

@@ -18,46 +18,46 @@ operand sector carries a rho and stays complex.
 
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
-expm with E = exp(S dt).  Both passes run in row blocks of b nodes.
-Every correlation run first checks S against apply and apply_adjoint,
-then its passes and powers against Taylor references built from S
-(_smoke_check), for RK4 the step polynomial itself.
+expm with E = exp(S dt).  Every pass runs in row blocks of b nodes
+(_blocks).
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 It is kept in one of two layouts (CorrelationGrid, grid.py), never as the
-O(n_t^2) triangle, and computed in one of three forms.  Without mechanical
-losses the readout sector is P x P and the operand sector Q0 x P,
-products that no jump lands in, so L acts there as X -> A X + X B
-(_kronecker_factors), with A, B the no-jump parts.
+O(n_t^2) triangle, and computed in one of three forms, each one object
+with one interface (propagators, columns, b, form(node), blocks, state,
+readout, smoke, grid) that two_time_correlation runs through one loop
+and one smoke check against Taylor references built from S.  Without
+mechanical losses the readout sector is P x P and the operand sector
+Q0 x P, products that no jump lands in, so L acts there as
+X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.
 
-- D form, expm runs on such sectors.  With B = A^H on P and A[Q0, Q0]
-  anti-Hermitian (no channel acts on the optical ground manifold, so the
-  no-jump evolution there is unitary) and rho0[P, P] = W W^H positive
-  semidefinite, rho(t_k)[P, P] = W_k W_k^H with W_k = K_L^k W,
-  K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
+- D form (_SeparableKernel), expm runs on such sectors.  With B = A^H on
+  P and A[Q0, Q0] anti-Hermitian (no channel acts on the optical ground
+  manifold, so the no-jump evolution there is unitary) and
+  rho0[P, P] = W W^H positive semidefinite, rho(t_k)[P, P] = W_k W_k^H
+  with W_k = K_L^k W, K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
   D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt) (_separable).  The
   forward pass steps only the powers g^k of the eigenvalues of K_L, as
-  W_k = V diag(g^k) V^-1 W in the eigenbasis V of A (_FactoredStepper),
-  and K_0^{-k} is a phase in the eigenbasis of i A[Q0, Q0]
-  (_SeparableKernel); there is no adjoint pass.  The filter's lag sums
-  are FFT autocorrelations of D.
-- Spectral U/X form, rk4 runs on such sectors.  In the eigenbases of A,
-  B and A[Q0, Q0] L is diagonal with the sums of their eigenvalues, so an
-  RK4 step multiplies each eigen coordinate by r(h (sum)) and every node
-  is an elementwise power (_SpectralKernel).  The trace is folded into a
-  single adjoint (Heisenberg) propagation of a', so
+  W_k = V diag(g^k) V^-1 W in the eigenbasis V of A, and K_0^{-k} is a
+  phase in the eigenbasis of i A[Q0, Q0]; there is no adjoint pass.  The
+  filter's lag sums are FFT autocorrelations of D.
+- Spectral U/X form (_SpectralKernel), rk4 runs on such sectors.  In the
+  eigenbases of A, B and A[Q0, Q0] L is diagonal with the sums of their
+  eigenvalues, so an RK4 step multiplies each eigen coordinate by
+  r(h (sum)) and every node is an elementwise power.  The trace is folded
+  into a single adjoint (Heisenberg) propagation of a', so
   C[k+tau][k] = <U_tau, X_k> on the operand sector, here in eigen
-  coordinates: only the pairing has meaning.  The forward pass fills the
-  stack X; U_tau = N o H^tau needs no pass, the grid keeps N and H and
-  makes the rows of U as it reads them.  A step that grows an eigen
-  coordinate is rejected at set-up, and a grid too far below the roundoff
-  of the change of basis is computed stepped instead.
-- Stepped U/X form, every other run: the same pairing, with X_k = a
-  rho(t_k) from the forward pass and U_tau from the adjoint pass, both
-  stepped on the sector blocks by _SectorStepper.  They agree to roundoff
-  with one propagation per column because the adjoint of the RK4 step
-  polynomial is the RK4 step of the adjoint generator.
+  coordinates: only the pairing has meaning.  The forward pass fills X;
+  U_tau = N o H^tau needs no pass, the grid keeps N and H and makes the
+  rows of U as it reads them.  A step that grows an eigen coordinate is
+  rejected at set-up, and a grid too far below the roundoff of the change
+  of basis is computed stepped instead.
+- Stepped U/X form (_SteppedForm), every other run: the same pairing,
+  with X_k = a rho(t_k) from the forward pass and U_tau from the adjoint
+  pass, both stepped on the sector blocks by _SectorStepper.  They agree
+  to roundoff with one propagation per column because the adjoint of the
+  RK4 step polynomial is the RK4 step of the adjoint generator.
 """
 
 import hashlib
@@ -275,15 +275,13 @@ class _SectorStepper:
     four sparse matvecs per step; expm builds the dense E = exp(B dt) once
     and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
     b sequential rk4 steps or, after the first expm block, one product with
-    E^b.  This steps any sector, for the stepped U/X form of the grid.
+    E^b.  This steps any sector, for the stepped U/X form and evolve.
     """
 
     def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
         if adjoint:
             block = block.conj().T.tocsr()
-        self.dt = dt
-        self.b = b
-        self.kind = "dense" if method == "expm" else "rk4"
+        self.dt, self.b = dt, b
         if method == "expm":
             from scipy import linalg  # imported here: rk4 runs never need it
 
@@ -304,25 +302,40 @@ class _SectorStepper:
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def blocks(self, x0: np.ndarray, n: int):
-        """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes.
+        """Yield x_0 .. x_{n-1} from x0 by _blocks: every rk4 block stepped, a later expm block Y (E^b)^T."""
+        power = self.power
+        return _blocks(x0, self, None if power is None else (lambda Y, rows: Y[:rows] @ power.T), n, self.b)
 
-        The last block may be shorter.  The first block, and every rk4
-        block, is stepped node by node; a later expm block is
-        Y_j = Y_{j-1} (E^b)^T, each row b steps on from the same row of the
-        block before.
-        """
-        prev = None
-        for start in range(0, n, self.b):
-            rows = min(self.b, n - start)
-            if prev is not None and self.power is not None:
-                Y = prev[:rows] @ self.power.T
-            else:
-                Y = np.empty((rows, len(x0)), dtype=x0.dtype)
-                Y[0] = x = x0 if prev is None else self(prev[-1])
-                for i in range(1, rows):
-                    Y[i] = x = self(x)
-            yield Y
-            prev = Y
+
+def _blocks(x0: np.ndarray, step, advance, n: int, b: int):
+    """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes; the last may be shorter.
+
+    The first block is stepped node by node, and so is a later one without
+    advance; with it, a later block is advance(Y, rows), each row b steps
+    on from the same row of the block Y before (in place for the
+    elementwise forms).
+    """
+    Y = None
+    for start in range(0, n, b):
+        rows = min(b, n - start)
+        if Y is not None and advance is not None:
+            Y = advance(Y, rows)
+        else:
+            x = x0 if Y is None else step(Y[-1])
+            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
+            Y[0] = x
+            for i in range(1, rows):
+                Y[i] = step(Y[i - 1])
+        yield Y
+
+
+def _first_nodes(blocks, b: int) -> np.ndarray:
+    """Nodes 0 .. b of a pass, from its blocks(b + 1), copied into one array as each block is made."""
+    first = next(blocks)
+    nodes = np.empty((b + 1, first.shape[1]), dtype=first.dtype)
+    nodes[:b] = first
+    nodes[b:] = next(blocks)
+    return nodes
 
 
 def _phases(p: int, q: int) -> np.ndarray:
@@ -388,8 +401,13 @@ def _check_growth(step: str, dt: float, factors, hint: str) -> None:
         )
 
 
-class _FactoredStepper:
-    """The expm steps W -> K_L W of the D form's forward factor, as powers of K_L's eigenvalues.
+def _eigenphases(A0: np.ndarray):
+    """(lam, U) with i A0 = U diag(lam) U^H, so exp(-A0 t) = U diag(exp(i lam t)) U^H."""
+    return np.linalg.eigh(1j * A0)
+
+
+class _SeparableKernel:
+    """The D form: its nodes are the powers g^k of the eigenvalues of K_L, its rows those of D.
 
     On the readout sector P x P, with Kronecker factors A and B = A^H, a
     step of rho[P, P] = W W^H is K_L W W^H K_L^H, K_L = exp(A dt) (A the
@@ -397,64 +415,51 @@ class _FactoredStepper:
     steps the |P| x s factor W alone.  With A = V diag(alpha) V^-1
     (_separable), K_L = V diag(g) V^-1, g = exp(alpha dt), so
     W_k = V diag(g^k) E, E = V^-1 W_0: node k is the vector g^k alone, |P|
-    entries whatever s, stepped elementwise as the spectral form steps Z,
-    and E is folded into what reads it (_SeparableKernel).  A factor |g|
-    above STEP_FACTOR_LIMIT is a NumericalError at set-up.
+    entries whatever s, stepped elementwise as the spectral form steps Z.
+    A factor |g| above STEP_FACTOR_LIMIT is a NumericalError at set-up.
+    The pass carries no p, which is tr rho0 - tr W_k W_k^H.
+
+    C[j][k] = tr(D_j^H D_k), D_k = K_0^{-k} a[Q0, P] W_k, here rotated by
+    U^H, the eigenbasis of i A[Q0, Q0] (_eigenphases), which leaves every
+    trace unchanged: K_0^{-k} is then the phase exp(i lam t_k), for node
+    start + r of a block exp(i lam start dt) times exp(i lam r dt) from a
+    table of r = 0 .. b.  Entry (q, c) of U^H a[Q0, P] W_k is
+    sum_i O_qi x_i E_ic, O = U^H a[Q0, P] V, so D_k flattened is x_k F,
+    F[i, (q, c)] = O_qi E_ic: one product per block.  The monitor value
+    Re tr(N W_k W_k^H), N = monitor[P, P] (None without a monitor), is
+    Re(x_k^H M x_k), M = (V^H N V) o (conj(E) E^T).  No adjoint pass.
     """
 
-    kind = "factored"
+    propagators = ("factored", "separable")
 
-    def __init__(self, basis, W0: np.ndarray, dt: float, b: int = 1):
-        alpha, self.V, V_inv = basis
+    def __init__(self, separable, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
+        (alpha, V, V_inv), A0, W0 = separable
         self.g = np.exp(dt * alpha)
         _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
-        self.E = V_inv @ W0
-        self.b = b
+        E = V_inv @ W0
+        self.lam, U = _eigenphases(A0)
+        O = U.conj().T @ a0 @ V
+        self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), -1)
+        self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
+        self.dt, self.b = dt, b
+        self.phases = np.exp(1j * np.outer(np.arange(b + 1) * dt, self.lam))
+        self.columns = (W0.shape[1], self.F.shape[1])
+        self._W = V, E, np.trace(rho0).real
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The node one step after x."""
         return x * self.g
 
-    def blocks(self, n: int, out=None):
+    def blocks(self, n: int):
         """Yield g^0 .. g^(n-1) as row blocks of b nodes (_elementwise_blocks)."""
-        return _elementwise_blocks(np.ones(len(self.g)), self.g, n, self.b, out)
+        return _elementwise_blocks(np.ones(len(self.g), dtype=complex), self.g, n, self.b)
 
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """rho[P, P] = W W^H of the node x, W = V diag(x) E."""
-        W = self.V @ (x[:, None] * self.E)
-        return W @ W.conj().T
-
-
-def _eigenphases(A0: np.ndarray):
-    """(lam, U) with i A0 = U diag(lam) U^H, so exp(-A0 t) = U diag(exp(i lam t)) U^H."""
-    return np.linalg.eigh(1j * A0)
-
-
-class _SeparableKernel:
-    """The rows of D, C[j][k] = tr(D_j^H D_k), from the nodes x_k = g^k of _FactoredStepper.
-
-    D_k = K_0^{-k} a[Q0, P] W_k, rotated by U^H, the eigenbasis of
-    i A[Q0, Q0] (_eigenphases): there K_0^{-k} is the phase exp(i lam t_k),
-    for node start + r of a block exp(i lam start dt) exp(i lam r dt) with
-    the second factor from a table of r = 0 .. b, and the rotation leaves
-    every trace tr(D_j^H D_k) unchanged.  With W_k = V diag(x_k) E, entry
-    (q, c) of U^H a[Q0, P] W_k is sum_i O_qi x_i E_ic, O = U^H a[Q0, P] V,
-    so D_k flattened is x_k F, F[i, (q, c)] = O_qi E_ic: one product per
-    block.
-    The monitor value Re tr(N W_k W_k^H), N = monitor[P, P] (None without a
-    monitor), is likewise Re(x_k^H M x_k), M = (V^H N V) o (conj(E) E^T).
-    """
-
-    kind = "separable"
-
-    def __init__(self, A0: np.ndarray, a0: np.ndarray, step: _FactoredStepper, N, dt: float):
-        self.lam, U = _eigenphases(A0)
-        V, E = step.V, step.E
-        O = U.conj().T @ a0 @ V
-        self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), -1)
-        self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
-        self.dt = dt
-        self.phases = np.exp(1j * np.outer(np.arange(step.b + 1) * dt, self.lam))
+    def state(self, x: np.ndarray):
+        """(rho[P, P] = W W^H flattened, p = tr rho0 - tr W W^H) of the node x, W = V diag(x) E."""
+        V, E, trace0 = self._W
+        W = V @ (x[:, None] * E)
+        rho = W @ W.conj().T
+        return rho.reshape(-1), trace0 - np.trace(rho).real
 
     def rows(self, x: np.ndarray, start: int) -> np.ndarray:
         """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the block x."""
@@ -463,15 +468,21 @@ class _SeparableKernel:
         D *= (np.exp(1j * start * self.dt * self.lam) * self.phases[:rows])[:, :, None]
         return D.reshape(rows, -1)
 
-    def readout(self, step: _FactoredStepper, n: int):
+    def readout(self, n: int):
         """Yield what _dense_readout does per block: D rows, monitor values, traces None."""
-        start = 0
-        for x in step.blocks(n):
-            m = None  # Re(conj(x) v) = x.re v.re + x.im v.im, summed over the float views
-            if self.M is not None:
-                m = np.einsum("ij,ij->i", x.view(float), (x @ self.M).view(float))
+        for start, x in zip(range(0, n, self.b), self.blocks(n)):
+            # Re(conj(x) v) = x.re v.re + x.im v.im, summed over the float views
+            m = None if self.M is None else np.einsum("ij,ij->i", x.view(float), (x @ self.M).view(float))
             yield self.rows(x, start), m, None
-            start += len(x)
+
+    def smoke(self, nodes: np.ndarray, u1: np.ndarray):
+        """C(j, k) of the nodes 0 .. b, tr(D_j^H D_k) from their rows; no adjoint checks."""
+        D = self.rows(nodes, 0)
+        return (lambda j, k: np.vdot(D[j], D[k])), []
+
+    def grid(self, X: np.ndarray) -> dict:
+        """The grid's arrays: the stack is D."""
+        return {"D": X}
 
 
 def _rk4_factor(z: np.ndarray) -> np.ndarray:
@@ -484,24 +495,13 @@ def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
     return g**b
 
 
-def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int, out=None):
-    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes.
+def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
+    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes (_blocks).
 
-    The first block is stepped node by node, x0 g^k = (x0 g^(k-1)) g; a
-    later one is the block before times g^b, each row b steps on.  The
-    blocks are views of out, n rows, or without it of one b-row buffer
-    that each block overwrites in place.
+    A later block is the block before times g^b, in place: all are views of one buffer.
     """
-    Y = np.empty((min(b, n), len(g)), dtype=complex) if out is None else out[: min(b, n)]
-    Y[0] = x0
-    for k in range(1, len(Y)):
-        np.multiply(Y[k - 1], g, out=Y[k])
-    yield Y
     power = _elementwise_power(g, b)
-    for start in range(b, n, b):
-        rows = min(b, n - start)
-        Y = np.multiply(Y[:rows], power, out=Y[:rows] if out is None else out[start : start + rows])
-        yield Y
+    return _blocks(x0, lambda x: x * g, lambda Y, rows: np.multiply(Y[:rows], power, out=Y[:rows]), n, b)
 
 
 def _eigenbases(*factors: np.ndarray):
@@ -541,56 +541,71 @@ class _SpectralKernel:
     set-up: these passes have no trace to drift.  As |G|, |H| <= 1, every |C[j][k]| is at most
     T = sum_qj |N_qj| (|M| |Z_0|)_qj, the size of the terms of C[0][0], and
     the change of basis leaves roundoff of about eps kappa T in every entry
-    (kappa of _eigenbases), however small the entry: resolves() tells
+    (kappa of _eigenbases), however small the entry: grid() tells
     whether the grid stands far enough above it.
     """
 
-    kind = "spectral"
+    propagators, columns = ("spectral", "spectral"), (None, None)
 
-    def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, monitor, dt: float, b: int):
+    def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, P, monitor, dt: float, b: int):
         (alpha, V_A, VA_inv), (beta, V_B, VB_inv), (nu, V_0, V0_inv), kappa = bases
         self.b = b
         self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
         self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
         _check_growth("RK4", dt, [self.G, self.H], "reduce dt")
-        self.Z0 = (VA_inv @ rho0 @ V_B).reshape(-1)
+        self.Z0 = (VA_inv @ rho0[np.ix_(P, P)] @ V_B).reshape(-1)
         self.M = V0_inv @ a0 @ V_A
         self.N = (VB_inv @ a0.conj().T @ V_0).T.reshape(-1)
         self.mon = None if monitor is None else (VB_inv @ monitor @ V_A).T.reshape(-1)
-        self._V = V_A, VB_inv
+        self._V = V_A, VB_inv, np.trace(rho0).real
         p = len(V_A)
         T = np.abs(self.N) @ (np.abs(self.M) @ np.abs(self.Z0).reshape(p, p)).reshape(-1)
         self.floor = np.finfo(float).eps * kappa * T
 
-    def matrix(self, z: np.ndarray) -> np.ndarray:
-        """rho[P, P] = V_A Z V_B^-1 of the eigen coordinates z of a forward node."""
-        V_A, VB_inv = self._V
-        return V_A @ z.reshape(len(V_A), -1) @ VB_inv
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """The node one step after z."""
+        return z * self.G
+
+    def state(self, z: np.ndarray):
+        """(rho[P, P] = V_A Z V_B^-1 flattened, p = tr rho0 - tr rho[P, P]) of the eigen coordinates z."""
+        V_A, VB_inv, trace0 = self._V
+        rho = V_A @ z.reshape(len(V_A), -1) @ VB_inv
+        return rho.reshape(-1), trace0 - np.trace(rho).real
 
     def operands(self, Z: np.ndarray) -> np.ndarray:
         """X_k flattened (|Q0| |P|) for the rows Z_k of a forward block."""
         p = self.M.shape[1]
         return np.matmul(self.M, Z.reshape(len(Z), p, p)).reshape(len(Z), -1)
 
-    def blocks(self, n: int, out=None):
+    def blocks(self, n: int):
         """Yield Z_0 .. Z_{n-1} as row blocks of b nodes (_elementwise_blocks)."""
-        return _elementwise_blocks(self.Z0, self.G, n, self.b, out)
+        return _elementwise_blocks(self.Z0, self.G, n, self.b)
 
     def readout(self, n: int):
         """Yield what _dense_readout does per block: operands, monitor values, traces None."""
         for Z in self.blocks(n):
             yield self.operands(Z), None if self.mon is None else (Z @ self.mon).real, None
 
-    def resolves(self, X: np.ndarray) -> bool:
-        """Whether the grid of the operand stack X stands above its roundoff.
+    def smoke(self, nodes: np.ndarray, u1: np.ndarray):
+        """C(j, k) = U_{j-k} . X_k of the nodes 0 .. b, and U_b = N o H^b (by squaring) against U_{b-1} o H.
 
-        True when the roundoff eps kappa T is at most SPECTRAL_RESOLUTION of
-        max|C[j][k]| = max_k C[k][k] = max_k |U_0 . X_k| (Cauchy-Schwarz,
-        for a positive rho0), so that the grid matches stepped RK4 to that
-        share of its largest entry.  A grid far below its bound (a run cut
-        a few steps after a photonless start) is not resolved.
+        The rows of U come as the grid makes them (spectral_blocks).
         """
-        return self.floor <= SPECTRAL_RESOLUTION * np.abs(X @ self.N).max(initial=0.0)
+        X, b = self.operands(nodes[:2]), self.b
+        U = np.concatenate(list(spectral_blocks(self.N, self.H, [(0, b), (b, b + 1)])))
+        return (lambda j, k: U[j - k] @ X[k]), [("adjoint E^b", U[-1] - U[-2] * self.H)]
+
+    def grid(self, X: np.ndarray):
+        """The grid's arrays X, N and H, or None where X does not stand above its roundoff.
+
+        It does when eps kappa T is at most SPECTRAL_RESOLUTION of
+        max|C[j][k]| = max_k |U_0 . X_k| (Cauchy-Schwarz, for a positive
+        rho0), so that the grid matches stepped RK4 to that share of its
+        largest entry; a run cut a few steps after a photonless start is not.
+        """
+        if self.floor <= SPECTRAL_RESOLUTION * np.abs(X @ self.N).max(initial=0.0):
+            return {"X": X, "N": self.N, "H": self.H}  # N o H^tau is the conjugated row already
+        return None
 
 
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
@@ -611,33 +626,27 @@ def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     return out
 
 
-def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, steppers, rho0, a_mat,
+def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, form, rho0, a_mat,
                  config: EvolutionConfig):
-    """Cross-validate S and the run's steppers; return the largest difference.
+    """Cross-validate S and the run's correlation form; return the largest difference.
 
-    S, which the sectors and steppers are built from, must match the
+    S, which the sectors and forms are built from, must match the
     generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
     S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
     adjoint duality.  The references are steps of size dt by matvecs with S
-    and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with
-    four terms), or for expm the Taylor sum to roundoff.  Node 1 of the
-    forward pass (its coordinates, the D form's powers g^k or the eigen
-    coordinates of rho) is compared on every readout entry, and p (y's, or tr rho0 - tr rho[P, P])
-    with the reference's dropped diagonal sum, so the closure of the
-    readout sector, its block, factors or eigenbases and the carried
-    dropped population are checked at runtime.  Each power that steps a
-    blocked pass (E^b, g^b or G^b) is checked as node b against node
-    b - 1 stepped once, the spectral form's G^b by the reference step of
-    rho(t_{b-1})[P, P]; its adjoint rows, as the grid makes them
-    (spectral_blocks), as U_b = N o H^b by squaring against U_{b-1} o H from
-    the table of powers.  The stepped form's adjoint pass steps a on the
-    operand sector block Sa = S[adj, adj] and is compared with the
-    reference.  The D and spectral forms give C[1][0], C[1][1], C[b][0] and C[b][1] from their kernels,
-    compared with Tr[a' R^(j-k) vec(a rho(t_k))] = ((R^H)^(j-k) a) . vec(a rho(t_k))
-    for the reference step R on the operand sector (C[b][1] because a
-    photonless start has a rho0 = 0, and C[j][0] = 0 checks no phase); for
-    expm n steps of R^H run in substeps of at most 4 / ||S_a^H||_1 (e^4
-    bounds the Taylor sum's cancellation).
+    and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with four
+    terms), or for expm the Taylor sum to roundoff.  Every form runs the
+    same checks on its nodes 0 .. b from its own blocks(): node 1 (state) on
+    every entry but the dropped ones, and p against the reference's dropped
+    diagonal sum, so the readout sector's closure, the form's block, factors
+    or eigenbases and p are checked at runtime; node b, made by the power
+    that steps a blocked pass, against node b - 1 stepped once by the form;
+    the form's own adjoint checks; and its C[1][0], C[1][1], C[b][0] and
+    C[b][1] against ((R^H)^(j-k) a) . vec(a rho(t_k)) for the reference step
+    R on the operand block Sa = S[adj, adj] (C[b][1] because a photonless
+    start has a rho0 = 0, and C[j][0] = 0 checks no phase); for expm n
+    steps of R^H run in substeps of at most 4 / ||S_a^H||_1 (e^4 bounds the
+    Taylor sum's cancellation).
     """
     Z = _phases(gen.dim, gen.dim)
     for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", S.adjoint_dot, gen.apply_adjoint)):
@@ -658,61 +667,26 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, steppers, r
             u = _taylor_step(Sa.adjoint_dot, u, n * h / m, terms)
         return u
 
-    step, second = steppers
-    b = step.b
-    if second.kind in ("separable", "spectral"):
-        P = fwd.sides[0]
-        nodes = np.empty((b + 1, len(step.g if second.kind == "separable" else step.G)), dtype=complex)
-        for _ in step.blocks(b + 1, nodes):  # nodes 0 .. b
-            pass
-        rho = np.zeros_like(rho0)
-        if second.kind == "separable":
-            D = second.rows(nodes, 0)
-
-            def C_new(j, k):
-                return np.vdot(D[j], D[k])
-
-            powers = [("forward", nodes[-1] - step(nodes[-2]))]
-        else:
-            X = second.operands(nodes[:2])
-            # U_0 .. U_(b-1) from the table of powers, then U_b = N o H^b
-            Uc = np.concatenate(list(spectral_blocks(second.N, second.H, [(0, b), (b, b + 1)])))
-            rho[np.ix_(P, P)] = step.matrix(nodes[-2])  # node b - 1, stepped by the reference
-            stepped = _taylor_step(S.dot, rho.reshape(-1), h, terms)[fwd.index]
-            powers = [("forward", step.matrix(nodes[-1]).reshape(-1) - stepped),
-                      ("adjoint", Uc[-1] - Uc[-2] * second.H)]
-
-            def C_new(j, k):
-                return Uc[j - k] @ X[k]
-
-        rho[np.ix_(P, P)] = step.matrix(nodes[1])
-        p = np.trace(rho0 - rho).real
-        # on the operand sector: y_k = vec(a rho(t_k)) for k = 0, 1 and
-        # u_m = (R^H)^m a for m = 1, b - 1, b
-        y0, y1 = ((a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f))
-        u1 = adjoint_steps(a, 1)
-        u = adjoint_steps(u1, b - 2) if b > 1 else a
-        C = [np.vdot(u1, y0), np.vdot(a, y1), np.vdot(adjoint_steps(u, 1), y0), np.vdot(u, y1)]
-        kernel = [C_new(j, k) - ref for (j, k), ref in zip(((1, 0), (1, 1), (b, 0), (b, 1)), C)]
-        head, tail = [], [(f"{second.kind} kernel", np.array(kernel))]
-    else:
-        x0 = fwd.coords(rho0)
-        y, u = step(x0), second(a)
-        rho, p = fwd.matrix(y), y[-1]
-        head, tail = [("adjoint", u - _taylor_step(Sa.adjoint_dot, a, h, terms))], []
-        powers = []
-        for name, s, x in (("forward", step, x0), ("adjoint", second, a)):
-            if s.power is not None:
-                X = np.concatenate(list(s.blocks(x, s.b + 1)))
-                powers.append((name, X[-1] - s(X[-2])))
-    diff_f = rho.reshape(-1) - ref_f
+    b = form.b
+    nodes = _first_nodes(form.blocks(b + 1), b)
+    rho, p = form.state(nodes[1])
+    diff_f = -ref_f
+    diff_f[fwd.index] += rho
     diff_f[fwd.dropped] = 0.0
+    # on the operand sector: y_k = vec(a rho(t_k)) for k = 0, 1 and
+    # u_m = (R^H)^m a for m = 1, b - 1, b
+    y0, y1 = ((a_mat @ r.reshape(rho0.shape)).reshape(-1)[adj] for r in (rho0, ref_f))
+    u1 = adjoint_steps(a, 1)
+    u = adjoint_steps(u1, b - 2) if b > 1 else a
+    C, adjoint = form.smoke(nodes, u1)
+    refs = [np.vdot(u1, y0), np.vdot(a, y1), np.vdot(adjoint_steps(u, 1), y0), np.vdot(u, y1)]
+    kernel = [C(j, k) - ref for (j, k), ref in zip(((1, 0), (1, 1), (b, 0), (b, 1)), refs)]
     diffs = [
         ("forward", diff_f),
         ("forward dropped-population", p - ref_f[fwd.dropped_diag].real.sum()),
-        *head,
-        *((f"{name} E^b", diff) for name, diff in powers),
-        *tail,
+        ("forward E^b", nodes[b] - form(nodes[b - 1])),
+        *adjoint,
+        (f"{form.propagators[1]} kernel", np.array(kernel)),
     ]
     worst = 0.0
     for name, diff in diffs:
@@ -744,22 +718,84 @@ def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=
                (Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
 
 
+class _SteppedForm:
+    """The stepped U/X form: both passes stepped on the sector blocks by _SectorStepper.
+
+    The forward pass steps (y, p) on the readout sector, guarded by the
+    trace checks of _forward, and reads the operands a rho(t_k) through
+    a_map = (a x I)[adj, index] V; the adjoint pass, in grid(), steps a on
+    the operand block Sa.
+    """
+
+    columns = (None, None)
+
+    def __init__(self, fwd: _ForwardSector, Sa, a_mat, adj, rho0, monitor, config: EvolutionConfig, b: int):
+        from scipy import sparse  # imported here: only the stepped passes multiply by a_map
+
+        self.fwd, self.rho0, self.monitor, self.b = fwd, rho0, monitor, b
+        self.propagators = ("dense" if config.method == "expm" else "rk4",) * 2
+        self.forward = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+        a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(fwd.dim), format="csr")
+        self.a_map = (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr()
+        self.adjoint = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
+        self.a = a_mat.reshape(-1)[adj]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """The node one step after y."""
+        return self.forward(y)
+
+    def blocks(self, n: int):
+        """Yield the coordinates (y, p) of rho(t_0) .. rho(t_{n-1}) as row blocks of b nodes."""
+        return self.forward.blocks(self.fwd.coords(self.rho0), n)
+
+    def state(self, y: np.ndarray):
+        """(vec(rho)[index], p) of the coordinates y."""
+        return self.fwd.V.dot(y), y[-1]
+
+    def readout(self, n: int):
+        """Yield the operands a_map y, monitor values and trace checks per block (_dense_readout)."""
+        return _dense_readout(self.forward, self.fwd, self.rho0, n, self.monitor, self.a_map)
+
+    def smoke(self, nodes: np.ndarray, u1: np.ndarray):
+        """C(j, k) = U_{j-k}^H a_map y_k of the nodes 0 .. b, and the adjoint checks.
+
+        U_0 .. U_b come from the adjoint pass's own blocks(): U_1 against the
+        reference step u1 of a, U_b against U_{b-1} stepped once.
+        """
+        U = _first_nodes(self.adjoint.blocks(self.a, self.b + 1), self.b)
+        X = (self.a_map @ nodes[:2].T).T
+        adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2]))]
+        return (lambda j, k: np.vdot(U[j - k], X[k])), adjoint
+
+    def grid(self, X: np.ndarray) -> dict:
+        """The grid's arrays after the adjoint pass, U_0 = a evolved under the Hilbert-Schmidt adjoint.
+
+        The dagger of the observable lives inside the inner product
+        Tr[U' X], so the stack holds conj(U); the operand sector is invariant
+        under L, so the adjoint restricted to it is exact on the pairing.
+        """
+        del self.forward  # the forward propagators are not needed by the adjoint pass
+        Uc = np.empty_like(X)
+        for start, U in zip(range(0, len(X), self.b), self.adjoint.blocks(self.a, len(X))):
+            np.conjugate(U, out=Uc[start : start + len(U)])
+        return {"U": Uc, "X": X}
+
+
 def _forward(values, config: EvolutionConfig):
     """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
 
     values yields (rows, monitor values, checks) per row block of the nodes
-    k = 0, 1, ... (_dense_readout, or the readout of _SeparableKernel or
-    _SpectralKernel).  The pass stops after t_max, or after the first node
-    k > 0 whose monitor value (None without a monitor) is below
-    leak_tolerance, cutting its block there.  Up to the stop, checks are
-    (traces, largest |coordinate|) of each node, and the pass aborts at the
-    first node whose trace drifts from node 0's by more than
-    TRACE_DRIFT_LIMIT, or whose largest coordinate exceeds its trace by more
-    than that: rho is then no longer positive semidefinite, as an unstable
-    step leaves the trace, a linear invariant of every step, unchanged.
-    The D and spectral forms have no checks (None); their set-up checks
-    (check_trace_rows, and the spectral form's bound on its step factors)
-    stand in for the guard.
+    k = 0, 1, ... (_dense_readout, or a correlation form's readout).  The
+    pass stops after t_max, or after the first node k > 0 whose monitor
+    value (None without a monitor) is below leak_tolerance, cutting its
+    block there.  Up to the stop, checks are (traces, largest |coordinate|)
+    of each node, and the pass aborts at the first node whose trace drifts
+    from node 0's by more than TRACE_DRIFT_LIMIT, or whose largest
+    coordinate exceeds its trace by more than that: rho is then no longer
+    positive semidefinite, as an unstable step leaves the trace, a linear
+    invariant of every step, unchanged.  The D and spectral forms have no
+    checks (None); their set-up checks (check_trace_rows, and the spectral
+    form's bound on its step factors) stand in for the guard.
     """
     start = trace0 = 0
     for rows, residuals, checks in values:
@@ -804,19 +840,21 @@ def _check_budget(config: EvolutionConfig, node_bytes: int, dense=()) -> None:
     (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
     adjoint one).  The D and spectral forms step elementwise and build no
     propagator.  Row blocks are not counted: b |R| entries stepped, b |P|
-    in the D form.
+    in the D form.  Method rk4 is advised only where dense blocks count: a
+    D-form run would take the spectral form, whose stack is |P| / s wider.
     """
     stack_bytes = config.n_max * node_bytes
     dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense) if config.method == "expm" else 0
     total = stack_bytes + dense_bytes
     if total > config.max_grid_bytes:
         terms = [f"factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
+        advice = "a coarser dt or a shorter t_max"
         if dense_bytes:
             terms.append(f"dense expm blocks and their powers {dense_bytes / 2**20:.1f} MiB")
+            advice = "a coarser dt, a shorter t_max or method rk4"
         raise NumericalError(
             f"run would need {total / 2**20:.1f} MiB ({', '.join(terms)}), above the "
-            f"{config.max_grid_bytes / 2**20:.1f} MiB budget; "
-            "use a coarser dt, a shorter t_max or method rk4"
+            f"{config.max_grid_bytes / 2**20:.1f} MiB budget; use {advice}"
         )
 
 
@@ -885,28 +923,25 @@ def two_time_correlation(
 
     The horizon is t_max, cut at the first node where the monitor
     expectation (if given) falls below leak_tolerance.  Of the forward
-    sector only the readout sector and p are propagated.  Where both
-    sectors are Kronecker sums (_kronecker_factors) and the operand sector
-    is Q0 x P, an expm run takes the D form if _separable holds
-    (_FactoredStepper steps the powers of the eigenvalues of K_L and
-    _SeparableKernel forms D from them, with no adjoint pass), and an rk4
-    run the spectral U/X form if _eigenbases accepts the factors
-    (_SpectralKernel forms X in eigen coordinates and gives the factors N
-    and H of U, with no adjoint pass; a grid it does not resolve is
-    recomputed stepped, its set-up stage holding the attempt).  Any
-    other run takes the stepped U/X form, both passes stepped by
-    _SectorStepper.  The sector blocks are extracted once: the readout
-    block is that of _ForwardSector, the operand block Sa serves the
-    Kronecker check, the smoke check and the stepped adjoint pass.  The
-    grid reports sector_sizes, propagators (forward, operand:
+    sector only the readout sector and p are propagated.  The correlation
+    form is chosen here, in one place: where both sectors are Kronecker sums
+    (_kronecker_factors) and the operand sector is Q0 x P, an expm run takes
+    the D form (_SeparableKernel) if _separable holds, and an rk4 run the
+    spectral U/X form (_SpectralKernel) if _eigenbases accepts the factors;
+    any other run takes the stepped U/X form (_SteppedForm).  One loop then
+    runs whatever the form: its set-up checks, the smoke check, the forward
+    pass into the stack X and form.grid(X); a spectral grid that does not
+    resolve (None) is recomputed stepped, its set-up stage holding the
+    attempt.  The sector blocks are extracted once; the operand block Sa
+    serves the Kronecker check, the smoke check and the stepped adjoint
+    pass.  The grid reports sector_sizes, propagators (forward, operand:
     "factored"/"separable", "spectral"/"spectral", "dense"/"dense" or
     "rk4"/"rk4"), columns ((s, width of D) for the D form, else
-    (None, None)), smoke_max_diff (None without the check) and stage_s, the
-    seconds of set-up, smoke check, forward and, for the stepped U/X form,
-    adjoint pass.
-    rho0 must be Hermitian.  The stacks over the full t_max and, for expm
-    on the stepped path, the dense propagators and their b-th powers are
-    checked against max_grid_bytes before anything large is allocated.
+    (None, None)), smoke_max_diff and stage_s, the seconds of set-up, smoke
+    check, forward and, for the stepped U/X form, adjoint pass.  rho0 must
+    be Hermitian.  The stacks over the full t_max and, for expm on the
+    stepped path, the dense propagators and their b-th powers are checked
+    against max_grid_bytes before anything large is allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -938,56 +973,38 @@ def two_time_correlation(
                 bases = _eigenbases(A, B, A0)
 
     b = _block_size(config.n_max)
-    N = None if monitor is None else monitor[np.ix_(P, P)]
+    a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
     while True:
         if separable is not None:
-            basis, A0, W0 = separable
-            width = len(A0) * W0.shape[1]
-            _check_budget(config, 16 * width)
+            _check_budget(config, 16 * len(separable[1]) * separable[2].shape[1])  # 16 |Q0| s
             fwd.check_trace_rows()
-            step = _FactoredStepper(basis, W0, config.dt, b)
-            second = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], step, N, config.dt)
-            values = second.readout(step, config.n_max)
-            columns = (W0.shape[1], width)
+            form = _SeparableKernel(separable, a0, rho0, N, config.dt, b)
         elif bases is not None:
-            width, columns = len(adj), (None, None)
-            _check_budget(config, 16 * width)
+            _check_budget(config, 16 * len(adj))
             fwd.check_trace_rows()
-            step = second = _SpectralKernel(bases, a_mat[np.ix_(Q0, P)], rho0[np.ix_(P, P)], N,
-                                            config.dt, b)
-            values = second.readout(config.n_max)
+            form = _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
         else:
-            width, columns = len(adj), (None, None)
-            _check_budget(config, 32 * width, dense=((len(fwd.index) + 1, 8), (width, 16)))
-            from scipy import sparse  # imported here: only the stepped passes multiply by a_map
-
-            step = _SectorStepper(fwd.block, config.dt, config.method, b=b)
-            a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(d), format="csr")
-            values = _dense_readout(step, fwd, rho0, config.n_max, monitor,
-                                    (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr())
-            second = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
-        propagators = (step.kind, second.kind)
+            _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
+            form = _SteppedForm(fwd, Sa, a_mat, adj, rho0, monitor, config, b)
         marks.append(time.perf_counter())
-        smoke = None
-        if config.smoke_check:
-            smoke = _smoke_check(gen, S, fwd, adj, Sa, (step, second), rho0, a_mat, config)
+        smoke = _smoke_check(gen, S, fwd, adj, Sa, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
 
-        # forward pass: the rows of D, or the regression operands a rho(t_k)
-        # on the operand sector, one block at a time into the stack over the
-        # full t_max; rows past the realized horizon are never written, so
-        # never resident
-        X = np.empty((config.n_max, width), dtype=complex)
-        n_t, residual = 0, None
-        for operands, residuals in _forward(values, config):
+        # forward pass: the rows of D, or the operands a rho(t_k) on the operand
+        # sector, block by block into the stack over the full t_max; rows past
+        # the realized horizon are never written, so never resident
+        X, n_t, residual = None, 0, None
+        for operands, residuals in _forward(form.readout(config.n_max), config):
+            if X is None:
+                X = np.empty((config.n_max, operands.shape[1]), dtype=complex)
             X[n_t : n_t + len(operands)] = operands
             n_t += len(operands)
             if residuals is not None:
                 residual = residuals[-1]
             del operands  # released before the next block is computed
-        del step, values  # the forward propagators are not needed by the adjoint pass
-        X = X[:n_t]
-        if second.kind != "spectral" or second.resolves(X):
+        marks.append(time.perf_counter())
+        arrays = form.grid(X[:n_t])
+        if arrays is not None:
             break
         # the grid is too small for eigen coordinates to carry: the run is
         # redone stepped, whose roundoff follows the entries, and its set-up
@@ -995,24 +1012,8 @@ def two_time_correlation(
         bases = None
         del marks[1:]
     marks.append(time.perf_counter())
-
-    if second.kind == "separable":
-        form = {"D": X}
-    elif second.kind == "spectral":  # N o H^tau is the conjugated row already
-        form = {"X": X, "N": second.N, "H": second.H}
-    else:
-        # adjoint pass: U_0 = a evolved under the Hilbert-Schmidt adjoint;
-        # the dagger of the observable lives inside the inner product
-        # Tr[U' X], so the stack holds conj(U).  The operand sector is
-        # invariant under L, so the adjoint restricted to it is exact on the
-        # pairing.
-        Uc = np.empty((n_t, width), dtype=complex)
-        start = 0
-        for U in second.blocks(a_mat.reshape(-1)[adj], n_t):
-            np.conjugate(U, out=Uc[start : start + len(U)])
-            start += len(U)
-        marks.append(time.perf_counter())
-        form = {"U": Uc, "X": X}
+    if "U" not in arrays:  # grid() ran no adjoint pass: its time is the forward stage's
+        del marks[-2]
 
     return CorrelationGrid(
         dt=config.dt,
@@ -1020,9 +1021,9 @@ def two_time_correlation(
         param_hash=param_hash,
         residual_excitation=residual,
         sector_sizes=(len(fwd.index), len(adj)),
-        propagators=propagators,
+        propagators=form.propagators,
         smoke_max_diff=smoke,
-        columns=columns,
+        columns=form.columns,
         stage_s=dict(zip(("setup", "smoke", "forward", "adjoint"), np.diff(marks).tolist())),
-        **form,
+        **arrays,
     )

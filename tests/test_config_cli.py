@@ -255,7 +255,9 @@ class TestCliSpectrum:
         cfg.write_text(small + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
-        assert "dense expm blocks and their powers 0.1 MiB" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dense expm blocks and their powers 0.1 MiB" in err
+        assert "or method rk4" in err  # rk4 would build no dense block
         assert not out.exists()
         # without mechanical losses the run takes the D form, which steps
         # elementwise powers and builds no propagator: only its stack counts,
@@ -265,7 +267,8 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "(factor stacks 0.0 MiB for n_t <= 41)" in err
-        assert "dense" not in err
+        # rk4 would take the spectral form, whose stack is |P| / s = 9 times wider
+        assert "dense" not in err and "rk4" not in err
         cfg.write_text(small + "numerics.max_grid_bytes = 1968\n")
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
         assert "propagator factored/separable" in capsys.readouterr().err
@@ -298,10 +301,14 @@ class TestCliSpectrum:
         assert calls == [9]
         assert not out.exists()
 
-    def test_corrupted_step_eigenvalues_fail_smoke_check(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_corrupted_step_eigenvalues_fail_smoke_check(self, tmp_path, monkeypatch, capsys,
+                                                         method):
         # the D form steps W by exp(alpha dt) over the eigenvalues alpha of
-        # A; eigenvalues off by 1e-4 relative, with exact eigenvectors,
-        # move node 1 away from the Taylor reference
+        # A, the spectral form Z by r(h (alpha_i + beta_j)); eigenvalues off
+        # by 1e-4 relative, with exact eigenvectors, move node 1 away from
+        # the Taylor reference.  The check of node b steps node b - 1 by the
+        # form's own factors, so it leans on this one.
         eig = np.linalg.eig
 
         def corrupted(F):
@@ -310,7 +317,7 @@ class TestCliSpectrum:
 
         monkeypatch.setattr("numpy.linalg.eig", corrupted)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST)
+        cfg.write_text(FAST.replace("expm", method))
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert "disagree on the forward smoke test" in capsys.readouterr().err
@@ -388,6 +395,30 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, kernel", [("expm", "dense"), ("rk4", "rk4")])
+    def test_spoiled_operand_map_fails_smoke_check(self, tmp_path, monkeypatch, capsys, method,
+                                                   kernel):
+        # with mechanical losses the stepped form reads the operands
+        # a rho(t_k) through a_map; its first stored entry carries the first
+        # diagonal coordinate, 2.5e-3 one step after the start, so 1e-3
+        # relative moves C[1][1] by about 2.5e-6.  Only the kernel check
+        # pairs the operands with the reference.
+        from omtc import dynamics
+
+        init = dynamics._SteppedForm.__init__
+
+        def spoiled(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.a_map.data[0] *= 1 + 1e-3
+
+        monkeypatch.setattr("omtc.dynamics._SteppedForm.__init__", spoiled)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("expm", method) + "model.gamma_M = 0.05\n")
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert f"disagree on the {kernel} kernel smoke test" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spoiled_flux_row_fails_smoke_check(self, tmp_path, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from omtc.dynamics import (
     _eigenbases,
     _elementwise_blocks,
     _ForwardSector,
-    _FactoredStepper,
     _kronecker_factors,
     _rk4_factor,
     _SectorStepper,
@@ -1234,9 +1233,14 @@ def _separable_point(space, gen, rho0):
     return fwd, P, Q0, _separable(factors, fwd, rho0)
 
 
-def _factored_nodes(step, n):
+def _factored_nodes(form, n):
     """The nodes g^0 .. g^(n-1) of the D form's forward pass, one row per node."""
-    return np.concatenate([x.copy() for x in step.blocks(n)])  # the blocks share a buffer
+    return np.concatenate([x.copy() for x in form.blocks(n)])  # the blocks share a buffer
+
+
+def _factored_matrix(form, x):
+    """rho[P, P] = W W^H of the D form's node x (|P| entries), from its state."""
+    return form.state(x)[0].reshape(len(x), len(x))
 
 
 def _unfactored(rho0, gen, cfg, a, mon):
@@ -1329,17 +1333,16 @@ class TestFactoredPropagator:
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
         d, a_mat = space.dim, a
-        _, P, Q0, (basis, A0, W0) = _separable_point(space, gen, rho0)
-        step = _FactoredStepper(basis, W0, 0.02, b=4)
+        _, P, Q0, separable = _separable_point(space, gen, rho0)
         mon = np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
-        kernel = _SeparableKernel(A0, a_mat[np.ix_(Q0, P)], step, mon[np.ix_(P, P)], 0.02)
-        rows, values, traces = zip(*kernel.readout(step, 9))
+        form = _SeparableKernel(separable, a_mat[np.ix_(Q0, P)], rho0, mon[np.ix_(P, P)], 0.02, b=4)
+        rows, values, traces = zip(*form.readout(9))
         assert traces == (None,) * 3
-        nodes = _factored_nodes(step, 9)
+        nodes = _factored_nodes(form, 9)
         for k, (D, m) in enumerate(zip(np.concatenate(rows), np.concatenate(values), strict=True)):
             rho = np.zeros_like(rho0)
-            rho[np.ix_(P, P)] = step.matrix(nodes[k])
+            rho[np.ix_(P, P)] = _factored_matrix(form, nodes[k])
             assert abs(m - np.trace(mon @ rho).real) <= 1e-15
             assert abs(np.vdot(D, D) - np.trace(a_mat @ rho @ a_mat.conj().T)) <= 1e-15
 
@@ -1369,14 +1372,13 @@ class TestFactoredPropagator:
         rho0, gen, _, a, _ = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
-        _, P, Q0, (basis, A0, W0) = _separable_point(space, gen, rho0)
-        step = _FactoredStepper(basis, W0, 0.02, b=4)
+        _, P, Q0, separable = _separable_point(space, gen, rho0)
         N = np.diag(np.random.default_rng(4).uniform(0.5, 1.5, len(P)) + 0.3j)
-        kernel = _SeparableKernel(A0, a[np.ix_(Q0, P)], step, N, 0.02)
-        values = np.concatenate([m for _, m, _ in kernel.readout(step, 9)])
-        nodes = _factored_nodes(step, 9)
+        form = _SeparableKernel(separable, a[np.ix_(Q0, P)], rho0, N, 0.02, b=4)
+        values = np.concatenate([m for _, m, _ in form.readout(9)])
+        nodes = _factored_nodes(form, 9)
         for k, m in enumerate(values):
-            assert abs(m - np.trace(N @ step.matrix(nodes[k])).real) <= 1e-15
+            assert abs(m - np.trace(N @ _factored_matrix(form, nodes[k])).real) <= 1e-15
 
     def test_ground_block_that_is_not_diagonal(self):
         # the model's ground block -iH[Q0, Q0] is diagonal (phonon energies),
@@ -1493,7 +1495,7 @@ class TestFactoredPropagator:
             raise AssertionError("evolve looked for a factored form")
 
         monkeypatch.setattr("omtc.dynamics._kronecker_factors", not_here)
-        monkeypatch.setattr("omtc.dynamics._FactoredStepper.__init__", not_here)
+        monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", not_here)
         assert len(evolve(rho0, gen, cfg, monitor=mon).states) == 51
 
     def test_trace_loss_rejected_at_set_up(self, monkeypatch):
@@ -1508,10 +1510,10 @@ class TestFactoredPropagator:
             self.M.data[self.M.indptr[-2] :] = 0.0
 
         def not_yet(*args, **kwargs):
-            raise AssertionError("the forward stepper was built before the trace check")
+            raise AssertionError("the D form was built before the trace check")
 
         monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", no_flux)
-        monkeypatch.setattr("omtc.dynamics._FactoredStepper.__init__", not_yet)
+        monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", not_yet)
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(), build_space(1, 2, excitation_cap=1), dt=0.02, t_max=1.0, method="expm"
         )
@@ -1523,15 +1525,15 @@ class TestFactoredPropagator:
         # total trace is not 1; p must follow the dense stepper's flux row
         space = build_space(1, 2, excitation_cap=1)
         params = ModelParams(J=0.4, gamma_a_coop=0.02)
-        rho0, gen, _, _, _ = _correlation_point(params, space, "symmetric", dt=0.02, t_max=1.0)
+        rho0, gen, _, a, _ = _correlation_point(params, space, "symmetric", dt=0.02, t_max=1.0)
         vac = space.ket(0, 0, 0, 0)
         rho0 = 0.5 * rho0 + 0.2 * np.outer(vac, vac.conj())
         S = gen.superoperator()
         reads, _, _ = _readout(space)
         fwd = _ForwardSector(S, rho0, reads)
         fwd.check_trace_rows()
-        basis, _, W0 = _separable_point(space, gen, rho0)[3]
-        factored = _FactoredStepper(basis, W0, 0.02, b=4)
+        _, P, Q0, separable = _separable_point(space, gen, rho0)
+        factored = _SeparableKernel(separable, a[np.ix_(Q0, P)], rho0, None, 0.02, b=4)
         dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
         # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H;
         # from node 4 on both passes step a block by the 4th power
@@ -1539,13 +1541,13 @@ class TestFactoredPropagator:
         Z = np.concatenate(list(dense.blocks(fwd.coords(rho0), 21)))
         assert Z[0, -1] == pytest.approx(0.2)
         for k, z in enumerate(Z):
-            X = factored.matrix(nodes[k])
-            assert np.abs(X.reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
-            assert abs(np.trace(rho0).real - np.trace(X).real - z[-1]) <= 1e-13
+            X, p = factored.state(nodes[k])
+            assert np.abs(X - fwd.V.dot(z)).max() <= 1e-13
+            assert abs(p - z[-1]) <= 1e-13
         x, z = nodes[0], Z[0]
         for _ in range(20):  # node by node
             x, z = factored(x), dense(z)
-            assert np.abs(factored.matrix(x).reshape(-1) - fwd.V.dot(z)).max() <= 1e-13
+            assert np.abs(factored.state(x)[0] - fwd.V.dot(z)).max() <= 1e-13
 
     def test_growing_step_rejected_at_set_up(self, monkeypatch):
         # the exact no-jump evolution never grows; with the eigenvalues of A
@@ -1579,12 +1581,14 @@ class TestFactoredPropagator:
         A, B = _factors_of(gen, S, index)
         assert np.abs(B - A.conj().T).max() == 0.0
         W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
-        step = _FactoredStepper(_eigenbases(A)[0], W, 0.05)
         X = W @ W.conj().T
+        # no operand sector here: a 1 x 1 ground block and a zero operand
+        form = _SeparableKernel((_eigenbases(A)[0], np.zeros((1, 1)), W), np.zeros((1, d)), X, None,
+                                0.05)
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
         x0 = np.ones(d)  # node 0, g^0
-        assert np.abs(step.matrix(x0) - X).max() <= 1e-13 * np.abs(X).max()
-        assert np.abs(step.matrix(step(x0)).reshape(-1) - exact).max() <= 1e-13 * np.abs(X).max()
+        assert np.abs(_factored_matrix(form, x0) - X).max() <= 1e-13 * np.abs(X).max()
+        assert np.abs(form.state(form(x0))[0] - exact).max() <= 1e-13 * np.abs(X).max()
 
     def test_kronecker_factors_need_a_product_sector(self):
         # rho_11 is the product P x P of the 9 one-excitation states; the
