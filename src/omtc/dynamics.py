@@ -42,8 +42,10 @@ X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.
   W_k = V diag(g^k) V^-1 W in the eigenbasis V of A, and K_0^{-k} is a
   phase in the eigenbasis of i A[Q0, Q0]; there is no adjoint pass.  The
   filter's lag sums are FFT autocorrelations of D.
-- Spectral U/X form (_SpectralKernel), rk4 runs on such sectors.  In the
-  eigenbases of A, B and A[Q0, Q0] L is diagonal with the sums of their
+- Spectral U/X form (_SpectralKernel), rk4 runs on such sectors, under
+  the same B = A^H and anti-Hermitian A[Q0, Q0].  In the eigenbases of A,
+  B and A[Q0, Q0], all three from one eigendecomposition of A and one of
+  i A[Q0, Q0] (_eigenbases), L is diagonal with the sums of their
   eigenvalues, so an RK4 step multiplies each eigen coordinate by
   r(h (sum)) and every node is an elementwise power.  The trace is folded
   into a single adjoint (Heisenberg) propagation of a', so
@@ -78,10 +80,10 @@ TRACE_DRIFT_LIMIT = 1e-4
 #: stepped RK4; a grid it cannot resolve so is computed stepped
 SPECTRAL_RESOLUTION = 1e-12
 #: largest product of the condition numbers of the eigenvector matrices that
-#: the spectral form (kappa(V_A) kappa(V_B) kappa(V_0)) and the D form
-#: (kappa(V_A)) accept: their transforms scale the roundoff of the stepped
-#: path by at most that, so 1e3 eps ~ 1e-13 of the largest entry stays
-#: below SPECTRAL_RESOLUTION
+#: the spectral form (kappa(V)^2: V^-H and the unitary U add kappa(V) and 1)
+#: and the D form (kappa(V)) accept: their transforms scale the roundoff of
+#: the stepped path by at most that, so 1e3 eps ~ 1e-13 of the largest entry
+#: stays below SPECTRAL_RESOLUTION
 SPECTRAL_CONDITION_LIMIT = 1e3
 
 
@@ -120,6 +122,11 @@ def _scipy(M: SparseMatrix):
     """M as a scipy CSR matrix, for a stepped pass that multiplies by it once per step."""
     from scipy import sparse  # imported here: only the stepped passes need it
     return sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
+def _distinct(*arrays: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of non-negative int arrays (np.unique without numpy.ma)."""
+    return np.flatnonzero(np.bincount(np.concatenate(arrays), minlength=1))
 
 
 def _transposed(index: np.ndarray, d: int) -> np.ndarray:
@@ -180,7 +187,7 @@ class _ForwardSector:
 
         n = len(self.index)
         i, j = np.divmod(self.index, d)
-        self.sides = np.unique(i), np.unique(j)  # (P, Q) if index is a product P x Q
+        self.sides = _distinct(i), _distinct(j)  # (P, Q) if index is a product P x Q
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
         self.n_diag = n_diag = len(diag)
@@ -353,7 +360,7 @@ def _kronecker_factors(gen, L: SparseMatrix, index: np.ndarray):
     checked as L vec(Z) = vec(A Z + Z B) for Z = _phases(|P|, |Q|).
     """
     i, j = np.divmod(index, gen.dim)
-    P, Q = np.unique(i), np.unique(j)
+    P, Q = _distinct(i), _distinct(j)
     if len(index) != len(P) * len(Q):
         return None
     A, B = gen.no_jump()
@@ -363,28 +370,48 @@ def _kronecker_factors(gen, L: SparseMatrix, index: np.ndarray):
     return None if err > 1e-12 * np.max(np.abs(L.data), initial=0.0) else (A, B)
 
 
-def _separable(factors, fwd: _ForwardSector, rho0: np.ndarray):
-    """((alpha, V, V^-1) of A[P, P], A[Q0, Q0], W) for the D form, or None where it does not hold.
+def _eigenphases(A0: np.ndarray):
+    """(lam, U) with i A0 = U diag(lam) U^H, so exp(-A0 t) = U diag(exp(i lam t)) U^H."""
+    return np.linalg.eigh(1j * A0)
 
-    factors are the Kronecker factors of the readout sector P x P and of the
-    operand sector Q0 x P.  Checked, each to 1e-12 of the largest entry:
-    A[Q0, Q0] is anti-Hermitian, so K_0 is unitary; B[P, P] = A[P, P]^H, so
-    K_R = K_L^H; rho0[P, P] is positive semidefinite.  W = U sqrt(e) over
-    the eigenpairs (e, U) of rho0[P, P] above 1e-14 of the largest, s
-    columns.  Last, A[P, P] = V diag(alpha) V^-1 must pass _eigenbases.
+
+def _eigenbases(factors):
+    """((alpha, V, V^-1) of A[P, P], (lam, U) of A[Q0, Q0], kappa(V)), or None.
+
+    factors are the Kronecker factors (A, B) of the readout sector P x P and
+    (A0, _) of the operand sector Q0 x P.  Checked, each to 1e-12 of the
+    largest entry: A0 = A[Q0, Q0] is anti-Hermitian, so K_0 is unitary and
+    i A0 = U diag(lam) U^H (_eigenphases); B = A^H, so K_R = K_L^H and
+    A = V diag(alpha) V^-1 gives B = V^-H diag(conj alpha) V^H.  One
+    eigendecomposition serves the D form and the spectral form.  None also
+    where kappa(V) exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly
+    defective A; inf for a singular V).
     """
     (A, B), (A0, _) = factors
-    P = fwd.sides[0]
     if np.max(np.abs(A0 + A0.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A0), initial=0.0):
         return None
     if np.max(np.abs(B - A.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
         return None
+    alpha, V = np.linalg.eig(A)
+    kappa = float(np.linalg.cond(V))
+    if not kappa <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
+        return None
+    return (alpha, V, np.linalg.inv(V)), _eigenphases(A0), kappa
+
+
+def _separable(bases, fwd: _ForwardSector, rho0: np.ndarray):
+    """(*bases, W) for the D form, or None unless rho0[P, P] is positive semidefinite.
+
+    bases are those of _eigenbases.  rho0[P, P] = W W^H is checked to 1e-12
+    of its largest eigenvalue; W = U sqrt(e) over the eigenpairs (e, U)
+    above 1e-14 of the largest, s columns.
+    """
+    P = fwd.sides[0]
     e, U = np.linalg.eigh(rho0[np.ix_(P, P)])
     if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
         return None
     keep = e > 1e-14 * e[-1]
-    basis = _eigenbases(A)
-    return None if basis is None else (basis[0], A0, U[:, keep] * np.sqrt(e[keep]))
+    return (*bases, U[:, keep] * np.sqrt(e[keep]))
 
 
 def _check_growth(step: str, dt: float, factors, hint: str) -> None:
@@ -401,11 +428,6 @@ def _check_growth(step: str, dt: float, factors, hint: str) -> None:
         )
 
 
-def _eigenphases(A0: np.ndarray):
-    """(lam, U) with i A0 = U diag(lam) U^H, so exp(-A0 t) = U diag(exp(i lam t)) U^H."""
-    return np.linalg.eigh(1j * A0)
-
-
 class _SeparableKernel:
     """The D form: its nodes are the powers g^k of the eigenvalues of K_L, its rows those of D.
 
@@ -413,7 +435,7 @@ class _SeparableKernel:
     step of rho[P, P] = W W^H is K_L W W^H K_L^H, K_L = exp(A dt) (A the
     no-jump part, the effective non-Hermitian Hamiltonian), so the pass
     steps the |P| x s factor W alone.  With A = V diag(alpha) V^-1
-    (_separable), K_L = V diag(g) V^-1, g = exp(alpha dt), so
+    (_eigenbases), K_L = V diag(g) V^-1, g = exp(alpha dt), so
     W_k = V diag(g^k) E, E = V^-1 W_0: node k is the vector g^k alone, |P|
     entries whatever s, stepped elementwise as the spectral form steps Z.
     A factor |g| above STEP_FACTOR_LIMIT is a NumericalError at set-up.
@@ -433,11 +455,10 @@ class _SeparableKernel:
     propagators = ("factored", "separable")
 
     def __init__(self, separable, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
-        (alpha, V, V_inv), A0, W0 = separable
+        (alpha, V, V_inv), (self.lam, U), _, W0 = separable
         self.g = np.exp(dt * alpha)
         _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
         E = V_inv @ W0
-        self.lam, U = _eigenphases(A0)
         O = U.conj().T @ a0 @ V
         self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), -1)
         self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
@@ -504,36 +525,23 @@ def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
     return _blocks(x0, lambda x: x * g, lambda Y, rows: np.multiply(Y[:rows], power, out=Y[:rows]), n, b)
 
 
-def _eigenbases(*factors: np.ndarray):
-    """((w, V, V^-1) for each factor F = V diag(w) V^-1, then kappa), or None.
-
-    kappa is the product of the condition numbers kappa(V); None when it
-    exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly defective
-    factor).
-    """
-    eig = [np.linalg.eig(F) for F in factors]
-    kappa = float(np.prod([np.linalg.cond(V) for _, V in eig]))
-    if not kappa <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
-        return None
-    return (*((w, V, np.linalg.inv(V)) for w, V in eig), kappa)
-
-
 class _SpectralKernel:
     """The RK4 U/X form in eigen coordinates: X by elementwise powers, U by its factors N and H.
 
     L acts on the readout sector P x P as Z -> A Z + Z B and on the operand
     sector Q0 x P as Y -> A0 Y + Y B (_kronecker_factors, A0 = A[Q0, Q0]).
-    With the bases A = V_A diag(alpha) V_A^-1, B = V_B diag(beta) V_B^-1
-    and A0 = V_0 diag(nu) V_0^-1 (_eigenbases), an RK4 step r(h L)
-    multiplies entry (i, j) of V_A^-1 Z V_B by G_ij = r(h (alpha_i + beta_j))
-    and entry (q, j) of V_0^-1 Y V_B by H_qj = r(h (nu_q + beta_j)).  So
-    node k of the forward pass is Z_k = Z_0 o G^k, Z_0 = V_A^-1 rho0[P, P] V_B,
-    its operand V_0^-1 a rho(t_k) V_B is X_k = M Z_k, M = V_0^-1 a[Q0, P] V_A,
-    and row tau of the adjoint stack is U_tau = N o H^tau,
-    N = (V_B^-1 a[Q0, P]^H V_0)^T: U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))],
-    as the V_B factors cancel inside the trace.  The grid keeps N and H,
-    not that stack (grid.spectral_blocks).  The monitor value is
-    Re tr(N' rho) = Re sum((V_B^-1 N' V_A)^T o Z_k) for N' = monitor[P, P].
+    With the bases A = V diag(alpha) V^-1, B = A^H = V^-H diag(beta) V^H,
+    beta = conj(alpha), and A0 = U diag(nu) U^H, nu = -i lam (_eigenbases),
+    an RK4 step r(h L) multiplies entry (i, j) of V^-1 Z V^-H by
+    G_ij = r(h (alpha_i + beta_j)) and entry (q, j) of U^H Y V^-H by
+    H_qj = r(h (nu_q + beta_j)).  So node k of the forward pass is
+    Z_k = Z_0 o G^k, Z_0 = V^-1 rho0[P, P] V^-H, its operand
+    U^H a rho(t_k) V^-H is X_k = M Z_k, M = U^H a[Q0, P] V, and row tau of
+    the adjoint stack is U_tau = N o H^tau, N = (V^H a[Q0, P]^H U)^T =
+    conj(M): U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))], as the V^-H factors
+    cancel inside the trace.  The grid keeps N and H, not that stack
+    (grid.spectral_blocks).  The monitor value is
+    Re tr(N' rho) = Re sum((V^H N' V)^T o Z_k) for N' = monitor[P, P].
 
     The exact no-jump evolution never grows (Re(alpha_i + beta_j) <= 0 and
     Re(nu_q + beta_j) <= 0), so a factor |G_ij| or |H_qj| above
@@ -541,35 +549,36 @@ class _SpectralKernel:
     set-up: these passes have no trace to drift.  As |G|, |H| <= 1, every |C[j][k]| is at most
     T = sum_qj |N_qj| (|M| |Z_0|)_qj, the size of the terms of C[0][0], and
     the change of basis leaves roundoff of about eps kappa T in every entry
-    (kappa of _eigenbases), however small the entry: grid() tells
+    (kappa = kappa(V)^2, the product of the condition numbers of the three
+    bases), however small the entry: grid() tells
     whether the grid stands far enough above it.
     """
 
     propagators, columns = ("spectral", "spectral"), (None, None)
 
     def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, P, monitor, dt: float, b: int):
-        (alpha, V_A, VA_inv), (beta, V_B, VB_inv), (nu, V_0, V0_inv), kappa = bases
+        (alpha, V, V_inv), (lam, U), kappa = bases
         self.b = b
-        self.G = _rk4_factor(dt * (alpha[:, None] + beta)).reshape(-1)
-        self.H = _rk4_factor(dt * (nu[:, None] + beta)).reshape(-1)
+        self.G = _rk4_factor(dt * (alpha[:, None] + alpha.conj())).reshape(-1)  # beta = conj(alpha)
+        self.H = _rk4_factor(dt * (-1j * lam[:, None] + alpha.conj())).reshape(-1)
         _check_growth("RK4", dt, [self.G, self.H], "reduce dt")
-        self.Z0 = (VA_inv @ rho0[np.ix_(P, P)] @ V_B).reshape(-1)
-        self.M = V0_inv @ a0 @ V_A
-        self.N = (VB_inv @ a0.conj().T @ V_0).T.reshape(-1)
-        self.mon = None if monitor is None else (VB_inv @ monitor @ V_A).T.reshape(-1)
-        self._V = V_A, VB_inv, np.trace(rho0).real
-        p = len(V_A)
+        self.Z0 = (V_inv @ rho0[np.ix_(P, P)] @ V_inv.conj().T).reshape(-1)
+        self.M = U.conj().T @ a0 @ V
+        self.N = self.M.conj().reshape(-1)
+        self.mon = None if monitor is None else (V.conj().T @ monitor @ V).T.reshape(-1)
+        self._V = V, V.conj().T, np.trace(rho0).real
+        p = len(V)
         T = np.abs(self.N) @ (np.abs(self.M) @ np.abs(self.Z0).reshape(p, p)).reshape(-1)
-        self.floor = np.finfo(float).eps * kappa * T
+        self.floor = np.finfo(float).eps * kappa**2 * T
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """The node one step after z."""
         return z * self.G
 
     def state(self, z: np.ndarray):
-        """(rho[P, P] = V_A Z V_B^-1 flattened, p = tr rho0 - tr rho[P, P]) of the eigen coordinates z."""
-        V_A, VB_inv, trace0 = self._V
-        rho = V_A @ z.reshape(len(V_A), -1) @ VB_inv
+        """(rho[P, P] = V Z V^H flattened, p = tr rho0 - tr rho[P, P]) of the eigen coordinates z."""
+        V, V_H, trace0 = self._V
+        rho = V @ z.reshape(len(V), -1) @ V_H
         return rho.reshape(-1), trace0 - np.trace(rho).real
 
     def operands(self, Z: np.ndarray) -> np.ndarray:
@@ -641,7 +650,8 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, form, rho0,
     diagonal sum, so the readout sector's closure, the form's block, factors
     or eigenbases and p are checked at runtime; node b, made by the power
     that steps a blocked pass, against node b - 1 stepped once by the form;
-    the form's own adjoint checks; and its C[1][0], C[1][1], C[b][0] and
+    the form's own checks (its adjoint steps, and for the stepped form the
+    operand map at node b); and its C[1][0], C[1][1], C[b][0] and
     C[b][1] against ((R^H)^(j-k) a) . vec(a rho(t_k)) for the reference step
     R on the operand block Sa = S[adj, adj] (C[b][1] because a photonless
     start has a rho0 = 0, and C[j][0] = 0 checks no phase); for expm n
@@ -738,7 +748,7 @@ class _SteppedForm:
         a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(fwd.dim), format="csr")
         self.a_map = (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr()
         self.adjoint = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
-        self.a = a_mat.reshape(-1)[adj]
+        self.a, self.a_mat, self.adj = a_mat.reshape(-1)[adj], a_mat, adj
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """The node one step after y."""
@@ -757,14 +767,19 @@ class _SteppedForm:
         return _dense_readout(self.forward, self.fwd, self.rho0, n, self.monitor, self.a_map)
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
-        """C(j, k) = U_{j-k}^H a_map y_k of the nodes 0 .. b, and the adjoint checks.
+        """C(j, k) = U_{j-k}^H a_map y_k of the nodes 0 .. b, the adjoint checks and a_map.
 
         U_0 .. U_b come from the adjoint pass's own blocks(): U_1 against the
-        reference step u1 of a, U_b against U_{b-1} stepped once.
+        reference step u1 of a, U_b against U_{b-1} stepped once.  The
+        operands a_map y_b of node b, where b steps have reached the
+        coordinates that one leaves near zero, against vec(a rho)[adj] for
+        its state rho, under the kernel check's name.
         """
         U = _first_nodes(self.adjoint.blocks(self.a, self.b + 1), self.b)
-        X = (self.a_map @ nodes[:2].T).T
-        adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2]))]
+        X = (self.a_map @ nodes[[0, 1, self.b]].T).T
+        operands = X[2] - (self.a_mat @ self.fwd.matrix(nodes[-1])).reshape(-1)[self.adj]
+        adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2])),
+                   (f"{self.propagators[1]} kernel", operands)]
         return (lambda j, k: np.vdot(U[j - k], X[k])), adjoint
 
     def grid(self, X: np.ndarray) -> dict:
@@ -926,8 +941,9 @@ def two_time_correlation(
     sector only the readout sector and p are propagated.  The correlation
     form is chosen here, in one place: where both sectors are Kronecker sums
     (_kronecker_factors) and the operand sector is Q0 x P, an expm run takes
-    the D form (_SeparableKernel) if _separable holds, and an rk4 run the
-    spectral U/X form (_SpectralKernel) if _eigenbases accepts the factors;
+    the D form (_SeparableKernel) if _eigenbases and _separable hold, and an
+    rk4 run the spectral U/X form (_SpectralKernel) if _eigenbases holds
+    with kappa(V)^2 within SPECTRAL_CONDITION_LIMIT;
     any other run takes the stepped U/X form (_SteppedForm).  One loop then
     runs whatever the form: its set-up checks, the smoke check, the forward
     pass into the stack X and form.grid(X); a spectral grid that does not
@@ -952,31 +968,30 @@ def two_time_correlation(
     # (a x I) vec(rho) = vec(a rho): row i d + q reads column j d + q if
     # a[i, j] != 0.  The operand sector is the closure of the rows that
     # a x I reaches from the readout sector.
-    reads = (np.unique(np.nonzero(a_mat)[1])[:, None] * d + np.arange(d)).reshape(-1)
+    reads = (_distinct(np.nonzero(a_mat)[1])[:, None] * d + np.arange(d)).reshape(-1)
     if monitor is not None:
-        reads = np.union1d(reads, np.flatnonzero(monitor.T))
+        reads = _distinct(reads, np.flatnonzero(monitor.T))
     fwd = _ForwardSector(S, rho0, reads)
     i, j = np.divmod(fwd.index, d)
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S.successors, rows * d + j[at])
     Sa = S.block(adj)
-    P, Q0 = fwd.sides[0], np.unique(adj // d)
+    P, Q0 = fwd.sides[0], _distinct(adj // d)
     separable = bases = None
-    if len(adj) and np.array_equal(np.unique(adj % d), P):  # the operand sector is Q0 x P
+    if len(adj) and np.array_equal(_distinct(adj % d), P):  # the operand sector is Q0 x P
         factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index),
                    _kronecker_factors(gen, Sa, adj))
-        if None not in factors:
-            (A, B), (A0, _) = factors
-            if config.method == "expm":
-                separable = _separable(factors, fwd, rho0)
-            else:
-                bases = _eigenbases(A, B, A0)
+        bases = None if None in factors else _eigenbases(factors)
+        if bases is not None and config.method == "expm":
+            separable, bases = _separable(bases, fwd, rho0), None
+        elif bases is not None and bases[-1] ** 2 > SPECTRAL_CONDITION_LIMIT:
+            bases = None
 
     b = _block_size(config.n_max)
     a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
     while True:
         if separable is not None:
-            _check_budget(config, 16 * len(separable[1]) * separable[2].shape[1])  # 16 |Q0| s
+            _check_budget(config, 16 * len(Q0) * separable[-1].shape[1])  # 16 |Q0| s
             fwd.check_trace_rows()
             form = _SeparableKernel(separable, a0, rho0, N, config.dt, b)
         elif bases is not None:

@@ -12,11 +12,12 @@ filter kernel depends on t' and t'' only through exp(-Gamma(T-t)) factors
 and a phase in the lag t' - t'', the double sum collapses to per-lag
 reductions that are independent of Delta.  The grid computes them from
 its factor stacks (CorrelationGrid.lag_sums: a blocked Gram recurrence
-over U and X, or two FFT autocorrelations of D), so a detuning sweep then
-costs one phase sum over the lags per point, taken in two blocks of
-sqrt(n_t) phases each (see _evaluate).  The result is
-assembled as 2 Re(lower triangle) + diagonal, so it is real by
-construction.
+over U and X, or two FFT autocorrelations of D).  The detunings form an
+evenly spaced grid (FilterParams.deltas), so the phase sums over the lags
+for every detuning at once are one chirp z-transform, a convolution taken
+by FFTs in O((n_t + P) log(n_t + P)) for P detunings (see _evaluate); an
+uneven grid is a ConfigurationError.  The result is assembled as
+2 Re(lower triangle) + diagonal, so it is real by construction.
 
 stationary_spectrum also reports the share of the emission that falls
 inside the detuning window (metadata["window_capture"]), the number of
@@ -51,12 +52,9 @@ from .dynamics import (
     two_time_correlation,
 )
 from .errors import ConfigurationError
+from .grid import _fast_length
 from .hilbert import build_space, ladder_operators, optical_excitation_operator
 from .model import ModelParams, build_dissipators, build_hamiltonian, initial_state
-
-#: detunings per block of the phase matrix in a sweep
-_SWEEP_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -89,41 +87,46 @@ def _snap_to_node(grid: CorrelationGrid, T: float) -> int:
     return n
 
 
+def _chirp(c: float, k: int) -> np.ndarray:
+    """exp(i c j^2) for j = 0 .. k, to roundoff however large c j^2 grows.
+
+    c = hi + lo with hi rounded to 53 - bits(k^2) significant bits, so
+    hi j^2 is exact and the exponential reduces the exact phase; the
+    rounding of lo j^2 is at most 2^(bits(k^2) - 53) eps of the phase.
+    c j^2 rounded in one product would be off by up to eps c k^2 / 2,
+    about 1e-11 rad at k = 3000, h = 0.05 and a detuning step of 0.5.
+    """
+    j2 = np.arange(k + 1, dtype=float) ** 2
+    e = math.frexp(c)[1] - 53 + (k * k).bit_length()
+    hi = math.ldexp(round(math.ldexp(c, -e)), e)
+    return np.exp(1j * (hi * j2)) * np.exp(1j * ((c - hi) * j2))
+
+
 def _evaluate(grid, deltas, Gamma, n, G, A):
     """Counting rate and integrated counts at the reduced lag sums.
 
-    The phase sums sum_m exp(-i Delta m h) L_m over the lags m = 1 .. n
-    are taken in two blocks: with b = ceil(sqrt n), q = ceil(n / b) and
-    m = j b + s + 1 (0 <= s < b, 0 <= j < q), the phase factors into
-    exp(-i Delta (s+1) h) exp(-i Delta j b h).  The lags, zero-padded to
-    q b rows, form a b x 2q matrix; one product with the fine phases and a
-    sum over j weighted by the coarse phases give every sum, so a
-    detuning costs b + q ~ 2 sqrt(n) exponentials instead of n.  Phases
-    are formed for _SWEEP_CHUNK detunings at a time, so the transient is
-    O(_SWEEP_CHUNK sqrt(n)).
+    The detunings must be an arithmetic progression Delta_p = Delta_0 + p d
+    (to 1e-12 of the largest; ConfigurationError otherwise), so the phase
+    sums S_p = sum_m exp(-i Delta_p m h) L_m over the lags m = 0 .. n (lag 0
+    halved, so each column is 2 Re S) are one chirp z-transform (Bluestein):
+    with p m = (p^2 + m^2 - (m - p)^2) / 2 and w_j = exp(i d h j^2 / 2),
+    S_p = conj(w_p) sum_m x_m w_(m-p), x_m = exp(-i Delta_0 m h) conj(w_m)
+    L_m, a convolution taken by zero-padded FFTs of length >= n + P.
     """
-    h = grid.dt
-    kappa = grid.kappa
-    deltas = np.atleast_1d(deltas)
-    b = math.isqrt(n - 1) + 1
-    q = -(-n // b)
-    lags = np.zeros((q * b, 2), dtype=complex)
-    lags[:n, 0] = G[1:]
-    lags[:n, 1] = np.exp(-Gamma * np.arange(1, n + 1) * h) * A[1:]
-    # blocks[s, 2j + c] = lags[j b + s, c]
-    blocks = lags.reshape(q, b, 2).transpose(1, 0, 2).reshape(b, 2 * q)
-    fine = np.arange(1, b + 1) * h
-    coarse = np.arange(q) * (b * h)
-    sums = np.empty((len(deltas), 2))
-    for start in range(0, len(deltas), _SWEEP_CHUNK):
-        chunk = deltas[start : start + _SWEEP_CHUNK]
-        inner = (np.exp(-1j * np.outer(chunk, fine)) @ blocks).reshape(len(chunk), q, 2)
-        coarse_phase = np.exp(-1j * np.outer(chunk, coarse))
-        sums[start : start + len(chunk)] = np.einsum("cj,cjk->ck", coarse_phase, inner).real
-
-    rate = kappa * Gamma**2 * (G[0].real + 2.0 * sums[:, 0])
-    counts = (kappa * Gamma / 2.0) * (A[0].real + 2.0 * sums[:, 1])
-    counts = counts - rate / (2.0 * Gamma)
+    h, kappa, P = grid.dt, grid.kappa, len(deltas)
+    if not P:
+        raise ConfigurationError("no detunings to sweep")
+    step = (deltas[-1] - deltas[0]) / max(P - 1, 1)
+    if np.max(np.abs(deltas[0] + step * np.arange(P) - deltas)) > 1e-12 * np.abs(deltas).max():
+        raise ConfigurationError("the detunings must be evenly spaced")
+    w, L, m = _chirp(step * h / 2, max(n, P)), _fast_length(n + P), np.arange(n + 1)
+    x, kernel = np.zeros((2, L), dtype=complex), np.zeros(L, dtype=complex)
+    x[:, : n + 1] = [G, np.exp(-Gamma * h * m) * A] * (np.exp(-1j * deltas[0] * h * m) * w[: n + 1].conj())
+    x[:, 0] *= 0.5
+    kernel[:P], kernel[L - n :] = w[:P], w[n:0:-1]
+    sums = (np.fft.ifft(np.fft.fft(x) * np.fft.fft(kernel))[:, :P] * w[:P].conj()).real
+    rate = 2.0 * kappa * Gamma**2 * sums[0]
+    counts = kappa * Gamma * sums[1] - rate / (2.0 * Gamma)
     return rate, counts
 
 
@@ -134,7 +137,7 @@ def filtered_counting_rate(grid: CorrelationGrid, Delta: float, Gamma: float, T:
 
 
 def filtered_spectrum(grid: CorrelationGrid, deltas, Gamma: float, T: float):
-    """Vector sweep of (counting rate, integrated counts) over detunings."""
+    """Vector sweep of (counting rate, integrated counts) over evenly spaced detunings (or one)."""
     if Gamma <= 0:
         raise ConfigurationError(f"Gamma must be > 0, got {Gamma}")
     n = _snap_to_node(grid, T)

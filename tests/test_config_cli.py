@@ -421,6 +421,31 @@ class TestCliSpectrum:
         assert f"disagree on the {kernel} kernel smoke test" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, kernel", [("expm", "dense"), ("rk4", "rk4")])
+    @pytest.mark.parametrize("entry", [25, 50])
+    def test_spoiled_late_operand_map_entry_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
+                                                              method, kernel, entry):
+        # these entries of a_map read coordinates that one step from the
+        # photon start leaves near zero, so doubling one moves C[1][k] and
+        # C[b][k] by less than the kernel check's tolerance; the operands of
+        # node b, checked against a rho(t_b) of its own state, carry them
+        from omtc import dynamics
+
+        init = dynamics._SteppedForm.__init__
+
+        def spoiled(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            assert len(self.a_map.data) == 51
+            self.a_map.data[entry] *= 2.0
+
+        monkeypatch.setattr("omtc.dynamics._SteppedForm.__init__", spoiled)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("expm", method) + "model.gamma_M = 0.05\n")
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
+        assert f"disagree on the {kernel} kernel smoke test" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spoiled_flux_row_fails_smoke_check(self, tmp_path, monkeypatch, capsys):
         # the last row of the forward block is the flux f into the dropped
         # population p; a 1e-4 relative error moves p by ~5e-7 in one step.

@@ -1230,7 +1230,7 @@ def _separable_point(space, gen, rho0):
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
     adj = (Q0[:, None] * d + P).reshape(-1)
     factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
-    return fwd, P, Q0, _separable(factors, fwd, rho0)
+    return fwd, P, Q0, _separable(_eigenbases(factors), fwd, rho0)
 
 
 def _factored_nodes(form, n):
@@ -1320,7 +1320,7 @@ class TestFactoredPropagator:
         assert grid.columns == (rank, 3 * rank) and grid.D.shape == (grid.n_t, 3 * rank)
         cfg = replace(cfg, method="rk4")
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).columns == (None, None)
-        _, P, _, (_, _, W) = _separable_point(space, gen, rho0)
+        _, P, _, (*_, W) = _separable_point(space, gen, rho0)
         assert np.abs(W @ W.conj().T - rho0[np.ix_(P, P)]).max() <= 1e-15
 
     def test_readout_on_any_operand_sector(self, monkeypatch):
@@ -1409,8 +1409,8 @@ class TestFactoredPropagator:
         separable = dynamics._separable
 
         def missing_one(*args):
-            basis, A0, W = separable(*args)
-            return basis, A0, W[:, :-1]
+            *bases, W = separable(*args)
+            return (*bases, W[:, :-1])
 
         monkeypatch.setattr("omtc.dynamics._separable", missing_one)
         rho0, gen, cfg, a, mon = _correlation_point(
@@ -1583,8 +1583,8 @@ class TestFactoredPropagator:
         W = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
         X = W @ W.conj().T
         # no operand sector here: a 1 x 1 ground block and a zero operand
-        form = _SeparableKernel((_eigenbases(A)[0], np.zeros((1, 1)), W), np.zeros((1, d)), X, None,
-                                0.05)
+        bases = _eigenbases(((A, B), (np.zeros((1, 1)), None)))
+        form = _SeparableKernel((*bases, W), np.zeros((1, d)), X, None, 0.05)
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
         x0 = np.ones(d)  # node 0, g^0
         assert np.abs(_factored_matrix(form, x0) - X).max() <= 1e-13 * np.abs(X).max()
@@ -1749,9 +1749,8 @@ class TestSpectralKernel:
         S = gen.superoperator()
         factors = (_factors_of(gen, S, fwd.index),
                    _factors_of(gen, S, (Q0[:, None] * space.dim + P).reshape(-1)))
-        (A, B), (A0, _) = factors
-        _, (_, V_B, VB_inv), (_, V_0, _), _ = _eigenbases(A, B, A0)
-        X = V_0 @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ VB_inv
+        (_, V, _), (_, U), _ = _eigenbases(factors)
+        X = U @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ V.conj().T
         assert np.abs(X.reshape(grid.n_t, -1) - stepped.X).max() <= 1e-13
         np.testing.assert_allclose(adjoint_stack(grid) @ grid.X.T, adjoint_stack(stepped) @ stepped.X.T,
                                    rtol=0, atol=1e-13)

@@ -1,9 +1,10 @@
-"""Which scipy modules a spectrum run loads, each run in a fresh interpreter.
+"""Which scipy modules and numpy.ma a spectrum run loads, each run in a fresh interpreter.
 
 scipy.sparse and scipy.linalg serve only the stepped passes (the sector
 blocks, and expm of them); both are imported on first use, so importing the
 package and running a spectrum on jump-free sectors, rk4 or expm, loads
-neither.
+neither.  The package itself never loads numpy.ma (np.unique would, through
+np.ma.is_masked); scipy does, so only the stepped runs have it.
 """
 
 import json
@@ -20,15 +21,17 @@ SMALL = "numerics.N_m = 2\nnumerics.t_max = 10\nfilter.n_points = 41\n"
 _PROBE = """
 import json, sys
 from omtc import cli
-imported = sorted(m for m in sys.modules if m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.") or m == "numpy.ma")
+imported = loaded()
 rc = cli.main(["spectrum", "--config", sys.argv[1], "--output", sys.argv[2]])
-ran = sorted(m for m in sys.modules if m.startswith("scipy."))
+ran = loaded()
 print(json.dumps({"rc": rc, "imported": imported, "ran": ran}))
 """
 
 
 def _run(tmp_path, config: str):
-    """(the scipy modules after import and after the run, the propagator of the run)."""
+    """(the scipy modules and numpy.ma after import and after the run, the propagator of the run)."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     proc = subprocess.run(
@@ -45,18 +48,20 @@ def _run(tmp_path, config: str):
 @pytest.mark.parametrize(
     "extra, propagator, loaded, not_loaded",
     [
-        ("", "spectral/spectral", set(), {"scipy.sparse", "scipy.linalg"}),
+        ("", "spectral/spectral", set(), {"scipy.sparse", "scipy.linalg", "numpy.ma"}),
         # the D form steps W in the eigenbasis of A, with no expm
-        ("numerics.method = expm\n", "factored/separable", set(), {"scipy.sparse", "scipy.linalg"}),
-        # mechanical losses put jumps inside both sectors, so both passes step
-        ("model.gamma_M = 0.05\n", "rk4/rk4", set(), {"scipy.linalg"}),
+        ("numerics.method = expm\n", "factored/separable", set(),
+         {"scipy.sparse", "scipy.linalg", "numpy.ma"}),
+        # mechanical losses put jumps inside both sectors, so both passes
+        # step; importing scipy.sparse loads numpy.ma
+        ("model.gamma_M = 0.05\n", "rk4/rk4", {"numpy.ma"}, {"scipy.linalg"}),
         ("model.gamma_M = 0.05\nnumerics.method = expm\n", "dense/dense",
-         {"scipy.sparse", "scipy.linalg"}, set()),
+         {"scipy.sparse", "scipy.linalg", "numpy.ma"}, set()),
     ],
 )
 def test_scipy_modules_loaded_by_a_spectrum_run(tmp_path, extra, propagator, loaded, not_loaded):
     imported, ran, used = _run(tmp_path, SMALL + extra)
     assert used == propagator
-    assert not imported & {"scipy.sparse", "scipy.linalg"}
+    assert not imported & {"scipy.sparse", "scipy.linalg", "numpy.ma"}
     assert loaded <= ran
     assert not ran & not_loaded

@@ -19,10 +19,10 @@ from omtc.errors import ConfigurationError
 from omtc.hilbert import build_space, ladder_operators
 from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 from omtc.spectrum import (
-    _SWEEP_CHUNK,
     FilterParams,
     NumericsConfig,
     SpectrumResult,
+    _chirp,
     _evaluate,
     canonical_param_string,
     dominant_separation,
@@ -151,22 +151,24 @@ def _direct_sweep(grid, deltas, Gamma, n, G, A):
     return rate, counts, rate_abs, counts_abs
 
 
-class TestTwoBlockSweep:
+class TestChirpSweep:
     @settings(max_examples=30)
     @given(
         n=st.integers(1, 3000),
         log_gamma=st.floats(-3.0, np.log10(5.0)),
         dt=st.sampled_from([0.01, 0.02, 0.05]),
-        n_deltas=st.sampled_from([1, 2 * _SWEEP_CHUNK + 2, 3 * _SWEEP_CHUNK - 1]),
+        n_deltas=st.sampled_from([1, 130, 191]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # n = 1 and 2 need no padding, 1024 is a square, 1025 pads 31 rows,
-    # 1759 is a prime
+    # n = 1 and 2 are the shortest convolutions, 1024 is a power of two,
+    # 1025 pads to the next fast length, 1759 is a prime; n = 3000 at
+    # dt = 0.05 over |Delta| <= 50 has the largest chirp phases
     @example(n=1, log_gamma=-1.0, dt=0.02, n_deltas=1, seed=0)
     @example(n=2, log_gamma=-1.0, dt=0.02, n_deltas=130, seed=1)
     @example(n=1024, log_gamma=-2.0, dt=0.02, n_deltas=130, seed=2)
-    @example(n=1025, log_gamma=-2.0, dt=0.02, n_deltas=130, seed=3)
-    @example(n=1759, log_gamma=-2.3, dt=0.02, n_deltas=130, seed=4)
+    @example(n=1025, log_gamma=-2.0, dt=0.02, n_deltas=191, seed=3)
+    @example(n=1759, log_gamma=-2.3, dt=0.02, n_deltas=191, seed=4)
+    @example(n=3000, log_gamma=-2.0, dt=0.05, n_deltas=191, seed=5)
     def test_matches_direct_phase_matrix(self, n, log_gamma, dt, n_deltas, seed):
         rng = np.random.default_rng(seed)
 
@@ -176,14 +178,36 @@ class TestTwoBlockSweep:
         G, A = sums(), sums()
         Gamma = 10.0**log_gamma
         grid = SimpleNamespace(dt=dt, kappa=0.3)
-        # unsorted, with repeats, over +-50
-        deltas = rng.choice(rng.uniform(-50.0, 50.0, size=max(1, n_deltas // 2)), size=n_deltas)
+        # an evenly spaced grid within +-50, rising or falling
+        start, stop = rng.uniform(-50.0, 50.0, size=2)
+        deltas = np.linspace(start, stop, n_deltas)
         rate, counts = _evaluate(grid, deltas, Gamma, n, G, A)
         rate_ref, counts_ref, rate_abs, counts_abs = _direct_sweep(grid, deltas, Gamma, n, G, A)
         # the counts column cancels at small n, so the bound is the sum of
         # absolute terms, not the column maximum
         assert np.all(np.abs(rate - rate_ref) <= 1e-12 * rate_abs)
         assert np.all(np.abs(counts - counts_ref) <= 1e-12 * counts_abs)
+
+    def test_chirp_phases_to_roundoff(self):
+        # at dt = 0.05 and a step of 100 / 190 the phase c j^2 reaches
+        # 1.3e5 rad, where c j^2 rounded in double is off by up to 1.4e-11
+        if np.finfo(np.longdouble).precision <= np.finfo(float).precision:
+            pytest.skip("no extended precision for the reference")
+        c, k = 100.0 / 190.0 * 0.05 / 2.0, 3191
+        j = np.arange(k + 1, dtype=np.longdouble)
+        reference = np.exp(1j * (np.longdouble(c) * j * j))
+        assert np.abs(_chirp(c, k) - reference).max() <= 1e-14
+
+    def test_uneven_detunings_rejected(self):
+        grid = _damped_cavity_grid(t_max=5.0)
+        deltas = np.linspace(-1.0, 1.0, 21)
+        deltas[7] += 1e-6
+        with pytest.raises(ConfigurationError, match="evenly spaced"):
+            filtered_spectrum(grid, deltas, 0.05, grid.horizon)
+        with pytest.raises(ConfigurationError, match="evenly spaced"):
+            filtered_spectrum(grid, [0.0, 0.1, 0.3], 0.05, grid.horizon)
+        with pytest.raises(ConfigurationError, match="no detunings"):
+            filtered_spectrum(grid, [], 0.05, grid.horizon)
 
 
 class TestNonNegativity:
