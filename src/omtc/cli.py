@@ -12,7 +12,6 @@ checked (>= 1) but no longer changes anything: every run is serial.
 
 import argparse
 import sys
-import time
 
 from . import dressed
 from .config import RunConfig, apply_sweep_value, echo_lines, parse_config
@@ -79,33 +78,28 @@ def _cmd_spectrum(args) -> int:
         result.grid.save(cfg.output.correlation_dump)
     if cfg.output.svg:
         emit_plot([("spectrum", result.deltas, result.intensity)], cfg.output.svg)
-    meta = result.metadata
-    capture = meta["window_capture"]
     print(
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
-        f"sectors {meta['forward_sector']}/{meta['adjoint_sector']}, {_health(meta)}, "
-        f"window capture {'None' if capture is None else f'{capture:.4f}'}, "
-        f"clipped {meta['clipped_points']}, {_stages(meta['stage_s'])}, "
-        f"wall {meta['wall_clock_s']:.2f}s -> {cfg.output.csv}",
+        f"{_report(result.metadata)} -> {cfg.output.csv}",
         file=sys.stderr,
     )
     return 0
 
 
-def _health(meta: dict) -> str:
-    """The steppers, the largest smoke-check difference and the factored columns, for the stderr lines."""
-    smoke, columns = meta["smoke_max_diff"], meta["columns"]
-    return (
-        f"propagator {meta['propagator']}, smoke {'None' if smoke is None else f'{smoke:.1e}'}, "
-        f"columns {'None' if columns is None else '/'.join(map(str, columns))}"
-    )
+def _render(value) -> str:
+    """A metadata value for stderr: a float to 4 digits, a pair as a/b, a dict as name=value ..."""
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, tuple):
+        return "/".join(map(_render, value))
+    if isinstance(value, dict):
+        return " ".join(f"{name}={_render(v)}" for name, v in value.items())
+    return str(value)
 
 
-def _stages(stages) -> str:
-    """Milliseconds per stage of a run that propagated, for the spectrum stderr line."""
-    if stages is None:
-        return "stages None"
-    return "stages " + " ".join(f"{name}={1e3 * s:.1f}" for name, s in stages.items()) + " ms"
+def _report(metadata: dict) -> str:
+    """Every metadata entry as 'key value', comma separated, for the stderr lines."""
+    return ", ".join(f"{key} {_render(value)}" for key, value in metadata.items())
 
 
 def _split_path(path: str) -> tuple[str, str]:
@@ -126,12 +120,17 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("sweep requires sweep.parameter and sweep.values in the config")
     if cfg.output.csv is None:
         raise ConfigurationError("no CSV output path; set output.csv or pass --output")
+    paths = {}  # output path: sweep value, checked before the first run
+    for value in cfg.sweep.values:
+        path = _suffix_path(cfg.output.csv, cfg.sweep.parameter, value)
+        if path in paths:
+            raise ConfigurationError(f"sweep.values {paths[path]!r} and {value!r} both write {path}")
+        paths[path] = value
     series = []
     summary = []
-    for value in cfg.sweep.values:
+    for path, value in paths.items():
         run_cfg = apply_sweep_value(cfg, value)
         result = _run_one(run_cfg)
-        path = _suffix_path(cfg.output.csv, cfg.sweep.parameter, value)
         write_spectrum_csv(path, result, _footer(run_cfg, result))
         label = f"{cfg.sweep.parameter}={value:g}"
         series.append((label, result.deltas, result.intensity))
@@ -164,15 +163,9 @@ def _cmd_correlation(args) -> int:
             "correlation requires a dump path; set output.correlation_dump "
             "or pass --dump-correlation"
         )
-    t0 = time.perf_counter()
     result = _run_one(cfg)
     result.grid.save(cfg.output.correlation_dump)
-    print(
-        f"correlation: n_t={result.metadata['n_t']}, "
-        f"{result.metadata['grid_memory_bytes']/2**20:.1f} MiB, {_health(result.metadata)}, "
-        f"wall {time.perf_counter() - t0:.2f}s -> {cfg.output.correlation_dump}",
-        file=sys.stderr,
-    )
+    print(f"correlation: {_report(result.metadata)} -> {cfg.output.correlation_dump}", file=sys.stderr)
     return 0
 
 

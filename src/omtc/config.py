@@ -45,8 +45,8 @@ class FilterParams:
             raise ConfigurationError(f"Gamma must be > 0, got {self.Gamma}")
         if not self.delta_min < self.delta_max:
             raise ConfigurationError("delta_min must be below delta_max")
-        if self.n_points < 2:
-            raise ConfigurationError("n_points must be >= 2")
+        if self.n_points < 3:  # find_peaks fits a parabola to three points
+            raise ConfigurationError(f"n_points must be >= 3, got {self.n_points}")
 
     def deltas(self) -> np.ndarray:
         return np.linspace(self.delta_min, self.delta_max, self.n_points)

@@ -110,9 +110,7 @@ def transition_weight(params: ModelParams, branch: int, m: int) -> float:
     kappa sin^2(Theta) for the + branch, kappa cos^2(Theta) for the -,
     times the Franck-Condon factor |<0|D(beta)|m>|^2.
     """
-    theta = mixing_angle(params)
-    trig = math.sin(theta) ** 2 if branch == +1 else math.cos(theta) ** 2
-    return params.kappa * trig * displaced_fock_overlap(0, m, params.beta) ** 2
+    return params.kappa * photon_fraction(params, branch) * displaced_fock_overlap(0, m, params.beta) ** 2
 
 
 def photon_fraction(params: ModelParams, branch: int) -> float:

@@ -25,8 +25,8 @@ The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 It is kept in one of two layouts (CorrelationGrid, grid.py), never as the
 O(n_t^2) triangle, and computed in one of three forms, each one object
-with one interface (propagators, columns, b, form(node), blocks, state,
-readout, smoke, grid) that two_time_correlation runs through one loop
+with one interface (propagators, columns, grid_stage, b, form(node), blocks,
+state, readout, smoke, grid) that two_time_correlation runs through one loop
 and one smoke check against Taylor references built from S.  Without
 mechanical losses the readout sector is P x P and the operand sector
 Q0 x P, products that no jump lands in, so L acts there as
@@ -71,7 +71,7 @@ import numpy as np
 
 from .config import EvolutionConfig
 from .errors import ConfigurationError, NumericalError
-from .grid import STEP_FACTOR_LIMIT, CorrelationGrid, _block_size, spectral_blocks
+from .grid import RUN_KEYS, STEP_FACTOR_LIMIT, CorrelationGrid, _block_size, spectral_blocks
 from .model import Generator, SparseMatrix
 
 #: abort threshold for trace drift along a trajectory
@@ -187,7 +187,7 @@ class _ForwardSector:
 
         n = len(self.index)
         i, j = np.divmod(self.index, d)
-        self.sides = _distinct(i), _distinct(j)  # (P, Q) if index is a product P x Q
+        self.P = _distinct(i)  # the rows of index: P when index is a product P x Q
         diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
         lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
         self.n_diag = n_diag = len(diag)
@@ -406,7 +406,7 @@ def _separable(bases, fwd: _ForwardSector, rho0: np.ndarray):
     of its largest eigenvalue; W = U sqrt(e) over the eigenpairs (e, U)
     above 1e-14 of the largest, s columns.
     """
-    P = fwd.sides[0]
+    P = fwd.P
     e, U = np.linalg.eigh(rho0[np.ix_(P, P)])
     if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
         return None
@@ -452,7 +452,7 @@ class _SeparableKernel:
     Re(x_k^H M x_k), M = (V^H N V) o (conj(E) E^T).  No adjoint pass.
     """
 
-    propagators = ("factored", "separable")
+    propagators, grid_stage = ("factored", "separable"), "forward"
 
     def __init__(self, separable, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
         (alpha, V, V_inv), (self.lam, U), _, W0 = separable
@@ -554,7 +554,7 @@ class _SpectralKernel:
     whether the grid stands far enough above it.
     """
 
-    propagators, columns = ("spectral", "spectral"), (None, None)
+    propagators, columns, grid_stage = ("spectral", "spectral"), (None, None), "forward"
 
     def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, P, monitor, dt: float, b: int):
         (alpha, V, V_inv), (lam, U), kappa = bases
@@ -737,7 +737,7 @@ class _SteppedForm:
     the operand block Sa.
     """
 
-    columns = (None, None)
+    columns, grid_stage = (None, None), "adjoint"
 
     def __init__(self, fwd: _ForwardSector, Sa, a_mat, adj, rho0, monitor, config: EvolutionConfig, b: int):
         from scipy import sparse  # imported here: only the stepped passes multiply by a_map
@@ -950,11 +950,12 @@ def two_time_correlation(
     resolve (None) is recomputed stepped, its set-up stage holding the
     attempt.  The sector blocks are extracted once; the operand block Sa
     serves the Kronecker check, the smoke check and the stepped adjoint
-    pass.  The grid reports sector_sizes, propagators (forward, operand:
-    "factored"/"separable", "spectral"/"spectral", "dense"/"dense" or
-    "rk4"/"rk4"), columns ((s, width of D) for the D form, else
-    (None, None)), smoke_max_diff and stage_s, the seconds of set-up, smoke
-    check, forward and, for the stepped U/X form, adjoint pass.  rho0 must
+    pass.  The grid's run record (CorrelationGrid.run, keyed by RUN_KEYS)
+    holds the sector sizes, the form's propagators joined by "/", its
+    columns, the largest smoke-check difference and the seconds of set-up,
+    smoke check, forward pass and the form's grid() call, which is the
+    stage the form names (grid_stage: adjoint for the stepped U/X form,
+    whose grid() runs the adjoint pass, else forward).  rho0 must
     be Hermitian.  The stacks over the full t_max and, for expm on the
     stepped path, the dense propagators and their b-th powers are checked
     against max_grid_bytes before anything large is allocated.
@@ -976,7 +977,7 @@ def two_time_correlation(
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S.successors, rows * d + j[at])
     Sa = S.block(adj)
-    P, Q0 = fwd.sides[0], _distinct(adj // d)
+    P, Q0 = fwd.P, _distinct(adj // d)
     separable = bases = None
     if len(adj) and np.array_equal(_distinct(adj % d), P):  # the operand sector is Q0 x P
         factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index),
@@ -1027,18 +1028,15 @@ def two_time_correlation(
         bases = None
         del marks[1:]
     marks.append(time.perf_counter())
-    if "U" not in arrays:  # grid() ran no adjoint pass: its time is the forward stage's
-        del marks[-2]
-
+    stage_s = {}
+    for name, seconds in zip(("setup", "smoke", "forward", form.grid_stage), np.diff(marks).tolist()):
+        stage_s[name] = stage_s.get(name, 0.0) + seconds
+    facts = (len(fwd.index), len(adj), "/".join(form.propagators), form.columns, smoke, stage_s)
     return CorrelationGrid(
         dt=config.dt,
         kappa=kappa,
         param_hash=param_hash,
         residual_excitation=residual,
-        sector_sizes=(len(fwd.index), len(adj)),
-        propagators=form.propagators,
-        smoke_max_diff=smoke,
-        columns=form.columns,
-        stage_s=dict(zip(("setup", "smoke", "forward", "adjoint"), np.diff(marks).tolist())),
+        run=dict(zip(RUN_KEYS, facts)),
         **arrays,
     )

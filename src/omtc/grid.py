@@ -23,6 +23,14 @@ _GRID_MAGIC = b"OMTCGRID"
 _FORMS = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}
 #: largest |H_qj| a spectral grid accepts: a larger step factor grows
 STEP_FACTOR_LIMIT = 1.0 + 1e-12
+#: the facts of the run that built a grid (CorrelationGrid.run), each JSON
+#: serializable: the sizes of the readout and operand sectors, the
+#: forward/operand steppers ("factored/separable", "spectral/spectral",
+#: "dense/dense" or "rk4/rk4"), the D form's (rank s of the start, width
+#: of D) or (None, None), the largest smoke-check difference, and the
+#: seconds of each stage (setup, smoke, forward, and adjoint for the
+#: stepped U/X form)
+RUN_KEYS = ("forward_sector", "adjoint_sector", "propagator", "columns", "smoke_max_diff", "stage_s")
 
 
 def _block_size(n_max: int) -> int:
@@ -127,8 +135,7 @@ class CorrelationGrid:
     """
 
     def __init__(self, dt, U=None, X=None, kappa=0.0, param_hash=b"\0" * 32,
-                 residual_excitation=None, sector_sizes=None, propagators=None,
-                 smoke_max_diff=None, columns=None, stage_s=None, D=None, N=None, H=None):
+                 residual_excitation=None, run=None, D=None, N=None, H=None):
         arrays = {"U": U, "X": X, "D": D, "N": N, "H": H}
         for name, value in arrays.items():
             setattr(self, name, None if value is None else np.asarray(value, dtype=complex))
@@ -155,17 +162,9 @@ class CorrelationGrid:
         self.kappa = float(kappa)
         self.param_hash = param_hash
         self.residual_excitation = residual_excitation
-        #: of the run that built the grid, not part of the dump, so None on a
-        #: loaded grid: the (forward, operand) sector sizes, the (forward,
-        #: operand) steppers, the largest smoke-check difference, the
-        #: D form's (rank s of the start, width of D) or (None, None), and
-        #: the seconds of each stage (setup, smoke, forward, and adjoint for
-        #: the stepped U/X form)
-        self.sector_sizes = sector_sizes
-        self.propagators = propagators
-        self.smoke_max_diff = smoke_max_diff
-        self.columns = columns
-        self.stage_s = stage_s
+        #: the record of the run that built the grid, a dict keyed by
+        #: RUN_KEYS; not part of the dump, so None on a loaded grid
+        self.run = run
 
     @property
     def horizon(self) -> float:

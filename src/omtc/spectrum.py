@@ -19,17 +19,14 @@ by FFTs in O((n_t + P) log(n_t + P)) for P detunings (see _evaluate); an
 uneven grid is a ConfigurationError.  The result is assembled as
 2 Re(lower triangle) + diagonal, so it is real by construction.
 
-stationary_spectrum also reports the share of the emission that falls
-inside the detuning window (metadata["window_capture"]), the number of
-quadrature-noise entries its clamp set to zero (metadata["clipped_points"]),
-and, when it ran the propagation, the forward/operand steppers
-(metadata["propagator"], "factored/separable" for the D form,
-"spectral/spectral" for the spectral U/X form, else "dense/dense" or
-"rk4/rk4"), the D form's rank s of the start and width
-of D (metadata["columns"], e.g. (1, 9), (None, None) for U and X), the
-largest smoke-check difference (metadata["smoke_max_diff"]) and the
-seconds of each stage (metadata["stage_s"]: model, setup, smoke, forward,
-adjoint for the stepped U/X form only, and sweep with the lag sums).
+stationary_spectrum's metadata is one JSON-serializable record with the
+same keys for every run: n_t, grid_memory_bytes and dim, then the grid's
+run record (CorrelationGrid.run, keyed by grid.RUN_KEYS; every value None
+for a dumped grid), with stage_s extended by the model build and the
+sweep with its lag sums when this call ran the propagation, then the
+share of the emission that falls inside the detuning window
+(window_capture), the number of quadrature-noise entries its clamp set to
+zero (clipped_points) and wall_clock_s.
 
 A second output column integrates the counting rate over the whole run,
 int_0^T N(t) dt, the detector-counts reading of the same data (the time
@@ -52,7 +49,7 @@ from .dynamics import (
     two_time_correlation,
 )
 from .errors import ConfigurationError
-from .grid import _fast_length
+from .grid import RUN_KEYS, _fast_length
 from .hilbert import build_space, ladder_operators, optical_excitation_operator
 from .model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 
@@ -224,7 +221,7 @@ def stationary_spectrum(
             param_hash=expected_hash,
         )
         dim = space.dim
-        stages.update(grid.stage_s)
+        stages.update(grid.run["stage_s"])
     else:
         if grid.param_hash != expected_hash:
             raise ConfigurationError(
@@ -233,9 +230,6 @@ def stationary_spectrum(
             )
         dim = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap).dim
 
-    # sector sizes and steppers are known only when this call ran the propagation
-    sectors = grid.sector_sizes or (None, None)
-    propagator = None if grid.propagators is None else "/".join(grid.propagators)
     T = grid.horizon
     deltas = filt.deltas()
     t_sweep = time.perf_counter()
@@ -268,11 +262,7 @@ def stationary_spectrum(
             "n_t": grid.n_t,
             "grid_memory_bytes": grid.memory_bytes,
             "dim": dim,
-            "forward_sector": sectors[0],
-            "adjoint_sector": sectors[1],
-            "propagator": propagator,
-            "columns": grid.columns,
-            "smoke_max_diff": grid.smoke_max_diff,
+            **(grid.run or dict.fromkeys(RUN_KEYS)),
             "stage_s": stages,
             "window_capture": capture,
             "clipped_points": clipped,

@@ -86,6 +86,12 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config("numerics.dt = 0\n")
 
+    def test_two_filter_points_rejected(self):
+        # find_peaks fits a parabola to three neighbouring points
+        with pytest.raises(ConfigurationError, match="at filter.*: n_points must be >= 3, got 2"):
+            parse_config("filter.n_points = 2\n")
+        assert parse_config("filter.n_points = 3\n").filter.n_points == 3
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nmodel.J = 0.5\n")
         assert cfg.model.J == 0.5
@@ -229,6 +235,21 @@ class TestCliSpectrum:
         assert main(["dressed", "--output", str(out), "--threads", "0"]) == 2
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "correlation"])
+    def test_two_filter_points_exit_before_propagation(self, tmp_path, monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("the propagation ran")
+
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("filter.n_points = 81", "filter.n_points = 2")
+                       + "sweep.parameter = J\nsweep.values = 0\n")
+        out, dump = tmp_path / "out.csv", tmp_path / "grid.bin"
+        assert main([command, "--config", str(cfg), "--output", str(out),
+                     "--dump-correlation", str(dump)]) == 2
+        assert "n_points must be >= 3" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -535,34 +556,36 @@ class TestCliCorrelation:
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--dump-correlation", str(dump)])
         err = capsys.readouterr().err
-        assert "sectors 81/27, propagator factored/separable, smoke " in err
-        assert float(err.split("smoke ")[1].split(",")[0]) < 1e-8
+        # every metadata entry as "key value", in the record's order
+        assert ", forward_sector 81, adjoint_sector 27, propagator factored/separable, " in err
+        assert float(err.split("smoke_max_diff ")[1].split(",")[0]) < 1e-8
         # the pure start has rank s = 1, and D is |Q0| s = 3 wide, one
         # column per zero-photon state, N_m + 1 = 3
-        assert ", columns 1/3, window capture " in err
-        # milliseconds per stage, in pipeline order, after the health
-        # values; the D form has no adjoint pass
-        stages = err.split(", stages ")[1].split(" ms, wall ")[0]
+        assert ", columns 1/3, smoke_max_diff " in err
+        # seconds per stage, in pipeline order, after the health values;
+        # the D form has no adjoint pass
+        stages = err.split(", stage_s ")[1].split(", window_capture ")[0]
         names, times = zip(*(item.split("=") for item in stages.split()))
         assert names == ("model", "setup", "smoke", "forward", "sweep")
         assert all(float(t) >= 0 for t in times)
         main(["spectrum", "--config", str(cfg), "--output", str(out),
               "--load-correlation", str(dump)])
         err = capsys.readouterr().err
-        assert "sectors None/None, propagator None, smoke None, columns None," in err
-        assert ", stages None, wall " in err
+        assert ("forward_sector None, adjoint_sector None, propagator None, columns None, "
+                "smoke_max_diff None, stage_s None, window_capture ") in err
         text = out.read_text()
-        assert "sectors" not in text and "propagator" not in text and "smoke" not in text
+        assert "sector" not in text and "propagator" not in text and "smoke" not in text
         assert "columns" not in text and "stage" not in text
         cfg.write_text(FAST.replace("expm", "rk4") + "model.gamma_M = 0.05\n")
         main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)])
         err = capsys.readouterr().err
-        assert "propagator rk4/rk4, smoke " in err and ", columns None/None, wall " in err
+        assert err.startswith("correlation: n_t ")
+        assert "propagator rk4/rk4, columns None/None, smoke_max_diff " in err
         cfg.write_text(FAST + "model.gamma_M = 0.05\n")
         main(["spectrum", "--config", str(cfg), "--output", str(out)])
         err = capsys.readouterr().err
-        assert "propagator dense/dense, smoke " in err and ", columns None/None," in err
-        names = err.split(", stages ")[1].split(" ms, wall ")[0].split()
+        assert "propagator dense/dense, columns None/None, smoke_max_diff " in err
+        names = err.split(", stage_s ")[1].split(", window_capture ")[0].split()
         assert [name.split("=")[0] for name in names] == ["model", "setup", "smoke", "forward",
                                                           "adjoint", "sweep"]
 
@@ -572,7 +595,7 @@ class TestCliCorrelation:
         out = tmp_path / "out.csv"
         main(["spectrum", "--config", str(cfg), "--output", str(out)])
         err = capsys.readouterr().err
-        assert "window capture 0." in err and "clipped " in err
+        assert "window_capture 0." in err and "clipped_points " in err
         text = out.read_text()
         assert "capture" not in text and "clipped" not in text
 
@@ -616,6 +639,23 @@ class TestCliSweep:
         assert values == [0.0, 0.4]
         body = svg.read_text()
         assert body.count("<polyline") == 2
+
+    @pytest.mark.parametrize("values", ["0.5, 0.5000001", "0.4, 0, 0.4"])
+    def test_values_with_one_file_name_rejected(self, tmp_path, monkeypatch, capsys, values):
+        # the per-value files are named with %g: two values that print
+        # alike would overwrite one file, so the sweep exits before its
+        # first run
+        def never(*args, **kwargs):
+            raise AssertionError("the propagation ran")
+
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST + f"sweep.parameter = J\nsweep.values = {values}\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
+        first, second = values.split(", ")[0], values.split(", ")[-1]
+        assert f"sweep.values {float(first)!r} and {float(second)!r} both write " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_sweep_without_section_fails(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -303,7 +303,7 @@ class TestEvolve:
         rho0, gen, cfg, a, mon = point(135.0)
         assert len(evolve(rho0, gen, cfg).states) == 1001
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.propagators == ("rk4", "rk4") and grid.n_t == 1001
+        assert grid.run["propagator"] == "rk4/rk4" and grid.n_t == 1001
         assert np.abs(grid.X).max() < 0.04
 
     def test_step_size_guard(self):
@@ -438,10 +438,10 @@ class TestBackends:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("omtc.dynamics._kronecker_factors", lambda *args: None)
             dense = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.propagators == dense.propagators == ("dense", "dense")
+        assert grid.run["propagator"] == dense.run["propagator"] == "dense/dense"
         assert grid.n_t == dense.n_t
         assert _same_stacks(grid, dense)
-        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).propagators == ("factored", "separable")
+        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).run["propagator"] == "factored/separable"
 
     def test_halving_dt_expm_grid_stable(self):
         # the one-step propagator composes exactly, so halving dt must not
@@ -647,7 +647,7 @@ class TestGridStorage:
             rho0, gen, EvolutionConfig(dt=0.05, t_max=2.0), a,
             kappa=0.2, param_hash=b"\x01" * 32,
         )
-        assert grid.propagators == ("spectral", "spectral")
+        assert grid.run["propagator"] == "spectral/spectral"
         path = tmp_path / "grid.bin"
         grid.save(path)
         loaded = CorrelationGrid.load(path)
@@ -769,7 +769,8 @@ class TestInvariantSectors:
                 EvolutionConfig(dt=0.02, t_max=4.0, method=method),
                 ladder_operators(space)["a"],
             )
-        assert grids[1].sector_sizes == grids[None].sector_sizes == (81, 27)
+        assert grids[1].run["forward_sector"] == grids[None].run["forward_sector"] == 81
+        assert grids[1].run["adjoint_sector"] == grids[None].run["adjoint_sector"] == 27
         capped, uncapped = grid_dense(grids[1]), grid_dense(grids[None])
         assert np.abs(capped - uncapped).max() <= 1e-12 * np.abs(capped).max()
 
@@ -937,7 +938,7 @@ def _assert_matches_sequential(grid, ref):
     pairs = [(grid_dense(grid), grid_dense(ref))]
     # a spectral grid's stacks are in eigen coordinates: only their
     # pairing, the grid, compares
-    if grid.D is None and grid.propagators[1] != "spectral":
+    if grid.D is None and grid.run["propagator"] != "spectral/spectral":
         pairs += [(grid.X, ref.X), (adjoint_stack(grid), adjoint_stack(ref))]
     for new, old in pairs:
         _assert_close_or_dark(new, old, ref.n_t)
@@ -1046,7 +1047,7 @@ class TestScipyOracle:
         np.testing.assert_array_equal(_closure(S.successors, rows * d + j[at]), operand)
         cfg = EvolutionConfig(dt=0.02, t_max=0.1)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.sector_sizes == (len(readout), len(operand))
+        assert (grid.run["forward_sector"], grid.run["adjoint_sector"]) == (len(readout), len(operand))
         for index in (sector, readout, operand):
             new, old = to_scipy(S.block(index)).toarray(), block_oracle(ref, index).toarray()
             assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max(initial=1e-300)
@@ -1079,7 +1080,7 @@ class TestReadoutSector:
                 lambda S, rho0, reads=None: _ForwardSector(S, rho0),
             )
             full = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.sector_sizes[0] < full.sector_sizes[0]
+        assert grid.run["forward_sector"] < full.run["forward_sector"]
         assert grid.n_t == full.n_t
         if method == "rk4":
             # the kept rows of the real block hold the same terms in the same
@@ -1226,7 +1227,7 @@ def _separable_point(space, gen, rho0):
     """(fwd, P, Q0, _separable's result) of a correlation run on the model's sectors."""
     S, d = gen.superoperator(), space.dim
     fwd = _ForwardSector(S, rho0, _readout(space)[0])
-    P = fwd.sides[0]
+    P = fwd.P
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
     adj = (Q0[:, None] * d + P).reshape(-1)
     factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
@@ -1272,7 +1273,7 @@ class TestFactoredPropagator:
         )
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         dense = _unfactored(rho0, gen, cfg, a, mon)
-        assert (grid.propagators, dense.propagators) == (("factored", "separable"), ("dense",) * 2)
+        assert (grid.run["propagator"], dense.run["propagator"]) == ("factored/separable", "dense/dense")
         assert grid.n_t == dense.n_t
         assert grid.residual_excitation == pytest.approx(dense.residual_excitation, rel=1e-12)
         _assert_same_spectra(grid, dense)
@@ -1299,7 +1300,7 @@ class TestFactoredPropagator:
         mon /= np.trace(mon @ rho0).real
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         dense = _unfactored(rho0, gen, cfg, a, mon)
-        assert grid.propagators == ("factored", "separable") and grid.columns[0] == len(P)
+        assert grid.run["propagator"] == "factored/separable" and grid.run["columns"][0] == len(P)
         assert grid.n_t == dense.n_t
         assert grid.residual_excitation == pytest.approx(dense.residual_excitation, rel=1e-12)
         _assert_same_spectra(grid, dense)
@@ -1317,9 +1318,9 @@ class TestFactoredPropagator:
             ModelParams(J=0.3, Mbar=Mbar), space, initial, dt=0.02, t_max=1.0, method="expm"
         )
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-        assert grid.columns == (rank, 3 * rank) and grid.D.shape == (grid.n_t, 3 * rank)
+        assert grid.run["columns"] == (rank, 3 * rank) and grid.D.shape == (grid.n_t, 3 * rank)
         cfg = replace(cfg, method="rk4")
-        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).columns == (None, None)
+        assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).run["columns"] == (None, None)
         _, P, _, (*_, W) = _separable_point(space, gen, rho0)
         assert np.abs(W @ W.conj().T - rho0[np.ix_(P, P)]).max() <= 1e-15
 
@@ -1358,7 +1359,7 @@ class TestFactoredPropagator:
 
         monkeypatch.setattr("omtc.dynamics._closure", wider)
         grid = two_time_correlation(rho0, gen, cfg, a)
-        assert grid.propagators == ("dense", "dense") and grid.sector_sizes[1] == (len(P) + 1) * len(Q0)
+        assert grid.run["propagator"] == "dense/dense" and grid.run["adjoint_sector"] == (len(P) + 1) * len(Q0)
         assert _factors_of(gen, gen.superoperator(), calls[2]) is not None
         monkeypatch.setattr("omtc.dynamics._closure", closure)
         _assert_close_or_dark(grid_dense(grid), grid_dense(two_time_correlation(rho0, gen, cfg, a)),
@@ -1398,7 +1399,7 @@ class TestFactoredPropagator:
             a, mon = ladder_operators(space)["a"], optical_excitation_operator(space)
             cfg = EvolutionConfig(dt=0.02, t_max=2.6, method="expm")
             grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
-            assert grid.propagators == ("factored", "separable")
+            assert grid.run["propagator"] == "factored/separable"
             _assert_same_spectra(grid, _unfactored(rho0, gen, cfg, a, mon))
 
     def test_missed_column_fails_smoke_check(self, monkeypatch):
@@ -1450,7 +1451,7 @@ class TestFactoredPropagator:
             monkeypatch.setattr("omtc.dynamics._kronecker_factors", skewed)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         dense = _unfactored(rho0, gen, cfg, a, mon)
-        assert grid.propagators == dense.propagators == ("dense", "dense")
+        assert grid.run["propagator"] == dense.run["propagator"] == "dense/dense"
         assert _same_stacks(grid, dense)
 
     @pytest.mark.parametrize(
@@ -1480,10 +1481,10 @@ class TestFactoredPropagator:
         for method, expected in propagators.items():
             cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method)
             grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
-            assert grid.propagators == expected
-            assert grid.smoke_max_diff < 1e-8
+            assert grid.run["propagator"] == "/".join(expected)
+            assert grid.run["smoke_max_diff"] < 1e-8
             if method == "rk4":  # the references are the step polynomial itself: roundoff only
-                assert grid.smoke_max_diff < 1e-14
+                assert grid.run["smoke_max_diff"] < 1e-14
 
     def test_evolve_stays_dense(self, monkeypatch):
         params = ModelParams(J=0.3, Mbar=0.02)
@@ -1621,13 +1622,13 @@ class TestSpectralKernel:
         )
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
-        assert stepped.propagators == ("rk4", "rk4")
-        if grid.propagators == ("rk4", "rk4"):
+        assert stepped.run["propagator"] == "rk4/rk4"
+        if grid.run["propagator"] == "rk4/rk4":
             assert np.abs(grid_dense(stepped)).max() < 1e-2
             assert _same_stacks(grid, stepped)
         else:
-            assert grid.propagators == ("spectral", "spectral")
-            assert grid.smoke_max_diff < 1e-13
+            assert grid.run["propagator"] == "spectral/spectral"
+            assert grid.run["smoke_max_diff"] < 1e-13
         assert grid.n_t == stepped.n_t
         assert grid.residual_excitation == pytest.approx(stepped.residual_excitation, rel=1e-12)
         _assert_same_spectra(grid, stepped)
@@ -1654,7 +1655,7 @@ class TestSpectralKernel:
         mon = mon / np.trace(mon @ rho0).real
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
-        assert grid.propagators == ("spectral", "spectral")
+        assert grid.run["propagator"] == "spectral/spectral"
         assert grid.n_t == stepped.n_t
         assert grid.residual_excitation == pytest.approx(stepped.residual_excitation, rel=1e-12)
         _assert_same_spectra(grid, stepped)
@@ -1688,7 +1689,7 @@ class TestSpectralKernel:
         stepped = _unfactored(rho0, gen, cfg, a, mon)
         monkeypatch.setattr("numpy.linalg.eig", rescaled)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
-        assert grid.propagators == propagators[method]
+        assert grid.run["propagator"] == "/".join(propagators[method])
         if decades > 1:
             assert _same_stacks(grid, stepped)
         else:
@@ -1717,7 +1718,7 @@ class TestSpectralKernel:
             mon = a.conj().T @ a
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon, kappa=0.3)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
-        assert grid.propagators == propagators
+        assert grid.run["propagator"] == "/".join(propagators)
         assert grid.n_t == stepped.n_t == (2 if leak else 51)
         if propagators == ("rk4", "rk4"):
             assert _same_stacks(grid, stepped)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from omtc.dynamics import (
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError
+from omtc.grid import RUN_KEYS
 from omtc.hilbert import build_space, ladder_operators
 from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 from omtc.spectrum import (
@@ -327,7 +329,37 @@ class TestStationarySpectrum:
         path = tmp_path / "grid.bin"
         res.grid.save(path)
         loaded = CorrelationGrid.load(path)
-        assert loaded.sector_sizes is None and loaded.columns is None
+        assert loaded.run is None
+
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    @pytest.mark.parametrize("gamma_M", [0.0, 0.05])
+    def test_metadata_is_one_record(self, tmp_path, method, gamma_M):
+        # the D, spectral and both stepped forms, and a reload of each dump:
+        # one key set in one order, JSON as it stands, and the grid's run
+        # record copied into it unrenamed
+        params = ModelParams(g_a=1.0, g_M=0.4, gamma_M=gamma_M)
+        numerics = NumericsConfig(
+            evolution=EvolutionConfig(dt=0.05, t_max=5.0, method=method), N_c=1, N_m=2,
+        )
+        filt = FilterParams(Gamma=0.05, delta_min=-4, delta_max=4, n_points=41)
+        res = stationary_spectrum(params, filt, numerics)
+        path = tmp_path / "grid.bin"
+        res.grid.save(path)
+        again = stationary_spectrum(params, filt, numerics, grid=CorrelationGrid.load(path))
+        keys = ["n_t", "grid_memory_bytes", "dim", *RUN_KEYS, "window_capture", "clipped_points",
+                "wall_clock_s"]
+        assert list(res.metadata) == list(again.metadata) == keys
+        for metadata in (res.metadata, again.metadata):
+            json.dumps(metadata)  # TypeError for a value that is not JSON
+        for key in RUN_KEYS[:-1]:
+            assert res.metadata[key] == res.grid.run[key]
+            assert again.metadata[key] is None
+        forms = {("expm", 0.0): "factored/separable", ("rk4", 0.0): "spectral/spectral",
+                 ("expm", 0.05): "dense/dense", ("rk4", 0.05): "rk4/rk4"}
+        assert res.metadata["propagator"] == forms[method, gamma_M]
+        stages = ["setup", "smoke", "forward", *(["adjoint"] if gamma_M else [])]
+        assert list(res.metadata["stage_s"]) == ["model", *stages, "sweep"]
+        assert again.metadata["stage_s"] is None
 
     def test_grid_reuse_with_matching_hash(self):
         params = ModelParams(g_a=1.0, g_M=0.4)

@@ -18,9 +18,12 @@ from this checkout's ``src/``, then makes RUNS = 3
 lazy import.  Per point the output holds the import seconds, ``ru_maxrss``
 in MiB after the imports and after the last run, the public scipy
 submodules loaded by then, the wall seconds of every run and their median,
-``metadata["stage_s"]`` of every run, ``n_t``, ``metadata["columns"]``,
-``metadata["propagator"]`` and ``metadata["grid_memory_bytes"]``, the bytes
-the grid keeps, to read next to ``ru_maxrss``.
+and the whole ``metadata`` record of every run (``runs``): among others its
+stage seconds, ``n_t``, columns, propagator and ``grid_memory_bytes``, the
+bytes the grid keeps, to read next to ``ru_maxrss``.  Run one point alone
+with ``python3 tools/north_star.py --point NAME``, NAME one of
+``Mbar=0``, ``Mbar=0.5``, ``rk4``, ``gamma_M=0.05`` and
+``gamma_M=0.05 rk4``.
 """
 
 import json
@@ -74,14 +77,12 @@ def run_point(name: str) -> dict:
 
     import_s, import_rss = time.perf_counter() - t0, _maxrss_mib()
     cfg = _config(name)
-    walls, stages = [], []
+    walls, runs = [], []
     for _ in range(RUNS):
         t0 = time.perf_counter()
         result = stationary_spectrum(cfg.model, cfg.filter, cfg.numerics, initial=cfg.excited_atom)
         walls.append(time.perf_counter() - t0)
-        stages.append(result.metadata["stage_s"])
-        n_t, columns = result.metadata["n_t"], result.metadata["columns"]
-        propagator, grid_bytes = result.metadata["propagator"], result.metadata["grid_memory_bytes"]
+        runs.append(result.metadata)
         del result  # so that a run's grid does not add to the next one's peak
     return {
         "import_s": import_s,
@@ -90,12 +91,8 @@ def run_point(name: str) -> dict:
                                 and not m.split(".")[1].startswith("_")),
         "wall_s": walls,
         "wall_s_median": float(np.median(walls)),
-        "stage_s": stages,
+        "runs": runs,
         "peak_rss_mib": _maxrss_mib(),
-        "n_t": n_t,
-        "columns": columns,
-        "propagator": propagator,
-        "grid_memory_bytes": grid_bytes,
     }
 
 
