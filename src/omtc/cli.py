@@ -2,8 +2,9 @@
 
 Subcommands: spectrum (one full run), sweep (one run per value of a model
 parameter plus a separation summary), dressed (closed-form stick lines),
-correlation (simulate and dump the two-time grid).  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical failures.
+correlation (simulate and dump the two-time grid, no sweep).  Exit codes:
+0 on success, 2 for configuration errors and files that cannot be read or
+written, 3 for numerical failures.
 
 Determinism contract: identical configs produce byte-identical output
 files; timing goes to stderr only.  --threads is still accepted and
@@ -12,13 +13,14 @@ checked (>= 1) but no longer changes anything: every run is serial.
 
 import argparse
 import sys
+import time
 
 from . import dressed
 from .config import RunConfig, apply_sweep_value, echo_lines, parse_config
 from .dynamics import CorrelationGrid
 from .errors import ConfigurationError, NumericalError
 from .output import emit_plot, write_spectrum_csv, write_sticks_csv, write_summary_csv
-from .spectrum import dominant_separation, stationary_spectrum
+from .spectrum import correlation_grid, dominant_separation, stationary_spectrum
 
 
 #: (flag, the config key it sets, help); a flag replaces the key's value in the file
@@ -43,17 +45,19 @@ def _load_config(args) -> RunConfig:
     return parse_config(text, {key: given[key] for _, key, _ in _FLAGS if given[key] is not None})
 
 
+def _loaded(cfg: RunConfig):
+    """The grid dumped at output.load_correlation, or None."""
+    return CorrelationGrid.load(cfg.output.load_correlation) if cfg.output.load_correlation else None
+
+
 def _run_one(cfg: RunConfig):
-    grid = None
-    if cfg.output.load_correlation:
-        grid = CorrelationGrid.load(cfg.output.load_correlation)
     return stationary_spectrum(
         cfg.model,
         cfg.filter,
         cfg.numerics,
         initial=cfg.excited_atom,
         peak_fraction=cfg.output.peak_min_fraction,
-        grid=grid,
+        grid=_loaded(cfg),
     )
 
 
@@ -163,9 +167,12 @@ def _cmd_correlation(args) -> int:
             "correlation requires a dump path; set output.correlation_dump "
             "or pass --dump-correlation"
         )
-    result = _run_one(cfg)
-    result.grid.save(cfg.output.correlation_dump)
-    print(f"correlation: {_report(result.metadata)} -> {cfg.output.correlation_dump}", file=sys.stderr)
+    loaded = _loaded(cfg)
+    t0 = time.perf_counter()
+    grid, metadata = correlation_grid(cfg.model, cfg.numerics, cfg.excited_atom, loaded)
+    metadata["wall_clock_s"] = time.perf_counter() - t0
+    grid.save(cfg.output.correlation_dump)
+    print(f"correlation: {_report(metadata)} -> {cfg.output.correlation_dump}", file=sys.stderr)
     return 0
 
 
@@ -196,6 +203,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path in a missing directory, a missing dump
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ keeps the default of its dataclass field, so adding a key means adding
 its field and one entry.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
@@ -136,9 +137,12 @@ class RunConfig:
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigurationError(f"config error at {key}: expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config error at {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key, raw):

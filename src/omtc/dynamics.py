@@ -12,9 +12,10 @@ assumed): the forward sector, the closure of supp vec(rho0), and the
 operand sector, that of supp vec(a rho).  Of the forward sector a
 correlation run steps only the readout sector, the ancestors of what a
 and the monitor read (rho_11 for one optical excitation), plus the sum p
-of the dropped diagonal; evolve keeps the whole sector.  rho(t) stays
-Hermitian and is stepped in real coordinates (_ForwardSector); the
-operand sector carries a rho and stays complex.
+of the dropped diagonal; evolve keeps the whole sector (_ForwardSector,
+which every pass reads).  rho(t) stays Hermitian, and the stepped passes
+step it in real coordinates (_HermitianCoordinates, built only for them);
+the operand sector carries a rho and stays complex.
 
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
@@ -30,14 +31,16 @@ state, readout, smoke, grid) that two_time_correlation runs through one loop
 and one smoke check against Taylor references built from S.  Without
 mechanical losses the readout sector is P x P and the operand sector
 Q0 x P, products that no jump lands in, so L acts there as
-X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.
+X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.  One
+function, _kernel, tries the D form or the spectral form there; every
+other run, and a kernel run that _kernel turns down, is stepped.
 
 - D form (_SeparableKernel), expm runs on such sectors.  With B = A^H on
   P and A[Q0, Q0] anti-Hermitian (no channel acts on the optical ground
   manifold, so the no-jump evolution there is unitary) and
   rho0[P, P] = W W^H positive semidefinite, rho(t_k)[P, P] = W_k W_k^H
   with W_k = K_L^k W, K_L = exp(A dt), and C[j][k] = tr(D_j^H D_k) with
-  D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt) (_separable).  The
+  D_k = K_0^{-k} a[Q0, P] W_k, K_0 = exp(A[Q0, Q0] dt).  The
   forward pass steps only the powers g^k of the eigenvalues of K_L, as
   W_k = V diag(g^k) V^-1 W in the eigenbasis V of A, and K_0^{-k} is a
   phase in the eigenbasis of i A[Q0, Q0]; there is no adjoint pass.  The
@@ -65,7 +68,6 @@ X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.
 import hashlib
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -136,25 +138,20 @@ def _transposed(index: np.ndarray, d: int) -> np.ndarray:
 
 
 class _ForwardSector:
-    """Real coordinates (y, p) of the Hermitian matrices on the readout sector.
+    """The readout sector of a forward pass: its index sets, P and M.
 
     Of the forward sector, the closure of supp vec(rho0) (with its
     transpose), index keeps the ancestors under L of the entries in reads
     and their transposes (all of it when reads is None).  Nothing flows in
     from the dropped rest, L[index, dropped] = 0, so the kept dynamics are
     exact; the dropped entries enter only through the sum p of their
-    diagonal, the last coordinate, with dp/dt = f y for the flux row
-    f = 1' L[dropped diagonal, index] V, exact when the columns of
-    L[dropped diagonal, dropped] sum to zero, as trace preservation makes
-    them.  V maps y to vec(rho)[index]: its first n columns are unitary
-    (the n_diag diagonal entries, then (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2) per pair i < j), its last, p's, is zero.
-    V and M = [L[index, index]; f] are kept as SparseMatrix; the real block
-    [[V^H L[index, index] V, 0], [f, 0]], which only the dense and rk4
-    steppers step, is built from them on first use.  NumericalError if index
-    is not closed under L or transposition, if L does not keep rho Hermitian
-    there (the block would not be real) or if the column sums do not
-    vanish; ConfigurationError unless rho0 is Hermitian to 1e-12.
+    diagonal, with dp/dt given by the flux row f = 1' L[dropped diagonal,
+    index], exact when the columns of L[dropped diagonal, dropped] sum to
+    zero, as trace preservation makes them (check_leak).  M = [L[index,
+    index]; f] is kept as a SparseMatrix; every correlation form reads it,
+    and the stepped passes step it in Hermitian coordinates
+    (_HermitianCoordinates).  NumericalError if index is not closed under L
+    or transposition; ConfigurationError unless rho0 is Hermitian to 1e-12.
     """
 
     def __init__(self, S, rho0: np.ndarray, reads=None):
@@ -184,39 +181,14 @@ class _ForwardSector:
         r, c, v = L.rows, L.indices, L.data  # the sector block's entries, split by masks
         if np.max(np.abs(v[kept[r] & ~kept[c]]), initial=0.0) > 0:
             raise NumericalError("readout sector is not closed: dropped entries flow into it")
-
         n = len(self.index)
-        i, j = np.divmod(self.index, d)
-        self.P = _distinct(i)  # the rows of index: P when index is a product P x Q
-        diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
-        lower = np.searchsorted(self.index, _transposed(self.index[upper], d))
-        self.n_diag = n_diag = len(diag)
-        n_up, rt = len(upper), np.sqrt(0.5)
-        pairs = n_diag + np.arange(n_up)
-        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
-        rows = np.concatenate([diag, upper, lower, upper, lower])
-        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
-        self.V = SparseMatrix.from_entries(rows, cols, values, (n, n + 1))
-        # M = [L[index, index]; f]; the block is W M V with W = [V^H | e_n]
+        self.P = _distinct(self.index // d)  # the rows of index: P when index is a product P x Q
         to = np.where(kept, np.cumsum(kept) - 1, n)
         m = kept[c] & (kept[r] | dd[r])
-        self.M = M = SparseMatrix.from_entries(to[r[m]], to[c[m]], v[m], (n + 1, n))
-        self._W = np.append(cols, n), np.append(rows, n), np.append(values.conj(), 1.0)
-        # L keeps rho Hermitian on the sector iff M[T r, T c] = conj(M[r, c])
-        # for the transposition T (p's row its own image), so the block is real
-        T = np.append(np.searchsorted(self.index, _transposed(self.index, d)), n)
-        key, twin = M.rows * n + M.indices, T[M.rows] * n + T[M.indices]
-        at = np.minimum(np.searchsorted(key, twin), len(key) - 1)
-        err = np.abs(np.where(key[at] == twin, M.data[at], 0.0) - M.data.conj())
-        if np.max(err, initial=0.0) > 1e-12 * np.max(np.abs(v[m & kept[r]]), initial=0.0):
-            raise NumericalError("generator does not preserve Hermiticity")
+        self.M = SparseMatrix.from_entries(to[r[m]], to[c[m]], v[m], (n + 1, n))
         out = dd[r] & ~kept[c]  # column sums of L[dropped diagonal, dropped]
         leak = np.abs(np.bincount(c[out], v[out].real, len(sector)) + 1j * np.bincount(c[out], v[out].imag, len(sector)))
-        if np.max(leak, initial=0.0) > 1e-12 * np.max(np.abs(v), initial=0.0):
-            raise NumericalError(
-                "generator does not preserve the trace of the dropped entries "
-                f"(max column sum {np.max(leak):.3e})"
-            )
+        self._leak = np.max(leak, initial=0.0), 1e-12 * np.max(np.abs(v), initial=0.0)
 
     @property
     def readout_block(self) -> SparseMatrix:
@@ -225,22 +197,22 @@ class _ForwardSector:
         end = M.indptr[n]
         return SparseMatrix(M.indptr[: n + 1], M.indices[:end], M.data[:end], (n, n))
 
-    @cached_property
-    def block(self):
-        """The real block W M V, scipy CSR, contiguous with sorted indices for fast matvecs."""
-        W = SparseMatrix.from_entries(*self._W, (len(self.index) + 1,) * 2)
-        block = (_scipy(W) @ _scipy(self.M) @ _scipy(self.V)).real.copy()
-        block.eliminate_zeros()
-        block.sort_indices()
-        return block
+    def check_leak(self) -> None:
+        """NumericalError unless the columns of L[dropped diagonal, dropped] sum to zero, to 1e-12 max|L|."""
+        leak, bound = self._leak
+        if leak > bound:
+            raise NumericalError(
+                "generator does not preserve the trace of the dropped entries "
+                f"(max column sum {leak:.3e})"
+            )
 
     def check_trace_rows(self) -> None:
         """NumericalError unless the trace rows of M sum to zero over every column.
 
         The trace rows are the diagonal entries' and the flux row f; to
-        1e-12 max|M|.  Then the sector's trace plus p is conserved, so a
-        pass that carries no p has p = tr rho0 - tr X exactly and no trace
-        to guard.
+        1e-12 max|M|.  With check_leak, the sector's trace plus p is then
+        conserved, so a pass that carries no p has p = tr rho0 - tr X exactly
+        and no trace to guard.
         """
         rows = np.append(self.index % (self.dim + 1) == 0, True).astype(float)
         loss = np.abs(self.M.adjoint_dot(rows))
@@ -249,6 +221,42 @@ class _ForwardSector:
                 "generator does not preserve the trace of the readout sector "
                 f"(max column sum {np.max(loss):.3e})"
             )
+
+
+class _HermitianCoordinates:
+    """Real coordinates (y, p) of the Hermitian matrices on a readout sector, for the stepped passes.
+
+    V maps y to vec(rho)[index]: its first n columns are unitary (the n_diag
+    diagonal entries, then (e_ij + e_ji)/sqrt(2) and i (e_ij - e_ji)/sqrt(2)
+    per pair i < j), its last, p's, is zero.  The real block
+    [[V^H L[index, index] V, 0], [f V, 0]] = W M V, W = [V^H | e_n], is what
+    the steppers step, scipy CSR, contiguous with sorted indices for fast
+    matvecs.  NumericalError if W M V has an imaginary part beyond
+    1e-12 max|M| (L does not keep rho Hermitian on the sector), then if the
+    dropped entries lose trace (_ForwardSector.check_leak).
+    """
+
+    def __init__(self, fwd: _ForwardSector):
+        index, d, n = fwd.index, fwd.dim, len(fwd.index)
+        self.index, self.dropped_diag, self.dim = index, fwd.dropped_diag, d
+        i, j = np.divmod(index, d)
+        diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
+        lower = np.searchsorted(index, _transposed(index[upper], d))
+        self.n_diag = n_diag = len(diag)
+        n_up, rt = len(upper), np.sqrt(0.5)
+        pairs = n_diag + np.arange(n_up)
+        values = np.concatenate([np.ones(n_diag), np.full(2 * n_up, rt), np.full(n_up, 1j * rt), np.full(n_up, -1j * rt)])
+        rows = np.concatenate([diag, upper, lower, upper, lower])
+        cols = np.concatenate([np.arange(n_diag), pairs, pairs, pairs + n_up, pairs + n_up])
+        self.V = SparseMatrix.from_entries(rows, cols, values, (n, n + 1))
+        W = SparseMatrix.from_entries(np.append(cols, n), np.append(rows, n), np.append(values.conj(), 1.0), (n + 1, n + 1))
+        block = _scipy(W) @ _scipy(fwd.M) @ _scipy(self.V)
+        if np.max(np.abs(block.data.imag), initial=0.0) > 1e-12 * np.max(np.abs(fwd.M.data), initial=0.0):
+            raise NumericalError("generator does not preserve Hermiticity")
+        fwd.check_leak()
+        self.block = block.real.copy()
+        self.block.eliminate_zeros()
+        self.block.sort_indices()
 
     def coords(self, rho: np.ndarray) -> np.ndarray:
         """Coordinates (y, p) of a Hermitian d x d matrix supported on the forward sector."""
@@ -375,7 +383,7 @@ def _eigenphases(A0: np.ndarray):
     return np.linalg.eigh(1j * A0)
 
 
-def _eigenbases(factors):
+def _eigenbases(factors, power: int = 1):
     """((alpha, V, V^-1) of A[P, P], (lam, U) of A[Q0, Q0], kappa(V)), or None.
 
     factors are the Kronecker factors (A, B) of the readout sector P x P and
@@ -384,8 +392,9 @@ def _eigenbases(factors):
     i A0 = U diag(lam) U^H (_eigenphases); B = A^H, so K_R = K_L^H and
     A = V diag(alpha) V^-1 gives B = V^-H diag(conj alpha) V^H.  One
     eigendecomposition serves the D form and the spectral form.  None also
-    where kappa(V) exceeds SPECTRAL_CONDITION_LIMIT (a defective or nearly
-    defective A; inf for a singular V).
+    where kappa(V)^power exceeds SPECTRAL_CONDITION_LIMIT (a defective or
+    nearly defective A; inf for a singular V): power 1 for the D form, 2
+    for the spectral form.
     """
     (A, B), (A0, _) = factors
     if np.max(np.abs(A0 + A0.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A0), initial=0.0):
@@ -394,24 +403,9 @@ def _eigenbases(factors):
         return None
     alpha, V = np.linalg.eig(A)
     kappa = float(np.linalg.cond(V))
-    if not kappa <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
+    if not kappa**power <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
         return None
     return (alpha, V, np.linalg.inv(V)), _eigenphases(A0), kappa
-
-
-def _separable(bases, fwd: _ForwardSector, rho0: np.ndarray):
-    """(*bases, W) for the D form, or None unless rho0[P, P] is positive semidefinite.
-
-    bases are those of _eigenbases.  rho0[P, P] = W W^H is checked to 1e-12
-    of its largest eigenvalue; W = U sqrt(e) over the eigenpairs (e, U)
-    above 1e-14 of the largest, s columns.
-    """
-    P = fwd.P
-    e, U = np.linalg.eigh(rho0[np.ix_(P, P)])
-    if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
-        return None
-    keep = e > 1e-14 * e[-1]
-    return (*bases, U[:, keep] * np.sqrt(e[keep]))
 
 
 def _check_growth(step: str, dt: float, factors, hint: str) -> None:
@@ -454,8 +448,8 @@ class _SeparableKernel:
 
     propagators, grid_stage = ("factored", "separable"), "forward"
 
-    def __init__(self, separable, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
-        (alpha, V, V_inv), (self.lam, U), _, W0 = separable
+    def __init__(self, bases, W0: np.ndarray, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
+        (alpha, V, V_inv), (self.lam, U), _ = bases
         self.g = np.exp(dt * alpha)
         _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
         E = V_inv @ W0
@@ -617,6 +611,43 @@ class _SpectralKernel:
         return None
 
 
+def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: np.ndarray, a_mat,
+            monitor, config: EvolutionConfig, b: int):
+    """The run's D form (expm) or spectral form (rk4), set up and checked, or None.
+
+    None unless the operand sector is Q0 x P, both sector blocks are
+    Kronecker sums (_kronecker_factors) and _eigenbases holds, and unless
+    the kernel's own condition holds: for the D form a positive
+    semidefinite rho0[P, P] = W W^H (to 1e-12 of its largest eigenvalue;
+    W = E sqrt(e) over the eigenpairs (e, E) above 1e-14 of the largest,
+    s columns), for the spectral form kappa(V)^2 <= SPECTRAL_CONDITION_LIMIT.
+    Then the budget of its stack (16 |Q0| s bytes per node for D, 16 |R_a|
+    for X) and its trace checks (check_leak, check_trace_rows), which stand
+    in for the trace guard its pass does not have.
+    """
+    P, expm = fwd.P, config.method == "expm"
+    if not len(adj) or not np.array_equal(_distinct(adj % gen.dim), P):
+        return None
+    factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index), _kronecker_factors(gen, Sa, adj))
+    bases = None if None in factors else _eigenbases(factors, 1 if expm else 2)
+    if bases is None:
+        return None
+    Q0, W = _distinct(adj // gen.dim), None
+    if expm:
+        e, E = np.linalg.eigh(rho0[np.ix_(P, P)])
+        if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
+            return None
+        keep = e > 1e-14 * e[-1]
+        W = E[:, keep] * np.sqrt(e[keep])
+    _check_budget(config, 16 * (len(adj) if W is None else len(Q0) * W.shape[1]))
+    fwd.check_leak()
+    fwd.check_trace_rows()
+    a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
+    if W is None:
+        return _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
+    return _SeparableKernel(bases, W, a0, rho0, N, config.dt, b)
+
+
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     """Reference step of the linear map f: x + sum_k (h F)^k x / k! by plain summation.
 
@@ -710,7 +741,7 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, form, rho0,
     return worst
 
 
-def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=None, a_map=None):
+def _dense_readout(step, herm: _HermitianCoordinates, rho0: np.ndarray, n: int, monitor=None, a_map=None):
     """Yield (rows, monitor values, (traces, largest)) per block of the forward pass from rho0.
 
     Rows are the coordinates y of rho(t_k), or the operands a_map y; monitor
@@ -722,19 +753,21 @@ def _dense_readout(step, fwd: _ForwardSector, rho0: np.ndarray, n: int, monitor=
     sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
     # Re(V^T m) = Re(V^H conj(m))
-    mon = None if monitor is None else fwd.V.adjoint_dot(monitor.T.reshape(-1)[fwd.index].conj()).real
-    for Y in step.blocks(fwd.coords(rho0), n):
+    mon = None if monitor is None else herm.V.adjoint_dot(monitor.T.reshape(-1)[herm.index].conj()).real
+    for Y in step.blocks(herm.coords(rho0), n):
         yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
-               (Y[:, : fwd.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
+               (Y[:, : herm.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
 
 
 class _SteppedForm:
     """The stepped U/X form: both passes stepped on the sector blocks by _SectorStepper.
 
-    The forward pass steps (y, p) on the readout sector, guarded by the
-    trace checks of _forward, and reads the operands a rho(t_k) through
+    The forward pass steps (y, p) on the readout sector, in the Hermitian
+    coordinates built and checked first, guarded by the trace checks of
+    _forward, and reads the operands a rho(t_k) through
     a_map = (a x I)[adj, index] V; the adjoint pass, in grid(), steps a on
-    the operand block Sa.
+    the operand block Sa.  Both stacks, and for expm the dense propagators,
+    are checked against the budget before a stepper is built.
     """
 
     columns, grid_stage = (None, None), "adjoint"
@@ -742,11 +775,13 @@ class _SteppedForm:
     def __init__(self, fwd: _ForwardSector, Sa, a_mat, adj, rho0, monitor, config: EvolutionConfig, b: int):
         from scipy import sparse  # imported here: only the stepped passes multiply by a_map
 
-        self.fwd, self.rho0, self.monitor, self.b = fwd, rho0, monitor, b
+        self.herm = herm = _HermitianCoordinates(fwd)
+        _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
+        self.rho0, self.monitor, self.b = rho0, monitor, b
         self.propagators = ("dense" if config.method == "expm" else "rk4",) * 2
-        self.forward = _SectorStepper(fwd.block, config.dt, config.method, b=b)
+        self.forward = _SectorStepper(herm.block, config.dt, config.method, b=b)
         a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(fwd.dim), format="csr")
-        self.a_map = (a_map[adj][:, fwd.index] @ _scipy(fwd.V)).tocsr()
+        self.a_map = (a_map[adj][:, fwd.index] @ _scipy(herm.V)).tocsr()
         self.adjoint = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
         self.a, self.a_mat, self.adj = a_mat.reshape(-1)[adj], a_mat, adj
 
@@ -756,15 +791,15 @@ class _SteppedForm:
 
     def blocks(self, n: int):
         """Yield the coordinates (y, p) of rho(t_0) .. rho(t_{n-1}) as row blocks of b nodes."""
-        return self.forward.blocks(self.fwd.coords(self.rho0), n)
+        return self.forward.blocks(self.herm.coords(self.rho0), n)
 
     def state(self, y: np.ndarray):
         """(vec(rho)[index], p) of the coordinates y."""
-        return self.fwd.V.dot(y), y[-1]
+        return self.herm.V.dot(y), y[-1]
 
     def readout(self, n: int):
         """Yield the operands a_map y, monitor values and trace checks per block (_dense_readout)."""
-        return _dense_readout(self.forward, self.fwd, self.rho0, n, self.monitor, self.a_map)
+        return _dense_readout(self.forward, self.herm, self.rho0, n, self.monitor, self.a_map)
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
         """C(j, k) = U_{j-k}^H a_map y_k of the nodes 0 .. b, the adjoint checks and a_map.
@@ -777,7 +812,7 @@ class _SteppedForm:
         """
         U = _first_nodes(self.adjoint.blocks(self.a, self.b + 1), self.b)
         X = (self.a_map @ nodes[[0, 1, self.b]].T).T
-        operands = X[2] - (self.a_mat @ self.fwd.matrix(nodes[-1])).reshape(-1)[self.adj]
+        operands = X[2] - (self.a_mat @ self.herm.matrix(nodes[-1])).reshape(-1)[self.adj]
         adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2])),
                    (f"{self.propagators[1]} kernel", operands)]
         return (lambda j, k: np.vdot(U[j - k], X[k])), adjoint
@@ -855,8 +890,10 @@ def _check_budget(config: EvolutionConfig, node_bytes: int, dense=()) -> None:
     (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
     adjoint one).  The D and spectral forms step elementwise and build no
     propagator.  Row blocks are not counted: b |R| entries stepped, b |P|
-    in the D form.  Method rk4 is advised only where dense blocks count: a
-    D-form run would take the spectral form, whose stack is |P| / s wider.
+    in the D form.  Called once per form: by _kernel for the D and
+    spectral forms, by _SteppedForm and by evolve.  Method rk4 is advised
+    only where dense blocks count: a D-form run would take the spectral
+    form, whose stack is |P| / s wider.
     """
     stack_bytes = config.n_max * node_bytes
     dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense) if config.method == "expm" else 0
@@ -898,17 +935,18 @@ def evolve(
     If a monitor operator is given, stops early once its expectation drops
     below leak_tolerance.  Aborts when the trace drifts by more than 1e-4
     (step-size instability or a leaking truncation).  The states are
-    whole, so the whole forward sector is propagated.  rho0 must be Hermitian; for expm the dense forward
-    propagator and its b-th power are checked against max_grid_bytes
-    before they are built.
+    whole, so the whole forward sector is propagated, in Hermitian
+    coordinates (_HermitianCoordinates, whose checks run first).  rho0 must
+    be Hermitian; for expm the dense forward propagator and its b-th power
+    are checked against max_grid_bytes before they are built.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    fwd = _ForwardSector(gen.superoperator(), rho0)
-    _check_budget(config, 0, dense=((len(fwd.index) + 1, 8),))
-    step = _SectorStepper(fwd.block, config.dt, config.method, b=_block_size(config.n_max))
+    herm = _HermitianCoordinates(_ForwardSector(gen.superoperator(), rho0))
+    _check_budget(config, 0, dense=((len(herm.index) + 1, 8),))
+    step = _SectorStepper(herm.block, config.dt, config.method, b=_block_size(config.n_max))
     states, mvals = [], []
-    for Y, residuals in _forward(_dense_readout(step, fwd, rho0, config.n_max, monitor), config):
-        states.extend(fwd.matrix(y) for y in Y)
+    for Y, residuals in _forward(_dense_readout(step, herm, rho0, config.n_max, monitor), config):
+        states.extend(herm.matrix(y) for y in Y)
         if residuals is not None:
             mvals.extend(residuals)
     stopped = monitor is not None and len(states) > 1 and mvals[-1] < config.leak_tolerance
@@ -939,26 +977,24 @@ def two_time_correlation(
     The horizon is t_max, cut at the first node where the monitor
     expectation (if given) falls below leak_tolerance.  Of the forward
     sector only the readout sector and p are propagated.  The correlation
-    form is chosen here, in one place: where both sectors are Kronecker sums
-    (_kronecker_factors) and the operand sector is Q0 x P, an expm run takes
-    the D form (_SeparableKernel) if _eigenbases and _separable hold, and an
-    rk4 run the spectral U/X form (_SpectralKernel) if _eigenbases holds
-    with kappa(V)^2 within SPECTRAL_CONDITION_LIMIT;
-    any other run takes the stepped U/X form (_SteppedForm).  One loop then
-    runs whatever the form: its set-up checks, the smoke check, the forward
-    pass into the stack X and form.grid(X); a spectral grid that does not
-    resolve (None) is recomputed stepped, its set-up stage holding the
-    attempt.  The sector blocks are extracted once; the operand block Sa
+    form is the kernel that _kernel sets up, the D form (_SeparableKernel)
+    for expm or the spectral U/X form (_SpectralKernel) for rk4, else the
+    stepped U/X form (_SteppedForm), the only one that builds Hermitian
+    coordinates.  One loop then runs whatever the form: the smoke check, the
+    forward pass into the stack X and form.grid(X); a spectral grid that
+    does not resolve (None) is recomputed stepped, its set-up stage holding
+    the attempt.  The sector blocks are extracted once; the operand block Sa
     serves the Kronecker check, the smoke check and the stepped adjoint
     pass.  The grid's run record (CorrelationGrid.run, keyed by RUN_KEYS)
     holds the sector sizes, the form's propagators joined by "/", its
     columns, the largest smoke-check difference and the seconds of set-up,
     smoke check, forward pass and the form's grid() call, which is the
     stage the form names (grid_stage: adjoint for the stepped U/X form,
-    whose grid() runs the adjoint pass, else forward).  rho0 must
-    be Hermitian.  The stacks over the full t_max and, for expm on the
-    stepped path, the dense propagators and their b-th powers are checked
-    against max_grid_bytes before anything large is allocated.
+    whose grid() runs the adjoint pass, else forward).  rho0 must be
+    Hermitian.  Each form checks its stacks over the full t_max and, for
+    expm on the stepped path, the dense propagators and their b-th powers
+    against max_grid_bytes (_check_budget) before anything large is
+    allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -977,31 +1013,10 @@ def two_time_correlation(
     rows, at = np.nonzero(a_mat[:, i])
     adj = _closure(S.successors, rows * d + j[at])
     Sa = S.block(adj)
-    P, Q0 = fwd.P, _distinct(adj // d)
-    separable = bases = None
-    if len(adj) and np.array_equal(_distinct(adj % d), P):  # the operand sector is Q0 x P
-        factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index),
-                   _kronecker_factors(gen, Sa, adj))
-        bases = None if None in factors else _eigenbases(factors)
-        if bases is not None and config.method == "expm":
-            separable, bases = _separable(bases, fwd, rho0), None
-        elif bases is not None and bases[-1] ** 2 > SPECTRAL_CONDITION_LIMIT:
-            bases = None
-
     b = _block_size(config.n_max)
-    a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
+    kernel = _kernel(gen, fwd, Sa, adj, rho0, a_mat, monitor, config, b)
     while True:
-        if separable is not None:
-            _check_budget(config, 16 * len(Q0) * separable[-1].shape[1])  # 16 |Q0| s
-            fwd.check_trace_rows()
-            form = _SeparableKernel(separable, a0, rho0, N, config.dt, b)
-        elif bases is not None:
-            _check_budget(config, 16 * len(adj))
-            fwd.check_trace_rows()
-            form = _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
-        else:
-            _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
-            form = _SteppedForm(fwd, Sa, a_mat, adj, rho0, monitor, config, b)
+        form = kernel or _SteppedForm(fwd, Sa, a_mat, adj, rho0, monitor, config, b)
         marks.append(time.perf_counter())
         smoke = _smoke_check(gen, S, fwd, adj, Sa, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
@@ -1025,7 +1040,7 @@ def two_time_correlation(
         # the grid is too small for eigen coordinates to carry: the run is
         # redone stepped, whose roundoff follows the entries, and its set-up
         # stage includes this attempt
-        bases = None
+        kernel = None
         del marks[1:]
     marks.append(time.perf_counter())
     stage_s = {}

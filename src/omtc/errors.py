@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-The CLI maps ConfigurationError to exit code 2 and NumericalError to
-exit code 3; everything else is a bug.
+The CLI maps ConfigurationError, and an OSError from a file it reads or
+writes, to exit code 2 and NumericalError to exit code 3; everything else
+is a bug.
 """
 
 

@@ -279,9 +279,10 @@ class CorrelationGrid:
     def load(cls, path) -> "CorrelationGrid":
         """A dumped grid; ConfigurationError for a corrupt dump.
 
-        Of a version 4 dump, N and H must be finite and max|H| at most
-        STEP_FACTOR_LIMIT, the bound the spectral set-up applies, so that no
-        power of H grows.
+        The header's dt must be finite and positive and its kappa finite and
+        non-negative, as a run writes them.  Of a version 4 dump, N and H
+        must be finite and max|H| at most STEP_FACTOR_LIMIT, the bound the
+        spectral set-up applies, so that no power of H grows.
         """
         with open(path, "rb") as fh:
             magic = fh.read(8)
@@ -290,6 +291,11 @@ class CorrelationGrid:
             version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
             if version not in _FORMS:
                 raise ConfigurationError(f"{path}: unsupported dump version {version}")
+            if not (0 < dt < math.inf and 0 <= kappa < math.inf):
+                raise ConfigurationError(
+                    f"{path}: header dt = {dt!r} must be finite and positive, kappa = {kappa!r} "
+                    "finite and non-negative"
+                )
             param_hash = fh.read(32)
             raw = np.fromfile(fh, dtype="<c16")
         names = _FORMS[version]

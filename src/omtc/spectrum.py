@@ -19,11 +19,13 @@ by FFTs in O((n_t + P) log(n_t + P)) for P detunings (see _evaluate); an
 uneven grid is a ConfigurationError.  The result is assembled as
 2 Re(lower triangle) + diagonal, so it is real by construction.
 
-stationary_spectrum's metadata is one JSON-serializable record with the
-same keys for every run: n_t, grid_memory_bytes and dim, then the grid's
-run record (CorrelationGrid.run, keyed by grid.RUN_KEYS; every value None
-for a dumped grid), with stage_s extended by the model build and the
-sweep with its lag sums when this call ran the propagation, then the
+correlation_grid builds the grid (or checks a dumped one) and the head
+of the run's metadata; stationary_spectrum sweeps it.  The metadata is
+one JSON-serializable record with the same keys for every run: n_t,
+grid_memory_bytes and dim, then the grid's run record
+(CorrelationGrid.run, keyed by grid.RUN_KEYS; every value None for a
+dumped grid), with stage_s extended by the model build and the sweep
+with its lag sums when this call ran the propagation, then the
 share of the emission that falls inside the detuning window
 (window_capture), the number of quadrature-noise entries its clamp set to
 zero (clipped_points) and wall_clock_s.
@@ -183,23 +185,22 @@ def dominant_separation(peaks: list) -> float:
     return abs(tallest[0].position - tallest[1].position)
 
 
-def stationary_spectrum(
+def correlation_grid(
     params: ModelParams,
-    filt: FilterParams,
     numerics: NumericsConfig,
     initial: int | str = 1,
-    peak_fraction: float = DEFAULT_PEAK_FRACTION,
     grid: CorrelationGrid | None = None,
-) -> SpectrumResult:
-    """Full pipeline: simulate, build the grid, sweep the filter detuning.
+):
+    """The run's correlation grid and the head of its metadata record.
 
-    The grid is evaluated at the adaptive horizon (excitation below the
-    leak tolerance, capped by t_max).  Passing a previously dumped grid
-    skips the simulation after a parameter-hash consistency check.
+    Builds the model and propagates (two_time_correlation), or takes a
+    previously dumped grid after a parameter-hash consistency check.  The
+    head holds n_t, grid_memory_bytes, dim and the grid's run record
+    (every value None for a dumped grid), its stage_s led by the model
+    build.
     """
     t0 = time.perf_counter()
     expected_hash = config_hash(canonical_param_string(params, numerics, initial))
-
     stages = None  # seconds per stage, known only when this call ran the propagation
     if grid is None:
         check_step_size(numerics.evolution.dt, params)
@@ -229,6 +230,28 @@ def stationary_spectrum(
                 "(hash mismatch); re-simulate or fix the config"
             )
         dim = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap).dim
+    head = {"n_t": grid.n_t, "grid_memory_bytes": grid.memory_bytes, "dim": dim}
+    return grid, {**head, **(grid.run or dict.fromkeys(RUN_KEYS)), "stage_s": stages}
+
+
+def stationary_spectrum(
+    params: ModelParams,
+    filt: FilterParams,
+    numerics: NumericsConfig,
+    initial: int | str = 1,
+    peak_fraction: float = DEFAULT_PEAK_FRACTION,
+    grid: CorrelationGrid | None = None,
+) -> SpectrumResult:
+    """Full pipeline: simulate, build the grid, sweep the filter detuning.
+
+    The grid (correlation_grid) is evaluated at the adaptive horizon
+    (excitation below the leak tolerance, capped by t_max).  Passing a
+    previously dumped grid skips the simulation after a parameter-hash
+    consistency check.
+    """
+    t0 = time.perf_counter()
+    grid, metadata = correlation_grid(params, numerics, initial, grid)
+    stages = metadata["stage_s"]
 
     T = grid.horizon
     deltas = filt.deltas()
@@ -259,11 +282,7 @@ def stationary_spectrum(
         peaks=[],
         params=asdict(params),
         metadata={
-            "n_t": grid.n_t,
-            "grid_memory_bytes": grid.memory_bytes,
-            "dim": dim,
-            **(grid.run or dict.fromkeys(RUN_KEYS)),
-            "stage_s": stages,
+            **metadata,
             "window_capture": capture,
             "clipped_points": clipped,
             "wall_clock_s": None,  # filled below; excluded from file output

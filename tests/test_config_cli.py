@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -85,6 +86,18 @@ class TestParseConfig:
     def test_zero_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config("numerics.dt = 0\n")
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("filter.Gamma", "nan"), ("filter.Gamma", "inf"), ("numerics.dt", "nan"),
+         ("numerics.t_max", "inf"), ("numerics.t_max", "nan"), ("filter.delta_max", "inf"),
+         ("numerics.leak_tolerance", "nan"), ("model.kappa", "-inf"), ("sweep.values", "0, nan")],
+    )
+    def test_non_finite_number_rejected(self, key, raw):
+        # every float key goes through one parser, so none reaches a run
+        text = f"sweep.parameter = J\n{key} = {raw}\n"
+        with pytest.raises(ConfigurationError, match=f"^config error at {key}: expected a finite number"):
+            parse_config(text)
 
     def test_two_filter_points_rejected(self):
         # find_peaks fits a parabola to three neighbouring points
@@ -228,6 +241,34 @@ class TestCliSpectrum:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.nope = 1\n")
         assert main(["spectrum", "--config", str(cfg), "--output", "x.csv"]) == 2
+
+    def test_non_finite_number_exits_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("filter.Gamma = 0.05", "filter.Gamma = nan"))
+        out = tmp_path / "never.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "config error at filter.Gamma: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--output", "{missing}/out.csv"],
+            ["correlation", "--dump-correlation", "{missing}/grid.bin"],
+            ["spectrum", "--output", "{tmp}/out.csv", "--svg", "{missing}/plot.svg"],
+            ["spectrum", "--output", "{tmp}/out.csv", "--load-correlation", "{missing}/grid.bin"],
+        ],
+        ids=["output", "dump", "svg", "load"],
+    )
+    def test_file_error_exit_code(self, tmp_path, capsys, args):
+        # a path that cannot be opened is the user's to fix, as a config
+        # error is: one line and exit 2, not a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in args]
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1
 
     def test_threads_flag_must_be_positive(self, tmp_path, capsys):
         # the flag goes through the threads key's parser and check
@@ -607,6 +648,53 @@ class TestCliCorrelation:
             ["correlation", "--config", str(cfg), "--dump-correlation", str(dump)]
         ) == 0
         assert dump.stat().st_size > 48
+
+    def test_correlation_stops_at_the_grid(self, tmp_path, monkeypatch, capsys):
+        # no sweep and no peaks: the dump is the one a spectrum run writes,
+        # and a reload of it is dumped again unchanged
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        spectrum_dump, dump, again = tmp_path / "spectrum.bin", tmp_path / "grid.bin", tmp_path / "again.bin"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(tmp_path / "out.csv"),
+                     "--dump-correlation", str(spectrum_dump)]) == 0
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("the correlation command swept the filter")
+
+        monkeypatch.setattr("omtc.spectrum.filtered_spectrum", never)
+        monkeypatch.setattr("omtc.spectrum.find_peaks", never)
+        assert main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)]) == 0
+        assert dump.read_bytes() == spectrum_dump.read_bytes()
+        err = capsys.readouterr().err
+        assert err.startswith("correlation: n_t ") and ", propagator factored/separable, " in err
+        assert "sweep=" not in err and "window_capture" not in err and "clipped_points" not in err
+        assert main(["correlation", "--config", str(cfg), "--load-correlation", str(dump),
+                     "--dump-correlation", str(again)]) == 0
+        assert again.read_bytes() == dump.read_bytes()
+        assert ", propagator None, " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(24, 0.0), (24, float("nan")), (32, float("nan")), (32, float("inf")), (32, -1.0)],
+        ids=["dt=0", "dt=nan", "kappa=nan", "kappa=inf", "kappa=-1"],
+    )
+    def test_bad_header_scalars_rejected_on_load(self, tmp_path, capsys, offset, value):
+        # the header's dt (bytes 24-31) and kappa (bytes 32-39) scale every
+        # sum of the sweep: a zero or non-finite dt, a non-finite or
+        # negative kappa is a corrupt dump
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        dump, out = tmp_path / "grid.bin", tmp_path / "never.csv"
+        assert main(["correlation", "--config", str(cfg), "--dump-correlation", str(dump)]) == 0
+        data = bytearray(dump.read_bytes())
+        data[offset : offset + 8] = struct.pack("<d", value)
+        dump.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out),
+                     "--load-correlation", str(dump)]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_loading_with_wrong_parameters_fails(self, tmp_path):
         cfg = tmp_path / "run.cfg"

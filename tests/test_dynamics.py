@@ -1,3 +1,4 @@
+import itertools
 import struct
 from dataclasses import replace
 
@@ -30,11 +31,12 @@ from omtc.dynamics import (
     _eigenbases,
     _elementwise_blocks,
     _ForwardSector,
+    _HermitianCoordinates,
+    _kernel,
     _kronecker_factors,
     _rk4_factor,
     _SectorStepper,
     _SeparableKernel,
-    _separable,
     _taylor_step,
     check_step_size,
     evolve,
@@ -807,22 +809,22 @@ class TestHermitianCoordinates:
         S = gen.superoperator()
         # the real block is V^H L V with the first n columns of V unitary
         # and the last (p's) zero, and it has no imaginary part
-        fwd = _ForwardSector(S, rho0)
-        L = block_oracle(to_scipy(S), fwd.index)
-        n = len(fwd.index)
-        V = to_scipy(fwd.V)
+        herm = _HermitianCoordinates(_ForwardSector(S, rho0))
+        L = block_oracle(to_scipy(S), herm.index)
+        n = len(herm.index)
+        V = to_scipy(herm.V)
         assert abs(V[:, :n].conj().T @ V[:, :n] - sparse.identity(n)).max() < 1e-15
         assert V[:, n].nnz == 0
         # real coordinates map to Hermitian matrices on the sector, and
         # coords inverts matrix there; p reads only the dropped diagonal
         for y in np.random.default_rng(n).normal(size=(3, n + 1)):
-            rho = fwd.matrix(y)
+            rho = herm.matrix(y)
             assert np.abs(rho - rho.conj().T).max() <= 1e-15
-            z = fwd.coords(rho)
+            z = herm.coords(rho)
             assert np.abs(z[:n] - y[:n]).max() <= 1e-15 and z[-1] == 0.0
         raw = V.conj().T @ L @ V
         assert abs(raw.imag).max() <= 1e-12 * abs(L).max()
-        assert abs(raw.real - fwd.block).max() == 0.0
+        assert abs(raw.real - herm.block).max() == 0.0
 
         cfg = EvolutionConfig(dt=0.02, t_max=0.2, method=method)
         states = evolve(rho0, gen, cfg).states
@@ -841,6 +843,45 @@ class TestHermitianCoordinates:
             assert np.abs(rho - ref).max() <= 1e-12
             ref = step(ref)
 
+    def test_only_stepped_passes_build_coordinates(self):
+        # the D and spectral forms (gamma_M = 0) read neither V nor the real
+        # block, so a builder that raises leaves them as they are; the
+        # stepped form (gamma_M > 0) and evolve build the coordinates, and
+        # so run their Hermiticity check, before their first stepper
+        from omtc import dynamics
+
+        space = build_space(1, 2, excitation_cap=1)
+        build, step = dynamics._HermitianCoordinates.__init__, dynamics._SectorStepper.__init__
+        events = []
+
+        def refuse(*args):
+            raise AssertionError("a kernel run built Hermitian coordinates")
+
+        def built(self, *args):
+            build(self, *args)
+            events.append("coordinates")
+
+        def stepper(self, *args, **kwargs):
+            events.append("stepper")
+            step(self, *args, **kwargs)
+
+        for gamma_M, method in itertools.product((0.0, 0.05), ("expm", "rk4")):
+            rho0, gen, cfg, a, mon = _correlation_point(
+                ModelParams(J=0.3, gamma_M=gamma_M, Mbar=0.02), space, dt=0.02, t_max=1.0,
+                method=method,
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("omtc.dynamics._SectorStepper.__init__", stepper)
+                mp.setattr("omtc.dynamics._HermitianCoordinates.__init__", built if gamma_M else refuse)
+                events.clear()
+                grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+                kernel = grid.run["propagator"] in ("factored/separable", "spectral/spectral")
+                assert kernel == (gamma_M == 0) and events[:1] == ([] if kernel else ["coordinates"])
+                if gamma_M:
+                    events.clear()
+                    evolve(rho0, gen, cfg, monitor=mon)
+                    assert events == ["coordinates", "stepper"]
+
     @pytest.mark.parametrize("run", ["evolve", "correlation"])
     def test_non_hermitian_generator_rejected_before_stepping(self, run, monkeypatch):
         _, space, gen, rho0 = _damped_cavity()
@@ -852,6 +893,13 @@ class TestHermitianCoordinates:
 
             def superoperator(self):
                 return from_scipy(to_scipy(gen.superoperator()) - 0.01j * sparse.identity(gen.dim**2))
+
+            def no_jump(self):
+                # -0.01j rho = -0.005j rho - 0.005j rho, so both sectors are
+                # Kronecker sums of these; B = A^H fails, and a correlation
+                # run takes the stepped form, whose coordinates reject L
+                A, B = gen.no_jump()
+                return A - 0.005j * np.eye(len(A)), B - 0.005j * np.eye(len(B))
 
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the Hermiticity check")
@@ -877,22 +925,22 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     """
     S = to_scipy(gen.superoperator())
     a_mat = np.asarray(a_op)
-    fwd = _ForwardSector(gen.superoperator(), rho0)
+    herm = _HermitianCoordinates(_ForwardSector(gen.superoperator(), rho0))
     a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(gen.dim), format="csr")
-    a_map = a_map[:, fwd.index]
+    a_map = a_map[:, herm.index]
     a_map.eliminate_zeros()
     adj = closure_oracle(S, np.flatnonzero(a_map.getnnz(axis=1)))
-    a_map = (a_map[adj] @ to_scipy(fwd.V)).tocsr()
-    step = _SectorStepper(fwd.block, config.dt, config.method)
+    a_map = (a_map[adj] @ to_scipy(herm.V)).tocsr()
+    step = _SectorStepper(herm.block, config.dt, config.method)
     adjoint_step = _SectorStepper(block_oracle(S, adj), config.dt, config.method, adjoint=True)
     mon = None
     if monitor is not None:
-        mon = (to_scipy(fwd.V).T @ np.asarray(monitor).T.reshape(-1)[fwd.index]).real
-    y = fwd.coords(rho0)
-    trace0 = y[: fwd.n_diag].sum()
+        mon = (to_scipy(herm.V).T @ np.asarray(monitor).T.reshape(-1)[herm.index]).real
+    y = herm.coords(rho0)
+    trace0 = y[: herm.n_diag].sum()
     operands, residual = [], None
     for k in range(config.n_max):
-        drift = abs(y[: fwd.n_diag].sum() - trace0)
+        drift = abs(y[: herm.n_diag].sum() - trace0)
         if drift > TRACE_DRIFT_LIMIT:
             raise NumericalError(f"trace drift {drift:.3e} at step {k}")
         operands.append(a_map @ y)
@@ -1119,13 +1167,14 @@ class TestReadoutSector:
         n_1 = 3 * (space.N_m + 1)
         assert (len(fwd.index), len(fwd.dropped)) == (n_1**2, (space.N_m + 1) ** 2)
         # p follows the full sector's dropped diagonal step by step
-        steps = [_SectorStepper(s.block, 0.02, method) for s in (fwd, full)]
-        y, z = fwd.coords(rho0), full.coords(rho0)
+        kept, whole = _HermitianCoordinates(fwd), _HermitianCoordinates(full)
+        steps = [_SectorStepper(s.block, 0.02, method) for s in (kept, whole)]
+        y, z = kept.coords(rho0), whole.coords(rho0)
         for _ in range(20):
             y, z = steps[0](y), steps[1](z)
-            rho = full.matrix(z).reshape(-1)
+            rho = whole.matrix(z).reshape(-1)
             assert abs(y[-1] - rho[fwd.dropped_diag].sum().real) <= 1e-12
-            assert np.abs(fwd.matrix(y).reshape(-1)[fwd.index] - rho[fwd.index]).max() <= 1e-12
+            assert np.abs(kept.matrix(y).reshape(-1)[fwd.index] - rho[fwd.index]).max() <= 1e-12
 
     def test_reads_closed_under_transposition(self):
         # without a generator nothing flows, so the kept set is the read
@@ -1136,7 +1185,7 @@ class TestReadoutSector:
         fwd = _ForwardSector(from_scipy(sparse.csr_matrix((d * d, d * d))), rho0, reads=np.array([1 * d + 2]))
         np.testing.assert_array_equal(fwd.index, [1 * d + 2, 2 * d + 1])
         assert len(fwd.dropped) == d * d - 2
-        assert fwd.coords(rho0)[-1] == pytest.approx(np.trace(rho0).real)
+        assert _HermitianCoordinates(fwd).coords(rho0)[-1] == pytest.approx(np.trace(rho0).real)
 
     def test_unclosed_readout_rejected(self, monkeypatch):
         # a closure that stops at the seed would leave entries that feed the
@@ -1158,10 +1207,10 @@ class TestReadoutSector:
             _ForwardSector(gen.superoperator(), initial_state(p, space), reads)
 
     def test_trace_loss_on_dropped_part_rejected_at_set_up(self, monkeypatch):
-        p = ModelParams(gamma_M=0.05, Mbar=0.02)
+        # the stepped form (gamma_M > 0) checks it with its Hermitian
+        # coordinates, the spectral and D forms (gamma_M = 0, rk4 and expm)
+        # with their trace checks, each before a stepper or kernel is built
         space = build_space(1, 2, excitation_cap=1)
-        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
-        rho0 = initial_state(p, space)
         d = space.dim
         ground = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
         loss = np.zeros(d * d)
@@ -1169,22 +1218,27 @@ class TestReadoutSector:
 
         class LossyGround:
             # loses trace on the rho_00 diagonal, which the readout drops
-            dim = gen.dim
-            apply = gen.apply
-            apply_adjoint = gen.apply_adjoint
+            def __init__(self, gen):
+                self.gen, self.dim, self.no_jump = gen, gen.dim, gen.no_jump
+                self.apply, self.apply_adjoint = gen.apply, gen.apply_adjoint
 
             def superoperator(self):
-                return from_scipy(to_scipy(gen.superoperator()) - sparse.diags(loss))
+                return from_scipy(to_scipy(self.gen.superoperator()) - sparse.diags(loss))
 
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the trace check")
 
-        monkeypatch.setattr("omtc.dynamics._SectorStepper.__init__", no_stepper)
-        with pytest.raises(NumericalError, match="does not preserve the trace of the dropped"):
-            two_time_correlation(
-                rho0, LossyGround(), EvolutionConfig(dt=0.02, t_max=1.0),
-                ladder_operators(space)["a"], monitor=optical_excitation_operator(space),
-            )
+        for name in ("_SectorStepper", "_SeparableKernel", "_SpectralKernel"):
+            monkeypatch.setattr(f"omtc.dynamics.{name}.__init__", no_stepper)
+        for gamma_M, method in ((0.05, "rk4"), (0.0, "rk4"), (0.0, "expm")):
+            p = ModelParams(gamma_M=gamma_M, Mbar=0.02)
+            gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+            with pytest.raises(NumericalError, match="does not preserve the trace of the dropped"):
+                two_time_correlation(
+                    initial_state(p, space), LossyGround(gen),
+                    EvolutionConfig(dt=0.02, t_max=1.0, method=method),
+                    ladder_operators(space)["a"], monitor=optical_excitation_operator(space),
+                )
 
 
 def _correlation_point(params, space, initial=1, **config):
@@ -1223,15 +1277,19 @@ def _factors_of(gen, S, index):
     return _kronecker_factors(gen, S.block(index), index)
 
 
-def _separable_point(space, gen, rho0):
-    """(fwd, P, Q0, _separable's result) of a correlation run on the model's sectors."""
-    S, d = gen.superoperator(), space.dim
-    fwd = _ForwardSector(S, rho0, _readout(space)[0])
-    P = fwd.P
+def _sectors(space, gen, rho0):
+    """(fwd, Q0, adj) of a correlation run on the model's sectors; the operand sector adj is Q0 x P."""
+    fwd = _ForwardSector(gen.superoperator(), rho0, _readout(space)[0])
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
-    adj = (Q0[:, None] * d + P).reshape(-1)
-    factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
-    return fwd, P, Q0, _separable(_eigenbases(factors), fwd, rho0)
+    return fwd, Q0, (Q0[:, None] * space.dim + fwd.P).reshape(-1)
+
+
+def _d_form(space, gen, rho0, monitor=None):
+    """The D form that _kernel sets up for an expm correlation run of a, dt = 0.02, b = 4."""
+    fwd, _, adj = _sectors(space, gen, rho0)
+    cfg = EvolutionConfig(dt=0.02, t_max=1.0, method="expm")
+    a = ladder_operators(space)["a"]
+    return _kernel(gen, fwd, gen.superoperator().block(adj), adj, rho0, a, monitor, cfg, 4)
 
 
 def _factored_nodes(form, n):
@@ -1308,11 +1366,20 @@ class TestFactoredPropagator:
     @pytest.mark.parametrize(
         "initial, Mbar, rank", [(1, 0.0, 1), ("symmetric", 0.0, 1), (2, 0.02, 3)]
     )
-    def test_columns_are_the_rank_of_the_start(self, initial, Mbar, rank):
+    def test_columns_are_the_rank_of_the_start(self, initial, Mbar, rank, monkeypatch):
         # W comes from the eigenpairs of rho0[P, P]: one atom excited and the
         # symmetric superposition are pure (s = 1), |e><e| (x) thermal
         # phonons has one eigenvector per phonon number with a nonzero
         # weight (all N_m + 1 = 3 when Mbar > 0); D is |Q0| s wide, |Q0| = 3
+        from omtc import dynamics
+
+        init, starts = dynamics._SeparableKernel.__init__, []
+
+        def spy(self, bases, W, *args):
+            starts.append(W)
+            init(self, bases, W, *args)
+
+        monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", spy)
         space = build_space(1, 2, excitation_cap=1)
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(J=0.3, Mbar=Mbar), space, initial, dt=0.02, t_max=1.0, method="expm"
@@ -1321,7 +1388,8 @@ class TestFactoredPropagator:
         assert grid.run["columns"] == (rank, 3 * rank) and grid.D.shape == (grid.n_t, 3 * rank)
         cfg = replace(cfg, method="rk4")
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).run["columns"] == (None, None)
-        _, P, _, (*_, W) = _separable_point(space, gen, rho0)
+        (W,) = starts
+        P = _sectors(space, gen, rho0)[0].P
         assert np.abs(W @ W.conj().T - rho0[np.ix_(P, P)]).max() <= 1e-15
 
     def test_readout_on_any_operand_sector(self, monkeypatch):
@@ -1334,10 +1402,10 @@ class TestFactoredPropagator:
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
         d, a_mat = space.dim, a
-        _, P, Q0, separable = _separable_point(space, gen, rho0)
-        mon = np.zeros_like(rho0)
+        fwd, Q0, _ = _sectors(space, gen, rho0)
+        P, mon = fwd.P, np.zeros_like(rho0)
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
-        form = _SeparableKernel(separable, a_mat[np.ix_(Q0, P)], rho0, mon[np.ix_(P, P)], 0.02, b=4)
+        form = _d_form(space, gen, rho0, mon)
         rows, values, traces = zip(*form.readout(9))
         assert traces == (None,) * 3
         nodes = _factored_nodes(form, 9)
@@ -1373,9 +1441,10 @@ class TestFactoredPropagator:
         rho0, gen, _, a, _ = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), space, 2, dt=0.02, t_max=1.0, method="expm"
         )
-        _, P, Q0, separable = _separable_point(space, gen, rho0)
+        P, mon = _sectors(space, gen, rho0)[0].P, np.zeros_like(rho0)
         N = np.diag(np.random.default_rng(4).uniform(0.5, 1.5, len(P)) + 0.3j)
-        form = _SeparableKernel(separable, a[np.ix_(Q0, P)], rho0, N, 0.02, b=4)
+        mon[np.ix_(P, P)] = N
+        form = _d_form(space, gen, rho0, mon)
         values = np.concatenate([m for _, m, _ in form.readout(9)])
         nodes = _factored_nodes(form, 9)
         for k, m in enumerate(values):
@@ -1407,13 +1476,12 @@ class TestFactoredPropagator:
         # misses a column of rho0[P, P] = W W^H must not pass
         from omtc import dynamics
 
-        separable = dynamics._separable
+        init = dynamics._SeparableKernel.__init__
 
-        def missing_one(*args):
-            *bases, W = separable(*args)
-            return (*bases, W[:, :-1])
+        def missing_one(self, bases, W, *args):
+            init(self, bases, W[:, :-1], *args)
 
-        monkeypatch.setattr("omtc.dynamics._separable", missing_one)
+        monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", missing_one)
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(J=0.3, Mbar=0.02), build_space(1, 2, excitation_cap=1), 2,
             dt=0.02, t_max=1.0, method="expm",
@@ -1423,7 +1491,8 @@ class TestFactoredPropagator:
 
     @pytest.mark.parametrize("check", ["anti-Hermitian ground block", "B = A^H", "positive start"])
     def test_failed_set_up_check_falls_back_to_dense_path(self, check, monkeypatch):
-        # each of _separable's checks, failed on its own, sends the run to
+        # each of the D form's set-up checks (_eigenbases and the positive
+        # start in _kernel), failed on its own, sends the run to
         # the U/X form with both passes dense, the same code as without
         # Kronecker factors
         space = build_space(1, 2, excitation_cap=1)
@@ -1526,29 +1595,27 @@ class TestFactoredPropagator:
         # total trace is not 1; p must follow the dense stepper's flux row
         space = build_space(1, 2, excitation_cap=1)
         params = ModelParams(J=0.4, gamma_a_coop=0.02)
-        rho0, gen, _, a, _ = _correlation_point(params, space, "symmetric", dt=0.02, t_max=1.0)
+        rho0, gen, _, _, _ = _correlation_point(params, space, "symmetric", dt=0.02, t_max=1.0)
         vac = space.ket(0, 0, 0, 0)
         rho0 = 0.5 * rho0 + 0.2 * np.outer(vac, vac.conj())
-        S = gen.superoperator()
-        reads, _, _ = _readout(space)
-        fwd = _ForwardSector(S, rho0, reads)
+        fwd = _sectors(space, gen, rho0)[0]
         fwd.check_trace_rows()
-        _, P, Q0, separable = _separable_point(space, gen, rho0)
-        factored = _SeparableKernel(separable, a[np.ix_(Q0, P)], rho0, None, 0.02, b=4)
-        dense = _SectorStepper(fwd.block, 0.02, "expm", b=4)
+        factored = _d_form(space, gen, rho0)
+        herm = _HermitianCoordinates(fwd)
+        dense = _SectorStepper(herm.block, 0.02, "expm", b=4)
         # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H;
         # from node 4 on both passes step a block by the 4th power
         nodes = _factored_nodes(factored, 21)
-        Z = np.concatenate(list(dense.blocks(fwd.coords(rho0), 21)))
+        Z = np.concatenate(list(dense.blocks(herm.coords(rho0), 21)))
         assert Z[0, -1] == pytest.approx(0.2)
         for k, z in enumerate(Z):
             X, p = factored.state(nodes[k])
-            assert np.abs(X - fwd.V.dot(z)).max() <= 1e-13
+            assert np.abs(X - herm.V.dot(z)).max() <= 1e-13
             assert abs(p - z[-1]) <= 1e-13
         x, z = nodes[0], Z[0]
         for _ in range(20):  # node by node
             x, z = factored(x), dense(z)
-            assert np.abs(factored.state(x)[0] - fwd.V.dot(z)).max() <= 1e-13
+            assert np.abs(factored.state(x)[0] - herm.V.dot(z)).max() <= 1e-13
 
     def test_growing_step_rejected_at_set_up(self, monkeypatch):
         # the exact no-jump evolution never grows; with the eigenvalues of A
@@ -1585,7 +1652,7 @@ class TestFactoredPropagator:
         X = W @ W.conj().T
         # no operand sector here: a 1 x 1 ground block and a zero operand
         bases = _eigenbases(((A, B), (np.zeros((1, 1)), None)))
-        form = _SeparableKernel((*bases, W), np.zeros((1, d)), X, None, 0.05)
+        form = _SeparableKernel(bases, W, np.zeros((1, d)), X, None, 0.05)
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
         x0 = np.ones(d)  # node 0, g^0
         assert np.abs(_factored_matrix(form, x0) - X).max() <= 1e-13 * np.abs(X).max()
@@ -1746,10 +1813,9 @@ class TestSpectralKernel:
         )
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         stepped = _unfactored(rho0, gen, cfg, a, mon)
-        fwd, P, Q0, _ = _separable_point(space, gen, rho0)
-        S = gen.superoperator()
-        factors = (_factors_of(gen, S, fwd.index),
-                   _factors_of(gen, S, (Q0[:, None] * space.dim + P).reshape(-1)))
+        fwd, Q0, adj = _sectors(space, gen, rho0)
+        S, P = gen.superoperator(), fwd.P
+        factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
         (_, V, _), (_, U), _ = _eigenbases(factors)
         X = U @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ V.conj().T
         assert np.abs(X.reshape(grid.n_t, -1) - stepped.X).max() <= 1e-13
