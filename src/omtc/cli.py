@@ -6,12 +6,19 @@ correlation (simulate and dump the two-time grid, no sweep).  Exit codes:
 0 on success, 2 for configuration errors and files that cannot be read or
 written, 3 for numerical failures.
 
+A spectrum or correlation run checks that the directory of each of its
+outputs exists before it starts, and writes them under temporary names
+that are renamed once all are written, so a run that fails leaves none.
+
 Determinism contract: identical configs produce byte-identical output
 files; timing goes to stderr only.  --threads is still accepted and
 checked (>= 1) but no longer changes anything: every run is serial.
 """
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 import time
 
@@ -72,16 +79,45 @@ def _footer(cfg: RunConfig, result) -> list[str]:
     return echo_lines(cfg, extra)
 
 
+def _check_directories(*paths) -> None:
+    """FileNotFoundError (exit 2) for an output path whose directory does not exist, before any run."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _write_all(outputs) -> None:
+    """Call write(temporary path) for each (path, write) of outputs, then rename each to its path.
+
+    The temporary file lies in its output's directory, so the rename does
+    not copy.  If a write fails, every temporary file is removed: a run that
+    reports failure leaves no output behind.
+    """
+    temporary = []
+    try:
+        for path, write in outputs:
+            temporary.append(f"{path}.{os.getpid()}.tmp")
+            write(temporary[-1])
+        for (path, _), temp in zip(outputs, temporary):
+            os.replace(temp, path)
+    finally:
+        for temp in temporary:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     if cfg.output.csv is None:
         raise ConfigurationError("no CSV output path; set output.csv or pass --output")
+    _check_directories(cfg.output.csv, cfg.output.correlation_dump, cfg.output.svg)
     result = _run_one(cfg)
-    write_spectrum_csv(cfg.output.csv, result, _footer(cfg, result))
+    outputs = [(cfg.output.csv, lambda path: write_spectrum_csv(path, result, _footer(cfg, result)))]
     if cfg.output.correlation_dump:
-        result.grid.save(cfg.output.correlation_dump)
+        outputs.append((cfg.output.correlation_dump, result.grid.save))
     if cfg.output.svg:
-        emit_plot([("spectrum", result.deltas, result.intensity)], cfg.output.svg)
+        outputs.append((cfg.output.svg, lambda path: emit_plot([("spectrum", result.deltas, result.intensity)], path)))
+    _write_all(outputs)
     print(
         f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
         f"{_report(result.metadata)} -> {cfg.output.csv}",
@@ -124,6 +160,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("sweep requires sweep.parameter and sweep.values in the config")
     if cfg.output.csv is None:
         raise ConfigurationError("no CSV output path; set output.csv or pass --output")
+    _check_directories(cfg.output.csv, cfg.output.svg)
     paths = {}  # output path: sweep value, checked before the first run
     for value in cfg.sweep.values:
         path = _suffix_path(cfg.output.csv, cfg.sweep.parameter, value)
@@ -167,11 +204,12 @@ def _cmd_correlation(args) -> int:
             "correlation requires a dump path; set output.correlation_dump "
             "or pass --dump-correlation"
         )
+    _check_directories(cfg.output.correlation_dump)
     loaded = _loaded(cfg)
     t0 = time.perf_counter()
     grid, metadata = correlation_grid(cfg.model, cfg.numerics, cfg.excited_atom, loaded)
     metadata["wall_clock_s"] = time.perf_counter() - t0
-    grid.save(cfg.output.correlation_dump)
+    _write_all([(cfg.output.correlation_dump, grid.save)])
     print(f"correlation: {_report(metadata)} -> {cfg.output.correlation_dump}", file=sys.stderr)
     return 0
 

@@ -20,7 +20,7 @@ the operand sector carries a rho and stays complex.
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
 expm with E = exp(S dt).  Every pass runs in row blocks of b nodes
-(_blocks).
+(grid._blocks, shared with the grid that makes X again from them).
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
@@ -53,9 +53,12 @@ other run, and a kernel run that _kernel turns down, is stepped.
   r(h (sum)) and every node is an elementwise power.  The trace is folded
   into a single adjoint (Heisenberg) propagation of a', so
   C[k+tau][k] = <U_tau, X_k> on the operand sector, here in eigen
-  coordinates: only the pairing has meaning.  The forward pass fills X;
-  U_tau = N o H^tau needs no pass, the grid keeps N and H and makes the
-  rows of U as it reads them.  A step that grows an eigen coordinate is
+  coordinates: only the pairing has meaning.  X_k = M (Z_0 o G^k) and
+  U_tau = N o H^tau are both made from O(|P|^2) numbers, so the grid keeps
+  those and makes the rows of X and U as its lag sums read them; the
+  forward pass reads each node only for the monitor and for the largest
+  entry X_k . N that the resolution check needs, and its memory does not
+  grow with n_t but for that one column.  A step that grows an eigen coordinate is
   rejected at set-up, and a grid too far below the roundoff of the change
   of basis is computed stepped instead.
 - Stepped U/X form (_SteppedForm), every other run: the same pairing,
@@ -73,7 +76,15 @@ import numpy as np
 
 from .config import EvolutionConfig
 from .errors import ConfigurationError, NumericalError
-from .grid import RUN_KEYS, STEP_FACTOR_LIMIT, CorrelationGrid, _block_size, spectral_blocks
+from .grid import (
+    RUN_KEYS,
+    STEP_FACTOR_LIMIT,
+    CorrelationGrid,
+    _block_size,
+    _blocks,
+    _elementwise_blocks,
+    spectral_blocks,
+)
 from .model import Generator, SparseMatrix
 
 #: abort threshold for trace drift along a trajectory
@@ -322,28 +333,6 @@ class _SectorStepper:
         return _blocks(x0, self, None if power is None else (lambda Y, rows: Y[:rows] @ power.T), n, self.b)
 
 
-def _blocks(x0: np.ndarray, step, advance, n: int, b: int):
-    """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes; the last may be shorter.
-
-    The first block is stepped node by node, and so is a later one without
-    advance; with it, a later block is advance(Y, rows), each row b steps
-    on from the same row of the block Y before (in place for the
-    elementwise forms).
-    """
-    Y = None
-    for start in range(0, n, b):
-        rows = min(b, n - start)
-        if Y is not None and advance is not None:
-            Y = advance(Y, rows)
-        else:
-            x = x0 if Y is None else step(Y[-1])
-            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
-            Y[0] = x
-            for i in range(1, rows):
-                Y[i] = step(Y[i - 1])
-        yield Y
-
-
 def _first_nodes(blocks, b: int) -> np.ndarray:
     """Nodes 0 .. b of a pass, from its blocks(b + 1), copied into one array as each block is made."""
     first = next(blocks)
@@ -505,22 +494,8 @@ def _rk4_factor(z: np.ndarray) -> np.ndarray:
     return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
 
 
-def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
-    """g^b elementwise, the factor that steps a block of b nodes."""
-    return g**b
-
-
-def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
-    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes (_blocks).
-
-    A later block is the block before times g^b, in place: all are views of one buffer.
-    """
-    power = _elementwise_power(g, b)
-    return _blocks(x0, lambda x: x * g, lambda Y, rows: np.multiply(Y[:rows], power, out=Y[:rows]), n, b)
-
-
 class _SpectralKernel:
-    """The RK4 U/X form in eigen coordinates: X by elementwise powers, U by its factors N and H.
+    """The RK4 U/X form in eigen coordinates: Z by elementwise powers, X and U by their factors.
 
     L acts on the readout sector P x P as Z -> A Z + Z B and on the operand
     sector Q0 x P as Y -> A0 Y + Y B (_kronecker_factors, A0 = A[Q0, Q0]).
@@ -533,8 +508,12 @@ class _SpectralKernel:
     U^H a rho(t_k) V^-H is X_k = M Z_k, M = U^H a[Q0, P] V, and row tau of
     the adjoint stack is U_tau = N o H^tau, N = (V^H a[Q0, P]^H U)^T =
     conj(M): U_tau . X_k = Tr[a' Phi_tau(a rho(t_k))], as the V^-H factors
-    cancel inside the trace.  The grid keeps N and H, not that stack
-    (grid.spectral_blocks).  The monitor value is
+    cancel inside the trace.  The grid keeps N, H, M, Z_0, G and b, no
+    stack: its lag sums make the rows of U (grid.spectral_blocks) and of X
+    (CorrelationGrid.operand_blocks) as they read them.  So the pass makes
+    no operand: it reads each node only through U_tau . X_k =
+    (M^T U_tau) . Z_k, the smoke check's pairing and, with U_0 = N, the
+    resolution column X_k . N that grid() needs.  The monitor value is
     Re tr(N' rho) = Re sum((V^H N' V)^T o Z_k) for N' = monitor[P, P].
 
     The exact no-jump evolution never grows (Re(alpha_i + beta_j) <= 0 and
@@ -559,6 +538,7 @@ class _SpectralKernel:
         self.Z0 = (V_inv @ rho0[np.ix_(P, P)] @ V_inv.conj().T).reshape(-1)
         self.M = U.conj().T @ a0 @ V
         self.N = self.M.conj().reshape(-1)
+        self.resolution = self.paired(self.N[None])[0]  # X_k . N = Z_k . resolution
         self.mon = None if monitor is None else (V.conj().T @ monitor @ V).T.reshape(-1)
         self._V = V, V.conj().T, np.trace(rho0).real
         p = len(V)
@@ -575,39 +555,43 @@ class _SpectralKernel:
         rho = V @ z.reshape(len(V), -1) @ V_H
         return rho.reshape(-1), trace0 - np.trace(rho).real
 
-    def operands(self, Z: np.ndarray) -> np.ndarray:
-        """X_k flattened (|Q0| |P|) for the rows Z_k of a forward block."""
-        p = self.M.shape[1]
-        return np.matmul(self.M, Z.reshape(len(Z), p, p)).reshape(len(Z), -1)
+    def paired(self, U: np.ndarray) -> np.ndarray:
+        """M^T U_tau flattened (|P|^2) for rows U_tau of U: (M^T U_tau) . Z_k = U_tau . X_k."""
+        q, p = self.M.shape
+        return np.matmul(self.M.T, U.reshape(len(U), q, p)).reshape(len(U), -1)
 
     def blocks(self, n: int):
         """Yield Z_0 .. Z_{n-1} as row blocks of b nodes (_elementwise_blocks)."""
         return _elementwise_blocks(self.Z0, self.G, n, self.b)
 
     def readout(self, n: int):
-        """Yield what _dense_readout does per block: operands, monitor values, traces None."""
+        """Yield per block the resolution column X_k . N (one column), monitor values, traces None."""
         for Z in self.blocks(n):
-            yield self.operands(Z), None if self.mon is None else (Z @ self.mon).real, None
+            yield (Z @ self.resolution)[:, None], None if self.mon is None else (Z @ self.mon).real, None
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
-        """C(j, k) = U_{j-k} . X_k of the nodes 0 .. b, and U_b = N o H^b (by squaring) against U_{b-1} o H.
+        """C(j, k) = (M^T U_{j-k}) . Z_k of the nodes 0 .. b, and U_b = N o H^b (by squaring) against U_{b-1} o H.
 
         The rows of U come as the grid makes them (spectral_blocks).
         """
-        X, b = self.operands(nodes[:2]), self.b
+        b = self.b
         U = np.concatenate(list(spectral_blocks(self.N, self.H, [(0, b), (b, b + 1)])))
-        return (lambda j, k: U[j - k] @ X[k]), [("adjoint E^b", U[-1] - U[-2] * self.H)]
+        MU = self.paired(U)
+        return (lambda j, k: MU[j - k] @ nodes[k]), [("adjoint E^b", U[-1] - U[-2] * self.H)]
 
-    def grid(self, X: np.ndarray):
-        """The grid's arrays X, N and H, or None where X does not stand above its roundoff.
+    def grid(self, column: np.ndarray):
+        """The grid's factors N, H, M, Z_0, G, b and n_t, or None where X does not stand above its roundoff.
 
         It does when eps kappa T is at most SPECTRAL_RESOLUTION of
         max|C[j][k]| = max_k |U_0 . X_k| (Cauchy-Schwarz, for a positive
-        rho0), so that the grid matches stepped RK4 to that share of its
-        largest entry; a run cut a few steps after a photonless start is not.
+        rho0), the largest entry of the resolution column, so that the grid
+        matches stepped RK4 to that share of its largest entry; a run cut a
+        few steps after a photonless start is not.
         """
-        if self.floor <= SPECTRAL_RESOLUTION * np.abs(X @ self.N).max(initial=0.0):
-            return {"X": X, "N": self.N, "H": self.H}  # N o H^tau is the conjugated row already
+        if self.floor <= SPECTRAL_RESOLUTION * np.abs(column).max(initial=0.0):
+            # N o H^tau is the conjugated row already
+            return {"N": self.N, "H": self.H, "M": self.M, "Z0": self.Z0, "G": self.G, "b": self.b,
+                    "n_t": len(column)}
         return None
 
 
@@ -621,9 +605,11 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
     semidefinite rho0[P, P] = W W^H (to 1e-12 of its largest eigenvalue;
     W = E sqrt(e) over the eigenpairs (e, E) above 1e-14 of the largest,
     s columns), for the spectral form kappa(V)^2 <= SPECTRAL_CONDITION_LIMIT.
-    Then the budget of its stack (16 |Q0| s bytes per node for D, 16 |R_a|
-    for X) and its trace checks (check_leak, check_trace_rows), which stand
-    in for the trace guard its pass does not have.
+    Then its budget (_check_budget: the stack D, 16 |Q0| s bytes per node,
+    or the spectral form's resolution column, 16 bytes per node, with its
+    factors and row blocks) and its trace checks (check_leak,
+    check_trace_rows), which stand in for the trace guard its pass does not
+    have.
     """
     P, expm = fwd.P, config.method == "expm"
     if not len(adj) or not np.array_equal(_distinct(adj % gen.dim), P):
@@ -639,7 +625,10 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
             return None
         keep = e > 1e-14 * e[-1]
         W = E[:, keep] * np.sqrt(e[keep])
-    _check_budget(config, 16 * (len(adj) if W is None else len(Q0) * W.shape[1]))
+    if W is None:  # N, H, M and a block of X; Z_0, G and a block of Z
+        _check_budget(config, 16, factors=16 * ((3 + b) * len(adj) + (2 + b) * len(P) ** 2))
+    else:
+        _check_budget(config, 16 * len(Q0) * W.shape[1])
     fwd.check_leak()
     fwd.check_trace_rows()
     a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
@@ -880,27 +869,31 @@ def _forward(values, config: EvolutionConfig):
         del rows  # released before the next block is computed
 
 
-def _check_budget(config: EvolutionConfig, node_bytes: int, dense=()) -> None:
+def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factors: int = 0) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
     Counts the stacks over the full t_max, node_bytes per node (32 |R_a|
-    for U and X, 16 |R_a| for the spectral form's X alone, 16 |Q0| s for
-    D), and for expm the dense propagators of the stepped passes and their
-    b-th powers: 2 itemsize n^2 bytes per block, given as (n, itemsize)
-    (8 for the real forward block, n = |R_f| + 1 with p; 16 for the complex
-    adjoint one).  The D and spectral forms step elementwise and build no
-    propagator.  Row blocks are not counted: b |R| entries stepped, b |P|
-    in the D form.  Called once per form: by _kernel for the D and
-    spectral forms, by _SteppedForm and by evolve.  Method rk4 is advised
-    only where dense blocks count: a D-form run would take the spectral
-    form, whose stack is |P| / s wider.
+    for U and X, 16 |Q0| s for D, 16 for the spectral form's resolution
+    column), the factors bytes that do not grow with t_max (the spectral
+    form's eigen factors and its row blocks), and for expm the dense
+    propagators of the stepped passes and their b-th powers: 2 itemsize n^2
+    bytes per block, given as (n, itemsize) (8 for the real forward block,
+    n = |R_f| + 1 with p; 16 for the complex adjoint one).  The D and
+    spectral forms step elementwise and build no propagator.  The row
+    blocks of the stepped and D forms are not counted: b |R| entries
+    stepped, b |P| in the D form.  Called once per form: by _kernel for the
+    D and spectral forms, by _SteppedForm and by evolve.  Method rk4 is
+    advised only where dense blocks count.
     """
     stack_bytes = config.n_max * node_bytes
     dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense) if config.method == "expm" else 0
-    total = stack_bytes + dense_bytes
+    total = stack_bytes + factors + dense_bytes
     if total > config.max_grid_bytes:
-        terms = [f"factor stacks {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
+        stack = "resolution column" if factors else "factor stacks"
+        terms = [f"{stack} {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
         advice = "a coarser dt or a shorter t_max"
+        if factors:
+            terms.append(f"eigen factors and row blocks {factors / 2**20:.1f} MiB")
         if dense_bytes:
             terms.append(f"dense expm blocks and their powers {dense_bytes / 2**20:.1f} MiB")
             advice = "a coarser dt, a shorter t_max or method rk4"
@@ -981,9 +974,11 @@ def two_time_correlation(
     for expm or the spectral U/X form (_SpectralKernel) for rk4, else the
     stepped U/X form (_SteppedForm), the only one that builds Hermitian
     coordinates.  One loop then runs whatever the form: the smoke check, the
-    forward pass into the stack X and form.grid(X); a spectral grid that
-    does not resolve (None) is recomputed stepped, its set-up stage holding
-    the attempt.  The sector blocks are extracted once; the operand block Sa
+    forward pass into a stack and form.grid of it.  The stack is the
+    operands X (stepped form), D (D form), or the spectral form's resolution
+    column, one entry per node, whose grid keeps factors instead of X; a
+    spectral grid that does not resolve (None) is recomputed stepped, its
+    set-up stage holding the attempt.  The sector blocks are extracted once; the operand block Sa
     serves the Kronecker check, the smoke check and the stepped adjoint
     pass.  The grid's run record (CorrelationGrid.run, keyed by RUN_KEYS)
     holds the sector sizes, the form's propagators joined by "/", its
@@ -991,10 +986,10 @@ def two_time_correlation(
     smoke check, forward pass and the form's grid() call, which is the
     stage the form names (grid_stage: adjoint for the stepped U/X form,
     whose grid() runs the adjoint pass, else forward).  rho0 must be
-    Hermitian.  Each form checks its stacks over the full t_max and, for
-    expm on the stepped path, the dense propagators and their b-th powers
-    against max_grid_bytes (_check_budget) before anything large is
-    allocated.
+    Hermitian.  Each form checks its stack over the full t_max, the
+    spectral form its factors, and, for expm on the stepped path, the dense
+    propagators and their b-th powers against max_grid_bytes
+    (_check_budget) before anything large is allocated.
     """
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
@@ -1021,9 +1016,10 @@ def two_time_correlation(
         smoke = _smoke_check(gen, S, fwd, adj, Sa, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
 
-        # forward pass: the rows of D, or the operands a rho(t_k) on the operand
-        # sector, block by block into the stack over the full t_max; rows past
-        # the realized horizon are never written, so never resident
+        # forward pass: the rows of D, the operands a rho(t_k) on the operand
+        # sector, or the resolution column, block by block into the stack over
+        # the full t_max; rows past the realized horizon are never written, so
+        # never resident
         X, n_t, residual = None, 0, None
         for operands, residuals in _forward(form.readout(config.n_max), config):
             if X is None:

@@ -2,12 +2,16 @@
 
 The U/X form pairs two O(n_t |R_a|) stacks, C[k+tau][k] = U[tau] . X[k];
 the filter's per-lag sums come from them in one pass over row blocks, one
-small Gram matrix per block.  Its spectral variant stores X and the two
-vectors N and H of U[tau] = N o H^tau instead of U, and makes each block
-of U rows as the pass reads it (adjoint_blocks).  The D form holds one stack
-with C[j][k] = D[j]^H D[k]; its per-lag sums are two FFT autocorrelations.
-The O(n_t^2) triangle is never formed.  The binary dump is format version
-2 for U and X, 4 for N, H and X, and 3 for D.
+small Gram matrix per block.  Its spectral variant keeps the vectors N and
+H of U[tau] = N o H^tau instead of U, and makes each block of U rows as the
+pass reads it (adjoint_blocks).  A computed spectral grid keeps no stack at
+all: X[k] = M (Z_0 o G^k) comes from M, Z_0, G and the forward pass's block
+length b, made block by block as the pass reads it (operand_blocks), with
+the bits the forward pass would have stored; a loaded one keeps its stored
+X.  The D form holds one stack with C[j][k] = D[j]^H D[k]; its per-lag sums
+are two FFT autocorrelations.  The O(n_t^2) triangle is never formed.  The
+binary dump is format version 2 for U and X, 4 for N, H and X (a computed
+spectral grid writes its X block by block), and 3 for D.
 dynamics.two_time_correlation builds any of them.
 """
 
@@ -21,6 +25,8 @@ from .errors import ConfigurationError
 _GRID_MAGIC = b"OMTCGRID"
 #: dump version: the stored arrays, in dump order; N and H are one row each
 _FORMS = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}
+#: the arrays of a computed spectral grid, which dumps as version 4
+_EIGEN = {"N", "H", "M", "Z0", "G"}
 #: largest |H_qj| a spectral grid accepts: a larger step factor grows
 STEP_FACTOR_LIMIT = 1.0 + 1e-12
 #: the facts of the run that built a grid (CorrelationGrid.run), each JSON
@@ -121,6 +127,68 @@ def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
         yield start * table[: hi - lo]
 
 
+def _blocks(x0: np.ndarray, step, advance, n: int, b: int):
+    """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes; the last may be shorter.
+
+    The first block is stepped node by node, and so is a later one without
+    advance; with it, a later block is advance(Y, rows), each row b steps
+    on from the same row of the block Y before (in place for the
+    elementwise forms).
+    """
+    Y = None
+    for start in range(0, n, b):
+        rows = min(b, n - start)
+        if Y is not None and advance is not None:
+            Y = advance(Y, rows)
+        else:
+            x = x0 if Y is None else step(Y[-1])
+            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
+            Y[0] = x
+            for i in range(1, rows):
+                Y[i] = step(Y[i - 1])
+        yield Y
+
+
+def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
+    """g^b elementwise, the factor that steps a block of b nodes."""
+    return g**b
+
+
+def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
+    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes (_blocks).
+
+    A later block is the block before times g^b, in place: all are views of one buffer.
+    """
+    power = _elementwise_power(g, b)
+    return _blocks(x0, lambda x: x * g, lambda Y, rows: np.multiply(Y[:rows], power, out=Y[:rows]), n, b)
+
+
+def _operands(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The rows M Z_k flattened (|Q0| |P|) of the rows Z_k (|P| x |P| flattened) of a block."""
+    p = M.shape[1]
+    return np.matmul(M, Z.reshape(len(Z), p, p)).reshape(len(Z), -1)
+
+
+def _sliced(make_blocks, spans):
+    """Yield the rows lo:hi, for each (lo, hi) of spans, of the row blocks that make_blocks() yields.
+
+    Ascending spans take each block once; a span that starts before the
+    block in hand makes the blocks again from the first.
+    """
+    start, block = 0, None  # block holds the rows start .. start + len(block) - 1
+    for lo, hi in spans:
+        if block is None or lo < start:
+            blocks = make_blocks()
+            start, block = 0, next(blocks)
+        while start + len(block) <= lo:
+            start, block = start + len(block), next(blocks)
+        parts = [block[lo - start : hi - start]]
+        while start + len(block) < hi:
+            start, block = start + len(block), next(blocks)
+            parts.append(block[: hi - start])
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class CorrelationGrid:
     """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as U and X, as N, H and X, or as D.
 
@@ -128,37 +196,55 @@ class CorrelationGrid:
     adjoint steps and row k of X the regression operand a rho(t_k), both on
     the operand sector, so C[k+tau][k] = U[tau] . X[k].  Spectral form: the
     same in eigen coordinates, which pair the same, with U[tau] = N o H^tau
-    given by the vectors N and H, |H| <= 1, instead of a stack.  D form: row
-    k of D is the flattened D_k of the separable kernel (see dynamics), so
+    given by the vectors N and H, |H| <= 1, instead of a stack; X is stored
+    (a loaded grid) or, for a computed grid, given by the |Q0| x |P| matrix
+    M, the |P|^2 vectors Z0 and G, the forward pass's block length b and
+    n_t, X[k] = M (Z0 o G^k) (operand_blocks).  D form: row k of D is the
+    flattened D_k of the separable kernel (see dynamics), so
     C[j][k] = conj(D[j]) . D[k].  The upper triangle is defined by
     conjugate symmetry.  Exactly one form is given.
     """
 
     def __init__(self, dt, U=None, X=None, kappa=0.0, param_hash=b"\0" * 32,
-                 residual_excitation=None, run=None, D=None, N=None, H=None):
-        arrays = {"U": U, "X": X, "D": D, "N": N, "H": H}
+                 residual_excitation=None, run=None, D=None, N=None, H=None,
+                 M=None, Z0=None, G=None, b=None, n_t=None):
+        arrays = {"U": U, "X": X, "D": D, "N": N, "H": H, "M": M, "Z0": Z0, "G": G}
         for name, value in arrays.items():
             setattr(self, name, None if value is None else np.asarray(value, dtype=complex))
         given = {name for name, value in arrays.items() if value is not None}
+        self._kept = sorted(given)
         #: the dump format version of the form, which names its stored arrays
-        self.version = next((v for v, names in _FORMS.items() if given == set(names)), None)
+        self.version = 4 if given == _EIGEN else next((v for v, names in _FORMS.items() if given == set(names)), None)
         if self.version is None or (self.D is not None and self.D.ndim != 2):
             raise ConfigurationError(
                 "a grid holds either the stacks U and X or one n_t x m stack D, "
-                "or the stack X and the vectors N and H"
+                "or the vectors N and H with the stack X or the eigen factors M, Z0 and G"
             )
         if self.U is not None and (self.X.ndim != 2 or self.U.shape != self.X.shape):
             raise ConfigurationError(
                 f"factor stacks must share one n_t x |R_a| shape, "
                 f"got {self.U.shape} and {self.X.shape}"
             )
-        if self.N is not None and (self.X.ndim != 2 or not self.N.shape == self.H.shape == self.X.shape[1:]):
+        if self.N is not None and self.X is not None and (
+            self.X.ndim != 2 or not self.N.shape == self.H.shape == self.X.shape[1:]
+        ):
             raise ConfigurationError(
                 f"N and H must be vectors as wide as the n_t x |R_a| stack X, got shapes "
                 f"{self.N.shape}, {self.H.shape} and {self.X.shape}"
             )
+        if self.M is not None and not (
+            self.M.ndim == 2 and self.N.shape == self.H.shape == (self.M.size,)
+            and self.Z0.shape == self.G.shape == (self.M.shape[1] ** 2,) and (b or 0) > 0 and (n_t or 0) > 0
+        ):
+            raise ConfigurationError(
+                "eigen factors need M |Q0| x |P|, N and H |Q0| |P| and Z0 and G |P|^2 long, "
+                f"and b, n_t >= 1; got b = {b!r}, n_t = {n_t!r} and shapes "
+                f"{[getattr(self, name).shape for name in ('M', 'N', 'H', 'Z0', 'G')]}"
+            )
         self.dt = float(dt)
-        self.n_t = len(self.X if self.D is None else self.D)
+        self.n_t = n_t if self.M is not None else len(self.X if self.D is None else self.D)
+        #: rows per block of the forward pass that made a computed spectral grid
+        self.b = b
         self.kappa = float(kappa)
         self.param_hash = param_hash
         self.residual_excitation = residual_excitation
@@ -172,7 +258,13 @@ class CorrelationGrid:
 
     @property
     def memory_bytes(self) -> int:
-        return sum(getattr(self, name).nbytes for name in _FORMS[self.version])
+        """Bytes of the arrays the grid keeps: none grows with n_t on a computed spectral grid."""
+        return sum(getattr(self, name).nbytes for name in self._kept)
+
+    @property
+    def width(self) -> int:
+        """Entries per row: |R_a| of the U/X and spectral forms, m of the D form."""
+        return next(a for a in (self.D, self.U, self.N) if a is not None).shape[-1]
 
     def adjoint_blocks(self, spans):
         """The rows U[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
@@ -188,13 +280,39 @@ class CorrelationGrid:
         """The rows U[lo:hi], one block of adjoint_blocks."""
         return next(self.adjoint_blocks([(lo, hi)]))
 
+    def operand_blocks(self, spans):
+        """The rows X[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
+
+        Slices of a stored X, or for a computed spectral grid rows made as
+        they are read: the forward pass's blocks of b nodes Z0 o G^k
+        (_elementwise_blocks), whole up to n_t, each times M (_operands), cut
+        to the spans (_sliced).  So a row's bits do not depend on the spans,
+        and they are those the pass stored (but for rows of one entry in a
+        last block that the pass made longer: numpy rounds a product of one
+        element apart).  Ascending spans make each block once, and none past
+        the one that holds the last span's end.
+        """
+        if self.X is not None:
+            return (self.X[lo:hi] for lo, hi in spans)
+        spans = list(spans)
+        b = self.b
+        n = min(self.n_t, -(-max((hi for _, hi in spans), default=0) // b) * b)
+        return _sliced(lambda: (_operands(self.M, Z) for Z in _elementwise_blocks(self.Z0, self.G, n, b)), spans)
+
+    def operand_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The rows X[lo:hi], one block of operand_blocks."""
+        return next(self.operand_blocks([(lo, hi)]))
+
     def lag_sums(self, Gamma: float, n: int):
         """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].
 
         With the trapezoid weights w_k of [0, t_n] and
         q_k = w_k exp(-Gamma (t_n - t_k)), G[tau] = sum_k q_k q_{k+tau}
         C[k+tau][k] for tau = 0 .. n; A is the same with Gamma = 0.  The D
-        form takes them as the autocorrelations of q D and w D.
+        form takes them as the autocorrelations of q D and w D.  The U/X and
+        spectral forms read X only through operand_blocks, in ascending
+        blocks, so a computed spectral grid makes each row of X once per
+        call and holds one block of it at a time.
         """
         if self.D is not None:
             w = _trapezoid_weights(self.dt, n)
@@ -211,23 +329,26 @@ class CorrelationGrid:
         # r^(i-k) for k <= i, and its diagonal is the endpoint term.  M
         # does not depend on Gamma, so one product per block serves G and A,
         # each with its own carry S_{m0-1}.  No factor exceeds 1, so no
-        # Gamma T can overflow.  The blocks of U come from adjoint_blocks.
+        # Gamma T can overflow.  The blocks of U come from adjoint_blocks,
+        # those of X from operand_blocks.
         h = self.dt
         w = _trapezoid_weights(h, n)
         r = np.exp(-2.0 * Gamma * h)
-        X = self.X[: n + 1]
         b = _block_size(n + 1)
         starts = range(0, n + 1, b)
         spans = [(max(n - m0 - b + 1, 0), n - m0 + 1) for m0 in starts]
+        operands = self.operand_blocks([(m0, min(m0 + b, n + 1)) for m0 in starts])
         lag = np.abs(np.arange(b)[:, None] - np.arange(b))
         weights = (np.tril(r**lag), np.tril(np.ones((b, b))))
         decays = (r ** np.arange(1, b + 1), np.ones(b))  # r^(i+1)
         sums = (np.empty(n + 1, dtype=complex), np.empty(n + 1, dtype=complex))
-        carries = [np.zeros(X.shape[1], dtype=complex) for _ in sums]
-        buffer = np.empty((b, X.shape[1]), dtype=complex)
-        for m0, (lo, hi), U in zip(starts, spans, self.adjoint_blocks(spans)):
+        carries = [np.zeros(self.width, dtype=complex) for _ in sums]
+        buffer = np.empty((b, self.width), dtype=complex)
+        for m0, (lo, hi), U, X in zip(starts, spans, self.adjoint_blocks(spans), operands):
             rows = hi - lo
-            wX = np.multiply(w[m0 : m0 + rows, None], X[m0 : m0 + rows], out=buffer[:rows])
+            wX = np.multiply(w[m0 : m0 + rows, None], X, out=buffer[:rows])
+            if m0 == 0:
+                X0 = X[0]
             # row j of the block is lag tau = lo + j, so i = rows - 1 - j
             M = U @ wX.T
             ends = 0.5 * np.diagonal(M[:, ::-1])
@@ -236,44 +357,40 @@ class CorrelationGrid:
                 s[lo:hi] = (M * W[::-1]).sum(axis=1) + decay[::-1] * (U @ carries[t]) - ends
                 carries[t] = decay[-1] * carries[t] + W[-1] @ wX
         G, A = sums
-        corner = 0.5 * w[0] * (U[0] @ X[0])  # the last block holds lag 0
+        corner = 0.5 * w[0] * (U[0] @ X0)  # the last block holds lag 0
         G[0] -= r**n * corner
         A[0] -= corner
         A *= h
         G *= h * np.exp(-Gamma * h * np.arange(n + 1))
         return G, A
 
-    def zero_lag_sum(self, Gamma: float, n: int) -> complex:
-        """G[0] of lag_sums(Gamma, n), sum_k q_k^2 C[k][k], from the diagonal alone.
-
-        O(n |R_a|) or O(n m): a caller that needs only G[0] skips the lag sums.
-        """
-        h = self.dt
-        q = _trapezoid_weights(h, n) * np.exp(-Gamma * h * np.arange(n, -1, -1))
-        if self.D is not None:
-            D = self.D[: n + 1]
-            return complex(q**2 @ (D.real**2 + D.imag**2).sum(axis=1))
-        return complex(q**2 @ (self.X[: n + 1] @ self.adjoint_rows(0, 1)[0]))
-
     def save(self, path):
         """Binary dump: 80-byte header, then the stored arrays, little endian.
 
         Version 2 holds U and X, the header's second uint32 the operand-sector
         size |R_a|; version 4 holds N, H and X, the same width; version 3
-        holds D, the second uint32 its width.
+        holds D, the second uint32 its width.  A computed spectral grid
+        writes version 4 too, its X block by block from operand_blocks, so
+        the dump has the bytes of the stored stack and the whole stack is
+        never held: a reload reads X back rather than making it again.
         """
         hash_bytes = self.param_hash
         if isinstance(hash_bytes, str):
             hash_bytes = bytes.fromhex(hash_bytes)
         residual = float("nan") if self.residual_excitation is None else self.residual_excitation
-        arrays = [getattr(self, name) for name in _FORMS[self.version]]
         header = _GRID_MAGIC + struct.pack(
-            "<IIQddd", self.version, arrays[-1].shape[1], self.n_t, self.dt, self.kappa, residual
+            "<IIQddd", self.version, self.width, self.n_t, self.dt, self.kappa, residual
         ) + hash_bytes
         with open(path, "wb") as fh:
             fh.write(header)
-            for array in arrays:
-                fh.write(np.ascontiguousarray(array, dtype="<c16"))
+            for name in _FORMS[self.version]:
+                if name == "X" and self.X is None:
+                    spans = [(lo, min(lo + self.b, self.n_t)) for lo in range(0, self.n_t, self.b)]
+                    blocks = self.operand_blocks(spans)
+                else:
+                    blocks = [getattr(self, name)]
+                for array in blocks:
+                    fh.write(np.ascontiguousarray(array, dtype="<c16"))
 
     @classmethod
     def load(cls, path) -> "CorrelationGrid":

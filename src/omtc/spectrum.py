@@ -27,7 +27,7 @@ grid_memory_bytes and dim, then the grid's run record
 dumped grid), with stage_s extended by the model build and the sweep
 with its lag sums when this call ran the propagation, then the
 share of the emission that falls inside the detuning window
-(window_capture), the number of quadrature-noise entries its clamp set to
+(window_capture, from G[0] of the sweep's own lag sums), the number of quadrature-noise entries its clamp set to
 zero (clipped_points) and wall_clock_s.
 
 A second output column integrates the counting rate over the whole run,
@@ -135,13 +135,19 @@ def filtered_counting_rate(grid: CorrelationGrid, Delta: float, Gamma: float, T:
     return float(N[0])
 
 
-def filtered_spectrum(grid: CorrelationGrid, deltas, Gamma: float, T: float):
-    """Vector sweep of (counting rate, integrated counts) over evenly spaced detunings (or one)."""
+def filtered_spectrum(grid: CorrelationGrid, deltas, Gamma: float, T: float, zero_lag: bool = False):
+    """Vector sweep of (counting rate, integrated counts) over evenly spaced detunings (or one).
+
+    With zero_lag, also G[0] = sum_k q_k^2 C[k][k] of the lag sums that the
+    sweep reduced (CorrelationGrid.lag_sums), so the caller needs no second
+    pass over the grid.
+    """
     if Gamma <= 0:
         raise ConfigurationError(f"Gamma must be > 0, got {Gamma}")
     n = _snap_to_node(grid, T)
     G, A = grid.lag_sums(Gamma, n)
-    return _evaluate(grid, np.asarray(deltas, dtype=float), Gamma, n, G, A)
+    rate, counts = _evaluate(grid, np.asarray(deltas, dtype=float), Gamma, n, G, A)
+    return (rate, counts, complex(G[0])) if zero_lag else (rate, counts)
 
 
 def find_peaks(result: SpectrumResult, min_height_fraction: float) -> list:
@@ -256,15 +262,13 @@ def stationary_spectrum(
     T = grid.horizon
     deltas = filt.deltas()
     t_sweep = time.perf_counter()
-    intensity, integrated = filtered_spectrum(grid, deltas, filt.Gamma, T)
+    intensity, integrated, zero_lag = filtered_spectrum(grid, deltas, filt.Gamma, T, zero_lag=True)
     if stages is not None:
         stages["sweep"] = time.perf_counter() - t_sweep
     # over a full period 2 pi / h of Delta the rate integrates to
     # 2 pi kappa Gamma^2 Re G[0] / h, so this is the share of the emission
     # that falls inside the window
-    total = 2.0 * np.pi * grid.kappa * filt.Gamma**2 * grid.zero_lag_sum(
-        filt.Gamma, _snap_to_node(grid, T)
-    ).real
+    total = 2.0 * np.pi * grid.kappa * filt.Gamma**2 * zero_lag.real
     capture = float(np.trapezoid(intensity, deltas) * grid.dt / total) if total else None
     # tiny negative values are quadrature noise on a PSD kernel
     clipped = 0

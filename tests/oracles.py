@@ -130,11 +130,16 @@ def adjoint_stack(grid) -> np.ndarray:
     return grid.adjoint_rows(0, grid.n_t)
 
 
+def operand_stack(grid) -> np.ndarray:
+    """All n_t rows of X of a U/X or spectral CorrelationGrid, from its accessor."""
+    return grid.operand_rows(0, grid.n_t)
+
+
 def grid_column(grid, k: int) -> np.ndarray:
     """C[k:][k] (lags 0 .. n_t-1-k) of a CorrelationGrid."""
     if grid.D is not None:
         return grid.D[k:].conj() @ grid.D[k]
-    return grid.adjoint_rows(0, grid.n_t - k) @ grid.X[k]
+    return grid.adjoint_rows(0, grid.n_t - k) @ grid.operand_rows(k, k + 1)[0]
 
 
 def grid_value(grid, j: int, k: int) -> complex:
@@ -143,7 +148,7 @@ def grid_value(grid, j: int, k: int) -> complex:
         return np.conj(grid_value(grid, k, j))
     if grid.D is not None:
         return complex(np.vdot(grid.D[j], grid.D[k]))
-    return complex(grid.adjoint_rows(j - k, j - k + 1)[0] @ grid.X[k])
+    return complex(grid.adjoint_rows(j - k, j - k + 1)[0] @ grid.operand_rows(k, k + 1)[0])
 
 
 def grid_dense(grid) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import struct
 import subprocess
 import sys
@@ -270,6 +271,41 @@ class TestCliSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "correlation"])
+    def test_missing_output_directory_exits_before_the_run(self, tmp_path, monkeypatch, capsys, command):
+        # the dump's directory is missing: the run is refused before the
+        # model is built, and the CSV, whose directory exists, is not written
+        def never(*args, **kwargs):
+            raise AssertionError("the propagation ran")
+
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FAST + "sweep.parameter = J\nsweep.values = 0\n")
+        svg = ["--svg", "missing/plot.svg"] if command == "sweep" else []
+        assert main([command, "--config", "f.cfg", "--output", "ok.csv",
+                     "--dump-correlation", "missing/grid.bin", *svg]) == 2
+        err = capsys.readouterr().err
+        assert err == "file error: [Errno 2] No such file or directory: " + repr(svg[-1] if svg else "missing/grid.bin") + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
+
+    @pytest.mark.parametrize("failing", ["save", "emit_plot"])
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch, capsys, failing):
+        # the CSV is written first; a later output that fails takes it back,
+        # and no temporary file stays behind
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        target = "omtc.grid.CorrelationGrid.save" if failing == "save" else "omtc.cli.emit_plot"
+        monkeypatch.setattr(target, full)
+        (tmp_path / "f.cfg").write_text(FAST)
+        out = [str(tmp_path / name) for name in ("ok.csv", "grid.bin", "plot.svg")]
+        assert main(["spectrum", "--config", str(tmp_path / "f.cfg"), "--output", out[0],
+                     "--dump-correlation", out[1], "--svg", out[2]]) == 2
+        assert capsys.readouterr().err == "file error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
+        assert main(["spectrum", "--config", str(tmp_path / "f.cfg"), "--output", out[0]]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg", "ok.csv"]
+
     def test_threads_flag_must_be_positive(self, tmp_path, capsys):
         # the flag goes through the threads key's parser and check
         out = tmp_path / "sticks.csv"
@@ -329,7 +365,7 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "(factor stacks 0.0 MiB for n_t <= 41)" in err
-        # rk4 would take the spectral form, whose stack is |P| / s = 9 times wider
+        # the message advises rk4 only where dense expm blocks count
         assert "dense" not in err and "rk4" not in err
         cfg.write_text(small + "numerics.max_grid_bytes = 1968\n")
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
@@ -344,17 +380,17 @@ class TestCliSpectrum:
                                                         call, block):
         # without mechanical losses the run takes the D form; its forward
         # pass steps the powers of the |P| = 9 eigenvalues g of K_L at
-        # N_m = 2 by g^b (dynamics._elementwise_power), made once
-        from omtc import dynamics
+        # N_m = 2 by g^b (grid._elementwise_power), made once
+        from omtc import grid
 
-        power, calls = dynamics._elementwise_power, []
+        power, calls = grid._elementwise_power, []
 
         def corrupted(g, b):
             calls.append(len(g))
             P = power(g, b)
             return P * (1 + 1e-6) if len(calls) == call + 1 else P
 
-        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted)
+        monkeypatch.setattr("omtc.grid._elementwise_power", corrupted)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST)
         out = tmp_path / "never.csv"
@@ -408,11 +444,11 @@ class TestCliSpectrum:
     def test_corrupted_spectral_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                         call, block):
         # rk4 without mechanical losses takes the spectral form: the forward
-        # pass steps its blocks by G^b (dynamics._elementwise_power), and
+        # pass steps its blocks by G^b (grid._elementwise_power), and
         # the grid starts a block of U rows at lo > 0 from N o H^lo
         # (grid._squared_powers), U_b in the smoke check; made in that
         # order, spoil one
-        from omtc import dynamics, grid
+        from omtc import grid
 
         calls = []
 
@@ -420,7 +456,7 @@ class TestCliSpectrum:
             calls.append(size)
             return 1 + 1e-6 if len(calls) == call + 1 else 1
 
-        elementwise_power, squared_powers = dynamics._elementwise_power, grid._squared_powers
+        elementwise_power, squared_powers = grid._elementwise_power, grid._squared_powers
 
         def corrupted_power(g, b):
             return elementwise_power(g, b) * spoiled(len(g))
@@ -429,7 +465,7 @@ class TestCliSpectrum:
             factor = spoiled(len(g))
             return squared_powers(g, exponents) * np.where(np.array(exponents)[:, None] > 0, factor, 1)
 
-        monkeypatch.setattr("omtc.dynamics._elementwise_power", corrupted_power)
+        monkeypatch.setattr("omtc.grid._elementwise_power", corrupted_power)
         monkeypatch.setattr("omtc.grid._squared_powers", corrupted_powers)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST.replace("expm", "rk4"))
@@ -577,7 +613,10 @@ class TestCliCorrelation:
         # without mechanical losses expm dumps the D form (version 3) and rk4
         # the spectral form, X with the factors N and H (version 4); with
         # them rk4 steps both passes and dumps the U and X stacks (version
-        # 2).  Each reloads to the same CSV, byte for byte.
+        # 2).  Each reloads to the same CSV, byte for byte, but for the
+        # footer's grid.memory_bytes of the spectral form: the computed grid
+        # keeps N, H, M (|R_a| = 27 each), Z0 and G (|P|^2 = 81 each),
+        # 16 * 243 B, and the reload its stored X, 16 * (601 + 2) * 27 B
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST.replace("expm", method) + extra)
         dump = tmp_path / "grid.bin"
@@ -587,7 +626,14 @@ class TestCliCorrelation:
         assert int.from_bytes(dump.read_bytes()[8:12], "little") == version
         assert main(["spectrum", "--config", str(cfg), "--output", str(reused),
                      "--load-correlation", str(dump)]) == 0
-        assert direct.read_bytes() == reused.read_bytes()
+        if version == 4:
+            old, new = direct.read_text().splitlines(), reused.read_text().splitlines()
+            assert len(old) == len(new)
+            assert [(a, b) for a, b in zip(old, new) if a != b] == [
+                ("# grid.memory_bytes = 3888", "# grid.memory_bytes = 260496")
+            ]
+        else:
+            assert direct.read_bytes() == reused.read_bytes()
 
     def test_stderr_reports_sectors(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

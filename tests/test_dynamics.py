@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 from dataclasses import replace
 
@@ -16,12 +17,15 @@ from oracles import (
     grid_dense,
     grid_value,
     kron_superoperator,
+    operand_stack,
     ladder_by_rules,
     sparse_hamiltonian,
     to_scipy,
 )
 from scipy import linalg, sparse
 
+from omtc import grid as grid_module
+from omtc.config import FilterParams, NumericsConfig
 from omtc.dynamics import (
     TRACE_DRIFT_LIMIT,
     CorrelationGrid,
@@ -37,13 +41,14 @@ from omtc.dynamics import (
     _rk4_factor,
     _SectorStepper,
     _SeparableKernel,
+    _SpectralKernel,
     _taylor_step,
     check_step_size,
     evolve,
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
-from omtc.grid import _fast_length, _trapezoid_weights, spectral_blocks
+from omtc.grid import _fast_length, _operands, _trapezoid_weights, spectral_blocks
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     ModelParams,
@@ -51,7 +56,7 @@ from omtc.model import (
     build_hamiltonian,
     initial_state,
 )
-from omtc.spectrum import filtered_spectrum
+from omtc.spectrum import filtered_spectrum, stationary_spectrum
 
 
 def _random_rho(rng, d):
@@ -624,7 +629,7 @@ class TestGridStorage:
                     kappa=0.2, param_hash=b"\x02" * 32,
                 )
             names = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}[version]
-            arrays = [getattr(grid, name) for name in names]
+            arrays = [operand_stack(grid) if name == "X" else getattr(grid, name) for name in names]
             path = tmp_path / f"grid{version}.bin"
             grid.save(path)
             header = b"OMTCGRID" + struct.pack(
@@ -658,7 +663,7 @@ class TestGridStorage:
         assert loaded.kappa == grid.kappa
         assert loaded.param_hash == b"\x01" * 32
         np.testing.assert_array_equal(adjoint_stack(loaded), adjoint_stack(grid))
-        np.testing.assert_array_equal(loaded.X, grid.X)
+        np.testing.assert_array_equal(loaded.X, operand_stack(grid))
         for Gamma in (0.0, 0.05):
             for new, old in zip(loaded.lag_sums(Gamma, grid.n_t - 1), grid.lag_sums(Gamma, grid.n_t - 1)):
                 np.testing.assert_array_equal(new, old)
@@ -1817,9 +1822,10 @@ class TestSpectralKernel:
         S, P = gen.superoperator(), fwd.P
         factors = (_factors_of(gen, S, fwd.index), _factors_of(gen, S, adj))
         (_, V, _), (_, U), _ = _eigenbases(factors)
-        X = U @ grid.X.reshape(grid.n_t, len(Q0), len(P)) @ V.conj().T
+        X = U @ operand_stack(grid).reshape(grid.n_t, len(Q0), len(P)) @ V.conj().T
         assert np.abs(X.reshape(grid.n_t, -1) - stepped.X).max() <= 1e-13
-        np.testing.assert_allclose(adjoint_stack(grid) @ grid.X.T, adjoint_stack(stepped) @ stepped.X.T,
+        np.testing.assert_allclose(adjoint_stack(grid) @ operand_stack(grid).T,
+                                   adjoint_stack(stepped) @ stepped.X.T,
                                    rtol=0, atol=1e-13)
 
     def test_rk4_factor_is_the_step_polynomial(self):
@@ -1899,7 +1905,175 @@ class TestSpectralRows:
                 (G, A), (G_ref, A_ref) = grid.lag_sums(Gamma, n), stored.lag_sums(Gamma, n)
                 assert np.all(np.abs(G - G_ref) <= 1e-12 * G_abs + 1e-300)
                 assert np.all(np.abs(A - A_ref) <= 1e-12 * A_abs)
-                assert abs(grid.zero_lag_sum(Gamma, n) - stored.zero_lag_sum(Gamma, n)) <= 1e-12 * G_abs[0]
+                assert abs(grid.lag_sums(Gamma, n)[0][0] - stored.lag_sums(Gamma, n)[0][0]) <= 1e-12 * G_abs[0]
+
+
+def _eigen_factors(rng, q, p):
+    """N, H, M, Z0 and G of a computed spectral grid: |G|, |H| <= 1 and N = conj(M)."""
+    M = rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
+    Z0 = rng.normal(size=p * p) + 1j * rng.normal(size=p * p)
+    G = rng.uniform(0.0, 1.0, p * p) * np.exp(1j * rng.uniform(-np.pi, np.pi, p * p))
+    _, H = _spectral_factors(rng, q * p)
+    return {"N": M.conj().reshape(-1), "H": H, "M": M, "Z0": Z0, "G": G}
+
+
+def _pass_stack(factors, n_max, b):
+    """The operand stack over n_max nodes as the forward pass made it: blocks of Z, each times M."""
+    blocks = _elementwise_blocks(factors["Z0"], factors["G"], n_max, b)
+    return np.concatenate([_operands(factors["M"], Z) for Z in blocks])
+
+
+class TestOperandRows:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 300),
+        extra=st.integers(0, 100),
+        b=st.sampled_from([1, 2, 8, 16, 64]),
+        q=st.integers(1, 3),
+        p=st.integers(1, 4),
+        cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=100, extra=0, b=16, q=2, p=3, cuts=[(0.0, 1.0)], seed=1)  # all rows in one span
+    def test_rows_are_the_bits_the_pass_stored(self, n, extra, b, q, p, cuts, seed):
+        # a pass over n + extra nodes cut at n stored these rows; any spans,
+        # ascending or not, within a block or across blocks, read them back
+        # bit for bit.  One exception: with |P| = 1 a last block of one row
+        # is one complex product, which numpy rounds apart from the same
+        # product inside a longer block, so the pass that went on past n
+        # stored that row to within an ulp
+        factors = _eigen_factors(np.random.default_rng(seed), q, p)
+        stack = _pass_stack(factors, n + extra, b)[:n]
+        grid = CorrelationGrid(dt=0.1, b=b, n_t=n, **factors)
+        assert grid.X is None and grid.version == 4
+        spans = [(min(lo, hi), max(lo, hi) + 1) for lo, hi in ((int(x * (n - 1)), int(y * (n - 1))) for x, y in cuts)]
+        rows = operand_stack(grid)
+        if p == 1 and extra and b > 1 and n % b == 1:
+            assert np.abs(rows[-1] - stack[-1]).max() <= np.finfo(float).eps * np.abs(stack[-1]).max()
+            stack[-1] = rows[-1]
+        assert np.array_equal(rows, stack)
+        for (lo, hi), block in zip(spans, grid.operand_blocks(spans), strict=True):
+            assert np.array_equal(block, stack[lo:hi])
+
+    def test_rows_of_a_run_are_its_kernels_pass(self, monkeypatch):
+        # the kernel's own blocks over the full t_max, each times M, as the
+        # forward pass made them before the grid kept factors: the grid's
+        # rows are those, bit for bit, up to the leak stop
+        kernels = []
+        init = _SpectralKernel.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            kernels.append(self)
+
+        monkeypatch.setattr("omtc.dynamics._SpectralKernel.__init__", spy)
+        rho0, gen, cfg, a, mon = _correlation_point(
+            ModelParams(J=0.3), build_space(1, 2, excitation_cap=1), dt=0.02, t_max=200.0, method="rk4",
+        )
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        (kernel,) = kernels
+        assert grid.run["propagator"] == "spectral/spectral" and 1 < grid.n_t < cfg.n_max
+        stack = np.concatenate([_operands(kernel.M, Z) for Z in kernel.blocks(cfg.n_max)])
+        assert np.array_equal(operand_stack(grid), stack[: grid.n_t])
+
+    @settings(max_examples=15)
+    @given(
+        n_t=st.integers(2, 200),
+        b=st.sampled_from([1, 4, 16, 64]),
+        q=st.integers(1, 3),
+        p=st.integers(1, 3),
+        Gamma=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dump_is_the_stored_stack(self, tmp_path_factory, n_t, b, q, p, Gamma, seed):
+        # save writes the bytes of the grid that stores X, and the reload
+        # gives the same lag sums, bit for bit
+        factors = _eigen_factors(np.random.default_rng(seed), q, p)
+        scalars = {"dt": 0.05, "kappa": 0.3, "param_hash": b"\x07" * 32, "residual_excitation": 1e-5}
+        grid = CorrelationGrid(b=b, n_t=n_t, **factors, **scalars)
+        stored = CorrelationGrid(X=grid.operand_rows(0, n_t), N=grid.N, H=grid.H, **scalars)
+        path, other = (tmp_path_factory.mktemp("dump") / name for name in ("grid.bin", "stored.bin"))
+        grid.save(path)
+        stored.save(other)
+        assert path.read_bytes() == other.read_bytes()
+        loaded = CorrelationGrid.load(path)
+        assert loaded.n_t == n_t and loaded.memory_bytes == 16 * (n_t + 2) * q * p
+        assert grid.memory_bytes == 16 * (3 * q * p + 2 * p * p)
+        for n in sorted({1, n_t // 2, n_t - 1}):
+            for new, old in zip(grid.lag_sums(Gamma, n), loaded.lag_sums(Gamma, n), strict=True):
+                assert np.array_equal(new, old)
+
+    def test_factors_checked(self):
+        factors = _eigen_factors(np.random.default_rng(0), 2, 3)
+        CorrelationGrid(dt=0.1, b=4, n_t=5, **factors)
+        for bad in ({"b": 0}, {"n_t": None}, {"G": factors["G"][:-1]}, {"N": factors["N"][:-1]}):
+            with pytest.raises(ConfigurationError, match="eigen factors need"):
+                CorrelationGrid(dt=0.1, **{"b": 4, "n_t": 5, **factors, **bad})
+        with pytest.raises(ConfigurationError, match="either the stacks U and X or one"):
+            CorrelationGrid(dt=0.1, b=4, n_t=5, X=np.zeros((5, 6)), **factors)
+
+    def test_spectral_budget_counts_factors_not_a_stack(self):
+        # N_m = 2: |P| = 9, |R_a| = 27, n_max = 1001 and b = 16.  The
+        # spectral form needs its resolution column, 16 * 1001 B, and its
+        # factors and blocks, 16 * (19 * 27 + 18 * 81) B: 47 552 B, where
+        # the stack X took 16 * 27 * 1001 = 432 432 B
+        space = build_space(1, 2, excitation_cap=1)
+        need = 16 * 1001 + 16 * (19 * 27 + 18 * 81)
+
+        def run(method, budget, **params):
+            rho0, gen, cfg, a, mon = _correlation_point(
+                ModelParams(J=0.3, **params), space, dt=0.02, t_max=20.0, method=method,
+                leak_tolerance=0.0, max_grid_bytes=budget,
+            )
+            return two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+
+        grid = run("rk4", need)
+        assert grid.run["propagator"] == "spectral/spectral" and grid.n_t == 1001
+        with pytest.raises(NumericalError, match=re.escape(
+            "run would need 0.0 MiB (resolution column 0.0 MiB for n_t <= 1001, eigen factors and "
+            "row blocks 0.0 MiB), above the 0.0 MiB budget; use a coarser dt or a shorter t_max"
+        )):
+            run("rk4", need - 1)
+        # the D form and the stepped form keep their messages
+        with pytest.raises(NumericalError, match=re.escape(
+            "run would need 0.0 MiB (factor stacks 0.0 MiB for n_t <= 1001), above the 0.0 MiB "
+            "budget; use a coarser dt or a shorter t_max"
+        )):
+            run("expm", 16 * 3 * 1001 - 1)
+        with pytest.raises(NumericalError, match=re.escape(
+            "run would need 0.8 MiB (factor stacks 0.8 MiB for n_t <= 1001), above the 0.0 MiB "
+            "budget; use a coarser dt or a shorter t_max"
+        )):
+            run("rk4", need, gamma_M=0.05)
+
+    def test_operands_are_made_once_per_sweep(self, monkeypatch):
+        # the forward pass makes no operand row; each sweep makes every row
+        # it reads once, and the window capture reads the sweep's G[0]
+        made = []
+
+        def counted(M, Z):
+            made.append(len(Z))
+            return operands(M, Z)
+
+        operands = grid_module._operands
+        monkeypatch.setattr("omtc.grid._operands", counted)
+        p = ModelParams(J=0.3, gamma_a=0.3)
+        space = build_space(1, 2, excitation_cap=1)
+        numerics = NumericsConfig(N_m=2, evolution=EvolutionConfig(dt=0.02, t_max=10.0, method="rk4"))
+        filt = FilterParams(Gamma=0.05, n_points=41)
+        rho0, gen, cfg, a, mon = _correlation_point(p, space, **vars(numerics.evolution))
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
+        assert grid.run["propagator"] == "spectral/spectral" and made == []
+        for T in (grid.horizon, grid.horizon / 2):
+            # the whole blocks of b = 16 rows that hold rows 0 .. n, the last
+            # cut at n_t = 501
+            filtered_spectrum(grid, filt.deltas(), filt.Gamma, T)
+            n = int(round(T / grid.dt))
+            assert grid.n_t == 501 and made == [16] * (n // 16) + [min(16, 501 - n // 16 * 16)]
+            made.clear()
+        result = stationary_spectrum(p, filt, numerics)
+        assert result.metadata["propagator"] == "spectral/spectral"
+        assert sum(made) == result.metadata["n_t"]
 
 
 def _double_sum_lag_sums(grid, Gamma, n):
@@ -1956,7 +2130,7 @@ class TestLagSums:
             # the floor only covers subnormal results of an underflowed weight
             assert np.all(np.abs(G - G_ref) <= 1e-12 * G_abs + 1e-300)
             assert np.all(np.abs(A - A_ref) <= 1e-12 * A_abs)
-            assert abs(grid.zero_lag_sum(Gamma, n) - G_ref[0]) <= 1e-12 * G_abs[0] + 1e-300
+            assert abs(grid.lag_sums(Gamma, n)[0][0] - G_ref[0]) <= 1e-12 * G_abs[0] + 1e-300
 
     @pytest.mark.parametrize("b", [None, 8, 64])
     @settings(max_examples=12)
@@ -2009,7 +2183,7 @@ class TestFftLagSums:
             G_ref, A_ref, _, _ = _double_sum_lag_sums(grid, Gamma, n)
             assert np.abs(G - G_ref).max() <= 1e-12 * G_ref[0].real + 1e-300
             assert np.abs(A - A_ref).max() <= 1e-12 * A_ref[0].real
-            assert abs(grid.zero_lag_sum(Gamma, n) - G_ref[0]) <= 1e-12 * G_ref[0].real + 1e-300
+            assert abs(grid.lag_sums(Gamma, n)[0][0] - G_ref[0]) <= 1e-12 * G_ref[0].real + 1e-300
 
     def test_fast_length(self):
         smooth = [m for m in range(1, 4100) if m == 1 or max(_prime_factors(m)) <= 5]

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import model_points
-from oracles import adjoint_stack
+from oracles import adjoint_stack, operand_stack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -108,7 +108,7 @@ class TestFilteredCountingRate:
         for method in ("expm", "rk4"):
             grid = _damped_cavity_grid(detuning=0.5, method=method)
             if grid.D is None:
-                flipped = CorrelationGrid(dt=grid.dt, U=np.conj(adjoint_stack(grid)), X=np.conj(grid.X),
+                flipped = CorrelationGrid(dt=grid.dt, U=np.conj(adjoint_stack(grid)), X=np.conj(operand_stack(grid)),
                                           kappa=grid.kappa)
             else:
                 flipped = CorrelationGrid(dt=grid.dt, D=np.conj(grid.D), kappa=grid.kappa)
@@ -427,7 +427,7 @@ class TestWindowCapture:
         filt = FilterParams(Gamma=0.05, delta_min=-2.0, delta_max=2.0, n_points=81)
         res = _spectrum_of(grid, filt)
         # a tiny negative multiple of the grid: every entry is clamp noise
-        tiny = CorrelationGrid(dt=grid.dt, U=adjoint_stack(grid), X=-1e-12 * grid.X, kappa=grid.kappa)
+        tiny = CorrelationGrid(dt=grid.dt, U=adjoint_stack(grid), X=-1e-12 * operand_stack(grid), kappa=grid.kappa)
         noise = _spectrum_of(tiny, filt)
         assert noise.metadata["clipped_points"] == 2 * filt.n_points
         assert np.all(noise.intensity == 0.0) and np.all(noise.integrated_counts == 0.0)
