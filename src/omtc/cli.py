@@ -1,14 +1,20 @@
-"""Command-line entry point.
+"""Command-line entry point: ``omtc COMMAND [options]``.
 
-Subcommands: spectrum (one full run), sweep (one run per value of a model
+Commands: spectrum (one full run), sweep (one run per value of a model
 parameter plus a separation summary), dressed (closed-form stick lines),
-correlation (simulate and dump the two-time grid, no sweep).  Exit codes:
-0 on success, 2 for configuration errors and files that cannot be read or
-written, 3 for numerical failures.
+correlation (simulate and dump the two-time grid, no sweep).  COMMANDS is
+the one table of them; every command takes the same options, which set
+config keys (_FLAGS), and gets the parsed config.  Exit codes: 0 on
+success, 2 for configuration errors and files that cannot be read or
+written (the config file included), 3 for numerical failures.
 
-A spectrum or correlation run checks that the directory of each of its
-outputs exists before it starts, and writes them under temporary names
-that are renamed once all are written, so a run that fails leaves none.
+Every command's outputs are one transaction: a command hands each to
+put(path, write), which writes it at once under a temporary name beside
+path; when the command returns, every output is renamed into place, and if
+it raises, every temporary file is removed, so a command that fails leaves
+no output.  Commands that run a model check that the directory of each
+output exists, and sweep builds and checks every value's config, before
+the first run.
 
 Determinism contract: identical configs produce byte-identical output
 files; timing goes to stderr only.  --threads is still accepted and
@@ -24,7 +30,7 @@ import time
 
 from . import dressed
 from .config import RunConfig, apply_sweep_value, echo_lines, parse_config
-from .dynamics import CorrelationGrid
+from .dynamics import CorrelationGrid, check_step_size
 from .errors import ConfigurationError, NumericalError
 from .output import emit_plot, write_spectrum_csv, write_sticks_csv, write_summary_csv
 from .spectrum import correlation_grid, dominant_separation, stationary_spectrum
@@ -40,16 +46,11 @@ _FLAGS = (
 )
 
 
-def _load_config(args) -> RunConfig:
-    text = ""
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-    given = vars(args)
-    return parse_config(text, {key: given[key] for _, key, _ in _FLAGS if given[key] is not None})
+def _csv(cfg: RunConfig) -> str:
+    """output.csv, which spectrum, sweep and dressed write."""
+    if cfg.output.csv is None:
+        raise ConfigurationError("no CSV output path; set output.csv or pass --output")
+    return cfg.output.csv
 
 
 def _loaded(cfg: RunConfig):
@@ -80,50 +81,10 @@ def _footer(cfg: RunConfig, result) -> list[str]:
 
 
 def _check_directories(*paths) -> None:
-    """FileNotFoundError (exit 2) for an output path whose directory does not exist, before any run."""
+    """FileNotFoundError (exit 2) for an output path whose directory does not exist."""
     for path in paths:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-
-def _write_all(outputs) -> None:
-    """Call write(temporary path) for each (path, write) of outputs, then rename each to its path.
-
-    The temporary file lies in its output's directory, so the rename does
-    not copy.  If a write fails, every temporary file is removed: a run that
-    reports failure leaves no output behind.
-    """
-    temporary = []
-    try:
-        for path, write in outputs:
-            temporary.append(f"{path}.{os.getpid()}.tmp")
-            write(temporary[-1])
-        for (path, _), temp in zip(outputs, temporary):
-            os.replace(temp, path)
-    finally:
-        for temp in temporary:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-
-
-def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    if cfg.output.csv is None:
-        raise ConfigurationError("no CSV output path; set output.csv or pass --output")
-    _check_directories(cfg.output.csv, cfg.output.correlation_dump, cfg.output.svg)
-    result = _run_one(cfg)
-    outputs = [(cfg.output.csv, lambda path: write_spectrum_csv(path, result, _footer(cfg, result)))]
-    if cfg.output.correlation_dump:
-        outputs.append((cfg.output.correlation_dump, result.grid.save))
-    if cfg.output.svg:
-        outputs.append((cfg.output.svg, lambda path: emit_plot([("spectrum", result.deltas, result.intensity)], path)))
-    _write_all(outputs)
-    print(
-        f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
-        f"{_report(result.metadata)} -> {cfg.output.csv}",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def _render(value) -> str:
@@ -142,38 +103,49 @@ def _report(metadata: dict) -> str:
     return ", ".join(f"{key} {_render(value)}" for key, value in metadata.items())
 
 
-def _split_path(path: str) -> tuple[str, str]:
+def _spectrum(cfg: RunConfig, put) -> str:
+    out = cfg.output
+    _check_directories(_csv(cfg), out.correlation_dump, out.svg)
+    result = _run_one(cfg)
+    put(out.csv, lambda path: write_spectrum_csv(path, result, _footer(cfg, result)))
+    if out.correlation_dump:
+        put(out.correlation_dump, result.grid.save)
+    if out.svg:
+        put(out.svg, lambda path: emit_plot([("spectrum", result.deltas, result.intensity)], path))
+    return (
+        f"spectrum: {len(result.deltas)} points, horizon T={result.horizon:.2f}, "
+        f"{_report(result.metadata)} -> {out.csv}"
+    )
+
+
+def _suffixed(path: str, suffix: str) -> str:
+    """path with _suffix before its extension (.csv if it has none)."""
     stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path, "csv"
-    return stem, ext
+    return f"{stem}_{suffix}.{ext}" if dot else f"{path}_{suffix}.csv"
 
 
-def _suffix_path(path: str, parameter: str, value: float) -> str:
-    stem, ext = _split_path(path)
-    return f"{stem}_{parameter}_{value:g}.{ext}"
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _sweep(cfg: RunConfig, put) -> None:
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires sweep.parameter and sweep.values in the config")
-    if cfg.output.csv is None:
-        raise ConfigurationError("no CSV output path; set output.csv or pass --output")
-    _check_directories(cfg.output.csv, cfg.output.svg)
-    paths = {}  # output path: sweep value, checked before the first run
+    _check_directories(_csv(cfg), cfg.output.svg)
+    for key in ("correlation_dump", "load_correlation"):
+        if getattr(cfg.output, key):
+            raise ConfigurationError(f"sweep takes no output.{key}: every value runs its own grid")
+    parameter = cfg.sweep.parameter
+    runs = {}  # output path: (sweep value, its config), all checked before the first run
     for value in cfg.sweep.values:
-        path = _suffix_path(cfg.output.csv, cfg.sweep.parameter, value)
-        if path in paths:
-            raise ConfigurationError(f"sweep.values {paths[path]!r} and {value!r} both write {path}")
-        paths[path] = value
+        path = _suffixed(cfg.output.csv, f"{parameter}_{value:g}")
+        if path in runs:
+            raise ConfigurationError(f"sweep.values {runs[path][0]!r} and {value!r} both write {path}")
+        run = apply_sweep_value(cfg, value)
+        check_step_size(run.numerics.evolution.dt, run.model)
+        runs[path] = value, run
     series = []
     summary = []
-    for path, value in paths.items():
-        run_cfg = apply_sweep_value(cfg, value)
-        result = _run_one(run_cfg)
-        write_spectrum_csv(path, result, _footer(run_cfg, result))
-        label = f"{cfg.sweep.parameter}={value:g}"
+    for path, (value, run) in runs.items():
+        result = _run_one(run)
+        put(path, lambda temp: write_spectrum_csv(temp, result, _footer(run, result)))
+        label = f"{parameter}={value:g}"
         series.append((label, result.deltas, result.intensity))
         summary.append((value, dominant_separation(result.peaks)))
         print(
@@ -181,73 +153,96 @@ def _cmd_sweep(args) -> int:
             f"wall {result.metadata['wall_clock_s']:.2f}s -> {path}",
             file=sys.stderr,
         )
-    stem, ext = _split_path(cfg.output.csv)
-    write_summary_csv(f"{stem}_summary.{ext}", cfg.sweep.parameter, summary, echo_lines(cfg))
+    put(_suffixed(cfg.output.csv, "summary"),
+        lambda path: write_summary_csv(path, parameter, summary, echo_lines(cfg)))
     if cfg.output.svg:
-        emit_plot(series, cfg.output.svg)
-    return 0
+        put(cfg.output.svg, lambda path: emit_plot(series, path))
 
 
-def _cmd_dressed(args) -> int:
-    cfg = _load_config(args)
-    if cfg.output.csv is None:
-        raise ConfigurationError("no CSV output path; set output.csv or pass --output")
+def _dressed(cfg: RunConfig, put) -> None:
+    csv = _csv(cfg)
     sticks = dressed.predicted_lines(cfg.model, cfg.dressed_m_max)
-    write_sticks_csv(cfg.output.csv, sticks, echo_lines(cfg, {"dressed.m_max": cfg.dressed_m_max}))
-    return 0
+    footer = echo_lines(cfg, {"dressed.m_max": cfg.dressed_m_max})
+    put(csv, lambda path: write_sticks_csv(path, sticks, footer))
 
 
-def _cmd_correlation(args) -> int:
-    cfg = _load_config(args)
-    if not cfg.output.correlation_dump:
+def _correlation(cfg: RunConfig, put) -> str:
+    dump = cfg.output.correlation_dump
+    if not dump:
         raise ConfigurationError(
             "correlation requires a dump path; set output.correlation_dump "
             "or pass --dump-correlation"
         )
-    _check_directories(cfg.output.correlation_dump)
+    _check_directories(dump)
     loaded = _loaded(cfg)
     t0 = time.perf_counter()
     grid, metadata = correlation_grid(cfg.model, cfg.numerics, cfg.excited_atom, loaded)
     metadata["wall_clock_s"] = time.perf_counter() - t0
-    _write_all([(cfg.output.correlation_dump, grid.save)])
-    print(f"correlation: {_report(metadata)} -> {cfg.output.correlation_dump}", file=sys.stderr)
-    return 0
+    put(dump, grid.save)
+    return f"correlation: {_report(metadata)} -> {dump}"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: command: its function of (config, put); it returns the stderr line that
+#: reports its outputs once they are in place, or None
+COMMANDS = {
+    "spectrum": _spectrum,
+    "sweep": _sweep,
+    "dressed": _dressed,
+    "correlation": _correlation,
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omtc",
         description="Single-photon emission spectra of two dipole-dipole "
         "coupled atoms in an optomechanical cavity",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("spectrum", _cmd_spectrum),
-        ("sweep", _cmd_sweep),
-        ("dressed", _cmd_dressed),
-        ("correlation", _cmd_correlation),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat dotted-key config file")
-        for flag, key, text in _FLAGS:
-            p.add_argument(flag, dest=key, default=None, help=text)
-        p.set_defaults(handler=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat dotted-key config file")
+    for flag, key, text in _FLAGS:
+        parser.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    temporary = {}  # output path: the temporary file written for it
+
+    def put(path, write):
+        """Call write(a temporary path beside path) now; it becomes path when the command returns."""
+        _check_directories(path)
+        if path in temporary:
+            raise ConfigurationError(f"two outputs write {path}")
+        temporary[path] = f"{path}.{os.getpid()}.tmp"
+        write(temporary[path])
+
     try:
-        return args.handler(args)
+        text = ""
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        given = vars(args)
+        cfg = parse_config(text, {key: given[key] for _, key, _ in _FLAGS if given[key] is not None})
+        report = COMMANDS[args.command](cfg, put)
+        for path, temp in temporary.items():
+            os.replace(temp, path)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an output path in a missing directory, a missing dump
+    except OSError as exc:  # a missing config or dump, an output path in a missing directory
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for temp in temporary.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+    if report:
+        print(report, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ class EvolutionConfig:
             raise ConfigurationError(f"method must be 'rk4' or 'expm', got {self.method!r}")
         if self.leak_tolerance < 0:
             raise ConfigurationError("leak_tolerance must be >= 0")
+        if self.max_grid_bytes <= 0:
+            raise ConfigurationError(f"max_grid_bytes must be > 0, got {self.max_grid_bytes}")
 
     @property
     def n_max(self) -> int:

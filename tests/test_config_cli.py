@@ -20,8 +20,8 @@ from omtc.config import (
     parse_config,
 )
 from omtc.model import ModelParams
-from omtc.spectrum import NumericsConfig, canonical_param_string
-from omtc.errors import ConfigurationError
+from omtc.spectrum import NumericsConfig, canonical_param_string, two_time_correlation
+from omtc.errors import ConfigurationError, NumericalError
 from omtc.output import emit_plot, write_spectrum_csv
 
 # small, fast model for end-to-end runs: guard allows dt <= 0.1 at g_a = 1
@@ -41,6 +41,10 @@ filter.n_points = 81
 """
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the propagation ran")
 
 
 class TestParseConfig:
@@ -87,6 +91,19 @@ class TestParseConfig:
     def test_zero_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config("numerics.dt = 0\n")
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_grid_budget_must_be_positive(self, tmp_path, monkeypatch, capsys, raw):
+        # a budget of no bytes refuses every run: a config error at parse
+        # time, not a numerical failure once the model is built
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", _never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST + f"numerics.max_grid_bytes = {raw}\n")
+        assert main(["spectrum", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config error at numerics.*: max_grid_bytes must be > 0, got {raw}\n"
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "key, raw",
@@ -258,8 +275,9 @@ class TestCliSpectrum:
             ["correlation", "--dump-correlation", "{missing}/grid.bin"],
             ["spectrum", "--output", "{tmp}/out.csv", "--svg", "{missing}/plot.svg"],
             ["spectrum", "--output", "{tmp}/out.csv", "--load-correlation", "{missing}/grid.bin"],
+            ["dressed", "--output", "{missing}/sticks.csv"],
         ],
-        ids=["output", "dump", "svg", "load"],
+        ids=["output", "dump", "svg", "load", "sticks"],
     )
     def test_file_error_exit_code(self, tmp_path, capsys, args):
         # a path that cannot be opened is the user's to fix, as a config
@@ -270,6 +288,14 @@ class TestCliSpectrum:
         assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and err.count("\n") == 1
+        # the path named is the one given, never a temporary one beside it
+        assert err.endswith(repr(next(a for a in argv if "missing" in a)) + "\n")
+
+    def test_missing_config_file_is_a_file_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.cfg")
+        assert main(["spectrum", "--config", missing, "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"file error: [Errno 2] No such file or directory: {missing!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep", "correlation"])
     def test_missing_output_directory_exits_before_the_run(self, tmp_path, monkeypatch, capsys, command):
@@ -305,6 +331,32 @@ class TestCliSpectrum:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
         assert main(["spectrum", "--config", str(tmp_path / "f.cfg"), "--output", out[0]]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg", "ok.csv"]
+
+    @pytest.mark.parametrize("command", ["dressed", "correlation"])
+    def test_half_written_output_is_removed(self, tmp_path, monkeypatch, capsys, command):
+        # the one output fails half way: neither it nor its temporary file stays
+        def half(path, *args):
+            Path(path).write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if command == "dressed":
+            monkeypatch.setattr("omtc.cli.write_sticks_csv", half)
+        else:
+            monkeypatch.setattr("omtc.grid.CorrelationGrid.save", lambda grid, path: half(path))
+        (tmp_path / "f.cfg").write_text(FAST)
+        assert main([command, "--config", str(tmp_path / "f.cfg"), "--output", str(tmp_path / "out.csv"),
+                     "--dump-correlation", str(tmp_path / "grid.bin")]) == 2
+        assert capsys.readouterr().err == "file error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
+
+    def test_two_outputs_with_one_path_rejected(self, tmp_path, capsys):
+        # the dump would replace the CSV written under the same name
+        (tmp_path / "f.cfg").write_text(FAST)
+        out = str(tmp_path / "out.bin")
+        assert main(["spectrum", "--config", str(tmp_path / "f.cfg"), "--output", out,
+                     "--dump-correlation", out]) == 2
+        assert capsys.readouterr().err == f"config error: two outputs write {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
 
     def test_threads_flag_must_be_positive(self, tmp_path, capsys):
         # the flag goes through the threads key's parser and check
@@ -584,6 +636,25 @@ class TestCliSpectrum:
         assert out.exists()
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [[], ["spectra", "--output", "x.csv"]], ids=["none", "unknown"])
+    def test_command_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "{spectrum,sweep,dressed,correlation}" in capsys.readouterr().err
+
+    def test_help_lists_commands_and_options(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        assert "{spectrum,sweep,dressed,correlation}" in text
+        for flag in ("--config", "--output", "--svg", "--threads", "--dump-correlation",
+                     "--load-correlation"):
+            assert flag in text
+
+
 class TestCliCorrelation:
     def test_dump_and_reuse(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -789,6 +860,50 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
         first, second = values.split(", ")[0], values.split(", ")[-1]
         assert f"sweep.values {float(first)!r} and {float(second)!r} both write " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_step_size_checked_for_every_value_before_the_first_run(self, tmp_path, monkeypatch, capsys):
+        # J = 100 needs dt <= 0.001: the sweep exits before J = 0 runs
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", _never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST + "sweep.parameter = J\nsweep.values = 0, 100\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "sweep.csv")]) == 2
+        assert capsys.readouterr().err == "config error: dt=0.05 too coarse for couplings (need dt <= 0.001)\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_failed_second_run_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        # the first value's CSV is written before the second run fails; the
+        # failure takes it back, and no summary, plot or temporary file stays
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("trace drift")
+            return two_time_correlation(*args, **kwargs)
+
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", second_fails)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST + "sweep.parameter = J\nsweep.values = 0, 0.4\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "sweep.csv"),
+                     "--svg", str(tmp_path / "sweep.svg")]) == 3
+        assert capsys.readouterr().err.endswith("\nnumerical failure: trace drift\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--dump-correlation", "output.correlation_dump"),
+         ("--load-correlation", "output.load_correlation")],
+    )
+    def test_dump_keys_refused(self, tmp_path, monkeypatch, capsys, flag, key):
+        # a dump holds one value's grid: a sweep would write none, or load
+        # the first value's grid for every value
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", _never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST + "sweep.parameter = J\nsweep.values = 0, 0.5\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "sweep.csv"),
+                     flag, str(tmp_path / "grid.bin")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: sweep takes no {key}:")
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_sweep_without_section_fails(self, tmp_path):

@@ -31,3 +31,61 @@ def test_north_star_point_keeps_each_run_record():
     for run in point["runs"]:
         assert set(run) == set(small.metadata)
         assert run["n_t"] == 8519 and run["propagator"] == "factored/separable"
+
+
+def _code_lines(tmp_path, source: str) -> dict:
+    """tools/code_lines.py's row for one module holding source."""
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    row = next(line.split() for line in proc.stdout.splitlines() if line.startswith("mod.py"))
+    return dict(zip(("wc", "tokens", "ast", "docs"), map(int, row[1:])))
+
+
+CODE = '''import os
+
+
+class Thing:
+    def method(self, x):
+        return os.sep + x
+
+
+TEXT = """a string
+that is no docstring"""
+'''
+
+DOCUMENTED = '''"""Module docstring,
+over two lines."""
+
+import os
+
+# a comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self, x):
+        """Method docstring,
+
+        over three lines.
+        """
+
+        # a comment on its own line
+        return os.sep + x  # and one after code
+
+
+TEXT = """a string
+that is no docstring"""
+'''
+
+
+def test_code_lines_counts_code_not_documentation(tmp_path):
+    # the string over two lines is code: its token counts on both lines,
+    # its AST node on the first only
+    code = _code_lines(tmp_path, CODE)
+    assert code == {"wc": CODE.count("\n"), "tokens": 6, "ast": 5, "docs": 0}
+    documented = _code_lines(tmp_path, DOCUMENTED)
+    assert documented == {"wc": DOCUMENTED.count("\n"), "tokens": 6, "ast": 5, "docs": 7}
