@@ -4,9 +4,11 @@ Commands: spectrum (one full run), sweep (one run per value of a model
 parameter plus a separation summary), dressed (closed-form stick lines),
 correlation (simulate and dump the two-time grid, no sweep).  COMMANDS is
 the one table of them; every command takes the same options, which set
-config keys (_FLAGS), and gets the parsed config.  Exit codes: 0 on
-success, 2 for configuration errors and files that cannot be read or
-written (the config file included), 3 for numerical failures.
+config keys (_FLAGS), and gets the parsed config.  An output path key
+that a command does not use (COMMANDS) is refused before anything runs.
+Exit codes: 0 on success, 2 for configuration errors and files that cannot
+be read or written (the config file included, and one that is not UTF-8),
+3 for numerical failures.
 
 Every command's outputs are one transaction: a command hands each to
 put(path, write), which writes it at once under a temporary name beside
@@ -128,9 +130,6 @@ def _sweep(cfg: RunConfig, put) -> None:
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires sweep.parameter and sweep.values in the config")
     _check_directories(_csv(cfg), cfg.output.svg)
-    for key in ("correlation_dump", "load_correlation"):
-        if getattr(cfg.output, key):
-            raise ConfigurationError(f"sweep takes no output.{key}: every value runs its own grid")
     parameter = cfg.sweep.parameter
     runs = {}  # output path: (sweep value, its config), all checked before the first run
     for value in cfg.sweep.values:
@@ -182,13 +181,16 @@ def _correlation(cfg: RunConfig, put) -> str:
     return f"correlation: {_report(metadata)} -> {dump}"
 
 
-#: command: its function of (config, put); it returns the stderr line that
-#: reports its outputs once they are in place, or None
+#: command: (its function of (config, put), the output path keys it uses);
+#: the function returns the stderr line that reports its outputs once they
+#: are in place, or None.  Of the path keys, a command refuses those it does
+#: not use: dressed writes no plot or grid, correlation no CSV or plot, and
+#: a sweep dumps no grid, as every value runs its own
 COMMANDS = {
-    "spectrum": _spectrum,
-    "sweep": _sweep,
-    "dressed": _dressed,
-    "correlation": _correlation,
+    "spectrum": (_spectrum, ("output.csv", "output.svg", "output.correlation_dump", "output.load_correlation")),
+    "sweep": (_sweep, ("output.csv", "output.svg")),
+    "dressed": (_dressed, ("output.csv",)),
+    "correlation": (_correlation, ("output.correlation_dump", "output.load_correlation")),
 }
 
 
@@ -220,11 +222,19 @@ def main(argv=None) -> int:
     try:
         text = ""
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         given = vars(args)
         cfg = parse_config(text, {key: given[key] for _, key, _ in _FLAGS if given[key] is not None})
-        report = COMMANDS[args.command](cfg, put)
+        command, uses = COMMANDS[args.command]
+        unused = [key for _, key, _ in _FLAGS if key.startswith("output.") and key not in uses
+                  and getattr(cfg.output, key.removeprefix("output."))]
+        if unused:
+            raise ConfigurationError(f"{args.command} takes no {unused[0]}: it uses only {' and '.join(uses)}")
+        report = command(cfg, put)
         for path, temp in temporary.items():
             os.replace(temp, path)
     except ConfigurationError as exc:

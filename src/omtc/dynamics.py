@@ -17,6 +17,18 @@ which every pass reads).  rho(t) stays Hermitian, and the stepped passes
 step it in real coordinates (_HermitianCoordinates, built only for them);
 the operand sector carries a rho and stays complex.
 
+Nothing here depends on the basis, but the sectors are only as small as
+the exact zeros of S let them be.  A correlation run of spectrum works in
+the atoms' exchange basis (hilbert.to_exchange), where no entry of S pairs
+a bright with a dark state: a start on one atom, (bright + dark)/sqrt(2),
+then has a readout sector of the bright one-excitation states and the
+start's dark states, and the dark ones never reach the operand sector (at
+N_m = 12 and Mbar = 0 the readout sector is 27 x 27 against 39 x 39 in the
+product basis).  A thermal start leaves the readout sector short of the
+coherences between dark states of different phonon numbers, so the
+correlation kernels step its product hull instead (_ForwardSector.hull).
+evolve and every function given product-basis operators work as before.
+
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
 expm with E = exp(S dt).  Every pass runs in row blocks of b nodes
@@ -26,14 +38,17 @@ The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 It is kept in one of two layouts (CorrelationGrid, grid.py), never as the
 O(n_t^2) triangle, and computed in one of three forms, each one object
-with one interface (propagators, columns, grid_stage, b, form(node), blocks,
-state, readout, smoke, grid) that two_time_correlation runs through one loop
-and one smoke check against Taylor references built from S.  Without
+with one interface (sector, propagators, columns, grid_stage, b,
+form(node), blocks, state, readout, smoke, grid) that two_time_correlation
+runs through one loop and one smoke check against Taylor references built
+from S.  Without
 mechanical losses the readout sector is P x P and the operand sector
 Q0 x P, products that no jump lands in, so L acts there as
 X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.  One
-function, _kernel, tries the D form or the spectral form there; every
-other run, and a kernel run that _kernel turns down, is stepped.
+function, _kernel, tries the D form or the spectral form there, on the
+product hull P x P of the readout rows where nothing else flows into it;
+every other run, and a kernel run that _kernel turns down, is stepped on
+the readout sector itself.
 
 - D form (_SeparableKernel), expm runs on such sectors.  With B = A^H on
   P and A[Q0, Q0] anti-Hermitian (no channel acts on the optical ground
@@ -163,16 +178,24 @@ class _ForwardSector:
     and the stepped passes step it in Hermitian coordinates
     (_HermitianCoordinates).  NumericalError if index is not closed under L
     or transposition; ConfigurationError unless rho0 is Hermitian to 1e-12.
+
+    With hull, index is instead the product hull P x P of the readout rows
+    P, which the correlation kernels need (_kernel), and the sector the
+    forward sector with the hull: the hull's entries outside the forward
+    sector stay 0.  Then closed tells whether nothing flows into the hull
+    from the rest of the sector, the condition for its dynamics to be
+    exact, instead of an error.  In the exchange basis a thermal start
+    leaves P x P short of the coherences between two dark states.
     """
 
-    def __init__(self, S, rho0: np.ndarray, reads=None):
+    def __init__(self, S, rho0: np.ndarray, reads=None, hull: bool = False):
         asym = float(np.max(np.abs(rho0 - rho0.conj().T), initial=0.0))
         if asym > 1e-12:
             raise ConfigurationError(
                 f"rho0 must be Hermitian (max |rho0 - rho0'| = {asym:.3e})"
             )
         d = rho0.shape[0]
-        self.dim = d
+        self.dim, self._source = d, (S, rho0, reads)
         sector = _closure(S.successors, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
         L = S.block(sector)
         kept = np.ones(len(sector), dtype=bool)
@@ -186,11 +209,18 @@ class _ForwardSector:
                     f"generator does not preserve Hermiticity ({name} sector is not "
                     "closed under transposition)"
                 )
+        if hull:
+            P = _distinct(sector[kept] // d)
+            box = (P[:, None] * d + P).reshape(-1)
+            sector = _distinct(sector, box)
+            kept = np.isin(sector, box)
+            L = S.block(sector)
         i, j = np.divmod(sector, d)
         dd = ~kept & (i == j)
         self.index, self.dropped, self.dropped_diag = sector[kept], sector[~kept], sector[dd]
         r, c, v = L.rows, L.indices, L.data  # the sector block's entries, split by masks
-        if np.max(np.abs(v[kept[r] & ~kept[c]]), initial=0.0) > 0:
+        self.closed = not np.any(v[kept[r] & ~kept[c]])
+        if not (self.closed or hull):
             raise NumericalError("readout sector is not closed: dropped entries flow into it")
         n = len(self.index)
         self.P = _distinct(self.index // d)  # the rows of index: P when index is a product P x Q
@@ -200,6 +230,12 @@ class _ForwardSector:
         out = dd[r] & ~kept[c]  # column sums of L[dropped diagonal, dropped]
         leak = np.abs(np.bincount(c[out], v[out].real, len(sector)) + 1j * np.bincount(c[out], v[out].imag, len(sector)))
         self._leak = np.max(leak, initial=0.0), 1e-12 * np.max(np.abs(v), initial=0.0)
+
+    def hull(self) -> "_ForwardSector":
+        """This sector with hull (see the class), or itself where index is P x P already."""
+        if len(self.index) == len(self.P) ** 2:
+            return self
+        return _ForwardSector(*self._source, hull=True)
 
     @property
     def readout_block(self) -> SparseMatrix:
@@ -599,7 +635,9 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
             monitor, config: EvolutionConfig, b: int):
     """The run's D form (expm) or spectral form (rk4), set up and checked, or None.
 
-    None unless the operand sector is Q0 x P, both sector blocks are
+    The form steps the product hull P x P of the readout rows P
+    (_ForwardSector.hull), its sector.  None unless nothing outside the
+    hull flows into it, the operand sector is Q0 x P, both sector blocks are
     Kronecker sums (_kronecker_factors) and _eigenbases holds, and unless
     the kernel's own condition holds: for the D form a positive
     semidefinite rho0[P, P] = W W^H (to 1e-12 of its largest eigenvalue;
@@ -613,6 +651,9 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
     """
     P, expm = fwd.P, config.method == "expm"
     if not len(adj) or not np.array_equal(_distinct(adj % gen.dim), P):
+        return None
+    fwd = fwd.hull()
+    if not fwd.closed:
         return None
     factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index), _kronecker_factors(gen, Sa, adj))
     bases = None if None in factors else _eigenbases(factors, 1 if expm else 2)
@@ -633,8 +674,11 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
     fwd.check_trace_rows()
     a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
     if W is None:
-        return _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
-    return _SeparableKernel(bases, W, a0, rho0, N, config.dt, b)
+        form = _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
+    else:
+        form = _SeparableKernel(bases, W, a0, rho0, N, config.dt, b)
+    form.sector = fwd
+    return form
 
 
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
@@ -646,11 +690,11 @@ def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     """
     out = x.copy()
     term = x
-    scale = max(np.max(np.abs(x)), 1e-300)
+    scale = max(np.max(np.abs(x), initial=0.0), 1e-300)
     for k in range(1, (terms or 59) + 1):
         term = (h / k) * f(term)
         out = out + term
-        if terms is None and np.max(np.abs(term)) < 1e-16 * scale:
+        if terms is None and np.max(np.abs(term), initial=0.0) < 1e-16 * scale:
             break
     return out
 
@@ -765,6 +809,7 @@ class _SteppedForm:
         from scipy import sparse  # imported here: only the stepped passes multiply by a_map
 
         self.herm = herm = _HermitianCoordinates(fwd)
+        self.sector = fwd
         _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
         self.rho0, self.monitor, self.b = rho0, monitor, b
         self.propagators = ("dense" if config.method == "expm" else "rk4",) * 2
@@ -1013,7 +1058,7 @@ def two_time_correlation(
     while True:
         form = kernel or _SteppedForm(fwd, Sa, a_mat, adj, rho0, monitor, config, b)
         marks.append(time.perf_counter())
-        smoke = _smoke_check(gen, S, fwd, adj, Sa, form, rho0, a_mat, config)
+        smoke = _smoke_check(gen, S, form.sector, adj, Sa, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
 
         # forward pass: the rows of D, the operands a rho(t_k) on the operand
@@ -1042,7 +1087,7 @@ def two_time_correlation(
     stage_s = {}
     for name, seconds in zip(("setup", "smoke", "forward", form.grid_stage), np.diff(marks).tolist()):
         stage_s[name] = stage_s.get(name, 0.0) + seconds
-    facts = (len(fwd.index), len(adj), "/".join(form.propagators), form.columns, smoke, stage_s)
+    facts = (len(form.sector.index), len(adj), "/".join(form.propagators), form.columns, smoke, stage_s)
     return CorrelationGrid(
         dt=config.dt,
         kappa=kappa,

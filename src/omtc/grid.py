@@ -39,6 +39,10 @@ STEP_FACTOR_LIMIT = 1.0 + 1e-12
 RUN_KEYS = ("forward_sector", "adjoint_sector", "propagator", "columns", "smoke_max_diff", "stage_s")
 
 
+#: spans whose first rows spectral_blocks makes at a time
+SPAN_CHUNK = 64
+
+
 def _block_size(n_max: int) -> int:
     """Rows per block: the power of two at or below sqrt(n_max), at most 64.
 
@@ -117,14 +121,19 @@ def _power_table(g: np.ndarray, b: int) -> np.ndarray:
 def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
     """Yield the rows U[lo:hi] of U[tau] = N o H^tau for each (lo, hi) of spans.
 
-    Each block is (N o H^lo) o H^i, i < hi - lo: H^lo for all spans at once
-    from _squared_powers, H^i from one _power_table as long as the longest
+    Each block is (N o H^lo) o H^i, i < hi - lo: H^lo from _squared_powers
+    for SPAN_CHUNK spans at a time, so that the starts held do not grow
+    with n_t (a row of two or more entries has the same bits in any chunk;
+    numpy multiplies a one-column stack as one vector, whose SIMD body and
+    tail round apart), H^i from one _power_table as long as the longest
     span.  N o H^0 is N itself.
     """
     spans = list(spans)
     table = _power_table(H, max(hi - lo for lo, hi in spans))
-    for (lo, hi), start in zip(spans, N * _squared_powers(H, [lo for lo, _ in spans])):
-        yield start * table[: hi - lo]
+    for at in range(0, len(spans), SPAN_CHUNK):
+        chunk = spans[at : at + SPAN_CHUNK]
+        for (lo, hi), start in zip(chunk, N * _squared_powers(H, [lo for lo, _ in chunk])):
+            yield start * table[: hi - lo]
 
 
 def _blocks(x0: np.ndarray, step, advance, n: int, b: int):

@@ -10,6 +10,14 @@ optical excitation (atom1 + atom2 + photon <= 1), which is exact for the
 single-photon problem: the Hamiltonian conserves the optical excitation
 number and every dissipation channel only lowers or preserves it.
 Operators are dense d x d arrays: every consumer multiplies them densely.
+
+The atoms are identical, so exchanging them is a symmetry of the model.
+A correlation run works in the exchange basis instead (to_exchange): the
+state at the index of |eg,n,m> becomes the bright combination
+(|eg,n,m> + |ge,n,m>)/sqrt(2), that at |ge,n,m> the dark one
+(|eg,n,m> - |ge,n,m>)/sqrt(2), and every other state stays (Dicke, Phys.
+Rev. 93, 99, 1954).  BasisIndex labels, ladder_operators and every other
+function here keep the product basis.
 """
 
 from dataclasses import dataclass
@@ -116,6 +124,43 @@ class HilbertSpace:
             ops[name] = op = np.zeros((self.dim, self.dim), dtype=complex)
             op[i, j] = np.sqrt(q[axis, j])
         return ops
+
+    @cached_property
+    def exchange_pairs(self) -> tuple[slice, slice]:
+        """(eg, ge): the states |eg,n,m> and their exchange partners |ge,n,m>, in the same order.
+
+        The basis runs atom 1, atom 2, photon, phonon, and a cap keeps or
+        drops both states of a pair (it counts a1 + a2), so each is one run.
+        """
+        k = sum(1 for s in self.basis if (s.atom1, s.atom2) == (EXCITED, GROUND))
+        eg, ge = (self._index[BasisIndex(a1, a2, 0, 0)] for a1, a2 in ((EXCITED, GROUND), (GROUND, EXCITED)))
+        return slice(eg, eg + k), slice(ge, ge + k)
+
+    @cached_property
+    def exchange_ladder(self) -> dict[str, np.ndarray]:
+        """a, b, sigma1 and sigma2 in the exchange basis (to_exchange): a and b do not change."""
+        return {name: to_exchange(self, op) if name.startswith("sigma") else op
+                for name, op in self.ladder.items()}
+
+
+def to_exchange(space: HilbertSpace, X: np.ndarray) -> np.ndarray:
+    """A copy of X (a vector or a d x d matrix) in the atoms' exchange basis.
+
+    Along every axis each pair (x_i, x_j) of space.exchange_pairs becomes
+    (c (x_i + x_j), c (x_i - x_j)), c = sqrt(1/2): X -> R X R with the
+    real orthogonal R = R^T.  Pairwise sums and differences, not a dense
+    product, so that the entries of an exchange-symmetric X that pair bright
+    with dark, differences of bitwise-equal numbers, are exact zeros, which
+    the sparsity-based sectors of a correlation run rely on.
+    """
+    eg, ge = space.exchange_pairs
+    c = np.sqrt(0.5)
+    out = np.array(X, dtype=complex)
+    for view in (out, out.T)[: out.ndim]:  # rows, then columns
+        x, y = view[eg].copy(), view[ge]
+        view[eg] = c * (x + y)
+        view[ge] = c * (x - y)
+    return out
 
 
 def build_space(N_c: int, N_m: int, excitation_cap: int | None = None) -> HilbertSpace:

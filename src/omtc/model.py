@@ -30,6 +30,20 @@ with the products (r/2, O1, O2', O1'O2) derived once from the records
 with a nonzero rate, all dense d x d arrays.  apply and apply_adjoint act
 on d x d matrices; superoperator() assembles the SparseMatrix (CSR in
 numpy arrays) of L on row-major vectorized matrices from the factors.
+
+Every function here works in the basis of the ladder operators it is
+given, the product basis of hilbert.HilbertSpace by default.  A
+correlation run (spectrum.correlation_grid) builds H and the channels from
+space.exchange_ladder and rotates rho0 (hilbert.to_exchange), so it works
+in the atoms' exchange (bright/dark) basis.  Both atoms share g_a, gamma_a
+and delta_ac, and the cross channels pair them symmetrically, so the
+exchange is a symmetry of L.  Only sigma1, sigma2 and rho0 are rotated, and
+each channel sums with its image under the exchange (atom 1 with atom 2
+decay, 12 with 21) in that order, so every entry of H, of
+K = sum_c (r_c/2) O1'O2 and of the superoperator that pairs a bright with
+a dark state cancels to an exact 0, which the sectors of
+dynamics.two_time_correlation drop.  a, b and the optical excitation
+number are exchange-invariant and keep their matrices.
 """
 
 import math
@@ -128,15 +142,16 @@ class Channel:
     label: str
 
 
-def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
+def build_hamiltonian(params: ModelParams, space: HilbertSpace, ladder=None) -> np.ndarray:
     """Assemble H on the given space as a dense array; Hermitian by construction.
 
-    Each coupling is built in the direction whose intermediate state stays
-    inside a capped sector (lower first, then raise) and completed by its
-    exact conjugate transpose, so the capped Hamiltonian equals the
-    projection of the uncapped one.
+    From the ladder operators given (space.ladder, the product basis, by
+    default).  Each coupling is built in the direction whose intermediate
+    state stays inside a capped sector (lower first, then raise) and
+    completed by its exact conjugate transpose, so the capped Hamiltonian
+    equals the projection of the uncapped one.
     """
-    a, b, s1, s2 = space.ladder.values()
+    a, b, s1, s2 = (ladder or space.ladder).values()
     ad, bd = a.conj().T, b.conj().T
 
     atom_coupling = ad @ (s1 + s2)  # a' sigma_i: lowers the atom, then refills the cavity
@@ -164,13 +179,13 @@ def dephasing_rate(params: ModelParams) -> float:
     return 2.0 * (2.0 * params.beta) ** 2 * params.gamma_M / math.log1p(1.0 / params.Mbar)
 
 
-def build_dissipators(params: ModelParams, space: HilbertSpace) -> tuple[Channel, ...]:
-    """The channels of the master equation, dense.
+def build_dissipators(params: ModelParams, space: HilbertSpace, ladder=None) -> tuple[Channel, ...]:
+    """The channels of the master equation, dense, from the ladder operators given (see build_hamiltonian).
 
     Zero-rate channels are kept in the list (with rate 0) so the channel
     structure is independent of the parameter point.
     """
-    a, b, s1, s2 = space.ladder.values()
+    a, b, s1, s2 = (ladder or space.ladder).values()
     n_c = a.conj().T @ a
     down, up = b - params.beta * n_c, b.conj().T - params.beta * n_c
     return (
@@ -240,12 +255,18 @@ class SparseMatrix:
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape) -> "SparseMatrix":
-        """The matrix of a list of entries: duplicates summed in list order, zeros dropped."""
+        """The matrix of a list of entries: duplicates summed in list order, zeros dropped.
+
+        bincount sums one by one in list order, so equal and opposite
+        entries in a row cancel to an exact zero (np.add.reduceat does not
+        sum sequentially: it leaves about 1e-18 of x - x - y + y).
+        """
         key = rows.astype(np.int64) * shape[1] + cols
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        data = np.add.reduceat(vals, first)
+        new = np.diff(key, prepend=-1) != 0
+        first, at = np.flatnonzero(new), np.cumsum(new) - 1
+        data = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
         keep = data != 0
         rows, cols = np.divmod(key[first[keep]], shape[1])
         return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, data[keep], shape)

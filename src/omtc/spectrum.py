@@ -52,7 +52,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError
 from .grid import RUN_KEYS, _fast_length
-from .hilbert import build_space, ladder_operators, optical_excitation_operator
+from .hilbert import build_space, ladder_operators, optical_excitation_operator, to_exchange
 from .model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 
 @dataclass(frozen=True)
@@ -199,9 +199,12 @@ def correlation_grid(
 ):
     """The run's correlation grid and the head of its metadata record.
 
-    Builds the model and propagates (two_time_correlation), or takes a
-    previously dumped grid after a parameter-hash consistency check.  The
-    head holds n_t, grid_memory_bytes, dim and the grid's run record
+    Builds the model in the atoms' exchange basis (hilbert.to_exchange;
+    see model): H and the channels from space.exchange_ladder and rho0
+    rotated, while a and the monitor keep their matrices, so the bright
+    and dark states fall into separate sectors; then propagates
+    (two_time_correlation).  Or takes a previously dumped grid after a
+    parameter-hash consistency check.  The head holds n_t, grid_memory_bytes, dim and the grid's run record
     (every value None for a dumped grid), its stage_s led by the model
     build.
     """
@@ -211,10 +214,11 @@ def correlation_grid(
     if grid is None:
         check_step_size(numerics.evolution.dt, params)
         space = build_space(numerics.N_c, numerics.N_m, numerics.excitation_cap)
-        H = build_hamiltonian(params, space)
-        diss = build_dissipators(params, space)
+        ladder = space.exchange_ladder
+        H = build_hamiltonian(params, space, ladder)
+        diss = build_dissipators(params, space, ladder)
         gen = Generator(H, diss)
-        rho0 = initial_state(params, space, initial)
+        rho0 = to_exchange(space, initial_state(params, space, initial))
         a_op = ladder_operators(space)["a"]
         monitor = optical_excitation_operator(space)
         stages = {"model": time.perf_counter() - t0}

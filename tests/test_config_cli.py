@@ -297,6 +297,53 @@ class TestCliSpectrum:
         assert capsys.readouterr().err == f"file error: [Errno 2] No such file or directory: {missing!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe = 1\n")
+        out = tmp_path / "d.csv"
+        assert main(["dressed", "--config", str(bad), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad} is not UTF-8 text (invalid start byte at byte 0)\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "command, flag, key",
+        [("dressed", "--svg", "output.svg"),
+         ("dressed", "--dump-correlation", "output.correlation_dump"),
+         ("dressed", "--load-correlation", "output.load_correlation"),
+         ("correlation", "--output", "output.csv"),
+         ("correlation", "--svg", "output.svg")],
+    )
+    @pytest.mark.parametrize("given_as", ["flag", "key"])
+    def test_unused_outputs_refused(self, tmp_path, monkeypatch, capsys, command, flag, key, given_as):
+        # an output the command would never write is refused, as a flag or
+        # as a config key, before anything runs or is written
+        monkeypatch.setattr("omtc.spectrum.two_time_correlation", _never)
+        monkeypatch.setattr("omtc.dressed.predicted_lines", _never)
+        cfg = tmp_path / "run.cfg"
+        path = str(tmp_path / "extra.out")
+        cfg.write_text(FAST + (f"{key} = {path}\n" if given_as == "key" else ""))
+        own = ["--output", str(tmp_path / "d.csv")] if command == "dressed" else \
+            ["--dump-correlation", str(tmp_path / "grid.bin")]
+        extra = [flag, path] if given_as == "flag" else []
+        assert main([command, "--config", str(cfg), *own, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} takes no {key}: it uses only ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_dark_start_writes_a_zero_spectrum(self, tmp_path, capsys, method):
+        # the antisymmetric start is one dark state of the exchange basis,
+        # which never couples to the cavity: the operand sector is empty
+        # and the spectrum is exactly zero
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST.replace("expm", method) + "model.excited_atom = antisymmetric\n")
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
+        assert ", adjoint_sector 0, " in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 81 and all(float(v) == 0.0 for row in rows for v in row[1:])
+
     @pytest.mark.parametrize("command", ["spectrum", "sweep", "correlation"])
     def test_missing_output_directory_exits_before_the_run(self, tmp_path, monkeypatch, capsys, command):
         # the dump's directory is missing: the run is refused before the
@@ -307,11 +354,14 @@ class TestCliSpectrum:
         monkeypatch.setattr("omtc.spectrum.two_time_correlation", never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.cfg").write_text(FAST + "sweep.parameter = J\nsweep.values = 0\n")
-        svg = ["--svg", "missing/plot.svg"] if command == "sweep" else []
-        assert main([command, "--config", "f.cfg", "--output", "ok.csv",
-                     "--dump-correlation", "missing/grid.bin", *svg]) == 2
+        # each command with the outputs it takes: a sweep writes no dump, so
+        # its plot's directory is the missing one, and correlation no CSV
+        args = {"spectrum": ["--output", "ok.csv", "--dump-correlation", "missing/grid.bin"],
+                "sweep": ["--output", "ok.csv", "--svg", "missing/plot.svg"],
+                "correlation": ["--dump-correlation", "missing/grid.bin"]}[command]
+        assert main([command, "--config", "f.cfg", *args]) == 2
         err = capsys.readouterr().err
-        assert err == "file error: [Errno 2] No such file or directory: " + repr(svg[-1] if svg else "missing/grid.bin") + "\n"
+        assert err == "file error: [Errno 2] No such file or directory: " + repr(args[-1]) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
 
     @pytest.mark.parametrize("failing", ["save", "emit_plot"])
@@ -344,8 +394,9 @@ class TestCliSpectrum:
         else:
             monkeypatch.setattr("omtc.grid.CorrelationGrid.save", lambda grid, path: half(path))
         (tmp_path / "f.cfg").write_text(FAST)
-        assert main([command, "--config", str(tmp_path / "f.cfg"), "--output", str(tmp_path / "out.csv"),
-                     "--dump-correlation", str(tmp_path / "grid.bin")]) == 2
+        output = ["--output", str(tmp_path / "out.csv")] if command == "dressed" else \
+            ["--dump-correlation", str(tmp_path / "grid.bin")]
+        assert main([command, "--config", str(tmp_path / "f.cfg"), *output]) == 2
         assert capsys.readouterr().err == "file error: [Errno 28] No space left on device\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
 
@@ -389,12 +440,13 @@ class TestCliSpectrum:
 
     def test_expm_block_budget_checked_before_expm(self, tmp_path, monkeypatch, capsys):
         # N_m = 2, t_max = 2, with mechanical losses, so both sectors are
-        # stepped densely: the factor stacks need 32 * 41 * 27 B = 35 kB,
-        # the dense expm sector blocks 8 * 82^2 B = 53.8 kB (real forward:
-        # the 81-entry rho_11 block and p) plus 16 * 27^2 B = 11.7 kB
-        # (complex adjoint), and their b-th powers as much again: 166 kB.
-        # Without the powers it would be 101 kB, under the 150 kB budget,
-        # and expm would run.
+        # stepped densely: in the exchange basis the factor stacks need
+        # 32 * 41 * 21 B = 27.6 kB, the dense expm sector blocks
+        # 8 * 50^2 B = 20 kB (real forward: the 49-entry rho_11 block of
+        # the bright states and the one dark state, and p) plus
+        # 16 * 21^2 B = 7.1 kB (complex adjoint), and their b-th powers as
+        # much again: 81.7 kB.  Without the powers it would be 54.6 kB,
+        # under the 70 kB budget, and expm would run.
         def not_yet(*args, **kwargs):
             raise AssertionError("expm or its squarings ran before the budget check")
 
@@ -402,7 +454,7 @@ class TestCliSpectrum:
         monkeypatch.setattr("omtc.dynamics._power", not_yet)
         small = FAST.replace("numerics.t_max = 30", "numerics.t_max = 2")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(small + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n")
+        cfg.write_text(small + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 70000\n")
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
@@ -423,7 +475,7 @@ class TestCliSpectrum:
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
         assert "propagator factored/separable" in capsys.readouterr().err
         cfg.write_text(
-            small.replace("expm", "rk4") + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 150000\n"
+            small.replace("expm", "rk4") + "model.gamma_M = 0.05\nnumerics.max_grid_bytes = 70000\n"
         )
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
 
@@ -431,8 +483,8 @@ class TestCliSpectrum:
     def test_corrupted_factored_power_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                         call, block):
         # without mechanical losses the run takes the D form; its forward
-        # pass steps the powers of the |P| = 9 eigenvalues g of K_L at
-        # N_m = 2 by g^b (grid._elementwise_power), made once
+        # pass steps the powers of the |P| = 7 eigenvalues g of K_L at
+        # N_m = 2 (six bright states and the dark one of the start) by g^b (grid._elementwise_power), made once
         from omtc import grid
 
         power, calls = grid._elementwise_power, []
@@ -448,7 +500,7 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
-        assert calls == [9]
+        assert calls == [7]
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["expm", "rk4"])
@@ -524,7 +576,7 @@ class TestCliSpectrum:
         out = tmp_path / "never.csv"
         assert main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 3
         assert f"disagree on the {block} E^b smoke test" in capsys.readouterr().err
-        assert calls[:2] == [81, 27]  # |P|^2 and |Q0| |P| at N_m = 2
+        assert calls[:2] == [49, 21]  # |P|^2 and |Q0| |P| at N_m = 2, exchange basis
         assert not out.exists()
 
     @pytest.mark.parametrize("block", ["forward", "adjoint"])
@@ -572,11 +624,12 @@ class TestCliSpectrum:
         assert not out.exists()
 
     @pytest.mark.parametrize("method, kernel", [("expm", "dense"), ("rk4", "rk4")])
-    @pytest.mark.parametrize("entry", [25, 50])
+    @pytest.mark.parametrize("entry", [25, 38])
     def test_spoiled_late_operand_map_entry_fails_smoke_check(self, tmp_path, monkeypatch, capsys,
                                                               method, kernel, entry):
-        # these entries of a_map read coordinates that one step from the
-        # photon start leaves near zero, so doubling one moves C[1][k] and
+        # these entries of a_map (25 of the 39 in the exchange basis, and
+        # the last) read coordinates that one step from the photon start
+        # leaves near zero, so doubling one moves C[1][k] and
         # C[b][k] by less than the kernel check's tolerance; the operands of
         # node b, checked against a rho(t_b) of its own state, carry them
         from omtc import dynamics
@@ -585,7 +638,7 @@ class TestCliSpectrum:
 
         def spoiled(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            assert len(self.a_map.data) == 51
+            assert len(self.a_map.data) == 39
             self.a_map.data[entry] *= 2.0
 
         monkeypatch.setattr("omtc.dynamics._SteppedForm.__init__", spoiled)
@@ -686,8 +739,8 @@ class TestCliCorrelation:
         # them rk4 steps both passes and dumps the U and X stacks (version
         # 2).  Each reloads to the same CSV, byte for byte, but for the
         # footer's grid.memory_bytes of the spectral form: the computed grid
-        # keeps N, H, M (|R_a| = 27 each), Z0 and G (|P|^2 = 81 each),
-        # 16 * 243 B, and the reload its stored X, 16 * (601 + 2) * 27 B
+        # keeps N, H, M (|R_a| = 21 each), Z0 and G (|P|^2 = 49 each),
+        # 16 * 161 B, and the reload its stored X, 16 * (601 + 2) * 21 B
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST.replace("expm", method) + extra)
         dump = tmp_path / "grid.bin"
@@ -701,7 +754,7 @@ class TestCliCorrelation:
             old, new = direct.read_text().splitlines(), reused.read_text().splitlines()
             assert len(old) == len(new)
             assert [(a, b) for a, b in zip(old, new) if a != b] == [
-                ("# grid.memory_bytes = 3888", "# grid.memory_bytes = 260496")
+                ("# grid.memory_bytes = 2576", "# grid.memory_bytes = 202608")
             ]
         else:
             assert direct.read_bytes() == reused.read_bytes()
@@ -715,7 +768,8 @@ class TestCliCorrelation:
               "--dump-correlation", str(dump)])
         err = capsys.readouterr().err
         # every metadata entry as "key value", in the record's order
-        assert ", forward_sector 81, adjoint_sector 27, propagator factored/separable, " in err
+        # in the exchange basis: the bright states and the start's dark one
+        assert ", forward_sector 49, adjoint_sector 21, propagator factored/separable, " in err
         assert float(err.split("smoke_max_diff ")[1].split(",")[0]) < 1e-8
         # the pure start has rank s = 1, and D is |Q0| s = 3 wide, one
         # column per zero-photon state, N_m + 1 = 3

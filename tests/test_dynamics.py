@@ -488,6 +488,27 @@ class TestTwoTimeCorrelation:
         grid = two_time_correlation(rho0, gen, cfg, a)
         assert abs(grid_value(grid, 0, 0)) < 1e-14
 
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    @pytest.mark.parametrize("monitor", [False, True])
+    def test_vacuum_start_gives_a_zero_grid(self, method, monitor):
+        # the photonless vacuum has an empty readout and operand sector: the
+        # smoke check's references step empty vectors (rk4 used to take the
+        # max of one), and the grid and its spectrum are exactly zero; with
+        # the monitor at 0 the leak stop cuts the run after node 1
+        p = ModelParams(g_a=1.0, g_M=0.4)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        vac = np.zeros((space.dim, space.dim), dtype=complex)
+        vac[0, 0] = 1.0
+        mon = optical_excitation_operator(space) if monitor else None
+        cfg = EvolutionConfig(dt=0.05, t_max=1.0, method=method)
+        grid = two_time_correlation(vac, gen, cfg, ladder_operators(space)["a"], monitor=mon, kappa=0.3)
+        assert grid.n_t == (2 if monitor else 21)
+        assert (grid.run["forward_sector"], grid.run["adjoint_sector"], grid.width) == (0, 0, 0)
+        assert not np.any(grid_dense(grid))
+        for column in filtered_spectrum(grid, np.linspace(-2.0, 2.0, 9), 0.05, grid.horizon):
+            np.testing.assert_array_equal(column, 0.0)
+
     def test_damped_cavity_analytic(self):
         _, space, gen, rho0 = _damped_cavity()
         a = ladder_operators(space)["a"]
@@ -1878,6 +1899,32 @@ class TestSpectralRows:
         grid = CorrelationGrid(dt=0.1, X=stack, N=N, H=H)
         assert np.all(np.abs(grid.adjoint_rows(lo, hi) - stack[lo:hi]) <= bound)
         np.testing.assert_array_equal(first[0], N)
+
+    @settings(max_examples=20)
+    @given(
+        spans=st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 64)), min_size=1, max_size=40),
+        chunk=st.integers(1, 7),
+        width=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_starts_are_the_bits_of_one_chunk(self, spans, chunk, width, seed):
+        # spectral_blocks makes the starts N o H^lo SPAN_CHUNK spans at a
+        # time; every row has the bits it has when all spans form one chunk.
+        # Rows of one entry are left out: numpy multiplies a one-column
+        # stack as one vector, whose SIMD body and tail round apart, and an
+        # operand sector Q0 x P is never one entry wide (P holds a
+        # one-photon state and the bright state it couples to)
+        rng = np.random.default_rng(seed)
+        N, H = _spectral_factors(rng, width)
+        spans = [(lo, lo + rows) for lo, rows in spans]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.grid.SPAN_CHUNK", len(spans))
+            whole = list(spectral_blocks(N, H, spans))
+            mp.setattr("omtc.grid.SPAN_CHUNK", chunk)
+            chunked = list(spectral_blocks(N, H, spans))
+        assert len(chunked) == len(whole) == len(spans)
+        for a, b in zip(chunked, whole, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("b", [None, 8])
     @settings(max_examples=12)

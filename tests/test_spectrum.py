@@ -320,9 +320,10 @@ class TestStationarySpectrum:
 
     def test_sector_sizes_in_metadata(self, tmp_path):
         res = self._run(g_a=1.0, g_M=0.4)
-        # N_m = 2: the rho_11 block (81; rho_00 is carried only by its trace
-        # p), a rho in the 0-1 block
-        assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (81, 27)
+        # N_m = 2 in the exchange basis: the rho_11 block of the six bright
+        # one-excitation states and the start's dark one (49; rho_00 is
+        # carried only by its trace p), a rho in the 0-1 block (3 x 7)
+        assert (res.metadata["forward_sector"], res.metadata["adjoint_sector"]) == (49, 21)
         # expm without mechanical losses: both passes factored, one column
         # of rho_11 and one of rho_01 per one-photon state
         assert res.metadata["columns"] == (1, 3)
