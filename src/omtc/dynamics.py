@@ -12,8 +12,11 @@ assumed): the forward sector, the closure of supp vec(rho0), and the
 operand sector, that of supp vec(a rho).  Of the forward sector a
 correlation run steps only the readout sector, the ancestors of what a
 and the monitor read (rho_11 for one optical excitation), plus the sum p
-of the dropped diagonal; evolve keeps the whole sector (_ForwardSector,
-which every pass reads).  rho(t) stays Hermitian, and the stepped passes
+of the dropped diagonal; evolve keeps the whole sector.  One object,
+_ForwardSector, makes every such decision of a run once: the readout
+sector, its rows P, and from one pattern of a the operand sector, its rows
+Q0, its block and the entries of the operand map; every form and the
+smoke check read them there.  rho(t) stays Hermitian, and the stepped passes
 step it in real coordinates (_HermitianCoordinates, built only for them);
 the operand sector carries a rho and stays complex.
 
@@ -26,8 +29,12 @@ start's dark states, and the dark ones never reach the operand sector (at
 N_m = 12 and Mbar = 0 the readout sector is 27 x 27 against 39 x 39 in the
 product basis).  A thermal start leaves the readout sector short of the
 coherences between dark states of different phonon numbers, so the
-correlation kernels step its product hull instead (_ForwardSector.hull).
-evolve and every function given product-basis operators work as before.
+correlation kernels step its product hull instead (_ForwardSector.hull,
+which extends the sector it holds by one block).  The dark start itself,
+and a photonless one, has an empty operand sector, the empty product
+Q0 x P: its grid is exactly zero, and the D or spectral form makes it at
+once.  evolve and every function given product-basis operators work as
+before.
 
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
@@ -43,7 +50,7 @@ form(node), blocks, state, readout, smoke, grid) that two_time_correlation
 runs through one loop and one smoke check against Taylor references built
 from S.  Without
 mechanical losses the readout sector is P x P and the operand sector
-Q0 x P, products that no jump lands in, so L acts there as
+Q0 x P (or empty), products that no jump lands in, so L acts there as
 X -> A X + X B (_kronecker_factors), with A, B the no-jump parts.  One
 function, _kernel, tries the D form or the spectral form there, on the
 product hull P x P of the readout rows where nothing else flows into it;
@@ -83,6 +90,7 @@ the readout sector itself.
   RK4 step polynomial is the RK4 step of the adjoint generator.
 """
 
+import copy
 import hashlib
 import time
 from dataclasses import dataclass
@@ -164,7 +172,7 @@ def _transposed(index: np.ndarray, d: int) -> np.ndarray:
 
 
 class _ForwardSector:
-    """The readout sector of a forward pass: its index sets, P and M.
+    """The sectors of a correlation run: the readout sector, its rows P and M, and the operand sector.
 
     Of the forward sector, the closure of supp vec(rho0) (with its
     transpose), index keeps the ancestors under L of the entries in reads
@@ -179,23 +187,34 @@ class _ForwardSector:
     (_HermitianCoordinates).  NumericalError if index is not closed under L
     or transposition; ConfigurationError unless rho0 is Hermitian to 1e-12.
 
-    With hull, index is instead the product hull P x P of the readout rows
-    P, which the correlation kernels need (_kernel), and the sector the
-    forward sector with the hull: the hull's entries outside the forward
-    sector stay 0.  Then closed tells whether nothing flows into the hull
-    from the rest of the sector, the condition for its dynamics to be
-    exact, instead of an error.  In the exchange basis a thermal start
-    leaves P x P short of the coherences between two dark states.
+    Given the annihilation operator a, it also finds the operand sector adj,
+    the closure of the rows that a x I reaches from index: (a x I) vec(rho)
+    = vec(a rho), so entry i d + j reaches r d + j where a[r, i] != 0.  From
+    that one pattern come adj, its block Sa = S[adj, adj], its rows Q0,
+    whether adj is the product Q0 x P (product; true when adj is empty), and
+    the entries (rows of adj, columns of index, values) of the operand map
+    (a x I)[adj, index] (a_entries).  S itself is kept for hull().
+
+    hull() gives the product hull P x P of the readout rows P, which the
+    correlation kernels need (_kernel): its sector is the forward sector with
+    the hull, whose entries outside the forward sector stay 0, and closed
+    tells whether nothing flows into the hull from the rest of that sector,
+    the condition for its dynamics to be exact, instead of an error.  In the
+    exchange basis a thermal start leaves P x P short of the coherences
+    between two dark states.  The hull keeps the operand facts: where adj is
+    Q0 x P, the hull's operand seeds lie in it.  a_entries stay those of
+    the readout sector, which only the stepped form, never given a hull,
+    reads.
     """
 
-    def __init__(self, S, rho0: np.ndarray, reads=None, hull: bool = False):
+    def __init__(self, S, rho0: np.ndarray, reads=None, a=None):
         asym = float(np.max(np.abs(rho0 - rho0.conj().T), initial=0.0))
         if asym > 1e-12:
             raise ConfigurationError(
                 f"rho0 must be Hermitian (max |rho0 - rho0'| = {asym:.3e})"
             )
         d = rho0.shape[0]
-        self.dim, self._source = d, (S, rho0, reads)
+        self.S, self.dim = S, d
         sector = _closure(S.successors, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
         L = S.block(sector)
         kept = np.ones(len(sector), dtype=bool)
@@ -209,19 +228,26 @@ class _ForwardSector:
                     f"generator does not preserve Hermiticity ({name} sector is not "
                     "closed under transposition)"
                 )
-        if hull:
-            P = _distinct(sector[kept] // d)
-            box = (P[:, None] * d + P).reshape(-1)
-            sector = _distinct(sector, box)
-            kept = np.isin(sector, box)
-            L = S.block(sector)
+        self._split(L, sector, kept)
+        if not self.closed:
+            raise NumericalError("readout sector is not closed: dropped entries flow into it")
+        if a is not None:
+            i, j = np.divmod(self.index, d)
+            rows, at = np.nonzero(a[:, i])
+            seed = rows * d + j[at]
+            self.adj = adj = _closure(S.successors, seed)
+            self.Sa, self.Q0 = S.block(adj), _distinct(adj // d)
+            self.product = np.array_equal(adj, (self.Q0[:, None] * d + self.P).reshape(-1))
+            self.a_entries = np.searchsorted(adj, seed), at, a[rows, i[at]]
+
+    def _split(self, L: SparseMatrix, sector: np.ndarray, kept: np.ndarray) -> None:
+        """Set index, dropped, P, M, closed and the leak from the block L = S[sector, sector] and the kept mask."""
+        d = self.dim
         i, j = np.divmod(sector, d)
         dd = ~kept & (i == j)
         self.index, self.dropped, self.dropped_diag = sector[kept], sector[~kept], sector[dd]
         r, c, v = L.rows, L.indices, L.data  # the sector block's entries, split by masks
         self.closed = not np.any(v[kept[r] & ~kept[c]])
-        if not (self.closed or hull):
-            raise NumericalError("readout sector is not closed: dropped entries flow into it")
         n = len(self.index)
         self.P = _distinct(self.index // d)  # the rows of index: P when index is a product P x Q
         to = np.where(kept, np.cumsum(kept) - 1, n)
@@ -232,10 +258,18 @@ class _ForwardSector:
         self._leak = np.max(leak, initial=0.0), 1e-12 * np.max(np.abs(v), initial=0.0)
 
     def hull(self) -> "_ForwardSector":
-        """This sector with hull (see the class), or itself where index is P x P already."""
+        """This sector on the hull P x P (see the class), or itself where index is P x P already.
+
+        One block of the forward sector with the hull, split by masks, and
+        no closure: the hull's entries outside the forward sector stay 0.
+        """
         if len(self.index) == len(self.P) ** 2:
             return self
-        return _ForwardSector(*self._source, hull=True)
+        box = (self.P[:, None] * self.dim + self.P).reshape(-1)
+        sector = _distinct(self.index, self.dropped, box)
+        hull = copy.copy(self)
+        hull._split(self.S.block(sector), sector, np.isin(sector, box))
+        return hull
 
     @property
     def readout_block(self) -> SparseMatrix:
@@ -334,7 +368,7 @@ class _SectorStepper:
 
     B is the real readout block (Hermitian coordinates and p) or, for the
     Heisenberg pass, the adjoint of the complex operand block.  rk4 takes
-    four sparse matvecs per step; expm builds the dense E = exp(B dt) once
+    four sparse matvecs per step, r(h B) x in Horner form; expm builds the dense E = exp(B dt) once
     and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
     b sequential rk4 steps or, after the first expm block, one product with
     E^b.  This steps any sector, for the stepped U/X form and evolve.
@@ -356,12 +390,10 @@ class _SectorStepper:
         B = self._B
         if self.power is not None:
             return B @ x
-        h = self.dt
-        k1 = B @ x
-        k2 = B @ (x + 0.5 * h * k1)
-        k3 = B @ (x + 0.5 * h * k2)
-        k4 = B @ (x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = x
+        for k in (4, 3, 2, 1):  # r(h B) x in Horner form, as _rk4_factor
+            y = x + (self.dt / k) * (B @ y)
+        return y
 
     def blocks(self, x0: np.ndarray, n: int):
         """Yield x_0 .. x_{n-1} from x0 by _blocks: every rk4 block stepped, a later expm block Y (E^b)^T."""
@@ -383,19 +415,14 @@ def _phases(p: int, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * 0.6180339887498949 * np.arange(p * q)).reshape(p, q)
 
 
-def _kronecker_factors(gen, L: SparseMatrix, index: np.ndarray):
-    """(A[P, P], B[Q, Q]) of gen.no_jump() if L = S[index, index] is their Kronecker sum, else None.
+def _kronecker_factors(gen, L: SparseMatrix, P: np.ndarray, Q: np.ndarray):
+    """(A[P, P], B[Q, Q]) of gen.no_jump() if L, the block of the sector P x Q, is their Kronecker sum, else None.
 
-    L is the sector block, extracted once by the caller.  That holds when
-    index is a product P x Q of Hilbert-space indices and no jump lands
-    inside the sector, so L acts there as X -> A X + X B on the P x Q matrix
-    X: the sector block must equal A (x) I + I (x) B^T to 1e-12 max|L|,
-    checked as L vec(Z) = vec(A Z + Z B) for Z = _phases(|P|, |Q|).
+    That holds when no jump lands inside the sector, so L acts there as
+    X -> A X + X B on the P x Q matrix X: the sector block must equal
+    A (x) I + I (x) B^T to 1e-12 max|L|, checked as
+    L vec(Z) = vec(A Z + Z B) for Z = _phases(|P|, |Q|).
     """
-    i, j = np.divmod(index, gen.dim)
-    P, Q = _distinct(i), _distinct(j)
-    if len(index) != len(P) * len(Q):
-        return None
     A, B = gen.no_jump()
     A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
     Z = _phases(len(P), len(Q))
@@ -427,7 +454,7 @@ def _eigenbases(factors, power: int = 1):
     if np.max(np.abs(B - A.conj().T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
         return None
     alpha, V = np.linalg.eig(A)
-    kappa = float(np.linalg.cond(V))
+    kappa = float(np.linalg.cond(V)) if len(V) else 1.0  # an empty basis (no readout rows)
     if not kappa**power <= SPECTRAL_CONDITION_LIMIT:  # inf for a singular V
         return None
     return (alpha, V, np.linalg.inv(V)), _eigenphases(A0), kappa
@@ -473,8 +500,9 @@ class _SeparableKernel:
 
     propagators, grid_stage = ("factored", "separable"), "forward"
 
-    def __init__(self, bases, W0: np.ndarray, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
+    def __init__(self, sector, bases, W0: np.ndarray, a0: np.ndarray, rho0: np.ndarray, N, dt: float, b: int = 1):
         (alpha, V, V_inv), (self.lam, U), _ = bases
+        self.sector = sector
         self.g = np.exp(dt * alpha)
         _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
         E = V_inv @ W0
@@ -504,7 +532,7 @@ class _SeparableKernel:
     def rows(self, x: np.ndarray, start: int) -> np.ndarray:
         """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the block x."""
         rows = len(x)
-        D = (x @ self.F).reshape(rows, len(self.lam), -1)
+        D = (x @ self.F).reshape(rows, len(self.lam), self.columns[0])
         D *= (np.exp(1j * start * self.dt * self.lam) * self.phases[:rows])[:, :, None]
         return D.reshape(rows, -1)
 
@@ -565,9 +593,9 @@ class _SpectralKernel:
 
     propagators, columns, grid_stage = ("spectral", "spectral"), (None, None), "forward"
 
-    def __init__(self, bases, a0: np.ndarray, rho0: np.ndarray, P, monitor, dt: float, b: int):
+    def __init__(self, sector, bases, a0: np.ndarray, rho0: np.ndarray, monitor, dt: float, b: int):
         (alpha, V, V_inv), (lam, U), kappa = bases
-        self.b = b
+        self.sector, self.b, P = sector, b, sector.P
         self.G = _rk4_factor(dt * (alpha[:, None] + alpha.conj())).reshape(-1)  # beta = conj(alpha)
         self.H = _rk4_factor(dt * (-1j * lam[:, None] + alpha.conj())).reshape(-1)
         _check_growth("RK4", dt, [self.G, self.H], "reduce dt")
@@ -588,7 +616,7 @@ class _SpectralKernel:
     def state(self, z: np.ndarray):
         """(rho[P, P] = V Z V^H flattened, p = tr rho0 - tr rho[P, P]) of the eigen coordinates z."""
         V, V_H, trace0 = self._V
-        rho = V @ z.reshape(len(V), -1) @ V_H
+        rho = V @ z.reshape(len(V), len(V)) @ V_H
         return rho.reshape(-1), trace0 - np.trace(rho).real
 
     def paired(self, U: np.ndarray) -> np.ndarray:
@@ -631,14 +659,14 @@ class _SpectralKernel:
         return None
 
 
-def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: np.ndarray, a_mat,
-            monitor, config: EvolutionConfig, b: int):
+def _kernel(gen, fwd: _ForwardSector, rho0: np.ndarray, a_mat, monitor, config: EvolutionConfig, b: int):
     """The run's D form (expm) or spectral form (rk4), set up and checked, or None.
 
     The form steps the product hull P x P of the readout rows P
-    (_ForwardSector.hull), its sector.  None unless nothing outside the
-    hull flows into it, the operand sector is Q0 x P, both sector blocks are
-    Kronecker sums (_kronecker_factors) and _eigenbases holds, and unless
+    (_ForwardSector.hull), its sector.  None unless the operand sector is
+    Q0 x P (empty for a dark or photonless start), nothing outside the hull
+    flows into it, both sector blocks are Kronecker sums
+    (_kronecker_factors) and _eigenbases holds, and unless
     the kernel's own condition holds: for the D form a positive
     semidefinite rho0[P, P] = W W^H (to 1e-12 of its largest eigenvalue;
     W = E sqrt(e) over the eigenpairs (e, E) above 1e-14 of the largest,
@@ -649,17 +677,17 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
     check_trace_rows), which stand in for the trace guard its pass does not
     have.
     """
-    P, expm = fwd.P, config.method == "expm"
-    if not len(adj) or not np.array_equal(_distinct(adj % gen.dim), P):
+    if not fwd.product:
         return None
     fwd = fwd.hull()
     if not fwd.closed:
         return None
-    factors = (_kronecker_factors(gen, fwd.readout_block, fwd.index), _kronecker_factors(gen, Sa, adj))
+    P, Q0, expm = fwd.P, fwd.Q0, config.method == "expm"
+    factors = (_kronecker_factors(gen, fwd.readout_block, P, P), _kronecker_factors(gen, fwd.Sa, Q0, P))
     bases = None if None in factors else _eigenbases(factors, 1 if expm else 2)
     if bases is None:
         return None
-    Q0, W = _distinct(adj // gen.dim), None
+    W = None
     if expm:
         e, E = np.linalg.eigh(rho0[np.ix_(P, P)])
         if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
@@ -667,18 +695,15 @@ def _kernel(gen, fwd: _ForwardSector, Sa: SparseMatrix, adj: np.ndarray, rho0: n
         keep = e > 1e-14 * e[-1]
         W = E[:, keep] * np.sqrt(e[keep])
     if W is None:  # N, H, M and a block of X; Z_0, G and a block of Z
-        _check_budget(config, 16, factors=16 * ((3 + b) * len(adj) + (2 + b) * len(P) ** 2))
+        _check_budget(config, 16, factors=16 * ((3 + b) * len(fwd.adj) + (2 + b) * len(P) ** 2))
     else:
         _check_budget(config, 16 * len(Q0) * W.shape[1])
     fwd.check_leak()
     fwd.check_trace_rows()
     a0, N = a_mat[np.ix_(Q0, P)], None if monitor is None else monitor[np.ix_(P, P)]
     if W is None:
-        form = _SpectralKernel(bases, a0, rho0, P, N, config.dt, b)
-    else:
-        form = _SeparableKernel(bases, W, a0, rho0, N, config.dt, b)
-    form.sector = fwd
-    return form
+        return _SpectralKernel(fwd, bases, a0, rho0, N, config.dt, b)
+    return _SeparableKernel(fwd, bases, W, a0, rho0, N, config.dt, b)
 
 
 def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
@@ -699,11 +724,10 @@ def _taylor_step(f, x: np.ndarray, h: float, terms=None) -> np.ndarray:
     return out
 
 
-def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, form, rho0, a_mat,
-                 config: EvolutionConfig):
+def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
     """Cross-validate S and the run's correlation form; return the largest difference.
 
-    S, which the sectors and forms are built from, must match the
+    S of the form's sector, which the sectors and forms are built from, must match the
     generator's actions to 1e-12 max|S| on the full matrix Z = _phases(d, d):
     S vec(Z) = vec(apply(Z)) and S^H vec(Z) = vec(apply_adjoint(Z)), the
     adjoint duality.  The references are steps of size dt by matvecs with S
@@ -717,11 +741,13 @@ def _smoke_check(gen, S, fwd: _ForwardSector, adj, Sa: SparseMatrix, form, rho0,
     the form's own checks (its adjoint steps, and for the stepped form the
     operand map at node b); and its C[1][0], C[1][1], C[b][0] and
     C[b][1] against ((R^H)^(j-k) a) . vec(a rho(t_k)) for the reference step
-    R on the operand block Sa = S[adj, adj] (C[b][1] because a photonless
+    R on the sector's operand block Sa = S[adj, adj] (C[b][1] because a photonless
     start has a rho0 = 0, and C[j][0] = 0 checks no phase); for expm n
     steps of R^H run in substeps of at most 4 / ||S_a^H||_1 (e^4 bounds the
     Taylor sum's cancellation).
     """
+    fwd = form.sector
+    S, adj, Sa = fwd.S, fwd.adj, fwd.Sa
     Z = _phases(gen.dim, gen.dim)
     for name, M, action in (("forward", S.dot, gen.apply), ("adjoint", S.adjoint_dot, gen.apply_adjoint)):
         err = float(np.max(np.abs(M(Z.reshape(-1)) - action(Z).reshape(-1))))
@@ -785,10 +811,12 @@ def _dense_readout(step, herm: _HermitianCoordinates, rho0: np.ndarray, n: int, 
     pair's coordinates sqrt(2) Re, Im rho_ij are at most
     sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
-    # Re(V^T m) = Re(V^H conj(m))
+    # Re(V^T m) = Re(V^H conj(m)) on its support, so that the sum has the same
+    # terms in the same order whatever else the sector holds
     mon = None if monitor is None else herm.V.adjoint_dot(monitor.T.reshape(-1)[herm.index].conj()).real
+    read = None if mon is None else np.flatnonzero(mon)
     for Y in step.blocks(herm.coords(rho0), n):
-        yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y @ mon,
+        yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y[:, read] @ mon[read],
                (Y[:, : herm.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
 
 
@@ -799,25 +827,24 @@ class _SteppedForm:
     coordinates built and checked first, guarded by the trace checks of
     _forward, and reads the operands a rho(t_k) through
     a_map = (a x I)[adj, index] V; the adjoint pass, in grid(), steps a on
-    the operand block Sa.  Both stacks, and for expm the dense propagators,
+    the operand block Sa.  a_map is made from the sector's entries of
+    (a x I)[adj, index].  Both stacks, and for expm the dense propagators,
     are checked against the budget before a stepper is built.
     """
 
     columns, grid_stage = (None, None), "adjoint"
 
-    def __init__(self, fwd: _ForwardSector, Sa, a_mat, adj, rho0, monitor, config: EvolutionConfig, b: int):
-        from scipy import sparse  # imported here: only the stepped passes multiply by a_map
-
+    def __init__(self, fwd: _ForwardSector, a_mat, rho0, monitor, config: EvolutionConfig, b: int):
         self.herm = herm = _HermitianCoordinates(fwd)
-        self.sector = fwd
+        self.sector, adj = fwd, fwd.adj
         _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
         self.rho0, self.monitor, self.b = rho0, monitor, b
         self.propagators = ("dense" if config.method == "expm" else "rk4",) * 2
         self.forward = _SectorStepper(herm.block, config.dt, config.method, b=b)
-        a_map = sparse.kron(sparse.csr_matrix(a_mat), sparse.identity(fwd.dim), format="csr")
-        self.a_map = (a_map[adj][:, fwd.index] @ _scipy(herm.V)).tocsr()
-        self.adjoint = _SectorStepper(_scipy(Sa), config.dt, config.method, adjoint=True, b=b)
-        self.a, self.a_mat, self.adj = a_mat.reshape(-1)[adj], a_mat, adj
+        a_map = SparseMatrix.from_entries(*fwd.a_entries, (len(adj), len(fwd.index)))
+        self.a_map = (_scipy(a_map) @ _scipy(herm.V)).tocsr()
+        self.adjoint = _SectorStepper(_scipy(fwd.Sa), config.dt, config.method, adjoint=True, b=b)
+        self.a, self.a_mat = a_mat.reshape(-1)[adj], a_mat
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """The node one step after y."""
@@ -846,7 +873,7 @@ class _SteppedForm:
         """
         U = _first_nodes(self.adjoint.blocks(self.a, self.b + 1), self.b)
         X = (self.a_map @ nodes[[0, 1, self.b]].T).T
-        operands = X[2] - (self.a_mat @ self.herm.matrix(nodes[-1])).reshape(-1)[self.adj]
+        operands = X[2] - (self.a_mat @ self.herm.matrix(nodes[-1])).reshape(-1)[self.sector.adj]
         adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2])),
                    (f"{self.propagators[1]} kernel", operands)]
         return (lambda j, k: np.vdot(U[j - k], X[k])), adjoint
@@ -1023,9 +1050,9 @@ def two_time_correlation(
     operands X (stepped form), D (D form), or the spectral form's resolution
     column, one entry per node, whose grid keeps factors instead of X; a
     spectral grid that does not resolve (None) is recomputed stepped, its
-    set-up stage holding the attempt.  The sector blocks are extracted once; the operand block Sa
-    serves the Kronecker check, the smoke check and the stepped adjoint
-    pass.  The grid's run record (CorrelationGrid.run, keyed by RUN_KEYS)
+    set-up stage holding the attempt.  The sectors and their blocks are
+    found once, by _ForwardSector; its operand block Sa serves the
+    Kronecker check, the smoke check and the stepped adjoint pass.  The grid's run record (CorrelationGrid.run, keyed by RUN_KEYS)
     holds the sector sizes, the form's propagators joined by "/", its
     columns, the largest smoke-check difference and the seconds of set-up,
     smoke check, forward pass and the form's grid() call, which is the
@@ -1039,26 +1066,18 @@ def two_time_correlation(
     marks = [time.perf_counter()]  # stage boundaries
     rho0 = np.asarray(rho0, dtype=complex)
     d = gen.dim
-    S = gen.superoperator()
     a_mat = np.asarray(a_op, dtype=complex)
-
-    # (a x I) vec(rho) = vec(a rho): row i d + q reads column j d + q if
-    # a[i, j] != 0.  The operand sector is the closure of the rows that
-    # a x I reaches from the readout sector.
+    # vec(a rho) reads the entries i d + j of rho for every column i of a
     reads = (_distinct(np.nonzero(a_mat)[1])[:, None] * d + np.arange(d)).reshape(-1)
     if monitor is not None:
         reads = _distinct(reads, np.flatnonzero(monitor.T))
-    fwd = _ForwardSector(S, rho0, reads)
-    i, j = np.divmod(fwd.index, d)
-    rows, at = np.nonzero(a_mat[:, i])
-    adj = _closure(S.successors, rows * d + j[at])
-    Sa = S.block(adj)
+    fwd = _ForwardSector(gen.superoperator(), rho0, reads, a_mat)
     b = _block_size(config.n_max)
-    kernel = _kernel(gen, fwd, Sa, adj, rho0, a_mat, monitor, config, b)
+    kernel = _kernel(gen, fwd, rho0, a_mat, monitor, config, b)
     while True:
-        form = kernel or _SteppedForm(fwd, Sa, a_mat, adj, rho0, monitor, config, b)
+        form = kernel or _SteppedForm(fwd, a_mat, rho0, monitor, config, b)
         marks.append(time.perf_counter())
-        smoke = _smoke_check(gen, S, form.sector, adj, Sa, form, rho0, a_mat, config)
+        smoke = _smoke_check(gen, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
 
         # forward pass: the rows of D, the operands a rho(t_k) on the operand
@@ -1087,7 +1106,7 @@ def two_time_correlation(
     stage_s = {}
     for name, seconds in zip(("setup", "smoke", "forward", form.grid_stage), np.diff(marks).tolist()):
         stage_s[name] = stage_s.get(name, 0.0) + seconds
-    facts = (len(form.sector.index), len(adj), "/".join(form.propagators), form.columns, smoke, stage_s)
+    facts = (len(form.sector.index), len(fwd.adj), "/".join(form.propagators), form.columns, smoke, stage_s)
     return CorrelationGrid(
         dt=config.dt,
         kappa=kappa,

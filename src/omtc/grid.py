@@ -285,10 +285,6 @@ class CorrelationGrid:
             return (self.U[lo:hi] for lo, hi in spans)
         return spectral_blocks(self.N, self.H, spans)
 
-    def adjoint_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The rows U[lo:hi], one block of adjoint_blocks."""
-        return next(self.adjoint_blocks([(lo, hi)]))
-
     def operand_blocks(self, spans):
         """The rows X[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
 
@@ -307,10 +303,6 @@ class CorrelationGrid:
         b = self.b
         n = min(self.n_t, -(-max((hi for _, hi in spans), default=0) // b) * b)
         return _sliced(lambda: (_operands(self.M, Z) for Z in _elementwise_blocks(self.Z0, self.G, n, b)), spans)
-
-    def operand_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The rows X[lo:hi], one block of operand_blocks."""
-        return next(self.operand_blocks([(lo, hi)]))
 
     def lag_sums(self, Gamma: float, n: int):
         """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].

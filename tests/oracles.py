@@ -125,21 +125,26 @@ def closure_oracle(S, seed: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def grid_rows(blocks, lo: int, hi: int) -> np.ndarray:
+    """The rows lo:hi of U or X, one block of a grid's adjoint_blocks or operand_blocks."""
+    return next(blocks([(lo, hi)]))
+
+
 def adjoint_stack(grid) -> np.ndarray:
-    """All n_t rows of U of a U/X or spectral CorrelationGrid, from its accessor."""
-    return grid.adjoint_rows(0, grid.n_t)
+    """All n_t rows of U of a U/X or spectral CorrelationGrid, from its blocks."""
+    return grid_rows(grid.adjoint_blocks, 0, grid.n_t)
 
 
 def operand_stack(grid) -> np.ndarray:
-    """All n_t rows of X of a U/X or spectral CorrelationGrid, from its accessor."""
-    return grid.operand_rows(0, grid.n_t)
+    """All n_t rows of X of a U/X or spectral CorrelationGrid, from its blocks."""
+    return grid_rows(grid.operand_blocks, 0, grid.n_t)
 
 
 def grid_column(grid, k: int) -> np.ndarray:
     """C[k:][k] (lags 0 .. n_t-1-k) of a CorrelationGrid."""
     if grid.D is not None:
         return grid.D[k:].conj() @ grid.D[k]
-    return grid.adjoint_rows(0, grid.n_t - k) @ grid.operand_rows(k, k + 1)[0]
+    return grid_rows(grid.adjoint_blocks, 0, grid.n_t - k) @ grid_rows(grid.operand_blocks, k, k + 1)[0]
 
 
 def grid_value(grid, j: int, k: int) -> complex:
@@ -148,7 +153,7 @@ def grid_value(grid, j: int, k: int) -> complex:
         return np.conj(grid_value(grid, k, j))
     if grid.D is not None:
         return complex(np.vdot(grid.D[j], grid.D[k]))
-    return complex(grid.adjoint_rows(j - k, j - k + 1)[0] @ grid.operand_rows(k, k + 1)[0])
+    return complex(grid_rows(grid.adjoint_blocks, j - k, j - k + 1)[0] @ grid_rows(grid.operand_blocks, k, k + 1)[0])
 
 
 def grid_dense(grid) -> np.ndarray:

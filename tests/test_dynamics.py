@@ -15,6 +15,7 @@ from oracles import (
     adjoint_stack,
     grid_column,
     grid_dense,
+    grid_rows,
     grid_value,
     kron_superoperator,
     operand_stack,
@@ -52,6 +53,7 @@ from omtc.grid import _fast_length, _operands, _trapezoid_weights, spectral_bloc
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     ModelParams,
+    SparseMatrix,
     build_dissipators,
     build_hamiltonian,
     initial_state,
@@ -1117,8 +1119,12 @@ class TestScipyOracle:
         rows, at = np.nonzero(a[:, i])
         operand = closure_oracle(ref, rows * d + j[at])
         np.testing.assert_array_equal(_ForwardSector(S, rho0).index, sector)
-        np.testing.assert_array_equal(_ForwardSector(S, rho0, reads).index, readout)
+        fwd = _ForwardSector(S, rho0, reads, a)
+        np.testing.assert_array_equal(fwd.index, readout)
         np.testing.assert_array_equal(_closure(S.successors, rows * d + j[at]), operand)
+        np.testing.assert_array_equal(fwd.adj, operand)
+        for name in ("indptr", "indices", "data"):  # S.block(operand) is checked below
+            np.testing.assert_array_equal(getattr(fwd.Sa, name), getattr(S.block(operand), name))
         cfg = EvolutionConfig(dt=0.02, t_max=0.1)
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         assert (grid.run["forward_sector"], grid.run["adjoint_sector"]) == (len(readout), len(operand))
@@ -1151,20 +1157,17 @@ class TestReadoutSector:
             grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
             mp.setattr(
                 "omtc.dynamics._ForwardSector",
-                lambda S, rho0, reads=None: _ForwardSector(S, rho0),
+                lambda S, rho0, reads=None, a=None: _ForwardSector(S, rho0, None, a),
             )
             full = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         assert grid.run["forward_sector"] < full.run["forward_sector"]
         assert grid.n_t == full.n_t
         if method == "rk4":
             # the kept rows of the real block hold the same terms in the same
-            # order, so the stacks are bit-identical.  The monitor's dot
-            # product runs over vectors of different lengths, and at some
-            # gamma_M = 0 points its BLAS sum rounds the last bit differently
-            # (1.1e-16 at N_m = 1, J = 0, gamma_a_coop = gamma_a = 0.125)
+            # order, so the stacks are bit-identical, and so is the monitor,
+            # summed over its support alone
             assert _same_stacks(grid, full)
-            if params.gamma_M > 0:
-                assert grid.residual_excitation == full.residual_excitation
+            assert grid.residual_excitation == full.residual_excitation
         _assert_matches_sequential(grid, full)
 
     @settings(max_examples=10)
@@ -1201,6 +1204,24 @@ class TestReadoutSector:
             rho = whole.matrix(z).reshape(-1)
             assert abs(y[-1] - rho[fwd.dropped_diag].sum().real) <= 1e-12
             assert np.abs(kept.matrix(y).reshape(-1)[fwd.index] - rho[fwd.index]).max() <= 1e-12
+
+    @settings(max_examples=20)
+    @given(point=model_points())
+    def test_operand_map_entries_are_those_of_a_kron_identity(self, point):
+        # the sector's operand map entries come from the pattern of a that
+        # also seeds the operand sector; as a matrix they are
+        # (a x I)[adj, index] of the scipy Kronecker product, entry for entry
+        params, space, initial = point
+        gen = Generator(build_hamiltonian(params, space), build_dissipators(params, space))
+        reads, a, _ = _readout(space)
+        fwd = _ForwardSector(gen.superoperator(), initial_state(params, space, initial), reads, a)
+        a_map = SparseMatrix.from_entries(*fwd.a_entries, (len(fwd.adj), len(fwd.index)))
+        ref = sparse.kron(sparse.csr_matrix(a), sparse.identity(space.dim), format="csr")
+        assert not ref[:, fwd.index][np.setdiff1d(np.arange(space.dim**2), fwd.adj)].nnz
+        ref = ref[fwd.adj][:, fwd.index].tocsr()
+        ref.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a_map, name), getattr(ref, name))
 
     def test_reads_closed_under_transposition(self):
         # without a generator nothing flows, so the kept set is the read
@@ -1299,13 +1320,18 @@ def _assert_same_spectra(grid, dense, Gamma=0.05):
 
 
 def _factors_of(gen, S, index):
-    """_kronecker_factors of the sector block S[index, index]."""
-    return _kronecker_factors(gen, S.block(index), index)
+    """_kronecker_factors of the sector block S[index, index], or None where index is no product P x Q."""
+    i, j = np.divmod(index, gen.dim)
+    P, Q = np.unique(i), np.unique(j)
+    if len(index) != len(P) * len(Q):
+        return None
+    return _kronecker_factors(gen, S.block(index), P, Q)
 
 
 def _sectors(space, gen, rho0):
     """(fwd, Q0, adj) of a correlation run on the model's sectors; the operand sector adj is Q0 x P."""
-    fwd = _ForwardSector(gen.superoperator(), rho0, _readout(space)[0])
+    reads, a, _ = _readout(space)
+    fwd = _ForwardSector(gen.superoperator(), rho0, reads, a)
     Q0 = np.flatnonzero(optical_excitation_operator(space).diagonal() == 0)
     return fwd, Q0, (Q0[:, None] * space.dim + fwd.P).reshape(-1)
 
@@ -1313,9 +1339,9 @@ def _sectors(space, gen, rho0):
 def _d_form(space, gen, rho0, monitor=None):
     """The D form that _kernel sets up for an expm correlation run of a, dt = 0.02, b = 4."""
     fwd, _, adj = _sectors(space, gen, rho0)
+    np.testing.assert_array_equal(fwd.adj, adj)
     cfg = EvolutionConfig(dt=0.02, t_max=1.0, method="expm")
-    a = ladder_operators(space)["a"]
-    return _kernel(gen, fwd, gen.superoperator().block(adj), adj, rho0, a, monitor, cfg, 4)
+    return _kernel(gen, fwd, rho0, ladder_operators(space)["a"], monitor, cfg, 4)
 
 
 def _factored_nodes(form, n):
@@ -1401,9 +1427,9 @@ class TestFactoredPropagator:
 
         init, starts = dynamics._SeparableKernel.__init__, []
 
-        def spy(self, bases, W, *args):
+        def spy(self, sector, bases, W, *args):
             starts.append(W)
-            init(self, bases, W, *args)
+            init(self, sector, bases, W, *args)
 
         monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", spy)
         space = build_space(1, 2, excitation_cap=1)
@@ -1504,8 +1530,8 @@ class TestFactoredPropagator:
 
         init = dynamics._SeparableKernel.__init__
 
-        def missing_one(self, bases, W, *args):
-            init(self, bases, W[:, :-1], *args)
+        def missing_one(self, sector, bases, W, *args):
+            init(self, sector, bases, W[:, :-1], *args)
 
         monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", missing_one)
         rho0, gen, cfg, a, mon = _correlation_point(
@@ -1529,9 +1555,9 @@ class TestFactoredPropagator:
 
         factors, calls = dynamics._kronecker_factors, []
 
-        def skewed(gen, S, index):
-            A, B = factors(gen, S, index)
-            calls.append(index)
+        def skewed(gen, L, P, Q):
+            A, B = factors(gen, L, P, Q)
+            calls.append(P)
             if check == "B = A^H" and len(calls) == 1:
                 return A, B * (1 + 1e-9)
             if check == "anti-Hermitian ground block" and len(calls) == 2:
@@ -1599,16 +1625,16 @@ class TestFactoredPropagator:
         # the trace it carries in p would not be conserved
         from omtc import dynamics
 
-        init = dynamics._ForwardSector.__init__
+        split = dynamics._ForwardSector._split
 
-        def no_flux(self, *args, **kwargs):
-            init(self, *args, **kwargs)
+        def no_flux(self, *args):
+            split(self, *args)
             self.M.data[self.M.indptr[-2] :] = 0.0
 
         def not_yet(*args, **kwargs):
             raise AssertionError("the D form was built before the trace check")
 
-        monkeypatch.setattr("omtc.dynamics._ForwardSector.__init__", no_flux)
+        monkeypatch.setattr("omtc.dynamics._ForwardSector._split", no_flux)
         monkeypatch.setattr("omtc.dynamics._SeparableKernel.__init__", not_yet)
         rho0, gen, cfg, a, mon = _correlation_point(
             ModelParams(), build_space(1, 2, excitation_cap=1), dt=0.02, t_max=1.0, method="expm"
@@ -1678,22 +1704,33 @@ class TestFactoredPropagator:
         X = W @ W.conj().T
         # no operand sector here: a 1 x 1 ground block and a zero operand
         bases = _eigenbases(((A, B), (np.zeros((1, 1)), None)))
-        form = _SeparableKernel(bases, W, np.zeros((1, d)), X, None, 0.05)
+        form = _SeparableKernel(None, bases, W, np.zeros((1, d)), X, None, 0.05)
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
         x0 = np.ones(d)  # node 0, g^0
         assert np.abs(_factored_matrix(form, x0) - X).max() <= 1e-13 * np.abs(X).max()
         assert np.abs(form.state(form(x0))[0] - exact).max() <= 1e-13 * np.abs(X).max()
 
     def test_kronecker_factors_need_a_product_sector(self):
-        # rho_11 is the product P x P of the 9 one-excitation states; the
-        # whole forward sector, rho_11 + rho_00, is no product
+        # rho_11 is the product P x P of the 9 one-excitation states, and
+        # the operand sector rho_01 the product Q0 x P; the whole forward
+        # sector, rho_11 + rho_00, is no product, and its hull P x P over
+        # all 12 states holds the jumps from rho_11 to rho_00, so it has no
+        # Kronecker factors
         space = build_space(1, 2, excitation_cap=1)
         rho0, gen, _, _, _ = _correlation_point(ModelParams(), space, dt=0.02, t_max=1.0)
         S = gen.superoperator()
-        reads, _, _ = _readout(space)
-        A, B = _factors_of(gen, S, _ForwardSector(S, rho0, reads).index)
+        reads, a, _ = _readout(space)
+        fwd = _ForwardSector(S, rho0, reads, a)
+        assert fwd.hull() is fwd and fwd.product
+        A, B = _kronecker_factors(gen, fwd.readout_block, fwd.P, fwd.P)
         assert A.shape == B.shape == (9, 9)
-        assert _factors_of(gen, S, _ForwardSector(S, rho0).index) is None
+        A0, B0 = _kronecker_factors(gen, fwd.Sa, fwd.Q0, fwd.P)
+        assert A0.shape == (3, 3) and np.array_equal(B0, B)
+        whole = _ForwardSector(S, rho0, None, a)
+        hull = whole.hull()
+        assert len(whole.index) == 90 and len(hull.index) == len(hull.P) ** 2 == 144 and hull.closed
+        assert _kronecker_factors(gen, hull.readout_block, hull.P, hull.P) is None
+        assert _factors_of(gen, S, whole.index) is None
 
 
 
@@ -1897,7 +1934,7 @@ class TestSpectralRows:
         bound = 4 * n * np.finfo(float).eps * np.abs(N)
         assert np.all(np.abs(rows - stack[lo:hi]) <= bound)
         grid = CorrelationGrid(dt=0.1, X=stack, N=N, H=H)
-        assert np.all(np.abs(grid.adjoint_rows(lo, hi) - stack[lo:hi]) <= bound)
+        assert np.all(np.abs(grid_rows(grid.adjoint_blocks, lo, hi) - stack[lo:hi]) <= bound)
         np.testing.assert_array_equal(first[0], N)
 
     @settings(max_examples=20)
@@ -2038,7 +2075,7 @@ class TestOperandRows:
         factors = _eigen_factors(np.random.default_rng(seed), q, p)
         scalars = {"dt": 0.05, "kappa": 0.3, "param_hash": b"\x07" * 32, "residual_excitation": 1e-5}
         grid = CorrelationGrid(b=b, n_t=n_t, **factors, **scalars)
-        stored = CorrelationGrid(X=grid.operand_rows(0, n_t), N=grid.N, H=grid.H, **scalars)
+        stored = CorrelationGrid(X=grid_rows(grid.operand_blocks, 0, n_t), N=grid.N, H=grid.H, **scalars)
         path, other = (tmp_path_factory.mktemp("dump") / name for name in ("grid.bin", "stored.bin"))
         grid.save(path)
         stored.save(other)
@@ -2142,7 +2179,7 @@ def _double_sum_lag_sums(grid, Gamma, n):
         m = n + 1 - k
         col = grid_column(grid, k)[:m]
         if grid.D is None:  # |C[k+tau][k]| <= |U[tau]| . |X[k]| or |D[k+tau]| . |D[k]|
-            col_abs = np.abs(grid.adjoint_rows(0, m)) @ np.abs(grid.X[k])
+            col_abs = np.abs(grid_rows(grid.adjoint_blocks, 0, m)) @ np.abs(grid.X[k])
         else:
             col_abs = np.abs(grid.D[k : k + m]) @ np.abs(grid.D[k])
         G[:m] += (q[k] * q[k:]) * col
@@ -2253,7 +2290,7 @@ def _per_row_lag_sum(grid, Gamma, n):
     h = grid.dt
     w = _trapezoid_weights(h, n)
     r = np.exp(-2.0 * Gamma * h)
-    U, X = grid.adjoint_rows(0, n + 1), grid.X[: n + 1]
+    U, X = grid_rows(grid.adjoint_blocks, 0, n + 1), grid.X[: n + 1]
     S = w[:, None] * X
     for m in range(1, n + 1):
         S[m] += r * S[m - 1]

@@ -10,10 +10,11 @@ stays the slow oracle: the grids and spectra agree with it to roundoff.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_dense
+from conftest import model_points
+from oracles import block_oracle, closure_oracle, grid_dense, to_scipy
 from test_dynamics import _assert_close_or_dark, _assert_same_spectra
 
 from omtc.config import NumericsConfig
@@ -26,7 +27,7 @@ from omtc.hilbert import (
     optical_excitation_operator,
     to_exchange,
 )
-from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initial_state
+from omtc.model import ModelParams, SparseMatrix, build_dissipators, build_hamiltonian, initial_state
 from omtc.spectrum import correlation_grid
 
 
@@ -167,7 +168,86 @@ class TestAgainstProductBasis:
         assert not np.any(grid_dense(grid))
 
 
+def _reads(space) -> np.ndarray:
+    """The entries a correlation run reads: the columns of a x I and the monitor's support."""
+    a, d = ladder_operators(space)["a"], space.dim
+    reads = (np.flatnonzero(np.any(a, axis=0))[:, None] * d + np.arange(d)).reshape(-1)
+    return np.union1d(reads, np.flatnonzero(optical_excitation_operator(space).T))
+
+
+def _rebuilt_hull(S, rho0, reads):
+    """(index, M, closed) of the hull sector built from scratch, by scipy closures and blocks.
+
+    The forward sector and the readout's ancestors as TestScipyOracle finds
+    them, then the box P x P of the readout rows, the block of the forward
+    sector with the box, and its split: M = [L[box, box]; 1' L[dropped
+    diagonal, box]], closed unless an entry flows into the box.
+    """
+    ref, d = to_scipy(S), len(rho0)
+    sector = closure_oracle(ref, np.flatnonzero((rho0 != 0) | (rho0.T != 0)))
+    i, j = np.divmod(reads, d)
+    seed = np.flatnonzero(np.isin(sector, np.concatenate([reads, j * d + i])))
+    P = np.unique(sector[closure_oracle(block_oracle(ref, sector).T.tocsr(), seed)] // d)
+    box = (P[:, None] * d + P).reshape(-1)
+    sector = np.union1d(sector, box)
+    L = block_oracle(ref, sector).toarray()
+    kept = np.isin(sector, box)
+    diagonal = ~kept & (sector // d == sector % d)
+    M = np.vstack([L[np.ix_(kept, kept)], L[np.ix_(diagonal, kept)].sum(axis=0)])
+    return box, M, not np.any(L[np.ix_(kept, ~kept)])
+
+
 class TestThermalHull:
+    @settings(max_examples=20)
+    @given(point=model_points())
+    @example(point=(ModelParams(**_PARAMS, Mbar=0.02), build_space(1, 2, 1), 1))
+    def test_hull_matches_a_full_rebuild(self, point):
+        # every drawn start is thermal (Mbar > 0); the hull extends the
+        # readout sector it holds by one block, and a rebuild from scratch
+        # gives the same index, M and closed.  A start on one atom has
+        # dark states, so its readout sector is short of P x P
+        params, space, initial = point
+        assert params.Mbar > 0
+        gen, rho0 = _exchange_model(params, space, initial)
+        S = gen.superoperator()
+        fwd = _ForwardSector(S, rho0, _reads(space))
+        hull = fwd.hull()
+        index, M, closed = _rebuilt_hull(S, rho0, _reads(space))
+        np.testing.assert_array_equal(hull.index, index)
+        np.testing.assert_array_equal(to_scipy(hull.M).toarray(), M)
+        assert hull.closed == closed
+        assert (hull is fwd) == (len(fwd.index) == len(index))
+        if initial in (1, 2) and space.N_m > 0:
+            assert hull is not fwd
+
+    @pytest.mark.parametrize("method, propagator", [("expm", "factored/separable"), ("rk4", "spectral/spectral")])
+    def test_one_closure_per_sector_and_one_hull_block(self, method, propagator, monkeypatch):
+        # a thermal kernel run finds the forward sector, the readout's
+        # ancestors and the operand sector by one closure each, and
+        # extracts the forward sector's, the operand sector's and the
+        # hull's blocks once each: the hull extends the sector it holds
+        from omtc import dynamics
+
+        closure, block, calls = dynamics._closure, SparseMatrix.block, []
+
+        def counted_closure(adjacency, seed):
+            calls.append("closure")
+            return closure(adjacency, seed)
+
+        def counted_block(self, index):
+            calls.append("block")
+            return block(self, index)
+
+        params = ModelParams(**_PARAMS, Mbar=0.5)
+        space = build_space(1, 6, 1)
+        gen, rho0 = _exchange_model(params, space)
+        a, mon = ladder_operators(space)["a"], optical_excitation_operator(space)
+        monkeypatch.setattr("omtc.dynamics._closure", counted_closure)
+        monkeypatch.setattr("omtc.model.SparseMatrix.block", counted_block)
+        grid = two_time_correlation(rho0, gen, EvolutionConfig(dt=0.05, t_max=1.0, method=method), a, monitor=mon)
+        assert grid.run["propagator"] == propagator
+        assert calls.count("closure") == 3 and calls.count("block") == 3
+
     @pytest.mark.parametrize("method, propagator", [("expm", "factored/separable"), ("rk4", "spectral/spectral")])
     def test_thermal_start_keeps_its_kernel(self, method, propagator):
         # a thermal start leaves the readout sector short of the coherences
@@ -177,11 +257,7 @@ class TestThermalHull:
         params = ModelParams(**_PARAMS, Mbar=0.5)
         space = build_space(1, 6, 1)
         gen, rho0 = _exchange_model(params, space)
-        a = ladder_operators(space)["a"]
-        d = space.dim
-        reads = (np.flatnonzero(np.any(a, axis=0))[:, None] * d + np.arange(d)).reshape(-1)
-        reads = np.union1d(reads, np.flatnonzero(optical_excitation_operator(space).T))
-        fwd = _ForwardSector(gen.superoperator(), rho0, reads)
+        fwd = _ForwardSector(gen.superoperator(), rho0, _reads(space))
         hull = fwd.hull()
         P = len(fwd.P)
         assert len(fwd.index) < P**2 and hull.closed and len(hull.index) == P**2

@@ -14,11 +14,14 @@ from omtc.spectrum import stationary_spectrum
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_north_star_point_keeps_each_run_record():
-    # the North-star point alone, cold in a fresh interpreter, as the
-    # tool's main() runs each point
+def _north_star_point(name: str, n_t: int, propagator: str) -> dict:
+    """One point of tools/north_star.py, cold in a fresh interpreter as its main() runs each.
+
+    Each of its three runs keeps the whole metadata record, with the given
+    n_t and propagator.
+    """
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "north_star.py"), "--point", "Mbar=0"],
+        [sys.executable, str(ROOT / "tools" / "north_star.py"), "--point", name],
         capture_output=True, text=True, check=True,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"},
     )
@@ -30,7 +33,18 @@ def test_north_star_point_keeps_each_run_record():
     assert len(point["runs"]) == len(point["wall_s"]) == 3
     for run in point["runs"]:
         assert set(run) == set(small.metadata)
-        assert run["n_t"] == 8519 and run["propagator"] == "factored/separable"
+        assert run["n_t"] == n_t and run["propagator"] == propagator
+    return point
+
+
+def test_north_star_point_keeps_each_run_record():
+    _north_star_point("Mbar=0", 8519, "factored/separable")
+
+
+def test_north_star_dark_point_loads_no_scipy():
+    # the dark start's empty operand sector takes the spectral form, so the
+    # point stays off the stepped path and scipy
+    assert _north_star_point("dark", 9212, "spectral/spectral")["scipy_modules"] == []
 
 
 def _code_lines(tmp_path, source: str) -> dict:

@@ -6,7 +6,9 @@ The North-star point is ``configs/reference.cfg`` with
 ``numerics.method = expm``: N_m = 8, dt = 0.02 and the leak stop at 1e-4
 within t_max = 400, so n_t = 8519.  It runs as given (``Mbar = 0``, a pure
 start), with ``model.Mbar = 0.5``, a thermal start of rank 9, and with the
-file's own ``numerics.method = rk4``, the default.  A fourth point has
+file's own ``numerics.method = rk4``, the default; ``dark`` is that rk4
+point from ``model.excited_atom = antisymmetric``, the dark state of the
+atoms' exchange basis, whose spectrum is exactly zero.  A further point has
 mechanical losses: ``configs/mechanical_losses.cfg`` at its first sweep
 value ``gamma_M = 0.05`` (``expm``), whose jumps keep both passes on the
 stepped dense path (``dense/dense``), and the same point with ``rk4``
@@ -22,7 +24,7 @@ and the whole ``metadata`` record of every run (``runs``): among others its
 stage seconds, ``n_t``, columns, propagator and ``grid_memory_bytes``, the
 bytes the grid keeps, to read next to ``ru_maxrss``.  Run one point alone
 with ``python3 tools/north_star.py --point NAME``, NAME one of
-``Mbar=0``, ``Mbar=0.5``, ``rk4``, ``gamma_M=0.05`` and
+``Mbar=0``, ``Mbar=0.5``, ``rk4``, ``dark``, ``gamma_M=0.05`` and
 ``gamma_M=0.05 rk4``.
 """
 
@@ -39,7 +41,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 #: name: (numerics.method, extra config lines) of the configs/reference.cfg points
-POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", "")}
+POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", ""),
+          "dark": ("rk4", "model.excited_atom = antisymmetric\n")}
 #: name: numerics.method of the configs/mechanical_losses.cfg points, at gamma_M = 0.05
 MECHANICAL = {"gamma_M=0.05": "expm", "gamma_M=0.05 rk4": "rk4"}
 
@@ -107,7 +110,8 @@ def main(argv=None) -> int:
                              check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout
         points[name] = json.loads(out.splitlines()[-1])
     print(json.dumps({
-        "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4); "
+        "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4, also from "
+                 "the dark antisymmetric start); "
                  "configs/mechanical_losses.cfg at gamma_M = 0.05 (expm, and rk4)",
         "points": points,
     }, sort_keys=True))
