@@ -26,6 +26,7 @@ checked (>= 1) but no longer changes anything: every run is serial.
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import sys
 import time
@@ -194,7 +195,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of every call: parse_args keeps nothing between calls."""
     parser = argparse.ArgumentParser(
         prog="omtc",
         description="Single-photon emission spectra of two dipole-dipole "

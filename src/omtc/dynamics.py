@@ -507,11 +507,11 @@ class _SeparableKernel:
         _check_growth("expm", dt, [self.g], "the generator's no-jump part is unsound")
         E = V_inv @ W0
         O = U.conj().T @ a0 @ V
-        self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), -1)
+        self.columns = (W0.shape[1], len(O) * W0.shape[1])
+        self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), self.columns[1])
         self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
         self.dt, self.b = dt, b
         self.phases = np.exp(1j * np.outer(np.arange(b + 1) * dt, self.lam))
-        self.columns = (W0.shape[1], self.F.shape[1])
         self._W = V, E, np.trace(rho0).real
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -670,7 +670,8 @@ def _kernel(gen, fwd: _ForwardSector, rho0: np.ndarray, a_mat, monitor, config: 
     the kernel's own condition holds: for the D form a positive
     semidefinite rho0[P, P] = W W^H (to 1e-12 of its largest eigenvalue;
     W = E sqrt(e) over the eigenpairs (e, E) above 1e-14 of the largest,
-    s columns), for the spectral form kappa(V)^2 <= SPECTRAL_CONDITION_LIMIT.
+    s columns, none if rho0[P, P] = 0), for the spectral form
+    kappa(V)^2 <= SPECTRAL_CONDITION_LIMIT.
     Then its budget (_check_budget: the stack D, 16 |Q0| s bytes per node,
     or the spectral form's resolution column, 16 bytes per node, with its
     factors and row blocks) and its trace checks (check_leak,
@@ -690,9 +691,10 @@ def _kernel(gen, fwd: _ForwardSector, rho0: np.ndarray, a_mat, monitor, config: 
     W = None
     if expm:
         e, E = np.linalg.eigh(rho0[np.ix_(P, P)])
-        if not len(e) or e[-1] <= 0 or e[0] < -1e-12 * e[-1]:
+        top = e.max(initial=0.0)
+        if e.min(initial=0.0) < -1e-12 * top:
             return None
-        keep = e > 1e-14 * e[-1]
+        keep = e > 1e-14 * top
         W = E[:, keep] * np.sqrt(e[keep])
     if W is None:  # N, H, M and a block of X; Z_0, G and a block of Z
         _check_budget(config, 16, factors=16 * ((3 + b) * len(fwd.adj) + (2 + b) * len(P) ** 2))

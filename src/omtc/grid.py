@@ -7,15 +7,19 @@ H of U[tau] = N o H^tau instead of U, and makes each block of U rows as the
 pass reads it (adjoint_blocks).  A computed spectral grid keeps no stack at
 all: X[k] = M (Z_0 o G^k) comes from M, Z_0, G and the forward pass's block
 length b, made block by block as the pass reads it (operand_blocks), with
-the bits the forward pass would have stored; a loaded one keeps its stored
-X.  The D form holds one stack with C[j][k] = D[j]^H D[k]; its per-lag sums
-are two FFT autocorrelations.  The O(n_t^2) triangle is never formed.  The
-binary dump is format version 2 for U and X, 4 for N, H and X (a computed
-spectral grid writes its X block by block), and 3 for D.
-dynamics.two_time_correlation builds any of them.
+the bits the forward pass would have stored.  A loaded U/X or spectral
+grid keeps no stack either: it reads the rows of its stored X (and U) from
+the dump as the pass asks for them, into one reused buffer of a block
+(_DumpedStack), and refuses a dump that changed since it was loaded.  The
+D form holds one stack with C[j][k] = D[j]^H D[k], loaded or computed; its
+per-lag sums are two FFT autocorrelations, which need whole columns.  The
+O(n_t^2) triangle is never formed.  The binary dump is format version 2
+for U and X, 4 for N, H and X (a computed spectral grid writes its X block
+by block), and 3 for D.  dynamics.two_time_correlation builds any of them.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -23,6 +27,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 _GRID_MAGIC = b"OMTCGRID"
+#: bytes of the dump header: the magic, the "<IIQddd" fields and the 32-byte parameter hash
+_HEADER_BYTES = 80
 #: dump version: the stored arrays, in dump order; N and H are one row each
 _FORMS = {2: ("U", "X"), 3: ("D",), 4: ("N", "H", "X")}
 #: the arrays of a computed spectral grid, which dumps as version 4
@@ -198,6 +204,57 @@ def _sliced(make_blocks, spans):
         yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _identity(path_or_fd) -> tuple:
+    """What tells a dump from its replacement or a rewrite: its inode, size and mtime."""
+    st = os.stat(path_or_fd)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _DumpedStack:
+    """An n_t x width stack of a dump, read from the file as its rows are asked for.
+
+    It holds the file's path, its identity as load saw it (_identity) and the
+    byte offset of the stack, nothing that grows with n_t.
+    """
+
+    ndim = 2
+
+    def __init__(self, path, identity: tuple, offset: int, shape: tuple):
+        self.path, self.identity, self.offset, self.shape = path, identity, offset, shape
+
+    def rows(self, spans):
+        """Yield the rows lo:hi for each (lo, hi) of spans, read into one reused buffer.
+
+        Each block is a view of that buffer, which the next block
+        overwrites: a caller that keeps a row copies it.  A span that starts
+        where the one before ended reads on (ascending blocks read the file
+        in order), any other seeks first.  ConfigurationError if the file
+        is not the one loaded, so a changed dump never gives other numbers.
+        """
+        spans = list(spans)
+        row_bytes = 16 * self.shape[1]
+        buffer = np.empty((max((hi - lo for lo, hi in spans), default=0), self.shape[1]), dtype="<c16")
+        with open(self.path, "rb") as fh:
+            if _identity(fh.fileno()) != self.identity:
+                raise ConfigurationError(f"{self.path}: the dump changed after it was loaded")
+            at = None
+            for lo, hi in spans:
+                if lo != at:
+                    fh.seek(self.offset + row_bytes * lo)
+                block = buffer[: hi - lo]
+                if fh.readinto(block) != block.nbytes:
+                    raise ConfigurationError(f"{self.path}: the dump changed after it was loaded")
+                at = hi
+                yield block
+
+
+def _rows(stack, spans):
+    """The rows lo:hi of a stack, in memory or dumped, for each (lo, hi) of spans."""
+    if isinstance(stack, _DumpedStack):
+        return stack.rows(spans)
+    return (stack[lo:hi] for lo, hi in spans)
+
+
 class CorrelationGrid:
     """C[j][k] = <a'(t_j) a(t_k)> on a uniform mesh, kept as U and X, as N, H and X, or as D.
 
@@ -206,12 +263,14 @@ class CorrelationGrid:
     the operand sector, so C[k+tau][k] = U[tau] . X[k].  Spectral form: the
     same in eigen coordinates, which pair the same, with U[tau] = N o H^tau
     given by the vectors N and H, |H| <= 1, instead of a stack; X is stored
-    (a loaded grid) or, for a computed grid, given by the |Q0| x |P| matrix
-    M, the |P|^2 vectors Z0 and G, the forward pass's block length b and
-    n_t, X[k] = M (Z0 o G^k) (operand_blocks).  D form: row k of D is the
+    or, for a computed grid, given by the |Q0| x |P| matrix M, the |P|^2
+    vectors Z0 and G, the forward pass's block length b and n_t,
+    X[k] = M (Z0 o G^k) (operand_blocks).  D form: row k of D is the
     flattened D_k of the separable kernel (see dynamics), so
     C[j][k] = conj(D[j]) . D[k].  The upper triangle is defined by
-    conjugate symmetry.  Exactly one form is given.
+    conjugate symmetry.  Exactly one form is given.  A stored U or X is an
+    array, or on a loaded grid the dump's stack (_DumpedStack), read block
+    by block; memory_bytes counts only the arrays held.
     """
 
     def __init__(self, dt, U=None, X=None, kappa=0.0, param_hash=b"\0" * 32,
@@ -219,9 +278,11 @@ class CorrelationGrid:
                  M=None, Z0=None, G=None, b=None, n_t=None):
         arrays = {"U": U, "X": X, "D": D, "N": N, "H": H, "M": M, "Z0": Z0, "G": G}
         for name, value in arrays.items():
-            setattr(self, name, None if value is None else np.asarray(value, dtype=complex))
+            if not (value is None or isinstance(value, _DumpedStack)):
+                value = np.asarray(value, dtype=complex)
+            setattr(self, name, value)
         given = {name for name, value in arrays.items() if value is not None}
-        self._kept = sorted(given)
+        self._kept = sorted(name for name in given if isinstance(getattr(self, name), np.ndarray))
         #: the dump format version of the form, which names its stored arrays
         self.version = 4 if given == _EIGEN else next((v for v, names in _FORMS.items() if given == set(names)), None)
         if self.version is None or (self.D is not None and self.D.ndim != 2):
@@ -251,7 +312,7 @@ class CorrelationGrid:
                 f"{[getattr(self, name).shape for name in ('M', 'N', 'H', 'Z0', 'G')]}"
             )
         self.dt = float(dt)
-        self.n_t = n_t if self.M is not None else len(self.X if self.D is None else self.D)
+        self.n_t = n_t if self.M is not None else (self.X if self.D is None else self.D).shape[0]
         #: rows per block of the forward pass that made a computed spectral grid
         self.b = b
         self.kappa = float(kappa)
@@ -267,7 +328,7 @@ class CorrelationGrid:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes of the arrays the grid keeps: none grows with n_t on a computed spectral grid."""
+        """Bytes of the arrays the grid holds: none grows with n_t on a computed spectral or a loaded U/X grid."""
         return sum(getattr(self, name).nbytes for name in self._kept)
 
     @property
@@ -278,18 +339,19 @@ class CorrelationGrid:
     def adjoint_blocks(self, spans):
         """The rows U[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
 
-        Slices of a stored U, or for the spectral form spectral_blocks of N
-        and H, made as they are read.
+        Slices of a stored U (read from the dump for a loaded grid), or for
+        the spectral form spectral_blocks of N and H, made as they are read.
         """
         if self.U is not None:
-            return (self.U[lo:hi] for lo, hi in spans)
+            return _rows(self.U, spans)
         return spectral_blocks(self.N, self.H, spans)
 
     def operand_blocks(self, spans):
         """The rows X[lo:hi] for each (lo, hi) of spans (U/X and spectral forms).
 
-        Slices of a stored X, or for a computed spectral grid rows made as
-        they are read: the forward pass's blocks of b nodes Z0 o G^k
+        Slices of a stored X (read from the dump for a loaded grid, each
+        block a view of one reused buffer), or for a computed spectral grid
+        rows made as they are read: the forward pass's blocks of b nodes Z0 o G^k
         (_elementwise_blocks), whole up to n_t, each times M (_operands), cut
         to the spans (_sliced).  So a row's bits do not depend on the spans,
         and they are those the pass stored (but for rows of one entry in a
@@ -298,7 +360,7 @@ class CorrelationGrid:
         the one that holds the last span's end.
         """
         if self.X is not None:
-            return (self.X[lo:hi] for lo, hi in spans)
+            return _rows(self.X, spans)
         spans = list(spans)
         b = self.b
         n = min(self.n_t, -(-max((hi for _, hi in spans), default=0) // b) * b)
@@ -313,7 +375,8 @@ class CorrelationGrid:
         form takes them as the autocorrelations of q D and w D.  The U/X and
         spectral forms read X only through operand_blocks, in ascending
         blocks, so a computed spectral grid makes each row of X once per
-        call and holds one block of it at a time.
+        call, and a loaded one reads it once, in file order, and each holds
+        one block of it at a time.
         """
         if self.D is not None:
             w = _trapezoid_weights(self.dt, n)
@@ -349,7 +412,7 @@ class CorrelationGrid:
             rows = hi - lo
             wX = np.multiply(w[m0 : m0 + rows, None], X, out=buffer[:rows])
             if m0 == 0:
-                X0 = X[0]
+                X0 = X[0].copy()  # X may be a view of a buffer that the next block overwrites
             # row j of the block is lag tau = lo + j, so i = rows - 1 - j
             M = U @ wX.T
             ends = 0.5 * np.diagonal(M[:, ::-1])
@@ -370,10 +433,13 @@ class CorrelationGrid:
 
         Version 2 holds U and X, the header's second uint32 the operand-sector
         size |R_a|; version 4 holds N, H and X, the same width; version 3
-        holds D, the second uint32 its width.  A computed spectral grid
-        writes version 4 too, its X block by block from operand_blocks, so
-        the dump has the bytes of the stored stack and the whole stack is
-        never held: a reload reads X back rather than making it again.
+        holds D, the second uint32 its width.  A stack the grid does not
+        hold is written block by block: the X of a computed spectral grid
+        from operand_blocks, so the dump has the bytes of the stored stack
+        and a reload reads X back rather than making it again, and the
+        stacks of a loaded grid from its dump.  Saved onto its own dump, a
+        loaded grid writes a temporary file beside it, which replaces the
+        dump once it is whole, and then reads from the new file.
         """
         hash_bytes = self.param_hash
         if isinstance(hash_bytes, str):
@@ -382,31 +448,50 @@ class CorrelationGrid:
         header = _GRID_MAGIC + struct.pack(
             "<IIQddd", self.version, self.width, self.n_t, self.dt, self.kappa, residual
         ) + hash_bytes
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for name in _FORMS[self.version]:
-                if name == "X" and self.X is None:
-                    spans = [(lo, min(lo + self.b, self.n_t)) for lo in range(0, self.n_t, self.b)]
-                    blocks = self.operand_blocks(spans)
-                else:
-                    blocks = [getattr(self, name)]
-                for array in blocks:
-                    fh.write(np.ascontiguousarray(array, dtype="<c16"))
+        dumped = [stack for stack in (self.U, self.X) if isinstance(stack, _DumpedStack)]
+        onto_source = os.path.exists(path) and any(os.path.samefile(path, stack.path) for stack in dumped)
+        target = f"{path}.{os.getpid()}.tmp" if onto_source else path
+        try:
+            with open(target, "wb") as fh:
+                fh.write(header)
+                for name in _FORMS[self.version]:
+                    array = getattr(self, name)
+                    if isinstance(array, np.ndarray):
+                        blocks = [array]
+                    else:
+                        step = self.b or 64
+                        spans = [(lo, min(lo + step, self.n_t)) for lo in range(0, self.n_t, step)]
+                        blocks = (self.adjoint_blocks if name == "U" else self.operand_blocks)(spans)
+                    for block in blocks:
+                        fh.write(np.ascontiguousarray(block, dtype="<c16"))
+            if onto_source:
+                os.replace(target, path)
+                for stack in dumped:  # the same bytes, in a new file where path named the dump
+                    stack.identity = _identity(stack.path)
+        finally:
+            if onto_source and os.path.exists(target):
+                os.remove(target)
 
     @classmethod
     def load(cls, path) -> "CorrelationGrid":
         """A dumped grid; ConfigurationError for a corrupt dump.
 
-        The header's dt must be finite and positive and its kappa finite and
-        non-negative, as a run writes them.  Of a version 4 dump, N and H
-        must be finite and max|H| at most STEP_FACTOR_LIMIT, the bound the
-        spectral set-up applies, so that no power of H grows.
+        It reads the header and the arrays that it holds: N and H of version
+        4, D of version 3.  The stacks U and X stay in the file, which must
+        not change while the grid is in use (_DumpedStack).  The file's size
+        must be that of the header's n_t and width.  The header's dt must be
+        finite and positive and its kappa finite and non-negative, as a run
+        writes them.  Of a version 4 dump, N and H must be finite and max|H|
+        at most STEP_FACTOR_LIMIT, the bound the spectral set-up applies, so
+        that no power of H grows.
         """
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _GRID_MAGIC:
+            header = fh.read(_HEADER_BYTES)
+            if header[:8] != _GRID_MAGIC:
                 raise ConfigurationError(f"{path}: not a correlation dump")
-            version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", fh.read(40))
+            if len(header) < _HEADER_BYTES:
+                raise ConfigurationError(f"{path}: truncated dump header ({len(header)} of {_HEADER_BYTES} bytes)")
+            version, n_op, n_t, dt, kappa, residual = struct.unpack("<IIQddd", header[8:48])
             if version not in _FORMS:
                 raise ConfigurationError(f"{path}: unsupported dump version {version}")
             if not (0 < dt < math.inf and 0 <= kappa < math.inf):
@@ -414,16 +499,21 @@ class CorrelationGrid:
                     f"{path}: header dt = {dt!r} must be finite and positive, kappa = {kappa!r} "
                     "finite and non-negative"
                 )
-            param_hash = fh.read(32)
-            raw = np.fromfile(fh, dtype="<c16")
-        names = _FORMS[version]
-        rows = [1 if name in ("N", "H") else n_t for name in names]
-        expected = sum(rows) * n_op
-        if len(raw) != expected:
-            raise ConfigurationError(
-                f"{path}: truncated dump ({len(raw)} of {expected} entries)"
-            )
-        form = dict(zip(names, np.split(raw.reshape(sum(rows), n_op), np.cumsum(rows)[:-1])))
+            names = _FORMS[version]
+            rows = [1 if name in ("N", "H") else n_t for name in names]
+            expected = sum(rows) * n_op
+            identity = _identity(fh.fileno())
+            if identity[1] != _HEADER_BYTES + 16 * expected:
+                raise ConfigurationError(
+                    f"{path}: truncated dump ({(identity[1] - _HEADER_BYTES) / 16:g} of {expected} entries)"
+                )
+            form, offset = {}, _HEADER_BYTES
+            for name, count in zip(names, rows):
+                if name in ("U", "X"):
+                    form[name] = _DumpedStack(path, identity, offset, (n_t, n_op))
+                else:  # the held arrays come first, so they read in order
+                    form[name] = np.fromfile(fh, dtype="<c16", count=count * n_op).reshape(count, n_op)
+                offset += 16 * count * n_op
         if version == 4:
             form["N"], form["H"] = form["N"][0], form["H"][0]
             if not (np.isfinite(form["N"]).all() and np.isfinite(form["H"]).all()):
@@ -437,7 +527,7 @@ class CorrelationGrid:
         return cls(
             dt=dt,
             kappa=kappa,
-            param_hash=param_hash,
+            param_hash=header[48:],
             residual_excitation=None if np.isnan(residual) else residual,
             **form,
         )

@@ -154,33 +154,36 @@ def find_peaks(result: SpectrumResult, min_height_fraction: float) -> list:
     """Local maxima above a fraction of the global maximum.
 
     Positions and heights are refined by a three-point quadratic fit; the
-    width column is the FWHM of that parabola.
+    width column is the FWHM of that parabola.  A point whose neighbours
+    do not curve down (denominator >= 0) keeps its own position and height
+    and the step as its width.  The scan and the fit run over arrays with
+    the float operations of a point-by-point loop, in its order, so every
+    value has the loop's bits: hx^2 is a Python float power, as numpy's
+    array square (a product) rounds apart from the C library's pow.
     """
     if not 0.0 < min_height_fraction < 1.0:
         raise ConfigurationError(
             f"min_height_fraction must be in (0, 1), got {min_height_fraction}"
         )
-    x, y = result.deltas, result.intensity
+    x, y = np.asarray(result.deltas, dtype=float), np.asarray(result.intensity, dtype=float)
     if len(x) < 3:
         raise ConfigurationError("peak finding needs at least 3 sweep points")
     threshold = min_height_fraction * float(np.max(y))
-    peaks = []
-    for i in range(1, len(x) - 1):
-        if not (y[i - 1] < y[i] >= y[i + 1]):
-            continue
-        if y[i] < threshold:
-            continue
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        hx = x[i + 1] - x[i]
-        if denom >= 0.0:
-            peaks.append(Peak(float(x[i]), float(y[i]), float(hx)))
-            continue
-        shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-        pos = x[i] + shift * hx
-        height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-        width = 2.0 * np.sqrt(max(height, 0.0) * hx**2 / -denom)
-        peaks.append(Peak(float(pos), float(height), float(width)))
-    return peaks
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    i = np.flatnonzero((left < mid) & (mid >= right) & ~(mid < threshold))
+    left, mid, right, at = left[i], mid[i], right[i], x[1:-1][i]
+    hx = x[2:][i] - at
+    denom = left - 2.0 * mid + right
+    position, height, width = at.copy(), mid.copy(), hx.copy()
+    fit = ~(denom >= 0.0)
+    denom, hx, drop = denom[fit], hx[fit], left[fit] - right[fit]
+    shift = 0.5 * drop / denom
+    position[fit] = at[fit] + shift * hx
+    height[fit] = mid[fit] - 0.25 * drop * shift
+    top = height[fit]
+    squares = np.array([step**2 for step in hx.tolist()])
+    width[fit] = 2.0 * np.sqrt(np.where(0.0 > top, 0.0, top) * squares / -denom)
+    return [Peak(*values) for values in zip(position.tolist(), height.tolist(), width.tolist())]
 
 
 def dominant_separation(peaks: list) -> float:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from omtc.cli import main
+from omtc.cli import _parser, main
 from omtc.config import (
     _KNOWN_KEYS,
     _SCHEMA,
@@ -713,6 +713,22 @@ class TestCommandLine:
             assert flag in text
 
 
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path):
+        # main builds its parser once, and a flag given to one call is no
+        # default of the next: the second call writes no plot and no dump
+        assert _parser() is _parser()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST)
+        svg, dump = tmp_path / "spec.svg", tmp_path / "grid.bin"
+        assert main(["spectrum", "--config", str(cfg), "--output", str(tmp_path / "first.csv"),
+                     "--svg", str(svg), "--dump-correlation", str(dump)]) == 0
+        svg.unlink()
+        dump.unlink()
+        assert main(["spectrum", "--config", str(cfg), "--output", str(tmp_path / "second.csv")]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["first.csv", "run.cfg", "second.csv"]
+        assert "output.svg" not in (tmp_path / "second.csv").read_text()
+
+
 class TestCliCorrelation:
     def test_dump_and_reuse(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -743,9 +759,11 @@ class TestCliCorrelation:
         # the spectral form, X with the factors N and H (version 4); with
         # them rk4 steps both passes and dumps the U and X stacks (version
         # 2).  Each reloads to the same CSV, byte for byte, but for the
-        # footer's grid.memory_bytes of the spectral form: the computed grid
-        # keeps N, H, M (|R_a| = 21 each), Z0 and G (|P|^2 = 49 each),
-        # 16 * 161 B, and the reload its stored X, 16 * (601 + 2) * 21 B
+        # footer's grid.memory_bytes of the forms whose reload leaves its
+        # stacks in the dump: the computed spectral grid keeps N, H, M
+        # (|R_a| = 21 each), Z0 and G (|P|^2 = 49 each), 16 * 161 B, and the
+        # reload N and H, 16 * 2 * 21 B; the stepped grid keeps U and X,
+        # 16 * 2 * 601 * 21 B, and the reload nothing
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST.replace("expm", method) + extra)
         dump = tmp_path / "grid.bin"
@@ -755,14 +773,15 @@ class TestCliCorrelation:
         assert int.from_bytes(dump.read_bytes()[8:12], "little") == version
         assert main(["spectrum", "--config", str(cfg), "--output", str(reused),
                      "--load-correlation", str(dump)]) == 0
-        if version == 4:
+        if version == 3:
+            assert direct.read_bytes() == reused.read_bytes()
+        else:
             old, new = direct.read_text().splitlines(), reused.read_text().splitlines()
             assert len(old) == len(new)
             assert [(a, b) for a, b in zip(old, new) if a != b] == [
-                ("# grid.memory_bytes = 2576", "# grid.memory_bytes = 202608")
+                {4: ("# grid.memory_bytes = 2576", "# grid.memory_bytes = 672"),
+                 2: ("# grid.memory_bytes = 403872", "# grid.memory_bytes = 0")}[version]
             ]
-        else:
-            assert direct.read_bytes() == reused.read_bytes()
 
     def test_stderr_reports_sectors(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,8 @@
 import itertools
+import os
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -664,8 +666,12 @@ class TestGridStorage:
             assert loaded.version == grid.version == version
             stored = {name for name in ("U", "X", "D", "N", "H") if getattr(loaded, name) is not None}
             assert stored == set(names)
+            # the stacks U and X stay in the dump and read back block by block
+            read = {"U": adjoint_stack, "X": operand_stack}
             for name, old in zip(names, arrays):
-                np.testing.assert_array_equal(getattr(loaded, name), old)
+                np.testing.assert_array_equal(read[name](loaded) if name in read else getattr(loaded, name), old)
+            held = sum(old.nbytes for name, old in zip(names, arrays) if name not in read)
+            assert loaded.memory_bytes == held == {2: 0, 3: arrays[0].nbytes, 4: 2 * 16 * loaded.width}[version]
             path.write_bytes(path.read_bytes()[:-16])
             with pytest.raises(ConfigurationError, match="truncated"):
                 CorrelationGrid.load(path)
@@ -686,7 +692,7 @@ class TestGridStorage:
         assert loaded.kappa == grid.kappa
         assert loaded.param_hash == b"\x01" * 32
         np.testing.assert_array_equal(adjoint_stack(loaded), adjoint_stack(grid))
-        np.testing.assert_array_equal(loaded.X, operand_stack(grid))
+        np.testing.assert_array_equal(operand_stack(loaded), operand_stack(grid))
         for Gamma in (0.0, 0.05):
             for new, old in zip(loaded.lag_sums(Gamma, grid.n_t - 1), grid.lag_sums(Gamma, grid.n_t - 1)):
                 np.testing.assert_array_equal(new, old)
@@ -2070,8 +2076,8 @@ class TestOperandRows:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_dump_is_the_stored_stack(self, tmp_path_factory, n_t, b, q, p, Gamma, seed):
-        # save writes the bytes of the grid that stores X, and the reload
-        # gives the same lag sums, bit for bit
+        # save writes the bytes of the grid that stores X, and the reload,
+        # which reads X from the dump, gives the same lag sums, bit for bit
         factors = _eigen_factors(np.random.default_rng(seed), q, p)
         scalars = {"dt": 0.05, "kappa": 0.3, "param_hash": b"\x07" * 32, "residual_excitation": 1e-5}
         grid = CorrelationGrid(b=b, n_t=n_t, **factors, **scalars)
@@ -2081,7 +2087,8 @@ class TestOperandRows:
         stored.save(other)
         assert path.read_bytes() == other.read_bytes()
         loaded = CorrelationGrid.load(path)
-        assert loaded.n_t == n_t and loaded.memory_bytes == 16 * (n_t + 2) * q * p
+        # the reload holds N and H; X stays in the dump
+        assert loaded.n_t == n_t and loaded.memory_bytes == 16 * 2 * q * p
         assert grid.memory_bytes == 16 * (3 * q * p + 2 * p * p)
         for n in sorted({1, n_t // 2, n_t - 1}):
             for new, old in zip(grid.lag_sums(Gamma, n), loaded.lag_sums(Gamma, n), strict=True):
@@ -2158,6 +2165,117 @@ class TestOperandRows:
         result = stationary_spectrum(p, filt, numerics)
         assert result.metadata["propagator"] == "spectral/spectral"
         assert sum(made) == result.metadata["n_t"]
+
+
+def _stored_grids(rng, n_t, width):
+    """An in-memory U/X grid (version 2) and spectral grid with stored X (version 4) of random stacks."""
+    U, X = (rng.normal(size=(n_t, width)) + 1j * rng.normal(size=(n_t, width)) for _ in range(2))
+    N, H = _spectral_factors(rng, width)
+    scalars = {"dt": 0.05, "kappa": 0.3, "param_hash": b"\x09" * 32, "residual_excitation": 2e-5}
+    return CorrelationGrid(U=U, X=X, **scalars), CorrelationGrid(X=X, N=N, H=H, **scalars)
+
+
+class TestStreamedReload:
+    @settings(max_examples=25)
+    @given(
+        n_t=st.integers(2, 300),
+        width=st.integers(1, 5),
+        b=st.integers(1, 70),
+        Gamma=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reload_reads_the_stored_rows(self, tmp_path_factory, n_t, width, b, Gamma, seed):
+        # a reload of either stored form holds no stack, and reads the
+        # rows and lag sums of the in-memory grid bit for bit: spans of b
+        # rows ascending, descending, and one span again
+        tmp = tmp_path_factory.mktemp("reload")
+        for grid in _stored_grids(np.random.default_rng(seed), n_t, width):
+            path = tmp / f"grid{grid.version}.bin"
+            grid.save(path)
+            loaded = CorrelationGrid.load(path)
+            assert loaded.version == grid.version and loaded.n_t == n_t
+            assert loaded.memory_bytes == (0 if grid.version == 2 else 2 * 16 * width)
+            ascending = [(lo, min(lo + b, n_t)) for lo in range(0, n_t, b)]
+            spans = ascending + ascending[::-1] + ascending[:1]
+            for read in ("adjoint_blocks", "operand_blocks"):
+                for (lo, hi), new, old in zip(spans, getattr(loaded, read)(spans),
+                                              getattr(grid, read)(spans), strict=True):
+                    assert np.array_equal(new, old), (read, lo, hi)
+            for n in sorted({1, n_t // 2, n_t - 1}):
+                for new, old in zip(loaded.lag_sums(Gamma, n), grid.lag_sums(Gamma, n), strict=True):
+                    assert np.array_equal(new, old)
+
+    def test_reload_peak_memory_is_a_block(self, tmp_path):
+        # load and a full sweep's lag sums of a version 4 dump whose X takes
+        # 3 MiB trace less than a quarter of X (about 0.55 MB): what grows
+        # with n_t is the sweep's n-long arrays, about 150 B a node, not X's
+        # 1536 B; the rest is blocks of 64 rows
+        _, grid = _stored_grids(np.random.default_rng(3), 2048, 96)
+        path = tmp_path / "grid.bin"
+        grid.save(path)
+        assert grid.X.nbytes >= 2**20
+        tracemalloc.start()
+        try:
+            loaded = CorrelationGrid.load(path)
+            sums = loaded.lag_sums(0.05, grid.n_t - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.X.nbytes / 4
+        for new, old in zip(sums, grid.lag_sums(0.05, grid.n_t - 1), strict=True):
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("change", ["truncate", "replace", "rewrite", "remove"])
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_changed_dump_is_refused(self, tmp_path, change, version):
+        # the next read after the dump changed is a ConfigurationError,
+        # never other numbers: a dump cut short, another file put in its
+        # place, or the same bytes rewritten in place with one row changed
+        # (its mtime set a second on, as a rewrite within one tick of a
+        # coarse file clock keeps the old one); a dump gone is the
+        # FileNotFoundError of any missing file
+        grid = _stored_grids(np.random.default_rng(5), 40, 3)[version == 4]
+        path = tmp_path / "grid.bin"
+        grid.save(path)
+        loaded = CorrelationGrid.load(path)
+        loaded.lag_sums(0.05, 39)
+        data = path.read_bytes()
+        if change == "truncate":
+            path.write_bytes(data[:-16])
+        elif change == "replace":
+            other = tmp_path / "other.bin"
+            other.write_bytes(data[:-16] + bytes(16))
+            other.replace(path)
+        elif change == "rewrite":
+            before = path.stat().st_mtime_ns
+            with open(path, "r+b") as fh:
+                fh.seek(len(data) - 16)
+                fh.write(bytes(16))
+            os.utime(path, ns=(before + 10**9, before + 10**9))
+        else:
+            path.unlink()
+        refused = (FileNotFoundError, None) if change == "remove" else (ConfigurationError, "after it was loaded")
+        for read in (lambda: loaded.lag_sums(0.05, 39), lambda: operand_stack(loaded)):
+            with pytest.raises(refused[0], match=refused[1]):
+                read()
+
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_save_onto_its_own_dump(self, tmp_path, version):
+        # a loaded grid saved onto the dump it reads writes the same bytes
+        # through a temporary file, and reads on from the new file
+        grid = _stored_grids(np.random.default_rng(7), 150, 4)[version == 4]
+        path = tmp_path / "grid.bin"
+        grid.save(path)
+        data = path.read_bytes()
+        loaded = CorrelationGrid.load(path)
+        loaded.save(path)
+        assert path.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.bin"]
+        for new, old in zip(loaded.lag_sums(0.05, 149), grid.lag_sums(0.05, 149), strict=True):
+            assert np.array_equal(new, old)
+        copy = tmp_path / "copy.bin"
+        loaded.save(copy)
+        assert copy.read_bytes() == data
 
 
 def _double_sum_lag_sums(grid, Gamma, n):

@@ -69,3 +69,43 @@ def test_scipy_modules_loaded_by_a_spectrum_run(tmp_path, extra, propagator, loa
     assert not imported & {"scipy", "numpy.ma"}
     assert loaded <= ran
     assert not ran & not_loaded
+
+
+_VACUUM_PROBE = """
+import json, sys
+import numpy as np
+from omtc.config import parse_config
+from omtc.dynamics import Generator, two_time_correlation
+from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
+from omtc.model import build_dissipators, build_hamiltonian
+with open(sys.argv[1], encoding="utf-8") as fh:
+    cfg = parse_config(fh.read(), {})
+num = cfg.numerics
+space = build_space(num.N_c, num.N_m, num.excitation_cap)
+gen = Generator(build_hamiltonian(cfg.model, space), build_dissipators(cfg.model, space))
+vac = np.zeros((space.dim, space.dim), dtype=complex)
+vac[0, 0] = 1.0
+grid = two_time_correlation(vac, gen, num.evolution, ladder_operators(space)["a"],
+                            monitor=optical_excitation_operator(space), kappa=cfg.model.kappa)
+G, A = grid.lag_sums(cfg.filter.Gamma, grid.n_t - 1)
+print(json.dumps({"propagator": grid.run["propagator"], "columns": grid.run["columns"],
+                  "zero": not (grid.D.any() or G.any() or A.any()),
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_photonless_vacuum_with_expm_loads_no_scipy(tmp_path):
+    # the photonless vacuum's rho0[P, P] is exactly zero (P is empty): the
+    # D form takes it with no columns, as the spectral form does with rk4,
+    # and its grid is exactly zero without the stepped dense/dense pass
+    from test_config_cli import FAST
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST)
+    proc = subprocess.run(
+        [sys.executable, "-c", _VACUUM_PROBE, str(cfg)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"propagator": "factored/separable", "columns": [0, 0], "zero": True, "scipy": []}

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import astuple, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +23,7 @@ from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initia
 from omtc.spectrum import (
     FilterParams,
     NumericsConfig,
+    Peak,
     SpectrumResult,
     _chirp,
     _evaluate,
@@ -237,6 +238,33 @@ class TestNonNegativity:
             assert rate.min() >= -1e-12 * params.kappa * Gamma**2 * q.sum() ** 2
 
 
+def _find_peaks_loop(result, min_height_fraction):
+    """find_peaks point by point, as it was before it ran over arrays: its oracle."""
+    x, y = result.deltas, result.intensity
+    threshold = min_height_fraction * float(np.max(y))
+    peaks = []
+    for i in range(1, len(x) - 1):
+        if not (y[i - 1] < y[i] >= y[i + 1]):
+            continue
+        if y[i] < threshold:
+            continue
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        hx = x[i + 1] - x[i]
+        if denom >= 0.0:
+            peaks.append(Peak(float(x[i]), float(y[i]), float(hx)))
+            continue
+        shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+        pos = x[i] + shift * hx
+        height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+        width = 2.0 * np.sqrt(max(height, 0.0) * hx**2 / -denom)
+        peaks.append(Peak(float(pos), float(height), float(width)))
+    return peaks
+
+
+def _bits(peaks):
+    return [tuple(value.hex() for value in astuple(peak)) for peak in peaks]
+
+
 class TestFindPeaks:
     def test_single_lorentzian(self):
         x = np.linspace(-4, 4, 161)
@@ -261,6 +289,44 @@ class TestFindPeaks:
         y = np.exp(-((x - 3) ** 2)) + 0.05 * np.exp(-((x - 8) ** 2))
         assert len(find_peaks(_result_from_arrays(x, y), 0.2)) == 1
         assert len(find_peaks(_result_from_arrays(x, y), 0.01)) == 2
+
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(3, 200),
+        levels=st.integers(2, 8),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, levels=2, fraction=0.5, seed=0)
+    def test_peaks_are_the_loops_bits(self, n, levels, fraction, seed):
+        # uneven steps, plateaus (a few levels, powers of two times a
+        # scale) and points one ulp below their right neighbour: below a
+        # plateau at a power of two the curvature rounds to 0, the
+        # denom >= 0 branch; every peak has the loop's bits
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 10.0
+        y = 2.0 ** rng.integers(0, levels, n) * rng.choice([1.0, rng.uniform(0.1, 10.0)])
+        below = np.flatnonzero(rng.random(n - 1) < 0.3)
+        y[below] = np.nextafter(y[below + 1], -np.inf)
+        result = _result_from_arrays(x, y)
+        assert _bits(find_peaks(result, fraction)) == _bits(_find_peaks_loop(result, fraction))
+
+    def test_width_takes_the_step_squared_by_pow(self):
+        # h = 0.5129835547887271: h**2 by the C library's pow and h * h
+        # differ in the last bit, and so does the width of this peak
+        h = 0.5129835547887271
+        result = _result_from_arrays(np.array([-1.0, 0.0, h]), np.array([0.0, 1.0, 0.5]))
+        (peak,) = find_peaks(result, 0.5)
+        assert _bits([peak]) == _bits(_find_peaks_loop(result, 0.5))
+        assert peak.width == 2.0 * np.sqrt(peak.height * h**2 / 1.5) != 2.0 * np.sqrt(peak.height * (h * h) / 1.5)
+
+    def test_flat_curvature_keeps_the_point(self):
+        # 1 - 2^-53, 1, 1: the curvature (1 - 2^-53) - 2 + 1 rounds to 0, so
+        # the peak is the point itself with the step as its width
+        x = np.array([0.0, 0.5, 1.25, 2.0, 3.0])
+        y = np.array([0.0, 1.0 - 2.0**-53, 1.0, 1.0, 0.0])
+        result = _result_from_arrays(x, y)
+        assert find_peaks(result, 0.5) == _find_peaks_loop(result, 0.5) == [Peak(1.25, 1.0, 0.75)]
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigurationError):

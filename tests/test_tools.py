@@ -103,3 +103,43 @@ def test_code_lines_counts_code_not_documentation(tmp_path):
     assert code == {"wc": CODE.count("\n"), "tokens": 6, "ast": 5, "docs": 0}
     documented = _code_lines(tmp_path, DOCUMENTED)
     assert documented == {"wc": DOCUMENTED.count("\n"), "tokens": 6, "ast": 5, "docs": 7}
+
+
+def _records(directory: Path, commits: dict) -> Path:
+    """Result records of perfbench/run.py, reduced to what bench_summary reads, one per seed: commit."""
+    directory.mkdir()
+    for seed, commit in commits.items():
+        record = {"workload": "resweep", "seed": seed, "trace": 0, "seconds": 16,
+                  "environment": {"git_commit": commit}, "ops": [{"ok": True}],
+                  "metrics": dict.fromkeys(("wall_s", "cpu_s", "peak_rss_mib", "setup_s"), 1.0)}
+        (directory / f"resweep-seed{seed}-trace0.json").write_text(json.dumps(record), encoding="utf-8")
+    return directory
+
+
+def _bench_summary(parent: Path, change: Path):
+    label = "test_refused_summary"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_summary.py"), "--label", label,
+         "--parent", str(parent), "--change", str(change)],
+        capture_output=True, text=True,
+    )
+    assert not (ROOT / f"BENCH_{label}.json").exists()
+    return proc
+
+
+def test_bench_summary_refuses_records_of_two_commits(tmp_path):
+    # a results directory outlives its commit: a side whose records name
+    # two commits is refused, and the error names both
+    parent = _records(tmp_path / "parent", {1: "aaa111", 2: "aaa111"})
+    change = _records(tmp_path / "change", {1: "bbb222", 2: "ccc333"})
+    proc = _bench_summary(parent, change)
+    assert proc.returncode != 0
+    assert "records of 2 commits, not one: bbb222, ccc333" in proc.stderr
+
+
+def test_bench_summary_refuses_one_commit_on_both_sides(tmp_path):
+    parent = _records(tmp_path / "parent", {1: "aaa111"})
+    change = _records(tmp_path / "change", {1: "aaa111"})
+    proc = _bench_summary(parent, change)
+    assert proc.returncode != 0
+    assert "parent and change records both come from commit aaa111" in proc.stderr

@@ -7,9 +7,12 @@
 PARENT_RESULTS and CHANGE_RESULTS are directories of the records that
 ``perfbench/run.py`` writes to ``.perfbench/results/``
 (``<workload>-seed<n>-trace<0|1>.json``), one set per commit, run as
-alternating pairs with the same seeds.  The output holds, per workload and
-side, the median and quartiles of every end-to-end metric over the
-untraced runs, the number of pairs the change won, the per-layer metrics
+alternating pairs with the same seeds.  That directory outlives a commit,
+so the records of each side must all carry one ``environment.git_commit``,
+and the two sides' commits must differ: run each side in a git checkout of
+its own commit, with a fresh results directory.  The output holds, per
+workload and side, the median and quartiles of every end-to-end metric
+over the untraced runs, the number of pairs the change won, the per-layer metrics
 of each side's traced runs with their spans of set-up and of the first
 SPAN_OPS operations, and each side's environment stamp.
 With --north-star it also holds each side's ``tools/north_star.py`` output,
@@ -28,12 +31,24 @@ SPAN_OPS = 3
 
 
 def load(directory: Path) -> dict:
-    """{(workload, seed, trace): record} for every result file in a directory."""
+    """{(workload, seed, trace): record} for every result file in a directory.
+
+    SystemExit, naming the commits, unless every record carries the same
+    environment.git_commit.
+    """
     out = {}
     for path in sorted(directory.glob("*-seed*-trace*.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
         out[record["workload"], record["seed"], record["trace"]] = record
+    commits = commit_of(out)
+    if len(commits) != 1:
+        raise SystemExit(f"{directory}: records of {len(commits)} commits, not one: {', '.join(commits) or 'none'}")
     return out
+
+
+def commit_of(records: dict) -> list:
+    """The sorted environment.git_commit values of records."""
+    return sorted({record["environment"]["git_commit"] for record in records.values()})
 
 
 def summary(values) -> dict:
@@ -93,7 +108,10 @@ def main(argv=None) -> int:
     parser.add_argument("--north-star", type=Path, nargs=2, metavar=("PARENT_JSON", "CHANGE_JSON"))
     args = parser.parse_args(argv)
     out = Path(__file__).resolve().parent.parent / f"BENCH_{args.label}.json"
-    data = build(load(args.parent), load(args.change))
+    parent, change = load(args.parent), load(args.change)
+    if commit_of(parent) == commit_of(change):
+        raise SystemExit(f"parent and change records both come from commit {commit_of(parent)[0]}")
+    data = build(parent, change)
     if args.north_star:
         data["north_star"] = {
             side: json.loads(path.read_text(encoding="utf-8"))
