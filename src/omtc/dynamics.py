@@ -38,8 +38,11 @@ before.
 
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
-expm with E = exp(S dt).  Every pass runs in row blocks of b nodes
-(grid._blocks, shared with the grid that makes X again from them).
+expm with E = exp(S dt).  Every pass steps row blocks of b nodes: a
+stepped pass yields one block at a time (grid._blocks), the elementwise
+passes of the D and spectral forms row groups of whole blocks
+(grid._elementwise_blocks, shared with the grid that makes X again from
+them), so that their readers work once per group.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
@@ -402,7 +405,11 @@ class _SectorStepper:
 
 
 def _first_nodes(blocks, b: int) -> np.ndarray:
-    """Nodes 0 .. b of a pass, from its blocks(b + 1), copied into one array as each block is made."""
+    """Nodes 0 .. b of a pass, from its blocks(b + 1), copied into one array as each block is made.
+
+    blocks(b + 1) yields b nodes and then one: the last block of one node
+    is a group of its own in the elementwise passes too.
+    """
     first = next(blocks)
     nodes = np.empty((b + 1, first.shape[1]), dtype=first.dtype)
     nodes[:b] = first
@@ -415,15 +422,15 @@ def _phases(p: int, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * 0.6180339887498949 * np.arange(p * q)).reshape(p, q)
 
 
-def _kronecker_factors(gen, L: SparseMatrix, P: np.ndarray, Q: np.ndarray):
-    """(A[P, P], B[Q, Q]) of gen.no_jump() if L, the block of the sector P x Q, is their Kronecker sum, else None.
+def _kronecker_factors(no_jump, L: SparseMatrix, P: np.ndarray, Q: np.ndarray):
+    """(A[P, P], B[Q, Q]) of no_jump = (A, B), Generator.no_jump(), if L, the block of the sector P x Q, is their Kronecker sum, else None.
 
     That holds when no jump lands inside the sector, so L acts there as
     X -> A X + X B on the P x Q matrix X: the sector block must equal
     A (x) I + I (x) B^T to 1e-12 max|L|, checked as
     L vec(Z) = vec(A Z + Z B) for Z = _phases(|P|, |Q|).
     """
-    A, B = gen.no_jump()
+    A, B = no_jump
     A, B = A[np.ix_(P, P)], B[np.ix_(Q, Q)]
     Z = _phases(len(P), len(Q))
     err = np.max(np.abs(L.dot(Z.reshape(-1)) - (A @ Z + Z @ B).reshape(-1)), initial=0.0)
@@ -491,9 +498,10 @@ class _SeparableKernel:
     U^H, the eigenbasis of i A[Q0, Q0] (_eigenphases), which leaves every
     trace unchanged: K_0^{-k} is then the phase exp(i lam t_k), for node
     start + r of a block exp(i lam start dt) times exp(i lam r dt) from a
-    table of r = 0 .. b.  Entry (q, c) of U^H a[Q0, P] W_k is
+    table of r = 0 .. b - 1, one product over all the block starts of a
+    row group.  Entry (q, c) of U^H a[Q0, P] W_k is
     sum_i O_qi x_i E_ic, O = U^H a[Q0, P] V, so D_k flattened is x_k F,
-    F[i, (q, c)] = O_qi E_ic: one product per block.  The monitor value
+    F[i, (q, c)] = O_qi E_ic: one product per group.  The monitor value
     Re tr(N W_k W_k^H), N = monitor[P, P] (None without a monitor), is
     Re(x_k^H M x_k), M = (V^H N V) o (conj(E) E^T).  No adjoint pass.
     """
@@ -511,7 +519,7 @@ class _SeparableKernel:
         self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), self.columns[1])
         self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
         self.dt, self.b = dt, b
-        self.phases = np.exp(1j * np.outer(np.arange(b + 1) * dt, self.lam))
+        self.phases = np.exp(1j * np.outer(np.arange(b) * dt, self.lam))
         self._W = V, E, np.trace(rho0).real
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -519,7 +527,7 @@ class _SeparableKernel:
         return x * self.g
 
     def blocks(self, n: int):
-        """Yield g^0 .. g^(n-1) as row blocks of b nodes (_elementwise_blocks)."""
+        """Yield g^0 .. g^(n-1) in row groups of whole blocks of b nodes (_elementwise_blocks)."""
         return _elementwise_blocks(np.ones(len(self.g), dtype=complex), self.g, n, self.b)
 
     def state(self, x: np.ndarray):
@@ -530,18 +538,22 @@ class _SeparableKernel:
         return rho.reshape(-1), trace0 - np.trace(rho).real
 
     def rows(self, x: np.ndarray, start: int) -> np.ndarray:
-        """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the block x."""
-        rows = len(x)
-        D = (x @ self.F).reshape(rows, len(self.lam), self.columns[0])
-        D *= (np.exp(1j * start * self.dt * self.lam) * self.phases[:rows])[:, :, None]
+        """D_k flattened (|Q0| s) for the nodes k = start, start + 1, .. of the group x, blocks of b nodes from start."""
+        rows, q = len(x), len(self.lam)
+        D = (x @ self.F).reshape(rows, q, self.columns[0])
+        turns = np.exp(1j * np.arange(start, start + rows, self.b)[:, None] * self.dt * self.lam)
+        phase = turns[:, None] * self.phases[:rows]  # node start + j b + r: turn j times phase r
+        D *= phase.reshape(phase.shape[0] * phase.shape[1], q)[:rows, :, None]
         return D.reshape(rows, -1)
 
     def readout(self, n: int):
-        """Yield what _dense_readout does per block: D rows, monitor values, traces None."""
-        for start, x in zip(range(0, n, self.b), self.blocks(n)):
+        """Yield what _dense_readout does per group: D rows, monitor values, traces None."""
+        start = 0
+        for x in self.blocks(n):
             # Re(conj(x) v) = x.re v.re + x.im v.im, summed over the float views
             m = None if self.M is None else np.einsum("ij,ij->i", x.view(float), (x @ self.M).view(float))
             yield self.rows(x, start), m, None
+            start += len(x)
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
         """C(j, k) of the nodes 0 .. b, tr(D_j^H D_k) from their rows; no adjoint checks."""
@@ -625,11 +637,11 @@ class _SpectralKernel:
         return np.matmul(self.M.T, U.reshape(len(U), q, p)).reshape(len(U), -1)
 
     def blocks(self, n: int):
-        """Yield Z_0 .. Z_{n-1} as row blocks of b nodes (_elementwise_blocks)."""
+        """Yield Z_0 .. Z_{n-1} in row groups of whole blocks of b nodes (_elementwise_blocks)."""
         return _elementwise_blocks(self.Z0, self.G, n, self.b)
 
     def readout(self, n: int):
-        """Yield per block the resolution column X_k . N (one column), monitor values, traces None."""
+        """Yield per group the resolution column X_k . N (one column), monitor values, traces None."""
         for Z in self.blocks(n):
             yield (Z @ self.resolution)[:, None], None if self.mon is None else (Z @ self.mon).real, None
 
@@ -639,7 +651,7 @@ class _SpectralKernel:
         The rows of U come as the grid makes them (spectral_blocks).
         """
         b = self.b
-        U = np.concatenate(list(spectral_blocks(self.N, self.H, [(0, b), (b, b + 1)])))
+        U = np.concatenate([block.copy() for block in spectral_blocks(self.N, self.H, [(0, b), (b, b + 1)])])
         MU = self.paired(U)
         return (lambda j, k: MU[j - k] @ nodes[k]), [("adjoint E^b", U[-1] - U[-2] * self.H)]
 
@@ -684,7 +696,8 @@ def _kernel(gen, fwd: _ForwardSector, rho0: np.ndarray, a_mat, monitor, config: 
     if not fwd.closed:
         return None
     P, Q0, expm = fwd.P, fwd.Q0, config.method == "expm"
-    factors = (_kronecker_factors(gen, fwd.readout_block, P, P), _kronecker_factors(gen, fwd.Sa, Q0, P))
+    no_jump = gen.no_jump()
+    factors = (_kronecker_factors(no_jump, fwd.readout_block, P, P), _kronecker_factors(no_jump, fwd.Sa, Q0, P))
     bases = None if None in factors else _eigenbases(factors, 1 if expm else 2)
     if bases is None:
         return None
@@ -895,18 +908,18 @@ class _SteppedForm:
 
 
 def _forward(values, config: EvolutionConfig):
-    """Yield (rows, monitor values) per block of a forward pass, cut and guarded.
+    """Yield (rows, monitor values) per block or group of a forward pass, cut and guarded.
 
-    values yields (rows, monitor values, checks) per row block of the nodes
-    k = 0, 1, ... (_dense_readout, or a correlation form's readout).  The
-    pass stops after t_max, or after the first node k > 0 whose monitor
-    value (None without a monitor) is below leak_tolerance, cutting its
-    block there.  Up to the stop, checks are (traces, largest |coordinate|)
-    of each node, and the pass aborts at the first node whose trace drifts
-    from node 0's by more than TRACE_DRIFT_LIMIT, or whose largest
-    coordinate exceeds its trace by more than that: rho is then no longer
-    positive semidefinite, as an unstable step leaves the trace, a linear
-    invariant of every step, unchanged.  The D and spectral forms have no
+    values yields (rows, monitor values, checks) per row block or group of
+    the nodes k = 0, 1, ... (_dense_readout, or a correlation form's
+    readout).  The pass stops after t_max, or after the first node k > 0
+    whose monitor value (None without a monitor) is below leak_tolerance,
+    cutting its block or group there.  Up to the stop, checks are (traces,
+    largest |coordinate|) of each node, and the pass aborts at the first
+    node whose trace drifts from node 0's by more than TRACE_DRIFT_LIMIT,
+    or whose largest coordinate exceeds its trace by more than that: rho is
+    then no longer positive semidefinite, as an unstable step leaves the
+    trace, a linear invariant of every step, unchanged.  The D and spectral forms have no
     checks (None); their set-up checks (check_trace_rows, and the spectral
     form's bound on its step factors) stand in for the guard.
     """
@@ -940,7 +953,27 @@ def _forward(values, config: EvolutionConfig):
         if stop is not None:
             return
         start += len(rows)
-        del rows  # released before the next block is computed
+        del rows  # released before the next block or group is computed
+
+
+def _forward_stack(form, config: EvolutionConfig):
+    """(stack, residual) of the form's forward pass: its rows up to the stop, and the last monitor value or None.
+
+    The rows are those of D, the operands a rho(t_k) on the operand sector,
+    or the resolution column, copied as each block or group is made into a
+    stack over the full t_max; rows past the realized horizon are never
+    written, so never resident.
+    """
+    X, n_t, residual = None, 0, None
+    for rows, residuals in _forward(form.readout(config.n_max), config):
+        if X is None:
+            X = np.empty((config.n_max, rows.shape[1]), dtype=complex)
+        X[n_t : n_t + len(rows)] = rows
+        n_t += len(rows)
+        if residuals is not None:
+            residual = residuals[-1]
+        del rows  # released before the next group is computed
+    return X[:n_t], residual
 
 
 def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factors: int = 0) -> None:
@@ -953,9 +986,11 @@ def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factors: i
     propagators of the stepped passes and their b-th powers: 2 itemsize n^2
     bytes per block, given as (n, itemsize) (8 for the real forward block,
     n = |R_f| + 1 with p; 16 for the complex adjoint one).  The D and
-    spectral forms step elementwise and build no propagator.  The row
-    blocks of the stepped and D forms are not counted: b |R| entries
-    stepped, b |P| in the D form.  Called once per form: by _kernel for the
+    spectral forms step elementwise and build no propagator.  Not counted:
+    the row blocks of the stepped form, b |R| entries, and the row groups
+    of the D form (and the spectral form's beyond the block it counts), at
+    most grid.GROUP_BYTES of nodes or one block, with the D rows and
+    monitor products read from them.  Called once per form: by _kernel for the
     D and spectral forms, by _SteppedForm and by evolve.  Method rk4 is
     advised only where dense blocks count.
     """
@@ -1082,21 +1117,9 @@ def two_time_correlation(
         smoke = _smoke_check(gen, form, rho0, a_mat, config)
         marks.append(time.perf_counter())
 
-        # forward pass: the rows of D, the operands a rho(t_k) on the operand
-        # sector, or the resolution column, block by block into the stack over
-        # the full t_max; rows past the realized horizon are never written, so
-        # never resident
-        X, n_t, residual = None, 0, None
-        for operands, residuals in _forward(form.readout(config.n_max), config):
-            if X is None:
-                X = np.empty((config.n_max, operands.shape[1]), dtype=complex)
-            X[n_t : n_t + len(operands)] = operands
-            n_t += len(operands)
-            if residuals is not None:
-                residual = residuals[-1]
-            del operands  # released before the next block is computed
+        X, residual = _forward_stack(form, config)
         marks.append(time.perf_counter())
-        arrays = form.grid(X[:n_t])
+        arrays = form.grid(X)
         if arrays is not None:
             break
         # the grid is too small for eigen coordinates to carry: the run is

@@ -6,13 +6,14 @@ small Gram matrix per block.  Its spectral variant keeps the vectors N and
 H of U[tau] = N o H^tau instead of U, and makes each block of U rows as the
 pass reads it (adjoint_blocks).  A computed spectral grid keeps no stack at
 all: X[k] = M (Z_0 o G^k) comes from M, Z_0, G and the forward pass's block
-length b, made block by block as the pass reads it (operand_blocks), with
-the bits the forward pass would have stored.  A loaded U/X or spectral
-grid keeps no stack either: it reads the rows of its stored X (and U) from
-the dump as the pass asks for them, into one reused buffer of a block
-(_DumpedStack), and refuses a dump that changed since it was loaded.  The
-D form holds one stack with C[j][k] = D[j]^H D[k], loaded or computed; its
-per-lag sums are two FFT autocorrelations, which need whole columns.  The
+length b, made one row group of that pass at a time as the lag sums read
+it (operand_blocks, _elementwise_blocks), with the bits the forward pass
+would have stored.  A loaded U/X or spectral grid keeps no stack either:
+it reads the rows of its stored X (and U) from the dump as the pass asks
+for them, into one reused buffer of a block (_DumpedStack), and refuses a
+dump that changed since it was loaded.  The D form holds one stack with
+C[j][k] = D[j]^H D[k], loaded or computed; its per-lag sums are two FFT
+autocorrelations, which need whole columns, made in one reused buffer.  The
 O(n_t^2) triangle is never formed.  The binary dump is format version 2
 for U and X, 4 for N, H and X (a computed spectral grid writes its X block
 by block), and 3 for D.  dynamics.two_time_correlation builds any of them.
@@ -46,7 +47,12 @@ RUN_KEYS = ("forward_sector", "adjoint_sector", "propagator", "columns", "smoke_
 
 
 #: spans whose first rows spectral_blocks makes at a time
-SPAN_CHUNK = 64
+SPAN_CHUNK = 8
+#: bytes of the row groups that _elementwise_blocks yields, each whole
+#: blocks of b nodes (one block where a block alone is larger)
+GROUP_BYTES = 1 << 17
+#: columns of D that _autocorrelations transforms at a time
+AUTOCORRELATION_COLUMNS = 16
 
 
 def _block_size(n_max: int) -> int:
@@ -80,39 +86,48 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _autocorrelation(D: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_k q_k q_{k+tau} D[k+tau]^H D[k] for tau = 0 .. n, n + 1 = len(q), by FFT.
+def _autocorrelations(D: np.ndarray, *weights: np.ndarray) -> list:
+    """sum_k q_k q_{k+tau} D[k+tau]^H D[k] for tau = 0 .. n, n + 1 = len(q), for each q of weights, by FFT.
 
     Zero-padded to L >= 2n + 1 nodes the circular correlation is the linear
     one (Wiener-Khinchin): with F the FFT of one column of q D along the
-    nodes, the lag sums are FFT(sum over columns of |F|^2)[tau] / L.  The
-    columns are transformed 16 at a time, so the transient is O(16 L).
+    nodes, the lag sums are FFT(sum over columns of |F|^2)[tau] / L.  Every
+    weighting and every chunk of up to AUTOCORRELATION_COLUMNS columns is
+    filled into one c x L buffer, c the smaller of that and the width of D,
+    its tail zeroed, and transformed in place; that buffer is the transient.
     """
-    n = len(q) - 1
+    n = len(weights[0]) - 1
     L = _fast_length(2 * n + 1)
-    power = np.zeros(L)
-    for c in range(0, D.shape[1], 16):
-        Y = np.zeros((min(16, D.shape[1] - c), L), dtype=complex)
-        np.multiply(D[: n + 1, c : c + 16].T, q, out=Y[:, : n + 1])
-        F = np.fft.fft(Y, axis=1)
-        power += np.einsum("ij,ij->j", F.real, F.real) + np.einsum("ij,ij->j", F.imag, F.imag)
-    return np.fft.rfft(power)[: n + 1] / L
+    c = min(AUTOCORRELATION_COLUMNS, D.shape[1])
+    Y = np.empty((c, L), dtype=complex)
+    sums = []
+    for q in weights:
+        power = np.zeros(L)
+        for at in range(0, D.shape[1], AUTOCORRELATION_COLUMNS):
+            F = Y[: D.shape[1] - at]  # columns at .. at + len(F) - 1
+            np.multiply(D[: n + 1, at : at + len(F)].T, q, out=F[:, : n + 1])
+            F[:, n + 1 :] = 0.0
+            np.fft.fft(F, axis=1, out=F)
+            power += np.einsum("ij,ij->j", F.real, F.real) + np.einsum("ij,ij->j", F.imag, F.imag)
+        sums.append(np.fft.rfft(power)[: n + 1] / L)
+    return sums
 
 
 def _squared_powers(g: np.ndarray, exponents) -> np.ndarray:
     """g^e elementwise for each e of exponents, one row each, by repeated squaring.
 
-    About log2 max(e) squarings of g, and as many products on the rows that
-    take each bit.  Never divides: with |g| <= 1 a power may underflow to 0.
+    About log2 max(e) squarings of g, and as many products, in place, on
+    the rows that take each bit.  Never divides: with |g| <= 1 a power may
+    underflow to 0.
     """
     e = np.array(exponents, dtype=np.int64)
+    bits = (e[:, None] >> np.arange(int(e.max(initial=0)).bit_length())) & 1 == 1
     out = np.ones((len(e), len(g)), dtype=complex)
-    while True:
-        out[np.flatnonzero(e & 1)] *= g
-        e >>= 1
-        if not e.any():
-            return out
-        g = g * g
+    for i in range(bits.shape[1]):
+        if i:
+            g = g * g
+        np.multiply(out, g, out=out, where=bits[:, i, None])
+    return out
 
 
 def _power_table(g: np.ndarray, b: int) -> np.ndarray:
@@ -132,14 +147,20 @@ def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
     with n_t (a row of two or more entries has the same bits in any chunk;
     numpy multiplies a one-column stack as one vector, whose SIMD body and
     tail round apart), H^i from one _power_table as long as the longest
-    span.  N o H^0 is N itself.
+    span.  N o H^0 is N itself.  Every block is a view of one buffer, which
+    the next block overwrites, so the table and that buffer are the two
+    blocks held, with the starts of one chunk.
     """
     spans = list(spans)
     table = _power_table(H, max(hi - lo for lo, hi in spans))
+    out = np.empty_like(table)
     for at in range(0, len(spans), SPAN_CHUNK):
         chunk = spans[at : at + SPAN_CHUNK]
-        for (lo, hi), start in zip(chunk, N * _squared_powers(H, [lo for lo, _ in chunk])):
-            yield start * table[: hi - lo]
+        starts = _squared_powers(H, [lo for lo, _ in chunk])
+        np.multiply(N, starts, out=starts)
+        for (lo, hi), start in zip(chunk, starts):
+            yield np.multiply(start, table[: hi - lo], out=out[: hi - lo])
+        del starts, start  # freed before the next chunk's are made
 
 
 def _blocks(x0: np.ndarray, step, advance, n: int, b: int):
@@ -170,12 +191,35 @@ def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
 
 
 def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
-    """Yield x0 g^k (elementwise) for k = 0 .. n-1 as row blocks of b nodes (_blocks).
+    """Yield x0 g^k (elementwise) for k = 0 .. n-1 in row groups of whole blocks of b nodes.
 
-    A later block is the block before times g^b, in place: all are views of one buffer.
+    The first block is stepped node by node, and every later one is the
+    block before times g^b, a product of the block's own shape, so a node
+    has the bits of a pass that steps one block at a time.  A group holds
+    as many blocks as fit in GROUP_BYTES, at least one, and the readers
+    work once per group.  A block of one row (b = 1, or a last block of one
+    node) is a group of its own: numpy takes other loops for one row (a
+    vector product for a matrix product, an unbroadcast product for a
+    one-column one), so its reader's rows keep the bits of a block alone.
+    All groups are views of one buffer, which the next group overwrites.
     """
+    if n < 1:
+        return
     power = _elementwise_power(g, b)
-    return _blocks(x0, lambda x: x * g, lambda Y, rows: np.multiply(Y[:rows], power, out=Y[:rows]), n, b)
+    per = b * max(1, GROUP_BYTES // max(b * x0.nbytes, 1)) if b > 1 else 1
+    Y = np.empty((min(per, n), len(x0)), dtype=x0.dtype)
+    rows = at = min(b, n)  # the last block made is Y[at - rows : at]
+    Y[0] = x0
+    for i in range(1, rows):
+        np.multiply(Y[i - 1], g, out=Y[i])
+    for start in range(b, n, b):
+        last, rows = Y[at - rows : at], min(b, n - start)
+        if at + rows > len(Y) or rows == 1:
+            yield Y[:at]
+            at = 0
+        np.multiply(last[:rows], power, out=Y[at : at + rows])
+        at += rows
+    yield Y[:at]
 
 
 def _operands(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -351,13 +395,13 @@ class CorrelationGrid:
 
         Slices of a stored X (read from the dump for a loaded grid, each
         block a view of one reused buffer), or for a computed spectral grid
-        rows made as they are read: the forward pass's blocks of b nodes Z0 o G^k
-        (_elementwise_blocks), whole up to n_t, each times M (_operands), cut
-        to the spans (_sliced).  So a row's bits do not depend on the spans,
-        and they are those the pass stored (but for rows of one entry in a
-        last block that the pass made longer: numpy rounds a product of one
-        element apart).  Ascending spans make each block once, and none past
-        the one that holds the last span's end.
+        rows made as they are read: the forward pass's row groups of whole
+        blocks of b nodes Z0 o G^k (_elementwise_blocks), up to n_t, each
+        times M (_operands), cut to the spans (_sliced).  So a row's bits do
+        not depend on the spans, and they are those the pass stored (but for
+        rows of one entry in a last block that the pass made longer: numpy
+        rounds a product of one element apart).  Ascending spans make each
+        group once, and none past the one that holds the last span's end.
         """
         if self.X is not None:
             return _rows(self.X, spans)
@@ -381,7 +425,7 @@ class CorrelationGrid:
         if self.D is not None:
             w = _trapezoid_weights(self.dt, n)
             q = w * np.exp(-Gamma * self.dt * np.arange(n, -1, -1))
-            return _autocorrelation(self.D, q), _autocorrelation(self.D, w)
+            return tuple(_autocorrelations(self.D, q, w))
         # With m = n - tau, q_k q_{k+tau} = exp(-Gamma tau h) w_k w_{k+tau}
         # r^(m-k) for r = exp(-2 Gamma h), and w_{k+tau} = h except at k = m
         # (and at k = 0 when tau = 0).  So G[tau] = exp(-Gamma tau h)

@@ -110,7 +110,9 @@ def _evaluate(grid, deltas, Gamma, n, G, A):
     halved, so each column is 2 Re S) are one chirp z-transform (Bluestein):
     with p m = (p^2 + m^2 - (m - p)^2) / 2 and w_j = exp(i d h j^2 / 2),
     S_p = conj(w_p) sum_m x_m w_(m-p), x_m = exp(-i Delta_0 m h) conj(w_m)
-    L_m, a convolution taken by zero-padded FFTs of length >= n + P.
+    L_m, a convolution taken by zero-padded FFTs of length >= n + P, each
+    transform in place in one of two buffers (x, a row per sum, and the
+    kernel w), which are all that grows with n.
     """
     h, kappa, P = grid.dt, grid.kappa, len(deltas)
     if not P:
@@ -120,10 +122,19 @@ def _evaluate(grid, deltas, Gamma, n, G, A):
         raise ConfigurationError("the detunings must be evenly spaced")
     w, L, m = _chirp(step * h / 2, max(n, P)), _fast_length(n + P), np.arange(n + 1)
     x, kernel = np.zeros((2, L), dtype=complex), np.zeros(L, dtype=complex)
-    x[:, : n + 1] = [G, np.exp(-Gamma * h * m) * A] * (np.exp(-1j * deltas[0] * h * m) * w[: n + 1].conj())
+    # x filled in place: the exponentials in their arguments' arrays, and
+    # conj(w) parked in x's second row until the decayed A overwrites it
+    phase, decay = -1j * deltas[0] * h * m, -Gamma * h * m
+    np.multiply(np.exp(phase, out=phase), np.conjugate(w[: n + 1], out=x[1, : n + 1]), out=phase)
+    np.multiply(G, phase, out=x[0, : n + 1])
+    np.multiply(np.exp(decay, out=decay), A, out=x[1, : n + 1])
+    np.multiply(x[1, : n + 1], phase, out=x[1, : n + 1])
     x[:, 0] *= 0.5
     kernel[:P], kernel[L - n :] = w[:P], w[n:0:-1]
-    sums = (np.fft.ifft(np.fft.fft(x) * np.fft.fft(kernel))[:, :P] * w[:P].conj()).real
+    # the two FFT buffers, transformed, multiplied and transformed back in place
+    np.fft.fft(x, out=x)
+    np.multiply(x, np.fft.fft(kernel, out=kernel), out=x)
+    sums = (np.fft.ifft(x, out=x)[:, :P] * w[:P].conj()).real
     rate = 2.0 * kappa * Gamma**2 * sums[0]
     counts = kappa * Gamma * sums[1] - rate / (2.0 * Gamma)
     return rate, counts

@@ -9,7 +9,10 @@ at a time, the Hamiltonian as sparse products, the superoperator as a sum
 of scipy Kronecker products, sector blocks and closures by scipy
 indexing and matvecs, and entries, columns and the full matrix of the grid
 in either form.  to_scipy and from_scipy convert a SparseMatrix for the
-tests that index or perturb it.
+tests that index or perturb it.  elementwise_blocks and autocorrelation
+are the passes that the row groups and the in-place FFT buffer of
+omtc.grid replace: one block of b nodes, and one fresh pair of arrays per
+column chunk, at a time.
 """
 
 from dataclasses import replace
@@ -164,3 +167,37 @@ def grid_dense(grid) -> np.ndarray:
         out[k:, k] = col
         out[k, k:] = np.conj(col)
     return out
+
+
+def elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
+    """Yield x0 g^k (elementwise) for k = 0 .. n-1 one row block of b nodes at a time.
+
+    The first block node by node, every later one the block before times
+    g^b, in place: all blocks are views of one buffer.
+    """
+    power, Y = g**b, None
+    for start in range(0, n, b):
+        rows = min(b, n - start)
+        if Y is None:
+            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
+            Y[0] = x0
+            for i in range(1, rows):
+                Y[i] = Y[i - 1] * g
+        else:
+            Y = np.multiply(Y[:rows], power, out=Y[:rows])
+        yield Y
+
+
+def autocorrelation(D: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k q_k q_{k+tau} D[k+tau]^H D[k], tau = 0 .. len(q) - 1, by FFT: a new padded array and its transform per 16 columns."""
+    from omtc.grid import _fast_length
+
+    n = len(q) - 1
+    L = _fast_length(2 * n + 1)
+    power = np.zeros(L)
+    for c in range(0, D.shape[1], 16):
+        Y = np.zeros((min(16, D.shape[1] - c), L), dtype=complex)
+        np.multiply(D[: n + 1, c : c + 16].T, q, out=Y[:, : n + 1])
+        F = np.fft.fft(Y, axis=1)
+        power += np.einsum("ij,ij->j", F.real, F.real) + np.einsum("ij,ij->j", F.imag, F.imag)
+    return np.fft.rfft(power)[: n + 1] / L

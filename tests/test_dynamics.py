@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import model_points
 from oracles import (
+    autocorrelation,
     block_oracle,
     closure_oracle,
+    elementwise_blocks,
     from_scipy,
     adjoint_stack,
     grid_column,
@@ -38,6 +40,7 @@ from omtc.dynamics import (
     _eigenbases,
     _elementwise_blocks,
     _ForwardSector,
+    _forward_stack,
     _HermitianCoordinates,
     _kernel,
     _kronecker_factors,
@@ -51,7 +54,7 @@ from omtc.dynamics import (
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
-from omtc.grid import _fast_length, _operands, _trapezoid_weights, spectral_blocks
+from omtc.grid import _autocorrelations, _fast_length, _operands, _trapezoid_weights, spectral_blocks
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     ModelParams,
@@ -453,6 +456,26 @@ class TestBackends:
         assert grid.n_t == dense.n_t
         assert _same_stacks(grid, dense)
         assert two_time_correlation(rho0, gen, cfg, a, monitor=mon).run["propagator"] == "factored/separable"
+
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_no_jump_made_twice_per_kernel_run(self, monkeypatch, method):
+        # superoperator() builds on one no_jump(), and _kernel makes one
+        # more for both Kronecker checks, the readout and operand blocks
+        p = ModelParams(J=0.3)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0, a = initial_state(p, space), ladder_operators(space)["a"]
+        no_jump, calls = Generator.no_jump, []
+
+        def counted(self):
+            calls.append(self)
+            return no_jump(self)
+
+        monkeypatch.setattr(Generator, "no_jump", counted)
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, method=method)
+        grid = two_time_correlation(rho0, gen, cfg, a, monitor=optical_excitation_operator(space))
+        assert grid.run["propagator"] in ("factored/separable", "spectral/spectral")
+        assert calls == [gen, gen]
 
     def test_halving_dt_expm_grid_stable(self):
         # the one-step propagator composes exactly, so halving dt must not
@@ -1331,7 +1354,7 @@ def _factors_of(gen, S, index):
     P, Q = np.unique(i), np.unique(j)
     if len(index) != len(P) * len(Q):
         return None
-    return _kronecker_factors(gen, S.block(index), P, Q)
+    return _kronecker_factors(gen.no_jump(), S.block(index), P, Q)
 
 
 def _sectors(space, gen, rho0):
@@ -1465,7 +1488,9 @@ class TestFactoredPropagator:
         mon[np.ix_(P, P)] = _random_rho(np.random.default_rng(3), len(P))
         form = _d_form(space, gen, rho0, mon)
         rows, values, traces = zip(*form.readout(9))
-        assert traces == (None,) * 3
+        # b = 4: one group of the blocks of nodes 0 .. 7, and the last
+        # node's block of one row, a group of its own
+        assert traces == (None,) * 2 and [len(D) for D in rows] == [8, 1]
         nodes = _factored_nodes(form, 9)
         for k, (D, m) in enumerate(zip(np.concatenate(rows), np.concatenate(values), strict=True)):
             rho = np.zeros_like(rho0)
@@ -1728,14 +1753,14 @@ class TestFactoredPropagator:
         reads, a, _ = _readout(space)
         fwd = _ForwardSector(S, rho0, reads, a)
         assert fwd.hull() is fwd and fwd.product
-        A, B = _kronecker_factors(gen, fwd.readout_block, fwd.P, fwd.P)
+        A, B = _kronecker_factors(gen.no_jump(), fwd.readout_block, fwd.P, fwd.P)
         assert A.shape == B.shape == (9, 9)
-        A0, B0 = _kronecker_factors(gen, fwd.Sa, fwd.Q0, fwd.P)
+        A0, B0 = _kronecker_factors(gen.no_jump(), fwd.Sa, fwd.Q0, fwd.P)
         assert A0.shape == (3, 3) and np.array_equal(B0, B)
         whole = _ForwardSector(S, rho0, None, a)
         hull = whole.hull()
         assert len(whole.index) == 90 and len(hull.index) == len(hull.P) ** 2 == 144 and hull.closed
-        assert _kronecker_factors(gen, hull.readout_block, hull.P, hull.P) is None
+        assert _kronecker_factors(gen.no_jump(), hull.readout_block, hull.P, hull.P) is None
         assert _factors_of(gen, S, whole.index) is None
 
 
@@ -1935,7 +1960,7 @@ class TestSpectralRows:
         lo = b * int(at * ((n - 1) // b))
         hi = min(lo + b, n)
         spans = [(lo, hi), (0, min(b, n))]  # the table is b rows long
-        rows, first = spectral_blocks(N, H, spans)
+        rows, first = (U.copy() for U in spectral_blocks(N, H, spans))  # views of one buffer
         assert rows.shape == (hi - lo, width)
         bound = 4 * n * np.finfo(float).eps * np.abs(N)
         assert np.all(np.abs(rows - stack[lo:hi]) <= bound)
@@ -1962,9 +1987,9 @@ class TestSpectralRows:
         spans = [(lo, lo + rows) for lo, rows in spans]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("omtc.grid.SPAN_CHUNK", len(spans))
-            whole = list(spectral_blocks(N, H, spans))
+            whole = [U.copy() for U in spectral_blocks(N, H, spans)]  # views of one buffer
             mp.setattr("omtc.grid.SPAN_CHUNK", chunk)
-            chunked = list(spectral_blocks(N, H, spans))
+            chunked = [U.copy() for U in spectral_blocks(N, H, spans)]
         assert len(chunked) == len(whole) == len(spans)
         for a, b in zip(chunked, whole, strict=True):
             np.testing.assert_array_equal(a, b)
@@ -1998,6 +2023,33 @@ class TestSpectralRows:
                 assert abs(grid.lag_sums(Gamma, n)[0][0] - stored.lag_sums(Gamma, n)[0][0]) <= 1e-12 * G_abs[0]
 
 
+    def test_lag_sums_hold_three_blocks(self):
+        # the Gram pass holds its own block of w X; over a spectral grid it
+        # makes its blocks of U rows in spectral_blocks, which adds the
+        # power table, the one buffer that every block is made in and the
+        # starts of SPAN_CHUNK spans (a quarter block here): at most 2.5
+        # blocks, numpy's ufunc buffers included, beyond the same pass over
+        # the rows stored as U, whose blocks are views.  |R_a| = 1024 and
+        # b = 32, so a block (512 KiB) outweighs the n-long arrays
+        n_t, width = 1024, 1024
+        rng = np.random.default_rng(11)
+        N, H = _spectral_factors(rng, width)
+        X = rng.normal(size=(n_t, width)) + 1j * rng.normal(size=(n_t, width))
+        grid = CorrelationGrid(dt=0.02, X=X, N=N, H=H)
+        stored = CorrelationGrid(dt=0.02, U=adjoint_stack(grid).copy(), X=X)
+        block = 16 * width * grid_module._block_size(n_t)
+        peaks = []
+        for g in (grid, stored):
+            tracemalloc.start()
+            try:
+                g.lag_sums(0.05, n_t - 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.75 * block  # its block of w X, the n-long sums and numpy buffers
+        assert peaks[0] < peaks[1] + 2.5 * block, (peaks[0] / block, peaks[1] / block)
+
+
 def _eigen_factors(rng, q, p):
     """N, H, M, Z0 and G of a computed spectral grid: |G|, |H| <= 1 and N = conj(M)."""
     M = rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
@@ -2008,8 +2060,8 @@ def _eigen_factors(rng, q, p):
 
 
 def _pass_stack(factors, n_max, b):
-    """The operand stack over n_max nodes as the forward pass made it: blocks of Z, each times M."""
-    blocks = _elementwise_blocks(factors["Z0"], factors["G"], n_max, b)
+    """The operand stack over n_max nodes as a forward pass of one block at a time made it: blocks of Z, each times M."""
+    blocks = elementwise_blocks(factors["Z0"], factors["G"], n_max, b)
     return np.concatenate([_operands(factors["M"], Z) for Z in blocks])
 
 
@@ -2155,16 +2207,86 @@ class TestOperandRows:
         rho0, gen, cfg, a, mon = _correlation_point(p, space, **vars(numerics.evolution))
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         assert grid.run["propagator"] == "spectral/spectral" and made == []
+        # the groups of whole blocks of b = 16 rows that hold rows 0 .. n,
+        # as many blocks of Z (|P|^2 entries) as fit in GROUP_BYTES, the last
+        # cut at n_t = 501
+        group = 16 * (grid_module.GROUP_BYTES // (16 * grid.Z0.nbytes))
         for T in (grid.horizon, grid.horizon / 2):
-            # the whole blocks of b = 16 rows that hold rows 0 .. n, the last
-            # cut at n_t = 501
             filtered_spectrum(grid, filt.deltas(), filt.Gamma, T)
             n = int(round(T / grid.dt))
-            assert grid.n_t == 501 and made == [16] * (n // 16) + [min(16, 501 - n // 16 * 16)]
+            rows = min(501, (n // 16 + 1) * 16)
+            assert grid.n_t == 501 and group > 16 and rows % 16 != 1
+            assert made == [group] * (rows // group) + [rows % group] * (rows % group > 0)
             made.clear()
         result = stationary_spectrum(p, filt, numerics)
         assert result.metadata["propagator"] == "spectral/spectral"
         assert sum(made) == result.metadata["n_t"]
+
+
+def _unitary(rng, m):
+    """A random m x m unitary matrix."""
+    return np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+
+
+def _kernel_form(kind, rng, p, q, s, dt, b):
+    """A D form (expm) or spectral form (rk4) on |P| = p readout rows and |Q0| = q, with a monitor, from random bases.
+
+    Re alpha < 0, so no step factor grows; the D form's start has s columns.
+    """
+    alpha = -rng.uniform(0.05, 1.0, p) + 1j * rng.normal(size=p)
+    V = _unitary(rng, p) + 0.3 * (rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+    bases = ((alpha, V, np.linalg.inv(V)), (rng.normal(size=q), _unitary(rng, q)), 2.0)
+    a0 = rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
+    W0 = rng.normal(size=(p, s)) + 1j * rng.normal(size=(p, s))
+    rho0, N = W0 @ W0.conj().T, _random_rho(rng, p)
+    sector = type("Sector", (), {"P": np.arange(p)})
+    if kind == "expm":
+        return _SeparableKernel(sector, bases, W0, a0, rho0, N, dt, b)
+    return _SpectralKernel(sector, bases, a0, rho0, N, dt, b)
+
+
+class TestRowGroups:
+    @settings(max_examples=60)
+    @given(
+        kind=st.sampled_from(["expm", "rk4"]),
+        n=st.integers(1, 300),
+        b=st.sampled_from([1, 2, 4, 16, 32]),
+        per=st.integers(1, 9),
+        p=st.integers(1, 4),
+        q=st.integers(1, 3),
+        s=st.integers(1, 3),
+        stop=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="expm", n=100, b=4, per=3, p=2, q=1, s=1, stop=0.5, seed=1)  # a stop inside a group
+    @example(kind="rk4", n=97, b=16, per=2, p=3, q=2, s=1, stop=1.0, seed=2)  # a last block of one node
+    def test_grouped_pass_is_the_per_block_pass(self, kind, n, b, per, p, q, s, stop, seed):
+        # groups of `per` blocks of b nodes give the nodes, and the forward
+        # pass the rows, n_t and residual, of a pass one block at a time,
+        # bit for bit, with the leak stop at any node, inside a group or not
+        form = _kernel_form(kind, np.random.default_rng(seed), p, q, s, 0.05, b)
+        x0, g = (np.ones(p, dtype=complex), form.g) if kind == "expm" else (form.Z0, form.G)
+        row_bytes = x0.nbytes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.dynamics._elementwise_blocks", elementwise_blocks)
+            nodes = np.concatenate([Y.copy() for Y in elementwise_blocks(x0, g, n, b)])
+            monitor = np.concatenate([m for _, m, _ in form.readout(n)])
+            k = min(int(stop * n), n - 1)
+            leak = np.nextafter(monitor[k], np.inf) if k else 0.0  # the stop falls at node k or before
+            config = type("Config", (), {"n_max": n, "leak_tolerance": leak})
+            rows, residual = _forward_stack(form, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.grid.GROUP_BYTES", per * b * row_bytes + row_bytes - 1)
+            groups = [Y.copy() for Y in grid_module._elementwise_blocks(x0, g, n, b)]
+            grouped, grouped_residual = _forward_stack(form, config)
+        assert np.array_equal(np.concatenate(groups), nodes)
+        sizes = [len(Y) for Y in groups]
+        whole = per * b if b > 1 else 1
+        assert all(size == whole for size in sizes[:-2]) and sum(sizes) == n
+        assert (sizes[-1] == 1) == (b == 1 or n % b == 1) or len(sizes) == 1
+        assert len(grouped) == len(rows) <= (k + 1 if k else n)
+        assert np.array_equal(grouped.view(float), rows.view(float))
+        assert grouped_residual == residual
 
 
 def _stored_grids(rng, n_t, width):
@@ -2386,6 +2508,47 @@ class TestFftLagSums:
             assert np.abs(G - G_ref).max() <= 1e-12 * G_ref[0].real + 1e-300
             assert np.abs(A - A_ref).max() <= 1e-12 * A_ref[0].real
             assert abs(grid.lag_sums(Gamma, n)[0][0] - G_ref[0]) <= 1e-12 * G_ref[0].real + 1e-300
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(0, 300),
+        width=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=300, width=33, seed=0)  # three column chunks, the last of one column
+    def test_sums_in_one_buffer_are_the_two_buffer_sums(self, n, width, seed):
+        # both weightings through one buffer, refilled, its tail zeroed and
+        # transformed in place: the bits of a new padded array and its
+        # transform per chunk of 16 columns and weighting
+        rng = np.random.default_rng(seed)
+        D = rng.normal(size=(n + 1, width)) + 1j * rng.normal(size=(n + 1, width))
+        q, w = rng.uniform(0.0, 1.0, (2, n + 1))
+        for new, old in zip(_autocorrelations(D, q, w), (autocorrelation(D, q), autocorrelation(D, w)), strict=True):
+            assert np.array_equal(new.view(float), old.view(float))
+
+    @pytest.mark.parametrize("width", [1, 9, 16, 40])
+    def test_sums_hold_one_buffer(self, width):
+        # the transient is one c x L buffer, c = min(16, width), and the
+        # L-long real vectors of the power sum: at most 64 B per entry of L
+        # (the sum, its two einsum terms and the half-length rfft, and
+        # numpy's temporaries for a single column); the two-buffer form
+        # held two such buffers at once
+        n = 3000
+        rng = np.random.default_rng(width)
+        D = rng.normal(size=(n + 1, width)) + 1j * rng.normal(size=(n + 1, width))
+        q, w = rng.uniform(0.0, 1.0, (2, n + 1))
+        L, c = _fast_length(2 * n + 1), min(16, width)
+        peaks = []
+        for sums in (lambda: _autocorrelations(D, q, w), lambda: (autocorrelation(D, q), autocorrelation(D, w))):
+            tracemalloc.start()
+            try:
+                sums()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 16 * c * L + 64 * L
+        if c > 1:
+            assert peaks[1] >= 2 * 16 * c * L
 
     def test_fast_length(self):
         smooth = [m for m in range(1, 4100) if m == 1 or max(_prime_factors(m)) <= 5]

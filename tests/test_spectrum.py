@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import astuple, fields
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from omtc.dynamics import (
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError
-from omtc.grid import RUN_KEYS
+from omtc.grid import RUN_KEYS, _fast_length
 from omtc.hilbert import build_space, ladder_operators
 from omtc.model import ModelParams, build_dissipators, build_hamiltonian, initial_state
 from omtc.spectrum import (
@@ -190,6 +191,49 @@ class TestChirpSweep:
         # absolute terms, not the column maximum
         assert np.all(np.abs(rate - rate_ref) <= 1e-12 * rate_abs)
         assert np.all(np.abs(counts - counts_ref) <= 1e-12 * counts_abs)
+
+    @settings(max_examples=20)
+    @given(
+        n=st.integers(1, 3000),
+        n_deltas=st.sampled_from([1, 2, 130, 1281]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_transforms_are_the_expression(self, n, n_deltas, seed):
+        # the FFTs transform x and the kernel in place, in the two buffers;
+        # the sums are those of the expression with new arrays, bit for bit
+        rng = np.random.default_rng(seed)
+        G, A = rng.normal(size=(2, n + 1)) + 1j * rng.normal(size=(2, n + 1))
+        grid, Gamma = SimpleNamespace(dt=0.02, kappa=0.3), 0.05
+        deltas = np.linspace(-8.0, 8.0, n_deltas) if n_deltas > 1 else np.array([0.7])
+        h, P = grid.dt, len(deltas)
+        w, L, m = _chirp((deltas[-1] - deltas[0]) / max(P - 1, 1) * h / 2, max(n, P)), _fast_length(n + P), np.arange(n + 1)
+        x, kernel = np.zeros((2, L), dtype=complex), np.zeros(L, dtype=complex)
+        x[:, : n + 1] = [G, np.exp(-Gamma * h * m) * A] * (np.exp(-1j * deltas[0] * h * m) * w[: n + 1].conj())
+        x[:, 0] *= 0.5
+        kernel[:P], kernel[L - n :] = w[:P], w[n:0:-1]
+        sums = (np.fft.ifft(np.fft.fft(x) * np.fft.fft(kernel))[:, :P] * w[:P].conj()).real
+        rate = 2.0 * grid.kappa * Gamma**2 * sums[0]
+        counts = grid.kappa * Gamma * sums[1] - rate / (2.0 * Gamma)
+        for new, old in zip(_evaluate(grid, deltas, Gamma, n, G, A), (rate, counts), strict=True):
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+    def test_arrays_grow_by_96_bytes_a_node(self):
+        # x (two rows) and the kernel, 48 B per entry of L >= n + P, the
+        # chirp w (16 B), the lags m (8 B) and the phase and decay of the
+        # lags (24 B); the FFTs add no array of their own.  Each length
+        # runs once first, so that numpy's FFT plans are cached
+        grid, deltas = SimpleNamespace(dt=0.02, kappa=0.3), np.linspace(-8.0, 8.0, 321)
+        peaks = []
+        for n in (16000, 32000):
+            G = A = np.ones(n + 1, dtype=complex)
+            _evaluate(grid, deltas, 0.01, n, G, A)
+            tracemalloc.start()
+            try:
+                _evaluate(grid, deltas, 0.01, n, G, A)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 100 * 16000
 
     def test_chirp_phases_to_roundoff(self):
         # at dt = 0.05 and a step of 100 / 190 the phase c j^2 reaches

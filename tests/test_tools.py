@@ -1,5 +1,6 @@
 """The helpers in tools/, run as a user runs them."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -105,13 +106,18 @@ def test_code_lines_counts_code_not_documentation(tmp_path):
     assert documented == {"wc": DOCUMENTED.count("\n"), "tokens": 6, "ast": 5, "docs": 7}
 
 
-def _records(directory: Path, commits: dict) -> Path:
-    """Result records of perfbench/run.py, reduced to what bench_summary reads, one per seed: commit."""
-    directory.mkdir()
+def _records(directory: Path, commits: dict, wall_s=None) -> Path:
+    """Result records of perfbench/run.py, reduced to what bench_summary reads, one per seed: commit.
+
+    Every metric reads 1.0, but wall_s, where given, {seed: value}.
+    """
+    directory.mkdir(parents=True)
     for seed, commit in commits.items():
+        metrics = dict.fromkeys(("wall_s", "cpu_s", "peak_rss_mib", "setup_s"), 1.0)
+        metrics["wall_s"] = (wall_s or {}).get(seed, 1.0)
         record = {"workload": "resweep", "seed": seed, "trace": 0, "seconds": 16,
                   "environment": {"git_commit": commit}, "ops": [{"ok": True}],
-                  "metrics": dict.fromkeys(("wall_s", "cpu_s", "peak_rss_mib", "setup_s"), 1.0)}
+                  "metrics": metrics}
         (directory / f"resweep-seed{seed}-trace0.json").write_text(json.dumps(record), encoding="utf-8")
     return directory
 
@@ -143,3 +149,48 @@ def test_bench_summary_refuses_one_commit_on_both_sides(tmp_path):
     proc = _bench_summary(parent, change)
     assert proc.returncode != 0
     assert "parent and change records both come from commit aaa111" in proc.stderr
+
+
+def _summary_of(tmp_path, parent_wall: list, change_wall: list) -> dict:
+    """bench_summary's resweep entry for paired wall_s values (seeds 1, 2, ..), every other metric level."""
+    spec = importlib.util.spec_from_file_location("bench_summary", ROOT / "tools" / "bench_summary.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sides = []
+    for side, commit, wall in (("parent", "aaa111", parent_wall), ("change", "bbb222", change_wall)):
+        seeds = range(1, len(wall) + 1)
+        sides.append(tool.load(_records(tmp_path / side, dict.fromkeys(seeds, commit), dict(zip(seeds, wall)))))
+    return tool.build(*sides)["workloads"]["resweep"]
+
+
+PARENT_WALL = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.0325
+
+
+def test_bench_summary_shows_a_gain(tmp_path):
+    # 20% lower in every pair: shown, and within the bound; every other
+    # metric is level, so neither shown nor out of bound
+    entry = _summary_of(tmp_path, PARENT_WALL, [0.8 * x for x in PARENT_WALL])
+    assert entry["wall_s"]["change_lower_in_pairs"] == 10
+    assert entry["wall_s"]["gain_shown"] and entry["wall_s"]["within_bound"]
+    assert not entry["cpu_s"]["gain_shown"] and entry["cpu_s"]["within_bound"]
+
+
+def test_bench_summary_gain_needs_nine_pairs_and_the_parents_spread(tmp_path):
+    # lower in 8 of 10 pairs by far more than the spread: not shown
+    eight = [0.8 * x for x in PARENT_WALL[:8]] + [1.1 * x for x in PARENT_WALL[8:]]
+    assert not _summary_of(tmp_path / "eight", PARENT_WALL, eight)["wall_s"]["gain_shown"]
+    # lower in every pair, but the medians 0.03 apart, inside the IQR
+    close = [x - 0.03 for x in PARENT_WALL]
+    entry = _summary_of(tmp_path / "close", PARENT_WALL, close)["wall_s"]
+    assert entry["change_lower_in_pairs"] == 10 and not entry["gain_shown"]
+    # 9 of 10 pairs and 0.2 apart: shown
+    nine = [0.8 * x for x in PARENT_WALL[:9]] + [1.1 * PARENT_WALL[9]]
+    assert _summary_of(tmp_path / "nine", PARENT_WALL, nine)["wall_s"]["gain_shown"]
+
+
+def test_bench_summary_within_bound(tmp_path):
+    # BENCHMARK.json bounds wall_s at 0.25: a median 24% higher is within
+    # it, 26% higher is not
+    for factor, within in ((1.24, True), (1.26, False)):
+        entry = _summary_of(tmp_path / str(factor), PARENT_WALL, [factor * x for x in PARENT_WALL])
+        assert entry["wall_s"]["within_bound"] is within and not entry["wall_s"]["gain_shown"]

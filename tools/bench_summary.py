@@ -12,9 +12,16 @@ so the records of each side must all carry one ``environment.git_commit``,
 and the two sides' commits must differ: run each side in a git checkout of
 its own commit, with a fresh results directory.  The output holds, per
 workload and side, the median and quartiles of every end-to-end metric
-over the untraced runs, the number of pairs the change won, the per-layer metrics
-of each side's traced runs with their spans of set-up and of the first
-SPAN_OPS operations, and each side's environment stamp.
+over the untraced runs, the number of pairs the change won, two verdicts,
+the per-layer metrics of each side's traced runs with their spans of
+set-up and of the first SPAN_OPS operations, and each side's environment
+stamp.  The verdicts, per workload and metric (every one lower-better):
+
+- ``gain_shown``: the change is lower in at least 9 of 10 pairs
+  (GAIN_PAIRS) and its median lies below the parent's by more than the parent's
+  interquartile range, what a claimed gain must show;
+- ``within_bound``: the change's median is at most the parent's times
+  1 + the metric's bound in BENCHMARK.json, what every metric must keep.
 With --north-star it also holds each side's ``tools/north_star.py`` output,
 the North-star point that the workloads are scaled down from.
 """
@@ -26,6 +33,10 @@ from pathlib import Path
 import numpy as np
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mib", "setup_s")
+#: pairs that the change must win for gain_shown, of so many: 9 of 10
+GAIN_PAIRS = (9, 10)
+#: BENCHMARK.json, whose end_to_end entries give each metric's bound
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 #: operations of a traced run whose spans are kept; a run makes hundreds
 SPAN_OPS = 3
 
@@ -62,8 +73,25 @@ def _head(spans: list) -> list:
     return spans[:cut]
 
 
+def bounds() -> dict:
+    """{metric: relative bound} of the end-to-end metrics in BENCHMARK.json."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def verdicts(old: list, new: list, bound: float) -> dict:
+    """gain_shown and within_bound (see the module docstring) of one metric's paired values."""
+    parent, change = summary(old), summary(new)
+    won = sum(b < a for a, b in zip(old, new))
+    return {
+        "gain_shown": bool(won * GAIN_PAIRS[1] >= GAIN_PAIRS[0] * len(old)
+                           and parent["median"] - change["median"] > parent["q3"] - parent["q1"]),
+        "within_bound": bool(change["median"] <= parent["median"] * (1.0 + bound)),
+    }
+
+
 def build(parent: dict, change: dict) -> dict:
-    workloads = {}
+    workloads, bound = {}, bounds()
     for workload in sorted({key[0] for key in parent}):
         seeds = sorted(s for w, s, t in parent if w == workload and t == 0
                        and (w, s, t) in change)
@@ -80,6 +108,7 @@ def build(parent: dict, change: dict) -> dict:
                 "parent": summary(old),
                 "change": summary(new),
                 "change_lower_in_pairs": sum(b < a for a, b in zip(old, new)),
+                **verdicts(old, new, bound[name]),
             }
         traced = {}
         for side, records in (("parent", parent), ("change", change)):
