@@ -38,18 +38,19 @@ before.
 
 Two methods step a sector: RK4 (the default), whose step is the
 polynomial r(h S) = 1 + h S + (h S)^2/2 + (h S)^3/6 + (h S)^4/24, and
-expm with E = exp(S dt).  Every pass steps row blocks of b nodes: a
-stepped pass yields one block at a time (grid._blocks), the elementwise
-passes of the D and spectral forms row groups of whole blocks
-(grid._elementwise_blocks, shared with the grid that makes X again from
-them), so that their readers work once per group.
+expm with E = exp(S dt).  Every pass, forward or adjoint, of every form
+and of evolve, and the grid that makes X again, draws its nodes from one
+generator, grid._row_groups: row groups of whole blocks of b nodes in one
+reused buffer, each block after the first stepped by its b-step (g^b,
+(E^b)^T) or node by node (sparse RK4), so that the readers work once per
+group.
 
 The two-time correlation C[j][k] = <a'(t_j) a(t_k)> (j >= k) follows
 from the quantum regression theorem: C[j][k] = Tr[a' Phi_{t_j-t_k}(a rho(t_k))].
 It is kept in one of two layouts (CorrelationGrid, grid.py), never as the
 O(n_t^2) triangle, and computed in one of three forms, each one object
-with one interface (sector, propagators, columns, grid_stage, b,
-form(node), blocks, state, readout, smoke, grid) that two_time_correlation
+with one interface (sector, propagators, columns, grid_stage, b, start,
+steps, state, readout, smoke, grid) that two_time_correlation
 runs through one loop and one smoke check against Taylor references built
 from S.  Without
 mechanical losses the readout sector is P x P and the operand sector
@@ -88,7 +89,7 @@ the readout sector itself.
   of basis is computed stepped instead.
 - Stepped U/X form (_SteppedForm), every other run: the same pairing,
   with X_k = a rho(t_k) from the forward pass and U_tau from the adjoint
-  pass, both stepped on the sector blocks by _SectorStepper.  They agree
+  pass, both stepped on the sector blocks by _sector_steps.  They agree
   to roundoff with one propagation per column because the adjoint of the
   RK4 step polynomial is the RK4 step of the adjoint generator.
 """
@@ -107,8 +108,8 @@ from .grid import (
     STEP_FACTOR_LIMIT,
     CorrelationGrid,
     _block_size,
-    _blocks,
-    _elementwise_blocks,
+    _elementwise_steps,
+    _row_groups,
     spectral_blocks,
 )
 from .model import Generator, SparseMatrix
@@ -366,50 +367,39 @@ def _power(E: np.ndarray, b: int) -> np.ndarray:
     return E
 
 
-class _SectorStepper:
-    """Steps of size dt on an invariant sector: x -> exp(B dt) x.
+def _sector_steps(block, dt: float, method: str, b: int = 1):
+    """(step, b-step) of size dt, x -> exp(B dt) x, on the invariant sector block B, for _row_groups.
 
     B is the real readout block (Hermitian coordinates and p) or, for the
-    Heisenberg pass, the adjoint of the complex operand block.  rk4 takes
-    four sparse matvecs per step, r(h B) x in Horner form; expm builds the dense E = exp(B dt) once
-    and E^b by log2 b squarings.  blocks() runs a pass b nodes at a time:
-    b sequential rk4 steps or, after the first expm block, one product with
-    E^b.  This steps any sector, for the stepped U/X form and evolve.
+    Heisenberg pass, the adjoint of the complex operand block, scipy CSR.
+    expm builds the dense E = exp(B dt) once, steps a node by E x and a
+    block Y by Y (E^b)^T, E^b by log2 b squarings.  rk4 steps r(h B) x in
+    Horner form, four sparse matvecs a node, with no b-step.
     """
+    if method == "expm":
+        from scipy import linalg  # imported here: rk4 runs never need it
 
-    def __init__(self, block, dt: float, method: str, adjoint: bool = False, b: int = 1):
-        if adjoint:
-            block = block.conj().T.tocsr()
-        self.dt, self.b = dt, b
-        if method == "expm":
-            from scipy import linalg  # imported here: rk4 runs never need it
+        E = linalg.expm(block.toarray() * dt)
+        power = _power(E, b).T
+        return (lambda x, out: np.matmul(E, x, out=out)), (lambda Y, out: np.matmul(Y, power, out=out))
 
-            self._B = linalg.expm(block.toarray() * dt)
-            self.power = _power(self._B, b)
-        else:
-            self._B, self.power = block, None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        B = self._B
-        if self.power is not None:
-            return B @ x
+    def step(x, out):
         y = x
         for k in (4, 3, 2, 1):  # r(h B) x in Horner form, as _rk4_factor
-            y = x + (self.dt / k) * (B @ y)
-        return y
+            y = x + (dt / k) * (block @ y)
+        out[...] = y
+        return out
 
-    def blocks(self, x0: np.ndarray, n: int):
-        """Yield x_0 .. x_{n-1} from x0 by _blocks: every rk4 block stepped, a later expm block Y (E^b)^T."""
-        power = self.power
-        return _blocks(x0, self, None if power is None else (lambda Y, rows: Y[:rows] @ power.T), n, self.b)
+    return step, None
+
+
+def _nodes(form, n: int):
+    """Nodes 0 .. n-1 of the form's forward pass, from its start by its steps (_row_groups)."""
+    return _row_groups(form.start, n, form.b, *form.steps)
 
 
 def _first_nodes(blocks, b: int) -> np.ndarray:
-    """Nodes 0 .. b of a pass, from its blocks(b + 1), copied into one array as each block is made.
-
-    blocks(b + 1) yields b nodes and then one: the last block of one node
-    is a group of its own in the elementwise passes too.
-    """
+    """Nodes 0 .. b of a pass, from its row groups of b + 1 nodes (b nodes, then one), copied into one array."""
     first = next(blocks)
     nodes = np.empty((b + 1, first.shape[1]), dtype=first.dtype)
     nodes[:b] = first
@@ -490,7 +480,8 @@ class _SeparableKernel:
     steps the |P| x s factor W alone.  With A = V diag(alpha) V^-1
     (_eigenbases), K_L = V diag(g) V^-1, g = exp(alpha dt), so
     W_k = V diag(g^k) E, E = V^-1 W_0: node k is the vector g^k alone, |P|
-    entries whatever s, stepped elementwise as the spectral form steps Z.
+    entries whatever s, stepped elementwise from ones by g and g^b, as the
+    spectral form steps Z.
     A factor |g| above STEP_FACTOR_LIMIT is a NumericalError at set-up.
     The pass carries no p, which is tr rho0 - tr W_k W_k^H.
 
@@ -519,16 +510,9 @@ class _SeparableKernel:
         self.F = (O.T[:, :, None] * E[:, None, :]).reshape(len(E), self.columns[1])
         self.M = None if N is None else ((V.conj().T @ N @ V) * (E.conj() @ E.T)).T
         self.dt, self.b = dt, b
+        self.start, self.steps = np.ones(len(self.g), dtype=complex), _elementwise_steps(self.g, b)
         self.phases = np.exp(1j * np.outer(np.arange(b) * dt, self.lam))
         self._W = V, E, np.trace(rho0).real
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The node one step after x."""
-        return x * self.g
-
-    def blocks(self, n: int):
-        """Yield g^0 .. g^(n-1) in row groups of whole blocks of b nodes (_elementwise_blocks)."""
-        return _elementwise_blocks(np.ones(len(self.g), dtype=complex), self.g, n, self.b)
 
     def state(self, x: np.ndarray):
         """(rho[P, P] = W W^H flattened, p = tr rho0 - tr W W^H) of the node x, W = V diag(x) E."""
@@ -549,7 +533,7 @@ class _SeparableKernel:
     def readout(self, n: int):
         """Yield what _dense_readout does per group: D rows, monitor values, traces None."""
         start = 0
-        for x in self.blocks(n):
+        for x in _nodes(self, n):
             # Re(conj(x) v) = x.re v.re + x.im v.im, summed over the float views
             m = None if self.M is None else np.einsum("ij,ij->i", x.view(float), (x @ self.M).view(float))
             yield self.rows(x, start), m, None
@@ -611,7 +595,8 @@ class _SpectralKernel:
         self.G = _rk4_factor(dt * (alpha[:, None] + alpha.conj())).reshape(-1)  # beta = conj(alpha)
         self.H = _rk4_factor(dt * (-1j * lam[:, None] + alpha.conj())).reshape(-1)
         _check_growth("RK4", dt, [self.G, self.H], "reduce dt")
-        self.Z0 = (V_inv @ rho0[np.ix_(P, P)] @ V_inv.conj().T).reshape(-1)
+        self.start = self.Z0 = (V_inv @ rho0[np.ix_(P, P)] @ V_inv.conj().T).reshape(-1)
+        self.steps = _elementwise_steps(self.G, b)
         self.M = U.conj().T @ a0 @ V
         self.N = self.M.conj().reshape(-1)
         self.resolution = self.paired(self.N[None])[0]  # X_k . N = Z_k . resolution
@@ -620,10 +605,6 @@ class _SpectralKernel:
         p = len(V)
         T = np.abs(self.N) @ (np.abs(self.M) @ np.abs(self.Z0).reshape(p, p)).reshape(-1)
         self.floor = np.finfo(float).eps * kappa**2 * T
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """The node one step after z."""
-        return z * self.G
 
     def state(self, z: np.ndarray):
         """(rho[P, P] = V Z V^H flattened, p = tr rho0 - tr rho[P, P]) of the eigen coordinates z."""
@@ -636,13 +617,9 @@ class _SpectralKernel:
         q, p = self.M.shape
         return np.matmul(self.M.T, U.reshape(len(U), q, p)).reshape(len(U), -1)
 
-    def blocks(self, n: int):
-        """Yield Z_0 .. Z_{n-1} in row groups of whole blocks of b nodes (_elementwise_blocks)."""
-        return _elementwise_blocks(self.Z0, self.G, n, self.b)
-
     def readout(self, n: int):
         """Yield per group the resolution column X_k . N (one column), monitor values, traces None."""
-        for Z in self.blocks(n):
+        for Z in _nodes(self, n):
             yield (Z @ self.resolution)[:, None], None if self.mon is None else (Z @ self.mon).real, None
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
@@ -710,7 +687,8 @@ def _kernel(gen, fwd: _ForwardSector, rho0: np.ndarray, a_mat, monitor, config: 
         keep = e > 1e-14 * top
         W = E[:, keep] * np.sqrt(e[keep])
     if W is None:  # N, H, M and a block of X; Z_0, G and a block of Z
-        _check_budget(config, 16, factors=16 * ((3 + b) * len(fwd.adj) + (2 + b) * len(P) ** 2))
+        factors = 16 * ((3 + b) * len(fwd.adj) + (2 + b) * len(P) ** 2)
+        _check_budget(config, 16, "resolution column", factors=factors)
     else:
         _check_budget(config, 16 * len(Q0) * W.shape[1])
     fwd.check_leak()
@@ -748,7 +726,7 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
     adjoint duality.  The references are steps of size dt by matvecs with S
     and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with four
     terms), or for expm the Taylor sum to roundoff.  Every form runs the
-    same checks on its nodes 0 .. b from its own blocks(): node 1 (state) on
+    same checks on its nodes 0 .. b from its own pass (_nodes): node 1 (state) on
     every entry but the dropped ones, and p against the reference's dropped
     diagonal sum, so the readout sector's closure, the form's block, factors
     or eigenbases and p are checked at runtime; node b, made by the power
@@ -783,7 +761,7 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
         return u
 
     b = form.b
-    nodes = _first_nodes(form.blocks(b + 1), b)
+    nodes = _first_nodes(_nodes(form, b + 1), b)
     rho, p = form.state(nodes[1])
     diff_f = -ref_f
     diff_f[fwd.index] += rho
@@ -799,7 +777,7 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
     diffs = [
         ("forward", diff_f),
         ("forward dropped-population", p - ref_f[fwd.dropped_diag].real.sum()),
-        ("forward E^b", nodes[b] - form(nodes[b - 1])),
+        ("forward E^b", nodes[b] - form.steps[0](nodes[b - 1], np.empty_like(nodes[b]))),
         *adjoint,
         (f"{form.propagators[1]} kernel", np.array(kernel)),
     ]
@@ -815,8 +793,8 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
     return worst
 
 
-def _dense_readout(step, herm: _HermitianCoordinates, rho0: np.ndarray, n: int, monitor=None, a_map=None):
-    """Yield (rows, monitor values, (traces, largest)) per block of the forward pass from rho0.
+def _dense_readout(groups, herm: _HermitianCoordinates, monitor=None, a_map=None):
+    """Yield (rows, monitor values, (traces, largest)) per row group of the stepped forward pass.
 
     Rows are the coordinates y of rho(t_k), or the operands a_map y; monitor
     values Re tr(N rho) = Re(N' V) y; traces the sum of the diagonal
@@ -827,16 +805,18 @@ def _dense_readout(step, herm: _HermitianCoordinates, rho0: np.ndarray, n: int, 
     sqrt(2 rho_ii rho_jj) <= tr rho / sqrt(2).
     """
     # Re(V^T m) = Re(V^H conj(m)) on its support, so that the sum has the same
-    # terms in the same order whatever else the sector holds
+    # terms in the same order whatever else the sector holds; einsum sums each
+    # row alone, where a real matrix-vector product rounds by the group's rows
     mon = None if monitor is None else herm.V.adjoint_dot(monitor.T.reshape(-1)[herm.index].conj()).real
     read = None if mon is None else np.flatnonzero(mon)
-    for Y in step.blocks(herm.coords(rho0), n):
-        yield ((Y if a_map is None else (a_map @ Y.T).T), None if mon is None else Y[:, read] @ mon[read],
-               (Y[:, : herm.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1)))
+    for Y in groups:
+        m = None if mon is None else np.einsum("ij,j->i", Y[:, read], mon[read])
+        rows = Y if a_map is None else (a_map @ Y.T).T
+        yield rows, m, (Y[:, : herm.n_diag].sum(axis=1) + Y[:, -1], np.abs(Y).max(axis=1))
 
 
 class _SteppedForm:
-    """The stepped U/X form: both passes stepped on the sector blocks by _SectorStepper.
+    """The stepped U/X form: both passes stepped on the sector blocks by the steps of _sector_steps.
 
     The forward pass steps (y, p) on the readout sector, in the Hermitian
     coordinates built and checked first, guarded by the trace checks of
@@ -853,43 +833,35 @@ class _SteppedForm:
         self.herm = herm = _HermitianCoordinates(fwd)
         self.sector, adj = fwd, fwd.adj
         _check_budget(config, 32 * len(adj), dense=((len(fwd.index) + 1, 8), (len(adj), 16)))
-        self.rho0, self.monitor, self.b = rho0, monitor, b
+        self.start, self.monitor, self.b = herm.coords(rho0), monitor, b
         self.propagators = ("dense" if config.method == "expm" else "rk4",) * 2
-        self.forward = _SectorStepper(herm.block, config.dt, config.method, b=b)
+        self.steps = _sector_steps(herm.block, config.dt, config.method, b)
         a_map = SparseMatrix.from_entries(*fwd.a_entries, (len(adj), len(fwd.index)))
         self.a_map = (_scipy(a_map) @ _scipy(herm.V)).tocsr()
-        self.adjoint = _SectorStepper(_scipy(fwd.Sa), config.dt, config.method, adjoint=True, b=b)
+        self.adjoint = _sector_steps(_scipy(fwd.Sa).conj().T.tocsr(), config.dt, config.method, b)
         self.a, self.a_mat = a_mat.reshape(-1)[adj], a_mat
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """The node one step after y."""
-        return self.forward(y)
-
-    def blocks(self, n: int):
-        """Yield the coordinates (y, p) of rho(t_0) .. rho(t_{n-1}) as row blocks of b nodes."""
-        return self.forward.blocks(self.herm.coords(self.rho0), n)
 
     def state(self, y: np.ndarray):
         """(vec(rho)[index], p) of the coordinates y."""
         return self.herm.V.dot(y), y[-1]
 
     def readout(self, n: int):
-        """Yield the operands a_map y, monitor values and trace checks per block (_dense_readout)."""
-        return _dense_readout(self.forward, self.herm, self.rho0, n, self.monitor, self.a_map)
+        """Yield the operands a_map y, monitor values and trace checks per row group (_dense_readout)."""
+        return _dense_readout(_nodes(self, n), self.herm, self.monitor, self.a_map)
 
     def smoke(self, nodes: np.ndarray, u1: np.ndarray):
         """C(j, k) = U_{j-k}^H a_map y_k of the nodes 0 .. b, the adjoint checks and a_map.
 
-        U_0 .. U_b come from the adjoint pass's own blocks(): U_1 against the
+        U_0 .. U_b come from the adjoint pass's own row groups: U_1 against the
         reference step u1 of a, U_b against U_{b-1} stepped once.  The
         operands a_map y_b of node b, where b steps have reached the
         coordinates that one leaves near zero, against vec(a rho)[adj] for
         its state rho, under the kernel check's name.
         """
-        U = _first_nodes(self.adjoint.blocks(self.a, self.b + 1), self.b)
+        U = _first_nodes(_row_groups(self.a, self.b + 1, self.b, *self.adjoint), self.b)
         X = (self.a_map @ nodes[[0, 1, self.b]].T).T
         operands = X[2] - (self.a_mat @ self.herm.matrix(nodes[-1])).reshape(-1)[self.sector.adj]
-        adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint(U[-2])),
+        adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint[0](U[-2], np.empty_like(u1))),
                    (f"{self.propagators[1]} kernel", operands)]
         return (lambda j, k: np.vdot(U[j - k], X[k])), adjoint
 
@@ -900,10 +872,11 @@ class _SteppedForm:
         Tr[U' X], so the stack holds conj(U); the operand sector is invariant
         under L, so the adjoint restricted to it is exact on the pairing.
         """
-        del self.forward  # the forward propagators are not needed by the adjoint pass
-        Uc = np.empty_like(X)
-        for start, U in zip(range(0, len(X), self.b), self.adjoint.blocks(self.a, len(X))):
-            np.conjugate(U, out=Uc[start : start + len(U)])
+        del self.steps  # the forward propagators are not needed by the adjoint pass
+        Uc, at = np.empty_like(X), 0
+        for U in _row_groups(self.a, len(X), self.b, *self.adjoint):
+            np.conjugate(U, out=Uc[at : at + len(U)])
+            at += len(U)
         return {"U": Uc, "X": X}
 
 
@@ -976,29 +949,28 @@ def _forward_stack(form, config: EvolutionConfig):
     return X[:n_t], residual
 
 
-def _check_budget(config: EvolutionConfig, node_bytes: int, dense=(), factors: int = 0) -> None:
+def _check_budget(config: EvolutionConfig, node_bytes: int, stack="factor stacks", dense=(), factors=0) -> None:
     """NumericalError, before anything large is allocated, above max_grid_bytes.
 
-    Counts the stacks over the full t_max, node_bytes per node (32 |R_a|
-    for U and X, 16 |Q0| s for D, 16 for the spectral form's resolution
-    column), the factors bytes that do not grow with t_max (the spectral
+    Counts the stack, named so in the message, over the full t_max,
+    node_bytes per node (32 |R_a| for U and X, 16 |Q0| s for D, 16 for the
+    spectral form's resolution column, 16 d^2 for the states evolve
+    returns), the factors bytes that do not grow with t_max (the spectral
     form's eigen factors and its row blocks), and for expm the dense
     propagators of the stepped passes and their b-th powers: 2 itemsize n^2
     bytes per block, given as (n, itemsize) (8 for the real forward block,
     n = |R_f| + 1 with p; 16 for the complex adjoint one).  The D and
     spectral forms step elementwise and build no propagator.  Not counted:
-    the row blocks of the stepped form, b |R| entries, and the row groups
-    of the D form (and the spectral form's beyond the block it counts), at
-    most grid.GROUP_BYTES of nodes or one block, with the D rows and
-    monitor products read from them.  Called once per form: by _kernel for the
-    D and spectral forms, by _SteppedForm and by evolve.  Method rk4 is
-    advised only where dense blocks count.
+    the row groups of every pass (grid._row_groups), at most GROUP_BYTES
+    of nodes or one block, with the rows and monitor products read from
+    them.  Called once per form: by _kernel for the D and spectral forms,
+    by _SteppedForm and by evolve.  Method rk4 is advised only where dense
+    blocks count.
     """
     stack_bytes = config.n_max * node_bytes
     dense_bytes = sum(2 * itemsize * n**2 for n, itemsize in dense) if config.method == "expm" else 0
     total = stack_bytes + factors + dense_bytes
     if total > config.max_grid_bytes:
-        stack = "resolution column" if factors else "factor stacks"
         terms = [f"{stack} {stack_bytes / 2**20:.1f} MiB for n_t <= {config.n_max}"]
         advice = "a coarser dt or a shorter t_max"
         if factors:
@@ -1039,15 +1011,17 @@ def evolve(
     (step-size instability or a leaking truncation).  The states are
     whole, so the whole forward sector is propagated, in Hermitian
     coordinates (_HermitianCoordinates, whose checks run first).  rho0 must
-    be Hermitian; for expm the dense forward propagator and its b-th power
-    are checked against max_grid_bytes before they are built.
+    be Hermitian.  The states, 16 d^2 bytes each over t_max, and for expm
+    the dense forward propagator and its b-th power are checked against
+    max_grid_bytes before the first step.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     herm = _HermitianCoordinates(_ForwardSector(gen.superoperator(), rho0))
-    _check_budget(config, 0, dense=((len(herm.index) + 1, 8),))
-    step = _SectorStepper(herm.block, config.dt, config.method, b=_block_size(config.n_max))
+    _check_budget(config, 16 * herm.dim**2, "states", dense=((len(herm.index) + 1, 8),))
+    b = _block_size(config.n_max)
+    groups = _row_groups(herm.coords(rho0), config.n_max, b, *_sector_steps(herm.block, config.dt, config.method, b))
     states, mvals = [], []
-    for Y, residuals in _forward(_dense_readout(step, herm, rho0, config.n_max, monitor), config):
+    for Y, residuals in _forward(_dense_readout(groups, herm, monitor), config):
         states.extend(herm.matrix(y) for y in Y)
         if residuals is not None:
             mvals.extend(residuals)

@@ -7,7 +7,7 @@ H of U[tau] = N o H^tau instead of U, and makes each block of U rows as the
 pass reads it (adjoint_blocks).  A computed spectral grid keeps no stack at
 all: X[k] = M (Z_0 o G^k) comes from M, Z_0, G and the forward pass's block
 length b, made one row group of that pass at a time as the lag sums read
-it (operand_blocks, _elementwise_blocks), with the bits the forward pass
+it (operand_blocks, _row_groups), with the bits the forward pass
 would have stored.  A loaded U/X or spectral grid keeps no stack either:
 it reads the rows of its stored X (and U) from the dump as the pass asks
 for them, into one reused buffer of a block (_DumpedStack), and refuses a
@@ -48,7 +48,7 @@ RUN_KEYS = ("forward_sector", "adjoint_sector", "propagator", "columns", "smoke_
 
 #: spans whose first rows spectral_blocks makes at a time
 SPAN_CHUNK = 8
-#: bytes of the row groups that _elementwise_blocks yields, each whole
+#: bytes of the row groups that _row_groups yields, each whole
 #: blocks of b nodes (one block where a block alone is larger)
 GROUP_BYTES = 1 << 17
 #: columns of D that _autocorrelations transforms at a time
@@ -130,15 +130,6 @@ def _squared_powers(g: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
-def _power_table(g: np.ndarray, b: int) -> np.ndarray:
-    """The b rows g^0 .. g^(b-1) elementwise, by cumulative products."""
-    table = np.empty((b, len(g)), dtype=complex)
-    table[0] = 1.0
-    for i in range(1, b):
-        np.multiply(table[i - 1], g, out=table[i])
-    return table
-
-
 def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
     """Yield the rows U[lo:hi] of U[tau] = N o H^tau for each (lo, hi) of spans.
 
@@ -146,13 +137,15 @@ def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
     for SPAN_CHUNK spans at a time, so that the starts held do not grow
     with n_t (a row of two or more entries has the same bits in any chunk;
     numpy multiplies a one-column stack as one vector, whose SIMD body and
-    tail round apart), H^i from one _power_table as long as the longest
-    span.  N o H^0 is N itself.  Every block is a view of one buffer, which
-    the next block overwrites, so the table and that buffer are the two
-    blocks held, with the starts of one chunk.
+    tail round apart), H^i from the first block, as long as the longest
+    span, of a pass from ones by H (_row_groups).  N o H^0 is N itself.
+    Every block is a view of one buffer, which the next block overwrites,
+    so the table and that buffer are the two blocks held, with the starts
+    of one chunk.
     """
     spans = list(spans)
-    table = _power_table(H, max(hi - lo for lo, hi in spans))
+    b = max(hi - lo for lo, hi in spans)
+    table = next(_row_groups(np.ones(len(H), dtype=complex), b, b, _times(H)))
     out = np.empty_like(table)
     for at in range(0, len(spans), SPAN_CHUNK):
         chunk = spans[at : at + SPAN_CHUNK]
@@ -163,38 +156,28 @@ def spectral_blocks(N: np.ndarray, H: np.ndarray, spans):
         del starts, start  # freed before the next chunk's are made
 
 
-def _blocks(x0: np.ndarray, step, advance, n: int, b: int):
-    """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), as row blocks of b nodes; the last may be shorter.
-
-    The first block is stepped node by node, and so is a later one without
-    advance; with it, a later block is advance(Y, rows), each row b steps
-    on from the same row of the block Y before (in place for the
-    elementwise forms).
-    """
-    Y = None
-    for start in range(0, n, b):
-        rows = min(b, n - start)
-        if Y is not None and advance is not None:
-            Y = advance(Y, rows)
-        else:
-            x = x0 if Y is None else step(Y[-1])
-            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
-            Y[0] = x
-            for i in range(1, rows):
-                Y[i] = step(Y[i - 1])
-        yield Y
-
-
 def _elementwise_power(g: np.ndarray, b: int) -> np.ndarray:
     """g^b elementwise, the factor that steps a block of b nodes."""
     return g**b
 
 
-def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
-    """Yield x0 g^k (elementwise) for k = 0 .. n-1 in row groups of whole blocks of b nodes.
+def _times(g: np.ndarray):
+    """The elementwise step x o g, into out."""
+    return lambda x, out: np.multiply(x, g, out=out)
 
-    The first block is stepped node by node, and every later one is the
-    block before times g^b, a product of the block's own shape, so a node
+
+def _elementwise_steps(g: np.ndarray, b: int):
+    """(step, b-step) of the pass x_k = x_0 o g^k for _row_groups: products by g and by g^b."""
+    return _times(g), _times(_elementwise_power(g, b))
+
+
+def _row_groups(x0: np.ndarray, n: int, b: int, step, advance=None):
+    """Yield the nodes x_0 .. x_{n-1} of a pass from x0 in row groups of whole blocks of b nodes.
+
+    step(x, out) writes the node after x into out.  The first block is
+    stepped node by node, and so is a later one without advance (sparse
+    RK4); with it, a later block is advance(Y, out) of the block Y before,
+    a product of the block's own shape (by g^b, or by (E^b)^T), so a node
     has the bits of a pass that steps one block at a time.  A group holds
     as many blocks as fit in GROUP_BYTES, at least one, and the readers
     work once per group.  A block of one row (b = 1, or a last block of one
@@ -205,19 +188,23 @@ def _elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
     """
     if n < 1:
         return
-    power = _elementwise_power(g, b)
     per = b * max(1, GROUP_BYTES // max(b * x0.nbytes, 1)) if b > 1 else 1
     Y = np.empty((min(per, n), len(x0)), dtype=x0.dtype)
-    rows = at = min(b, n)  # the last block made is Y[at - rows : at]
-    Y[0] = x0
-    for i in range(1, rows):
-        np.multiply(Y[i - 1], g, out=Y[i])
-    for start in range(b, n, b):
-        last, rows = Y[at - rows : at], min(b, n - start)
-        if at + rows > len(Y) or rows == 1:
-            yield Y[:at]
-            at = 0
-        np.multiply(last[:rows], power, out=Y[at : at + rows])
+    Y[0], at = x0, 0  # Y[:at] holds the blocks made
+    for start in range(0, n, b):
+        rows = min(b, n - start)
+        if start:
+            last = Y[at - b : at]
+            if at + rows > len(Y) or rows == 1:
+                yield Y[:at]
+                at = 0
+            if advance is not None:
+                advance(last[:rows], Y[at : at + rows])
+                at += rows
+                continue
+            step(last[-1], Y[at])
+        for i in range(at + 1, at + rows):
+            step(Y[i - 1], Y[i])
         at += rows
     yield Y[:at]
 
@@ -396,7 +383,7 @@ class CorrelationGrid:
         Slices of a stored X (read from the dump for a loaded grid, each
         block a view of one reused buffer), or for a computed spectral grid
         rows made as they are read: the forward pass's row groups of whole
-        blocks of b nodes Z0 o G^k (_elementwise_blocks), up to n_t, each
+        blocks of b nodes Z0 o G^k (_row_groups), up to n_t, each
         times M (_operands), cut to the spans (_sliced).  So a row's bits do
         not depend on the spans, and they are those the pass stored (but for
         rows of one entry in a last block that the pass made longer: numpy
@@ -408,7 +395,8 @@ class CorrelationGrid:
         spans = list(spans)
         b = self.b
         n = min(self.n_t, -(-max((hi for _, hi in spans), default=0) // b) * b)
-        return _sliced(lambda: (_operands(self.M, Z) for Z in _elementwise_blocks(self.Z0, self.G, n, b)), spans)
+        steps = _elementwise_steps(self.G, b)
+        return _sliced(lambda: (_operands(self.M, Z) for Z in _row_groups(self.Z0, n, b, *steps)), spans)
 
     def lag_sums(self, Gamma: float, n: int):
         """Per-lag sums (G, A) of the filter-weighted triangle on [0, t_n].

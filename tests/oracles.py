@@ -9,9 +9,9 @@ at a time, the Hamiltonian as sparse products, the superoperator as a sum
 of scipy Kronecker products, sector blocks and closures by scipy
 indexing and matvecs, and entries, columns and the full matrix of the grid
 in either form.  to_scipy and from_scipy convert a SparseMatrix for the
-tests that index or perturb it.  elementwise_blocks and autocorrelation
-are the passes that the row groups and the in-place FFT buffer of
-omtc.grid replace: one block of b nodes, and one fresh pair of arrays per
+tests that index or perturb it.  block_pass and autocorrelation are the
+passes that the row groups and the in-place FFT buffer of omtc.grid
+replace: one new block of b nodes, and one fresh pair of arrays per
 column chunk, at a time.
 """
 
@@ -169,22 +169,29 @@ def grid_dense(grid) -> np.ndarray:
     return out
 
 
-def elementwise_blocks(x0: np.ndarray, g: np.ndarray, n: int, b: int):
-    """Yield x0 g^k (elementwise) for k = 0 .. n-1 one row block of b nodes at a time.
+def elementwise_steps(g: np.ndarray, b: int):
+    """(step, b-step) of the elementwise pass x_k = x_0 o g^k for block_pass: products by g and by g^b."""
+    power = g**b
+    return (lambda x, out: np.multiply(x, g, out=out)), (lambda Y, out: np.multiply(Y, power, out=out))
 
-    The first block node by node, every later one the block before times
-    g^b, in place: all blocks are views of one buffer.
+
+def block_pass(x0: np.ndarray, n: int, b: int, step, advance=None):
+    """Yield x_0 .. x_{n-1}, x_{k+1} = step(x_k), one new row block of b nodes at a time, as grid._row_groups steps them.
+
+    step(x, out) and advance(Y, out) write into out.  The first block node
+    by node, every later one by advance from the block before, or node by
+    node without it.
     """
-    power, Y = g**b, None
+    Y = None
     for start in range(0, n, b):
-        rows = min(b, n - start)
-        if Y is None:
-            Y = np.empty((rows, len(x0)), dtype=x0.dtype)
-            Y[0] = x0
-            for i in range(1, rows):
-                Y[i] = Y[i - 1] * g
+        out = np.empty((min(b, n - start), len(x0)), dtype=x0.dtype)
+        if Y is not None and advance is not None:
+            advance(Y[: len(out)], out)
         else:
-            Y = np.multiply(Y[:rows], power, out=Y[:rows])
+            out[0] = x0 if Y is None else step(Y[-1], np.empty_like(x0))
+            for i in range(1, len(out)):
+                step(out[i - 1], out[i])
+        Y = out
         yield Y
 
 

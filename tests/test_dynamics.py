@@ -13,8 +13,9 @@ from conftest import model_points
 from oracles import (
     autocorrelation,
     block_oracle,
+    block_pass,
     closure_oracle,
-    elementwise_blocks,
+    elementwise_steps,
     from_scipy,
     adjoint_stack,
     grid_column,
@@ -38,23 +39,25 @@ from omtc.dynamics import (
     Generator,
     _closure,
     _eigenbases,
-    _elementwise_blocks,
+    _first_nodes,
     _ForwardSector,
     _forward_stack,
     _HermitianCoordinates,
     _kernel,
     _kronecker_factors,
+    _nodes,
     _rk4_factor,
-    _SectorStepper,
+    _sector_steps,
     _SeparableKernel,
     _SpectralKernel,
+    _SteppedForm,
     _taylor_step,
     check_step_size,
     evolve,
     two_time_correlation,
 )
 from omtc.errors import ConfigurationError, NumericalError
-from omtc.grid import _autocorrelations, _fast_length, _operands, _trapezoid_weights, spectral_blocks
+from omtc.grid import _autocorrelations, _fast_length, _operands, _row_groups, _trapezoid_weights, spectral_blocks
 from omtc.hilbert import build_space, ladder_operators, optical_excitation_operator
 from omtc.model import (
     ModelParams,
@@ -70,6 +73,11 @@ def _random_rho(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def _step(steps, x):
+    """The node after x by a pass's one-step function steps[0], into a new array."""
+    return steps[0](x, np.empty_like(x))
 
 
 def _damped_cavity(kappa=0.2, N_m=0):
@@ -346,6 +354,26 @@ class TestEvolve:
             evolve(rho0, gen, cfg)
         cfg = EvolutionConfig(dt=0.02, t_max=0.2, method="rk4", max_grid_bytes=100000)
         assert len(evolve(rho0, gen, cfg).states) == 11
+
+    def test_states_budget_checked_before_the_first_step(self, monkeypatch):
+        # evolve returns every state, 16 d^2 = 2304 B at N_m = 2 (d = 12),
+        # counted over t_max: 51 nodes need 117504 B, above a 100 kB budget,
+        # so rk4, which builds no dense block, is refused before a step is
+        # built; 41 nodes fit
+        p = ModelParams(gamma_M=0.05)
+        space = build_space(1, 2, excitation_cap=1)
+        gen = Generator(build_hamiltonian(p, space), build_dissipators(p, space))
+        rho0 = initial_state(p, space)
+
+        def not_yet(*args, **kwargs):
+            raise AssertionError("a step was built before the budget check")
+
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, method="rk4", max_grid_bytes=100000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omtc.dynamics._sector_steps", not_yet)
+            with pytest.raises(NumericalError, match=r"\(states 0.1 MiB for n_t <= 51\), above the 0.1 MiB"):
+                evolve(rho0, gen, cfg)
+        assert len(evolve(rho0, gen, replace(cfg, t_max=0.8)).states) == 41
 
 
 class TestBackends:
@@ -908,7 +936,7 @@ class TestHermitianCoordinates:
         from omtc import dynamics
 
         space = build_space(1, 2, excitation_cap=1)
-        build, step = dynamics._HermitianCoordinates.__init__, dynamics._SectorStepper.__init__
+        build, steps = dynamics._HermitianCoordinates.__init__, dynamics._sector_steps
         events = []
 
         def refuse(*args):
@@ -918,9 +946,9 @@ class TestHermitianCoordinates:
             build(self, *args)
             events.append("coordinates")
 
-        def stepper(self, *args, **kwargs):
+        def stepper(*args, **kwargs):
             events.append("stepper")
-            step(self, *args, **kwargs)
+            return steps(*args, **kwargs)
 
         for gamma_M, method in itertools.product((0.0, 0.05), ("expm", "rk4")):
             rho0, gen, cfg, a, mon = _correlation_point(
@@ -928,7 +956,7 @@ class TestHermitianCoordinates:
                 method=method,
             )
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr("omtc.dynamics._SectorStepper.__init__", stepper)
+                mp.setattr("omtc.dynamics._sector_steps", stepper)
                 mp.setattr("omtc.dynamics._HermitianCoordinates.__init__", built if gamma_M else refuse)
                 events.clear()
                 grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
@@ -961,7 +989,7 @@ class TestHermitianCoordinates:
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the Hermiticity check")
 
-        monkeypatch.setattr("omtc.dynamics._SectorStepper.__init__", no_stepper)
+        monkeypatch.setattr("omtc.dynamics._sector_steps", no_stepper)
         with pytest.raises(NumericalError, match="does not preserve Hermiticity"):
             _run(run, rho0, NonHermitian(), space)
 
@@ -988,8 +1016,8 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
     a_map.eliminate_zeros()
     adj = closure_oracle(S, np.flatnonzero(a_map.getnnz(axis=1)))
     a_map = (a_map[adj] @ to_scipy(herm.V)).tocsr()
-    step = _SectorStepper(herm.block, config.dt, config.method)
-    adjoint_step = _SectorStepper(block_oracle(S, adj), config.dt, config.method, adjoint=True)
+    step = _sector_steps(herm.block, config.dt, config.method)
+    adjoint_step = _sector_steps(block_oracle(S, adj).conj().T.tocsr(), config.dt, config.method)
     mon = None
     if monitor is not None:
         mon = (to_scipy(herm.V).T @ np.asarray(monitor).T.reshape(-1)[herm.index]).real
@@ -1004,11 +1032,11 @@ def _sequential_correlation(rho0, gen, config, a_op, monitor=None):
         residual = None if mon is None else mon @ y
         if residual is not None and residual < config.leak_tolerance and k > 0:
             break
-        y = step(y)
+        y = _step(step, y)
     U, Uc = a_mat.reshape(-1)[adj], []
     for _ in operands:
         Uc.append(np.conj(U))
-        U = adjoint_step(U)
+        U = _step(adjoint_step, U)
     return CorrelationGrid(
         dt=config.dt, U=np.array(Uc), X=np.array(operands), residual_excitation=residual
     )
@@ -1226,10 +1254,10 @@ class TestReadoutSector:
         assert (len(fwd.index), len(fwd.dropped)) == (n_1**2, (space.N_m + 1) ** 2)
         # p follows the full sector's dropped diagonal step by step
         kept, whole = _HermitianCoordinates(fwd), _HermitianCoordinates(full)
-        steps = [_SectorStepper(s.block, 0.02, method) for s in (kept, whole)]
+        steps = [_sector_steps(s.block, 0.02, method) for s in (kept, whole)]
         y, z = kept.coords(rho0), whole.coords(rho0)
         for _ in range(20):
-            y, z = steps[0](y), steps[1](z)
+            y, z = _step(steps[0], y), _step(steps[1], z)
             rho = whole.matrix(z).reshape(-1)
             assert abs(y[-1] - rho[fwd.dropped_diag].sum().real) <= 1e-12
             assert np.abs(kept.matrix(y).reshape(-1)[fwd.index] - rho[fwd.index]).max() <= 1e-12
@@ -1304,7 +1332,8 @@ class TestReadoutSector:
         def no_stepper(*args, **kwargs):
             raise AssertionError("a stepper was built before the trace check")
 
-        for name in ("_SectorStepper", "_SeparableKernel", "_SpectralKernel"):
+        monkeypatch.setattr("omtc.dynamics._sector_steps", no_stepper)
+        for name in ("_SeparableKernel", "_SpectralKernel"):
             monkeypatch.setattr(f"omtc.dynamics.{name}.__init__", no_stepper)
         for gamma_M, method in ((0.05, "rk4"), (0.0, "rk4"), (0.0, "expm")):
             p = ModelParams(gamma_M=gamma_M, Mbar=0.02)
@@ -1375,7 +1404,7 @@ def _d_form(space, gen, rho0, monitor=None):
 
 def _factored_nodes(form, n):
     """The nodes g^0 .. g^(n-1) of the D form's forward pass, one row per node."""
-    return np.concatenate([x.copy() for x in form.blocks(n)])  # the blocks share a buffer
+    return np.concatenate([x.copy() for x in _nodes(form, n)])  # the groups share a buffer
 
 
 def _factored_matrix(form, x):
@@ -1685,11 +1714,11 @@ class TestFactoredPropagator:
         fwd.check_trace_rows()
         factored = _d_form(space, gen, rho0)
         herm = _HermitianCoordinates(fwd)
-        dense = _SectorStepper(herm.block, 0.02, "expm", b=4)
+        dense = _sector_steps(herm.block, 0.02, "expm", 4)
         # the D form carries rho[P, P] as W W^H and p as tr rho0 - tr W W^H;
         # from node 4 on both passes step a block by the 4th power
         nodes = _factored_nodes(factored, 21)
-        Z = np.concatenate(list(dense.blocks(herm.coords(rho0), 21)))
+        Z = np.concatenate([Y.copy() for Y in _row_groups(herm.coords(rho0), 21, 4, *dense)])  # one buffer
         assert Z[0, -1] == pytest.approx(0.2)
         for k, z in enumerate(Z):
             X, p = factored.state(nodes[k])
@@ -1697,7 +1726,7 @@ class TestFactoredPropagator:
             assert abs(p - z[-1]) <= 1e-13
         x, z = nodes[0], Z[0]
         for _ in range(20):  # node by node
-            x, z = factored(x), dense(z)
+            x, z = _step(factored.steps, x), _step(dense, z)
             assert np.abs(factored.state(x)[0] - herm.V.dot(z)).max() <= 1e-13
 
     def test_growing_step_rejected_at_set_up(self, monkeypatch):
@@ -1737,9 +1766,9 @@ class TestFactoredPropagator:
         bases = _eigenbases(((A, B), (np.zeros((1, 1)), None)))
         form = _SeparableKernel(None, bases, W, np.zeros((1, d)), X, None, 0.05)
         exact = linalg.expm(to_scipy(S).toarray() * 0.05) @ X.reshape(-1)
-        x0 = np.ones(d)  # node 0, g^0
+        x0 = form.start  # node 0, g^0: ones
         assert np.abs(_factored_matrix(form, x0) - X).max() <= 1e-13 * np.abs(X).max()
-        assert np.abs(form.state(form(x0))[0] - exact).max() <= 1e-13 * np.abs(X).max()
+        assert np.abs(form.state(_step(form.steps, x0))[0] - exact).max() <= 1e-13 * np.abs(X).max()
 
     def test_kronecker_factors_need_a_product_sector(self):
         # rho_11 is the product P x P of the 9 one-excitation states, and
@@ -1922,9 +1951,9 @@ class TestSpectralKernel:
         # Taylor terms of _taylor_step
         w = np.array([-0.3 + 2.0j, -1.0, 0.5j])
         x = np.array([1.0, 2.0 - 1.0j, 0.5j])
-        stepper = _SectorStepper(sparse.csr_matrix(np.diag(w)), 0.05, "rk4")
+        steps = _sector_steps(sparse.csr_matrix(np.diag(w)), 0.05, "rk4")
         expected = _rk4_factor(0.05 * w) * x
-        assert np.abs(stepper(x) - expected).max() <= 1e-15
+        assert steps[1] is None and np.abs(_step(steps, x) - expected).max() <= 1e-15
         assert np.abs(_taylor_step(lambda v: w * v, x, 0.05, terms=4) - expected).max() <= 1e-15
 
 
@@ -1938,25 +1967,40 @@ def _spectral_factors(rng, width):
 
 
 class TestSpectralRows:
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(
+        kind=st.sampled_from(["elementwise", "dense", "sparse"]),
         n=st.integers(1, 400),
         b=st.sampled_from([1, 2, 8, 16, 64]),
         at=st.floats(0.0, 1.0),
         width=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=100, b=16, at=0.0, width=3, seed=1)  # lo = 0
-    @example(n=100, b=16, at=1.0, width=3, seed=2)  # the short last block, rows 96 .. 99
-    def test_rows_match_elementwise_blocks(self, n, b, at, width, seed):
+    @example(kind="elementwise", n=100, b=16, at=0.0, width=3, seed=1)  # lo = 0
+    @example(kind="elementwise", n=100, b=16, at=1.0, width=3, seed=2)  # the short last block, rows 96 .. 99
+    @example(kind="dense", n=100, b=16, at=1.0, width=3, seed=3)
+    @example(kind="sparse", n=100, b=16, at=1.0, width=3, seed=4)
+    def test_rows_match_elementwise_blocks(self, kind, n, b, at, width, seed):
         # the accessor's (N o H^lo) o H^i, H^lo by squaring, against the
-        # stack that _elementwise_blocks steps by H^b block by block, to
-        # roundoff: both carry about tau eps relative error in row tau, and
-        # |U| <= |N|.  So do the grid's rows, and a block at lo = 0 starts
-        # at N itself.
+        # stack that _row_groups steps from N, to roundoff: both carry about
+        # tau eps relative error in row tau, and |U| <= |N|.  The stack is
+        # stepped by H and H^b (elementwise), by the dense E = diag(H) of
+        # expm (B = diag(log H) / h) and E^b, or node by node by the sparse
+        # RK4 step of a diagonal B, whose step factors r(h B) are then H.
+        # So do the grid's rows, and a block at lo = 0 starts at N itself.
         rng = np.random.default_rng(seed)
         N, H = _spectral_factors(rng, width)
-        stack = np.concatenate([Y.copy() for Y in _elementwise_blocks(N, H, n, b)])
+        if kind == "elementwise":
+            steps = elementwise_steps(H, b)
+        else:
+            if kind == "sparse":  # h w inside RK4's stability region, one w = 0
+                w = 20.0 * (rng.uniform(-1.0, 0.0, width) + 1j * rng.uniform(-1.0, 1.0, width))
+                w[0] = 0.0
+                H = _rk4_factor(0.05 * w)
+            else:
+                w = np.log(H) / 0.05
+            steps = _sector_steps(sparse.csr_matrix(np.diag(w)), 0.05, "expm" if kind == "dense" else "rk4", b)
+        stack = np.concatenate([Y.copy() for Y in _row_groups(N, n, b, *steps)])  # views of one buffer
         lo = b * int(at * ((n - 1) // b))
         hi = min(lo + b, n)
         spans = [(lo, hi), (0, min(b, n))]  # the table is b rows long
@@ -2061,7 +2105,7 @@ def _eigen_factors(rng, q, p):
 
 def _pass_stack(factors, n_max, b):
     """The operand stack over n_max nodes as a forward pass of one block at a time made it: blocks of Z, each times M."""
-    blocks = elementwise_blocks(factors["Z0"], factors["G"], n_max, b)
+    blocks = block_pass(factors["Z0"], n_max, b, *elementwise_steps(factors["G"], b))
     return np.concatenate([_operands(factors["M"], Z) for Z in blocks])
 
 
@@ -2115,7 +2159,7 @@ class TestOperandRows:
         grid = two_time_correlation(rho0, gen, cfg, a, monitor=mon)
         (kernel,) = kernels
         assert grid.run["propagator"] == "spectral/spectral" and 1 < grid.n_t < cfg.n_max
-        stack = np.concatenate([_operands(kernel.M, Z) for Z in kernel.blocks(cfg.n_max)])
+        stack = np.concatenate([_operands(kernel.M, Z) for Z in _nodes(kernel, cfg.n_max)])
         assert np.array_equal(operand_stack(grid), stack[: grid.n_t])
 
     @settings(max_examples=15)
@@ -2245,10 +2289,20 @@ def _kernel_form(kind, rng, p, q, s, dt, b):
     return _SpectralKernel(sector, bases, a0, rho0, N, dt, b)
 
 
+def _stepped_form(kind, b):
+    """The stepped U/X form of a run with mechanical losses at N_m = 2, dense (expm) or sparse (rk4) steps."""
+    space = build_space(1, 2, excitation_cap=1)
+    rho0, gen, cfg, a, mon = _correlation_point(
+        ModelParams(J=0.3, gamma_M=0.05), space, dt=0.05, t_max=1.0, method="expm" if kind == "dense" else "rk4",
+    )
+    fwd = _ForwardSector(gen.superoperator(), rho0, _readout(space)[0], a)
+    return _SteppedForm(fwd, a, rho0, mon, cfg, b)
+
+
 class TestRowGroups:
-    @settings(max_examples=60)
+    @settings(max_examples=80)
     @given(
-        kind=st.sampled_from(["expm", "rk4"]),
+        kind=st.sampled_from(["expm", "rk4", "dense", "sparse"]),
         n=st.integers(1, 300),
         b=st.sampled_from([1, 2, 4, 16, 32]),
         per=st.integers(1, 9),
@@ -2260,16 +2314,22 @@ class TestRowGroups:
     )
     @example(kind="expm", n=100, b=4, per=3, p=2, q=1, s=1, stop=0.5, seed=1)  # a stop inside a group
     @example(kind="rk4", n=97, b=16, per=2, p=3, q=2, s=1, stop=1.0, seed=2)  # a last block of one node
+    @example(kind="dense", n=100, b=4, per=3, p=2, q=1, s=1, stop=0.5, seed=1)
+    @example(kind="sparse", n=97, b=16, per=2, p=3, q=2, s=1, stop=1.0, seed=2)
     def test_grouped_pass_is_the_per_block_pass(self, kind, n, b, per, p, q, s, stop, seed):
         # groups of `per` blocks of b nodes give the nodes, and the forward
         # pass the rows, n_t and residual, of a pass one block at a time,
-        # bit for bit, with the leak stop at any node, inside a group or not
-        form = _kernel_form(kind, np.random.default_rng(seed), p, q, s, 0.05, b)
-        x0, g = (np.ones(p, dtype=complex), form.g) if kind == "expm" else (form.Z0, form.G)
-        row_bytes = x0.nbytes
+        # bit for bit, with the leak stop at any node, inside a group or
+        # not: the D and spectral forms (elementwise steps) and the stepped
+        # form with dense (E, E^b) or sparse RK4 steps
+        if kind in ("dense", "sparse"):
+            form = _stepped_form(kind, b)
+        else:
+            form = _kernel_form(kind, np.random.default_rng(seed), p, q, s, 0.05, b)
+        row_bytes = form.start.nbytes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omtc.dynamics._elementwise_blocks", elementwise_blocks)
-            nodes = np.concatenate([Y.copy() for Y in elementwise_blocks(x0, g, n, b)])
+            mp.setattr("omtc.dynamics._row_groups", block_pass)
+            nodes = np.concatenate(list(block_pass(form.start, n, b, *form.steps)))
             monitor = np.concatenate([m for _, m, _ in form.readout(n)])
             k = min(int(stop * n), n - 1)
             leak = np.nextafter(monitor[k], np.inf) if k else 0.0  # the stop falls at node k or before
@@ -2277,7 +2337,7 @@ class TestRowGroups:
             rows, residual = _forward_stack(form, config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("omtc.grid.GROUP_BYTES", per * b * row_bytes + row_bytes - 1)
-            groups = [Y.copy() for Y in grid_module._elementwise_blocks(x0, g, n, b)]
+            groups = [Y.copy() for Y in _nodes(form, n)]
             grouped, grouped_residual = _forward_stack(form, config)
         assert np.array_equal(np.concatenate(groups), nodes)
         sizes = [len(Y) for Y in groups]
@@ -2287,6 +2347,24 @@ class TestRowGroups:
         assert len(grouped) == len(rows) <= (k + 1 if k else n)
         assert np.array_equal(grouped.view(float), rows.view(float))
         assert grouped_residual == residual
+
+    @pytest.mark.parametrize("kind", ["expm", "rk4", "dense", "sparse", "adjoint"])
+    @pytest.mark.parametrize("b", [1, 2, 16, 64])
+    def test_first_nodes_are_b_nodes_then_one(self, kind, b):
+        # the smoke check reads nodes 0 .. b of a pass of b + 1 nodes: a
+        # group of the first block, then the last block of one node as a
+        # group of its own, for the D and spectral forms, the stepped form
+        # with dense or sparse steps, and its adjoint pass; the nodes are
+        # those of the pass one block at a time
+        if kind in ("expm", "rk4"):
+            form = _kernel_form(kind, np.random.default_rng(b), 3, 2, 2, 0.05, b)
+            start, steps = form.start, form.steps
+        else:
+            form = _stepped_form("sparse" if kind == "sparse" else "dense", b)
+            start, steps = (form.a, form.adjoint) if kind == "adjoint" else (form.start, form.steps)
+        assert [len(Y) for Y in _row_groups(start, b + 1, b, *steps)] == [b, 1]
+        nodes = _first_nodes(_row_groups(start, b + 1, b, *steps), b)
+        np.testing.assert_array_equal(nodes, np.concatenate(list(block_pass(start, b + 1, b, *steps))))
 
 
 def _stored_grids(rng, n_t, width):

@@ -48,6 +48,20 @@ def test_north_star_dark_point_loads_no_scipy():
     assert _north_star_point("dark", 9212, "spectral/spectral")["scipy_modules"] == []
 
 
+def test_north_star_thermal_stepped_point_config(monkeypatch):
+    # the point's config alone, without a run: configs/mechanical_losses.cfg
+    # at gamma_M = 0.05 with rk4, Mbar = 2 and N_m = 17
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the tool sets them on import; restored after
+    spec = importlib.util.spec_from_file_location("north_star", ROOT / "tools" / "north_star.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cfg = tool._config("gamma_M=0.05 Mbar=2 rk4")
+    assert (cfg.model.gamma_M, cfg.model.Mbar, cfg.model.J, cfg.model.gamma_a) == (0.05, 2.0, 1.0, 0.1)
+    assert (cfg.numerics.N_m, cfg.numerics.evolution.method) == (17, "rk4")
+    assert cfg.numerics.evolution.dt == 0.02 and cfg.numerics.evolution.t_max == 400
+
+
 def _code_lines(tmp_path, source: str) -> dict:
     """tools/code_lines.py's row for one module holding source."""
     (tmp_path / "mod.py").write_text(source, encoding="utf-8")

@@ -11,8 +11,10 @@ point from ``model.excited_atom = antisymmetric``, the dark state of the
 atoms' exchange basis, whose spectrum is exactly zero.  A further point has
 mechanical losses: ``configs/mechanical_losses.cfg`` at its first sweep
 value ``gamma_M = 0.05`` (``expm``), whose jumps keep both passes on the
-stepped dense path (``dense/dense``), and the same point with ``rk4``
-(``rk4/rk4``).  Each point runs cold, in a fresh interpreter of its own
+stepped dense path (``dense/dense``), the same point with ``rk4``
+(``rk4/rk4``), and that ``rk4`` point with ``model.Mbar = 2`` and
+``numerics.N_m = 17``, a thermal start whose stepped sectors are 2610 and
+972 entries wide (``n_t = 4266``).  Each point runs cold, in a fresh interpreter of its own
 with ``PYTHONDONTWRITEBYTECODE=1`` (so ``src/omtc`` compiles from source, as
 in ``perfbench/``) and BLAS pinned to one thread: it imports the package
 from this checkout's ``src/``, then makes RUNS = 3
@@ -24,8 +26,8 @@ and the whole ``metadata`` record of every run (``runs``): among others its
 stage seconds, ``n_t``, columns, propagator and ``grid_memory_bytes``, the
 bytes the grid keeps, to read next to ``ru_maxrss``.  Run one point alone
 with ``python3 tools/north_star.py --point NAME``, NAME one of
-``Mbar=0``, ``Mbar=0.5``, ``rk4``, ``dark``, ``gamma_M=0.05`` and
-``gamma_M=0.05 rk4``.
+``Mbar=0``, ``Mbar=0.5``, ``rk4``, ``dark``, ``gamma_M=0.05``,
+``gamma_M=0.05 rk4`` and ``gamma_M=0.05 Mbar=2 rk4``.
 """
 
 import json
@@ -43,8 +45,9 @@ RUNS = 3
 #: name: (numerics.method, extra config lines) of the configs/reference.cfg points
 POINTS = {"Mbar=0": ("expm", ""), "Mbar=0.5": ("expm", "model.Mbar = 0.5\n"), "rk4": ("rk4", ""),
           "dark": ("rk4", "model.excited_atom = antisymmetric\n")}
-#: name: numerics.method of the configs/mechanical_losses.cfg points, at gamma_M = 0.05
-MECHANICAL = {"gamma_M=0.05": "expm", "gamma_M=0.05 rk4": "rk4"}
+#: name: (numerics.method, extra config lines) of the configs/mechanical_losses.cfg points, at gamma_M = 0.05
+MECHANICAL = {"gamma_M=0.05": ("expm", ""), "gamma_M=0.05 rk4": ("rk4", ""),
+              "gamma_M=0.05 Mbar=2 rk4": ("rk4", "model.Mbar = 2\nnumerics.N_m = 17\n")}
 
 
 def _maxrss_mib() -> float:
@@ -57,11 +60,12 @@ def _config(name: str):
     from omtc.config import apply_sweep_value, parse_config
 
     if name in MECHANICAL:
-        cfg = parse_config((ROOT / "configs" / "mechanical_losses.cfg").read_text(encoding="utf-8"))
+        method, extra = MECHANICAL[name]
+        cfg = parse_config((ROOT / "configs" / "mechanical_losses.cfg").read_text(encoding="utf-8") + extra)
         if cfg.sweep.values[0] != 0.05 or cfg.numerics.evolution.method != "expm":
             raise SystemExit("configs/mechanical_losses.cfg no longer sweeps from gamma_M = 0.05 with expm")
         cfg = apply_sweep_value(cfg, 0.05)
-        evolution = replace(cfg.numerics.evolution, method=MECHANICAL[name])
+        evolution = replace(cfg.numerics.evolution, method=method)
         return replace(cfg, numerics=replace(cfg.numerics, evolution=evolution))
     text = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
     if "numerics.method = rk4" not in text or "model.Mbar = 0\n" not in text:
@@ -112,7 +116,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "point": "configs/reference.cfg with numerics.method = expm, and as given (rk4, also from "
                  "the dark antisymmetric start); "
-                 "configs/mechanical_losses.cfg at gamma_M = 0.05 (expm, and rk4)",
+                 "configs/mechanical_losses.cfg at gamma_M = 0.05 (expm, and rk4, also at Mbar = 2 "
+                 "with N_m = 17)",
         "points": points,
     }, sort_keys=True))
     return 0
