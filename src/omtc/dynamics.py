@@ -398,13 +398,9 @@ def _nodes(form, n: int):
     return _row_groups(form.start, n, form.b, *form.steps)
 
 
-def _first_nodes(blocks, b: int) -> np.ndarray:
-    """Nodes 0 .. b of a pass, from its row groups of b + 1 nodes (b nodes, then one), copied into one array."""
-    first = next(blocks)
-    nodes = np.empty((b + 1, first.shape[1]), dtype=first.dtype)
-    nodes[:b] = first
-    nodes[b:] = next(blocks)
-    return nodes
+def _first_nodes(start: np.ndarray, steps, b: int) -> np.ndarray:
+    """Nodes 0 .. b of a pass from start by steps, copied out of its row groups (b nodes, then one)."""
+    return np.concatenate([Y.copy() for Y in _row_groups(start, b + 1, b, *steps)])
 
 
 def _phases(p: int, q: int) -> np.ndarray:
@@ -726,11 +722,12 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
     adjoint duality.  The references are steps of size dt by matvecs with S
     and S^H: the RK4 step polynomial r(h S) itself (_taylor_step with four
     terms), or for expm the Taylor sum to roundoff.  Every form runs the
-    same checks on its nodes 0 .. b from its own pass (_nodes): node 1 (state) on
-    every entry but the dropped ones, and p against the reference's dropped
-    diagonal sum, so the readout sector's closure, the form's block, factors
-    or eigenbases and p are checked at runtime; node b, made by the power
-    that steps a blocked pass, against node b - 1 stepped once by the form;
+    same checks on its nodes 0 .. b from its own pass (_first_nodes): node
+    1 (state) on every entry but the dropped ones, and p against the
+    reference's dropped diagonal sum, so the readout sector's closure, the
+    form's block, factors or eigenbases and p are checked at runtime; node
+    b, made by the power that steps a blocked pass, against node b - 1
+    stepped once by the form;
     the form's own checks (its adjoint steps, and for the stepped form the
     operand map at node b); and its C[1][0], C[1][1], C[b][0] and
     C[b][1] against ((R^H)^(j-k) a) . vec(a rho(t_k)) for the reference step
@@ -761,7 +758,7 @@ def _smoke_check(gen, form, rho0, a_mat, config: EvolutionConfig):
         return u
 
     b = form.b
-    nodes = _first_nodes(_nodes(form, b + 1), b)
+    nodes = _first_nodes(form.start, form.steps, b)
     rho, p = form.state(nodes[1])
     diff_f = -ref_f
     diff_f[fwd.index] += rho
@@ -858,7 +855,7 @@ class _SteppedForm:
         coordinates that one leaves near zero, against vec(a rho)[adj] for
         its state rho, under the kernel check's name.
         """
-        U = _first_nodes(_row_groups(self.a, self.b + 1, self.b, *self.adjoint), self.b)
+        U = _first_nodes(self.a, self.adjoint, self.b)
         X = (self.a_map @ nodes[[0, 1, self.b]].T).T
         operands = X[2] - (self.a_mat @ self.herm.matrix(nodes[-1])).reshape(-1)[self.sector.adj]
         adjoint = [("adjoint", U[1] - u1), ("adjoint E^b", U[-1] - self.adjoint[0](U[-2], np.empty_like(u1))),
@@ -961,9 +958,9 @@ def _check_budget(config: EvolutionConfig, node_bytes: int, stack="factor stacks
     bytes per block, given as (n, itemsize) (8 for the real forward block,
     n = |R_f| + 1 with p; 16 for the complex adjoint one).  The D and
     spectral forms step elementwise and build no propagator.  Not counted:
-    the row groups of every pass (grid._row_groups), at most GROUP_BYTES
-    of nodes or one block, with the rows and monitor products read from
-    them.  Called once per form: by _kernel for the D and spectral forms,
+    the row groups of every pass (grid._row_groups), in a buffer of
+    GROUP_BYTES of nodes or two blocks, with the rows and monitor products
+    read from them.  Called once per form: by _kernel for the D and spectral forms,
     by _SteppedForm and by evolve.  Method rk4 is advised only where dense
     blocks count.
     """

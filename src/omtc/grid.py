@@ -184,20 +184,22 @@ def _row_groups(x0: np.ndarray, n: int, b: int, step, advance=None):
     node) is a group of its own: numpy takes other loops for one row (a
     vector product for a matrix product, an unbroadcast product for a
     one-column one), so its reader's rows keep the bits of a block alone.
-    All groups are views of one buffer, which the next group overwrites.
+    All groups are views of one buffer, which later groups overwrite; it
+    holds two blocks at least, so that no block is made over the one it is
+    stepped from (numpy would copy that one first).
     """
     if n < 1:
         return
     per = b * max(1, GROUP_BYTES // max(b * x0.nbytes, 1)) if b > 1 else 1
-    Y = np.empty((min(per, n), len(x0)), dtype=x0.dtype)
-    Y[0], at = x0, 0  # Y[:at] holds the blocks made
+    Y = np.empty((min(max(per, 2 * b), n), len(x0)), dtype=x0.dtype)
+    Y[0], lo, at = x0, 0, 0  # Y[lo:at] holds the group's blocks
     for start in range(0, n, b):
         rows = min(b, n - start)
         if start:
             last = Y[at - b : at]
-            if at + rows > len(Y) or rows == 1:
-                yield Y[:at]
-                at = 0
+            if at - lo + rows > per or rows == 1:
+                yield Y[lo:at]
+                lo = at = 0 if at - b >= rows else at
             if advance is not None:
                 advance(last[:rows], Y[at : at + rows])
                 at += rows
@@ -206,7 +208,7 @@ def _row_groups(x0: np.ndarray, n: int, b: int, step, advance=None):
         for i in range(at + 1, at + rows):
             step(Y[i - 1], Y[i])
         at += rows
-    yield Y[:at]
+    yield Y[lo:at]
 
 
 def _operands(M: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -2363,8 +2363,30 @@ class TestRowGroups:
             form = _stepped_form("sparse" if kind == "sparse" else "dense", b)
             start, steps = (form.a, form.adjoint) if kind == "adjoint" else (form.start, form.steps)
         assert [len(Y) for Y in _row_groups(start, b + 1, b, *steps)] == [b, 1]
-        nodes = _first_nodes(_row_groups(start, b + 1, b, *steps), b)
+        nodes = _first_nodes(start, steps, b)
         np.testing.assert_array_equal(nodes, np.concatenate(list(block_pass(start, b + 1, b, *steps))))
+
+    @pytest.mark.parametrize("advanced", [True, False])
+    @pytest.mark.parametrize("b, per", [(1, 1), (4, 1), (4, 3), (16, 2)])
+    def test_no_node_is_made_over_its_source(self, monkeypatch, advanced, b, per):
+        # the buffer holds two blocks at least, so that a group of one
+        # block is made beside the block before it: a step or b-step never
+        # reads the memory it writes (numpy would copy an overlapping input
+        # first), and the nodes are those of the pass one block at a time
+        x0, g = np.ones(3, dtype=complex), np.array([0.9, 0.8j, -0.5])
+
+        def apart(factor):
+            def step(x, out):
+                assert not np.shares_memory(x, out)
+                return np.multiply(x, factor, out=out)
+            return step
+
+        steps = apart(g), apart(g**b) if advanced else None
+        monkeypatch.setattr("omtc.grid.GROUP_BYTES", per * b * x0.nbytes)
+        for n in (1, b + 1, 2 * b, 37):
+            groups = [Y.copy() for Y in _row_groups(x0, n, b, *steps)]
+            assert all(len(Y) <= max(per * b, 1) for Y in groups)
+            np.testing.assert_array_equal(np.concatenate(groups), np.concatenate(list(block_pass(x0, n, b, *steps))))
 
 
 def _stored_grids(rng, n_t, width):
